@@ -54,7 +54,7 @@ from .gpa import (
     solve,
     solve_affine_centered,
 )
-from .metrics import CveConfig, cross_validation_error, gauge_align, rmse_d, rmse_r
+from .metrics import CveConfig, cross_validation_error, cross_validation_errors, gauge_align, rmse_d, rmse_r
 
 __version__ = "0.1.0"
 
@@ -66,7 +66,8 @@ __all__ = [
     "SingularTransform", "TheoremConditionReport", "TpsWarp", "UnconstrainedPoint",
     "affine_basis", "apply_warp", "assemble_P", "bending_energy", "bottom_d_scaled",
     "center", "centroid", "check_theorem_conditions", "complete_all", "complete_shape",
-    "correct_reflection", "covariance", "cross_validation_error", "eig_sym",
+    "correct_reflection", "covariance", "cross_validation_error",
+    "cross_validation_errors", "eig_sym",
     "estimate_prior", "estimate_prior_for_set", "fit_inverse_tps",
     "free_translation_witness", "gauge_align", "leftmost_singular_vector",
     "load_shapes", "pairwise_similarity_procrustes", "pairwise_transform_table",

@@ -11,9 +11,8 @@ Subcommands:
 * ``defgpa prior``  -- print the estimated reference covariance prior.
 
 Exit codes: 0 success, 1 runtime failure inside the solver, 2 usage/config or
-input-format errors.  ``DEFGPA_THREADS`` caps the sweep's worker threads.
-Outputs are byte-deterministic: fixed key order and shortest round-trip float
-formatting.
+input-format errors.  Outputs are byte-deterministic: fixed key order and
+shortest round-trip float formatting.
 """
 
 import argparse
@@ -22,7 +21,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -158,12 +156,12 @@ def _resolve_reflection_ref(shape_set, ref):
     return index
 
 
-def _solve_once(shape_set, config, nu=None):
+def _solve_once(shape_set, config, prior=None):
     models = build_models(shape_set, config)
     solution = gpa.solve(
         shape_set, models,
-        prior=None,
-        nu=config.nu if nu is None else nu,
+        prior=prior,
+        nu=config.nu,
         reflection_ref=_resolve_reflection_ref(shape_set, config.reflection_ref),
         allow_reflection=config.allow_reflection,
     )
@@ -204,50 +202,55 @@ def _method_name(config):
     return f"TPS_r({config.ctrl})"
 
 
-def _sweep_one(shape_set, config, theta, cve_group):
-    cfg = replace(config, theta=theta)
-    models, solution = _solve_once(shape_set, cfg)
-    r_ref = metrics.rmse_r(solution, shape_set, models)
-    r_dat = metrics.rmse_d(solution, shape_set, models)
-    cve, _ = metrics.cross_validation_error(
-        shape_set, models, nu=solution.nu,
-        config=metrics.CveConfig(cve_group),
-        reflection_ref=_resolve_reflection_ref(shape_set, config.reflection_ref))
-    return {"theta": theta, "rmse_r": r_ref, "rmse_d": r_dat, "cve": cve}
-
-
 def cmd_sweep(config, thetas=None, cve_group=1):
     shape_set = _load_input(config)
     if thetas is None:
         thetas = np.logspace(-5, 5, 11).tolist()
     if len(thetas) < 2:
         raise FormatError("sweep needs at least two theta values")
+    reflection_ref = _resolve_reflection_ref(shape_set, config.reflection_ref)
 
+    # the prior depends on the kept points only, never on theta
+    errors = {}
+    rows = {}
+    model_sets = {}
     try:
-        cap = int(os.environ.get("DEFGPA_THREADS", "0"))
-    except ValueError:
-        cap = 0
-    max_workers = min(len(thetas), os.cpu_count() or 1)
-    if cap > 0:
-        max_workers = min(max_workers, cap)
-    results = [None] * len(thetas)
-
-    def run(idx):
+        prior = gpa.estimate_prior_for_set(shape_set, allow_reflection=config.allow_reflection)
+    except DefgpaError as exc:  # every grid point fails alike
+        errors = dict.fromkeys(range(len(thetas)), exc)
+    for idx, theta in enumerate(thetas):
+        if idx in errors:
+            continue
         try:
-            return idx, _sweep_one(shape_set, config, thetas[idx], cve_group)
-        except Exception as exc:  # record the failed grid point, keep sweeping
-            sys.stderr.write(json.dumps({"theta": thetas[idx], "error": type(exc).__name__,
-                                         "message": str(exc)}) + "\n")
-            return idx, {"theta": thetas[idx], "rmse_r": float("nan"),
-                         "rmse_d": float("nan"), "cve": float("nan")}
+            models, solution = _solve_once(shape_set, replace(config, theta=theta), prior)
+            rows[idx] = {"theta": theta,
+                         "rmse_r": metrics.rmse_r(solution, shape_set, models),
+                         "rmse_d": metrics.rmse_d(solution, shape_set, models)}
+            model_sets[idx] = models
+        except DefgpaError as exc:  # record the failed grid point, keep sweeping
+            errors[idx] = exc
 
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            for idx, row in pool.map(run, range(len(thetas))):
-                results[idx] = row
-    else:
-        for i in range(len(thetas)):
-            results[i] = run(i)[1]
+    if model_sets:
+        outcomes = metrics.cross_validation_errors(
+            shape_set, list(model_sets.values()),
+            # the CVE estimates its priors without reflections, as `defgpa cve` does
+            prior=None if config.allow_reflection else prior,
+            nu=config.nu, config=metrics.CveConfig(cve_group), reflection_ref=reflection_ref)
+        for idx, outcome in zip(model_sets, outcomes):
+            if isinstance(outcome, DefgpaError):
+                errors[idx] = outcome
+            else:
+                rows[idx]["cve"] = outcome[0]
+
+    results = []
+    for idx, theta in enumerate(thetas):
+        if idx in errors:
+            exc = errors[idx]
+            sys.stderr.write(json.dumps({"theta": theta, "error": type(exc).__name__,
+                                         "message": str(exc)}) + "\n")
+            nan = float("nan")
+            rows[idx] = {"theta": theta, "rmse_r": nan, "rmse_d": nan, "cve": nan}
+        results.append(rows[idx])
 
     out = _default_output(config, "sweep.csv")
     _write_metrics(out, "csv", results)

@@ -78,10 +78,6 @@ class SimilarityTransform:
     def apply(self, points):
         return self.scale * (self.rotation @ np.asarray(points, dtype=float)) + self.translation[:, None]
 
-    @classmethod
-    def identity(cls, d):
-        return cls(1.0, np.eye(d), np.zeros(d))
-
 
 @dataclass
 class ShapeConditions:
@@ -161,54 +157,98 @@ class GpaSolution:
 # pairwise similarity Procrustes and shape completion
 
 
+def _similarity_procrustes_batch(X, G, allow_reflection=False, checked=None):
+    """Similarity Procrustes between every ordered pair of a stack of shapes.
+
+    X is the n x d x m stack with missing points set to 0 and G the n x m
+    visibility masks.  Entry [i, k] of the returned s (n, n), R (n, n, d, d)
+    and t (n, n, d) maps shape k onto shape i over their jointly visible
+    points, s R D_k + t 1^T ~ D_i; the diagonal is the identity.
+
+    Each shape is first shifted by its own visible centroid.  The masked sums,
+    cross-covariances and squared norms of all pairs then come from matmuls
+    over m, one batched SVD of the (n, n, d, d) stack gives the rotations, and
+    determinants are corrected to +1 (unless reflections are allowed) by
+    flipping the weakest singular direction.  Among the pairs in `checked`
+    (default: every pair i != k) the first failing one in row-major order
+    raises, as a loop over the pairs would.
+    """
+    n, d, m = X.shape
+    G = np.asarray(G, dtype=float)
+    if checked is None:
+        checked = ~np.eye(n, dtype=bool)
+    centroids = (X @ G[:, :, None])[:, :, 0] / G.sum(axis=1)[:, None]
+    Y = (X - centroids[:, :, None]) * G[:, None, :]
+    Yflat = Y.reshape(n * d, m)
+    joint = G @ G.T
+    safe = np.maximum(joint, 1.0)[:, :, None]
+    sums = (Yflat @ G.T).reshape(n, d, n)           # [k, :, i]: Y_k summed over joint(i, k)
+    mu_src = sums.transpose(2, 0, 1) / safe         # [i, k]: joint mean of Y_k
+    mu_tgt = sums.transpose(0, 2, 1) / safe         # [i, k]: joint mean of Y_i
+    cross = (Yflat @ Yflat.T).reshape(n, d, n, d).transpose(2, 0, 1, 3)  # [i, k] = Y_k Y_i^T
+    M = cross - joint[:, :, None, None] * mu_src[:, :, :, None] * mu_tgt[:, :, None, :]
+    sq = ((Y * Y).sum(axis=1) @ G.T).T              # [i, k]: |Y_k|^2 summed over joint
+    denom = sq - joint * np.sum(mu_src * mu_src, axis=-1)
+
+    U, sv, Vt = np.linalg.svd(M)
+    R = np.swapaxes(Vt, -1, -2) @ np.swapaxes(U, -1, -2)
+    if not allow_reflection:
+        flip = np.linalg.det(R) < 0
+        Vt[flip, -1, :] *= -1.0
+        R = np.swapaxes(Vt, -1, -2) @ np.swapaxes(U, -1, -2)
+    s = np.einsum("...ab,...ba->...", R, M) / np.where(denom > 0, denom, 1.0)
+    src_mean = mu_src + centroids[None, :, :]
+    t = mu_tgt + centroids[:, None, :] - s[:, :, None] * (R @ src_mean[..., None])[..., 0]
+    diag = np.arange(n)
+    s[diag, diag] = 1.0
+    R[diag, diag] = np.eye(d)
+    t[diag, diag] = 0.0
+
+    rank_deficient = sv[..., 0] <= 0
+    if d >= 2:
+        rank_deficient |= sv[..., d - 2] <= 1e-12 * sv[..., 0]
+    orth_error = np.max(np.abs(np.swapaxes(R, -1, -2) @ R - np.eye(d)), axis=(-2, -1))
+    checks = (
+        (joint < d + 1, InsufficientOverlap, "need at least {need} jointly visible points, have {have}"),
+        # relative to the raw second moment, so that round-off cannot pass for spread
+        (denom <= 1e-12 * sq, DegenerateConfiguration, "source points are coincident"),
+        (rank_deficient, DegenerateConfiguration,
+         "cross-covariance is rank-deficient; rotation undetermined"),
+        (s <= 0, DegenerateConfiguration, "optimal similarity scale is not positive"),
+        (orth_error > 1e-10, DegenerateConfiguration, "rotation block is not orthonormal"),
+    )
+    failed = np.stack([mask for mask, _, _ in checks]) & checked
+    bad = np.flatnonzero(failed.any(axis=0))
+    if bad.size:
+        i, k = divmod(int(bad[0]), n)
+        _, error, message = checks[int(np.argmax(failed[:, i, k]))]
+        raise error(message.format(need=d + 1, have=int(joint[i, k])))
+    return s, R, t
+
+
+def _stacked(shape_set):
+    """Zero-filled n x d x m point stack and n x m float visibility masks."""
+    X = np.stack([s.filled(0.0) for s in shape_set])
+    return X, shape_set.visibility_matrix().astype(float)
+
+
 def pairwise_similarity_procrustes(d1, d2, allow_reflection=False):
     """Optimal s, R, t with (s R D1 + t 1^T) matching D2 on jointly visible points.
 
-    Closed-form via the SVD of the centered cross-covariance; when reflections
-    are not allowed the determinant of R is corrected to +1 by flipping the
-    weakest singular direction.
+    The two-shape case of the batched similarity Procrustes kernel.
     """
-    joint = d1.visibility & d2.visibility
-    d = d1.d
-    if int(joint.sum()) < d + 1:
-        raise InsufficientOverlap(f"need at least {d + 1} jointly visible points, have {int(joint.sum())}")
-    P1 = d1.points[:, joint]
-    P2 = d2.points[:, joint]
-    mu1 = P1.mean(axis=1, keepdims=True)
-    mu2 = P2.mean(axis=1, keepdims=True)
-    A1 = P1 - mu1
-    A2 = P2 - mu2
-    denom = float(np.sum(A1 * A1))
-    if denom <= 0:
-        raise DegenerateConfiguration("source points are coincident")
-    M = A1 @ A2.T
-    U, sv, Vt = np.linalg.svd(M)
-    if sv[0] <= 0 or (d >= 2 and sv[d - 2] <= 1e-12 * sv[0]):
-        raise DegenerateConfiguration("cross-covariance is rank-deficient; rotation undetermined")
-    R = Vt.T @ U.T
-    if not allow_reflection and np.linalg.det(R) < 0:
-        D = np.eye(d)
-        D[-1, -1] = -1.0
-        R = Vt.T @ D @ U.T
-    s = float(np.trace(R @ M)) / denom
-    if s <= 0:
-        raise DegenerateConfiguration("optimal similarity scale is not positive")
-    t = (mu2 - s * (R @ mu1)).ravel()
-    return SimilarityTransform(s, R, t)
+    X = np.stack([d1.filled(0.0), d2.filled(0.0)])
+    G = np.vstack([d1.visibility, d2.visibility])
+    checked = np.array([[False, False], [True, False]])
+    s, R, t = _similarity_procrustes_batch(X, G, allow_reflection, checked)
+    return SimilarityTransform(float(s[1, 0]), R[1, 0], t[1, 0])
 
 
 def pairwise_transform_table(shape_set, allow_reflection=False):
     """n x n table; entry [i][k] maps shape k into the frame of shape i."""
-    n = shape_set.n
-    table = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for k in range(n):
-            if i == k:
-                table[i][k] = SimilarityTransform.identity(shape_set.d)
-            else:
-                table[i][k] = pairwise_similarity_procrustes(
-                    shape_set[k], shape_set[i], allow_reflection=allow_reflection)
-    return table
+    s, R, t = _similarity_procrustes_batch(*_stacked(shape_set), allow_reflection)
+    return [[SimilarityTransform(float(s[i, k]), R[i, k], t[i, k]) for k in range(shape_set.n)]
+            for i in range(shape_set.n)]
 
 
 def complete_shape(shape_set, i, transforms):
@@ -216,7 +256,8 @@ def complete_shape(shape_set, i, transforms):
 
     Each missing point is the visibility-weighted average of its occurrences
     in the other shapes mapped into frame i through the pairwise transforms
-    (the sum runs over all shapes, each masked by its own visibility).
+    (the sum runs over all shapes, each masked by its own visibility).  The
+    per-shape reference for `complete_all`.
     """
     target = shape_set[i]
     d, m = target.d, target.m
@@ -238,14 +279,22 @@ def complete_shape(shape_set, i, transforms):
 
 
 def complete_all(shape_set, allow_reflection=False):
-    """Completed full matrices for every shape (full shapes pass through)."""
+    """Completed full matrices for every shape (full shapes pass through).
+
+    Same filling as `complete_shape`, for all shapes at once: the transforms
+    of the batched Procrustes kernel are applied as one (n d) x (n d) matmul.
+    """
     if shape_set.all_full:
         return [s.points.copy() for s in shape_set]
-    table = pairwise_transform_table(shape_set, allow_reflection=allow_reflection)
-    return [
-        s.points.copy() if s.is_full else complete_shape(shape_set, i, table)
-        for i, s in enumerate(shape_set)
-    ]
+    X, G = _stacked(shape_set)
+    n, d, m = X.shape
+    s, R, t = _similarity_procrustes_batch(X, G, allow_reflection)
+    maps = (s[:, :, None, None] * R).transpose(0, 2, 1, 3).reshape(n * d, n * d)
+    acc = (maps @ X.reshape(n * d, m) + t.transpose(0, 2, 1).reshape(n * d, n) @ G).reshape(n, d, m)
+    counts = G.sum(axis=0)
+    if np.any(counts == 0):  # such a point is missing from every shape
+        raise UnconstrainedPoint(f"points {np.flatnonzero(counts == 0).tolist()} are visible in no shape")
+    return list(np.where(G[:, None, :] > 0, X, acc / np.where(counts > 0, counts, 1.0)))
 
 
 # ---------------------------------------------------------------------------

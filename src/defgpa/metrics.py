@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DefgpaError,
     DegenerateConfiguration,
     DimensionError,
     InsufficientOverlap,
@@ -118,58 +119,110 @@ def _fold_slices(m, config):
     return [order[k * N: min((k + 1) * N, m)] for k in range(n_folds)]
 
 
-def cross_validation_error(shape_set, models, prior=None, nu=None, config=None,
-                           reflection_ref=0):
-    """Leave-N-out CVE and the per-shape predicted reference shapes.
+def cross_validation_errors(shape_set, model_sets, prior=None, nu=None, config=None,
+                            reflection_ref=0):
+    """Leave-N-out CVE of several model sets (one per theta) on one shape set.
 
-    Per fold the GPA is re-solved on the kept points (prior re-estimated on
-    the reduced set, as the full pipeline would), held-out points are pushed
-    through the fold transforms, and the fold reference is rigidly aligned to
-    the full reference restricted to the kept points.  Only originally visible
-    landmarks enter the error.
+    The folds run on the outside and the model sets on the inside, so that
+    everything that does not depend on the models is done once per fold:
+    restricting the points and estimating the prior of the reduced set.  Per
+    fold and model set the GPA is re-solved on the kept points, held-out points
+    are pushed through the fold transforms, and the fold reference is rigidly
+    aligned to the full reference restricted to the kept points.  Only
+    originally visible landmarks enter the error.  `prior` (estimated when
+    None) serves the full solves.
+
+    Returns one entry per model set: (cve, predicted shapes), or the
+    DefgpaError that stopped it; a failed model set skips the later folds.
     """
     if config is None:
         config = CveConfig()
     d, m, n = shape_set.d, shape_set.m, shape_set.n
-    if config.group_size >= m:
-        raise DimensionError(f"fold size {config.group_size} must be below m={m}")
-    if m - config.group_size < d + 1:
-        raise DimensionError(f"folds of {config.group_size} leave fewer than d+1={d + 1} points")
+    outcomes = [None] * len(model_sets)
+    try:
+        if config.group_size >= m:
+            raise DimensionError(f"fold size {config.group_size} must be below m={m}")
+        if m - config.group_size < d + 1:
+            raise DimensionError(f"folds of {config.group_size} leave fewer than d+1={d + 1} points")
+        if prior is None:
+            prior = _gpa.estimate_prior_for_set(shape_set)
+    except DefgpaError as exc:
+        return [exc] * len(model_sets)
 
-    full = _gpa.solve(shape_set, models, prior=prior, nu=nu,
-                      reflection_ref=reflection_ref, check_conditions=False)
-    nu_used = full.nu
-
-    predicted = [np.full((d, m), np.nan) for _ in range(n)]
+    fulls = {}
+    for j, models in enumerate(model_sets):
+        try:
+            fulls[j] = _gpa.solve(shape_set, models, prior=prior, nu=nu,
+                                  reflection_ref=reflection_ref, check_conditions=False)
+        except DefgpaError as exc:
+            outcomes[j] = exc
+    predicted = {j: [np.full((d, m), np.nan) for _ in range(n)] for j in fulls}
     covered = np.zeros(m, dtype=bool)
+
+    def fail(exc):
+        for j in fulls:
+            outcomes[j] = exc
+        fulls.clear()
+
     for fold in _fold_slices(m, config):
+        if not fulls:
+            break
         keep = np.setdiff1d(np.arange(m), fold)
-        for shape in shape_set:
-            if int(shape.visibility[keep].sum()) < d + 1:
-                raise InsufficientOverlap(
-                    f"fold {fold.tolist()} leaves a shape with fewer than {d + 1} visible points")
+        if any(int(shape.visibility[keep].sum()) < d + 1 for shape in shape_set):
+            fail(InsufficientOverlap(
+                f"fold {fold.tolist()} leaves a shape with fewer than {d + 1} visible points"))
+            break
         try:
             reduced = shape_set.restrict_points(keep)
-        except Exception as exc:  # a kept point visible nowhere: skip, not fatal
+        except DefgpaError as exc:  # a kept point visible nowhere: skip, not fatal
             warnings.warn(f"skipping fold {fold.tolist()}: {exc}")
             continue
-        nu_fold = max(nu_used, n / keep.size)
-        fold_sol = _gpa.solve(reduced, models, prior=None, nu=nu_fold,
-                              reflection_ref=reflection_ref, check_conditions=False)
-        R, t = gauge_align(fold_sol.reference, full.reference[:, keep])
-        for i, shape in enumerate(shape_set):
-            pred = apply_warp(models[i], fold_sol.weights[i], shape.filled(0.0)[:, fold])
-            predicted[i][:, fold] = R @ pred + t[:, None]
+        try:
+            fold_prior = _gpa.estimate_prior_for_set(reduced)
+        except DefgpaError as exc:
+            fail(exc)
+            break
+        nu_fold_min = n / keep.size
+        for j, full in list(fulls.items()):
+            models = model_sets[j]
+            try:
+                fold_sol = _gpa.solve(reduced, models, prior=fold_prior,
+                                      nu=max(full.nu, nu_fold_min),
+                                      reflection_ref=reflection_ref, check_conditions=False)
+                R, t = gauge_align(fold_sol.reference, full.reference[:, keep])
+                for i, shape in enumerate(shape_set):
+                    pred = apply_warp(models[i], fold_sol.weights[i], shape.filled(0.0)[:, fold])
+                    predicted[j][i][:, fold] = R @ pred + t[:, None]
+            except DefgpaError as exc:
+                outcomes[j] = exc
+                del fulls[j]
         covered[fold] = True
 
-    kappa = 0
-    total = 0.0
-    for i, shape in enumerate(shape_set):
-        use = shape.visibility & covered
-        kappa += int(use.sum())
-        diff = np.where(use[None, :], predicted[i] - full.reference, 0.0)
-        total += float(np.sum(diff * diff))
-        predicted[i][:, ~shape.visibility] = np.nan
-    if kappa == 0:
-        raise DegenerateConfiguration("no fold produced any prediction")
-    return float(np.sqrt(total / kappa)), predicted
+    for j, full in fulls.items():
+        kappa = 0
+        total = 0.0
+        for i, shape in enumerate(shape_set):
+            use = shape.visibility & covered
+            kappa += int(use.sum())
+            diff = np.where(use[None, :], predicted[j][i] - full.reference, 0.0)
+            total += float(np.sum(diff * diff))
+            predicted[j][i][:, ~shape.visibility] = np.nan
+        if kappa == 0:
+            outcomes[j] = DegenerateConfiguration("no fold produced any prediction")
+        else:
+            outcomes[j] = (float(np.sqrt(total / kappa)), predicted[j])
+    return outcomes
+
+
+def cross_validation_error(shape_set, models, prior=None, nu=None, config=None,
+                           reflection_ref=0):
+    """Leave-N-out CVE and the per-shape predicted reference shapes.
+
+    The one-model-set case of `cross_validation_errors`; the prior of every
+    fold is re-estimated on the reduced set, as the full pipeline would.
+    """
+    outcome, = cross_validation_errors(shape_set, [models], prior=prior, nu=nu,
+                                       config=config, reflection_ref=reflection_ref)
+    if isinstance(outcome, DefgpaError):
+        raise outcome
+    return outcome

@@ -15,7 +15,6 @@ recovery matrix E_lambda so no side constraints remain on W.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import DegenerateCenters, DimensionError
 from .spectral import _canonical_signs, eig_sym
@@ -27,6 +26,16 @@ def affine_basis(D):
     if D.ndim != 2:
         raise DimensionError(f"expected a d x m matrix, got shape {D.shape}")
     return np.vstack([D, np.ones((1, D.shape[1]))])
+
+
+def _distances(A, B):
+    """Euclidean distances between the columns of A (d x p) and B (d x q), p x q."""
+    sq = np.zeros((A.shape[1], B.shape[1]))
+    for a, b in zip(A, B):  # one coordinate at a time: no d x p x q temporary
+        diff = np.subtract.outer(a, b)
+        diff *= diff
+        sq += diff
+    return np.sqrt(sq, out=sq)
 
 
 def tps_kernel(r, d):
@@ -126,7 +135,7 @@ class TpsWarp(LbwModel):
         D = np.asarray(D, dtype=float)
         if D.shape[0] != self.d:
             raise DimensionError(f"expected {self.d} x m points, got {D.shape}")
-        phi = tps_kernel(cdist(self.centers.T, D.T), self.d)
+        phi = tps_kernel(_distances(self.centers, D), self.d)
         stacked = np.vstack([phi, D, np.ones((1, D.shape[1]))])
         return self.recovery.T @ stacked
 
@@ -162,7 +171,7 @@ def default_internal_smoothing(centers):
     """1e-8 of the kernel magnitude at the median pairwise center distance."""
     centers = np.asarray(centers, dtype=float)
     d, l = centers.shape
-    dist = cdist(centers.T, centers.T)
+    dist = _distances(centers, centers)
     off = dist[np.triu_indices(l, k=1)]
     if off.size == 0 or np.all(off == 0):
         raise DegenerateCenters("control centers are coincident")
@@ -192,7 +201,7 @@ def tps_build(centers, internal_smoothing=None, smoothing=0.0):
     if smoothing < 0:
         raise DegenerateCenters("smoothing weight must be non-negative")
 
-    K = tps_kernel(cdist(centers.T, centers.T), d)
+    K = tps_kernel(_distances(centers, centers), d)
     np.fill_diagonal(K, internal_smoothing)
     C = np.vstack([centers, np.ones((1, l))])
     if np.linalg.matrix_rank(C) < d + 1:

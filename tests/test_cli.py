@@ -10,6 +10,7 @@ from defgpa import (
     CveConfig,
     Shape,
     ShapeSet,
+    SingularSystem,
     cross_validation_error,
     estimate_prior_for_set,
     rmse_d,
@@ -135,6 +136,36 @@ class TestSweepCommand:
         assert doc["metrics"]["rmse_r"] == pytest.approx(row["rmse_r"], abs=1e-10)
         assert doc["metrics"]["rmse_d"] == pytest.approx(row["rmse_d"], abs=1e-10)
         assert doc["metrics"]["cve"] == pytest.approx(row["cve"], abs=1e-10)
+
+    def test_failed_theta_is_isolated(self, rng, tmp_path, monkeypatch, capsys):
+        import defgpa.gpa
+        from conftest import mask_set
+        ss = mask_set(rng, full_set(rng, 2, 10, 3, kind="smooth", noise=0.05), 0.2,
+                      min_joint=2 + 3)
+        path = write_set(tmp_path / "set.json", ss)
+        bad_theta = 0.5
+        real_solve = defgpa.gpa.solve
+
+        def solve(shape_set, models, *args, **kwargs):
+            # models carry mu_i = nnz_i * theta of the full set, in folds too
+            if models[0].smoothing == ss[0].num_visible * bad_theta:
+                raise SingularSystem("injected failure", shape_index=0)
+            return real_solve(shape_set, models, *args, **kwargs)
+
+        monkeypatch.setattr(defgpa.gpa, "solve", solve)
+        with_bad = str(tmp_path / "with_bad.csv")
+        without = str(tmp_path / "without.csv")
+        assert main(["sweep", "--input", path, "--model", "tps",
+                     "--thetas", "10,0.5,0.1", "--output", with_bad]) == 0
+        errors = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert errors == [{"theta": 0.5, "error": "SingularSystem",
+                           "message": "injected failure"}]
+        assert main(["sweep", "--input", path, "--model", "tps",
+                     "--thetas", "10,0.1", "--output", without]) == 0
+        assert capsys.readouterr().err == ""
+        rows = open(with_bad).read().splitlines()
+        assert rows[2] == "0.5,nan,nan,nan"
+        assert rows[:2] + rows[3:] == open(without).read().splitlines()
 
     def test_single_point_grid_rejected(self, rigid_file, tmp_path):
         _, path = rigid_file

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 DEMO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "demos")
+SRC_DIR = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 
 @pytest.mark.parametrize("script", [
@@ -15,8 +16,11 @@ DEMO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "demos")
     "smoothing_tradeoff.py",
 ])
 def test_demo_runs_clean(script, tmp_path):
+    # the demos run from tmp_path, where a relative PYTHONPATH no longer resolves
+    path = os.pathsep.join(p for p in (SRC_DIR, os.environ.get("PYTHONPATH")) if p)
     result = subprocess.run(
         [sys.executable, os.path.abspath(os.path.join(DEMO_DIR, script))],
-        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path})
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip()

@@ -14,6 +14,7 @@ from defgpa import (
     SingularSystem,
     assemble_P,
     check_theorem_conditions,
+    complete_all,
     complete_shape,
     correct_reflection,
     eig_sym,
@@ -171,6 +172,84 @@ class TestCompletion:
         direct = (ss[i].filled(0.0) @ np.diag(gamma_i)
                   + D_hat @ np.diag(1.0 / gamma_plus) @ np.diag(1.0 - gamma_i))
         np.testing.assert_allclose(lib, direct, atol=1e-10)
+
+
+def two_pass_procrustes(src, tgt, allow_reflection):
+    """Reference s, R, t: centered SVD Procrustes on the jointly visible points."""
+    joint = src.visibility & tgt.visibility
+    A1 = src.points[:, joint] - src.points[:, joint].mean(axis=1, keepdims=True)
+    A2 = tgt.points[:, joint] - tgt.points[:, joint].mean(axis=1, keepdims=True)
+    U, _, Vt = np.linalg.svd(A1 @ A2.T)
+    D = np.eye(src.d)
+    if not allow_reflection and np.linalg.det(Vt.T @ U.T) < 0:
+        D[-1, -1] = -1.0
+    R = Vt.T @ D @ U.T
+    s = np.trace(R @ A1 @ A2.T) / np.sum(A1 * A1)
+    mu1 = src.points[:, joint].mean(axis=1)
+    mu2 = tgt.points[:, joint].mean(axis=1)
+    return s, R, mu2 - s * R @ mu1
+
+
+def mirrored_masked_set(rng, d):
+    """Masked affine set whose second shape is mirrored, so reflections matter."""
+    ss = full_set(rng, d, 16, 5, kind="affine", noise=0.02)
+    mirror = np.diag([-1.0] + [1.0] * (d - 1))
+    shapes = list(ss)
+    shapes[1] = Shape(mirror @ shapes[1].points, shapes[1].visibility)
+    return mask_set(rng, ShapeSet(tuple(shapes)), 0.25)
+
+
+class TestBatchedCompletion:
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("allow_reflection", [False, True])
+    def test_complete_all_matches_per_shape_reference(self, rng, d, allow_reflection):
+        ss = mirrored_masked_set(rng, d)
+        table = pairwise_transform_table(ss, allow_reflection=allow_reflection)
+        expected = [complete_shape(ss, i, table) for i in range(ss.n)]
+        got = complete_all(ss, allow_reflection=allow_reflection)
+        for full, want in zip(got, expected):
+            np.testing.assert_allclose(full, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("allow_reflection", [False, True])
+    def test_table_matches_two_pass_procrustes(self, rng, d, allow_reflection):
+        ss = mirrored_masked_set(rng, d)
+        table = pairwise_transform_table(ss, allow_reflection=allow_reflection)
+        for i in range(ss.n):
+            for k in range(ss.n):
+                if i == k:
+                    continue
+                s, R, t = two_pass_procrustes(ss[k], ss[i], allow_reflection)
+                assert table[i][k].scale == pytest.approx(s, rel=1e-12)
+                np.testing.assert_allclose(table[i][k].rotation, R, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(table[i][k].translation, t, rtol=0, atol=1e-12)
+        dets = [np.linalg.det(table[0][1].rotation), np.linalg.det(table[1][0].rotation)]
+        np.testing.assert_allclose(dets, -1.0 if allow_reflection else 1.0, atol=1e-10)
+
+    def test_insufficient_overlap_raises_like_per_pair(self, rng):
+        pts = rng.normal(size=(2, 8))
+        v1 = np.array([True] * 5 + [False] * 3)
+        v2 = np.array([False] * 4 + [True] * 4)
+        ss = ShapeSet((Shape(pts, v1), Shape(pts, v2)))
+        with pytest.raises(InsufficientOverlap):
+            pairwise_similarity_procrustes(ss[1], ss[0])
+        with pytest.raises(InsufficientOverlap):
+            complete_shape(ss, 0, pairwise_transform_table(ss))
+        with pytest.raises(InsufficientOverlap):
+            complete_all(ss)
+
+    def test_coincident_points_raise_like_per_pair(self, rng):
+        # identical points off the origin: their centroid carries round-off
+        same = np.tile([[0.1], [0.7]], 6)
+        other = rng.normal(size=(2, 6))
+        vis = np.array([True] * 5 + [False])
+        ss = ShapeSet((Shape(same, np.ones(6, bool)), Shape(other, vis)))
+        with pytest.raises(DegenerateConfiguration):
+            pairwise_similarity_procrustes(ss[0], ss[1])
+        with pytest.raises(DegenerateConfiguration):
+            complete_shape(ss, 1, pairwise_transform_table(ss))
+        with pytest.raises(DegenerateConfiguration):
+            complete_all(ss)
 
 
 class TestPriorEstimation:
