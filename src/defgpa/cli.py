@@ -168,6 +168,11 @@ def _solve_once(shape_set, config, prior=None):
     return models, solution
 
 
+def _cve_prior(prior, config):
+    """The full-set prior for the CVE, which estimates its priors without reflections."""
+    return None if config.allow_reflection else prior
+
+
 def cmd_solve(config, cve_group=None):
     shape_set = _load_input(config)
     start = time.perf_counter()
@@ -177,7 +182,7 @@ def cmd_solve(config, cve_group=None):
     cve = None
     if cve_group is not None:
         cve, _ = metrics.cross_validation_error(
-            shape_set, models, nu=solution.nu,
+            shape_set, models, prior=_cve_prior(solution.prior, config), nu=solution.nu,
             config=metrics.CveConfig(cve_group),
             reflection_ref=_resolve_reflection_ref(shape_set, config.reflection_ref))
     elapsed = time.perf_counter() - start
@@ -233,8 +238,7 @@ def cmd_sweep(config, thetas=None, cve_group=1):
     if model_sets:
         outcomes = metrics.cross_validation_errors(
             shape_set, list(model_sets.values()),
-            # the CVE estimates its priors without reflections, as `defgpa cve` does
-            prior=None if config.allow_reflection else prior,
+            prior=_cve_prior(prior, config),
             nu=config.nu, config=metrics.CveConfig(cve_group), reflection_ref=reflection_ref)
         for idx, outcome in zip(model_sets, outcomes):
             if isinstance(outcome, DefgpaError):
@@ -264,7 +268,8 @@ def cmd_cve(config, group):
         raise FormatError(f"group size must lie in [1, m), got {group} with m={shape_set.m}")
     models, solution = _solve_once(shape_set, config)
     cve, predicted = metrics.cross_validation_error(
-        shape_set, models, nu=solution.nu, config=metrics.CveConfig(group),
+        shape_set, models, prior=_cve_prior(solution.prior, config), nu=solution.nu,
+        config=metrics.CveConfig(group),
         reflection_ref=_resolve_reflection_ref(shape_set, config.reflection_ref))
     out = _default_output(config, "cve.json")
     pred_doc = {"d": shape_set.d, "m": shape_set.m, "n": shape_set.n, "shapes": []}

@@ -4,14 +4,15 @@ Pipeline (all closed-form): pairwise similarity Procrustes between shapes,
 completion of missing points by visibility-weighted averaging, estimation of
 the reference covariance prior from per-shape singular values, assembly of the
 point-space matrix P, and the constrained trace minimization whose optimum is
-the bottom-d eigenvectors of P + nu*11^T scaled by the prior.  A reflection
-correction against one datum shape fixes the orientation gauge.
+the bottom-d eigenvectors of P + nu*11^T scaled by the prior.  When every
+shape is full that eigenproblem is solved on the span of the stacked bases,
+without forming an m x m matrix.  A reflection correction against one datum
+shape fixes the orientation gauge.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DegenerateConfiguration,
@@ -21,7 +22,7 @@ from .errors import (
     SingularSystem,
     UnconstrainedPoint,
 )
-from .spectral import bottom_d_scaled, leftmost_singular_vector
+from .spectral import bottom_d_scaled, bottom_d_scaled_on_span, leftmost_singular_vector
 
 
 @dataclass(frozen=True)
@@ -334,16 +335,28 @@ def estimate_prior_for_set(shape_set, allow_reflection=False):
 # P-matrix assembly and the closed-form solve
 
 
+def _cholesky_solve(N, rhs):
+    """N^{-1} rhs for SPD N: a Cholesky factor, then two triangular solves.
+
+    Raises np.linalg.LinAlgError when N is not positive definite or either
+    input holds a non-finite entry.
+    """
+    if not (np.all(np.isfinite(N)) and np.all(np.isfinite(rhs))):
+        raise np.linalg.LinAlgError("non-finite entries")
+    L = np.linalg.cholesky(N)
+    return np.linalg.solve(L.T, np.linalg.solve(L, rhs))
+
+
 def _solve_normal(N, rhs, index):
     """SPD solve with one diagonal-jitter retry before giving up."""
     try:
-        return scipy.linalg.cho_solve(scipy.linalg.cho_factor(N), rhs)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError):
+        return _cholesky_solve(N, rhs)
+    except np.linalg.LinAlgError:
         pass
     jitter = 1e-12 * max(np.trace(N) / N.shape[0], np.finfo(float).tiny)
     try:
-        return scipy.linalg.cho_solve(scipy.linalg.cho_factor(N + jitter * np.eye(N.shape[0])), rhs)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError) as exc:
+        return _cholesky_solve(N + jitter * np.eye(N.shape[0]), rhs)
+    except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"normal matrix of shape {index} is singular", shape_index=index) from exc
 
 
@@ -365,29 +378,77 @@ def _per_shape_terms(shape_set, models):
     return terms
 
 
+def _dense(shift, factors):
+    """diag(shift) - sum_i L_i^T R_i as an m x m array, symmetrized against round-off."""
+    M = np.diag(shift)
+    for L, R in factors:
+        M -= L.T @ R
+    return 0.5 * (M + M.T)
+
+
 def assemble_P(shape_set, models):
     """P = sum_i (Gamma_i - Gamma_i B_i^T N_i^{-1} B_i Gamma_i); symmetric, 0 <= P <= nI."""
-    m = shape_set.m
-    P = np.zeros((m, m))
-    for shape, Bg, solved in _per_shape_terms(shape_set, models):
-        P += np.diag(shape.visibility.astype(float)) - Bg.T @ solved
-    return 0.5 * (P + P.T)
+    terms = _per_shape_terms(shape_set, models)
+    return _dense(shape_set.visibility_matrix().sum(axis=0).astype(float),
+                  [(Bg, solved) for _, Bg, solved in terms])
+
+
+def _span_basis(columns):
+    """Orthonormal basis (m x r) of the column span of an m x k matrix.
+
+    Columns are scaled to unit norm first, so that the rank cutoff does not
+    depend on their scale; singular values at or below max(m, k) * eps times
+    the largest count as zero (the default of np.linalg.matrix_rank).
+    """
+    norms = np.linalg.norm(columns, axis=0)
+    columns = columns[:, norms > 0] / norms[norms > 0]
+    if columns.shape[1] == 0:
+        return columns
+    U, sv, _ = np.linalg.svd(columns, full_matrices=False)
+    return U[:, sv > max(columns.shape) * np.finfo(float).eps * sv[0]]
+
+
+def _bottom_d_of_sum(shift, factors, nu, prior, anchor):
+    """Prior-scaled bottom-d eigenvectors of M = diag(shift) - sum_i L_i^T R_i + nu 11^T.
+
+    `factors` holds the l_i x m pairs (L_i, R_i) with R_i = K_i L_i for a
+    symmetric K_i (the solved normal equations).
+    With a scalar shift c, M equals c I outside the span of the L_i^T (and of
+    1 when nu > 0), a subspace of dimension r <= sum_i l_i + 1.  The
+    eigenproblem is then solved on that span, C = U^T M U, and no m x m array
+    is formed.  The dense matrix serves a vector shift, and a scalar one when
+    the restricted spectrum cannot certify the selection.
+    """
+    m = factors[0][0].shape[1]
+    if np.ndim(shift) == 0:
+        ones = [np.ones((m, 1))] if nu else []
+        U = _span_basis(np.hstack([L.T for L, _ in factors] + ones))
+        w = U.sum(axis=0)  # U^T 1
+        C = shift * np.eye(U.shape[1]) + nu * np.outer(w, w)
+        for L, R in factors:
+            C -= (L @ U).T @ (R @ U)
+        S = bottom_d_scaled_on_span(U, 0.5 * (C + C.T), shift, prior, anchor=anchor)
+        if S is not None:
+            return S
+        shift = np.full(m, float(shift))
+    M = _dense(shift, factors)
+    M += nu
+    return bottom_d_scaled(M, prior, anchor=anchor)
 
 
 def _gram_anchor(shape_set):
-    """Visibility-masked Gram of the centered shapes; rigid-transform invariant.
+    """The stacked centered, visibility-masked shapes A (n d x m).
 
-    Used only to resolve numerically degenerate eigenvalue clusters of the
-    solve matrix deterministically (zero-residual data makes the bottom-d
-    eigenvalue exactly d-fold degenerate).
+    Its Gram A^T A is rigid-transform invariant; it serves only to resolve
+    numerically degenerate eigenvalue clusters of the solve matrix
+    deterministically (zero-residual data makes the bottom-d eigenvalue
+    exactly d-fold degenerate).
     """
-    m = shape_set.m
-    G = np.zeros((m, m))
+    rows = []
     for s in shape_set:
         mu = s.visible_points().mean(axis=1, keepdims=True)
-        X = (s.filled(0.0) - mu) * s.visibility[None, :]
-        G += X.T @ X
-    return G
+        rows.append((s.filled(0.0) - mu) * s.visibility[None, :])
+    return np.vstack(rows)
 
 
 def correct_reflection(S, ref_shape):
@@ -412,29 +473,20 @@ def correct_reflection(S, ref_shape):
     return S
 
 
-def check_theorem_conditions(shape_set, models, tol=1e-6):
-    """Evaluate the equivalent closed-form solvability statements per shape.
-
-    For full shapes the projector condition is Q_i 1 = 1, for partial shapes
-    P_i 1 = 0; the witness condition asks for x with
-    Gamma_i B_i^T x = Gamma_i 1 (and Z_i x = 0 when regularized).  Also checks
-    the aggregate P 1 = 0.
-    """
+def _theorem_conditions(terms, models, tol):
+    """Theorem-condition report from the per-shape terms of a solve."""
     results = []
-    m = shape_set.m
-    aggregate = np.zeros(m)
-    ones = np.ones(m)
-    for i, (shape, Bg, solved) in enumerate(_per_shape_terms(shape_set, models)):
+    aggregate = 0.0
+    for i, ((shape, Bg, solved), model) in enumerate(zip(terms, models)):
         gamma = shape.visibility.astype(float)
         # P_i 1; for full shapes this equals 1 - Q_i 1, so one residual serves both
-        Pi_1 = gamma * ones - Bg.T @ (solved @ (gamma * ones))
-        aggregate += Pi_1
+        Pi_1 = gamma - Bg.T @ (solved @ gamma)
+        aggregate = aggregate + Pi_1
         projector_residual = float(np.max(np.abs(Pi_1)))
-        model = models[i]
-        B = model.basis(shape.filled(0.0))
-        vis = shape.visibility
-        rows = [B.T[vis, :]]
-        rhs = [np.ones(int(vis.sum()))]
+        # Bg^T equals B^T on the visible rows
+        Bv = Bg.T[shape.visibility, :]
+        rows = [Bv]
+        rhs = [np.ones(Bv.shape[0])]
         Z = model.regularizer
         use_reg = model.smoothing > 0 and Z.shape[0] > 0
         if use_reg:
@@ -443,7 +495,7 @@ def check_theorem_conditions(shape_set, models, tol=1e-6):
         A = np.vstack(rows)
         b = np.concatenate(rhs)
         x, *_ = np.linalg.lstsq(A, b, rcond=None)
-        witness_residual = float(np.max(np.abs(B.T[vis, :] @ x - 1.0)))
+        witness_residual = float(np.max(np.abs(Bv @ x - 1.0)))
         if use_reg:
             witness_residual = max(witness_residual, float(np.max(np.abs(Z @ x))))
         witness_found = witness_residual < tol
@@ -454,12 +506,24 @@ def check_theorem_conditions(shape_set, models, tol=1e-6):
     return TheoremConditionReport(results, aggregate_residual, tol, all_pass)
 
 
+def check_theorem_conditions(shape_set, models, tol=1e-6):
+    """Evaluate the equivalent closed-form solvability statements per shape.
+
+    For full shapes the projector condition is Q_i 1 = 1, for partial shapes
+    P_i 1 = 0; the witness condition asks for x with
+    Gamma_i B_i^T x = Gamma_i 1 (and Z_i x = 0 when regularized).  Also checks
+    the aggregate P 1 = 0.
+    """
+    return _theorem_conditions(_per_shape_terms(shape_set, models), models, tol)
+
+
 def solve(shape_set, models, prior=None, nu=None, reflection_ref=0,
           allow_reflection=False, check_conditions=True):
     """Closed-form GPA with linear basis warps.
 
-    Assembles P, adds the translation penalty nu*11^T, scales the bottom-d
-    eigenvectors by the prior, corrects reflection against one datum shape,
+    Takes the bottom-d eigenvectors of P + nu*11^T (on the span of the
+    stacked bases when every shape is full, else from the dense matrix),
+    scales them by the prior, corrects reflection against one datum shape,
     and recovers per-shape weights by regularized least squares.  With
     prior=None the reference covariance prior is estimated from the
     (completed) shapes; with nu=None the penalty weight defaults to n/m.
@@ -480,13 +544,9 @@ def solve(shape_set, models, prior=None, nu=None, reflection_ref=0,
     nu = float(nu)
 
     terms = _per_shape_terms(shape_set, models)
-    P = np.zeros((m, m))
-    for shape, Bg, solved in terms:
-        P += np.diag(shape.visibility.astype(float)) - Bg.T @ solved
-    P = 0.5 * (P + P.T)
-
-    M = P + nu * np.ones((m, m))
-    S = bottom_d_scaled(M, prior, anchor=_gram_anchor(shape_set))
+    shift = float(n) if shape_set.all_full else shape_set.visibility_matrix().sum(axis=0).astype(float)
+    S = _bottom_d_of_sum(shift, [(Bg, solved) for _, Bg, solved in terms], nu, prior,
+                         _gram_anchor(shape_set))
     if prior.lambdas[-1] > 0:
         S = correct_reflection(S, shape_set[reflection_ref])
 
@@ -502,7 +562,7 @@ def solve(shape_set, models, prior=None, nu=None, reflection_ref=0,
             reg_cost += model.smoothing * float(
                 np.einsum("ij,ik,kj->", W, model.gram_regularizer(), W))
     penalty_cost = nu * float(np.sum(S.sum(axis=1) ** 2))
-    report = check_theorem_conditions(shape_set, models) if check_conditions else None
+    report = _theorem_conditions(terms, models, 1e-6) if check_conditions else None
     return GpaSolution(
         reference=S,
         weights=tuple(weights),
@@ -523,7 +583,8 @@ def solve_affine_centered(shape_set, prior=None, reflection_ref=0):
 
     Centers every shape, sums the projectors onto the centered row spaces
     (Q_o), and scales the d top eigenvectors by the prior; equivalent to the
-    homogeneous path up to row signs.
+    homogeneous path up to row signs.  The eigenproblem is solved on the span
+    of the centered shapes' rows, outside which Q_o vanishes.
     """
     from .warps import AffineWarp
 
@@ -537,19 +598,17 @@ def solve_affine_centered(shape_set, prior=None, reflection_ref=0):
     elif not isinstance(prior, CovariancePrior):
         prior = CovariancePrior(prior)
 
-    Q = np.zeros((m, m))
+    factors = []
     for i, s in enumerate(shape_set):
         Dbar = s.points - s.points.mean(axis=1, keepdims=True)
-        G = Dbar @ Dbar.T
         try:
-            sol = scipy.linalg.cho_solve(scipy.linalg.cho_factor(G), Dbar)
-        except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError) as exc:
+            factors.append((Dbar, _cholesky_solve(Dbar @ Dbar.T, Dbar)))
+        except np.linalg.LinAlgError as exc:
             raise SingularSystem(f"centered shape {i} is degenerate", shape_index=i) from exc
-        Q += Dbar.T @ sol
-    Q = 0.5 * (Q + Q.T)
 
-    # top-d of Q are the bottom-d of -Q, with identical prior pairing
-    S = bottom_d_scaled(-Q, prior, anchor=_gram_anchor(shape_set))
+    # top-d of Q = sum_i Dbar_i^T (Dbar_i Dbar_i^T)^{-1} Dbar_i are the bottom-d
+    # of -Q, with identical prior pairing; -Q vanishes outside the row spaces
+    S = _bottom_d_of_sum(0.0, factors, 0.0, prior, _gram_anchor(shape_set))
     if prior.lambdas[-1] > 0:
         S = correct_reflection(S, shape_set[reflection_ref])
 

@@ -4,7 +4,8 @@ The closed-form GPA solvers reduce to trace minimization over matrices with
 orthonormal rows (a Brockett cost on the Stiefel manifold), whose optimum is
 assembled from ordered eigenvectors.  This module owns that assembly: the
 eigensolver wrapper with a deterministic sign convention, the bottom-d
-selection scaled by a covariance prior, the top-d selection that excludes a
+selection scaled by a covariance prior (from a dense matrix or from its
+restriction to an invariant subspace), the top-d selection that excludes a
 known eigenvector by deflation, and the leading-singular-vector helper used by
 the prior estimator.
 """
@@ -91,10 +92,10 @@ def _anchor_rotate(X, values, anchor):
     """Resolve degenerate eigenvalue clusters against a data anchor.
 
     Within a cluster of (numerically) equal eigenvalues any orthonormal basis
-    is cost-optimal; rotate each cluster's columns to diagonalize the anchor's
-    restriction, ordering by anchor eigenvalue descending so the largest prior
-    entry pairs with the strongest data direction.  A no-op when all selected
-    eigenvalues are separated.
+    is cost-optimal; rotate each cluster's columns to diagonalize the Gram of
+    the anchor's restriction, (A X_c)^T (A X_c), ordering by its eigenvalues
+    descending so the largest prior entry pairs with the strongest data
+    direction.  A no-op when all selected eigenvalues are separated.
     """
     tol = _CLUSTER_TOL * max(1.0, float(np.max(np.abs(values), initial=0.0)))
     X = np.array(X, copy=True)
@@ -103,10 +104,23 @@ def _anchor_rotate(X, values, anchor):
         if width < 2:
             continue
         Xc = X[:, cluster]
-        restricted = Xc.T @ anchor @ Xc
+        AXc = anchor @ Xc
+        restricted = AXc.T @ AXc
         w, omega = np.linalg.eigh(0.5 * (restricted + restricted.T))
         X[:, cluster] = Xc @ omega[:, ::-1]
-    return _canonical_signs(X)
+    return X
+
+
+def _scale_selected(values, X, prior, anchor):
+    """The shared tail of the bottom-d selections.
+
+    values (d,) ascending and X (m x d) are the selected eigenpairs; resolve
+    their degenerate clusters against the anchor, fix canonical signs, and
+    scale row k by sqrt(lambda_k).
+    """
+    if anchor is not None:
+        X = _anchor_rotate(X, values, np.asarray(anchor, dtype=float))
+    return np.sqrt(prior)[:, None] * _canonical_signs(X).T
 
 
 def bottom_d_scaled(P, prior, anchor=None):
@@ -116,8 +130,8 @@ def bottom_d_scaled(P, prior, anchor=None):
     prior entry with the smallest eigenvalue of P.  S minimizes
     trace(S P S^T) subject to S S^T = diag(prior).
 
-    `anchor` (optional symmetric m x m) resolves degenerate eigenvalue
-    clusters deterministically; see _anchor_rotate.
+    `anchor` (optional k x m matrix A) resolves degenerate eigenvalue clusters
+    deterministically through the Gram A^T A; see _anchor_rotate.
     """
     lam = _prior_lambdas(prior)
     d = lam.size
@@ -125,10 +139,38 @@ def bottom_d_scaled(P, prior, anchor=None):
     m = pairs.vectors.shape[0]
     if d > m:
         raise DimensionError(f"prior dimension {d} exceeds matrix size {m}")
-    X = pairs.vectors[:, :d]
-    if anchor is not None:
-        X = _anchor_rotate(X, pairs.values[:d], np.asarray(anchor, dtype=float))
-    return np.sqrt(lam)[:, None] * X.T
+    return _scale_selected(pairs.values[:d], pairs.vectors[:, :d], lam, anchor)
+
+
+def bottom_d_scaled_on_span(U, C, complement, prior, anchor=None):
+    """`bottom_d_scaled` of an m x m matrix M given on an invariant subspace.
+
+    U (m x r, orthonormal columns) spans a subspace that M maps into itself,
+    C = U^T M U, and M acts as `complement` * I on the orthogonal complement
+    of U.  The eigenpairs of M are then those of C lifted by U, plus the
+    eigenvalue `complement` with multiplicity m - r (Rayleigh-Ritz on an
+    exactly invariant subspace), so the d bottom eigenvectors are U V[:, :d]
+    whenever lambda_d(C) lies below `complement`.
+
+    Returns None when r < m and the restricted spectrum cannot certify the
+    selection: r < d, or lambda_d(C) within the cluster tolerance of (or
+    above) `complement`.  The caller then solves the dense problem.
+    """
+    lam = _prior_lambdas(prior)
+    d = lam.size
+    U = np.asarray(U, dtype=float)
+    m, r = U.shape
+    if d > m:
+        raise DimensionError(f"prior dimension {d} exceeds matrix size {m}")
+    if d > r:
+        return None
+    pairs = eig_sym(C)
+    values = pairs.values[:d]
+    if r < m:
+        scale = max(1.0, abs(complement), float(np.max(np.abs(values))))
+        if values[-1] >= complement - _CLUSTER_TOL * scale:
+            return None
+    return _scale_selected(values, U @ pairs.vectors[:, :d], lam, anchor)
 
 
 def top_d_excluding(Q, d, u):

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -20,6 +22,8 @@ from defgpa import (
 )
 from defgpa.cli import RunConfig, build_models, main
 from conftest import affine_models, full_set
+
+SRC_DIR = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 
 def write_set(path, shape_set):
@@ -299,3 +303,13 @@ class TestUsage:
         assert main(["solve", "--input", path, "--nu", "0.5",
                      "--output", str(tmp_path / "s2.json")]) == 0
         assert main(["solve", "--input", path, "--nu", "bogus"]) == 2
+
+
+class TestImport:
+    def test_cli_import_does_not_load_scipy(self):
+        path = os.pathsep.join(p for p in (SRC_DIR, os.environ.get("PYTHONPATH")) if p)
+        code = "import sys, defgpa.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                timeout=60, env={**os.environ, "PYTHONPATH": path})
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"

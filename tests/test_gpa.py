@@ -13,6 +13,7 @@ from defgpa import (
     ShapeSet,
     SingularSystem,
     assemble_P,
+    bottom_d_scaled,
     check_theorem_conditions,
     complete_all,
     complete_shape,
@@ -26,7 +27,8 @@ from defgpa import (
     solve,
     solve_affine_centered,
 )
-from defgpa.gpa import _solve_normal
+from defgpa import gpa as gpa_module
+from defgpa.gpa import _gram_anchor, _solve_normal
 from defgpa.warps import AffineWarp
 from conftest import (
     affine_models,
@@ -340,6 +342,22 @@ class TestAssembleP:
             _solve_normal(np.array([[np.nan]]), np.ones((1, 1)), 3)
         assert exc.value.shape_index == 3
 
+    def test_normal_solve_matches_dense_solve(self, rng):
+        A = rng.normal(size=(5, 8))
+        N = A @ A.T + np.eye(5)
+        rhs = rng.normal(size=(5, 3))
+        np.testing.assert_allclose(_solve_normal(N, rhs, 0), np.linalg.solve(N, rhs),
+                                   rtol=1e-12, atol=1e-12)
+
+    def test_normal_solve_jitter_retry_and_failure(self):
+        # semidefinite: the first factorization fails, the jittered one succeeds
+        x = _solve_normal(np.ones((2, 2)), np.ones((2, 1)), 0)
+        assert np.all(np.isfinite(x))
+        with pytest.raises(SingularSystem):
+            _solve_normal(-np.eye(2), np.ones((2, 1)), 1)
+        with pytest.raises(SingularSystem):
+            _solve_normal(np.eye(2), np.array([[np.inf], [0.0]]), 2)
+
 
 class TestSolve:
     def test_identical_shapes_zero_residual(self, rng):
@@ -448,6 +466,123 @@ def _min_bottom_separation(shape_set, models, nu):
     vals = eig_sym(M).values
     d = shape_set.d
     return float(np.min(np.diff(vals[: d + 1])))
+
+
+class XOnlyWarp(AffineWarp):
+    """Contrived basis [x; 1]: it spans fewer than d directions besides 1."""
+
+    def __init__(self, d):
+        super().__init__(d)
+        self.feature_dim = 2
+
+    def basis(self, D):
+        D = np.asarray(D, dtype=float)
+        return np.vstack([D[:1], np.ones((1, D.shape[1]))])
+
+    @property
+    def regularizer(self):
+        return np.zeros((0, 2))
+
+    def gram_regularizer(self):
+        return np.zeros((2, 2))
+
+
+def dense_reference(shape_set, models, prior, nu):
+    """The dense closed form: bottom-d of the assembled P + nu 11^T, reflection-corrected."""
+    M = assemble_P(shape_set, models) + nu * np.ones((shape_set.m, shape_set.m))
+    S = bottom_d_scaled(M, prior, anchor=_gram_anchor(shape_set))
+    return correct_reflection(S, shape_set[0]), M
+
+
+def gauge_residual(S, T):
+    """max |R S - T| / max |T| over the best orthogonal R."""
+    U, _, Vt = np.linalg.svd(T @ S.T)
+    return float(np.max(np.abs(U @ Vt @ S - T)) / np.max(np.abs(T)))
+
+
+class TestFullSetSpanPath:
+    """Full sets solve the eigenproblem on span([B_1^T ... B_n^T, 1])."""
+
+    # (d, model, n, m): sum l_i + 1 is 13, 13, 28 and 25; one m above, one at or below
+    CASES = [
+        (2, "affine", 4, 30), (2, "affine", 4, 8),
+        (3, "affine", 3, 40), (3, "affine", 3, 10),
+        (2, "tps", 3, 60), (2, "tps", 3, 16),
+        (3, "tps", 3, 60), (3, "tps", 3, 20),
+    ]
+
+    @staticmethod
+    def instance(rng, d, model, n, m):
+        ss = full_set(rng, d, m, n, kind="smooth", noise=0.05)
+        models = affine_models(ss) if model == "affine" else tps_models(ss, k=3 if d == 2 else 2)
+        return ss, models
+
+    @pytest.mark.parametrize("d, model, n, m", CASES)
+    def test_matches_dense_closed_form(self, rng, d, model, n, m):
+        ss, models = self.instance(rng, d, model, n, m)
+        prior = estimate_prior_for_set(ss)
+        nu = ss.n / ss.m
+        sol = solve(ss, models, prior=prior, nu=nu)
+        S, M = dense_reference(ss, models, prior, nu)
+        assert gauge_residual(sol.reference, S) < 1e-8
+        dense_cost = float(np.trace(S @ M @ S.T))
+        assert sol.cost == pytest.approx(dense_cost, rel=1e-8, abs=1e-10)
+
+    @pytest.mark.parametrize("d, model, n, m", CASES)
+    def test_no_dense_matrix_is_formed(self, rng, monkeypatch, d, model, n, m):
+        ss, models = self.instance(rng, d, model, n, m)
+
+        def dense(*args, **kwargs):
+            raise AssertionError("the dense eigensolve ran on a full set")
+
+        monkeypatch.setattr(gpa_module, "bottom_d_scaled", dense)
+        solve(ss, models)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_zero_residual_cluster_is_anchored(self, rng, d):
+        # exact affine copies: the bottom-d eigenvalue is d-fold degenerate,
+        # so the anchor rotation picks the basis in both paths
+        ss = full_set(rng, d, 15, 4, kind="affine")
+        models = affine_models(ss)
+        prior = estimate_prior_for_set(ss)
+        nu = ss.n / ss.m
+        S, M = dense_reference(ss, models, prior, nu)
+        assert np.ptp(eig_sym(M).values[:d]) < 1e-9
+        sol = solve(ss, models, prior=prior, nu=nu)
+        np.testing.assert_allclose(sol.reference, S, atol=1e-8 * np.max(np.abs(S)))
+        assert sol.cost < 1e-8
+
+    def test_centered_affine_matches_dense_top_d(self, rng):
+        ss = full_set(rng, 3, 30, 4, kind="smooth", noise=0.05)
+        prior = estimate_prior([s.points for s in ss])
+        Q = np.zeros((ss.m, ss.m))
+        for s in ss:
+            Dbar = s.points - s.points.mean(axis=1, keepdims=True)
+            Q += Dbar.T @ np.linalg.solve(Dbar @ Dbar.T, Dbar)
+        S = correct_reflection(bottom_d_scaled(-Q, prior, anchor=_gram_anchor(ss)), ss[0])
+        assert gauge_residual(solve_affine_centered(ss, prior=prior).reference, S) < 1e-8
+
+    def test_falls_back_to_dense_when_the_span_cannot_certify(self, rng, monkeypatch):
+        # identical shapes under [x; 1]: the span holds eigenvalue 0 once and,
+        # with the default nu, n on 1, the value M takes on the complement too
+        pts = rng.normal(size=(2, 12))
+        ss = ShapeSet(tuple(Shape(pts.copy(), np.ones(12, bool)) for _ in range(3)))
+        models = [XOnlyWarp(2) for _ in range(3)]
+        calls = []
+        dense = gpa_module.bottom_d_scaled
+
+        def spy(M, *args, **kwargs):
+            calls.append(M.shape)
+            return dense(M, *args, **kwargs)
+
+        monkeypatch.setattr(gpa_module, "bottom_d_scaled", spy)
+        prior = CovariancePrior(np.array([4.0, 1.0]))
+        sol = solve(ss, models, prior=prior)
+        assert calls == [(12, 12)]
+        _, M = dense_reference(ss, models, prior, sol.nu)
+        optimum = float(prior.lambdas @ eig_sym(M).values[:2])
+        assert float(np.trace(sol.reference @ M @ sol.reference.T)) == pytest.approx(optimum, abs=1e-9)
+        assert np.linalg.norm(sol.reference @ sol.reference.T - prior.matrix()) < 1e-9
 
 
 class TestTranslationElimination:

@@ -16,6 +16,7 @@ from defgpa import (
     leftmost_singular_vector,
     top_d_excluding,
 )
+from defgpa.spectral import bottom_d_scaled_on_span
 
 
 def random_symmetric(rng, m, spread=1.0):
@@ -105,6 +106,61 @@ class TestBottomScaled:
             bottom_d_scaled(np.eye(3), np.array([1.0, -0.5]))
         with pytest.raises(DimensionError):
             bottom_d_scaled(np.eye(3), np.ones(4))
+
+
+def embedded(C, complement, m):
+    """Dense m x m matrix equal to C on the first r coordinates and to complement beyond."""
+    r = C.shape[0]
+    M = complement * np.eye(m)
+    M[:r, :r] = C
+    return M
+
+
+class TestBottomScaledOnSpan:
+    def test_matches_dense_on_a_rotated_span(self, rng):
+        m, r = 9, 4
+        Q, _ = np.linalg.qr(rng.normal(size=(m, m)))
+        U = Q[:, :r]
+        C = random_symmetric(rng, r)
+        complement = float(np.max(np.linalg.eigvalsh(C))) + 1.0
+        M = complement * np.eye(m) + U @ (C - complement * np.eye(r)) @ U.T
+        lam = np.array([4.0, 1.0])
+        S = bottom_d_scaled_on_span(U, C, complement, lam)
+        np.testing.assert_allclose(S, bottom_d_scaled(M, lam), atol=1e-12)
+
+    @pytest.mark.parametrize("second", [2.0, 2.0 - 1e-12, 3.0])
+    def test_falls_back_when_lambda_d_reaches_complement(self, second):
+        # the d-th eigenvalue of C ties with (or passes) the complement's,
+        # so the bottom-d eigenvectors of M are not certified by C alone
+        C = np.diag([0.0, second, 5.0])
+        U = np.eye(5)[:, :3]
+        assert bottom_d_scaled_on_span(U, C, 2.0, np.array([4.0, 1.0])) is None
+
+    def test_selects_when_lambda_d_clears_complement(self):
+        C = np.diag([0.0, 2.0 - 1e-6, 5.0])
+        U = np.eye(5)[:, :3]
+        lam = np.array([4.0, 1.0])
+        S = bottom_d_scaled_on_span(U, C, 2.0, lam)
+        np.testing.assert_allclose(S, bottom_d_scaled(embedded(C, 2.0, 5), lam), atol=1e-12)
+
+    def test_falls_back_when_span_is_thinner_than_d(self):
+        assert bottom_d_scaled_on_span(np.eye(4)[:, :1], np.zeros((1, 1)), 3.0,
+                                       np.array([4.0, 1.0])) is None
+
+    def test_full_span_needs_no_guard(self):
+        # r = m: there is no complement, so a tie with its value is harmless
+        C = np.diag([0.0, 2.0, 5.0])
+        lam = np.array([4.0, 1.0])
+        S = bottom_d_scaled_on_span(np.eye(3), C, 2.0, lam)
+        np.testing.assert_allclose(S, bottom_d_scaled(C, lam), atol=1e-12)
+
+    def test_anchor_resolves_clusters_like_dense(self, rng):
+        C = np.diag([0.0, 0.0, 3.0])
+        anchor = rng.normal(size=(4, 6))
+        lam = np.array([4.0, 1.0])
+        S = bottom_d_scaled_on_span(np.eye(6)[:, :3], C, 5.0, lam, anchor=anchor)
+        np.testing.assert_allclose(
+            S, bottom_d_scaled(embedded(C, 5.0, 6), lam, anchor=anchor), atol=1e-12)
 
 
 class TestTopExcluding:
