@@ -14,13 +14,12 @@ from .errors import (
     FormatError,
     InsufficientOverlap,
     InvalidMatrix,
-    NotAnEigenvector,
     SingularSystem,
     SingularTransform,
     UnconstrainedPoint,
 )
 from .shapes import Shape, ShapeSet, center, centroid, covariance, load_shapes, save_shapes
-from .spectral import EigenPairs, bottom_d_scaled, eig_sym, leftmost_singular_vector, top_d_excluding
+from .spectral import CovariancePrior, EigenPairs, bottom_d_scaled, eig_sym, leftmost_singular_vector
 from .warps import (
     AffineWarp,
     LbwModel,
@@ -31,16 +30,13 @@ from .warps import (
     fit_inverse_tps,
     free_translation_witness,
     place_control_points,
-    tps_basis,
     tps_build,
     tps_from_json_dict,
     tps_kernel,
     tps_to_json_dict,
 )
 from .gpa import (
-    CovariancePrior,
     GpaSolution,
-    SimilarityTransform,
     TheoremConditionReport,
     assemble_P,
     check_theorem_conditions,
@@ -49,7 +45,6 @@ from .gpa import (
     correct_reflection,
     estimate_prior,
     estimate_prior_for_set,
-    pairwise_similarity_procrustes,
     pairwise_transform_table,
     solve,
     solve_affine_centered,
@@ -62,16 +57,16 @@ __all__ = [
     "AffineWarp", "CovariancePrior", "CveConfig", "DefgpaError", "DegenerateCenters",
     "DegenerateConfiguration", "DegenerateInput", "DimensionError", "EigenPairs",
     "FormatError", "GpaSolution", "InsufficientOverlap", "InvalidMatrix", "LbwModel",
-    "NotAnEigenvector", "Shape", "ShapeSet", "SimilarityTransform", "SingularSystem",
-    "SingularTransform", "TheoremConditionReport", "TpsWarp", "UnconstrainedPoint",
+    "Shape", "ShapeSet", "SingularSystem", "SingularTransform", "TheoremConditionReport",
+    "TpsWarp", "UnconstrainedPoint",
     "affine_basis", "apply_warp", "assemble_P", "bending_energy", "bottom_d_scaled",
     "center", "centroid", "check_theorem_conditions", "complete_all", "complete_shape",
     "correct_reflection", "covariance", "cross_validation_error",
     "cross_validation_errors", "eig_sym",
     "estimate_prior", "estimate_prior_for_set", "fit_inverse_tps",
     "free_translation_witness", "gauge_align", "leftmost_singular_vector",
-    "load_shapes", "pairwise_similarity_procrustes", "pairwise_transform_table",
+    "load_shapes", "pairwise_transform_table",
     "place_control_points", "rmse_d", "rmse_r", "save_shapes", "solve",
-    "solve_affine_centered", "top_d_excluding", "tps_basis", "tps_build",
+    "solve_affine_centered", "tps_build",
     "tps_from_json_dict", "tps_kernel", "tps_to_json_dict",
 ]

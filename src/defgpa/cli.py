@@ -274,8 +274,8 @@ def cmd_cve(config, group):
     out = _default_output(config, "cve.json")
     pred_doc = {"d": shape_set.d, "m": shape_set.m, "n": shape_set.n, "shapes": []}
     for P, s in zip(predicted, shape_set):
-        pts = [[float(v) for v in P[:, j]] if np.all(np.isfinite(P[:, j])) else None
-               for j in range(shape_set.m)]
+        pts = [col if finite else None
+               for col, finite in zip(P.T.tolist(), np.all(np.isfinite(P), axis=0))]
         pred_doc["shapes"].append(
             {"id": s.label if s.label is not None else f"s{len(pred_doc['shapes'])}",
              "points": pts})

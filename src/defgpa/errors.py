@@ -13,10 +13,6 @@ class DimensionError(DefgpaError):
     """Incompatible or impossible dimensions."""
 
 
-class NotAnEigenvector(DefgpaError):
-    """A vector claimed to be an eigenvector is not one."""
-
-
 class DegenerateInput(DefgpaError):
     """Input carries no usable signal (all-zero matrix, zero-scale shape)."""
 

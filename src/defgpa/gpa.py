@@ -22,62 +22,8 @@ from .errors import (
     SingularSystem,
     UnconstrainedPoint,
 )
-from .spectral import bottom_d_scaled, bottom_d_scaled_on_span, leftmost_singular_vector
-
-
-@dataclass(frozen=True)
-class CovariancePrior:
-    """Prescribed eigenvalues of the reference covariance S S^T, descending."""
-
-    lambdas: np.ndarray
-
-    def __post_init__(self):
-        lam = np.asarray(self.lambdas, dtype=float).ravel()
-        if lam.size == 0:
-            raise DimensionError("empty covariance prior")
-        scale = max(1.0, float(np.max(np.abs(lam))))
-        if np.any(lam < -1e-12 * scale):
-            raise DegenerateInput("prior eigenvalues must be non-negative")
-        if np.any(np.diff(lam) > 1e-12 * scale):
-            raise DegenerateInput("prior eigenvalues must be non-ascending")
-        lam = np.clip(lam, 0.0, None)
-        lam.setflags(write=False)
-        object.__setattr__(self, "lambdas", lam)
-
-    @property
-    def d(self):
-        return self.lambdas.size
-
-    def matrix(self):
-        return np.diag(self.lambdas)
-
-    @property
-    def trace(self):
-        return float(self.lambdas.sum())
-
-
-@dataclass(frozen=True)
-class SimilarityTransform:
-    """p -> scale * R p + t with orthonormal R (det -1 only if reflections allowed)."""
-
-    scale: float
-    rotation: np.ndarray
-    translation: np.ndarray
-
-    def __post_init__(self):
-        R = np.asarray(self.rotation, dtype=float)
-        t = np.asarray(self.translation, dtype=float).ravel()
-        if self.scale <= 0:
-            raise DegenerateConfiguration(f"similarity scale must be positive, got {self.scale}")
-        if np.max(np.abs(R.T @ R - np.eye(R.shape[0]))) > 1e-10:
-            raise DegenerateConfiguration("rotation block is not orthonormal")
-        R.setflags(write=False)
-        t.setflags(write=False)
-        object.__setattr__(self, "rotation", R)
-        object.__setattr__(self, "translation", t)
-
-    def apply(self, points):
-        return self.scale * (self.rotation @ np.asarray(points, dtype=float)) + self.translation[:, None]
+from .spectral import CovariancePrior, bottom_d_scaled, bottom_d_scaled_on_span, leftmost_singular_vector
+from .warps import AffineWarp, _witness_and_residual
 
 
 @dataclass
@@ -139,9 +85,9 @@ class GpaSolution:
             "d": int(self.reference.shape[0]),
             "m": int(self.reference.shape[1]),
             "n": len(self.weights),
-            "reference": [[float(v) for v in row] for row in self.reference],
-            "weights": [[[float(v) for v in row] for row in W] for W in self.weights],
-            "prior": [float(v) for v in self.prior.lambdas],
+            "reference": self.reference.tolist(),
+            "weights": [W.tolist() for W in self.weights],
+            "prior": self.prior.lambdas.tolist(),
             "nu": float(self.nu),
             "mu": [float(v) for v in self.mus],
             "models": list(self.models),
@@ -158,26 +104,45 @@ class GpaSolution:
 # pairwise similarity Procrustes and shape completion
 
 
-def _similarity_procrustes_batch(X, G, allow_reflection=False, checked=None):
-    """Similarity Procrustes between every ordered pair of a stack of shapes.
+def _rotations(M, allow_reflection=False):
+    """Rotations R maximizing trace(R M) for a d x d cross-covariance or a stack of them.
 
-    X is the n x d x m stack with missing points set to 0 and G the n x m
-    visibility masks.  Entry [i, k] of the returned s (n, n), R (n, n, d, d)
-    and t (n, n, d) maps shape k onto shape i over their jointly visible
-    points, s R D_k + t 1^T ~ D_i; the diagonal is the identity.
+    M sums source-times-target outer products.  With M = U diag(sv) V^T the
+    optimum is R = V U^T; unless reflections are allowed, a negative
+    determinant is fixed to +1 by flipping the weakest singular direction.
+    Returns R and the singular values, descending, for the callers' own
+    degeneracy checks.
+    """
+    U, sv, Vt = np.linalg.svd(M)
+    R = np.swapaxes(Vt, -1, -2) @ np.swapaxes(U, -1, -2)
+    if not allow_reflection:
+        Vt[..., -1, :] *= np.where(np.linalg.det(R) < 0, -1.0, 1.0)[..., None]
+        R = np.swapaxes(Vt, -1, -2) @ np.swapaxes(U, -1, -2)
+    return R, sv
+
+
+def _stacked(shape_set):
+    """Zero-filled n x d x m point stack and n x m float visibility masks."""
+    X = np.stack([s.filled(0.0) for s in shape_set])
+    return X, shape_set.visibility_matrix().astype(float)
+
+
+def pairwise_transform_table(shape_set, allow_reflection=False):
+    """Similarity Procrustes between every ordered pair of shapes.
+
+    Entry [i, k] of the returned s (n, n), R (n, n, d, d) and t (n, n, d)
+    maps shape k onto shape i over their jointly visible points,
+    s R D_k + t 1^T ~ D_i; the diagonal is the identity.
 
     Each shape is first shifted by its own visible centroid.  The masked sums,
     cross-covariances and squared norms of all pairs then come from matmuls
-    over m, one batched SVD of the (n, n, d, d) stack gives the rotations, and
-    determinants are corrected to +1 (unless reflections are allowed) by
-    flipping the weakest singular direction.  Among the pairs in `checked`
-    (default: every pair i != k) the first failing one in row-major order
+    over m, and one batched SVD of the (n, n, d, d) stack gives the rotations
+    (determinants corrected to +1 unless reflections are allowed).  Every
+    pair i != k is checked, and the first failing one in row-major order
     raises, as a loop over the pairs would.
     """
+    X, G = _stacked(shape_set)
     n, d, m = X.shape
-    G = np.asarray(G, dtype=float)
-    if checked is None:
-        checked = ~np.eye(n, dtype=bool)
     centroids = (X @ G[:, :, None])[:, :, 0] / G.sum(axis=1)[:, None]
     Y = (X - centroids[:, :, None]) * G[:, None, :]
     Yflat = Y.reshape(n * d, m)
@@ -191,12 +156,7 @@ def _similarity_procrustes_batch(X, G, allow_reflection=False, checked=None):
     sq = ((Y * Y).sum(axis=1) @ G.T).T              # [i, k]: |Y_k|^2 summed over joint
     denom = sq - joint * np.sum(mu_src * mu_src, axis=-1)
 
-    U, sv, Vt = np.linalg.svd(M)
-    R = np.swapaxes(Vt, -1, -2) @ np.swapaxes(U, -1, -2)
-    if not allow_reflection:
-        flip = np.linalg.det(R) < 0
-        Vt[flip, -1, :] *= -1.0
-        R = np.swapaxes(Vt, -1, -2) @ np.swapaxes(U, -1, -2)
+    R, sv = _rotations(M, allow_reflection)
     s = np.einsum("...ab,...ba->...", R, M) / np.where(denom > 0, denom, 1.0)
     src_mean = mu_src + centroids[None, :, :]
     t = mu_tgt + centroids[:, None, :] - s[:, :, None] * (R @ src_mean[..., None])[..., 0]
@@ -218,7 +178,7 @@ def _similarity_procrustes_batch(X, G, allow_reflection=False, checked=None):
         (s <= 0, DegenerateConfiguration, "optimal similarity scale is not positive"),
         (orth_error > 1e-10, DegenerateConfiguration, "rotation block is not orthonormal"),
     )
-    failed = np.stack([mask for mask, _, _ in checks]) & checked
+    failed = np.stack([mask for mask, _, _ in checks]) & ~np.eye(n, dtype=bool)
     bad = np.flatnonzero(failed.any(axis=0))
     if bad.size:
         i, k = divmod(int(bad[0]), n)
@@ -227,46 +187,23 @@ def _similarity_procrustes_batch(X, G, allow_reflection=False, checked=None):
     return s, R, t
 
 
-def _stacked(shape_set):
-    """Zero-filled n x d x m point stack and n x m float visibility masks."""
-    X = np.stack([s.filled(0.0) for s in shape_set])
-    return X, shape_set.visibility_matrix().astype(float)
-
-
-def pairwise_similarity_procrustes(d1, d2, allow_reflection=False):
-    """Optimal s, R, t with (s R D1 + t 1^T) matching D2 on jointly visible points.
-
-    The two-shape case of the batched similarity Procrustes kernel.
-    """
-    X = np.stack([d1.filled(0.0), d2.filled(0.0)])
-    G = np.vstack([d1.visibility, d2.visibility])
-    checked = np.array([[False, False], [True, False]])
-    s, R, t = _similarity_procrustes_batch(X, G, allow_reflection, checked)
-    return SimilarityTransform(float(s[1, 0]), R[1, 0], t[1, 0])
-
-
-def pairwise_transform_table(shape_set, allow_reflection=False):
-    """n x n table; entry [i][k] maps shape k into the frame of shape i."""
-    s, R, t = _similarity_procrustes_batch(*_stacked(shape_set), allow_reflection)
-    return [[SimilarityTransform(float(s[i, k]), R[i, k], t[i, k]) for k in range(shape_set.n)]
-            for i in range(shape_set.n)]
-
-
-def complete_shape(shape_set, i, transforms):
+def complete_shape(shape_set, i, table):
     """Full d x m matrix for shape i: visible points kept, missing ones filled.
 
     Each missing point is the visibility-weighted average of its occurrences
     in the other shapes mapped into frame i through the pairwise transforms
-    (the sum runs over all shapes, each masked by its own visibility).  The
-    per-shape reference for `complete_all`.
+    (the sum runs over all shapes, each masked by its own visibility).
+    `table` is the (s, R, t) of `pairwise_transform_table`.  The per-shape
+    reference for `complete_all`.
     """
+    s, R, t = table
     target = shape_set[i]
     d, m = target.d, target.m
     acc = np.zeros((d, m))
     counts = np.zeros(m)
     for k, src in enumerate(shape_set):
         gamma = src.visibility.astype(float)
-        mapped = transforms[i][k].apply(src.filled(0.0))
+        mapped = s[i, k] * (R[i, k] @ src.filled(0.0)) + t[i, k][:, None]
         acc += mapped * gamma[None, :]
         counts += gamma
     missing = ~target.visibility
@@ -283,13 +220,13 @@ def complete_all(shape_set, allow_reflection=False):
     """Completed full matrices for every shape (full shapes pass through).
 
     Same filling as `complete_shape`, for all shapes at once: the transforms
-    of the batched Procrustes kernel are applied as one (n d) x (n d) matmul.
+    of the pairwise table are applied as one (n d) x (n d) matmul.
     """
     if shape_set.all_full:
         return [s.points.copy() for s in shape_set]
+    s, R, t = pairwise_transform_table(shape_set, allow_reflection)
     X, G = _stacked(shape_set)
     n, d, m = X.shape
-    s, R, t = _similarity_procrustes_batch(X, G, allow_reflection)
     maps = (s[:, :, None, None] * R).transpose(0, 2, 1, 3).reshape(n * d, n * d)
     acc = (maps @ X.reshape(n * d, m) + t.transpose(0, 2, 1).reshape(n * d, n) @ G).reshape(n, d, m)
     counts = G.sum(axis=0)
@@ -463,11 +400,10 @@ def correct_reflection(S, ref_shape):
     nnz = gamma.sum()
     Dk = ref_shape.filled(0.0) * gamma[None, :]
     centered = Dk - (Dk @ gamma)[:, None] * gamma[None, :] / nnz
-    E = centered @ S.T
-    U, sv, Vt = np.linalg.svd(E)
+    R, sv = _rotations(centered @ S.T, allow_reflection=True)
     if sv[0] <= 0 or sv[-1] <= 1e-12 * sv[0]:
         raise DegenerateConfiguration("orientation is undetermined for this reference shape")
-    if np.linalg.det(Vt.T @ U.T) < 0:
+    if np.linalg.det(R) < 0:
         S = S.copy()
         S[0, :] *= -1.0
     return S
@@ -484,20 +420,7 @@ def _theorem_conditions(terms, models, tol):
         aggregate = aggregate + Pi_1
         projector_residual = float(np.max(np.abs(Pi_1)))
         # Bg^T equals B^T on the visible rows
-        Bv = Bg.T[shape.visibility, :]
-        rows = [Bv]
-        rhs = [np.ones(Bv.shape[0])]
-        Z = model.regularizer
-        use_reg = model.smoothing > 0 and Z.shape[0] > 0
-        if use_reg:
-            rows.append(Z)
-            rhs.append(np.zeros(Z.shape[0]))
-        A = np.vstack(rows)
-        b = np.concatenate(rhs)
-        x, *_ = np.linalg.lstsq(A, b, rcond=None)
-        witness_residual = float(np.max(np.abs(Bv @ x - 1.0)))
-        if use_reg:
-            witness_residual = max(witness_residual, float(np.max(np.abs(Z @ x))))
+        _, witness_residual = _witness_and_residual(model, Bg.T[shape.visibility, :])
         witness_found = witness_residual < tol
         passes = projector_residual < tol and witness_found
         results.append(ShapeConditions(i, projector_residual, witness_residual, witness_found, passes))
@@ -517,6 +440,15 @@ def check_theorem_conditions(shape_set, models, tol=1e-6):
     return _theorem_conditions(_per_shape_terms(shape_set, models), models, tol)
 
 
+def _checked_prior(prior, d):
+    """The prior as a CovariancePrior (a plain array is coerced) with d entries."""
+    if not isinstance(prior, CovariancePrior):
+        prior = CovariancePrior(prior)
+    if prior.d != d:
+        raise DimensionError(f"prior has {prior.d} entries, shapes have d={d}")
+    return prior
+
+
 def solve(shape_set, models, prior=None, nu=None, reflection_ref=0,
           allow_reflection=False, check_conditions=True):
     """Closed-form GPA with linear basis warps.
@@ -533,10 +465,7 @@ def solve(shape_set, models, prior=None, nu=None, reflection_ref=0,
         raise DimensionError(f"need m >= d+1 landmarks to exclude the ones vector, got d={d}, m={m}")
     if prior is None:
         prior = estimate_prior_for_set(shape_set, allow_reflection=allow_reflection)
-    elif not isinstance(prior, CovariancePrior):
-        prior = CovariancePrior(prior)
-    if prior.d != d:
-        raise DimensionError(f"prior has {prior.d} entries, shapes have d={d}")
+    prior = _checked_prior(prior, d)
     if nu is None:
         nu = n / m
     elif nu < 0:
@@ -586,8 +515,6 @@ def solve_affine_centered(shape_set, prior=None, reflection_ref=0):
     homogeneous path up to row signs.  The eigenproblem is solved on the span
     of the centered shapes' rows, outside which Q_o vanishes.
     """
-    from .warps import AffineWarp
-
     if not shape_set.all_full:
         raise DegenerateInput("translation-eliminated affine GPA requires full shapes")
     d, m, n = shape_set.d, shape_set.m, shape_set.n
@@ -595,8 +522,7 @@ def solve_affine_centered(shape_set, prior=None, reflection_ref=0):
         raise DimensionError(f"need m >= d+1 landmarks, got d={d}, m={m}")
     if prior is None:
         prior = estimate_prior([s.points for s in shape_set])
-    elif not isinstance(prior, CovariancePrior):
-        prior = CovariancePrior(prior)
+    prior = _checked_prior(prior, d)
 
     factors = []
     for i, s in enumerate(shape_set):

@@ -97,15 +97,9 @@ def gauge_align(A, B, mask=None):
     Q = B[:, mask]
     muP = P.mean(axis=1, keepdims=True)
     muQ = Q.mean(axis=1, keepdims=True)
-    M = (P - muP) @ (Q - muQ).T
-    U, sv, Vt = np.linalg.svd(M)
+    R, sv = _gpa._rotations((P - muP) @ (Q - muQ).T)
     if sv[0] <= 0 or (d >= 2 and sv[d - 2] <= 1e-12 * sv[0]):
         raise DegenerateConfiguration("cross-covariance is rank-deficient; rotation undetermined")
-    R = Vt.T @ U.T
-    if np.linalg.det(R) < 0:
-        D = np.eye(d)
-        D[-1, -1] = -1.0
-        R = Vt.T @ D @ U.T
     t = (muQ - R @ muP).ravel()
     return R, t
 

@@ -3,18 +3,17 @@
 The closed-form GPA solvers reduce to trace minimization over matrices with
 orthonormal rows (a Brockett cost on the Stiefel manifold), whose optimum is
 assembled from ordered eigenvectors.  This module owns that assembly: the
-eigensolver wrapper with a deterministic sign convention, the bottom-d
-selection scaled by a covariance prior (from a dense matrix or from its
-restriction to an invariant subspace), the top-d selection that excludes a
-known eigenvector by deflation, and the leading-singular-vector helper used by
-the prior estimator.
+eigensolver wrapper with a deterministic sign convention, the covariance
+prior, the bottom-d selection scaled by that prior (from a dense matrix or
+from its restriction to an invariant subspace), and the leading-singular-vector
+helper used by the prior estimator.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, DimensionError, InvalidMatrix, NotAnEigenvector
+from .errors import DegenerateInput, DimensionError, InvalidMatrix
 
 # Inputs whose relative asymmetry exceeds this are rejected rather than
 # silently symmetrized: asymmetry at that level signals an assembly bug.
@@ -65,16 +64,40 @@ def eig_sym(A):
     return EigenPairs(values=values, vectors=_canonical_signs(vectors))
 
 
+@dataclass(frozen=True)
+class CovariancePrior:
+    """Prescribed eigenvalues of the reference covariance S S^T, descending."""
+
+    lambdas: np.ndarray
+
+    def __post_init__(self):
+        lam = np.asarray(self.lambdas, dtype=float).ravel()
+        if lam.size == 0:
+            raise DimensionError("empty covariance prior")
+        scale = max(1.0, float(np.max(np.abs(lam))))
+        if np.any(lam < -1e-12 * scale):
+            raise DegenerateInput("prior eigenvalues must be non-negative")
+        if np.any(np.diff(lam) > 1e-12 * scale):
+            raise DegenerateInput("prior eigenvalues must be non-ascending")
+        lam = np.clip(lam, 0.0, None)
+        lam.setflags(write=False)
+        object.__setattr__(self, "lambdas", lam)
+
+    @property
+    def d(self):
+        return self.lambdas.size
+
+    def matrix(self):
+        return np.diag(self.lambdas)
+
+    @property
+    def trace(self):
+        return float(self.lambdas.sum())
+
+
 def _prior_lambdas(prior):
     """Accept a CovariancePrior or a plain descending array of eigenvalue targets."""
-    lam = np.asarray(getattr(prior, "lambdas", prior), dtype=float).ravel()
-    if lam.size == 0:
-        raise DimensionError("empty covariance prior")
-    if np.any(lam < -1e-12 * max(1.0, lam.max(initial=0.0))):
-        raise DegenerateInput("covariance prior entries must be non-negative")
-    if np.any(np.diff(lam) > 1e-12 * max(1.0, abs(lam[0]))):
-        raise DegenerateInput("covariance prior entries must be non-ascending")
-    return np.clip(lam, 0.0, None)
+    return (prior if isinstance(prior, CovariancePrior) else CovariancePrior(prior)).lambdas
 
 
 def _cluster_slices(values, tol):
@@ -171,36 +194,6 @@ def bottom_d_scaled_on_span(U, C, complement, prior, anchor=None):
         if values[-1] >= complement - _CLUSTER_TOL * scale:
             return None
     return _scale_selected(values, U @ pairs.vectors[:, :d], lam, anchor)
-
-
-def top_d_excluding(Q, d, u):
-    """The d top eigenvectors of Q after removing the known eigenvector u.
-
-    u is shifted to the bottom of the spectrum by deflation
-    Q - c*uhat*uhat^T with c = alpha_max - alpha_min + 1, which is always
-    "sufficiently big" to exclude it from the top-d selection.  Returns an
-    m x d matrix with orthonormal columns orthogonal to u.
-    """
-    pairs = eig_sym(Q)
-    m = pairs.vectors.shape[0]
-    if d >= m:
-        raise DimensionError(f"cannot take {d} top eigenvectors excluding one from a {m}x{m} matrix")
-    u = np.asarray(u, dtype=float).ravel()
-    if u.shape[0] != m:
-        raise DimensionError("eigenvector length does not match the matrix")
-    norm_u = np.linalg.norm(u)
-    if norm_u == 0:
-        raise NotAnEigenvector("zero vector cannot be an eigenvector")
-    uhat = u / norm_u
-    Qsym = 0.5 * (np.asarray(Q, dtype=float) + np.asarray(Q, dtype=float).T)
-    Qu = Qsym @ uhat
-    alpha = uhat @ Qu
-    spectral_scale = max(abs(pairs.values[0]), abs(pairs.values[-1]))
-    if np.linalg.norm(Qu - alpha * uhat) > 1e-6 * max(1.0, spectral_scale):
-        raise NotAnEigenvector("u is not an eigenvector of Q within tolerance")
-    c = pairs.values[-1] - pairs.values[0] + 1.0
-    deflated = eig_sym(Qsym - c * np.outer(uhat, uhat))
-    return deflated.vectors[:, -d:][:, ::-1]
 
 
 def leftmost_singular_vector(M):

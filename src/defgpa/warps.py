@@ -153,7 +153,7 @@ class TpsWarp(LbwModel):
     def describe(self):
         return {
             "type": "tps",
-            "centers": [[float(v) for v in row] for row in self.centers],
+            "centers": self.centers.tolist(),
             "internal_smoothing": float(self.internal_smoothing),
         }
 
@@ -228,11 +228,6 @@ def tps_build(centers, internal_smoothing=None, smoothing=0.0):
         sqrt_bending=_psd_sqrt(bending),
         smoothing=float(smoothing),
     )
-
-
-def tps_basis(model, D):
-    """Feature matrix of a TpsWarp at the points D: E_lambda^T [phi; D; 1^T]."""
-    return model.basis(D)
 
 
 def place_control_points(data, k, flat_axes=0):
@@ -310,12 +305,7 @@ def tps_to_json_dict(model):
     The recovery and bending matrices are derived quantities and are rebuilt
     on load rather than shipped.
     """
-    return {
-        "type": "tps",
-        "centers": [[float(v) for v in row] for row in model.centers],
-        "internal_smoothing": float(model.internal_smoothing),
-        "smoothing": float(model.smoothing),
-    }
+    return {**model.describe(), "smoothing": float(model.smoothing)}
 
 
 def tps_from_json_dict(doc):
@@ -327,25 +317,32 @@ def tps_from_json_dict(doc):
     return model.with_smoothing(float(doc.get("smoothing", 0.0)))
 
 
+def _witness_and_residual(model, Bv):
+    """Least-squares x for Bv x = 1 (and Z x = 0 when regularized), and its residual.
+
+    Bv holds the basis rows of the visible points (m_vis x l).  The residual
+    is the largest violation of either equation; x is a witness when it lies
+    below the tolerance.
+    """
+    rows = [Bv]
+    rhs = [np.ones(Bv.shape[0])]
+    Z = model.regularizer
+    use_reg = model.smoothing > 0 and Z.shape[0] > 0
+    if use_reg:
+        rows.append(Z)
+        rhs.append(np.zeros(Z.shape[0]))
+    x, *_ = np.linalg.lstsq(np.vstack(rows), np.concatenate(rhs), rcond=None)
+    residual = float(np.max(np.abs(Bv @ x - 1.0)))
+    if use_reg:
+        residual = max(residual, float(np.max(np.abs(Z @ x))))
+    return x, residual
+
+
 def free_translation_witness(model, D, tol=1e-6):
     """A vector x with B(D)^T x = 1 (and Z x = 0 when the warp is regularized).
 
     Returns None when no such vector exists within tolerance; its existence is
     what licenses the closed-form GPA solution (the all-ones eigenvector).
     """
-    B = model.basis(D)
-    rows = [B.T]
-    rhs = [np.ones(B.shape[1])]
-    Z = model.regularizer
-    use_reg = model.smoothing > 0 and Z.shape[0] > 0
-    if use_reg:
-        rows.append(Z)
-        rhs.append(np.zeros(Z.shape[0]))
-    A = np.vstack(rows)
-    b = np.concatenate(rhs)
-    x, *_ = np.linalg.lstsq(A, b, rcond=None)
-    if np.max(np.abs(B.T @ x - 1.0)) >= tol:
-        return None
-    if use_reg and np.max(np.abs(Z @ x)) >= tol:
-        return None
-    return x
+    x, residual = _witness_and_residual(model, model.basis(D).T)
+    return x if residual < tol else None

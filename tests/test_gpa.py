@@ -21,7 +21,6 @@ from defgpa import (
     eig_sym,
     estimate_prior,
     estimate_prior_for_set,
-    pairwise_similarity_procrustes,
     pairwise_transform_table,
     rmse_r,
     solve,
@@ -65,14 +64,20 @@ class LinearOnlyWarp(AffineWarp):
         return {"type": "linear-only", "d": self.d}
 
 
+def pair_transform(d1, d2, allow_reflection=False):
+    """s, R, t mapping d1 onto d2: entry [1, 0] of the two-shape table."""
+    s, R, t = pairwise_transform_table(ShapeSet((d1, d2)), allow_reflection=allow_reflection)
+    return s[1, 0], R[1, 0], t[1, 0]
+
+
 class TestPairwiseProcrustes:
     def test_identity(self, rng):
         pts = rng.normal(size=(2, 8))
-        s = Shape(pts, np.ones(8, bool))
-        tr = pairwise_similarity_procrustes(s, s)
-        assert tr.scale == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(tr.rotation, np.eye(2), atol=1e-12)
-        np.testing.assert_allclose(tr.translation, np.zeros(2), atol=1e-12)
+        sh = Shape(pts, np.ones(8, bool))
+        s, R, t = pair_transform(sh, sh)
+        assert s == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(R, np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(t, np.zeros(2), atol=1e-12)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_known_transform_recovery(self, rng, d):
@@ -80,11 +85,10 @@ class TestPairwiseProcrustes:
         R0 = random_rotation(rng, d)
         t0 = rng.normal(size=d)
         moved = 2.0 * R0 @ pts + t0[:, None]
-        tr = pairwise_similarity_procrustes(
-            Shape(pts, np.ones(10, bool)), Shape(moved, np.ones(10, bool)))
-        assert tr.scale == pytest.approx(2.0, abs=1e-10)
-        np.testing.assert_allclose(tr.rotation, R0, atol=1e-10)
-        np.testing.assert_allclose(tr.translation, t0, atol=1e-9)
+        s, R, t = pair_transform(Shape(pts, np.ones(10, bool)), Shape(moved, np.ones(10, bool)))
+        assert s == pytest.approx(2.0, abs=1e-10)
+        np.testing.assert_allclose(R, R0, atol=1e-10)
+        np.testing.assert_allclose(t, t0, atol=1e-9)
 
     def test_hand_example_two_points(self):
         # {(0,0),(1,0)} -> {(0,0),(0,2)}: scale 2, 90-degree rotation,
@@ -92,10 +96,11 @@ class TestPairwiseProcrustes:
         # shapes valid without changing the fit.
         d1 = Shape(np.array([[0.0, 1.0, 0.5], [0.0, 0.0, 0.0]]), np.ones(3, bool))
         d2 = Shape(np.array([[0.0, 0.0, 0.0], [0.0, 2.0, 1.0]]), np.ones(3, bool))
-        tr = pairwise_similarity_procrustes(d1, d2)
-        assert tr.scale == pytest.approx(2.0, abs=1e-12)
-        np.testing.assert_allclose(tr.rotation, [[0.0, -1.0], [1.0, 0.0]], atol=1e-12)
-        np.testing.assert_allclose(tr.apply(np.array([[0.5], [0.0]])), [[0.0], [1.0]], atol=1e-12)
+        s, R, t = pair_transform(d1, d2)
+        assert s == pytest.approx(2.0, abs=1e-12)
+        np.testing.assert_allclose(R, [[0.0, -1.0], [1.0, 0.0]], atol=1e-12)
+        np.testing.assert_allclose(s * (R @ np.array([[0.5], [0.0]])) + t[:, None], [[0.0], [1.0]],
+                                   atol=1e-12)
 
     def test_masked_to_joint_points(self, rng):
         pts = rng.normal(size=(2, 10))
@@ -107,8 +112,8 @@ class TestPairwiseProcrustes:
         v1 = np.ones(10, bool)
         v2 = np.ones(10, bool)
         v1[7:] = False
-        tr = pairwise_similarity_procrustes(Shape(pts, v1), Shape(noisy, v2))
-        assert tr.scale == pytest.approx(1.5, abs=1e-9)
+        s, _, _ = pair_transform(Shape(pts, v1), Shape(noisy, v2))
+        assert s == pytest.approx(1.5, abs=1e-9)
 
     def test_insufficient_overlap(self, rng):
         pts = rng.normal(size=(2, 8))
@@ -118,14 +123,13 @@ class TestPairwiseProcrustes:
         v1[4] = True
         v2[3] = True
         with pytest.raises(InsufficientOverlap):
-            pairwise_similarity_procrustes(Shape(pts, v1), Shape(pts, v2))
+            pair_transform(Shape(pts, v1), Shape(pts, v2))
 
     def test_coincident_source_degenerate(self):
         same = np.zeros((2, 5))
         tgt = np.arange(10.0).reshape(2, 5)
         with pytest.raises(DegenerateConfiguration):
-            pairwise_similarity_procrustes(Shape(same, np.ones(5, bool)),
-                                           Shape(tgt, np.ones(5, bool)))
+            pair_transform(Shape(same, np.ones(5, bool)), Shape(tgt, np.ones(5, bool)))
 
     def test_reflection_flag(self, rng):
         pts = rng.normal(size=(2, 9))
@@ -133,11 +137,11 @@ class TestPairwiseProcrustes:
         moved = mirror @ pts
         s1 = Shape(pts, np.ones(9, bool))
         s2 = Shape(moved, np.ones(9, bool))
-        tr_o = pairwise_similarity_procrustes(s1, s2, allow_reflection=True)
-        assert np.linalg.det(tr_o.rotation) == pytest.approx(-1.0, abs=1e-10)
-        np.testing.assert_allclose(tr_o.apply(pts), moved, atol=1e-9)
-        tr_so = pairwise_similarity_procrustes(s1, s2, allow_reflection=False)
-        assert np.linalg.det(tr_so.rotation) == pytest.approx(1.0, abs=1e-10)
+        s, R, t = pair_transform(s1, s2, allow_reflection=True)
+        assert np.linalg.det(R) == pytest.approx(-1.0, abs=1e-10)
+        np.testing.assert_allclose(s * (R @ pts) + t[:, None], moved, atol=1e-9)
+        _, R, _ = pair_transform(s1, s2, allow_reflection=False)
+        assert np.linalg.det(R) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestCompletion:
@@ -165,10 +169,10 @@ class TestCompletion:
         gamma_i = ss[i].visibility.astype(float)
         D_hat = np.zeros((2, m))
         gamma_plus = np.zeros(m)
+        s, R, t = table
         for k, src in enumerate(ss):
-            tr = table[i][k]
-            term = (tr.scale * tr.rotation @ src.filled(0.0)
-                    + tr.translation[:, None] @ np.ones((1, m)))
+            term = (s[i, k] * R[i, k] @ src.filled(0.0)
+                    + t[i, k][:, None] @ np.ones((1, m)))
             D_hat += term @ np.diag(src.visibility.astype(float))
             gamma_plus += src.visibility.astype(float)
         direct = (ss[i].filled(0.0) @ np.diag(gamma_i)
@@ -216,16 +220,17 @@ class TestBatchedCompletion:
     @pytest.mark.parametrize("allow_reflection", [False, True])
     def test_table_matches_two_pass_procrustes(self, rng, d, allow_reflection):
         ss = mirrored_masked_set(rng, d)
-        table = pairwise_transform_table(ss, allow_reflection=allow_reflection)
+        scales, rotations, translations = pairwise_transform_table(
+            ss, allow_reflection=allow_reflection)
         for i in range(ss.n):
             for k in range(ss.n):
                 if i == k:
                     continue
                 s, R, t = two_pass_procrustes(ss[k], ss[i], allow_reflection)
-                assert table[i][k].scale == pytest.approx(s, rel=1e-12)
-                np.testing.assert_allclose(table[i][k].rotation, R, rtol=0, atol=1e-12)
-                np.testing.assert_allclose(table[i][k].translation, t, rtol=0, atol=1e-12)
-        dets = [np.linalg.det(table[0][1].rotation), np.linalg.det(table[1][0].rotation)]
+                assert scales[i, k] == pytest.approx(s, rel=1e-12)
+                np.testing.assert_allclose(rotations[i, k], R, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(translations[i, k], t, rtol=0, atol=1e-12)
+        dets = [np.linalg.det(rotations[0, 1]), np.linalg.det(rotations[1, 0])]
         np.testing.assert_allclose(dets, -1.0 if allow_reflection else 1.0, atol=1e-10)
 
     def test_insufficient_overlap_raises_like_per_pair(self, rng):
@@ -234,7 +239,7 @@ class TestBatchedCompletion:
         v2 = np.array([False] * 4 + [True] * 4)
         ss = ShapeSet((Shape(pts, v1), Shape(pts, v2)))
         with pytest.raises(InsufficientOverlap):
-            pairwise_similarity_procrustes(ss[1], ss[0])
+            pair_transform(ss[1], ss[0])
         with pytest.raises(InsufficientOverlap):
             complete_shape(ss, 0, pairwise_transform_table(ss))
         with pytest.raises(InsufficientOverlap):
@@ -247,7 +252,7 @@ class TestBatchedCompletion:
         vis = np.array([True] * 5 + [False])
         ss = ShapeSet((Shape(same, np.ones(6, bool)), Shape(other, vis)))
         with pytest.raises(DegenerateConfiguration):
-            pairwise_similarity_procrustes(ss[0], ss[1])
+            pair_transform(ss[0], ss[1])
         with pytest.raises(DegenerateConfiguration):
             complete_shape(ss, 1, pairwise_transform_table(ss))
         with pytest.raises(DegenerateConfiguration):
@@ -616,6 +621,13 @@ class TestTranslationElimination:
         np.testing.assert_allclose(
             Q_hom, (n / m) * np.ones((m, m)) + Q_cent, atol=1e-8)
         assert np.max(np.abs(Q_cent @ np.ones(m))) < 1e-8
+
+    def test_prior_dimension_mismatch_raises(self, rng):
+        ss = full_set(rng, 2, 10, 3, kind="affine")
+        with pytest.raises(DimensionError):
+            solve_affine_centered(ss, prior=[3.0, 2.0, 1.0])
+        with pytest.raises(DimensionError):
+            solve_affine_centered(ss, prior=CovariancePrior(np.array([1.0])))
 
     def test_same_reference_as_homogeneous_path(self, rng):
         ss = full_set(rng, 2, 12, 4, kind="affine", noise=0.1)

@@ -10,11 +10,9 @@ from defgpa import (
     DegenerateInput,
     DimensionError,
     InvalidMatrix,
-    NotAnEigenvector,
     bottom_d_scaled,
     eig_sym,
     leftmost_singular_vector,
-    top_d_excluding,
 )
 from defgpa.spectral import bottom_d_scaled_on_span
 
@@ -161,55 +159,6 @@ class TestBottomScaledOnSpan:
         S = bottom_d_scaled_on_span(np.eye(6)[:, :3], C, 5.0, lam, anchor=anchor)
         np.testing.assert_allclose(
             S, bottom_d_scaled(embedded(C, 5.0, 6), lam, anchor=anchor), atol=1e-12)
-
-
-class TestTopExcluding:
-    def test_diagonal(self):
-        X = top_d_excluding(np.diag([5.0, 4.0, 3.0]), 1, np.array([1.0, 0, 0]))
-        np.testing.assert_allclose(np.abs(X.ravel()), [0, 1, 0], atol=1e-12)
-
-    def test_rank_one_ones(self):
-        Q = np.ones((2, 2))
-        X = top_d_excluding(Q, 1, np.ones(2))
-        np.testing.assert_allclose(np.abs(X.ravel()), [1, 1] / np.sqrt(2), atol=1e-12)
-        assert abs(X.ravel() @ np.ones(2)) < 1e-10
-
-    def test_construct_and_recover(self, rng):
-        m, d = 7, 3
-        A = rng.normal(size=(m, m))
-        V, _ = np.linalg.qr(A)
-        alphas = np.arange(1.0, m + 1.0)  # separated spectrum
-        Q = V @ np.diag(alphas) @ V.T
-        k = 4
-        X = top_d_excluding(Q, d, V[:, k])
-        # top d excluding column k: columns 6, 5, 3 of V (values 7, 6, 4)
-        expected = V[:, [6, 5, 3]]
-        for j in range(d):
-            overlap = abs(X[:, j] @ expected[:, j])
-            assert overlap > 1 - 1e-8
-        np.testing.assert_allclose(X.T @ X, np.eye(d), atol=1e-10)
-        assert np.max(np.abs(X.T @ V[:, k])) < 1e-8
-
-    def test_deflation_subspace_property(self, rng):
-        # whenever the relevant eigengaps exceed 1e-6, the deflated selection
-        # agrees with dropping u from the ordered eigenvector list
-        m, d = 6, 2
-        V, _ = np.linalg.qr(rng.normal(size=(m, m)))
-        alphas = np.array([0.3, 1.0, 2.0, 3.5, 5.0, 6.5])
-        Q = V @ np.diag(alphas) @ V.T
-        X = top_d_excluding(Q, d, V[:, -1])  # exclude the top eigenvector
-        expected = V[:, [-2, -3]]
-        proj = expected @ expected.T
-        assert np.linalg.norm(X @ X.T - proj) < 1e-6
-
-    def test_not_an_eigenvector(self, rng):
-        Q = random_symmetric(rng, 5)
-        with pytest.raises(NotAnEigenvector):
-            top_d_excluding(Q, 1, rng.normal(size=5))
-
-    def test_dimension_error(self):
-        with pytest.raises(DimensionError):
-            top_d_excluding(np.eye(3), 3, np.array([1.0, 0, 0]))
 
 
 class TestLeftmostSingularVector:

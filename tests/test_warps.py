@@ -14,7 +14,6 @@ from defgpa import (
     fit_inverse_tps,
     free_translation_witness,
     place_control_points,
-    tps_basis,
     tps_build,
     tps_kernel,
 )
@@ -139,7 +138,7 @@ class TestTpsBasis:
         centers = grid_2d(3)
         model = tps_build(centers, 1e-8)
         D = rng.uniform(0, 1, size=(2, 12))
-        B = tps_basis(model, D)
+        B = model.basis(D)
         # x = C~^T [0; 1] is the all-ones vector in this parameterization
         x = np.ones(9)
         np.testing.assert_allclose(B.T @ x, np.ones(12), atol=1e-8)
@@ -151,7 +150,7 @@ class TestTpsBasis:
         t = rng.normal(size=(2, 1))
         model = tps_build(centers, 1e-8)
         moved = tps_build(R @ centers + t, 1e-8)
-        np.testing.assert_allclose(tps_basis(moved, R @ D + t), tps_basis(model, D), atol=1e-8)
+        np.testing.assert_allclose(moved.basis(R @ D + t), model.basis(D), atol=1e-8)
         np.testing.assert_allclose(moved.sqrt_bending, model.sqrt_bending, atol=1e-8)
 
     def test_parameter_constraint(self, rng):
