@@ -87,26 +87,8 @@ def _load_input(config):
     return load_shapes(config.input, format=fmt)
 
 
-def _jsonify(obj):
-    """JSON-safe copy: numpy scalars to floats, NaN to null, key order kept."""
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        v = float(obj)
-        return None if math.isnan(v) else v
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return _jsonify(obj.tolist())
-    return obj
-
-
 def _write_json(path, doc):
-    text = json.dumps(_jsonify(doc), indent=2, allow_nan=False)
+    text = json.dumps(doc, indent=2, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
         fh.write("\n")
@@ -168,9 +150,15 @@ def _solve_once(shape_set, config, prior=None):
     return models, solution
 
 
-def _cve_prior(prior, config):
-    """The full-set prior for the CVE, which estimates its priors without reflections."""
-    return None if config.allow_reflection else prior
+def _cve(shape_set, models, solution, config, group):
+    """CVE of one solved model set: (cve, predicted shapes); raises what stopped it."""
+    outcome, = metrics.cross_validation_errors(
+        shape_set, [(models, solution)], config=metrics.CveConfig(group),
+        reflection_ref=_resolve_reflection_ref(shape_set, config.reflection_ref),
+        allow_reflection=config.allow_reflection)
+    if isinstance(outcome, DefgpaError):
+        raise outcome
+    return outcome
 
 
 def cmd_solve(config, cve_group=None):
@@ -181,10 +169,7 @@ def cmd_solve(config, cve_group=None):
     r_dat = metrics.rmse_d(solution, shape_set, models)
     cve = None
     if cve_group is not None:
-        cve, _ = metrics.cross_validation_error(
-            shape_set, models, prior=_cve_prior(solution.prior, config), nu=solution.nu,
-            config=metrics.CveConfig(cve_group),
-            reflection_ref=_resolve_reflection_ref(shape_set, config.reflection_ref))
+        cve, _ = _cve(shape_set, models, solution, config, cve_group)
     elapsed = time.perf_counter() - start
 
     out = _default_output(config, "solution.json")
@@ -197,7 +182,7 @@ def cmd_solve(config, cve_group=None):
            "cve": cve, "wall_time_seconds": elapsed}
     _write_metrics(os.path.splitext(out)[0] + ".metrics." + config.format,
                    config.format, [row])
-    print(json.dumps(_jsonify({"output": out, "rmse_r": r_ref, "rmse_d": r_dat, "cve": cve})))
+    print(json.dumps({"output": out, "rmse_r": r_ref, "rmse_d": r_dat, "cve": cve}))
     return EXIT_OK
 
 
@@ -208,39 +193,41 @@ def _method_name(config):
 
 
 def cmd_sweep(config, thetas=None, cve_group=1):
-    shape_set = _load_input(config)
     if thetas is None:
         thetas = np.logspace(-5, 5, 11).tolist()
     if len(thetas) < 2:
         raise FormatError("sweep needs at least two theta values")
+    configs = [replace(config, theta=theta) for theta in thetas]
+    for cfg in configs:  # a bad grid value fails the sweep before any solve
+        cfg.validate()
+    shape_set = _load_input(config)
     reflection_ref = _resolve_reflection_ref(shape_set, config.reflection_ref)
 
     # the prior depends on the kept points only, never on theta
     errors = {}
     rows = {}
-    model_sets = {}
+    fits = {}
     try:
         prior = gpa.estimate_prior_for_set(shape_set, allow_reflection=config.allow_reflection)
     except DefgpaError as exc:  # every grid point fails alike
         errors = dict.fromkeys(range(len(thetas)), exc)
-    for idx, theta in enumerate(thetas):
+    for idx, cfg in enumerate(configs):
         if idx in errors:
             continue
         try:
-            models, solution = _solve_once(shape_set, replace(config, theta=theta), prior)
-            rows[idx] = {"theta": theta,
+            models, solution = _solve_once(shape_set, cfg, prior)
+            rows[idx] = {"theta": cfg.theta,
                          "rmse_r": metrics.rmse_r(solution, shape_set, models),
                          "rmse_d": metrics.rmse_d(solution, shape_set, models)}
-            model_sets[idx] = models
+            fits[idx] = (models, solution)
         except DefgpaError as exc:  # record the failed grid point, keep sweeping
             errors[idx] = exc
 
-    if model_sets:
+    if fits:
         outcomes = metrics.cross_validation_errors(
-            shape_set, list(model_sets.values()),
-            prior=_cve_prior(prior, config),
-            nu=config.nu, config=metrics.CveConfig(cve_group), reflection_ref=reflection_ref)
-        for idx, outcome in zip(model_sets, outcomes):
+            shape_set, list(fits.values()), config=metrics.CveConfig(cve_group),
+            reflection_ref=reflection_ref, allow_reflection=config.allow_reflection)
+        for idx, outcome in zip(fits, outcomes):
             if isinstance(outcome, DefgpaError):
                 errors[idx] = outcome
             else:
@@ -267,10 +254,7 @@ def cmd_cve(config, group):
     if group < 1 or group >= shape_set.m:
         raise FormatError(f"group size must lie in [1, m), got {group} with m={shape_set.m}")
     models, solution = _solve_once(shape_set, config)
-    cve, predicted = metrics.cross_validation_error(
-        shape_set, models, prior=_cve_prior(solution.prior, config), nu=solution.nu,
-        config=metrics.CveConfig(group),
-        reflection_ref=_resolve_reflection_ref(shape_set, config.reflection_ref))
+    cve, predicted = _cve(shape_set, models, solution, config, group)
     out = _default_output(config, "cve.json")
     pred_doc = {"d": shape_set.d, "m": shape_set.m, "n": shape_set.n, "shapes": []}
     for P, s in zip(predicted, shape_set):
@@ -281,14 +265,14 @@ def cmd_cve(config, group):
              "points": pts})
     doc = {"cve": cve, "group_size": group, "predicted": pred_doc}
     _write_json(out, doc)
-    print(json.dumps(_jsonify({"output": out, "cve": cve})))
+    print(json.dumps({"output": out, "cve": cve}))
     return EXIT_OK
 
 
 def cmd_prior(config):
     shape_set = _load_input(config)
     prior = gpa.estimate_prior_for_set(shape_set, allow_reflection=config.allow_reflection)
-    print(json.dumps(_jsonify({"lambdas": list(prior.lambdas)})))
+    print(json.dumps({"lambdas": prior.lambdas.tolist()}))
     return EXIT_OK
 
 

@@ -440,45 +440,39 @@ def check_theorem_conditions(shape_set, models, tol=1e-6):
     return _theorem_conditions(_per_shape_terms(shape_set, models), models, tol)
 
 
-def _checked_prior(prior, d):
-    """The prior as a CovariancePrior (a plain array is coerced) with d entries."""
-    if not isinstance(prior, CovariancePrior):
-        prior = CovariancePrior(prior)
-    if prior.d != d:
-        raise DimensionError(f"prior has {prior.d} entries, shapes have d={d}")
-    return prior
+def _checked_args(shape_set, prior, nu, allow_reflection=False):
+    """The prior and nu of a solve, checked against the shape set.
 
-
-def solve(shape_set, models, prior=None, nu=None, reflection_ref=0,
-          allow_reflection=False, check_conditions=True):
-    """Closed-form GPA with linear basis warps.
-
-    Takes the bottom-d eigenvectors of P + nu*11^T (on the span of the
-    stacked bases when every shape is full, else from the dense matrix),
-    scales them by the prior, corrects reflection against one datum shape,
-    and recovers per-shape weights by regularized least squares.  With
-    prior=None the reference covariance prior is estimated from the
-    (completed) shapes; with nu=None the penalty weight defaults to n/m.
+    Needs d <= m-1, so that the ones vector can be excluded.  A prior of None
+    is estimated from the (completed) shapes, a plain array is coerced to a
+    CovariancePrior, and either must have d entries.  A nu of None defaults
+    to n/m; a given one must be non-negative.
     """
     d, m, n = shape_set.d, shape_set.m, shape_set.n
     if d > m - 1:
         raise DimensionError(f"need m >= d+1 landmarks to exclude the ones vector, got d={d}, m={m}")
     if prior is None:
         prior = estimate_prior_for_set(shape_set, allow_reflection=allow_reflection)
-    prior = _checked_prior(prior, d)
+    if not isinstance(prior, CovariancePrior):
+        prior = CovariancePrior(prior)
+    if prior.d != d:
+        raise DimensionError(f"prior has {prior.d} entries, shapes have d={d}")
     if nu is None:
         nu = n / m
     elif nu < 0:
         raise DimensionError(f"penalty weight nu must be non-negative, got {nu}")
-    nu = float(nu)
+    return prior, float(nu)
 
-    terms = _per_shape_terms(shape_set, models)
-    shift = float(n) if shape_set.all_full else shape_set.visibility_matrix().sum(axis=0).astype(float)
-    S = _bottom_d_of_sum(shift, [(Bg, solved) for _, Bg, solved in terms], nu, prior,
-                         _gram_anchor(shape_set))
+
+def _solution(shape_set, S, terms, models, prior, nu, reflection_ref, report=None):
+    """The GpaSolution of a prior-scaled reference S and the solve's per-shape terms.
+
+    Corrects the reflection of S against the datum shape, recovers the
+    per-shape weights W_i = N_i^{-1} B_i Gamma_i S^T, and evaluates the data,
+    regularization and penalty costs.
+    """
     if prior.lambdas[-1] > 0:
         S = correct_reflection(S, shape_set[reflection_ref])
-
     weights = []
     data_cost = 0.0
     reg_cost = 0.0
@@ -491,7 +485,6 @@ def solve(shape_set, models, prior=None, nu=None, reflection_ref=0,
             reg_cost += model.smoothing * float(
                 np.einsum("ij,ik,kj->", W, model.gram_regularizer(), W))
     penalty_cost = nu * float(np.sum(S.sum(axis=1) ** 2))
-    report = _theorem_conditions(terms, models, 1e-6) if check_conditions else None
     return GpaSolution(
         reference=S,
         weights=tuple(weights),
@@ -507,23 +500,38 @@ def solve(shape_set, models, prior=None, nu=None, reflection_ref=0,
     )
 
 
+def solve(shape_set, models, prior=None, nu=None, reflection_ref=0,
+          allow_reflection=False, check_conditions=True):
+    """Closed-form GPA with linear basis warps.
+
+    Takes the bottom-d eigenvectors of P + nu*11^T (on the span of the
+    stacked bases when every shape is full, else from the dense matrix),
+    scales them by the prior, corrects reflection against one datum shape,
+    and recovers per-shape weights by regularized least squares.  With
+    prior=None the reference covariance prior is estimated from the
+    (completed) shapes; with nu=None the penalty weight defaults to n/m.
+    """
+    prior, nu = _checked_args(shape_set, prior, nu, allow_reflection)
+    terms = _per_shape_terms(shape_set, models)
+    shift = float(shape_set.n) if shape_set.all_full else shape_set.visibility_matrix().sum(axis=0).astype(float)
+    S = _bottom_d_of_sum(shift, [(Bg, solved) for _, Bg, solved in terms], nu, prior,
+                         _gram_anchor(shape_set))
+    report = _theorem_conditions(terms, models, 1e-6) if check_conditions else None
+    return _solution(shape_set, S, terms, models, prior, nu, reflection_ref, report)
+
+
 def solve_affine_centered(shape_set, prior=None, reflection_ref=0):
     """Affine GPA via translation elimination on full shapes.
 
     Centers every shape, sums the projectors onto the centered row spaces
     (Q_o), and scales the d top eigenvectors by the prior; equivalent to the
     homogeneous path up to row signs.  The eigenproblem is solved on the span
-    of the centered shapes' rows, outside which Q_o vanishes.
+    of the centered shapes' rows, outside which Q_o vanishes.  Weights and
+    costs follow as in `solve`, with affine warps and nu = 0.
     """
     if not shape_set.all_full:
         raise DegenerateInput("translation-eliminated affine GPA requires full shapes")
-    d, m, n = shape_set.d, shape_set.m, shape_set.n
-    if d > m - 1:
-        raise DimensionError(f"need m >= d+1 landmarks, got d={d}, m={m}")
-    if prior is None:
-        prior = estimate_prior([s.points for s in shape_set])
-    prior = _checked_prior(prior, d)
-
+    prior, nu = _checked_args(shape_set, prior, 0.0)
     factors = []
     for i, s in enumerate(shape_set):
         Dbar = s.points - s.points.mean(axis=1, keepdims=True)
@@ -534,29 +542,7 @@ def solve_affine_centered(shape_set, prior=None, reflection_ref=0):
 
     # top-d of Q = sum_i Dbar_i^T (Dbar_i Dbar_i^T)^{-1} Dbar_i are the bottom-d
     # of -Q, with identical prior pairing; -Q vanishes outside the row spaces
-    S = _bottom_d_of_sum(0.0, factors, 0.0, prior, _gram_anchor(shape_set))
-    if prior.lambdas[-1] > 0:
-        S = correct_reflection(S, shape_set[reflection_ref])
-
-    models = [AffineWarp(d) for _ in range(n)]
-    weights = []
-    data_cost = 0.0
-    for i, (shape, model) in enumerate(zip(shape_set, models)):
-        B = model.basis(shape.points)
-        W = _solve_normal(B @ B.T, B @ S.T, i)
-        weights.append(W)
-        residual = W.T @ B - S
-        data_cost += float(np.sum(residual * residual))
-    return GpaSolution(
-        reference=S,
-        weights=tuple(weights),
-        prior=prior,
-        nu=0.0,
-        cost=data_cost,
-        data_cost=data_cost,
-        reg_cost=0.0,
-        penalty_cost=0.0,
-        mus=tuple(0.0 for _ in range(n)),
-        models=tuple(model.describe() for model in models),
-        report=None,
-    )
+    S = _bottom_d_of_sum(0.0, factors, nu, prior, _gram_anchor(shape_set))
+    models = [AffineWarp(shape_set.d) for _ in shape_set]
+    return _solution(shape_set, S, _per_shape_terms(shape_set, models), models, prior, nu,
+                     reflection_ref)

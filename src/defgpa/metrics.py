@@ -113,18 +113,20 @@ def _fold_slices(m, config):
     return [order[k * N: min((k + 1) * N, m)] for k in range(n_folds)]
 
 
-def cross_validation_errors(shape_set, model_sets, prior=None, nu=None, config=None,
-                            reflection_ref=0):
-    """Leave-N-out CVE of several model sets (one per theta) on one shape set.
+def cross_validation_errors(shape_set, fits, config=None, reflection_ref=0,
+                            allow_reflection=False):
+    """Leave-N-out CVE of several solved model sets (one per theta) on one shape set.
 
-    The folds run on the outside and the model sets on the inside, so that
-    everything that does not depend on the models is done once per fold:
-    restricting the points and estimating the prior of the reduced set.  Per
-    fold and model set the GPA is re-solved on the kept points, held-out points
-    are pushed through the fold transforms, and the fold reference is rigidly
-    aligned to the full reference restricted to the kept points.  Only
-    originally visible landmarks enter the error.  `prior` (estimated when
-    None) serves the full solves.
+    `fits` holds (models, full solution) pairs, each solution the GPA of the
+    whole set with those models.  The folds run on the outside and the model
+    sets on the inside, so that everything that does not depend on the models
+    is done once per fold: restricting the points and estimating the prior of
+    the reduced set (with reflections when `allow_reflection`, as the full
+    prior was).  Per fold and model set the GPA is re-solved on the kept
+    points with the full solution's nu (raised to n/m of the fold if below),
+    held-out points are pushed through the fold transforms, and the fold
+    reference is rigidly aligned to the full reference restricted to the kept
+    points.  Only originally visible landmarks enter the error.
 
     Returns one entry per model set: (cve, predicted shapes), or the
     DefgpaError that stopped it; a failed model set skips the later folds.
@@ -132,34 +134,24 @@ def cross_validation_errors(shape_set, model_sets, prior=None, nu=None, config=N
     if config is None:
         config = CveConfig()
     d, m, n = shape_set.d, shape_set.m, shape_set.n
-    outcomes = [None] * len(model_sets)
-    try:
-        if config.group_size >= m:
-            raise DimensionError(f"fold size {config.group_size} must be below m={m}")
-        if m - config.group_size < d + 1:
-            raise DimensionError(f"folds of {config.group_size} leave fewer than d+1={d + 1} points")
-        if prior is None:
-            prior = _gpa.estimate_prior_for_set(shape_set)
-    except DefgpaError as exc:
-        return [exc] * len(model_sets)
+    if config.group_size >= m:
+        return [DimensionError(f"fold size {config.group_size} must be below m={m}")] * len(fits)
+    if m - config.group_size < d + 1:
+        return [DimensionError(
+            f"folds of {config.group_size} leave fewer than d+1={d + 1} points")] * len(fits)
 
-    fulls = {}
-    for j, models in enumerate(model_sets):
-        try:
-            fulls[j] = _gpa.solve(shape_set, models, prior=prior, nu=nu,
-                                  reflection_ref=reflection_ref, check_conditions=False)
-        except DefgpaError as exc:
-            outcomes[j] = exc
-    predicted = {j: [np.full((d, m), np.nan) for _ in range(n)] for j in fulls}
+    outcomes = [None] * len(fits)
+    live = dict(enumerate(fits))
+    predicted = {j: [np.full((d, m), np.nan) for _ in range(n)] for j in live}
     covered = np.zeros(m, dtype=bool)
 
     def fail(exc):
-        for j in fulls:
+        for j in live:
             outcomes[j] = exc
-        fulls.clear()
+        live.clear()
 
     for fold in _fold_slices(m, config):
-        if not fulls:
+        if not live:
             break
         keep = np.setdiff1d(np.arange(m), fold)
         if any(int(shape.visibility[keep].sum()) < d + 1 for shape in shape_set):
@@ -172,13 +164,12 @@ def cross_validation_errors(shape_set, model_sets, prior=None, nu=None, config=N
             warnings.warn(f"skipping fold {fold.tolist()}: {exc}")
             continue
         try:
-            fold_prior = _gpa.estimate_prior_for_set(reduced)
+            fold_prior = _gpa.estimate_prior_for_set(reduced, allow_reflection=allow_reflection)
         except DefgpaError as exc:
             fail(exc)
             break
         nu_fold_min = n / keep.size
-        for j, full in list(fulls.items()):
-            models = model_sets[j]
+        for j, (models, full) in list(live.items()):
             try:
                 fold_sol = _gpa.solve(reduced, models, prior=fold_prior,
                                       nu=max(full.nu, nu_fold_min),
@@ -189,10 +180,10 @@ def cross_validation_errors(shape_set, model_sets, prior=None, nu=None, config=N
                     predicted[j][i][:, fold] = R @ pred + t[:, None]
             except DefgpaError as exc:
                 outcomes[j] = exc
-                del fulls[j]
+                del live[j]
         covered[fold] = True
 
-    for j, full in fulls.items():
+    for j, (_, full) in live.items():
         kappa = 0
         total = 0.0
         for i, shape in enumerate(shape_set):
@@ -212,11 +203,15 @@ def cross_validation_error(shape_set, models, prior=None, nu=None, config=None,
                            reflection_ref=0):
     """Leave-N-out CVE and the per-shape predicted reference shapes.
 
-    The one-model-set case of `cross_validation_errors`; the prior of every
-    fold is re-estimated on the reduced set, as the full pipeline would.
+    Solves the full set once (prior estimated when None, nu = n/m when None),
+    then runs the one-model-set case of `cross_validation_errors`; the prior
+    of every fold is re-estimated on the reduced set, as the full pipeline
+    would.
     """
-    outcome, = cross_validation_errors(shape_set, [models], prior=prior, nu=nu,
-                                       config=config, reflection_ref=reflection_ref)
+    full = _gpa.solve(shape_set, models, prior=prior, nu=nu, reflection_ref=reflection_ref,
+                      check_conditions=False)
+    outcome, = cross_validation_errors(shape_set, [(models, full)], config=config,
+                                       reflection_ref=reflection_ref)
     if isinstance(outcome, DefgpaError):
         raise outcome
     return outcome

@@ -217,16 +217,18 @@ def _load_json(text):
         d = int(doc["d"])
         m = int(doc["m"])
         entries = doc["shapes"]
+        n = int(doc["n"]) if "n" in doc else None
     except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError("JSON document needs integer 'd', 'm' and a 'shapes' list") from exc
+        raise FormatError("JSON document needs integer 'd', 'm' (and 'n', if given) "
+                          "and a 'shapes' list") from exc
     if not isinstance(entries, list) or not entries:
         raise FormatError("'shapes' must be a non-empty list")
-    if "n" in doc and int(doc["n"]) != len(entries):
+    if n is not None and n != len(entries):
         raise FormatError(f"'n'={doc['n']} does not match {len(entries)} shapes")
     shapes = []
     for i, entry in enumerate(entries):
         pts_doc = entry.get("points") if isinstance(entry, dict) else None
-        if pts_doc is None or len(pts_doc) != m:
+        if not isinstance(pts_doc, list) or len(pts_doc) != m:
             raise FormatError(f"shape {i}: 'points' must list exactly m={m} entries")
         pts = np.full((d, m), np.nan)
         vis = np.zeros(m, dtype=bool)

@@ -73,6 +73,17 @@ class TestSolveCommand:
         assert code == 2
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("doc", [
+        {"d": 2, "m": 3, "n": "x", "shapes": [{"points": [[0, 0], [1, 0], [0, 1]]}]},
+        {"d": 2, "m": 3, "shapes": [{"points": 5}]},
+    ], ids=["non-integer-n", "non-list-points"])
+    def test_malformed_document_exits_2(self, tmp_path, doc):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out = str(tmp_path / "never.json")
+        assert main(["solve", "--input", str(bad), "--output", out]) == 2
+        assert not os.path.exists(out)
+
     def test_missing_input_exits_runtime(self, tmp_path):
         code = main(["solve", "--input", str(tmp_path / "absent.json")])
         assert code in (1, 2)
@@ -123,19 +134,20 @@ class TestSweepCommand:
         assert rows[1]["rmse_r"] <= rows[0]["rmse_r"] + 1e-10
         assert rows[2]["rmse_r"] <= rows[1]["rmse_r"] + 1e-10
 
-    def test_matches_individual_commands(self, rng, tmp_path, monkeypatch):
-        monkeypatch.setenv("DEFGPA_THREADS", "1")
+    @pytest.mark.parametrize("flags", [[], ["--allow-reflection"]],
+                             ids=["plain", "allow-reflection"])
+    def test_matches_individual_commands(self, rng, tmp_path, flags):
         ss = full_set(rng, 2, 9, 3, kind="smooth", noise=0.05)
         path = write_set(tmp_path / "set.json", ss)
         out = str(tmp_path / "grid.csv")
         assert main(["sweep", "--input", path, "--model", "tps", "--theta", "1",
-                     "--thetas", "10,0.1", "--output", out, "--cve-group", "1"]) == 0
+                     "--thetas", "10,0.1", "--output", out, "--cve-group", "1", *flags]) == 0
         lines = open(out).read().strip().splitlines()
         row = dict(zip(lines[0].split(","), map(float, lines[1].split(","))))
 
         sol_out = str(tmp_path / "one.json")
         assert main(["solve", "--input", path, "--model", "tps", "--theta", "10",
-                     "--output", sol_out, "--cve-group", "1"]) == 0
+                     "--output", sol_out, "--cve-group", "1", *flags]) == 0
         doc = json.loads(open(sol_out).read())
         assert doc["metrics"]["rmse_r"] == pytest.approx(row["rmse_r"], abs=1e-10)
         assert doc["metrics"]["rmse_d"] == pytest.approx(row["rmse_d"], abs=1e-10)
@@ -176,6 +188,31 @@ class TestSweepCommand:
         assert main(["sweep", "--input", path, "--model", "tps",
                      "--thetas", "1", "--output", str(tmp_path / "g.csv")]) == 2
 
+    def test_bad_theta_grid_rejected(self, rigid_file, tmp_path):
+        # each grid value is checked as `solve --theta` checks it, before any solve
+        _, path = rigid_file
+        out = tmp_path / "g.csv"
+        assert main(["sweep", "--input", path, "--model", "tps",
+                     "--thetas", "1,-1,0", "--output", str(out)]) == 2
+        assert not out.exists()
+
+    def test_one_full_solve_per_theta(self, rng, tmp_path, monkeypatch):
+        # k thetas on m points with folds of 1: k full solves and k*m fold solves
+        import defgpa.gpa
+        ss = full_set(rng, 2, 9, 3, kind="smooth", noise=0.05)
+        path = write_set(tmp_path / "set.json", ss)
+        real_solve = defgpa.gpa.solve
+        calls = []
+
+        def solve(*args, **kwargs):
+            calls.append(None)
+            return real_solve(*args, **kwargs)
+
+        monkeypatch.setattr(defgpa.gpa, "solve", solve)
+        assert main(["sweep", "--input", path, "--model", "tps", "--thetas", "10,1,0.1",
+                     "--cve-group", "1", "--output", str(tmp_path / "g.csv")]) == 0
+        assert len(calls) == 3 * (ss.m + 1)
+
 
 class TestCveCommand:
     def test_noiseless_rigid(self, rigid_file, tmp_path, capsys):
@@ -203,6 +240,25 @@ class TestCveCommand:
         sol = solve(ss, models)
         cve, _ = cross_validation_error(ss, models, nu=sol.nu, config=CveConfig(2))
         assert doc["cve"] == pytest.approx(cve, abs=1e-12)
+
+    def test_allow_reflection_reaches_fold_priors(self, rng, tmp_path, monkeypatch):
+        import defgpa.gpa
+        from conftest import mask_set
+        ss = mask_set(rng, full_set(rng, 2, 10, 3, kind="affine", noise=0.05), 0.2,
+                      min_joint=2 + 3)
+        path = write_set(tmp_path / "set.json", ss)
+        real_estimate = defgpa.gpa.estimate_prior_for_set
+        flags = []
+
+        def estimate_prior_for_set(shape_set, allow_reflection=False):
+            flags.append(allow_reflection)
+            return real_estimate(shape_set, allow_reflection=allow_reflection)
+
+        monkeypatch.setattr(defgpa.gpa, "estimate_prior_for_set", estimate_prior_for_set)
+        assert main(["cve", "--input", path, "--model", "affine", "--group", "1",
+                     "--allow-reflection", "--output", str(tmp_path / "cve.json")]) == 0
+        # the full-set prior and one prior per fold
+        assert flags == [True] * (ss.m + 1)
 
     def test_tps_on_partial_data(self, rng, tmp_path):
         from conftest import mask_set
@@ -257,7 +313,7 @@ class TestCsvInput:
         assert doc["metrics"]["rmse_r"] < 1e-8
 
 
-class TestReflectionRefAndThreads:
+class TestReflectionRef:
     def test_reflection_ref_by_shape_id(self, rigid_file, tmp_path):
         _, path = rigid_file
         out_idx = str(tmp_path / "ref_idx.json")
@@ -274,12 +330,11 @@ class TestReflectionRefAndThreads:
         _, path = rigid_file
         assert main(["solve", "--input", path, "--reflection-ref", "nope"]) == 2
 
-    def test_sweep_deterministic_across_thread_counts(self, rng, tmp_path, monkeypatch):
+    def test_sweep_byte_deterministic(self, rng, tmp_path):
         ss = full_set(rng, 2, 9, 3, kind="smooth", noise=0.05)
         path = write_set(tmp_path / "set.json", ss)
         outs = []
-        for threads, name in (("1", "serial.csv"), ("3", "parallel.csv")):
-            monkeypatch.setenv("DEFGPA_THREADS", threads)
+        for name in ("first.csv", "second.csv"):
             out = str(tmp_path / name)
             assert main(["sweep", "--input", path, "--model", "tps",
                          "--thetas", "10,1,0.1", "--output", out]) == 0
