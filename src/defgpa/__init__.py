@@ -18,7 +18,7 @@ from .errors import (
     SingularTransform,
     UnconstrainedPoint,
 )
-from .shapes import Shape, ShapeSet, center, centroid, covariance, load_shapes, save_shapes
+from .shapes import Shape, ShapeSet, load_shapes, save_shapes
 from .spectral import CovariancePrior, EigenPairs, bottom_d_scaled, eig_sym, leftmost_singular_vector
 from .warps import (
     AffineWarp,
@@ -31,9 +31,7 @@ from .warps import (
     free_translation_witness,
     place_control_points,
     tps_build,
-    tps_from_json_dict,
     tps_kernel,
-    tps_to_json_dict,
 )
 from .gpa import (
     GpaSolution,
@@ -41,7 +39,6 @@ from .gpa import (
     assemble_P,
     check_theorem_conditions,
     complete_all,
-    complete_shape,
     correct_reflection,
     estimate_prior,
     estimate_prior_for_set,
@@ -60,13 +57,11 @@ __all__ = [
     "Shape", "ShapeSet", "SingularSystem", "SingularTransform", "TheoremConditionReport",
     "TpsWarp", "UnconstrainedPoint",
     "affine_basis", "apply_warp", "assemble_P", "bending_energy", "bottom_d_scaled",
-    "center", "centroid", "check_theorem_conditions", "complete_all", "complete_shape",
-    "correct_reflection", "covariance", "cross_validation_error",
+    "check_theorem_conditions", "complete_all", "correct_reflection", "cross_validation_error",
     "cross_validation_errors", "eig_sym",
     "estimate_prior", "estimate_prior_for_set", "fit_inverse_tps",
     "free_translation_witness", "gauge_align", "leftmost_singular_vector",
     "load_shapes", "pairwise_transform_table",
     "place_control_points", "rmse_d", "rmse_r", "save_shapes", "solve",
-    "solve_affine_centered", "tps_build",
-    "tps_from_json_dict", "tps_kernel", "tps_to_json_dict",
+    "solve_affine_centered", "tps_build", "tps_kernel",
 ]

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import gpa, metrics
 from .errors import DefgpaError, DimensionError, FormatError
-from .shapes import load_shapes
+from .shapes import load_shapes, shape_document
 from .warps import AffineWarp, place_control_points, tps_build
 
 EXIT_OK = 0
@@ -55,6 +55,10 @@ class RunConfig:
     def validate(self):
         if self.model not in ("affine", "tps"):
             raise FormatError(f"unknown model {self.model!r}")
+        for name in ("theta", "nu", "lambda_internal"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise FormatError(f"{name} must be a finite number, got {value}")
         if self.model == "tps":
             if self.theta <= 0:
                 raise FormatError("theta must be positive for the TPS model")
@@ -138,6 +142,13 @@ def _resolve_reflection_ref(shape_set, ref):
     return index
 
 
+def _check_group(shape_set, group):
+    """A CVE fold size must keep at least d+1 points; checked before any solve."""
+    if not 1 <= group < shape_set.m - shape_set.d:
+        raise FormatError(f"group size must lie in [1, m-d), got {group} "
+                          f"with m={shape_set.m}, d={shape_set.d}")
+
+
 def _solve_once(shape_set, config, prior=None):
     models = build_models(shape_set, config)
     solution = gpa.solve(
@@ -163,6 +174,8 @@ def _cve(shape_set, models, solution, config, group):
 
 def cmd_solve(config, cve_group=None):
     shape_set = _load_input(config)
+    if cve_group is not None:
+        _check_group(shape_set, cve_group)
     start = time.perf_counter()
     models, solution = _solve_once(shape_set, config)
     r_ref = metrics.rmse_r(solution, shape_set, models)
@@ -201,6 +214,7 @@ def cmd_sweep(config, thetas=None, cve_group=1):
     for cfg in configs:  # a bad grid value fails the sweep before any solve
         cfg.validate()
     shape_set = _load_input(config)
+    _check_group(shape_set, cve_group)
     reflection_ref = _resolve_reflection_ref(shape_set, config.reflection_ref)
 
     # the prior depends on the kept points only, never on theta
@@ -251,19 +265,12 @@ def cmd_sweep(config, thetas=None, cve_group=1):
 
 def cmd_cve(config, group):
     shape_set = _load_input(config)
-    if group < 1 or group >= shape_set.m:
-        raise FormatError(f"group size must lie in [1, m), got {group} with m={shape_set.m}")
+    _check_group(shape_set, group)
     models, solution = _solve_once(shape_set, config)
     cve, predicted = _cve(shape_set, models, solution, config, group)
     out = _default_output(config, "cve.json")
-    pred_doc = {"d": shape_set.d, "m": shape_set.m, "n": shape_set.n, "shapes": []}
-    for P, s in zip(predicted, shape_set):
-        pts = [col if finite else None
-               for col, finite in zip(P.T.tolist(), np.all(np.isfinite(P), axis=0))]
-        pred_doc["shapes"].append(
-            {"id": s.label if s.label is not None else f"s{len(pred_doc['shapes'])}",
-             "points": pts})
-    doc = {"cve": cve, "group_size": group, "predicted": pred_doc}
+    doc = {"cve": cve, "group_size": group,
+           "predicted": shape_document(predicted, [s.label for s in shape_set])}
     _write_json(out, doc)
     print(json.dumps({"output": out, "cve": cve}))
     return EXIT_OK

@@ -187,40 +187,12 @@ def pairwise_transform_table(shape_set, allow_reflection=False):
     return s, R, t
 
 
-def complete_shape(shape_set, i, table):
-    """Full d x m matrix for shape i: visible points kept, missing ones filled.
-
-    Each missing point is the visibility-weighted average of its occurrences
-    in the other shapes mapped into frame i through the pairwise transforms
-    (the sum runs over all shapes, each masked by its own visibility).
-    `table` is the (s, R, t) of `pairwise_transform_table`.  The per-shape
-    reference for `complete_all`.
-    """
-    s, R, t = table
-    target = shape_set[i]
-    d, m = target.d, target.m
-    acc = np.zeros((d, m))
-    counts = np.zeros(m)
-    for k, src in enumerate(shape_set):
-        gamma = src.visibility.astype(float)
-        mapped = s[i, k] * (R[i, k] @ src.filled(0.0)) + t[i, k][:, None]
-        acc += mapped * gamma[None, :]
-        counts += gamma
-    missing = ~target.visibility
-    if np.any(counts[missing] == 0):
-        bad = np.flatnonzero(missing & (counts == 0)).tolist()
-        raise UnconstrainedPoint(f"points {bad} are visible in no shape")
-    out = target.filled(0.0)
-    safe = np.where(counts > 0, counts, 1.0)
-    out[:, missing] = (acc / safe[None, :])[:, missing]
-    return out
-
-
 def complete_all(shape_set, allow_reflection=False):
     """Completed full matrices for every shape (full shapes pass through).
 
-    Same filling as `complete_shape`, for all shapes at once: the transforms
-    of the pairwise table are applied as one (n d) x (n d) matmul.
+    Each missing point of shape i is the visibility-weighted average of its
+    occurrences in all shapes, each mapped into frame i through the pairwise
+    table; the transforms are applied as one (n d) x (n d) matmul.
     """
     if shape_set.all_full:
         return [s.points.copy() for s in shape_set]
@@ -446,7 +418,7 @@ def _checked_args(shape_set, prior, nu, allow_reflection=False):
     Needs d <= m-1, so that the ones vector can be excluded.  A prior of None
     is estimated from the (completed) shapes, a plain array is coerced to a
     CovariancePrior, and either must have d entries.  A nu of None defaults
-    to n/m; a given one must be non-negative.
+    to n/m; a given one must be finite and non-negative.
     """
     d, m, n = shape_set.d, shape_set.m, shape_set.n
     if d > m - 1:
@@ -459,8 +431,8 @@ def _checked_args(shape_set, prior, nu, allow_reflection=False):
         raise DimensionError(f"prior has {prior.d} entries, shapes have d={d}")
     if nu is None:
         nu = n / m
-    elif nu < 0:
-        raise DimensionError(f"penalty weight nu must be non-negative, got {nu}")
+    elif not 0 <= nu < np.inf:
+        raise DimensionError(f"penalty weight nu must be finite and non-negative, got {nu}")
     return prior, float(nu)
 
 

@@ -26,10 +26,9 @@ from .warps import TpsWarp, apply_warp, fit_inverse_tps
 
 @dataclass(frozen=True)
 class CveConfig:
-    """Leave-N-out layout: contiguous deterministic folds, optional shuffle."""
+    """Leave-N-out layout: contiguous folds of group_size points."""
 
     group_size: int = 1
-    seed: int | None = None
 
     def __post_init__(self):
         if self.group_size < 1:
@@ -105,12 +104,8 @@ def gauge_align(A, B, mask=None):
 
 
 def _fold_slices(m, config):
-    order = np.arange(m)
-    if config.seed is not None:
-        order = np.random.default_rng(config.seed).permutation(m)
     N = config.group_size
-    n_folds = int(np.ceil(m / N))
-    return [order[k * N: min((k + 1) * N, m)] for k in range(n_folds)]
+    return [np.arange(k, min(k + N, m)) for k in range(0, m, N)]
 
 
 def cross_validation_errors(shape_set, fits, config=None, reflection_ref=0,

@@ -1,4 +1,4 @@
-"""Shape data model, ingestion, centering, covariance, and validation.
+"""Shape data model, validation, and the shape document reader and writer.
 
 A shape is a d x m matrix of landmark columns plus a visibility mask; a shape
 set is n of them in point-wise correspondence (column j is the same physical
@@ -19,17 +19,12 @@ import csv
 import io
 import json
 import os
+import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateInput, FormatError, UnconstrainedPoint
-
-
-def _readonly(a):
-    a = np.array(a, dtype=float)
-    a.setflags(write=False)
-    return a
+from .errors import FormatError, UnconstrainedPoint
 
 
 @dataclass(frozen=True)
@@ -144,34 +139,6 @@ class ShapeSet:
         ))
 
 
-def centroid(shape, visible_only=True):
-    """Mean of the selected columns; (1/m) S 1 for a full shape.
-
-    With visible_only=False the mean runs over all m columns, which is only
-    meaningful for full shapes (the NaN sentinel propagates otherwise).
-    """
-    if visible_only:
-        if shape.num_visible == 0:
-            raise DegenerateInput("no visible points")
-        return shape.visible_points().mean(axis=1)
-    return np.asarray(shape.points).mean(axis=1)
-
-
-def center(shape):
-    """Shape translated so the centroid of its visible points is zero."""
-    mu = centroid(shape, visible_only=True)
-    return Shape(shape.points - mu[:, None], shape.visibility, shape.label)
-
-
-def covariance(shape):
-    """(S - mean 1^T)(S - mean 1^T)^T of a full shape; symmetric PSD, d x d."""
-    if not shape.is_full:
-        raise DegenerateInput("covariance is defined for full shapes; complete the shape first")
-    X = shape.points - shape.points.mean(axis=1, keepdims=True)
-    C = X @ X.T
-    return 0.5 * (C + C.T)
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -192,18 +159,34 @@ def _as_text(source):
         return fh.read(), os.path.dirname(os.path.abspath(source))
 
 
-def _parse_point(entry, d, where):
-    if entry is None:
-        return None
-    if not isinstance(entry, (list, tuple)) or len(entry) != d:
-        raise FormatError(f"{where}: point must be null or a list of {d} numbers")
+def _coordinates(entries, d):
+    """The k x d array of k point entries, or None unless each holds d finite numbers."""
     try:
-        vals = [float(v) for v in entry]
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"{where}: non-numeric coordinate") from exc
-    if not all(np.isfinite(vals)):
-        raise FormatError(f"{where}: non-finite coordinate")
+        vals = np.array(entries, dtype=float)
+    except (TypeError, ValueError):
+        return None
+    if vals.shape != (len(entries), d) or not np.all(np.isfinite(vals)):
+        return None
     return vals
+
+
+def _parse_rows(entries, d, label, where):
+    """The Shape of m per-point entries: None for a missing point, else d numbers.
+
+    The visible entries convert in one array call.  Only when that fails are
+    they converted one at a time, so that the error names the first bad entry.
+    """
+    vis = np.array([entry is not None for entry in entries], dtype=bool)
+    visible = [entry for entry in entries if entry is not None]
+    vals = _coordinates(visible, d) if visible else np.empty((0, d))
+    if vals is None:
+        j = next(j for j, entry in enumerate(entries)
+                 if entry is not None and _coordinates([entry], d) is None)
+        raise FormatError(f"{where} {j}: expected {d} finite numbers, "
+                          f"got {reprlib.repr(entries[j])}")
+    pts = np.full((d, len(entries)), np.nan)
+    pts[:, vis] = vals.T
+    return Shape(pts, vis, label)
 
 
 def _load_json(text):
@@ -230,45 +213,17 @@ def _load_json(text):
         pts_doc = entry.get("points") if isinstance(entry, dict) else None
         if not isinstance(pts_doc, list) or len(pts_doc) != m:
             raise FormatError(f"shape {i}: 'points' must list exactly m={m} entries")
-        pts = np.full((d, m), np.nan)
-        vis = np.zeros(m, dtype=bool)
-        for j, p in enumerate(pts_doc):
-            vals = _parse_point(p, d, f"shape {i} point {j}")
-            if vals is not None:
-                pts[:, j] = vals
-                vis[j] = True
-        shapes.append(Shape(pts, vis, entry.get("id")))
+        shapes.append(_parse_rows(pts_doc, d, entry.get("id"), f"shape {i} point"))
     return ShapeSet(tuple(shapes))
 
 
 def _load_csv_shape(text, label, where):
-    rows = list(csv.reader(io.StringIO(text)))
-    cols = []
-    vis = []
-    d = None
-    for j, row in enumerate(rows):
-        cells = [c.strip() for c in row]
-        if all(c == "" for c in cells):
-            cols.append(None)
-            vis.append(False)
-            continue
-        try:
-            vals = [float(c) for c in cells]
-        except ValueError as exc:
-            raise FormatError(f"{where} row {j}: non-numeric cell") from exc
-        if d is None:
-            d = len(vals)
-        elif len(vals) != d:
-            raise FormatError(f"{where} row {j}: expected {d} columns, got {len(vals)}")
-        cols.append(vals)
-        vis.append(True)
+    rows = [[cell.strip() for cell in row] for row in csv.reader(io.StringIO(text))]
+    entries = [row if any(row) else None for row in rows]
+    d = next((len(row) for row in entries if row is not None), None)
     if d is None:
         raise FormatError(f"{where}: shape file has no visible points")
-    pts = np.full((d, len(cols)), np.nan)
-    for j, vals in enumerate(cols):
-        if vals is not None:
-            pts[:, j] = vals
-    return Shape(pts, np.array(vis, dtype=bool), label)
+    return _parse_rows(entries, d, label, f"{where} row")
 
 
 def _load_csv(text, base_dir):
@@ -302,39 +257,39 @@ def load_shapes(source, format="json"):
     raise FormatError(f"unknown format {format!r}; expected 'json' or 'csv'")
 
 
-def shape_set_to_json_dict(shape_set):
-    """The documented JSON layout, with null marking missing points."""
+def shape_document(points, labels):
+    """The documented JSON layout of n d x m point arrays and their labels.
+
+    A column with any non-finite entry is written as null; a label of None
+    becomes the id "s{i}".
+    """
     shapes = []
-    for i, s in enumerate(shape_set):
-        pts = []
-        for j in range(s.m):
-            if s.visibility[j]:
-                pts.append([float(v) for v in s.points[:, j]])
-            else:
-                pts.append(None)
-        shapes.append({"id": s.label if s.label is not None else f"s{i}", "points": pts})
-    return {"d": shape_set.d, "m": shape_set.m, "n": shape_set.n, "shapes": shapes}
+    for i, (P, label) in enumerate(zip(points, labels)):
+        finite = np.all(np.isfinite(P), axis=0)
+        shapes.append({"id": label if label is not None else f"s{i}",
+                       "points": [col if ok else None for col, ok in zip(P.T.tolist(), finite)]})
+    d, m = np.shape(points[0])
+    return {"d": d, "m": m, "n": len(shapes), "shapes": shapes}
 
 
 def save_shapes(shape_set, path, format="json"):
     """Write a ShapeSet; CSV mode writes a manifest plus one file per shape."""
+    if format not in ("json", "csv"):
+        raise FormatError(f"unknown format {format!r}; expected 'json' or 'csv'")
+    doc = shape_document([s.points for s in shape_set], [s.label for s in shape_set])
     if format == "json":
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(shape_set_to_json_dict(shape_set), fh, indent=2)
+            json.dump(doc, fh, indent=2)
             fh.write("\n")
         return
-    if format != "csv":
-        raise FormatError(f"unknown format {format!r}; expected 'json' or 'csv'")
     base = os.path.dirname(os.path.abspath(path))
     stem = os.path.splitext(os.path.basename(path))[0]
     names = []
-    for i, s in enumerate(shape_set):
+    for i, entry in enumerate(doc["shapes"]):
         name = f"{stem}_{i}.csv"
         with open(os.path.join(base, name), "w", encoding="utf-8") as fh:
-            for j in range(s.m):
-                if s.visibility[j]:
-                    fh.write(",".join(repr(float(v)) for v in s.points[:, j]))
-                fh.write("\n")
+            for col in entry["points"]:
+                fh.write(("" if col is None else ",".join(map(repr, col))) + "\n")
         names.append(name)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(names) + "\n")

@@ -179,7 +179,7 @@ def default_internal_smoothing(centers):
     return 1e-8 * max(scale, np.finfo(float).tiny)
 
 
-def tps_build(centers, internal_smoothing=None, smoothing=0.0):
+def tps_build(centers, internal_smoothing=None):
     """Construct a TpsWarp from control centers and the internal loading lambda.
 
     Solves the bordered interpolation system [[K_lambda, C~^T], [C~, O]] once;
@@ -198,8 +198,6 @@ def tps_build(centers, internal_smoothing=None, smoothing=0.0):
         internal_smoothing = default_internal_smoothing(centers)
     if internal_smoothing < 0:
         raise DegenerateCenters("internal smoothing must be non-negative")
-    if smoothing < 0:
-        raise DegenerateCenters("smoothing weight must be non-negative")
 
     K = tps_kernel(_distances(centers, centers), d)
     np.fill_diagonal(K, internal_smoothing)
@@ -226,23 +224,20 @@ def tps_build(centers, internal_smoothing=None, smoothing=0.0):
         recovery=recovery,
         bending=bending,
         sqrt_bending=_psd_sqrt(bending),
-        smoothing=float(smoothing),
     )
 
 
 def place_control_points(data, k, flat_axes=0):
     """A k-per-axis grid aligned with the principal axes of the data.
 
-    `data` may be a Shape, a ShapeSet (visible points pooled), or a raw d x m
-    matrix.  The grid spans exactly the per-axis min/max of the centered data;
-    the last `flat_axes` (lowest-variance) axes receive two layers instead of
-    k, as used for nearly flat shapes.
+    `data` may be a Shape (its visible points) or a raw d x m matrix.  The
+    grid spans exactly the per-axis min/max of the centered data; the last
+    `flat_axes` (lowest-variance) axes receive two layers instead of k, as
+    used for nearly flat shapes.
     """
     if k < 2:
         raise DimensionError("need at least k=2 control points per axis")
-    if hasattr(data, "shapes"):
-        pts = np.hstack([s.visible_points() for s in data.shapes])
-    elif hasattr(data, "visible_points"):
+    if hasattr(data, "visible_points"):
         pts = data.visible_points()
     else:
         pts = np.asarray(data, dtype=float)
@@ -297,24 +292,6 @@ def fit_inverse_tps(model, W, internal_smoothing=None):
         internal_smoothing = model.internal_smoothing
     inverse = tps_build(images, internal_smoothing)
     return inverse, model.centers.T.copy()
-
-
-def tps_to_json_dict(model):
-    """Serializable form of a TpsWarp: centers and lambda only.
-
-    The recovery and bending matrices are derived quantities and are rebuilt
-    on load rather than shipped.
-    """
-    return {**model.describe(), "smoothing": float(model.smoothing)}
-
-
-def tps_from_json_dict(doc):
-    """Rebuild a TpsWarp from its serialized centers and lambda."""
-    if doc.get("type") != "tps":
-        raise DimensionError(f"not a TPS model document: {doc.get('type')!r}")
-    centers = np.asarray(doc["centers"], dtype=float)
-    model = tps_build(centers, float(doc["internal_smoothing"]))
-    return model.with_smoothing(float(doc.get("smoothing", 0.0)))
 
 
 def _witness_and_residual(model, Bv):

@@ -16,6 +16,7 @@ from defgpa import (
     cross_validation_error,
     estimate_prior_for_set,
     rmse_d,
+    load_shapes,
     rmse_r,
     save_shapes,
     solve,
@@ -274,6 +275,10 @@ class TestCveCommand:
         for shape_doc, shape in zip(doc["predicted"]["shapes"], ss):
             for j, pt in enumerate(shape_doc["points"]):
                 assert (pt is None) == (not shape.visibility[j])
+        # every visible point is predicted, so the block is a loadable shape document
+        predicted = load_shapes(json.dumps(doc["predicted"]))
+        for pred, shape in zip(predicted, ss):
+            np.testing.assert_array_equal(pred.visibility, shape.visibility)
 
 
 class TestPriorCommand:
@@ -358,6 +363,41 @@ class TestUsage:
         assert main(["solve", "--input", path, "--nu", "0.5",
                      "--output", str(tmp_path / "s2.json")]) == 0
         assert main(["solve", "--input", path, "--nu", "bogus"]) == 2
+
+
+    @pytest.mark.parametrize("args", [
+        ["solve", "--model", "tps", "--theta", "nan"],
+        ["solve", "--nu", "nan"],
+        ["solve", "--model", "tps", "--lambda-internal", "inf"],
+        ["sweep", "--model", "tps", "--thetas", "1,nan"],
+    ], ids=["theta", "nu", "lambda-internal", "sweep-grid"])
+    def test_non_finite_values_rejected(self, rigid_file, tmp_path, capsys, args):
+        _, path = rigid_file
+        out = tmp_path / "out"
+        assert main(args + ["--input", path, "--output", str(out)]) == 2
+        assert not out.exists()
+        assert json.loads(capsys.readouterr().err)["error"] == "FormatError"
+
+    @pytest.mark.parametrize("group", [0, 8, 10])
+    def test_cve_group_checked_before_any_solve(self, rng, tmp_path, capsys, monkeypatch, group):
+        # d2 m10: folds must keep d+1 points, so groups lie in [1, 8)
+        import defgpa.gpa
+        ss = full_set(rng, 2, 10, 3, kind="affine", noise=0.05)
+        path = write_set(tmp_path / "set.json", ss)
+
+        def solve(*args, **kwargs):
+            raise AssertionError("solved before checking the group size")
+
+        monkeypatch.setattr(defgpa.gpa, "solve", solve)
+        out = tmp_path / "out"
+        messages = []
+        for args in (["cve", "--group"], ["solve", "--cve-group"],
+                     ["sweep", "--thetas", "1,2", "--cve-group"]):
+            assert main(args + [str(group), "--input", path, "--output", str(out)]) == 2
+            assert not out.exists()
+            messages.append(json.loads(capsys.readouterr().err))
+        assert messages[0]["error"] == "FormatError"
+        assert messages[1:] == messages[:1] * 2
 
 
 class TestImport:

@@ -12,11 +12,11 @@ from defgpa import (
     Shape,
     ShapeSet,
     SingularSystem,
+    UnconstrainedPoint,
     assemble_P,
     bottom_d_scaled,
     check_theorem_conditions,
     complete_all,
-    complete_shape,
     correct_reflection,
     eig_sym,
     estimate_prior,
@@ -68,6 +68,35 @@ def pair_transform(d1, d2, allow_reflection=False):
     """s, R, t mapping d1 onto d2: entry [1, 0] of the two-shape table."""
     s, R, t = pairwise_transform_table(ShapeSet((d1, d2)), allow_reflection=allow_reflection)
     return s[1, 0], R[1, 0], t[1, 0]
+
+
+def complete_shape(shape_set, i, table):
+    """Full d x m matrix for shape i: visible points kept, missing ones filled.
+
+    Each missing point is the visibility-weighted average of its occurrences
+    in the other shapes mapped into frame i through the pairwise transforms
+    (the sum runs over all shapes, each masked by its own visibility).
+    `table` is the (s, R, t) of `pairwise_transform_table`.  The per-shape
+    reference for `complete_all`.
+    """
+    s, R, t = table
+    target = shape_set[i]
+    d, m = target.d, target.m
+    acc = np.zeros((d, m))
+    counts = np.zeros(m)
+    for k, src in enumerate(shape_set):
+        gamma = src.visibility.astype(float)
+        mapped = s[i, k] * (R[i, k] @ src.filled(0.0)) + t[i, k][:, None]
+        acc += mapped * gamma[None, :]
+        counts += gamma
+    missing = ~target.visibility
+    if np.any(counts[missing] == 0):
+        bad = np.flatnonzero(missing & (counts == 0)).tolist()
+        raise UnconstrainedPoint(f"points {bad} are visible in no shape")
+    out = target.filled(0.0)
+    safe = np.where(counts > 0, counts, 1.0)
+    out[:, missing] = (acc / safe[None, :])[:, missing]
+    return out
 
 
 class TestPairwiseProcrustes:
@@ -410,8 +439,9 @@ class TestSolve:
         ss = full_set(rng, 2, 10, 3, kind="affine")
         sol = solve(ss, affine_models(ss))
         assert sol.nu == pytest.approx(3 / 10)
-        with pytest.raises(DimensionError):
-            solve(ss, affine_models(ss), nu=-1.0)
+        for nu in (-1.0, np.nan, np.inf):
+            with pytest.raises(DimensionError):
+                solve(ss, affine_models(ss), nu=nu)
 
     def test_prior_accepts_plain_array(self, rng):
         ss = full_set(rng, 2, 10, 3, kind="affine")

@@ -226,13 +226,6 @@ class TestCrossValidation:
         folds = _fold_slices(7, CveConfig(3))
         assert [f.tolist() for f in folds] == [[0, 1, 2], [3, 4, 5], [6]]
 
-    def test_fold_layout_seeded_shuffle_deterministic(self):
-        f1 = _fold_slices(8, CveConfig(2, seed=7))
-        f2 = _fold_slices(8, CveConfig(2, seed=7))
-        assert [a.tolist() for a in f1] == [a.tolist() for a in f2]
-        flat = sorted(int(v) for f in f1 for v in f)
-        assert flat == list(range(8))
-
     def test_group_size_validation(self, rng):
         ss = full_set(rng, 2, 8, 3, kind="affine")
         with pytest.raises(DimensionError):

@@ -1,4 +1,4 @@
-"""Shape data model, ingestion, centering, covariance."""
+"""Shape data model and the shape document reader and writer."""
 
 import json
 
@@ -10,14 +10,9 @@ from defgpa import (
     Shape,
     ShapeSet,
     UnconstrainedPoint,
-    center,
-    centroid,
-    covariance,
-    eig_sym,
     load_shapes,
     save_shapes,
 )
-from conftest import random_rotation
 
 
 def simple_json(points_by_shape, d=2):
@@ -86,6 +81,19 @@ class TestLoading:
         back = load_shapes(str(path), format="json")
         assert np.array_equal(ss[0].points, back[0].points)
 
+    def test_json_and_csv_load_alike(self, rng, tmp_path):
+        pts = rng.normal(size=(2, 7)) * 1e3
+        vis = np.ones(7, bool)
+        vis[[1, 5]] = False
+        ss = ShapeSet((Shape(pts, vis), Shape(rng.normal(size=(2, 7)), np.ones(7, bool))))
+        save_shapes(ss, tmp_path / "set.json", format="json")
+        save_shapes(ss, tmp_path / "set.csv", format="csv")
+        from_json = load_shapes(str(tmp_path / "set.json"), format="json")
+        from_csv = load_shapes(str(tmp_path / "set.csv"), format="csv")
+        for a, b in zip(from_json, from_csv):
+            assert a.points.tobytes() == b.points.tobytes()
+            assert a.visibility.tobytes() == b.visibility.tobytes()
+
     def test_load_from_file_object(self, rng, tmp_path):
         pts = rng.normal(size=(2, 4))
         ss = ShapeSet((Shape(pts, np.ones(4, bool)),))
@@ -118,98 +126,38 @@ class TestShapeValidation:
                       Shape(np.zeros((2, 5)), np.ones(5, bool))))
 
 
-class TestCentroidCenter:
-    def test_simple_mean(self):
-        # {(0,0),(2,0)} averages to (1,0); a third point keeps the shape valid
-        s = Shape(np.array([[0.0, 2.0, 1.0], [0.0, 0.0, 0.0]]), np.ones(3, bool))
-        np.testing.assert_allclose(centroid(s), [1.0, 0.0])
-
-    def test_symmetric_set(self):
-        pts = np.array([[1.0, -1.0, 2.0, -2.0], [0.5, -0.5, 1.0, -1.0]])
-        np.testing.assert_allclose(centroid(Shape(pts, np.ones(4, bool))), [0, 0], atol=1e-15)
-
-    def test_matches_direct_summation(self, rng):
-        pts = rng.normal(size=(3, 7))
-        s = Shape(pts, np.ones(7, bool))
-        acc = np.zeros(3)
-        for j in range(7):
-            acc += pts[:, j]
-        np.testing.assert_allclose(centroid(s), acc / 7, atol=1e-12)
-
-    def test_visible_only(self, rng):
-        pts = rng.normal(size=(2, 5))
-        vis = np.array([True, True, True, False, True])
-        s = Shape(pts, vis)
-        np.testing.assert_allclose(centroid(s), pts[:, vis].mean(axis=1))
-
-    def test_all_columns_mean_on_full_shape(self, rng):
-        pts = rng.normal(size=(2, 5))
-        s = Shape(pts, np.ones(5, bool))
-        np.testing.assert_allclose(centroid(s, visible_only=False), pts.mean(axis=1))
-        # on a partial shape the NaN sentinel poisons the unmasked mean, loudly
-        partial = Shape(pts, np.array([True, True, True, False, True]))
-        assert np.all(np.isnan(centroid(partial, visible_only=False)))
-
-    def test_center_already_centered(self, rng):
-        pts = rng.normal(size=(2, 6))
-        pts -= pts.mean(axis=1, keepdims=True)
-        out = center(Shape(pts, np.ones(6, bool)))
-        np.testing.assert_allclose(out.points, pts, atol=1e-12)
-
-    def test_center_example(self):
-        s = Shape(np.array([[1.0, 3.0, 2.0], [1.0, 1.0, 1.0]]), np.ones(3, bool))
-        out = center(s)
-        np.testing.assert_allclose(out.points[:, :2].T, [[-1, 0], [1, 0]], atol=1e-15)
-
-    def test_center_postcondition(self, rng):
-        pts = rng.normal(size=(3, 9)) * 10 + 5
-        vis = np.ones(9, bool)
-        vis[2] = False
-        out = center(Shape(pts, vis))
-        assert np.linalg.norm(centroid(out)) < 1e-12
-        assert np.array_equal(out.visibility, vis)
+# one malformed visible entry, placed as point 2 of the second shape
+MALFORMED = {
+    "ragged": [1.0, 2.0, 3.0],
+    "non-numeric": [1.0, "x"],
+    "nan": [1.0, float("nan")],
+    "inf": [float("inf"), 1.0],
+    "bare-true": True,
+    "dict": {"x": 1.0},
+}
+GOOD = [[0.0, 0.0], [1.0, 0.0], None, [0.0, 1.0], [1.0, 1.0]]
 
 
-class TestCovariance:
-    def test_unit_square(self):
-        pts = np.array([[1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0]])
-        np.testing.assert_allclose(covariance(Shape(pts, np.ones(4, bool))),
-                                   np.diag([4.0, 4.0]), atol=1e-12)
+def csv_row(entry):
+    if isinstance(entry, list):
+        return ",".join(str(v) for v in entry)
+    return json.dumps(entry)
 
-    def test_collinear_rank_one(self):
-        pts = np.vstack([np.arange(5.0), 2.0 * np.arange(5.0)])
-        C = covariance(Shape(pts, np.ones(5, bool)))
-        vals = np.linalg.eigvalsh(C)
-        assert vals[0] < 1e-10 * vals[1]
 
-    def test_matches_double_loop(self, rng):
-        pts = rng.normal(size=(3, 8))
-        C = covariance(Shape(pts, np.ones(8, bool)))
-        mu = pts.mean(axis=1)
-        acc = np.zeros((3, 3))
-        for j in range(8):
-            dv = pts[:, j] - mu
-            for a in range(3):
-                for b in range(3):
-                    acc[a, b] += dv[a] * dv[b]
-        np.testing.assert_allclose(C, acc, atol=1e-10)
+class TestMalformedEntries:
+    @pytest.mark.parametrize("entry", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_json_names_shape_and_point(self, entry):
+        bad = GOOD[:2] + [entry] + GOOD[3:]
+        doc = json.dumps({"d": 2, "m": 5, "shapes": [{"points": GOOD}, {"points": bad}]})
+        with pytest.raises(FormatError, match="^shape 1 point 2: "):
+            load_shapes(doc, format="json")
 
-    def test_translation_invariance(self, rng):
-        pts = rng.normal(size=(2, 6))
-        C1 = covariance(Shape(pts, np.ones(6, bool)))
-        C2 = covariance(Shape(pts + np.array([[3.0], [-7.0]]), np.ones(6, bool)))
-        np.testing.assert_allclose(C1, C2, atol=1e-10)
-
-    def test_rotation_conjugation(self, rng):
-        pts = rng.normal(size=(3, 7))
-        R = random_rotation(rng, 3)
-        C1 = covariance(Shape(pts, np.ones(7, bool)))
-        C2 = covariance(Shape(R @ pts, np.ones(7, bool)))
-        np.testing.assert_allclose(C2, R @ C1 @ R.T, atol=1e-10)
-
-    def test_eigenvalues_rigid_invariant(self, rng):
-        pts = rng.normal(size=(2, 9))
-        R = random_rotation(rng, 2)
-        C1 = covariance(Shape(pts, np.ones(9, bool)))
-        C2 = covariance(Shape(R @ pts + np.array([[1.0], [2.0]]), np.ones(9, bool)))
-        np.testing.assert_allclose(eig_sym(C1).values, eig_sym(C2).values, atol=1e-9)
+    @pytest.mark.parametrize("entry", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_csv_names_file_and_row(self, entry, tmp_path):
+        rows = [csv_row(e) if e is not None else "" for e in GOOD]
+        (tmp_path / "a.csv").write_text("\n".join(rows) + "\n")
+        rows[2] = csv_row(entry)
+        (tmp_path / "b.csv").write_text("\n".join(rows) + "\n")
+        (tmp_path / "set.csv").write_text("a.csv\nb.csv\n")
+        with pytest.raises(FormatError, match="^b.csv row 2: "):
+            load_shapes(str(tmp_path / "set.csv"), format="csv")
