@@ -28,7 +28,7 @@ import numpy as np
 from . import gpa, metrics
 from .errors import DefgpaError, DimensionError, FormatError
 from .shapes import load_shapes, shape_document
-from .warps import AffineWarp, place_control_points, tps_build
+from .warps import AffineWarp, TpsWarp, place_control_points, tps_build
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -76,12 +76,15 @@ def build_models(shape_set, config):
     """
     if config.model == "affine":
         return [AffineWarp(shape_set.d) for _ in shape_set]
-    models = []
-    for shape in shape_set:
-        centers = place_control_points(shape, config.ctrl, config.flat_axes)
-        model = tps_build(centers, config.lambda_internal)
-        models.append(model.with_smoothing(shape.num_visible * config.theta))
-    return models
+    models = [tps_build(place_control_points(shape, config.ctrl, config.flat_axes),
+                        config.lambda_internal) for shape in shape_set]
+    return _with_theta(models, shape_set, config.theta)
+
+
+def _with_theta(models, shape_set, theta):
+    """The models with mu_i = nnz(Gamma_i) * theta; affine warps carry no smoothing."""
+    return [model.with_smoothing(shape.num_visible * theta) if isinstance(model, TpsWarp) else model
+            for model, shape in zip(models, shape_set)]
 
 
 def _load_input(config):
@@ -149,8 +152,8 @@ def _check_group(shape_set, group):
                           f"with m={shape_set.m}, d={shape_set.d}")
 
 
-def _solve_once(shape_set, config, prior=None):
-    models = build_models(shape_set, config)
+def _solve_once(shape_set, config, models=None, prior=None):
+    models = models or build_models(shape_set, config)
     solution = gpa.solve(
         shape_set, models,
         prior=prior,
@@ -217,19 +220,21 @@ def cmd_sweep(config, thetas=None, cve_group=1):
     _check_group(shape_set, cve_group)
     reflection_ref = _resolve_reflection_ref(shape_set, config.reflection_ref)
 
-    # the prior depends on the kept points only, never on theta
+    # the prior and the splines do not depend on theta; only mu_i does
     errors = {}
     rows = {}
     fits = {}
     try:
         prior = gpa.estimate_prior_for_set(shape_set, allow_reflection=config.allow_reflection)
+        base_models = build_models(shape_set, config)
     except DefgpaError as exc:  # every grid point fails alike
         errors = dict.fromkeys(range(len(thetas)), exc)
     for idx, cfg in enumerate(configs):
         if idx in errors:
             continue
         try:
-            models, solution = _solve_once(shape_set, cfg, prior)
+            models, solution = _solve_once(shape_set, cfg, _with_theta(base_models, shape_set, cfg.theta),
+                                           prior)
             rows[idx] = {"theta": cfg.theta,
                          "rmse_r": metrics.rmse_r(solution, shape_set, models),
                          "rmse_d": metrics.rmse_d(solution, shape_set, models)}

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DefgpaError,
     DegenerateConfiguration,
     DegenerateInput,
     DimensionError,
@@ -24,6 +25,8 @@ from .errors import (
 )
 from .spectral import CovariancePrior, bottom_d_scaled, bottom_d_scaled_on_span, leftmost_singular_vector
 from .warps import AffineWarp, _witness_and_residual
+
+_DENSE_STACK_ENTRIES = 2**23  # entries of the dense m x m matrices one eigensolver call takes (64 MB)
 
 
 @dataclass
@@ -245,15 +248,15 @@ def estimate_prior_for_set(shape_set, allow_reflection=False):
 
 
 def _cholesky_solve(N, rhs):
-    """N^{-1} rhs for SPD N: a Cholesky factor, then two triangular solves.
+    """N^{-1} rhs for SPD N (or a stack of them): Cholesky factors, then two triangular solves.
 
-    Raises np.linalg.LinAlgError when N is not positive definite or either
+    Raises np.linalg.LinAlgError when any N is not positive definite or either
     input holds a non-finite entry.
     """
     if not (np.all(np.isfinite(N)) and np.all(np.isfinite(rhs))):
         raise np.linalg.LinAlgError("non-finite entries")
     L = np.linalg.cholesky(N)
-    return np.linalg.solve(L.T, np.linalg.solve(L, rhs))
+    return np.linalg.solve(np.swapaxes(L, -1, -2), np.linalg.solve(L, rhs))
 
 
 def _solve_normal(N, rhs, index):
@@ -269,37 +272,72 @@ def _solve_normal(N, rhs, index):
         raise SingularSystem(f"normal matrix of shape {index} is singular", shape_index=index) from exc
 
 
-def _per_shape_terms(shape_set, models):
-    """Per shape: masked basis B_i Gamma_i and the solved N_i^{-1} B_i Gamma_i."""
+def _bases(shape_set, models):
+    """Bases B_i (n x l x m), Grams Z_i^T Z_i (n x l x l), zero-padded to the largest l, and each l_i."""
     if len(models) != shape_set.n:
         raise DimensionError(f"{shape_set.n} shapes but {len(models)} models")
-    terms = []
-    for i, (shape, model) in enumerate(zip(shape_set, models)):
+    dims = tuple(model.feature_dim for model in models)
+    B = np.zeros((shape_set.n, max(dims), shape_set.m))
+    grams = np.zeros((shape_set.n, max(dims), max(dims)))
+    for i, (shape, model, l) in enumerate(zip(shape_set, models, dims)):
         if model.smoothing < 0:
             raise DimensionError(f"model {i} has negative smoothing")
-        B = model.basis(shape.filled(0.0))
-        if B.shape != (model.feature_dim, shape.m):
-            raise DimensionError(f"model {i} basis has shape {B.shape}, expected ({model.feature_dim},{shape.m})")
-        Bg = B * shape.visibility[None, :]
-        N = Bg @ B.T + model.smoothing * model.gram_regularizer()
-        solved = _solve_normal(N, Bg, i)
-        terms.append((shape, Bg, solved))
-    return terms
+        Bi = model.basis(shape.filled(0.0))
+        if Bi.shape != (l, shape.m):
+            raise DimensionError(f"model {i} basis has shape {Bi.shape}, expected ({l},{shape.m})")
+        B[i, :l] = Bi
+        grams[i, :l, :l] = model.gram_regularizer()
+    return B, grams, dims
 
 
-def _dense(shift, factors):
-    """diag(shift) - sum_i L_i^T R_i as an m x m array, symmetrized against round-off."""
-    M = np.diag(shift)
-    for L, R in factors:
-        M -= L.T @ R
-    return 0.5 * (M + M.T)
+def _per_shape_terms(shape_set, bases, mus):
+    """Bg_i = B_i Gamma_i (n x l x m) and N_ti^{-1} Bg_i (T x n x l x m) for smoothing rows mus (T x n).
+
+    N_ti = Bg_i B_i^T + mus[t, i] Z_i^T Z_i, with an identity block on padded
+    rows.  One factorization call serves the stack; if it fails, each matrix
+    goes through `_solve_normal` alone, and a row t that stays singular gets
+    its SingularSystem in the returned dict while the other rows stand.
+    """
+    B, grams, dims = bases
+    Bg = B * shape_set.visibility_matrix()[:, None, :]
+    N = Bg @ np.swapaxes(B, -1, -2)
+    for i, l in enumerate(dims):
+        N[i, l:, l:] = np.eye(N.shape[-1] - l)
+    N = N + mus[:, :, None, None] * grams
+    errors = {}
+    try:
+        solved = _cholesky_solve(N, Bg)
+    except np.linalg.LinAlgError:
+        solved = np.zeros(N.shape[:2] + Bg.shape[1:])
+        for t in range(len(mus)):
+            try:
+                for i, l in enumerate(dims):
+                    solved[t, i, :l] = _solve_normal(N[t, i, :l, :l], Bg[i, :l], i)
+            except SingularSystem as exc:
+                errors[t] = exc
+    return Bg, solved, errors
+
+
+def _terms(shape_set, models):
+    """Bg and solved (n x l x m) of one model set; raises SingularSystem."""
+    mus = np.array([[model.smoothing for model in models]])
+    Bg, solved, errors = _per_shape_terms(shape_set, _bases(shape_set, models), mus)
+    if errors:
+        raise errors[0]
+    return Bg, solved[0]
+
+
+def _dense(shift, L, R):
+    """diag(shift) - sum_i L_i^T R_i, symmetrized against round-off; R may carry a leading T axis."""
+    M = np.diag(shift) - L[0].T @ R[..., 0, :, :]
+    for i in range(1, len(L)):
+        M -= L[i].T @ R[..., i, :, :]
+    return 0.5 * (M + np.swapaxes(M, -1, -2))
 
 
 def assemble_P(shape_set, models):
     """P = sum_i (Gamma_i - Gamma_i B_i^T N_i^{-1} B_i Gamma_i); symmetric, 0 <= P <= nI."""
-    terms = _per_shape_terms(shape_set, models)
-    return _dense(shape_set.visibility_matrix().sum(axis=0).astype(float),
-                  [(Bg, solved) for _, Bg, solved in terms])
+    return _dense(shape_set.visibility_matrix().sum(axis=0).astype(float), *_terms(shape_set, models))
 
 
 def _span_basis(columns):
@@ -317,32 +355,33 @@ def _span_basis(columns):
     return U[:, sv > max(columns.shape) * np.finfo(float).eps * sv[0]]
 
 
-def _bottom_d_of_sum(shift, factors, nu, prior, anchor):
-    """Prior-scaled bottom-d eigenvectors of M = diag(shift) - sum_i L_i^T R_i + nu 11^T.
+def _bottom_d_of_sum(shift, L, R, nus, prior, anchor):
+    """Prior-scaled bottom-d eigenvectors of each M_t = diag(shift) - sum_i L_i^T R_ti + nu_t 11^T.
 
-    `factors` holds the l_i x m pairs (L_i, R_i) with R_i = K_i L_i for a
-    symmetric K_i (the solved normal equations).
-    With a scalar shift c, M equals c I outside the span of the L_i^T (and of
-    1 when nu > 0), a subspace of dimension r <= sum_i l_i + 1.  The
-    eigenproblem is then solved on that span, C = U^T M U, and no m x m array
-    is formed.  The dense matrix serves a vector shift, and a scalar one when
-    the restricted spectrum cannot certify the selection.
+    L is n x l x m and R_ti = K_ti L_i for symmetric K_ti (the solved normal
+    equations); returns a list of T references from stacked eigensolver calls.
+    With a scalar shift c, M_t equals c I outside the span of the L_i^T (and
+    of 1 when nu > 0), a subspace of dimension r <= sum_i l_i + 1.  The
+    eigenproblem is then solved on that span, C_t = U^T M_t U, and no m x m
+    array is formed.  The dense matrix serves a vector shift, and a scalar
+    one when the restricted spectrum cannot certify the selection.
     """
-    m = factors[0][0].shape[1]
+    m = L.shape[-1]
     if np.ndim(shift) == 0:
-        ones = [np.ones((m, 1))] if nu else []
-        U = _span_basis(np.hstack([L.T for L, _ in factors] + ones))
+        ones = [np.ones((m, 1))] if np.any(nus) else []
+        U = _span_basis(np.hstack(list(np.swapaxes(L, -1, -2)) + ones))
         w = U.sum(axis=0)  # U^T 1
-        C = shift * np.eye(U.shape[1]) + nu * np.outer(w, w)
-        for L, R in factors:
-            C -= (L @ U).T @ (R @ U)
-        S = bottom_d_scaled_on_span(U, 0.5 * (C + C.T), shift, prior, anchor=anchor)
-        if S is not None:
-            return S
-        shift = np.full(m, float(shift))
-    M = _dense(shift, factors)
-    M += nu
-    return bottom_d_scaled(M, prior, anchor=anchor)
+        C = shift * np.eye(U.shape[1]) + nus[:, None, None] * np.outer(w, w)
+        for i, Li in enumerate(L):
+            C -= (Li @ U).T @ (R[:, i] @ U)
+        S = bottom_d_scaled_on_span(U, 0.5 * (C + np.swapaxes(C, -1, -2)), shift, prior, anchor=anchor)
+        for t in [t for t, St in enumerate(S) if St is None]:
+            S[t] = bottom_d_scaled(_dense(np.full(m, float(shift)), L, R[t]) + nus[t], prior,
+                                   anchor=anchor)
+        return S
+    step = max(1, _DENSE_STACK_ENTRIES // m**2)
+    return [S for k in range(0, len(nus), step) for S in
+            bottom_d_scaled(_dense(shift, L, R[k:k + step]) + nus[k:k + step, None, None], prior, anchor=anchor)]
 
 
 def _gram_anchor(shape_set):
@@ -381,18 +420,19 @@ def correct_reflection(S, ref_shape):
     return S
 
 
-def _theorem_conditions(terms, models, tol):
+def _theorem_conditions(shape_set, Bg, solved, models, tol):
     """Theorem-condition report from the per-shape terms of a solve."""
     results = []
     aggregate = 0.0
-    for i, ((shape, Bg, solved), model) in enumerate(zip(terms, models)):
+    for i, (shape, model) in enumerate(zip(shape_set, models)):
+        l = model.feature_dim
         gamma = shape.visibility.astype(float)
         # P_i 1; for full shapes this equals 1 - Q_i 1, so one residual serves both
-        Pi_1 = gamma - Bg.T @ (solved @ gamma)
+        Pi_1 = gamma - Bg[i, :l].T @ (solved[i, :l] @ gamma)
         aggregate = aggregate + Pi_1
         projector_residual = float(np.max(np.abs(Pi_1)))
         # Bg^T equals B^T on the visible rows
-        _, witness_residual = _witness_and_residual(model, Bg.T[shape.visibility, :])
+        _, witness_residual = _witness_and_residual(model, Bg[i, :l].T[shape.visibility, :])
         witness_found = witness_residual < tol
         passes = projector_residual < tol and witness_found
         results.append(ShapeConditions(i, projector_residual, witness_residual, witness_found, passes))
@@ -409,20 +449,27 @@ def check_theorem_conditions(shape_set, models, tol=1e-6):
     Gamma_i B_i^T x = Gamma_i 1 (and Z_i x = 0 when regularized).  Also checks
     the aggregate P 1 = 0.
     """
-    return _theorem_conditions(_per_shape_terms(shape_set, models), models, tol)
+    return _theorem_conditions(shape_set, *_terms(shape_set, models), models, tol)
 
 
-def _checked_args(shape_set, prior, nu, allow_reflection=False):
+def _check_reflection_ref(shape_set, reflection_ref):
+    if not 0 <= reflection_ref < shape_set.n:
+        raise DimensionError(f"reflection_ref {reflection_ref} out of range for n={shape_set.n}")
+
+
+def _checked_args(shape_set, prior, nu, reflection_ref, allow_reflection=False):
     """The prior and nu of a solve, checked against the shape set.
 
-    Needs d <= m-1, so that the ones vector can be excluded.  A prior of None
-    is estimated from the (completed) shapes, a plain array is coerced to a
-    CovariancePrior, and either must have d entries.  A nu of None defaults
-    to n/m; a given one must be finite and non-negative.
+    Needs d <= m-1, so that the ones vector can be excluded, and a datum
+    shape index 0 <= reflection_ref < n.  A prior of None is estimated from
+    the (completed) shapes, a plain array is coerced to a CovariancePrior,
+    and either must have d entries.  A nu of None defaults to n/m; a given
+    one must be finite and non-negative.
     """
     d, m, n = shape_set.d, shape_set.m, shape_set.n
     if d > m - 1:
         raise DimensionError(f"need m >= d+1 landmarks to exclude the ones vector, got d={d}, m={m}")
+    _check_reflection_ref(shape_set, reflection_ref)
     if prior is None:
         prior = estimate_prior_for_set(shape_set, allow_reflection=allow_reflection)
     if not isinstance(prior, CovariancePrior):
@@ -436,22 +483,38 @@ def _checked_args(shape_set, prior, nu, allow_reflection=False):
     return prior, float(nu)
 
 
-def _solution(shape_set, S, terms, models, prior, nu, reflection_ref, report=None):
-    """The GpaSolution of a prior-scaled reference S and the solve's per-shape terms.
+def _references(shape_set, Bg, solved, errors, nus, prior, reflection_ref):
+    """Per model set of `_per_shape_terms`' output, its reflection-corrected reference or its error.
 
-    Corrects the reflection of S against the datum shape, recovers the
-    per-shape weights W_i = N_i^{-1} B_i Gamma_i S^T, and evaluates the data,
-    regularization and penalty costs.
+    One eigensolver call serves every set without an error; nus holds their penalty weights.
     """
-    if prior.lambdas[-1] > 0:
-        S = correct_reflection(S, shape_set[reflection_ref])
+    outcomes = dict(errors)
+    live = [t for t in range(len(nus)) if t not in outcomes]
+    if live:
+        shift = float(shape_set.n) if shape_set.all_full else shape_set.visibility_matrix().sum(axis=0).astype(float)
+        references = _bottom_d_of_sum(shift, Bg, solved[live] if errors else solved, nus[live],
+                                      prior, _gram_anchor(shape_set))
+        for t, S in zip(live, references):
+            try:
+                outcomes[t] = correct_reflection(S, shape_set[reflection_ref]) if prior.lambdas[-1] > 0 else S
+            except DefgpaError as exc:
+                outcomes[t] = exc
+    return [outcomes[t] for t in range(len(nus))]
+
+
+def _solution(shape_set, S, Bg, solved, models, prior, nu, report=None):
+    """The GpaSolution of an oriented reference S and the solve's per-shape terms.
+
+    Recovers the per-shape weights W_i = N_i^{-1} B_i Gamma_i S^T and
+    evaluates the data, regularization and penalty costs.
+    """
     weights = []
     data_cost = 0.0
     reg_cost = 0.0
-    for (shape, Bg, solved), model in zip(terms, models):
-        W = solved @ S.T
+    for i, (shape, model) in enumerate(zip(shape_set, models)):
+        W = solved[i, :model.feature_dim] @ S.T
         weights.append(W)
-        residual = (W.T @ Bg) - S * shape.visibility[None, :]
+        residual = (W.T @ Bg[i, :len(W)]) - S * shape.visibility[None, :]
         data_cost += float(np.sum(residual * residual))
         if model.smoothing > 0:
             reg_cost += model.smoothing * float(
@@ -482,14 +545,15 @@ def solve(shape_set, models, prior=None, nu=None, reflection_ref=0,
     and recovers per-shape weights by regularized least squares.  With
     prior=None the reference covariance prior is estimated from the
     (completed) shapes; with nu=None the penalty weight defaults to n/m.
+    This is the one-set case of the pass that cross-validation runs per fold.
     """
-    prior, nu = _checked_args(shape_set, prior, nu, allow_reflection)
-    terms = _per_shape_terms(shape_set, models)
-    shift = float(shape_set.n) if shape_set.all_full else shape_set.visibility_matrix().sum(axis=0).astype(float)
-    S = _bottom_d_of_sum(shift, [(Bg, solved) for _, Bg, solved in terms], nu, prior,
-                         _gram_anchor(shape_set))
-    report = _theorem_conditions(terms, models, 1e-6) if check_conditions else None
-    return _solution(shape_set, S, terms, models, prior, nu, reflection_ref, report)
+    prior, nu = _checked_args(shape_set, prior, nu, reflection_ref, allow_reflection)
+    Bg, solved = _terms(shape_set, models)
+    S, = _references(shape_set, Bg, solved[None], {}, np.array([nu]), prior, reflection_ref)
+    if isinstance(S, DefgpaError):
+        raise S
+    report = _theorem_conditions(shape_set, Bg, solved, models, 1e-6) if check_conditions else None
+    return _solution(shape_set, S, Bg, solved, models, prior, nu, report)
 
 
 def solve_affine_centered(shape_set, prior=None, reflection_ref=0):
@@ -503,18 +567,19 @@ def solve_affine_centered(shape_set, prior=None, reflection_ref=0):
     """
     if not shape_set.all_full:
         raise DegenerateInput("translation-eliminated affine GPA requires full shapes")
-    prior, nu = _checked_args(shape_set, prior, 0.0)
-    factors = []
-    for i, s in enumerate(shape_set):
-        Dbar = s.points - s.points.mean(axis=1, keepdims=True)
+    prior, nu = _checked_args(shape_set, prior, 0.0, reflection_ref)
+    Dbar = np.stack([s.points - s.points.mean(axis=1, keepdims=True) for s in shape_set])
+    solved = []
+    for i, D in enumerate(Dbar):
         try:
-            factors.append((Dbar, _cholesky_solve(Dbar @ Dbar.T, Dbar)))
+            solved.append(_cholesky_solve(D @ D.T, D))
         except np.linalg.LinAlgError as exc:
             raise SingularSystem(f"centered shape {i} is degenerate", shape_index=i) from exc
 
     # top-d of Q = sum_i Dbar_i^T (Dbar_i Dbar_i^T)^{-1} Dbar_i are the bottom-d
     # of -Q, with identical prior pairing; -Q vanishes outside the row spaces
-    S = _bottom_d_of_sum(0.0, factors, nu, prior, _gram_anchor(shape_set))
+    S, = _bottom_d_of_sum(0.0, Dbar, np.stack(solved)[None], np.zeros(1), prior, _gram_anchor(shape_set))
+    if prior.lambdas[-1] > 0:
+        S = correct_reflection(S, shape_set[reflection_ref])
     models = [AffineWarp(shape_set.d) for _ in shape_set]
-    return _solution(shape_set, S, _per_shape_terms(shape_set, models), models, prior, nu,
-                     reflection_ref)
+    return _solution(shape_set, S, *_terms(shape_set, models), models, prior, nu)

@@ -3,9 +3,10 @@
 rmse_r measures residuals after mapping each datum shape into the reference
 frame; rmse_d maps the reference back through per-shape inverse transforms
 (exact for invertible affine maps, a fitted inverse spline for the TPS).  The
-cross-validation error re-solves the GPA with groups of points held out,
-predicts them through the fold transforms, and gauge-corrects with a rigid
-Procrustes between the fold reference and the full reference.
+cross-validation error re-solves the GPA with groups of points held out, all
+model sets of a fold in one pass, predicts them through the fold transforms,
+and gauge-corrects with a rigid Procrustes between the fold reference and the
+full reference.
 """
 
 import warnings
@@ -113,15 +114,15 @@ def cross_validation_errors(shape_set, fits, config=None, reflection_ref=0,
     """Leave-N-out CVE of several solved model sets (one per theta) on one shape set.
 
     `fits` holds (models, full solution) pairs, each solution the GPA of the
-    whole set with those models.  The folds run on the outside and the model
-    sets on the inside, so that everything that does not depend on the models
-    is done once per fold: restricting the points and estimating the prior of
-    the reduced set (with reflections when `allow_reflection`, as the full
-    prior was).  Per fold and model set the GPA is re-solved on the kept
-    points with the full solution's nu (raised to n/m of the fold if below),
-    held-out points are pushed through the fold transforms, and the fold
-    reference is rigidly aligned to the full reference restricted to the kept
-    points.  Only originally visible landmarks enter the error.
+    whole set with those models.  Each shape's basis is computed once on all
+    m points, and per fold the kept points, their prior (with reflections
+    when `allow_reflection`, as the full prior was) and the anchor are shared
+    by all model sets.  Per fold, the model sets with equal per-shape models
+    are re-solved in one pass, each with its full solution's nu (raised to
+    n/m of the fold if below); held-out points are predicted as
+    W_i^T B_i[:, fold], and each fold reference is rigidly aligned to the
+    full reference restricted to the kept points.  Only originally visible
+    landmarks enter the error.
 
     Returns one entry per model set: (cve, predicted shapes), or the
     DefgpaError that stopped it; a failed model set skips the later folds.
@@ -129,6 +130,7 @@ def cross_validation_errors(shape_set, fits, config=None, reflection_ref=0,
     if config is None:
         config = CveConfig()
     d, m, n = shape_set.d, shape_set.m, shape_set.n
+    _gpa._check_reflection_ref(shape_set, reflection_ref)
     if config.group_size >= m:
         return [DimensionError(f"fold size {config.group_size} must be below m={m}")] * len(fits)
     if m - config.group_size < d + 1:
@@ -137,7 +139,7 @@ def cross_validation_errors(shape_set, fits, config=None, reflection_ref=0,
 
     outcomes = [None] * len(fits)
     live = dict(enumerate(fits))
-    predicted = {j: [np.full((d, m), np.nan) for _ in range(n)] for j in live}
+    predicted = {j: np.full((n, d, m), np.nan) for j in live}
     covered = np.zeros(m, dtype=bool)
 
     def fail(exc):
@@ -145,10 +147,15 @@ def cross_validation_errors(shape_set, fits, config=None, reflection_ref=0,
             outcomes[j] = exc
         live.clear()
 
+    batches = {}  # model sets with equal per-shape models share their bases
+    for j, (models, _) in enumerate(fits):
+        batches.setdefault(tuple((type(model), repr(model.describe())) for model in models), []).append(j)
+    bases = {key: _gpa._bases(shape_set, fits[indices[0]][0]) for key, indices in batches.items()}
+
     for fold in _fold_slices(m, config):
         if not live:
             break
-        keep = np.setdiff1d(np.arange(m), fold)
+        keep = np.delete(np.arange(m), fold)
         if any(int(shape.visibility[keep].sum()) < d + 1 for shape in shape_set):
             fail(InsufficientOverlap(
                 f"fold {fold.tolist()} leaves a shape with fewer than {d + 1} visible points"))
@@ -164,18 +171,24 @@ def cross_validation_errors(shape_set, fits, config=None, reflection_ref=0,
             fail(exc)
             break
         nu_fold_min = n / keep.size
-        for j, (models, full) in list(live.items()):
-            try:
-                fold_sol = _gpa.solve(reduced, models, prior=fold_prior,
-                                      nu=max(full.nu, nu_fold_min),
-                                      reflection_ref=reflection_ref, check_conditions=False)
-                R, t = gauge_align(fold_sol.reference, full.reference[:, keep])
-                for i, shape in enumerate(shape_set):
-                    pred = apply_warp(models[i], fold_sol.weights[i], shape.filled(0.0)[:, fold])
-                    predicted[j][i][:, fold] = R @ pred + t[:, None]
-            except DefgpaError as exc:
-                outcomes[j] = exc
-                del live[j]
+        for key, (B, grams, dims) in bases.items():
+            indices = [j for j in batches[key] if j in live]
+            if not indices:
+                continue
+            mus = np.array([[model.smoothing for model in fits[j][0]] for j in indices])
+            nus = np.array([max(fits[j][1].nu, nu_fold_min) for j in indices])
+            Bg, solved, errors = _gpa._per_shape_terms(reduced, (B[:, :, keep], grams, dims), mus)
+            references = _gpa._references(reduced, Bg, solved, errors, nus, fold_prior, reflection_ref)
+            for j, solved_j, S in zip(indices, solved, references):
+                try:
+                    if isinstance(S, DefgpaError):
+                        raise S
+                    R, t = gauge_align(S, fits[j][1].reference[:, keep])
+                    pred = np.swapaxes(solved_j @ S.T, -1, -2) @ B[:, :, fold]  # W_i^T B_i[:, fold]
+                    predicted[j][:, :, fold] = R @ pred + t[:, None]
+                except DefgpaError as exc:
+                    outcomes[j] = exc
+                    del live[j]
         covered[fold] = True
 
     for j, (_, full) in live.items():
@@ -190,7 +203,7 @@ def cross_validation_errors(shape_set, fits, config=None, reflection_ref=0,
         if kappa == 0:
             outcomes[j] = DegenerateConfiguration("no fold produced any prediction")
         else:
-            outcomes[j] = (float(np.sqrt(total / kappa)), predicted[j])
+            outcomes[j] = (float(np.sqrt(total / kappa)), list(predicted[j]))
     return outcomes
 
 

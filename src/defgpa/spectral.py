@@ -28,39 +28,38 @@ _CLUSTER_TOL = 1e-9
 class EigenPairs:
     """Eigenvalues in ascending order with matching orthonormal columns."""
 
-    values: np.ndarray   # (k,)
-    vectors: np.ndarray  # (m, k), column j pairs with values[j]
+    values: np.ndarray   # (..., k)
+    vectors: np.ndarray  # (..., m, k), column j pairs with values[..., j]
 
 
 def _canonical_signs(vectors):
-    """Flip column signs so each column's largest-magnitude entry is positive.
+    """Flip column signs (of a matrix or a stack) so each column's largest-magnitude entry is positive.
 
     Ties break toward the lowest index (np.argmax returns the first maximum),
     which makes downstream reference shapes bitwise reproducible.
     """
-    V = np.array(vectors, dtype=float, copy=True)
-    idx = np.argmax(np.abs(V), axis=0)
-    flip = V[idx, np.arange(V.shape[1])] < 0.0
-    V[:, flip] *= -1.0
-    return V
+    V = np.asarray(vectors, dtype=float)
+    idx = np.argmax(np.abs(V), axis=-2)
+    flip = np.take_along_axis(V, idx[..., None, :], axis=-2) < 0.0
+    return np.where(flip, -V, V)
 
 
 def eig_sym(A):
-    """Full spectrum of a symmetric matrix, ascending, with canonical signs.
+    """Full spectrum of a symmetric matrix, or of each in a stack, ascending, with canonical signs.
 
-    The input must be symmetric within 1e-8 relative Frobenius norm; it is
+    Each matrix must be symmetric within 1e-8 relative Frobenius norm; it is
     symmetrized as (A + A^T)/2 before decomposition.  Non-finite entries or
-    excessive asymmetry raise InvalidMatrix.
+    excessive asymmetry in any matrix raise InvalidMatrix.
     """
     A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {A.shape}")
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
+        raise DimensionError(f"expected a square matrix or a stack of them, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
         raise InvalidMatrix("matrix contains non-finite entries")
-    scale = np.linalg.norm(A)
-    if scale > 0 and np.linalg.norm(A - A.T) > _ASYMMETRY_TOL * scale:
+    scale = np.linalg.norm(A, axis=(-2, -1))
+    if np.any(np.linalg.norm(A - np.swapaxes(A, -1, -2), axis=(-2, -1)) > _ASYMMETRY_TOL * scale):
         raise InvalidMatrix("matrix is not symmetric within 1e-8 relative tolerance")
-    values, vectors = np.linalg.eigh(0.5 * (A + A.T))
+    values, vectors = np.linalg.eigh(0.5 * (A + np.swapaxes(A, -1, -2)))
     return EigenPairs(values=values, vectors=_canonical_signs(vectors))
 
 
@@ -89,10 +88,6 @@ class CovariancePrior:
 
     def matrix(self):
         return np.diag(self.lambdas)
-
-    @property
-    def trace(self):
-        return float(self.lambdas.sum())
 
 
 def _prior_lambdas(prior):
@@ -151,7 +146,8 @@ def bottom_d_scaled(P, prior, anchor=None):
 
     Returns S (d x m) with row k = sqrt(lambda_k) * xi_k^T, pairing the largest
     prior entry with the smallest eigenvalue of P.  S minimizes
-    trace(S P S^T) subject to S S^T = diag(prior).
+    trace(S P S^T) subject to S S^T = diag(prior).  A stack of matrices
+    (T x m x m) takes one eigensolver call and gives a T x d x m stack.
 
     `anchor` (optional k x m matrix A) resolves degenerate eigenvalue clusters
     deterministically through the Gram A^T A; see _anchor_rotate.
@@ -159,10 +155,12 @@ def bottom_d_scaled(P, prior, anchor=None):
     lam = _prior_lambdas(prior)
     d = lam.size
     pairs = eig_sym(P)
-    m = pairs.vectors.shape[0]
+    m = pairs.vectors.shape[-1]
     if d > m:
         raise DimensionError(f"prior dimension {d} exceeds matrix size {m}")
-    return _scale_selected(pairs.values[:d], pairs.vectors[:, :d], lam, anchor)
+    S = [_scale_selected(values[:d], vectors[:, :d], lam, anchor)
+         for values, vectors in zip(pairs.values.reshape(-1, m), pairs.vectors.reshape(-1, m, m))]
+    return np.reshape(S, pairs.values.shape[:-1] + (d, m))
 
 
 def bottom_d_scaled_on_span(U, C, complement, prior, anchor=None):
@@ -177,7 +175,8 @@ def bottom_d_scaled_on_span(U, C, complement, prior, anchor=None):
 
     Returns None when r < m and the restricted spectrum cannot certify the
     selection: r < d, or lambda_d(C) within the cluster tolerance of (or
-    above) `complement`.  The caller then solves the dense problem.
+    above) `complement`.  The caller then solves the dense problem.  A stack
+    C (T x r x r) takes one eigensolver call and gives a list of T results.
     """
     lam = _prior_lambdas(prior)
     d = lam.size
@@ -185,15 +184,13 @@ def bottom_d_scaled_on_span(U, C, complement, prior, anchor=None):
     m, r = U.shape
     if d > m:
         raise DimensionError(f"prior dimension {d} exceeds matrix size {m}")
-    if d > r:
-        return None
-    pairs = eig_sym(C)
-    values = pairs.values[:d]
-    if r < m:
-        scale = max(1.0, abs(complement), float(np.max(np.abs(values))))
-        if values[-1] >= complement - _CLUSTER_TOL * scale:
-            return None
-    return _scale_selected(values, U @ pairs.vectors[:, :d], lam, anchor)
+    pairs = eig_sym(C if C.ndim > 2 else C[None])
+    selected = []
+    for values, vectors in zip(pairs.values[:, :d], pairs.vectors):
+        scale = max(1.0, abs(complement), float(np.max(np.abs(values), initial=0.0)))
+        certified = d <= r and (r == m or values[-1] < complement - _CLUSTER_TOL * scale)
+        selected.append(_scale_selected(values, U @ vectors[:, :d], lam, anchor) if certified else None)
+    return selected if C.ndim > 2 else selected[0]
 
 
 def leftmost_singular_vector(M):

@@ -161,15 +161,17 @@ class TestSweepCommand:
                       min_joint=2 + 3)
         path = write_set(tmp_path / "set.json", ss)
         bad_theta = 0.5
-        real_solve = defgpa.gpa.solve
+        real_terms = defgpa.gpa._per_shape_terms
 
-        def solve(shape_set, models, *args, **kwargs):
-            # models carry mu_i = nnz_i * theta of the full set, in folds too
-            if models[0].smoothing == ss[0].num_visible * bad_theta:
-                raise SingularSystem("injected failure", shape_index=0)
-            return real_solve(shape_set, models, *args, **kwargs)
+        def per_shape_terms(shape_set, bases, mus):
+            # the batched fold solves: one row of mu_i = nnz_i * theta (of the full set) per theta
+            Bg, solved, errors = real_terms(shape_set, bases, mus)
+            if shape_set.m < ss.m:
+                for t in np.flatnonzero(mus[:, 0] == ss[0].num_visible * bad_theta):
+                    errors[t] = SingularSystem("injected failure", shape_index=0)
+            return Bg, solved, errors
 
-        monkeypatch.setattr(defgpa.gpa, "solve", solve)
+        monkeypatch.setattr(defgpa.gpa, "_per_shape_terms", per_shape_terms)
         with_bad = str(tmp_path / "with_bad.csv")
         without = str(tmp_path / "without.csv")
         assert main(["sweep", "--input", path, "--model", "tps",
@@ -198,21 +200,30 @@ class TestSweepCommand:
         assert not out.exists()
 
     def test_one_full_solve_per_theta(self, rng, tmp_path, monkeypatch):
-        # k thetas on m points with folds of 1: k full solves and k*m fold solves
+        # k thetas on m points with folds of 1: k full solves, each a batch of one
+        # model set, then one batch of all k model sets per fold
         import defgpa.gpa
         ss = full_set(rng, 2, 9, 3, kind="smooth", noise=0.05)
         path = write_set(tmp_path / "set.json", ss)
         real_solve = defgpa.gpa.solve
-        calls = []
+        real_references = defgpa.gpa._references
+        solves = []
+        batches = []
 
         def solve(*args, **kwargs):
-            calls.append(None)
+            solves.append(None)
             return real_solve(*args, **kwargs)
 
+        def references(shape_set, Bg, solved, errors, nus, *args):
+            batches.append((shape_set.m, len(nus)))
+            return real_references(shape_set, Bg, solved, errors, nus, *args)
+
         monkeypatch.setattr(defgpa.gpa, "solve", solve)
+        monkeypatch.setattr(defgpa.gpa, "_references", references)
         assert main(["sweep", "--input", path, "--model", "tps", "--thetas", "10,1,0.1",
                      "--cve-group", "1", "--output", str(tmp_path / "g.csv")]) == 0
-        assert len(calls) == 3 * (ss.m + 1)
+        assert len(solves) == 3
+        assert batches == [(ss.m, 1)] * 3 + [(ss.m - 1, 3)] * ss.m
 
 
 class TestCveCommand:

@@ -27,7 +27,7 @@ from defgpa import (
     solve_affine_centered,
 )
 from defgpa import gpa as gpa_module
-from defgpa.gpa import _gram_anchor, _solve_normal
+from defgpa.gpa import _gram_anchor, _per_shape_terms, _solve_normal
 from defgpa.warps import AffineWarp
 from conftest import (
     affine_models,
@@ -393,7 +393,65 @@ class TestAssembleP:
             _solve_normal(np.eye(2), np.array([[np.inf], [0.0]]), 2)
 
 
+class TestStackedNormalSolves:
+    """One factorization call for a T x n stack, with per-matrix retries on failure."""
+
+    @staticmethod
+    def instance():
+        # shape 1's two basis rows coincide: its normal matrix is singular at mu = 0
+        pts = np.array([[0.0, 1.0, 3.0, 4.0]])
+        ss = ShapeSet((Shape(pts, np.ones(4, bool)), Shape(pts + 1.0, np.ones(4, bool))))
+        B = np.stack([np.vstack([pts, np.ones((1, 4))]), np.ones((2, 4))])
+        return ss, (B, np.stack([np.zeros((2, 2)), np.eye(2)]), (2, 2))
+
+    def test_jitter_retry_only_where_the_factorization_fails(self):
+        ss, bases = self.instance()
+        mus = np.array([[0.0, 1.0], [0.0, 0.0], [0.0, 2.0]])
+        Bg, solved, errors = _per_shape_terms(ss, bases, mus)
+        assert errors == {}
+        np.testing.assert_array_equal(solved[1, 1], _solve_normal(Bg[1] @ bases[0][1].T, Bg[1], 1))
+        _, clean, _ = _per_shape_terms(ss, bases, mus[[0, 2]])
+        np.testing.assert_allclose(solved[[0, 2]], clean, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(solved[1, 0], clean[0, 0], rtol=1e-15, atol=0)
+
+    def test_singular_row_fails_alone(self):
+        ss, bases = self.instance()
+        mus = np.array([[0.0, 1.0], [0.0, -1.0], [0.0, 2.0]])  # row 1: indefinite N_1
+        _, solved, errors = _per_shape_terms(ss, bases, mus)
+        assert list(errors) == [1]
+        assert isinstance(errors[1], SingularSystem) and errors[1].shape_index == 1
+        _, clean, _ = _per_shape_terms(ss, bases, mus[[0, 2]])
+        np.testing.assert_allclose(solved[[0, 2]], clean, rtol=1e-15, atol=0)
+
+    def test_mixed_feature_dims_match_direct_formula(self, rng):
+        ss = mask_set(rng, full_set(rng, 2, 14, 3, kind="smooth", noise=0.05), 0.15)
+        models = affine_models(ss)[:2] + tps_models(ss, k=3, theta=0.5)[2:]
+        direct = np.diag(ss.visibility_matrix().sum(axis=0).astype(float))
+        for s, model in zip(ss, models):
+            B = model.basis(s.filled(0.0))
+            Bg = B * s.visibility[None, :]
+            direct -= Bg.T @ np.linalg.solve(Bg @ B.T + model.smoothing * model.gram_regularizer(), Bg)
+        np.testing.assert_allclose(assemble_P(ss, models), direct, atol=1e-10)
+        sol = solve(ss, models)
+        assert [W.shape for W in sol.weights] == [(3, 2), (3, 2), (9, 2)]
+        S, _ = dense_reference(ss, models, sol.prior, sol.nu)
+        assert gauge_residual(sol.reference, S) < 1e-8
+
+
 class TestSolve:
+    @pytest.mark.parametrize("ref", [5, -1])
+    def test_reflection_ref_out_of_range(self, rng, monkeypatch, ref):
+        ss = full_set(rng, 2, 8, 3, kind="affine", noise=0.05)
+
+        def estimate(*args, **kwargs):
+            raise AssertionError("the prior was estimated before the argument check")
+
+        monkeypatch.setattr(gpa_module, "estimate_prior_for_set", estimate)
+        with pytest.raises(DimensionError):
+            solve(ss, affine_models(ss), reflection_ref=ref)
+        with pytest.raises(DimensionError):
+            solve_affine_centered(ss, reflection_ref=ref)
+
     def test_identical_shapes_zero_residual(self, rng):
         pts = rng.normal(size=(2, 9))
         pts -= pts.mean(axis=1, keepdims=True)

@@ -5,12 +5,17 @@ import pytest
 
 from defgpa import (
     CveConfig,
+    DefgpaError,
     DimensionError,
     Shape,
     ShapeSet,
+    SingularSystem,
     SingularTransform,
+    UnconstrainedPoint,
     apply_warp,
     cross_validation_error,
+    cross_validation_errors,
+    estimate_prior_for_set,
     gauge_align,
     rmse_d,
     rmse_r,
@@ -239,3 +244,166 @@ class TestCrossValidation:
         for s, P in zip(ss, preds):
             assert np.all(np.isnan(P[:, ~s.visibility]))
             assert np.all(np.isfinite(P[:, s.visibility]))
+
+
+def per_fold_reference(shape_set, fits, group=1, reflection_ref=0, allow_reflection=False):
+    """`cross_validation_errors` as one `solve` per fold and model set, with no batching.
+
+    Each held-out point is pushed through `apply_warp` on its own coordinates;
+    a fold whose restriction raises is skipped.
+    """
+    d, m, n = shape_set.d, shape_set.m, shape_set.n
+    results = []
+    for models, full in fits:
+        predicted = [np.full((d, m), np.nan) for _ in range(n)]
+        covered = np.zeros(m, dtype=bool)
+        for fold in _fold_slices(m, CveConfig(group)):
+            keep = np.setdiff1d(np.arange(m), fold)
+            try:
+                reduced = shape_set.restrict_points(keep)
+            except DefgpaError:
+                continue
+            prior = estimate_prior_for_set(reduced, allow_reflection=allow_reflection)
+            sol = solve(reduced, models, prior=prior, nu=max(full.nu, n / keep.size),
+                        reflection_ref=reflection_ref, check_conditions=False)
+            R, t = gauge_align(sol.reference, full.reference[:, keep])
+            for i, shape in enumerate(shape_set):
+                mapped = apply_warp(models[i], sol.weights[i], shape.filled(0.0)[:, fold])
+                predicted[i][:, fold] = R @ mapped + t[:, None]
+            covered[fold] = True
+        total = 0.0
+        kappa = 0
+        for i, shape in enumerate(shape_set):
+            use = shape.visibility & covered
+            kappa += int(use.sum())
+            diff = np.where(use[None, :], predicted[i] - full.reference, 0.0)
+            total += float(np.sum(diff * diff))
+            predicted[i][:, ~shape.visibility] = np.nan
+        results.append((float(np.sqrt(total / kappa)), predicted))
+    return results
+
+
+def solved_fits(shape_set, thetas, k=3, allow_reflection=False, affine=True):
+    """(models, full solution) pairs: TPS splines built once and re-weighted per theta,
+    plus an affine set when `affine`, all solved with one prior."""
+    prior = estimate_prior_for_set(shape_set, allow_reflection=allow_reflection)
+    splines = tps_models(shape_set, k=k)
+    model_sets = [[model.with_smoothing(s.num_visible * theta) for model, s in zip(splines, shape_set)]
+                  for theta in thetas]
+    if affine:
+        model_sets.append(affine_models(shape_set))
+    return [(models, solve(shape_set, models, prior=prior, allow_reflection=allow_reflection,
+                           check_conditions=False))
+            for models in model_sets]
+
+
+def assert_cve_parity(batched, reference, abs_cve=0.0):
+    assert len(batched) == len(reference)
+    for got, (cve, predicted) in zip(batched, reference):
+        assert not isinstance(got, DefgpaError), got
+        assert got[0] == pytest.approx(cve, rel=1e-10, abs=abs_cve)
+        np.testing.assert_allclose(np.array(got[1]), np.array(predicted), rtol=0, atol=1e-9)
+
+
+class TestBatchedCrossValidation:
+    """All model sets of a fold solved in one pass match one solve per fold and set."""
+
+    def test_partial_2d_tps(self, rng):
+        ss = mask_set(rng, full_set(rng, 2, 14, 4, kind="smooth", noise=0.05), 0.15,
+                      min_joint=2 + 2)
+        fits = solved_fits(ss, [10.0, 1.0, 0.1])
+        assert_cve_parity(cross_validation_errors(ss, fits, reflection_ref=1),
+                          per_fold_reference(ss, fits, reflection_ref=1))
+
+    def test_full_3d_affine_on_the_span(self, rng, monkeypatch):
+        import defgpa.gpa
+
+        def dense(*args, **kwargs):
+            raise AssertionError("the dense eigensolve ran on a full set")
+
+        ss = full_set(rng, 3, 24, 4, kind="smooth", noise=0.05)
+        fits = solved_fits(ss, [1.0, 0.01], k=2)
+        monkeypatch.setattr(defgpa.gpa, "bottom_d_scaled", dense)
+        assert_cve_parity(cross_validation_errors(ss, fits), per_fold_reference(ss, fits))
+
+    def test_zero_residual_cluster(self, rng):
+        # exact rigid copies: every fold's bottom-d eigenvalue is d-fold degenerate
+        ss = full_set(rng, 2, 10, 4, kind="rigid")
+        fits = solved_fits(ss, [])
+        batched = cross_validation_errors(ss, fits)
+        assert batched[0][0] < 1e-8
+        assert_cve_parity(batched, per_fold_reference(ss, fits), abs_cve=1e-12)
+
+    def test_allow_reflection(self, rng):
+        ss = mask_set(rng, full_set(rng, 2, 12, 4, kind="smooth", noise=0.05), 0.15,
+                      min_joint=2 + 2)
+        fits = solved_fits(ss, [1.0, 0.01], allow_reflection=True)
+        assert_cve_parity(cross_validation_errors(ss, fits, allow_reflection=True),
+                          per_fold_reference(ss, fits, allow_reflection=True))
+
+    def test_ragged_last_fold(self, rng):
+        ss = mask_set(rng, full_set(rng, 2, 17, 4, kind="smooth", noise=0.05), 0.1,
+                      min_joint=2 + 4)
+        fits = solved_fits(ss, [1.0, 0.1])
+        assert [f.size for f in _fold_slices(ss.m, CveConfig(3))][-1] == 2
+        assert_cve_parity(cross_validation_errors(ss, fits, CveConfig(3)),
+                          per_fold_reference(ss, fits, group=3))
+
+    def test_skipped_fold(self, rng, monkeypatch):
+        ss = mask_set(rng, full_set(rng, 2, 12, 4, kind="smooth", noise=0.05), 0.15,
+                      min_joint=2 + 2)
+        fits = solved_fits(ss, [1.0, 0.1])
+        restrict = ShapeSet.restrict_points
+
+        def restrict_points(self, keep):
+            if 4 not in keep:
+                raise UnconstrainedPoint("injected")
+            return restrict(self, keep)
+
+        monkeypatch.setattr(ShapeSet, "restrict_points", restrict_points)
+        with pytest.warns(UserWarning, match=r"skipping fold \[4\]"):
+            batched = cross_validation_errors(ss, fits)
+        assert all(np.all(np.isnan(P[:, 4])) for _, predicted in batched for P in predicted)
+        assert_cve_parity(batched, per_fold_reference(ss, fits))
+
+    def test_dense_stack_split_by_its_memory_bound(self, rng, monkeypatch):
+        import defgpa.gpa
+        ss = mask_set(rng, full_set(rng, 2, 12, 4, kind="smooth", noise=0.05), 0.15,
+                      min_joint=2 + 2)
+        fits = solved_fits(ss, [10.0, 1.0, 0.1], affine=False)
+        whole = cross_validation_errors(ss, fits)
+        dense = defgpa.gpa.bottom_d_scaled
+        stacks = []
+
+        def spy(M, *args, **kwargs):
+            stacks.append(len(M))
+            return dense(M, *args, **kwargs)
+
+        monkeypatch.setattr(defgpa.gpa, "bottom_d_scaled", spy)
+        monkeypatch.setattr(defgpa.gpa, "_DENSE_STACK_ENTRIES", 2 * (ss.m - 1) ** 2)
+        split = cross_validation_errors(ss, fits)
+        assert stacks == [2, 1] * ss.m
+        for got, want in zip(split, whole):
+            assert got[0] == want[0]
+            np.testing.assert_array_equal(np.array(got[1]), np.array(want[1]))
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_failing_model_set_is_isolated(self, rng):
+        # an infinite smoothing weight breaks every normal matrix of that set only
+        ss = mask_set(rng, full_set(rng, 2, 12, 4, kind="smooth", noise=0.05), 0.15,
+                      min_joint=2 + 2)
+        fits = solved_fits(ss, [1.0, 0.1])
+        broken = ([model.with_smoothing(np.inf) for model in fits[0][0]], fits[0][1])
+        outcomes = cross_validation_errors(ss, [fits[0], broken, fits[1]])
+        assert isinstance(outcomes[1], SingularSystem)
+        assert outcomes[1].shape_index == 0
+        for got, want in zip([outcomes[0], outcomes[2]], cross_validation_errors(ss, fits[:2])):
+            assert got[0] == want[0]
+            np.testing.assert_array_equal(np.array(got[1]), np.array(want[1]))
+
+    @pytest.mark.parametrize("ref", [5, -1])
+    def test_reflection_ref_out_of_range(self, rng, ref):
+        ss = full_set(rng, 2, 8, 3, kind="affine", noise=0.05)
+        fits = solved_fits(ss, [])
+        with pytest.raises(DimensionError):
+            cross_validation_errors(ss, fits, reflection_ref=ref)

@@ -66,6 +66,26 @@ class TestEigSym:
         with pytest.raises(DimensionError):
             eig_sym(np.ones((2, 3)))
 
+    def test_stack_matches_each_matrix_bitwise(self, rng):
+        A = np.stack([random_symmetric(rng, 6, spread=s) for s in (0.5, 1.0, 3.0)])
+        pairs = eig_sym(A)
+        assert pairs.values.shape == (3, 6) and pairs.vectors.shape == (3, 6, 6)
+        for k in range(3):
+            single = eig_sym(A[k])
+            np.testing.assert_array_equal(pairs.values[k], single.values)
+            np.testing.assert_array_equal(pairs.vectors[k], single.vectors)
+
+    @pytest.mark.parametrize("defect", ["asymmetric", "nonfinite"])
+    def test_one_bad_matrix_rejects_the_stack(self, rng, defect):
+        A = np.stack([random_symmetric(rng, 4) for _ in range(3)])
+        if defect == "asymmetric":
+            A[1, 0, 3] += 1.0
+        else:
+            A[1, 2, 2] = np.inf
+        eig_sym(A[[0, 2]])
+        with pytest.raises(InvalidMatrix):
+            eig_sym(A)
+
 
 class TestBottomScaled:
     def test_diagonal_single(self):
@@ -96,6 +116,15 @@ class TestBottomScaled:
                 alphas = np.sort(pairs.values[list(subset)])
                 best = min(best, float(lam @ alphas))
             assert achieved <= best + 1e-9 * max(1.0, abs(best))
+
+    def test_stack_matches_each_matrix(self, rng):
+        P = np.stack([random_symmetric(rng, 7) for _ in range(3)])
+        lam = np.array([4.0, 1.0])
+        anchor = rng.normal(size=(2, 7))
+        S = bottom_d_scaled(P, lam, anchor=anchor)
+        assert S.shape == (3, 2, 7)
+        for k in range(3):
+            np.testing.assert_array_equal(S[k], bottom_d_scaled(P[k], lam, anchor=anchor))
 
     def test_prior_validation(self):
         with pytest.raises(DegenerateInput):
@@ -159,6 +188,17 @@ class TestBottomScaledOnSpan:
         S = bottom_d_scaled_on_span(np.eye(6)[:, :3], C, 5.0, lam, anchor=anchor)
         np.testing.assert_allclose(
             S, bottom_d_scaled(embedded(C, 5.0, 6), lam, anchor=anchor), atol=1e-12)
+
+
+    def test_stack_certifies_each_matrix_alone(self):
+        # the first restriction clears the complement, the second ties with it
+        C = np.stack([np.diag([0.0, 2.0 - 1e-6, 5.0]), np.diag([0.0, 2.0, 5.0])])
+        U = np.eye(5)[:, :3]
+        lam = np.array([4.0, 1.0])
+        first, second = bottom_d_scaled_on_span(U, C, 2.0, lam)
+        np.testing.assert_array_equal(first, bottom_d_scaled_on_span(U, C[0], 2.0, lam))
+        assert second is None
+        assert bottom_d_scaled_on_span(np.eye(4)[:, :1], np.zeros((2, 1, 1)), 3.0, lam) == [None, None]
 
 
 class TestLeftmostSingularVector:
