@@ -26,8 +26,6 @@ from .errors import (
 from .spectral import CovariancePrior, bottom_d_scaled, bottom_d_scaled_on_span, leftmost_singular_vector
 from .warps import AffineWarp, _witness_and_residual
 
-_DENSE_STACK_ENTRIES = 2**23  # entries of the dense m x m matrices one eigensolver call takes (64 MB)
-
 
 @dataclass
 class ShapeConditions:
@@ -272,16 +270,22 @@ def _solve_normal(N, rhs, index):
         raise SingularSystem(f"normal matrix of shape {index} is singular", shape_index=index) from exc
 
 
-def _bases(shape_set, models):
-    """Bases B_i (n x l x m), Grams Z_i^T Z_i (n x l x l), zero-padded to the largest l, and each l_i."""
+def _smoothings(shape_set, models):
+    """The weights mu_i of a model set; raises DimensionError unless one model per shape, mu_i >= 0."""
     if len(models) != shape_set.n:
         raise DimensionError(f"{shape_set.n} shapes but {len(models)} models")
+    mus = np.array([model.smoothing for model in models], dtype=float)
+    if np.any(mus < 0):
+        raise DimensionError(f"model {int(np.argmax(mus < 0))} has negative smoothing")
+    return mus
+
+
+def _bases(shape_set, models):
+    """Bases B_i (n x l x m), Grams Z_i^T Z_i (n x l x l), zero-padded to the largest l, and each l_i."""
     dims = tuple(model.feature_dim for model in models)
     B = np.zeros((shape_set.n, max(dims), shape_set.m))
     grams = np.zeros((shape_set.n, max(dims), max(dims)))
     for i, (shape, model, l) in enumerate(zip(shape_set, models, dims)):
-        if model.smoothing < 0:
-            raise DimensionError(f"model {i} has negative smoothing")
         Bi = model.basis(shape.filled(0.0))
         if Bi.shape != (l, shape.m):
             raise DimensionError(f"model {i} basis has shape {Bi.shape}, expected ({l},{shape.m})")
@@ -293,10 +297,9 @@ def _bases(shape_set, models):
 def _per_shape_terms(shape_set, bases, mus):
     """Bg_i = B_i Gamma_i (n x l x m) and N_ti^{-1} Bg_i (T x n x l x m) for smoothing rows mus (T x n).
 
-    N_ti = Bg_i B_i^T + mus[t, i] Z_i^T Z_i, with an identity block on padded
-    rows.  One factorization call serves the stack; if it fails, each matrix
-    goes through `_solve_normal` alone, and a row t that stays singular gets
-    its SingularSystem in the returned dict while the other rows stand.
+    N_ti = Bg_i B_i^T + mus[t, i] Z_i^T Z_i (identity on padded rows) is factored in
+    one call; if that fails, each matrix goes through `_solve_normal`, and a row t
+    that stays singular gets its SingularSystem in the returned dict.
     """
     B, grams, dims = bases
     Bg = B * shape_set.visibility_matrix()[:, None, :]
@@ -320,7 +323,7 @@ def _per_shape_terms(shape_set, bases, mus):
 
 def _terms(shape_set, models):
     """Bg and solved (n x l x m) of one model set; raises SingularSystem."""
-    mus = np.array([[model.smoothing for model in models]])
+    mus = _smoothings(shape_set, models)[None]
     Bg, solved, errors = _per_shape_terms(shape_set, _bases(shape_set, models), mus)
     if errors:
         raise errors[0]
@@ -359,7 +362,7 @@ def _bottom_d_of_sum(shift, L, R, nus, prior, anchor):
     """Prior-scaled bottom-d eigenvectors of each M_t = diag(shift) - sum_i L_i^T R_ti + nu_t 11^T.
 
     L is n x l x m and R_ti = K_ti L_i for symmetric K_ti (the solved normal
-    equations); returns a list of T references from stacked eigensolver calls.
+    equations); returns a list of T references from one stacked eigensolver call.
     With a scalar shift c, M_t equals c I outside the span of the L_i^T (and
     of 1 when nu > 0), a subspace of dimension r <= sum_i l_i + 1.  The
     eigenproblem is then solved on that span, C_t = U^T M_t U, and no m x m
@@ -379,9 +382,7 @@ def _bottom_d_of_sum(shift, L, R, nus, prior, anchor):
             S[t] = bottom_d_scaled(_dense(np.full(m, float(shift)), L, R[t]) + nus[t], prior,
                                    anchor=anchor)
         return S
-    step = max(1, _DENSE_STACK_ENTRIES // m**2)
-    return [S for k in range(0, len(nus), step) for S in
-            bottom_d_scaled(_dense(shift, L, R[k:k + step]) + nus[k:k + step, None, None], prior, anchor=anchor)]
+    return list(bottom_d_scaled(_dense(shift, L, R) + nus[:, None, None], prior, anchor=anchor))
 
 
 def _gram_anchor(shape_set):
@@ -452,11 +453,6 @@ def check_theorem_conditions(shape_set, models, tol=1e-6):
     return _theorem_conditions(shape_set, *_terms(shape_set, models), models, tol)
 
 
-def _check_reflection_ref(shape_set, reflection_ref):
-    if not 0 <= reflection_ref < shape_set.n:
-        raise DimensionError(f"reflection_ref {reflection_ref} out of range for n={shape_set.n}")
-
-
 def _checked_args(shape_set, prior, nu, reflection_ref, allow_reflection=False):
     """The prior and nu of a solve, checked against the shape set.
 
@@ -469,7 +465,8 @@ def _checked_args(shape_set, prior, nu, reflection_ref, allow_reflection=False):
     d, m, n = shape_set.d, shape_set.m, shape_set.n
     if d > m - 1:
         raise DimensionError(f"need m >= d+1 landmarks to exclude the ones vector, got d={d}, m={m}")
-    _check_reflection_ref(shape_set, reflection_ref)
+    if not 0 <= reflection_ref < n:
+        raise DimensionError(f"reflection_ref {reflection_ref} out of range for n={n}")
     if prior is None:
         prior = estimate_prior_for_set(shape_set, allow_reflection=allow_reflection)
     if not isinstance(prior, CovariancePrior):

@@ -3,10 +3,9 @@
 rmse_r measures residuals after mapping each datum shape into the reference
 frame; rmse_d maps the reference back through per-shape inverse transforms
 (exact for invertible affine maps, a fitted inverse spline for the TPS).  The
-cross-validation error re-solves the GPA with groups of points held out, all
-model sets of a fold in one pass, predicts them through the fold transforms,
-and gauge-corrects with a rigid Procrustes between the fold reference and the
-full reference.
+cross-validation error re-solves the GPA with groups of points held out,
+predicts them through the fold transforms, and gauge-corrects with a rigid
+Procrustes between the fold reference and the full reference.
 """
 
 import warnings
@@ -23,6 +22,10 @@ from .errors import (
 )
 from . import gpa as _gpa
 from .warps import TpsWarp, apply_warp, fit_inverse_tps
+
+# Entries per stacked array of one pass over a fold's model sets: 0.5 MiB in float64, so a
+# pass peaks a few MiB above a one-set pass; beyond that, flops outweigh per-call overhead.
+_STACK_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
@@ -115,14 +118,13 @@ def cross_validation_errors(shape_set, fits, config=None, reflection_ref=0,
 
     `fits` holds (models, full solution) pairs, each solution the GPA of the
     whole set with those models.  Each shape's basis is computed once on all
-    m points, and per fold the kept points, their prior (with reflections
-    when `allow_reflection`, as the full prior was) and the anchor are shared
-    by all model sets.  Per fold, the model sets with equal per-shape models
-    are re-solved in one pass, each with its full solution's nu (raised to
-    n/m of the fold if below); held-out points are predicted as
-    W_i^T B_i[:, fold], and each fold reference is rigidly aligned to the
-    full reference restricted to the kept points.  Only originally visible
-    landmarks enter the error.
+    m points; per fold, the kept points, their prior (with reflections when
+    `allow_reflection`, as the full prior was) and the anchor serve all model
+    sets, and sets with equal per-shape models are re-solved together, in
+    passes bounded by _STACK_ENTRIES, each with its full solution's nu (raised
+    to n/m of the fold if below).  Held-out points are predicted as
+    W_i^T B_i[:, fold]; each fold reference is rigidly aligned to the full
+    reference on the kept points.  Only originally visible landmarks count.
 
     Returns one entry per model set: (cve, predicted shapes), or the
     DefgpaError that stopped it; a failed model set skips the later folds.
@@ -130,7 +132,8 @@ def cross_validation_errors(shape_set, fits, config=None, reflection_ref=0,
     if config is None:
         config = CveConfig()
     d, m, n = shape_set.d, shape_set.m, shape_set.n
-    _gpa._check_reflection_ref(shape_set, reflection_ref)
+    if not 0 <= reflection_ref < n:
+        raise DimensionError(f"reflection_ref {reflection_ref} out of range for n={n}")
     if config.group_size >= m:
         return [DimensionError(f"fold size {config.group_size} must be below m={m}")] * len(fits)
     if m - config.group_size < d + 1:
@@ -138,7 +141,23 @@ def cross_validation_errors(shape_set, fits, config=None, reflection_ref=0,
             f"folds of {config.group_size} leave fewer than d+1={d + 1} points")] * len(fits)
 
     outcomes = [None] * len(fits)
-    live = dict(enumerate(fits))
+    smoothing, bases, batches = {}, {}, {}  # model sets with equal per-shape models share bases
+    for j, (models, _) in enumerate(fits):
+        key = tuple((type(model), repr(model.describe())) for model in models)
+        try:
+            smoothing[j] = _gpa._smoothings(shape_set, models)
+            if key not in bases:
+                bases[key] = _gpa._bases(shape_set, models)
+        except DefgpaError as exc:
+            outcomes[j] = exc
+            continue
+        batches.setdefault(key, []).append(j)
+    passes = []  # per model set, a pass stacks n x l x m' solved terms and an m' x m' matrix
+    for key, indices in batches.items():  # (r x r on the span when all shapes are full)
+        nl = n * bases[key][0].shape[1]
+        size = max(1, _STACK_ENTRIES // (nl * m + (min(m, nl + 1) if shape_set.all_full else m) ** 2))
+        passes += [(bases[key], indices[k:k + size]) for k in range(0, len(indices), size)]
+    live = {j: fits[j] for _, indices in passes for j in indices}
     predicted = {j: np.full((n, d, m), np.nan) for j in live}
     covered = np.zeros(m, dtype=bool)
 
@@ -146,11 +165,6 @@ def cross_validation_errors(shape_set, fits, config=None, reflection_ref=0,
         for j in live:
             outcomes[j] = exc
         live.clear()
-
-    batches = {}  # model sets with equal per-shape models share their bases
-    for j, (models, _) in enumerate(fits):
-        batches.setdefault(tuple((type(model), repr(model.describe())) for model in models), []).append(j)
-    bases = {key: _gpa._bases(shape_set, fits[indices[0]][0]) for key, indices in batches.items()}
 
     for fold in _fold_slices(m, config):
         if not live:
@@ -170,14 +184,13 @@ def cross_validation_errors(shape_set, fits, config=None, reflection_ref=0,
         except DefgpaError as exc:
             fail(exc)
             break
-        nu_fold_min = n / keep.size
-        for key, (B, grams, dims) in bases.items():
-            indices = [j for j in batches[key] if j in live]
+        for (B, grams, dims), batch in passes:
+            indices = [j for j in batch if j in live]
             if not indices:
                 continue
-            mus = np.array([[model.smoothing for model in fits[j][0]] for j in indices])
-            nus = np.array([max(fits[j][1].nu, nu_fold_min) for j in indices])
-            Bg, solved, errors = _gpa._per_shape_terms(reduced, (B[:, :, keep], grams, dims), mus)
+            nus = np.maximum([fits[j][1].nu for j in indices], n / keep.size)
+            Bg, solved, errors = _gpa._per_shape_terms(reduced, (B[:, :, keep], grams, dims),
+                                                       np.array([smoothing[j] for j in indices]))
             references = _gpa._references(reduced, Bg, solved, errors, nus, fold_prior, reflection_ref)
             for j, solved_j, S in zip(indices, solved, references):
                 try:
@@ -191,19 +204,14 @@ def cross_validation_errors(shape_set, fits, config=None, reflection_ref=0,
                     del live[j]
         covered[fold] = True
 
+    visible = shape_set.visibility_matrix()[:, None, :]
+    use = visible & covered
     for j, (_, full) in live.items():
-        kappa = 0
-        total = 0.0
-        for i, shape in enumerate(shape_set):
-            use = shape.visibility & covered
-            kappa += int(use.sum())
-            diff = np.where(use[None, :], predicted[j][i] - full.reference, 0.0)
-            total += float(np.sum(diff * diff))
-            predicted[j][i][:, ~shape.visibility] = np.nan
-        if kappa == 0:
+        if not use.any():
             outcomes[j] = DegenerateConfiguration("no fold produced any prediction")
-        else:
-            outcomes[j] = (float(np.sqrt(total / kappa)), list(predicted[j]))
+            continue
+        total = sum(float(np.sum(D * D)) for D in np.where(use, predicted[j] - full.reference, 0.0))
+        outcomes[j] = (float(np.sqrt(total / int(use.sum()))), list(np.where(visible, predicted[j], np.nan)))
     return outcomes
 
 

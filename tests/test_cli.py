@@ -155,6 +155,7 @@ class TestSweepCommand:
         assert doc["metrics"]["cve"] == pytest.approx(row["cve"], abs=1e-10)
 
     def test_failed_theta_is_isolated(self, rng, tmp_path, monkeypatch, capsys):
+        # the injected failure at theta = 0.5 hits either its full solve or only its fold solves
         import defgpa.gpa
         from conftest import mask_set
         ss = mask_set(rng, full_set(rng, 2, 10, 3, kind="smooth", noise=0.05), 0.2,
@@ -162,29 +163,29 @@ class TestSweepCommand:
         path = write_set(tmp_path / "set.json", ss)
         bad_theta = 0.5
         real_terms = defgpa.gpa._per_shape_terms
-
-        def per_shape_terms(shape_set, bases, mus):
-            # the batched fold solves: one row of mu_i = nnz_i * theta (of the full set) per theta
-            Bg, solved, errors = real_terms(shape_set, bases, mus)
-            if shape_set.m < ss.m:
-                for t in np.flatnonzero(mus[:, 0] == ss[0].num_visible * bad_theta):
-                    errors[t] = SingularSystem("injected failure", shape_index=0)
-            return Bg, solved, errors
-
-        monkeypatch.setattr(defgpa.gpa, "_per_shape_terms", per_shape_terms)
-        with_bad = str(tmp_path / "with_bad.csv")
         without = str(tmp_path / "without.csv")
-        assert main(["sweep", "--input", path, "--model", "tps",
-                     "--thetas", "10,0.5,0.1", "--output", with_bad]) == 0
-        errors = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
-        assert errors == [{"theta": 0.5, "error": "SingularSystem",
-                           "message": "injected failure"}]
         assert main(["sweep", "--input", path, "--model", "tps",
                      "--thetas", "10,0.1", "--output", without]) == 0
         assert capsys.readouterr().err == ""
-        rows = open(with_bad).read().splitlines()
-        assert rows[2] == "0.5,nan,nan,nan"
-        assert rows[:2] + rows[3:] == open(without).read().splitlines()
+        for in_folds in (False, True):
+            def per_shape_terms(shape_set, bases, mus, in_folds=in_folds):
+                # one row of mu_i = nnz_i * theta (of the full set) per theta
+                Bg, solved, errors = real_terms(shape_set, bases, mus)
+                if (shape_set.m < ss.m) == in_folds:
+                    for t in np.flatnonzero(mus[:, 0] == ss[0].num_visible * bad_theta):
+                        errors[t] = SingularSystem("injected failure", shape_index=0)
+                return Bg, solved, errors
+
+            monkeypatch.setattr(defgpa.gpa, "_per_shape_terms", per_shape_terms)
+            with_bad = str(tmp_path / f"with_bad_{in_folds}.csv")
+            assert main(["sweep", "--input", path, "--model", "tps",
+                         "--thetas", "10,0.5,0.1", "--output", with_bad]) == 0
+            errors = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+            assert errors == [{"theta": 0.5, "error": "SingularSystem",
+                               "message": "injected failure"}]
+            rows = open(with_bad).read().splitlines()
+            assert rows[2] == "0.5,nan,nan,nan"
+            assert rows[:2] + rows[3:] == open(without).read().splitlines()
 
     def test_single_point_grid_rejected(self, rigid_file, tmp_path):
         _, path = rigid_file

@@ -366,24 +366,40 @@ class TestBatchedCrossValidation:
         assert all(np.all(np.isnan(P[:, 4])) for _, predicted in batched for P in predicted)
         assert_cve_parity(batched, per_fold_reference(ss, fits))
 
-    def test_dense_stack_split_by_its_memory_bound(self, rng, monkeypatch):
+    def test_passes_split_by_the_stack_bound(self, rng, monkeypatch):
         import defgpa.gpa
+        import defgpa.metrics
         ss = mask_set(rng, full_set(rng, 2, 12, 4, kind="smooth", noise=0.05), 0.15,
                       min_joint=2 + 2)
         fits = solved_fits(ss, [10.0, 1.0, 0.1], affine=False)
         whole = cross_validation_errors(ss, fits)
-        dense = defgpa.gpa.bottom_d_scaled
-        stacks = []
+        references = defgpa.gpa._references
+        passes = []
 
-        def spy(M, *args, **kwargs):
-            stacks.append(len(M))
-            return dense(M, *args, **kwargs)
+        def spy(shape_set, Bg, solved, errors, nus, *args):
+            passes.append(len(nus))
+            return references(shape_set, Bg, solved, errors, nus, *args)
 
-        monkeypatch.setattr(defgpa.gpa, "bottom_d_scaled", spy)
-        monkeypatch.setattr(defgpa.gpa, "_DENSE_STACK_ENTRIES", 2 * (ss.m - 1) ** 2)
+        monkeypatch.setattr(defgpa.gpa, "_references", spy)
+        nl = ss.n * max(model.feature_dim for model in fits[0][0])
+        monkeypatch.setattr(defgpa.metrics, "_STACK_ENTRIES", 2 * (nl * ss.m + ss.m ** 2))
         split = cross_validation_errors(ss, fits)
-        assert stacks == [2, 1] * ss.m
+        assert passes == [2, 1] * ss.m
         for got, want in zip(split, whole):
+            assert got[0] == want[0]
+            np.testing.assert_array_equal(np.array(got[1]), np.array(want[1]))
+
+    @pytest.mark.parametrize("bad", ["negative-smoothing", "missing-model"])
+    def test_bad_model_set_fails_alone(self, rng, bad):
+        ss = mask_set(rng, full_set(rng, 2, 12, 4, kind="smooth", noise=0.05), 0.15,
+                      min_joint=2 + 2)
+        fits = solved_fits(ss, [1.0, 0.1])
+        models = fits[0][0]
+        models = ([models[0].with_smoothing(-1.0)] + models[1:] if bad == "negative-smoothing"
+                  else models[:-1])
+        outcomes = cross_validation_errors(ss, [fits[0], (models, fits[0][1]), fits[1]])
+        assert isinstance(outcomes[1], DimensionError)
+        for got, want in zip([outcomes[0], outcomes[2]], cross_validation_errors(ss, fits[:2])):
             assert got[0] == want[0]
             np.testing.assert_array_equal(np.array(got[1]), np.array(want[1]))
 
