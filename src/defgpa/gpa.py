@@ -134,6 +134,12 @@ def pairwise_transform_table(shape_set, allow_reflection=False):
     Entry [i, k] of the returned s (n, n), R (n, n, d, d) and t (n, n, d)
     maps shape k onto shape i over their jointly visible points,
     s R D_k + t 1^T ~ D_i; the diagonal is the identity.
+    """
+    return _transform_table(*_stacked(shape_set), allow_reflection)
+
+
+def _transform_table(X, G, allow_reflection):
+    """`pairwise_transform_table` of zero-filled points X (n x d x m) and masks G (n x m).
 
     Each shape is first shifted by its own visible centroid.  The masked sums,
     cross-covariances and squared norms of all pairs then come from matmuls
@@ -142,7 +148,6 @@ def pairwise_transform_table(shape_set, allow_reflection=False):
     pair i != k is checked, and the first failing one in row-major order
     raises, as a loop over the pairs would.
     """
-    X, G = _stacked(shape_set)
     n, d, m = X.shape
     centroids = (X @ G[:, :, None])[:, :, 0] / G.sum(axis=1)[:, None]
     Y = (X - centroids[:, :, None]) * G[:, None, :]
@@ -195,17 +200,21 @@ def complete_all(shape_set, allow_reflection=False):
     occurrences in all shapes, each mapped into frame i through the pairwise
     table; the transforms are applied as one (n d) x (n d) matmul.
     """
-    if shape_set.all_full:
-        return [s.points.copy() for s in shape_set]
-    s, R, t = pairwise_transform_table(shape_set, allow_reflection)
-    X, G = _stacked(shape_set)
+    return list(_completed(*_stacked(shape_set), allow_reflection))
+
+
+def _completed(X, G, allow_reflection):
+    """`complete_all` of zero-filled points X (n x d x m) and masks G (n x m); X itself if all are visible."""
+    if G.all():
+        return X
+    s, R, t = _transform_table(X, G, allow_reflection)
     n, d, m = X.shape
     maps = (s[:, :, None, None] * R).transpose(0, 2, 1, 3).reshape(n * d, n * d)
     acc = (maps @ X.reshape(n * d, m) + t.transpose(0, 2, 1).reshape(n * d, n) @ G).reshape(n, d, m)
     counts = G.sum(axis=0)
     if np.any(counts == 0):  # such a point is missing from every shape
         raise UnconstrainedPoint(f"points {np.flatnonzero(counts == 0).tolist()} are visible in no shape")
-    return list(np.where(G[:, None, :] > 0, X, acc / np.where(counts > 0, counts, 1.0)))
+    return np.where(G[:, None, :] > 0, X, acc / np.where(counts > 0, counts, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -215,30 +224,23 @@ def complete_all(shape_set, allow_reflection=False):
 def estimate_prior(full_shapes):
     """Reference covariance prior from per-shape singular values.
 
-    Each centered full shape contributes the unit vector of its d leading
-    singular values; the consensus direction is the leading left singular
-    vector of their stack, rescaled by the average shape scale and squared.
+    Each centered full shape (all d x m, or an n x d x m stack) contributes
+    the unit vector of its d leading singular values, all from one stacked
+    SVD call; the consensus direction is the leading left singular vector of
+    their stack, rescaled by the average shape scale and squared.
     """
-    columns = []
-    norms = []
-    for i, D in enumerate(full_shapes):
-        D = np.asarray(D, dtype=float)
-        Dbar = D - D.mean(axis=1, keepdims=True)
-        sv = np.linalg.svd(Dbar, compute_uv=False)[: D.shape[0]]
-        nrm = float(np.linalg.norm(sv))
-        if nrm == 0:
-            raise DegenerateInput(f"shape {i} has zero scale")
-        columns.append(sv / nrm)
-        norms.append(nrm)
-    pi = np.column_stack(columns)
-    theta = leftmost_singular_vector(pi)
-    s = float(np.mean(norms))
-    return CovariancePrior((s * theta) ** 2)
+    D = np.asarray(full_shapes, dtype=float)
+    sv = np.linalg.svd(D - D.mean(axis=2, keepdims=True), compute_uv=False)[:, :D.shape[1]]
+    norms = np.sqrt(np.sum(sv * sv, axis=1))
+    if np.any(norms == 0):
+        raise DegenerateInput(f"shape {int(np.argmax(norms == 0))} has zero scale")
+    theta = leftmost_singular_vector((sv / norms[:, None]).T)
+    return CovariancePrior((float(np.mean(norms)) * theta) ** 2)
 
 
 def estimate_prior_for_set(shape_set, allow_reflection=False):
     """Algorithm-level prior: completes partial shapes first, then estimates."""
-    return estimate_prior(complete_all(shape_set, allow_reflection=allow_reflection))
+    return estimate_prior(_completed(*_stacked(shape_set), allow_reflection))
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +260,9 @@ def _cholesky_solve(N, rhs):
 
 
 def _solve_normal(N, rhs, index):
-    """SPD solve with one diagonal-jitter retry before giving up."""
+    """SPD solve with one diagonal-jitter retry before giving up; no retry for non-finite input."""
+    if not (np.all(np.isfinite(N)) and np.all(np.isfinite(rhs))):
+        raise SingularSystem(f"normal matrix of shape {index} is non-finite", shape_index=index)
     try:
         return _cholesky_solve(N, rhs)
     except np.linalg.LinAlgError:
@@ -294,15 +298,16 @@ def _bases(shape_set, models):
     return B, grams, dims
 
 
-def _per_shape_terms(shape_set, bases, mus):
-    """Bg_i = B_i Gamma_i (n x l x m) and N_ti^{-1} Bg_i (T x n x l x m) for smoothing rows mus (T x n).
+def _per_shape_terms(G, bases, mus):
+    """Bg_i = B_i Gamma_i (n x l x m) and N_ti^{-1} Bg_i (T x n x l x m) for masks G (n x m) and
+    smoothing rows mus (T x n).
 
     N_ti = Bg_i B_i^T + mus[t, i] Z_i^T Z_i (identity on padded rows) is factored in
     one call; if that fails, each matrix goes through `_solve_normal`, and a row t
     that stays singular gets its SingularSystem in the returned dict.
     """
     B, grams, dims = bases
-    Bg = B * shape_set.visibility_matrix()[:, None, :]
+    Bg = B * G[:, None, :]
     N = Bg @ np.swapaxes(B, -1, -2)
     for i, l in enumerate(dims):
         N[i, l:, l:] = np.eye(N.shape[-1] - l)
@@ -324,17 +329,19 @@ def _per_shape_terms(shape_set, bases, mus):
 def _terms(shape_set, models):
     """Bg and solved (n x l x m) of one model set; raises SingularSystem."""
     mus = _smoothings(shape_set, models)[None]
-    Bg, solved, errors = _per_shape_terms(shape_set, _bases(shape_set, models), mus)
+    Bg, solved, errors = _per_shape_terms(shape_set.visibility_matrix(), _bases(shape_set, models), mus)
     if errors:
         raise errors[0]
     return Bg, solved[0]
 
 
 def _dense(shift, L, R):
-    """diag(shift) - sum_i L_i^T R_i, symmetrized against round-off; R may carry a leading T axis."""
-    M = np.diag(shift) - L[0].T @ R[..., 0, :, :]
-    for i in range(1, len(L)):
-        M -= L[i].T @ R[..., i, :, :]
+    """diag(shift) - sum_i L_i^T R_i, symmetrized against round-off; R may carry a leading T axis.
+
+    The sum is one contraction over the combined (shape, feature) axis.
+    """
+    m = L.shape[-1]
+    M = np.diag(shift) - L.reshape(-1, m).T @ R.reshape(R.shape[:-3] + (-1, m))
     return 0.5 * (M + np.swapaxes(M, -1, -2))
 
 
@@ -375,8 +382,7 @@ def _bottom_d_of_sum(shift, L, R, nus, prior, anchor):
         U = _span_basis(np.hstack(list(np.swapaxes(L, -1, -2)) + ones))
         w = U.sum(axis=0)  # U^T 1
         C = shift * np.eye(U.shape[1]) + nus[:, None, None] * np.outer(w, w)
-        for i, Li in enumerate(L):
-            C -= (Li @ U).T @ (R[:, i] @ U)
+        C -= (L.reshape(-1, m) @ U).T @ (R.reshape(len(R), -1, m) @ U)
         S = bottom_d_scaled_on_span(U, 0.5 * (C + np.swapaxes(C, -1, -2)), shift, prior, anchor=anchor)
         for t in [t for t, St in enumerate(S) if St is None]:
             S[t] = bottom_d_scaled(_dense(np.full(m, float(shift)), L, R[t]) + nus[t], prior,
@@ -385,19 +391,16 @@ def _bottom_d_of_sum(shift, L, R, nus, prior, anchor):
     return list(bottom_d_scaled(_dense(shift, L, R) + nus[:, None, None], prior, anchor=anchor))
 
 
-def _gram_anchor(shape_set):
-    """The stacked centered, visibility-masked shapes A (n d x m).
+def _gram_anchor(X, G):
+    """The stacked centered, visibility-masked shapes A (n d x m) of points X (n x d x m), masks G (n x m).
 
     Its Gram A^T A is rigid-transform invariant; it serves only to resolve
     numerically degenerate eigenvalue clusters of the solve matrix
     deterministically (zero-residual data makes the bottom-d eigenvalue
     exactly d-fold degenerate).
     """
-    rows = []
-    for s in shape_set:
-        mu = s.visible_points().mean(axis=1, keepdims=True)
-        rows.append((s.filled(0.0) - mu) * s.visibility[None, :])
-    return np.vstack(rows)
+    centroids = (X @ G[:, :, None]) / G.sum(axis=1)[:, None, None]
+    return ((X - centroids) * G[:, None, :]).reshape(-1, X.shape[-1])
 
 
 def correct_reflection(S, ref_shape):
@@ -407,11 +410,14 @@ def correct_reflection(S, ref_shape):
     optimal orthogonal factor is the orientation test, and flipping one row of
     S flips it back to +1.
     """
+    return _oriented(S, ref_shape.filled(0.0), ref_shape.visibility.astype(float))
+
+
+def _oriented(S, D, gamma):
+    """`correct_reflection` against zero-filled datum points D (d x m) with mask gamma (m,)."""
     S = np.asarray(S, dtype=float)
-    gamma = ref_shape.visibility.astype(float)
-    nnz = gamma.sum()
-    Dk = ref_shape.filled(0.0) * gamma[None, :]
-    centered = Dk - (Dk @ gamma)[:, None] * gamma[None, :] / nnz
+    Dk = D * gamma[None, :]
+    centered = Dk - (Dk @ gamma)[:, None] * gamma[None, :] / gamma.sum()
     R, sv = _rotations(centered @ S.T, allow_reflection=True)
     if sv[0] <= 0 or sv[-1] <= 1e-12 * sv[0]:
         raise DegenerateConfiguration("orientation is undetermined for this reference shape")
@@ -480,20 +486,22 @@ def _checked_args(shape_set, prior, nu, reflection_ref, allow_reflection=False):
     return prior, float(nu)
 
 
-def _references(shape_set, Bg, solved, errors, nus, prior, reflection_ref):
+def _references(G, anchor, datum, Bg, solved, errors, nus, prior):
     """Per model set of `_per_shape_terms`' output, its reflection-corrected reference or its error.
 
-    One eigensolver call serves every set without an error; nus holds their penalty weights.
+    G (n x m) holds the masks, anchor the `_gram_anchor` and datum the (points, mask)
+    pair that fixes the orientation.  One eigensolver call serves every set without
+    an error; nus holds their penalty weights.
     """
     outcomes = dict(errors)
     live = [t for t in range(len(nus)) if t not in outcomes]
     if live:
-        shift = float(shape_set.n) if shape_set.all_full else shape_set.visibility_matrix().sum(axis=0).astype(float)
+        shift = float(len(G)) if G.all() else G.sum(axis=0)
         references = _bottom_d_of_sum(shift, Bg, solved[live] if errors else solved, nus[live],
-                                      prior, _gram_anchor(shape_set))
+                                      prior, anchor)
         for t, S in zip(live, references):
             try:
-                outcomes[t] = correct_reflection(S, shape_set[reflection_ref]) if prior.lambdas[-1] > 0 else S
+                outcomes[t] = _oriented(S, *datum) if prior.lambdas[-1] > 0 else S
             except DefgpaError as exc:
                 outcomes[t] = exc
     return [outcomes[t] for t in range(len(nus))]
@@ -546,7 +554,9 @@ def solve(shape_set, models, prior=None, nu=None, reflection_ref=0,
     """
     prior, nu = _checked_args(shape_set, prior, nu, reflection_ref, allow_reflection)
     Bg, solved = _terms(shape_set, models)
-    S, = _references(shape_set, Bg, solved[None], {}, np.array([nu]), prior, reflection_ref)
+    G, datum = shape_set.visibility_matrix().astype(float), shape_set[reflection_ref]
+    S, = _references(G, _gram_anchor(*_stacked(shape_set)), (datum.filled(0.0), G[reflection_ref]),
+                     Bg, solved[None], {}, np.array([nu]), prior)
     if isinstance(S, DefgpaError):
         raise S
     report = _theorem_conditions(shape_set, Bg, solved, models, 1e-6) if check_conditions else None
@@ -575,7 +585,8 @@ def solve_affine_centered(shape_set, prior=None, reflection_ref=0):
 
     # top-d of Q = sum_i Dbar_i^T (Dbar_i Dbar_i^T)^{-1} Dbar_i are the bottom-d
     # of -Q, with identical prior pairing; -Q vanishes outside the row spaces
-    S, = _bottom_d_of_sum(0.0, Dbar, np.stack(solved)[None], np.zeros(1), prior, _gram_anchor(shape_set))
+    S, = _bottom_d_of_sum(0.0, Dbar, np.stack(solved)[None], np.zeros(1), prior,
+                         _gram_anchor(*_stacked(shape_set)))
     if prior.lambdas[-1] > 0:
         S = correct_reflection(S, shape_set[reflection_ref])
     models = [AffineWarp(shape_set.d) for _ in shape_set]

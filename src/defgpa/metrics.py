@@ -8,7 +8,6 @@ predicts them through the fold transforms, and gauge-corrects with a rigid
 Procrustes between the fold reference and the full reference.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,13 +117,15 @@ def cross_validation_errors(shape_set, fits, config=None, reflection_ref=0,
 
     `fits` holds (models, full solution) pairs, each solution the GPA of the
     whole set with those models.  Each shape's basis is computed once on all
-    m points; per fold, the kept points, their prior (with reflections when
-    `allow_reflection`, as the full prior was) and the anchor serve all model
-    sets, and sets with equal per-shape models are re-solved together, in
-    passes bounded by _STACK_ENTRIES, each with its full solution's nu (raised
-    to n/m of the fold if below).  Held-out points are predicted as
-    W_i^T B_i[:, fold]; each fold reference is rigidly aligned to the full
-    reference on the kept points.  Only originally visible landmarks count.
+    m points, and the points and masks are stacked once; a fold slices their
+    kept columns and builds no shape objects.  Per fold, the kept points, their
+    prior (with reflections when `allow_reflection`, as the full prior was) and
+    the anchor serve all model sets, and sets with equal per-shape models are
+    re-solved together, in passes bounded by _STACK_ENTRIES, each with its full
+    solution's nu (raised to n/m of the fold if below).  Held-out points are
+    predicted as W_i^T B_i[:, fold]; each fold reference is rigidly aligned to
+    the full reference on the kept points.  Only originally visible landmarks
+    count.
 
     Returns one entry per model set: (cve, predicted shapes), or the
     DefgpaError that stopped it; a failed model set skips the later folds.
@@ -158,6 +159,7 @@ def cross_validation_errors(shape_set, fits, config=None, reflection_ref=0,
         size = max(1, _STACK_ENTRIES // (nl * m + (min(m, nl + 1) if shape_set.all_full else m) ** 2))
         passes += [(bases[key], indices[k:k + size]) for k in range(0, len(indices), size)]
     live = {j: fits[j] for _, indices in passes for j in indices}
+    X0, G0 = _gpa._stacked(shape_set)
     predicted = {j: np.full((n, d, m), np.nan) for j in live}
     covered = np.zeros(m, dtype=bool)
 
@@ -170,28 +172,25 @@ def cross_validation_errors(shape_set, fits, config=None, reflection_ref=0,
         if not live:
             break
         keep = np.delete(np.arange(m), fold)
-        if any(int(shape.visibility[keep].sum()) < d + 1 for shape in shape_set):
+        X, G = X0[:, :, keep], G0[:, keep]
+        if np.any(G.sum(axis=1) < d + 1):
             fail(InsufficientOverlap(
                 f"fold {fold.tolist()} leaves a shape with fewer than {d + 1} visible points"))
             break
         try:
-            reduced = shape_set.restrict_points(keep)
-        except DefgpaError as exc:  # a kept point visible nowhere: skip, not fatal
-            warnings.warn(f"skipping fold {fold.tolist()}: {exc}")
-            continue
-        try:
-            fold_prior = _gpa.estimate_prior_for_set(reduced, allow_reflection=allow_reflection)
+            fold_prior = _gpa.estimate_prior(_gpa._completed(X, G, allow_reflection))
         except DefgpaError as exc:
             fail(exc)
             break
+        anchor, datum = _gpa._gram_anchor(X, G), (X[reflection_ref], G[reflection_ref])
         for (B, grams, dims), batch in passes:
             indices = [j for j in batch if j in live]
             if not indices:
                 continue
             nus = np.maximum([fits[j][1].nu for j in indices], n / keep.size)
-            Bg, solved, errors = _gpa._per_shape_terms(reduced, (B[:, :, keep], grams, dims),
+            Bg, solved, errors = _gpa._per_shape_terms(G, (B[:, :, keep], grams, dims),
                                                        np.array([smoothing[j] for j in indices]))
-            references = _gpa._references(reduced, Bg, solved, errors, nus, fold_prior, reflection_ref)
+            references = _gpa._references(G, anchor, datum, Bg, solved, errors, nus, fold_prior)
             for j, solved_j, S in zip(indices, solved, references):
                 try:
                     if isinstance(S, DefgpaError):

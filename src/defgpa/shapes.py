@@ -131,13 +131,6 @@ class ShapeSet:
         """n x m boolean matrix of the gamma_{i,j} flags."""
         return np.vstack([s.visibility for s in self.shapes])
 
-    def restrict_points(self, keep):
-        """New ShapeSet over the selected point indices (correspondence kept)."""
-        keep = np.asarray(keep)
-        return ShapeSet(tuple(
-            Shape(s.points[:, keep], s.visibility[keep], s.label) for s in self.shapes
-        ))
-
 
 # ---------------------------------------------------------------------------
 # serialization

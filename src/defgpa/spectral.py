@@ -51,6 +51,12 @@ def eig_sym(A):
     symmetrized as (A + A^T)/2 before decomposition.  Non-finite entries or
     excessive asymmetry in any matrix raise InvalidMatrix.
     """
+    values, vectors = _checked_eigh(A)
+    return EigenPairs(values=values, vectors=_canonical_signs(vectors))
+
+
+def _checked_eigh(A):
+    """`eig_sym` without the sign convention, for callers that fix the signs of the columns they keep."""
     A = np.asarray(A, dtype=float)
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise DimensionError(f"expected a square matrix or a stack of them, got shape {A.shape}")
@@ -59,8 +65,7 @@ def eig_sym(A):
     scale = np.linalg.norm(A, axis=(-2, -1))
     if np.any(np.linalg.norm(A - np.swapaxes(A, -1, -2), axis=(-2, -1)) > _ASYMMETRY_TOL * scale):
         raise InvalidMatrix("matrix is not symmetric within 1e-8 relative tolerance")
-    values, vectors = np.linalg.eigh(0.5 * (A + np.swapaxes(A, -1, -2)))
-    return EigenPairs(values=values, vectors=_canonical_signs(vectors))
+    return np.linalg.eigh(0.5 * (A + np.swapaxes(A, -1, -2)))
 
 
 @dataclass(frozen=True)
@@ -154,13 +159,13 @@ def bottom_d_scaled(P, prior, anchor=None):
     """
     lam = _prior_lambdas(prior)
     d = lam.size
-    pairs = eig_sym(P)
-    m = pairs.vectors.shape[-1]
+    values, vectors = _checked_eigh(P)
+    m = vectors.shape[-1]
     if d > m:
         raise DimensionError(f"prior dimension {d} exceeds matrix size {m}")
-    S = [_scale_selected(values[:d], vectors[:, :d], lam, anchor)
-         for values, vectors in zip(pairs.values.reshape(-1, m), pairs.vectors.reshape(-1, m, m))]
-    return np.reshape(S, pairs.values.shape[:-1] + (d, m))
+    S = [_scale_selected(w[:d], V[:, :d], lam, anchor)
+         for w, V in zip(values.reshape(-1, m), vectors.reshape(-1, m, m))]
+    return np.reshape(S, values.shape[:-1] + (d, m))
 
 
 def bottom_d_scaled_on_span(U, C, complement, prior, anchor=None):
@@ -184,9 +189,9 @@ def bottom_d_scaled_on_span(U, C, complement, prior, anchor=None):
     m, r = U.shape
     if d > m:
         raise DimensionError(f"prior dimension {d} exceeds matrix size {m}")
-    pairs = eig_sym(C if C.ndim > 2 else C[None])
     selected = []
-    for values, vectors in zip(pairs.values[:, :d], pairs.vectors):
+    for values, vectors in zip(*_checked_eigh(C if C.ndim > 2 else C[None])):
+        values = values[:d]
         scale = max(1.0, abs(complement), float(np.max(np.abs(values), initial=0.0)))
         certified = d <= r and (r == m or values[-1] < complement - _CLUSTER_TOL * scale)
         selected.append(_scale_selected(values, U @ vectors[:, :d], lam, anchor) if certified else None)

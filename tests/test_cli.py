@@ -4,6 +4,8 @@ import json
 import os
 import subprocess
 import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,7 +53,7 @@ class TestSolveCommand:
         out = str(tmp_path / "sol.json")
         code = main(["solve", "--input", path, "--model", "affine", "--output", out])
         assert code == 0
-        doc = json.loads(open(out).read())
+        doc = json.loads(Path(out).read_text())
         assert doc["metrics"]["rmse_r"] < 1e-8
         assert os.path.exists(os.path.splitext(out)[0] + ".metrics.json")
 
@@ -61,7 +63,7 @@ class TestSolveCommand:
         code = main(["solve", "--input", path, "--model", "tps", "--ctrl", "3",
                      "--theta", "10", "--output", out])
         assert code == 0
-        doc = json.loads(open(out).read())
+        doc = json.loads(Path(out).read_text())
         for model in doc["models"]:
             assert model["type"] == "tps"
             assert len(model["centers"][0]) == 9
@@ -97,13 +99,13 @@ class TestSolveCommand:
                      "--output", out1]) == 0
         assert main(["solve", "--input", path, "--model", "tps", "--theta", "3",
                      "--output", out2]) == 0
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+        assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
     def test_condition_flags_serialize_as_booleans(self, rigid_file, tmp_path):
         _, path = rigid_file
         out = str(tmp_path / "sol.json")
         assert main(["solve", "--input", path, "--output", out]) == 0
-        doc = json.loads(open(out).read())
+        doc = json.loads(Path(out).read_text())
         assert doc["conditions"]["all_pass"] is True
         assert doc["conditions"]["shapes"][0]["witness_found"] is True
 
@@ -111,7 +113,7 @@ class TestSolveCommand:
         ss, path = rigid_file
         out = str(tmp_path / "sol.json")
         assert main(["solve", "--input", path, "--model", "affine", "--output", out]) == 0
-        doc = json.loads(open(out).read())
+        doc = json.loads(Path(out).read_text())
         config = RunConfig(input=path, model="affine")
         models = build_models(ss, config)
         sol = solve(ss, models)
@@ -128,7 +130,7 @@ class TestSweepCommand:
         code = main(["sweep", "--input", path, "--model", "tps", "--ctrl", "3",
                      "--thetas", "100,1,0.01", "--output", out])
         assert code == 0
-        lines = open(out).read().strip().splitlines()
+        lines = Path(out).read_text().strip().splitlines()
         assert lines[0] == "theta,rmse_r,rmse_d,cve"
         rows = [dict(zip(lines[0].split(","), map(float, l.split(",")))) for l in lines[1:]]
         assert len(rows) == 3
@@ -143,13 +145,13 @@ class TestSweepCommand:
         out = str(tmp_path / "grid.csv")
         assert main(["sweep", "--input", path, "--model", "tps", "--theta", "1",
                      "--thetas", "10,0.1", "--output", out, "--cve-group", "1", *flags]) == 0
-        lines = open(out).read().strip().splitlines()
+        lines = Path(out).read_text().strip().splitlines()
         row = dict(zip(lines[0].split(","), map(float, lines[1].split(","))))
 
         sol_out = str(tmp_path / "one.json")
         assert main(["solve", "--input", path, "--model", "tps", "--theta", "10",
                      "--output", sol_out, "--cve-group", "1", *flags]) == 0
-        doc = json.loads(open(sol_out).read())
+        doc = json.loads(Path(sol_out).read_text())
         assert doc["metrics"]["rmse_r"] == pytest.approx(row["rmse_r"], abs=1e-10)
         assert doc["metrics"]["rmse_d"] == pytest.approx(row["rmse_d"], abs=1e-10)
         assert doc["metrics"]["cve"] == pytest.approx(row["cve"], abs=1e-10)
@@ -168,10 +170,10 @@ class TestSweepCommand:
                      "--thetas", "10,0.1", "--output", without]) == 0
         assert capsys.readouterr().err == ""
         for in_folds in (False, True):
-            def per_shape_terms(shape_set, bases, mus, in_folds=in_folds):
+            def per_shape_terms(G, bases, mus, in_folds=in_folds):
                 # one row of mu_i = nnz_i * theta (of the full set) per theta
-                Bg, solved, errors = real_terms(shape_set, bases, mus)
-                if (shape_set.m < ss.m) == in_folds:
+                Bg, solved, errors = real_terms(G, bases, mus)
+                if (G.shape[1] < ss.m) == in_folds:
                     for t in np.flatnonzero(mus[:, 0] == ss[0].num_visible * bad_theta):
                         errors[t] = SingularSystem("injected failure", shape_index=0)
                 return Bg, solved, errors
@@ -183,9 +185,29 @@ class TestSweepCommand:
             errors = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
             assert errors == [{"theta": 0.5, "error": "SingularSystem",
                                "message": "injected failure"}]
-            rows = open(with_bad).read().splitlines()
+            rows = Path(with_bad).read_text().splitlines()
             assert rows[2] == "0.5,nan,nan,nan"
-            assert rows[:2] + rows[3:] == open(without).read().splitlines()
+            assert rows[:2] + rows[3:] == Path(without).read_text().splitlines()
+
+    def test_non_finite_normal_matrix_fails_its_row(self, rng, tmp_path, capsys):
+        # mu_i = nnz_i * 1e308 overflows to inf: the normal matrix is non-finite, so no
+        # jitter retry runs and no warning is printed
+        from conftest import mask_set
+        ss = mask_set(rng, full_set(rng, 2, 10, 3, kind="smooth", noise=0.05), 0.2,
+                      min_joint=2 + 3)
+        path = write_set(tmp_path / "set.json", ss)
+        out = tmp_path / "g.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["sweep", "--input", path, "--model", "tps",
+                         "--thetas", "1e308,1", "--output", str(out)]) == 0
+        assert [str(w.message) for w in caught] == []
+        errors = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert errors == [{"theta": 1e308, "error": "SingularSystem",
+                           "message": "normal matrix of shape 0 is non-finite"}]
+        rows = out.read_text().splitlines()
+        assert rows[1] == "1e+308,nan,nan,nan"
+        assert "nan" not in rows[2]
 
     def test_single_point_grid_rejected(self, rigid_file, tmp_path):
         _, path = rigid_file
@@ -215,9 +237,9 @@ class TestSweepCommand:
             solves.append(None)
             return real_solve(*args, **kwargs)
 
-        def references(shape_set, Bg, solved, errors, nus, *args):
-            batches.append((shape_set.m, len(nus)))
-            return real_references(shape_set, Bg, solved, errors, nus, *args)
+        def references(G, anchor, datum, Bg, solved, errors, nus, prior):
+            batches.append((G.shape[1], len(nus)))
+            return real_references(G, anchor, datum, Bg, solved, errors, nus, prior)
 
         monkeypatch.setattr(defgpa.gpa, "solve", solve)
         monkeypatch.setattr(defgpa.gpa, "_references", references)
@@ -234,7 +256,7 @@ class TestCveCommand:
         code = main(["cve", "--input", path, "--model", "affine", "--group", "1",
                      "--output", out])
         assert code == 0
-        doc = json.loads(open(out).read())
+        doc = json.loads(Path(out).read_text())
         assert doc["cve"] < 1e-6
         assert doc["predicted"]["n"] == 3
 
@@ -248,7 +270,7 @@ class TestCveCommand:
         out = str(tmp_path / "cve.json")
         assert main(["cve", "--input", path, "--model", "affine", "--group", "2",
                      "--output", out]) == 0
-        doc = json.loads(open(out).read())
+        doc = json.loads(Path(out).read_text())
         models = affine_models(ss)
         sol = solve(ss, models)
         cve, _ = cross_validation_error(ss, models, nu=sol.nu, config=CveConfig(2))
@@ -260,14 +282,14 @@ class TestCveCommand:
         ss = mask_set(rng, full_set(rng, 2, 10, 3, kind="affine", noise=0.05), 0.2,
                       min_joint=2 + 3)
         path = write_set(tmp_path / "set.json", ss)
-        real_estimate = defgpa.gpa.estimate_prior_for_set
+        real_completed = defgpa.gpa._completed
         flags = []
 
-        def estimate_prior_for_set(shape_set, allow_reflection=False):
+        def completed(X, G, allow_reflection):
             flags.append(allow_reflection)
-            return real_estimate(shape_set, allow_reflection=allow_reflection)
+            return real_completed(X, G, allow_reflection)
 
-        monkeypatch.setattr(defgpa.gpa, "estimate_prior_for_set", estimate_prior_for_set)
+        monkeypatch.setattr(defgpa.gpa, "_completed", completed)
         assert main(["cve", "--input", path, "--model", "affine", "--group", "1",
                      "--allow-reflection", "--output", str(tmp_path / "cve.json")]) == 0
         # the full-set prior and one prior per fold
@@ -281,7 +303,7 @@ class TestCveCommand:
         out = str(tmp_path / "cve.json")
         assert main(["cve", "--input", path, "--model", "tps", "--ctrl", "3",
                      "--theta", "5", "--group", "1", "--output", out]) == 0
-        doc = json.loads(open(out).read())
+        doc = json.loads(Path(out).read_text())
         assert doc["cve"] >= 0
         # invisible landmarks stay null in the predicted shapes
         for shape_doc, shape in zip(doc["predicted"]["shapes"], ss):
@@ -326,7 +348,7 @@ class TestCsvInput:
         code = main(["solve", "--input", str(manifest), "--input-format", "csv",
                      "--model", "affine", "--output", out])
         assert code == 0
-        doc = json.loads(open(out).read())
+        doc = json.loads(Path(out).read_text())
         assert doc["metrics"]["rmse_r"] < 1e-8
 
 
@@ -339,8 +361,8 @@ class TestReflectionRef:
                      "--output", out_idx]) == 0
         assert main(["solve", "--input", path, "--reflection-ref", "s1",
                      "--output", out_id]) == 0
-        a = json.loads(open(out_idx).read())["reference"]
-        b = json.loads(open(out_id).read())["reference"]
+        a = json.loads(Path(out_idx).read_text())["reference"]
+        b = json.loads(Path(out_id).read_text())["reference"]
         np.testing.assert_allclose(np.array(a), np.array(b), atol=0)
 
     def test_unknown_shape_id_rejected(self, rigid_file):
@@ -355,7 +377,7 @@ class TestReflectionRef:
             out = str(tmp_path / name)
             assert main(["sweep", "--input", path, "--model", "tps",
                          "--thetas", "10,1,0.1", "--output", out]) == 0
-            outs.append(open(out, "rb").read())
+            outs.append(Path(out).read_bytes())
         assert outs[0] == outs[1]
 
 

@@ -21,13 +21,14 @@ from defgpa import (
     eig_sym,
     estimate_prior,
     estimate_prior_for_set,
+    leftmost_singular_vector,
     pairwise_transform_table,
     rmse_r,
     solve,
     solve_affine_centered,
 )
 from defgpa import gpa as gpa_module
-from defgpa.gpa import _gram_anchor, _per_shape_terms, _solve_normal
+from defgpa.gpa import _gram_anchor, _per_shape_terms, _solve_normal, _stacked
 from defgpa.warps import AffineWarp
 from conftest import (
     affine_models,
@@ -332,6 +333,21 @@ class TestPriorEstimation:
         with pytest.raises(DegenerateInput):
             estimate_prior([np.ones((2, 5))])
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_stacked_svd_matches_per_shape_loop(self, rng, d):
+        shapes = [rng.uniform(0.5, 2.0) * rng.normal(size=(d, 11)) for _ in range(6)]
+        columns, norms = [], []
+        for D in shapes:  # one SVD call per shape
+            sv = np.linalg.svd(D - D.mean(axis=1, keepdims=True), compute_uv=False)[:d]
+            columns.append(sv / np.linalg.norm(sv))
+            norms.append(np.linalg.norm(sv))
+        expected = (np.mean(norms) * leftmost_singular_vector(np.column_stack(columns))) ** 2
+        np.testing.assert_allclose(estimate_prior(shapes).lambdas, expected, rtol=1e-14, atol=0)
+        np.testing.assert_array_equal(estimate_prior(np.stack(shapes)).lambdas,
+                                      estimate_prior(shapes).lambdas)
+        with pytest.raises(DegenerateInput, match="shape 2 has zero scale"):
+            estimate_prior(shapes[:2] + [np.ones((d, 11))] + shapes[2:])
+
     def test_partial_set_routes_through_completion(self, rng):
         ss = mask_set(rng, full_set(rng, 2, 12, 4, kind="affine"), 0.2)
         prior = estimate_prior_for_set(ss)
@@ -407,20 +423,20 @@ class TestStackedNormalSolves:
     def test_jitter_retry_only_where_the_factorization_fails(self):
         ss, bases = self.instance()
         mus = np.array([[0.0, 1.0], [0.0, 0.0], [0.0, 2.0]])
-        Bg, solved, errors = _per_shape_terms(ss, bases, mus)
+        Bg, solved, errors = _per_shape_terms(ss.visibility_matrix(), bases, mus)
         assert errors == {}
         np.testing.assert_array_equal(solved[1, 1], _solve_normal(Bg[1] @ bases[0][1].T, Bg[1], 1))
-        _, clean, _ = _per_shape_terms(ss, bases, mus[[0, 2]])
+        _, clean, _ = _per_shape_terms(ss.visibility_matrix(), bases, mus[[0, 2]])
         np.testing.assert_allclose(solved[[0, 2]], clean, rtol=1e-15, atol=0)
         np.testing.assert_allclose(solved[1, 0], clean[0, 0], rtol=1e-15, atol=0)
 
     def test_singular_row_fails_alone(self):
         ss, bases = self.instance()
         mus = np.array([[0.0, 1.0], [0.0, -1.0], [0.0, 2.0]])  # row 1: indefinite N_1
-        _, solved, errors = _per_shape_terms(ss, bases, mus)
+        _, solved, errors = _per_shape_terms(ss.visibility_matrix(), bases, mus)
         assert list(errors) == [1]
         assert isinstance(errors[1], SingularSystem) and errors[1].shape_index == 1
-        _, clean, _ = _per_shape_terms(ss, bases, mus[[0, 2]])
+        _, clean, _ = _per_shape_terms(ss.visibility_matrix(), bases, mus[[0, 2]])
         np.testing.assert_allclose(solved[[0, 2]], clean, rtol=1e-15, atol=0)
 
     def test_mixed_feature_dims_match_direct_formula(self, rng):
@@ -583,7 +599,7 @@ class XOnlyWarp(AffineWarp):
 def dense_reference(shape_set, models, prior, nu):
     """The dense closed form: bottom-d of the assembled P + nu 11^T, reflection-corrected."""
     M = assemble_P(shape_set, models) + nu * np.ones((shape_set.m, shape_set.m))
-    S = bottom_d_scaled(M, prior, anchor=_gram_anchor(shape_set))
+    S = bottom_d_scaled(M, prior, anchor=_gram_anchor(*_stacked(shape_set)))
     return correct_reflection(S, shape_set[0]), M
 
 
@@ -652,7 +668,7 @@ class TestFullSetSpanPath:
         for s in ss:
             Dbar = s.points - s.points.mean(axis=1, keepdims=True)
             Q += Dbar.T @ np.linalg.solve(Dbar @ Dbar.T, Dbar)
-        S = correct_reflection(bottom_d_scaled(-Q, prior, anchor=_gram_anchor(ss)), ss[0])
+        S = correct_reflection(bottom_d_scaled(-Q, prior, anchor=_gram_anchor(*_stacked(ss))), ss[0])
         assert gauge_residual(solve_affine_centered(ss, prior=prior).reference, S) < 1e-8
 
     def test_falls_back_to_dense_when_the_span_cannot_certify(self, rng, monkeypatch):

@@ -11,7 +11,6 @@ from defgpa import (
     ShapeSet,
     SingularSystem,
     SingularTransform,
-    UnconstrainedPoint,
     apply_warp,
     cross_validation_error,
     cross_validation_errors,
@@ -246,11 +245,16 @@ class TestCrossValidation:
             assert np.all(np.isfinite(P[:, s.visibility]))
 
 
+def restrict_points(shape_set, keep):
+    """The ShapeSet of the kept point columns, correspondence kept."""
+    return ShapeSet(tuple(Shape(s.points[:, keep], s.visibility[keep], s.label) for s in shape_set))
+
+
 def per_fold_reference(shape_set, fits, group=1, reflection_ref=0, allow_reflection=False):
     """`cross_validation_errors` as one `solve` per fold and model set, with no batching.
 
-    Each held-out point is pushed through `apply_warp` on its own coordinates;
-    a fold whose restriction raises is skipped.
+    Each fold solves its own restricted ShapeSet, and each held-out point is
+    pushed through `apply_warp` on its own coordinates.
     """
     d, m, n = shape_set.d, shape_set.m, shape_set.n
     results = []
@@ -259,10 +263,7 @@ def per_fold_reference(shape_set, fits, group=1, reflection_ref=0, allow_reflect
         covered = np.zeros(m, dtype=bool)
         for fold in _fold_slices(m, CveConfig(group)):
             keep = np.setdiff1d(np.arange(m), fold)
-            try:
-                reduced = shape_set.restrict_points(keep)
-            except DefgpaError:
-                continue
+            reduced = restrict_points(shape_set, keep)
             prior = estimate_prior_for_set(reduced, allow_reflection=allow_reflection)
             sol = solve(reduced, models, prior=prior, nu=max(full.nu, n / keep.size),
                         reflection_ref=reflection_ref, check_conditions=False)
@@ -349,22 +350,22 @@ class TestBatchedCrossValidation:
         assert_cve_parity(cross_validation_errors(ss, fits, CveConfig(3)),
                           per_fold_reference(ss, fits, group=3))
 
-    def test_skipped_fold(self, rng, monkeypatch):
+    def test_no_shape_objects_per_fold(self, rng, monkeypatch):
+        # folds slice the stacked arrays: no Shape is built, let alone validated
         ss = mask_set(rng, full_set(rng, 2, 12, 4, kind="smooth", noise=0.05), 0.15,
                       min_joint=2 + 2)
         fits = solved_fits(ss, [1.0, 0.1])
-        restrict = ShapeSet.restrict_points
+        built = []
+        post_init = Shape.__post_init__
 
-        def restrict_points(self, keep):
-            if 4 not in keep:
-                raise UnconstrainedPoint("injected")
-            return restrict(self, keep)
+        def spy(self):
+            built.append(None)
+            post_init(self)
 
-        monkeypatch.setattr(ShapeSet, "restrict_points", restrict_points)
-        with pytest.warns(UserWarning, match=r"skipping fold \[4\]"):
-            batched = cross_validation_errors(ss, fits)
-        assert all(np.all(np.isnan(P[:, 4])) for _, predicted in batched for P in predicted)
-        assert_cve_parity(batched, per_fold_reference(ss, fits))
+        monkeypatch.setattr(Shape, "__post_init__", spy)
+        outcomes = cross_validation_errors(ss, fits)
+        assert built == []
+        assert not any(isinstance(outcome, DefgpaError) for outcome in outcomes)
 
     def test_passes_split_by_the_stack_bound(self, rng, monkeypatch):
         import defgpa.gpa
@@ -376,9 +377,9 @@ class TestBatchedCrossValidation:
         references = defgpa.gpa._references
         passes = []
 
-        def spy(shape_set, Bg, solved, errors, nus, *args):
+        def spy(G, anchor, datum, Bg, solved, errors, nus, prior):
             passes.append(len(nus))
-            return references(shape_set, Bg, solved, errors, nus, *args)
+            return references(G, anchor, datum, Bg, solved, errors, nus, prior)
 
         monkeypatch.setattr(defgpa.gpa, "_references", spy)
         nl = ss.n * max(model.feature_dim for model in fits[0][0])
@@ -403,7 +404,6 @@ class TestBatchedCrossValidation:
             assert got[0] == want[0]
             np.testing.assert_array_equal(np.array(got[1]), np.array(want[1]))
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_failing_model_set_is_isolated(self, rng):
         # an infinite smoothing weight breaks every normal matrix of that set only
         ss = mask_set(rng, full_set(rng, 2, 12, 4, kind="smooth", noise=0.05), 0.15,
