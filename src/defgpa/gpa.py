@@ -23,7 +23,7 @@ from .errors import (
     SingularSystem,
     UnconstrainedPoint,
 )
-from .spectral import CovariancePrior, bottom_d_scaled, bottom_d_scaled_on_span, leftmost_singular_vector
+from .spectral import CovariancePrior, _bottom_pairs, _scale_selected, _span_pairs, leftmost_singular_vector
 from .warps import AffineWarp, _witness_and_residual
 
 
@@ -112,8 +112,19 @@ def _rotations(M, allow_reflection=False):
     optimum is R = V U^T; unless reflections are allowed, a negative
     determinant is fixed to +1 by flipping the weakest singular direction.
     Returns R and the singular values, descending, for the callers' own
-    degeneracy checks.
+    degeneracy checks.  A 2 x 2 M has a closed form: the best rotation attains
+    p = |(a + e, b - c)| and the best reflection q = |(a - e, b + c)|, and
+    the singular values are (p + q)/2 and |p - q|/2.
     """
+    if M.shape[-1] == 2:
+        a, b, c, e = M[..., 0, 0], M[..., 0, 1], M[..., 1, 0], M[..., 1, 1]
+        p, q = np.hypot(a + e, b - c), np.hypot(a - e, b + c)
+        sign = np.where(allow_reflection & (q > p), -1.0, 1.0)  # -1 where the best reflection wins
+        r = np.where(sign < 0, q, p)
+        safe = np.where(r > 0, r, 1.0)
+        cos, sin = np.where(r > 0, (a + sign * e) / safe, 1.0), (b - sign * c) / safe
+        R = np.stack([cos, -sign * sin, sin, sign * cos], axis=-1).reshape(M.shape)
+        return R, np.stack([(p + q) / 2, np.abs(p - q) / 2], axis=-1)
     U, sv, Vt = np.linalg.svd(M)
     R = np.swapaxes(Vt, -1, -2) @ np.swapaxes(U, -1, -2)
     if not allow_reflection:
@@ -128,48 +139,52 @@ def _stacked(shape_set):
     return X, shape_set.visibility_matrix().astype(float)
 
 
-def pairwise_transform_table(shape_set, allow_reflection=False):
-    """Similarity Procrustes between every ordered pair of shapes.
+def _centred(X, G):
+    """Visible centroids c (n x d) of points X (n x d x m) with masks G (n x m), and Y = (X - c) G."""
+    c = (X @ G[:, :, None])[:, :, 0] / G.sum(axis=1)[:, None]
+    return c, (X - c[:, :, None]) * G[:, None, :]
 
-    Entry [i, k] of the returned s (n, n), R (n, n, d, d) and t (n, n, d)
-    maps shape k onto shape i over their jointly visible points,
-    s R D_k + t 1^T ~ D_i; the diagonal is the identity.
+
+def _moments(Y, G):
+    """Pair moments of centred, masked points Y (..., n, d, k) with masks G (..., n, k).
+
+    joint [i, k] counts the jointly visible columns, sums [i, k] = sum_j G_ij Y_kj,
+    cross [i, k] = Y_k Y_i^T and sq [i, k] = sum_j G_ij |Y_kj|^2.  They are sums
+    over columns, so the moments of a point subset are the whole set's minus
+    those of the columns it drops.
     """
-    return _transform_table(*_stacked(shape_set), allow_reflection)
+    *lead, n, d, k = Y.shape
+    Yflat = Y.reshape(*lead, n * d, k)
+    Gt = np.swapaxes(G, -1, -2)
+    sums = np.moveaxis((Yflat @ Gt).reshape(*lead, n, d, n), -1, -3)
+    cross = np.moveaxis((Yflat @ np.swapaxes(Yflat, -1, -2)).reshape(*lead, n, d, n, d), -2, -4)
+    return G @ Gt, sums, cross, G @ np.swapaxes((Y * Y).sum(axis=-2), -1, -2)
 
 
-def _transform_table(X, G, allow_reflection):
-    """`pairwise_transform_table` of zero-filled points X (n x d x m) and masks G (n x m).
+def _transform_table(joint, sums, cross, sq, allow_reflection):
+    """Similarity Procrustes of every ordered pair from its `_moments`, which may carry leading (fold) axes.
 
-    Each shape is first shifted by its own visible centroid.  The masked sums,
-    cross-covariances and squared norms of all pairs then come from matmuls
-    over m, and one batched SVD of the (n, n, d, d) stack gives the rotations
-    (determinants corrected to +1 unless reflections are allowed).  Every
-    pair i != k is checked, and the first failing one in row-major order
-    raises, as a loop over the pairs would.
+    Entry [i, k] maps shape k onto shape i over their jointly visible points:
+    scales s, rotations R, and translations t between the centred frames.  One
+    batched `_rotations` call gives the rotations (determinants corrected to +1
+    unless reflections are allowed); the diagonal is the identity.  Every pair
+    i != k is checked; the last value returned is None, or the leading index
+    and the error of the first failing pair in row-major order, which a loop
+    over the folds and pairs would raise.
     """
-    n, d, m = X.shape
-    centroids = (X @ G[:, :, None])[:, :, 0] / G.sum(axis=1)[:, None]
-    Y = (X - centroids[:, :, None]) * G[:, None, :]
-    Yflat = Y.reshape(n * d, m)
-    joint = G @ G.T
-    safe = np.maximum(joint, 1.0)[:, :, None]
-    sums = (Yflat @ G.T).reshape(n, d, n)           # [k, :, i]: Y_k summed over joint(i, k)
-    mu_src = sums.transpose(2, 0, 1) / safe         # [i, k]: joint mean of Y_k
-    mu_tgt = sums.transpose(0, 2, 1) / safe         # [i, k]: joint mean of Y_i
-    cross = (Yflat @ Yflat.T).reshape(n, d, n, d).transpose(2, 0, 1, 3)  # [i, k] = Y_k Y_i^T
-    M = cross - joint[:, :, None, None] * mu_src[:, :, :, None] * mu_tgt[:, :, None, :]
-    sq = ((Y * Y).sum(axis=1) @ G.T).T              # [i, k]: |Y_k|^2 summed over joint
+    n, d = sums.shape[-2:]
+    safe = np.maximum(joint, 1.0)[..., None]
+    mu_src = sums / safe                               # [i, k]: joint mean of Y_k
+    mu_tgt = np.swapaxes(sums, -2, -3) / safe          # [i, k]: joint mean of Y_i
+    M = cross - joint[..., None, None] * mu_src[..., :, None] * mu_tgt[..., None, :]
     denom = sq - joint * np.sum(mu_src * mu_src, axis=-1)
 
     R, sv = _rotations(M, allow_reflection)
     s = np.einsum("...ab,...ba->...", R, M) / np.where(denom > 0, denom, 1.0)
-    src_mean = mu_src + centroids[None, :, :]
-    t = mu_tgt + centroids[:, None, :] - s[:, :, None] * (R @ src_mean[..., None])[..., 0]
-    diag = np.arange(n)
-    s[diag, diag] = 1.0
-    R[diag, diag] = np.eye(d)
-    t[diag, diag] = 0.0
+    diag = np.eye(n, dtype=bool)
+    s[..., diag] = 1.0
+    R[..., diag, :, :] = np.eye(d)
+    t = mu_tgt - s[..., None] * (R @ mu_src[..., None])[..., 0]
 
     rank_deficient = sv[..., 0] <= 0
     if d >= 2:
@@ -184,13 +199,31 @@ def _transform_table(X, G, allow_reflection):
         (s <= 0, DegenerateConfiguration, "optimal similarity scale is not positive"),
         (orth_error > 1e-10, DegenerateConfiguration, "rotation block is not orthonormal"),
     )
-    failed = np.stack([mask for mask, _, _ in checks]) & ~np.eye(n, dtype=bool)
+    failed = np.stack([mask for mask, _, _ in checks]) & ~diag
     bad = np.flatnonzero(failed.any(axis=0))
-    if bad.size:
-        i, k = divmod(int(bad[0]), n)
-        _, error, message = checks[int(np.argmax(failed[:, i, k]))]
-        raise error(message.format(need=d + 1, have=int(joint[i, k])))
-    return s, R, t
+    if not bad.size:
+        return s, R, t, None
+    index = np.unravel_index(bad[0], joint.shape)
+    _, error, message = checks[int(np.argmax(failed[(slice(None),) + index]))]
+    return s, R, t, (index[:-2], error(message.format(need=d + 1, have=int(joint[index]))))
+
+
+def pairwise_transform_table(shape_set, allow_reflection=False):
+    """Similarity Procrustes between every ordered pair of shapes.
+
+    Entry [i, k] of the returned s (n, n), R (n, n, d, d) and t (n, n, d)
+    maps shape k onto shape i over their jointly visible points,
+    s R D_k + t 1^T ~ D_i; the diagonal is the identity.  The masked sums,
+    cross-covariances and squared norms of all pairs come from matmuls over
+    the points of the centred shapes, and the first failing pair in
+    row-major order raises, as a loop over the pairs would.
+    """
+    X, G = _stacked(shape_set)
+    c, Y = _centred(X, G)
+    s, R, t, failure = _transform_table(*_moments(Y, G), allow_reflection)
+    if failure is not None:
+        raise failure[1]
+    return s, R, t + c[:, None, :] - s[..., None] * (R @ c[None, :, :, None])[..., 0]
 
 
 def complete_all(shape_set, allow_reflection=False):
@@ -200,21 +233,17 @@ def complete_all(shape_set, allow_reflection=False):
     occurrences in all shapes, each mapped into frame i through the pairwise
     table; the transforms are applied as one (n d) x (n d) matmul.
     """
-    return list(_completed(*_stacked(shape_set), allow_reflection))
-
-
-def _completed(X, G, allow_reflection):
-    """`complete_all` of zero-filled points X (n x d x m) and masks G (n x m); X itself if all are visible."""
+    X, G = _stacked(shape_set)
     if G.all():
-        return X
-    s, R, t = _transform_table(X, G, allow_reflection)
+        return list(X)
+    s, R, t = pairwise_transform_table(shape_set, allow_reflection)
     n, d, m = X.shape
     maps = (s[:, :, None, None] * R).transpose(0, 2, 1, 3).reshape(n * d, n * d)
     acc = (maps @ X.reshape(n * d, m) + t.transpose(0, 2, 1).reshape(n * d, n) @ G).reshape(n, d, m)
     counts = G.sum(axis=0)
     if np.any(counts == 0):  # such a point is missing from every shape
         raise UnconstrainedPoint(f"points {np.flatnonzero(counts == 0).tolist()} are visible in no shape")
-    return np.where(G[:, None, :] > 0, X, acc / np.where(counts > 0, counts, 1.0))
+    return list(np.where(G[:, None, :] > 0, X, acc / np.where(counts > 0, counts, 1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -225,22 +254,88 @@ def estimate_prior(full_shapes):
     """Reference covariance prior from per-shape singular values.
 
     Each centered full shape (all d x m, or an n x d x m stack) contributes
-    the unit vector of its d leading singular values, all from one stacked
-    SVD call; the consensus direction is the leading left singular vector of
-    their stack, rescaled by the average shape scale and squared.
+    the unit vector of its d leading singular values; the consensus direction
+    is the leading left singular vector of their stack, rescaled by the
+    average shape scale and squared.  This is `_fold_priors` of one subset
+    with every point visible and none held out.
     """
     D = np.asarray(full_shapes, dtype=float)
-    sv = np.linalg.svd(D - D.mean(axis=2, keepdims=True), compute_uv=False)[:, :D.shape[1]]
-    norms = np.sqrt(np.sum(sv * sv, axis=1))
-    if np.any(norms == 0):
-        raise DegenerateInput(f"shape {int(np.argmax(norms == 0))} has zero scale")
-    theta = leftmost_singular_vector((sv / norms[:, None]).T)
-    return CovariancePrior((float(np.mean(norms)) * theta) ** 2)
+    return _prior(D, np.ones((len(D), D.shape[2])), False)
 
 
 def estimate_prior_for_set(shape_set, allow_reflection=False):
     """Algorithm-level prior: completes partial shapes first, then estimates."""
-    return estimate_prior(_completed(*_stacked(shape_set), allow_reflection))
+    return _prior(*_stacked(shape_set), allow_reflection)
+
+
+def _prior(X, G, allow_reflection):
+    """The prior of zero-filled points X (n x d x m) with masks G (n x m): one subset, no column held out."""
+    _, Y = _centred(X, G)
+    priors, error = _fold_priors(Y, G, _moments(Y, G), np.zeros((1, 0), dtype=int), allow_reflection)
+    if error is not None:
+        raise error
+    return priors[0]
+
+
+def _fold_priors(Y, G, moments, held, allow_reflection):
+    """Priors of F point subsets, each the whole set minus the columns in one row of held (F x g).
+
+    Y and G are the centred, masked points and masks of `_centred` (n x d x m)
+    and moments their `_moments`; rows of held shorter than g are padded
+    with m.  A completed shape differs from its zero-filled form only at its
+    missing points, so its centred second moment is the visible part (from
+    the subset's moments) plus that of its fills.  Each fill is the
+    visibility-weighted average of the other shapes' points mapped through
+    the pairwise table of the subset's moments, built and checked only for
+    subsets with a missing point.  Each shape's singular values are the
+    square roots of its moment's eigenvalues, and it contributes their unit
+    vector; the consensus direction is the leading left singular vector of
+    their stack (one stacked SVD call), rescaled by the average shape scale
+    and squared.
+
+    Returns the CovariancePriors of the subsets before the first that fails,
+    and that subset's error, or all F and None.
+    """
+    n, d, m = Y.shape
+    F = len(held)
+    Yh = np.concatenate([Y, np.zeros((n, d, 1))], axis=2)[:, :, held].transpose(2, 0, 1, 3)
+    Gh = np.concatenate([G, np.zeros((n, 1))], axis=1)[:, held].transpose(1, 0, 2)
+    joint, sums, cross, sq = (whole - part for whole, part in zip(moments, _moments(Yh, Gh)))
+    keep = np.ones((F, m + 1), dtype=bool)
+    keep[np.arange(F)[:, None], held] = False
+    J = np.argsort(G, axis=1, kind="stable")[:, :max(1, int(np.max(m - G.sum(axis=1))))]  # missing first
+    fill = keep[:, J] & (G[np.arange(n)[:, None], J] == 0)   # F x n x |J|: missing and kept
+    diag = np.arange(n)
+    total, second = sums[:, diag, diag], cross[:, diag, diag]
+    count, error = F, None
+    need = np.flatnonzero(fill.any(axis=(1, 2)))
+    if need.size:
+        s, R, t, failure = _transform_table(joint[need], sums[need], cross[need], sq[need], allow_reflection)
+        if failure is not None:
+            count, error = need[failure[0][0]], failure[1]
+        # fill [f, i, :, j] = sum_k G_kj (s R Y_kj + t)_ik / c_j at shape i's missing points J_i
+        maps = (s[..., None, None] * R).transpose(0, 1, 3, 2, 4).reshape(len(need), n, d, n * d)
+        Z = maps @ Y[:, :, J].transpose(2, 0, 1, 3).reshape(n, n * d, -1)
+        Z += np.swapaxes(t, -1, -2) @ G[:, J].transpose(1, 0, 2)
+        Z *= fill[need, :, None, :] / G.sum(axis=0)[J][:, None, :]
+        total[need] += Z.sum(axis=-1)
+        second[need] += Z @ np.swapaxes(Z, -1, -2)
+    C = second - total[..., :, None] * total[..., None, :] / (m - (held < m).sum(axis=1))[:, None, None, None]
+    sv = np.sqrt(np.clip(np.linalg.eigvalsh(C[:count])[..., ::-1], 0.0, None))
+    norms = np.sqrt(np.sum(sv * sv, axis=-1))
+    zero = np.flatnonzero(norms == 0)
+    if zero.size:
+        count, i = np.unravel_index(zero[0], norms.shape)
+        error = DegenerateInput(f"shape {i} has zero scale")
+    priors = []
+    if count:
+        theta = leftmost_singular_vector(np.swapaxes(sv[:count] / norms[:count, :, None], -1, -2))
+        try:
+            for lam in (np.mean(norms[:count], axis=-1)[:, None] * theta) ** 2:
+                priors.append(CovariancePrior(lam))
+        except DefgpaError as exc:
+            error = exc
+    return priors, error
 
 
 # ---------------------------------------------------------------------------
@@ -248,15 +343,18 @@ def estimate_prior_for_set(shape_set, allow_reflection=False):
 
 
 def _cholesky_solve(N, rhs):
-    """N^{-1} rhs for SPD N (or a stack of them): Cholesky factors, then two triangular solves.
+    """N^{-1} rhs for SPD N (or a stack of them) as L^-T (L^-1 rhs), with L the Cholesky factor.
+
+    One inverse of the triangular factor and two matmuls replace two general
+    solves against it.
 
     Raises np.linalg.LinAlgError when any N is not positive definite or either
     input holds a non-finite entry.
     """
     if not (np.all(np.isfinite(N)) and np.all(np.isfinite(rhs))):
         raise np.linalg.LinAlgError("non-finite entries")
-    L = np.linalg.cholesky(N)
-    return np.linalg.solve(np.swapaxes(L, -1, -2), np.linalg.solve(L, rhs))
+    Linv = np.linalg.inv(np.linalg.cholesky(N))
+    return np.swapaxes(Linv, -1, -2) @ (Linv @ rhs)
 
 
 def _solve_normal(N, rhs, index):
@@ -365,16 +463,17 @@ def _span_basis(columns):
     return U[:, sv > max(columns.shape) * np.finfo(float).eps * sv[0]]
 
 
-def _bottom_d_of_sum(shift, L, R, nus, prior, anchor):
-    """Prior-scaled bottom-d eigenvectors of each M_t = diag(shift) - sum_i L_i^T R_ti + nu_t 11^T.
+def _bottom_pairs_of_sum(shift, L, R, nus, d):
+    """Bottom-d eigenpairs of each M_t = diag(shift) - sum_i L_i^T R_ti + nu_t 11^T.
 
     L is n x l x m and R_ti = K_ti L_i for symmetric K_ti (the solved normal
-    equations); returns a list of T references from one stacked eigensolver call.
-    With a scalar shift c, M_t equals c I outside the span of the L_i^T (and
-    of 1 when nu > 0), a subspace of dimension r <= sum_i l_i + 1.  The
-    eigenproblem is then solved on that span, C_t = U^T M_t U, and no m x m
-    array is formed.  The dense matrix serves a vector shift, and a scalar
-    one when the restricted spectrum cannot certify the selection.
+    equations); returns values (T x d) and vectors (T x m x d) from one stacked
+    eigensolver call.  With a scalar shift c, M_t equals c I outside the span
+    of the L_i^T (and of 1 when nu > 0), a subspace of dimension
+    r <= sum_i l_i + 1.  The eigenproblem is then solved on that span,
+    C_t = U^T M_t U, and no m x m array is formed.  The dense matrix serves a
+    vector shift, and a scalar one when the restricted spectrum cannot
+    certify the selection.
     """
     m = L.shape[-1]
     if np.ndim(shift) == 0:
@@ -383,12 +482,14 @@ def _bottom_d_of_sum(shift, L, R, nus, prior, anchor):
         w = U.sum(axis=0)  # U^T 1
         C = shift * np.eye(U.shape[1]) + nus[:, None, None] * np.outer(w, w)
         C -= (L.reshape(-1, m) @ U).T @ (R.reshape(len(R), -1, m) @ U)
-        S = bottom_d_scaled_on_span(U, 0.5 * (C + np.swapaxes(C, -1, -2)), shift, prior, anchor=anchor)
-        for t in [t for t, St in enumerate(S) if St is None]:
-            S[t] = bottom_d_scaled(_dense(np.full(m, float(shift)), L, R[t]) + nus[t], prior,
-                                   anchor=anchor)
-        return S
-    return list(bottom_d_scaled(_dense(shift, L, R) + nus[:, None, None], prior, anchor=anchor))
+        if U.shape[1] < d:  # the span cannot hold the selection
+            return _bottom_pairs(_dense(np.full(m, float(shift)), L, R) + nus[:, None, None], d)
+        values, X = _bottom_pairs(0.5 * (C + np.swapaxes(C, -1, -2)), d)
+        X, certified = _span_pairs(U, values, X, shift)
+        for t in np.flatnonzero(~certified):
+            values[t], X[t] = _bottom_pairs(_dense(np.full(m, float(shift)), L, R[t]) + nus[t], d)
+        return values, X
+    return _bottom_pairs(_dense(shift, L, R) + nus[:, None, None], d)
 
 
 def _gram_anchor(X, G):
@@ -399,8 +500,7 @@ def _gram_anchor(X, G):
     deterministically (zero-residual data makes the bottom-d eigenvalue
     exactly d-fold degenerate).
     """
-    centroids = (X @ G[:, :, None]) / G.sum(axis=1)[:, None, None]
-    return ((X - centroids) * G[:, None, :]).reshape(-1, X.shape[-1])
+    return _centred(X, G)[1].reshape(-1, X.shape[-1])
 
 
 def correct_reflection(S, ref_shape):
@@ -410,21 +510,23 @@ def correct_reflection(S, ref_shape):
     optimal orthogonal factor is the orientation test, and flipping one row of
     S flips it back to +1.
     """
-    return _oriented(S, ref_shape.filled(0.0), ref_shape.visibility.astype(float))
-
-
-def _oriented(S, D, gamma):
-    """`correct_reflection` against zero-filled datum points D (d x m) with mask gamma (m,)."""
     S = np.asarray(S, dtype=float)
-    Dk = D * gamma[None, :]
-    centered = Dk - (Dk @ gamma)[:, None] * gamma[None, :] / gamma.sum()
-    R, sv = _rotations(centered @ S.T, allow_reflection=True)
-    if sv[0] <= 0 or sv[-1] <= 1e-12 * sv[0]:
-        raise DegenerateConfiguration("orientation is undetermined for this reference shape")
-    if np.linalg.det(R) < 0:
-        S = S.copy()
-        S[0, :] *= -1.0
-    return S
+    (flip,), (undetermined,) = _reflected(S[None], ref_shape.filled(0.0), ref_shape.visibility.astype(float))
+    if undetermined:
+        raise DegenerateConfiguration(_UNORIENTED)
+    return np.concatenate([-S[:1], S[1:]]) if flip else S
+
+
+_UNORIENTED = "orientation is undetermined for this reference shape"
+
+
+def _reflected(S, D, gamma):
+    """Which references of a stack S (K x d x m) an orthogonal Procrustes to the zero-filled datum
+    points D (d x m) with masks gamma (m or K x m) reflects, and which it leaves undetermined."""
+    Dk = D * gamma[..., None, :]
+    centered = Dk - (Dk @ gamma[..., :, None]) * gamma[..., None, :] / gamma.sum(axis=-1)[..., None, None]
+    R, sv = _rotations(centered @ np.swapaxes(S, -1, -2), allow_reflection=True)
+    return np.linalg.det(R) < 0, (sv[..., 0] <= 0) | (sv[..., -1] <= 1e-12 * sv[..., 0])
 
 
 def _theorem_conditions(shape_set, Bg, solved, models, tol):
@@ -486,25 +588,20 @@ def _checked_args(shape_set, prior, nu, reflection_ref, allow_reflection=False):
     return prior, float(nu)
 
 
-def _references(G, anchor, datum, Bg, solved, errors, nus, prior):
-    """Per model set of `_per_shape_terms`' output, its reflection-corrected reference or its error.
+def _references(values, X, lambdas, anchor, D, gamma):
+    """Prior-scaled, reflection-corrected references of stacked bottom-d eigenpairs (K x d, K x m x d).
 
-    G (n x m) holds the masks, anchor the `_gram_anchor` and datum the (points, mask)
-    pair that fixes the orientation.  One eigensolver call serves every set without
-    an error; nus holds their penalty weights.
+    lambdas (K x d) holds the prior of each, anchor resolves degenerate
+    clusters (see `spectral._scale_selected`), and the zero-filled datum points
+    D (d x m) with masks gamma (m or K x m) fix the orientation of each
+    reference whose prior has no zero entry.  Returns the references
+    (K x d x m) and which orientations are undetermined.
     """
-    outcomes = dict(errors)
-    live = [t for t in range(len(nus)) if t not in outcomes]
-    if live:
-        shift = float(len(G)) if G.all() else G.sum(axis=0)
-        references = _bottom_d_of_sum(shift, Bg, solved[live] if errors else solved, nus[live],
-                                      prior, anchor)
-        for t, S in zip(live, references):
-            try:
-                outcomes[t] = _oriented(S, *datum) if prior.lambdas[-1] > 0 else S
-            except DefgpaError as exc:
-                outcomes[t] = exc
-    return [outcomes[t] for t in range(len(nus))]
+    S = _scale_selected(values, X, lambdas, anchor)
+    flip, undetermined = _reflected(S, D, gamma)
+    oriented = lambdas[:, -1] > 0
+    S[flip & oriented, 0] *= -1.0
+    return S, undetermined & oriented
 
 
 def _solution(shape_set, S, Bg, solved, models, prior, nu, report=None):
@@ -554,11 +651,13 @@ def solve(shape_set, models, prior=None, nu=None, reflection_ref=0,
     """
     prior, nu = _checked_args(shape_set, prior, nu, reflection_ref, allow_reflection)
     Bg, solved = _terms(shape_set, models)
-    G, datum = shape_set.visibility_matrix().astype(float), shape_set[reflection_ref]
-    S, = _references(G, _gram_anchor(*_stacked(shape_set)), (datum.filled(0.0), G[reflection_ref]),
-                     Bg, solved[None], {}, np.array([nu]), prior)
-    if isinstance(S, DefgpaError):
-        raise S
+    X, G = _stacked(shape_set)
+    values, V = _bottom_pairs_of_sum(float(shape_set.n) if G.all() else G.sum(axis=0), Bg, solved[None],
+                                     np.array([nu]), shape_set.d)
+    (S,), (undetermined,) = _references(values, V, prior.lambdas[None], _gram_anchor(X, G),
+                                        X[reflection_ref], G[reflection_ref])
+    if undetermined:
+        raise DegenerateConfiguration(_UNORIENTED)
     report = _theorem_conditions(shape_set, Bg, solved, models, 1e-6) if check_conditions else None
     return _solution(shape_set, S, Bg, solved, models, prior, nu, report)
 
@@ -585,9 +684,11 @@ def solve_affine_centered(shape_set, prior=None, reflection_ref=0):
 
     # top-d of Q = sum_i Dbar_i^T (Dbar_i Dbar_i^T)^{-1} Dbar_i are the bottom-d
     # of -Q, with identical prior pairing; -Q vanishes outside the row spaces
-    S, = _bottom_d_of_sum(0.0, Dbar, np.stack(solved)[None], np.zeros(1), prior,
-                         _gram_anchor(*_stacked(shape_set)))
-    if prior.lambdas[-1] > 0:
-        S = correct_reflection(S, shape_set[reflection_ref])
+    values, V = _bottom_pairs_of_sum(0.0, Dbar, np.stack(solved)[None], np.zeros(1), shape_set.d)
+    X, G = _stacked(shape_set)
+    (S,), (undetermined,) = _references(values, V, prior.lambdas[None], _gram_anchor(X, G),
+                                        X[reflection_ref], G[reflection_ref])
+    if undetermined:
+        raise DegenerateConfiguration(_UNORIENTED)
     models = [AffineWarp(shape_set.d) for _ in shape_set]
     return _solution(shape_set, S, *_terms(shape_set, models), models, prior, nu)

@@ -95,15 +95,30 @@ def gauge_align(A, B, mask=None):
     mask = np.asarray(mask, dtype=bool).ravel()
     if int(mask.sum()) < d + 1:
         raise InsufficientOverlap(f"need at least {d + 1} joint points, have {int(mask.sum())}")
-    P = A[:, mask]
-    Q = B[:, mask]
-    muP = P.mean(axis=1, keepdims=True)
-    muQ = Q.mean(axis=1, keepdims=True)
-    R, sv = _gpa._rotations((P - muP) @ (Q - muQ).T)
-    if sv[0] <= 0 or (d >= 2 and sv[d - 2] <= 1e-12 * sv[0]):
-        raise DegenerateConfiguration("cross-covariance is rank-deficient; rotation undetermined")
-    t = (muQ - R @ muP).ravel()
-    return R, t
+    (R,), (t,), (deficient,) = _rigid(A[None, :, mask], B[None, :, mask], np.ones((1, int(mask.sum()))))
+    if deficient:
+        raise DegenerateConfiguration(_RANK_DEFICIENT)
+    return R, t.ravel()
+
+
+_RANK_DEFICIENT = "cross-covariance is rank-deficient; rotation undetermined"
+
+
+def _rigid(A, B, w):
+    """`gauge_align` of stacks A, B (K x d x m) under 0/1 weights w (K x m), each with d+1 ones or more.
+
+    Returns R (K x d x d), t (K x d x 1) and which entries have a
+    rank-deficient cross-covariance.
+    """
+    d = A.shape[1]
+    count = w.sum(axis=-1)[:, None, None]
+    muA = (A @ w[:, :, None]) / count
+    muB = (B @ w[:, :, None]) / count
+    R, sv = _gpa._rotations(((A - muA) * w[:, None, :]) @ np.swapaxes(B - muB, -1, -2))
+    deficient = sv[:, 0] <= 0
+    if d >= 2:
+        deficient |= sv[:, d - 2] <= 1e-12 * sv[:, 0]
+    return R, muB - R @ muA, deficient
 
 
 def _fold_slices(m, config):
@@ -118,17 +133,21 @@ def cross_validation_errors(shape_set, fits, config=None, reflection_ref=0,
     `fits` holds (models, full solution) pairs, each solution the GPA of the
     whole set with those models.  Each shape's basis is computed once on all
     m points, and the points and masks are stacked once; a fold slices their
-    kept columns and builds no shape objects.  Per fold, the kept points, their
-    prior (with reflections when `allow_reflection`, as the full prior was) and
-    the anchor serve all model sets, and sets with equal per-shape models are
-    re-solved together, in passes bounded by _STACK_ENTRIES, each with its full
-    solution's nu (raised to n/m of the fold if below).  Held-out points are
-    predicted as W_i^T B_i[:, fold]; each fold reference is rigidly aligned to
-    the full reference on the kept points.  Only originally visible landmarks
-    count.
+    kept columns and builds no shape objects.  The folds run in chunks
+    bounded by _STACK_ENTRIES.  A chunk's priors (with reflections when
+    `allow_reflection`, as the full prior was) come from the whole set's pair
+    moments minus those of each fold's held-out columns.  Per fold, sets with
+    equal per-shape models are re-solved together, in passes bounded by
+    _STACK_ENTRIES, each with its full solution's nu (raised to n/m of the
+    fold if below); only the eigensolve runs per fold and pass.  Scaling,
+    reflection, gauge alignment and the prediction of held-out points as
+    W_i^T B_i[:, fold] then run once per chunk on the stacked selections;
+    each fold reference is rigidly aligned to the full reference on the kept
+    points.  Only originally visible landmarks count.
 
     Returns one entry per model set: (cve, predicted shapes), or the
-    DefgpaError that stopped it; a failed model set skips the later folds.
+    DefgpaError of its earliest failing fold; a failed model set skips the
+    later chunks.
     """
     if config is None:
         config = CveConfig()
@@ -160,6 +179,17 @@ def cross_validation_errors(shape_set, fits, config=None, reflection_ref=0,
         passes += [(bases[key], indices[k:k + size]) for k in range(0, len(indices), size)]
     live = {j: fits[j] for _, indices in passes for j in indices}
     X0, G0 = _gpa._stacked(shape_set)
+    _, Y0 = _gpa._centred(X0, G0)
+    moments = _gpa._moments(Y0, G0)
+    folds = _fold_slices(m, config)
+    g = config.group_size
+    held = np.minimum(np.arange(len(folds) * g).reshape(-1, g), m)  # the folds' columns, padded with m
+    dropped = np.concatenate([G0, np.zeros((n, 1))], axis=1)[:, held].sum(axis=-1)
+    short = np.flatnonzero(np.any(G0.sum(axis=1)[:, None] - dropped < d + 1, axis=0))
+    last = int(short[0]) if short.size else len(folds)  # the folds before it reach their priors
+    # a chunk stacks, per fold, about a dozen (n, n, d, d) table and prior moments, and per model
+    # set its m x d eigenvectors, references, masks and gauge terms and its predicted points
+    chunk = max(1, _STACK_ENTRIES // (12 * n * n * d * d + len(live) * (12 * d * m + 4 * n * d * g)))
     predicted = {j: np.full((n, d, m), np.nan) for j in live}
     covered = np.zeros(m, dtype=bool)
 
@@ -168,40 +198,68 @@ def cross_validation_errors(shape_set, fits, config=None, reflection_ref=0,
             outcomes[j] = exc
         live.clear()
 
-    for fold in _fold_slices(m, config):
-        if not live:
-            break
-        keep = np.delete(np.arange(m), fold)
-        X, G = X0[:, :, keep], G0[:, keep]
-        if np.any(G.sum(axis=1) < d + 1):
+    start = 0
+    while live and start < len(folds):
+        if start == last:
             fail(InsufficientOverlap(
-                f"fold {fold.tolist()} leaves a shape with fewer than {d + 1} visible points"))
+                f"fold {folds[last].tolist()} leaves a shape with fewer than {d + 1} visible points"))
             break
-        try:
-            fold_prior = _gpa.estimate_prior(_gpa._completed(X, G, allow_reflection))
-        except DefgpaError as exc:
-            fail(exc)
+        priors, error = _gpa._fold_priors(Y0, G0, moments, held[start:min(start + chunk, last)],
+                                          allow_reflection)
+        failures = {}  # model set -> (fold, error) of its earliest failing fold in the chunk
+        owners, stacks = [], ([], [], [], [])  # per (fold, set): eigenpairs, prior, fold predictors
+        for f, prior in enumerate(priors, start):
+            fold = folds[f]
+            keep = np.delete(np.arange(m), fold)
+            G = G0[:, keep]
+            for (B, grams, dims), batch in passes:
+                indices = [j for j in batch if j in live and j not in failures]
+                if not indices:
+                    continue
+                Bg, solved, errors = _gpa._per_shape_terms(G, (B[:, :, keep], grams, dims),
+                                                           np.array([smoothing[j] for j in indices]))
+                for t, exc in errors.items():
+                    failures[indices[t]] = (f, exc)
+                ok = [t for t in range(len(indices)) if t not in errors]
+                if not ok:
+                    continue
+                solved = solved[ok]
+                nus = np.maximum([fits[indices[t]][1].nu for t in ok], n / keep.size)
+                values, V = _gpa._bottom_pairs_of_sum(float(n) if G.all() else G.sum(axis=0), Bg, solved,
+                                                      nus, d)
+                # W_i^T B_i[:, fold] = F (solved_i V)^T B_i[:, fold] for the reference S = F V^T, F = S V
+                P = np.zeros((len(ok), n, d, g))
+                P[..., :fold.size] = np.swapaxes(solved @ V[:, None], -1, -2) @ B[:, :, fold]
+                lifted = np.zeros((len(ok), m, d))
+                lifted[:, keep] = V
+                owners += [(f, indices[t]) for t in ok]
+                for stack, part in zip(stacks, (values, lifted, np.tile(prior.lambdas, (len(ok), 1)), P)):
+                    stack.append(part)
+        if owners:
+            values, V, lambdas, P = (np.concatenate(stack) for stack in stacks)
+            keepmask = (np.arange(m) // g != np.array([f for f, _ in owners])[:, None]).astype(float)
+            S, undetermined = _gpa._references(
+                values, V, lambdas, lambda k: _gpa._gram_anchor(X0, G0 * keepmask[k]),
+                X0[reflection_ref], G0[reflection_ref] * keepmask)
+            R, t, deficient = _rigid(S, np.stack([fits[j][1].reference for _, j in owners]), keepmask)
+            pred = R[:, None] @ ((S @ V)[:, None] @ P) + t[:, None]
+            for k, (f, j) in enumerate(owners):
+                if j in failures and failures[j][0] < f:
+                    continue
+                if undetermined[k] or deficient[k]:
+                    failures[j] = (f, DegenerateConfiguration(
+                        _gpa._UNORIENTED if undetermined[k] else _RANK_DEFICIENT))
+                else:
+                    predicted[j][:, :, folds[f]] = pred[k, :, :, :folds[f].size]
+        for j, (_, exc) in failures.items():
+            outcomes[j] = exc
+            del live[j]
+        for fold in folds[start:start + len(priors)]:
+            covered[fold] = True
+        start += len(priors)
+        if error is not None:
+            fail(error)
             break
-        anchor, datum = _gpa._gram_anchor(X, G), (X[reflection_ref], G[reflection_ref])
-        for (B, grams, dims), batch in passes:
-            indices = [j for j in batch if j in live]
-            if not indices:
-                continue
-            nus = np.maximum([fits[j][1].nu for j in indices], n / keep.size)
-            Bg, solved, errors = _gpa._per_shape_terms(G, (B[:, :, keep], grams, dims),
-                                                       np.array([smoothing[j] for j in indices]))
-            references = _gpa._references(G, anchor, datum, Bg, solved, errors, nus, fold_prior)
-            for j, solved_j, S in zip(indices, solved, references):
-                try:
-                    if isinstance(S, DefgpaError):
-                        raise S
-                    R, t = gauge_align(S, fits[j][1].reference[:, keep])
-                    pred = np.swapaxes(solved_j @ S.T, -1, -2) @ B[:, :, fold]  # W_i^T B_i[:, fold]
-                    predicted[j][:, :, fold] = R @ pred + t[:, None]
-                except DefgpaError as exc:
-                    outcomes[j] = exc
-                    del live[j]
-        covered[fold] = True
 
     visible = shape_set.visibility_matrix()[:, None, :]
     use = visible & covered

@@ -134,16 +134,48 @@ def _anchor_rotate(X, values, anchor):
     return X
 
 
-def _scale_selected(values, X, prior, anchor):
-    """The shared tail of the bottom-d selections.
+def _scale_selected(values, X, lam, anchor):
+    """The shared tail of the bottom-d selections, for one selection or a stack of them.
 
-    values (d,) ascending and X (m x d) are the selected eigenpairs; resolve
-    their degenerate clusters against the anchor, fix canonical signs, and
-    scale row k by sqrt(lambda_k).
+    values (..., d) ascending and X (..., m, d) are the selected eigenpairs and
+    lam (d,) or (..., d) the prior of each.  Selections with a degenerate
+    cluster are rotated against their anchor: one array for all, or a function
+    of the selection's flat index for per-selection anchors (None skips the
+    rotation).  Then canonical signs are fixed and row k is scaled by
+    sqrt(lambda_k).
     """
     if anchor is not None:
-        X = _anchor_rotate(X, values, np.asarray(anchor, dtype=float))
-    return np.sqrt(prior)[:, None] * _canonical_signs(X).T
+        flat_values = values.reshape(-1, values.shape[-1])
+        tol = _CLUSTER_TOL * np.maximum(1.0, np.max(np.abs(flat_values), axis=-1, initial=0.0))
+        clustered = np.flatnonzero(np.any(np.diff(flat_values, axis=-1) <= tol[:, None], axis=-1))
+        if clustered.size:
+            flat_X = X.reshape((-1,) + X.shape[-2:]).copy()
+            for k in clustered:
+                A = anchor(k) if callable(anchor) else anchor
+                flat_X[k] = _anchor_rotate(flat_X[k], flat_values[k], np.asarray(A, dtype=float))
+            X = flat_X.reshape(X.shape)
+    return np.sqrt(lam)[..., :, None] * np.swapaxes(_canonical_signs(X), -1, -2)
+
+
+def _bottom_pairs(M, d):
+    """The d bottom eigenpairs, values (..., d) and vectors (..., m, d), of a matrix or stack that
+    is symmetric by construction, such as (A + A^T)/2 plus nu 11^T: of `_checked_eigh`'s
+    checks only the finiteness check applies."""
+    if not np.all(np.isfinite(M)):
+        raise InvalidMatrix("matrix contains non-finite entries")
+    values, vectors = np.linalg.eigh(M)
+    return values[..., :d].copy(), vectors[..., :, :d].copy()  # copies free the m x m arrays
+
+
+def _span_pairs(U, values, vectors, complement):
+    """Lift the d bottom eigenpairs (T x d, T x r x d) of each C_t = U^T M_t U, r >= d, to M_t.
+
+    Returns the lifted vectors U V_t (T x m x d) and which selections the
+    restricted spectrum certifies (see `bottom_d_scaled_on_span`).
+    """
+    m, r = U.shape
+    scale = np.maximum(max(1.0, abs(complement)), np.max(np.abs(values), axis=-1))
+    return U @ vectors, (r == m) | (values[:, -1] < complement - _CLUSTER_TOL * scale)
 
 
 def bottom_d_scaled(P, prior, anchor=None):
@@ -160,12 +192,9 @@ def bottom_d_scaled(P, prior, anchor=None):
     lam = _prior_lambdas(prior)
     d = lam.size
     values, vectors = _checked_eigh(P)
-    m = vectors.shape[-1]
-    if d > m:
-        raise DimensionError(f"prior dimension {d} exceeds matrix size {m}")
-    S = [_scale_selected(w[:d], V[:, :d], lam, anchor)
-         for w, V in zip(values.reshape(-1, m), vectors.reshape(-1, m, m))]
-    return np.reshape(S, values.shape[:-1] + (d, m))
+    if d > vectors.shape[-1]:
+        raise DimensionError(f"prior dimension {d} exceeds matrix size {vectors.shape[-1]}")
+    return _scale_selected(values[..., :d], vectors[..., :, :d], lam, anchor)
 
 
 def bottom_d_scaled_on_span(U, C, complement, prior, anchor=None):
@@ -189,32 +218,32 @@ def bottom_d_scaled_on_span(U, C, complement, prior, anchor=None):
     m, r = U.shape
     if d > m:
         raise DimensionError(f"prior dimension {d} exceeds matrix size {m}")
-    selected = []
-    for values, vectors in zip(*_checked_eigh(C if C.ndim > 2 else C[None])):
-        values = values[:d]
-        scale = max(1.0, abs(complement), float(np.max(np.abs(values), initial=0.0)))
-        certified = d <= r and (r == m or values[-1] < complement - _CLUSTER_TOL * scale)
-        selected.append(_scale_selected(values, U @ vectors[:, :d], lam, anchor) if certified else None)
+    values, vectors = _checked_eigh(C if C.ndim > 2 else C[None])
+    if d > r:
+        selected = [None] * len(values)
+    else:
+        X, certified = _span_pairs(U, values[:, :d], vectors[:, :, :d], complement)
+        S = _scale_selected(values[:, :d], X, lam, anchor)
+        selected = [S[t] if ok else None for t, ok in enumerate(certified)]
     return selected if C.ndim > 2 else selected[0]
 
 
 def leftmost_singular_vector(M):
-    """Unit vector maximizing ||M^T theta||_2, the leading left singular vector.
+    """Unit vector maximizing ||M^T theta||_2, the leading left singular vector, of M or of each in a stack.
 
     The sign is fixed by the canonical convention; for matrices with
     non-negative entries this makes every entry non-negative (Perron-Frobenius),
     with round-off negatives above -1e-12 clamped to zero.
     """
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2:
-        raise DimensionError(f"expected a matrix, got shape {M.shape}")
+    if M.ndim < 2:
+        raise DimensionError(f"expected a matrix or a stack of them, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
         raise InvalidMatrix("matrix contains non-finite entries")
-    if np.linalg.norm(M) == 0:
+    if np.any(np.linalg.norm(M, axis=(-2, -1)) == 0):
         raise DegenerateInput("all-zero matrix has no leading singular vector")
     U, _, _ = np.linalg.svd(M, full_matrices=False)
-    theta = _canonical_signs(U[:, :1]).ravel()
-    if np.min(theta) >= -1e-12:
-        theta = np.clip(theta, 0.0, None)
-        theta /= np.linalg.norm(theta)
-    return theta
+    theta = _canonical_signs(U[..., :1])[..., 0]
+    clipped = np.clip(theta, 0.0, None)
+    clipped /= np.linalg.norm(clipped, axis=-1, keepdims=True)
+    return np.where(np.min(theta, axis=-1, keepdims=True) >= -1e-12, clipped, theta)

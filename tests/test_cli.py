@@ -229,7 +229,7 @@ class TestSweepCommand:
         ss = full_set(rng, 2, 9, 3, kind="smooth", noise=0.05)
         path = write_set(tmp_path / "set.json", ss)
         real_solve = defgpa.gpa.solve
-        real_references = defgpa.gpa._references
+        real_eigenpairs = defgpa.gpa._bottom_pairs_of_sum
         solves = []
         batches = []
 
@@ -237,12 +237,12 @@ class TestSweepCommand:
             solves.append(None)
             return real_solve(*args, **kwargs)
 
-        def references(G, anchor, datum, Bg, solved, errors, nus, prior):
-            batches.append((G.shape[1], len(nus)))
-            return real_references(G, anchor, datum, Bg, solved, errors, nus, prior)
+        def eigenpairs(shift, L, R, nus, d):
+            batches.append((L.shape[-1], len(nus)))
+            return real_eigenpairs(shift, L, R, nus, d)
 
         monkeypatch.setattr(defgpa.gpa, "solve", solve)
-        monkeypatch.setattr(defgpa.gpa, "_references", references)
+        monkeypatch.setattr(defgpa.gpa, "_bottom_pairs_of_sum", eigenpairs)
         assert main(["sweep", "--input", path, "--model", "tps", "--thetas", "10,1,0.1",
                      "--cve-group", "1", "--output", str(tmp_path / "g.csv")]) == 0
         assert len(solves) == 3
@@ -276,24 +276,41 @@ class TestCveCommand:
         cve, _ = cross_validation_error(ss, models, nu=sol.nu, config=CveConfig(2))
         assert doc["cve"] == pytest.approx(cve, abs=1e-12)
 
+    @pytest.mark.parametrize("flags", [[], ["--allow-reflection"]])
+    def test_byte_deterministic(self, rng, tmp_path, flags):
+        from conftest import mask_set
+        ss = mask_set(rng, full_set(rng, 2, 14, 4, kind="smooth", noise=0.05), 0.15,
+                      min_joint=2 + 2)
+        path = write_set(tmp_path / "set.json", ss)
+        outs = []
+        for name in ("first.json", "second.json"):
+            out = str(tmp_path / name)
+            assert main(["cve", "--input", path, "--model", "tps", "--ctrl", "3", "--theta", "1",
+                         "--group", "1", *flags, "--output", out]) == 0
+            outs.append(Path(out).read_bytes())
+        assert outs[0] == outs[1]
+
     def test_allow_reflection_reaches_fold_priors(self, rng, tmp_path, monkeypatch):
         import defgpa.gpa
         from conftest import mask_set
         ss = mask_set(rng, full_set(rng, 2, 10, 3, kind="affine", noise=0.05), 0.2,
                       min_joint=2 + 3)
         path = write_set(tmp_path / "set.json", ss)
-        real_completed = defgpa.gpa._completed
-        flags = []
+        real_fold_priors = defgpa.gpa._fold_priors
+        calls = []
 
-        def completed(X, G, allow_reflection):
-            flags.append(allow_reflection)
-            return real_completed(X, G, allow_reflection)
+        def fold_priors(Y, G, moments, held, allow_reflection):
+            calls.append((held.shape, allow_reflection))
+            return real_fold_priors(Y, G, moments, held, allow_reflection)
 
-        monkeypatch.setattr(defgpa.gpa, "_completed", completed)
+        monkeypatch.setattr(defgpa.gpa, "_fold_priors", fold_priors)
         assert main(["cve", "--input", path, "--model", "affine", "--group", "1",
                      "--allow-reflection", "--output", str(tmp_path / "cve.json")]) == 0
-        # the full-set prior and one prior per fold
-        assert flags == [True] * (ss.m + 1)
+        # the full-set prior (no column held out), then one prior per fold, in chunks
+        assert calls[0] == ((1, 0), True)
+        assert [shape[1] for shape, _ in calls[1:]] == [1] * (len(calls) - 1)
+        assert sum(shape[0] for shape, _ in calls[1:]) == ss.m
+        assert all(flag for _, flag in calls)
 
     def test_tps_on_partial_data(self, rng, tmp_path):
         from conftest import mask_set

@@ -644,7 +644,7 @@ class TestFullSetSpanPath:
         def dense(*args, **kwargs):
             raise AssertionError("the dense eigensolve ran on a full set")
 
-        monkeypatch.setattr(gpa_module, "bottom_d_scaled", dense)
+        monkeypatch.setattr(gpa_module, "_dense", dense)
         solve(ss, models)
 
     @pytest.mark.parametrize("d", [2, 3])
@@ -678,13 +678,14 @@ class TestFullSetSpanPath:
         ss = ShapeSet(tuple(Shape(pts.copy(), np.ones(12, bool)) for _ in range(3)))
         models = [XOnlyWarp(2) for _ in range(3)]
         calls = []
-        dense = gpa_module.bottom_d_scaled
+        dense = gpa_module._dense
 
-        def spy(M, *args, **kwargs):
+        def spy(*args):
+            M = dense(*args)
             calls.append(M.shape)
-            return dense(M, *args, **kwargs)
+            return M
 
-        monkeypatch.setattr(gpa_module, "bottom_d_scaled", spy)
+        monkeypatch.setattr(gpa_module, "_dense", spy)
         prior = CovariancePrior(np.array([4.0, 1.0]))
         sol = solve(ss, models, prior=prior)
         assert calls == [(12, 12)]

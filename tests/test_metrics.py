@@ -7,19 +7,23 @@ from defgpa import (
     CveConfig,
     DefgpaError,
     DimensionError,
+    InsufficientOverlap,
     Shape,
     ShapeSet,
     SingularSystem,
     SingularTransform,
     apply_warp,
+    complete_all,
     cross_validation_error,
     cross_validation_errors,
+    estimate_prior,
     estimate_prior_for_set,
     gauge_align,
     rmse_d,
     rmse_r,
     solve,
 )
+from defgpa.gpa import _centred, _fold_priors, _moments, _stacked
 from defgpa.metrics import _fold_slices
 from conftest import affine_models, full_set, mask_set, random_rotation, tps_models
 
@@ -324,7 +328,7 @@ class TestBatchedCrossValidation:
 
         ss = full_set(rng, 3, 24, 4, kind="smooth", noise=0.05)
         fits = solved_fits(ss, [1.0, 0.01], k=2)
-        monkeypatch.setattr(defgpa.gpa, "bottom_d_scaled", dense)
+        monkeypatch.setattr(defgpa.gpa, "_dense", dense)
         assert_cve_parity(cross_validation_errors(ss, fits), per_fold_reference(ss, fits))
 
     def test_zero_residual_cluster(self, rng):
@@ -374,14 +378,14 @@ class TestBatchedCrossValidation:
                       min_joint=2 + 2)
         fits = solved_fits(ss, [10.0, 1.0, 0.1], affine=False)
         whole = cross_validation_errors(ss, fits)
-        references = defgpa.gpa._references
+        eigenpairs = defgpa.gpa._bottom_pairs_of_sum
         passes = []
 
-        def spy(G, anchor, datum, Bg, solved, errors, nus, prior):
+        def spy(shift, L, R, nus, d):
             passes.append(len(nus))
-            return references(G, anchor, datum, Bg, solved, errors, nus, prior)
+            return eigenpairs(shift, L, R, nus, d)
 
-        monkeypatch.setattr(defgpa.gpa, "_references", spy)
+        monkeypatch.setattr(defgpa.gpa, "_bottom_pairs_of_sum", spy)
         nl = ss.n * max(model.feature_dim for model in fits[0][0])
         monkeypatch.setattr(defgpa.metrics, "_STACK_ENTRIES", 2 * (nl * ss.m + ss.m ** 2))
         split = cross_validation_errors(ss, fits)
@@ -423,3 +427,130 @@ class TestBatchedCrossValidation:
         fits = solved_fits(ss, [])
         with pytest.raises(DimensionError):
             cross_validation_errors(ss, fits, reflection_ref=ref)
+
+
+def fold_priors(shape_set, group=1, allow_reflection=False):
+    """The folds of `_fold_slices` and their priors from the downdated moments of the whole set."""
+    X, G = _stacked(shape_set)
+    _, Y = _centred(X, G)
+    folds = _fold_slices(shape_set.m, CveConfig(group))
+    held = np.full((len(folds), group), shape_set.m)
+    for f, fold in enumerate(folds):
+        held[f, :fold.size] = fold
+    priors, error = _fold_priors(Y, G, _moments(Y, G), held, allow_reflection)
+    assert error is None
+    return folds, priors
+
+
+def flattened(shape_set, scale):
+    """The set with its last coordinate scaled by `scale`."""
+    factor = np.ones((shape_set.d, 1))
+    factor[-1] = scale
+    return ShapeSet(tuple(Shape(s.points * factor, s.visibility, s.label) for s in shape_set))
+
+
+class TestFoldPriors:
+    """Fold priors from the whole set's moments minus the held-out columns'."""
+
+    @pytest.mark.parametrize("case", ["partial-2d", "ragged-3", "partial-3d", "flat-3d", "full",
+                                      "reflection"])
+    def test_match_the_restricted_set(self, rng, case):
+        d = 3 if "3d" in case else 2
+        group = 3 if case == "ragged-3" else 1
+        ss = full_set(rng, d, 17 if case == "ragged-3" else 14, 4, kind="smooth", noise=0.05)
+        if case == "flat-3d":
+            ss = flattened(ss, 1e-3)
+        if case != "full":
+            ss = mask_set(rng, ss, 0.15, min_joint=d + 1 + group)
+        allow_reflection = case == "reflection"
+        folds, priors = fold_priors(ss, group, allow_reflection)
+        assert len(priors) == len(folds)
+        for fold, prior in zip(folds, priors):
+            reduced = restrict_points(ss, np.setdiff1d(np.arange(ss.m), fold))
+            for want in (estimate_prior_for_set(reduced, allow_reflection=allow_reflection).lambdas,
+                         estimate_prior(complete_all(reduced, allow_reflection=allow_reflection)).lambdas):
+                assert np.max(np.abs(prior.lambdas - want)) <= 1e-12 * want[0]
+
+    @staticmethod
+    def three_joint_points(rng):
+        """Shapes 0 and 1 share exactly d+1 = 3 points, columns 5, 9 and 12."""
+        ss = full_set(rng, 2, 14, 4, kind="smooth", noise=0.05)
+        vis = np.ones((4, 14), dtype=bool)
+        vis[0, :4] = False
+        vis[1] = False
+        vis[1, [0, 1, 2, 3, 5, 9, 12]] = True
+        return ShapeSet(tuple(Shape(s.points, v, s.label) for s, v in zip(ss, vis)))
+
+    def test_first_failing_fold_fails_every_set(self, rng, monkeypatch):
+        # holding out column 5 leaves shapes 0 and 1 two joint points; folds 0-4 are solved
+        import defgpa.gpa
+        ss = self.three_joint_points(rng)
+        fits = solved_fits(ss, [1.0])
+        with pytest.raises(InsufficientOverlap) as want:
+            per_fold_reference(ss, fits)
+        assert str(want.value) == "need at least 3 jointly visible points, have 2"
+        eigenpairs = defgpa.gpa._bottom_pairs_of_sum
+        solved_folds = []
+
+        def spy(shift, L, R, nus, d):
+            solved_folds.append(L.shape[-1])
+            return eigenpairs(shift, L, R, nus, d)
+
+        monkeypatch.setattr(defgpa.gpa, "_bottom_pairs_of_sum", spy)
+        for outcome in cross_validation_errors(ss, fits):
+            assert type(outcome) is InsufficientOverlap
+            assert str(outcome) == str(want.value)
+        assert solved_folds == [ss.m - 1] * 2 * 5  # a TPS and an affine pass per fold
+
+    def test_earliest_failing_fold_wins(self, rng):
+        # the broken set fails at fold 0, before the chunk's failing prior at fold 5
+        ss = self.three_joint_points(rng)
+        fits = solved_fits(ss, [1.0])
+        broken = ([model.with_smoothing(np.inf) for model in fits[0][0]], fits[0][1])
+        outcomes = cross_validation_errors(ss, [fits[0], broken, fits[1]])
+        assert isinstance(outcomes[1], SingularSystem)
+        assert type(outcomes[0]) is type(outcomes[2]) is InsufficientOverlap
+
+    @pytest.mark.parametrize("kind", ["smooth", "rigid"])
+    def test_chunks_do_not_change_outcomes(self, rng, monkeypatch, kind):
+        # rigid copies make every fold's bottom eigenvalue degenerate: the anchor path runs
+        import defgpa.metrics
+        ss = mask_set(rng, full_set(rng, 2, 12, 4, kind=kind, noise=0.05 if kind == "smooth" else 0.0),
+                      0.15, min_joint=2 + 2)
+        fits = solved_fits(ss, [10.0, 1.0, 0.1])
+        whole = cross_validation_errors(ss, fits)
+        chunks = []
+        fold_priors_core = defgpa.gpa._fold_priors
+
+        def spy(Y, G, moments, held, allow_reflection):
+            chunks.append(len(held))
+            return fold_priors_core(Y, G, moments, held, allow_reflection)
+
+        monkeypatch.setattr(defgpa.gpa, "_fold_priors", spy)
+        monkeypatch.setattr(defgpa.metrics, "_STACK_ENTRIES", 4000)
+        split = cross_validation_errors(ss, fits)
+        assert len(chunks) > 2
+        for got, want in zip(split, whole):
+            assert got[0] == want[0]
+            np.testing.assert_array_equal(np.array(got[1]), np.array(want[1]))
+
+
+def test_cve_memory_stays_within_the_stack_bound(rng):
+    # the CVE may hold one solve's arrays plus at most _STACK_ENTRIES float64 entries of stacks
+    import tracemalloc
+    import defgpa.metrics
+    ss = mask_set(rng, full_set(rng, 2, 150, 12, kind="smooth", noise=0.05), 0.1, min_joint=2 + 2)
+    models = affine_models(ss)
+    full = solve(ss, models, check_conditions=False)
+    tracemalloc.start()
+    try:
+        solve(ss, models, check_conditions=False)
+        _, solve_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        base, _ = tracemalloc.get_traced_memory()
+        outcome, = cross_validation_errors(ss, [(models, full)])
+        _, cve_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not isinstance(outcome, DefgpaError)
+    assert cve_peak - base < solve_peak + 8 * defgpa.metrics._STACK_ENTRIES
