@@ -19,7 +19,7 @@ from .errors import (
     UnconstrainedPoint,
 )
 from .shapes import Shape, ShapeSet, load_shapes, save_shapes
-from .spectral import CovariancePrior, EigenPairs, bottom_d_scaled, eig_sym, leftmost_singular_vector
+from .spectral import CovariancePrior, EigenPairs, eig_sym, leftmost_singular_vector
 from .warps import (
     AffineWarp,
     LbwModel,
@@ -39,8 +39,6 @@ from .gpa import (
     assemble_P,
     check_theorem_conditions,
     complete_all,
-    correct_reflection,
-    estimate_prior,
     estimate_prior_for_set,
     pairwise_transform_table,
     solve,
@@ -56,10 +54,9 @@ __all__ = [
     "FormatError", "GpaSolution", "InsufficientOverlap", "InvalidMatrix", "LbwModel",
     "Shape", "ShapeSet", "SingularSystem", "SingularTransform", "TheoremConditionReport",
     "TpsWarp", "UnconstrainedPoint",
-    "affine_basis", "apply_warp", "assemble_P", "bending_energy", "bottom_d_scaled",
-    "check_theorem_conditions", "complete_all", "correct_reflection", "cross_validation_error",
-    "cross_validation_errors", "eig_sym",
-    "estimate_prior", "estimate_prior_for_set", "fit_inverse_tps",
+    "affine_basis", "apply_warp", "assemble_P", "bending_energy",
+    "check_theorem_conditions", "complete_all", "cross_validation_error",
+    "cross_validation_errors", "eig_sym", "estimate_prior_for_set", "fit_inverse_tps",
     "free_translation_witness", "gauge_align", "leftmost_singular_vector",
     "load_shapes", "pairwise_transform_table",
     "place_control_points", "rmse_d", "rmse_r", "save_shapes", "solve",

@@ -95,7 +95,7 @@ def _load_input(config):
 
 
 def _write_json(path, doc):
-    text = json.dumps(doc, indent=2, allow_nan=False)
+    text = json.dumps(doc, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
         fh.write("\n")

@@ -21,7 +21,6 @@ from .errors import (
     DimensionError,
     InsufficientOverlap,
     SingularSystem,
-    UnconstrainedPoint,
 )
 from .spectral import CovariancePrior, _bottom_pairs, _scale_selected, _span_pairs, leftmost_singular_vector
 from .warps import AffineWarp, _witness_and_residual
@@ -240,36 +239,23 @@ def complete_all(shape_set, allow_reflection=False):
     n, d, m = X.shape
     maps = (s[:, :, None, None] * R).transpose(0, 2, 1, 3).reshape(n * d, n * d)
     acc = (maps @ X.reshape(n * d, m) + t.transpose(0, 2, 1).reshape(n * d, n) @ G).reshape(n, d, m)
-    counts = G.sum(axis=0)
-    if np.any(counts == 0):  # such a point is missing from every shape
-        raise UnconstrainedPoint(f"points {np.flatnonzero(counts == 0).tolist()} are visible in no shape")
-    return list(np.where(G[:, None, :] > 0, X, acc / np.where(counts > 0, counts, 1.0)))
+    return list(np.where(G[:, None, :] > 0, X, acc / G.sum(axis=0)))
 
 
 # ---------------------------------------------------------------------------
 # reference covariance prior
 
 
-def estimate_prior(full_shapes):
+def estimate_prior_for_set(shape_set, allow_reflection=False):
     """Reference covariance prior from per-shape singular values.
 
-    Each centered full shape (all d x m, or an n x d x m stack) contributes
-    the unit vector of its d leading singular values; the consensus direction
-    is the leading left singular vector of their stack, rescaled by the
-    average shape scale and squared.  This is `_fold_priors` of one subset
-    with every point visible and none held out.
+    Partial shapes are completed first.  Each centered shape contributes the
+    unit vector of its d leading singular values; the consensus direction is
+    the leading left singular vector of their stack, rescaled by the average
+    shape scale and squared.  This is `_fold_priors` of one subset with no
+    column held out.
     """
-    D = np.asarray(full_shapes, dtype=float)
-    return _prior(D, np.ones((len(D), D.shape[2])), False)
-
-
-def estimate_prior_for_set(shape_set, allow_reflection=False):
-    """Algorithm-level prior: completes partial shapes first, then estimates."""
-    return _prior(*_stacked(shape_set), allow_reflection)
-
-
-def _prior(X, G, allow_reflection):
-    """The prior of zero-filled points X (n x d x m) with masks G (n x m): one subset, no column held out."""
+    X, G = _stacked(shape_set)
     _, Y = _centred(X, G)
     priors, error = _fold_priors(Y, G, _moments(Y, G), np.zeros((1, 0), dtype=int), allow_reflection)
     if error is not None:
@@ -501,20 +487,6 @@ def _gram_anchor(X, G):
     exactly d-fold degenerate).
     """
     return _centred(X, G)[1].reshape(-1, X.shape[-1])
-
-
-def correct_reflection(S, ref_shape):
-    """Flip the first row of S if an orthogonal Procrustes to ref_shape reflects.
-
-    The Procrustes runs over the visible points of ref_shape; det of the
-    optimal orthogonal factor is the orientation test, and flipping one row of
-    S flips it back to +1.
-    """
-    S = np.asarray(S, dtype=float)
-    (flip,), (undetermined,) = _reflected(S[None], ref_shape.filled(0.0), ref_shape.visibility.astype(float))
-    if undetermined:
-        raise DegenerateConfiguration(_UNORIENTED)
-    return np.concatenate([-S[:1], S[1:]]) if flip else S
 
 
 _UNORIENTED = "orientation is undetermined for this reference shape"

@@ -4,9 +4,8 @@ The closed-form GPA solvers reduce to trace minimization over matrices with
 orthonormal rows (a Brockett cost on the Stiefel manifold), whose optimum is
 assembled from ordered eigenvectors.  This module owns that assembly: the
 eigensolver wrapper with a deterministic sign convention, the covariance
-prior, the bottom-d selection scaled by that prior (from a dense matrix or
-from its restriction to an invariant subspace), and the leading-singular-vector
-helper used by the prior estimator.
+prior, the bottom-d selection scaled by that prior, and the
+leading-singular-vector helper used by the prior estimator.
 """
 
 from dataclasses import dataclass
@@ -51,12 +50,6 @@ def eig_sym(A):
     symmetrized as (A + A^T)/2 before decomposition.  Non-finite entries or
     excessive asymmetry in any matrix raise InvalidMatrix.
     """
-    values, vectors = _checked_eigh(A)
-    return EigenPairs(values=values, vectors=_canonical_signs(vectors))
-
-
-def _checked_eigh(A):
-    """`eig_sym` without the sign convention, for callers that fix the signs of the columns they keep."""
     A = np.asarray(A, dtype=float)
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise DimensionError(f"expected a square matrix or a stack of them, got shape {A.shape}")
@@ -65,7 +58,8 @@ def _checked_eigh(A):
     scale = np.linalg.norm(A, axis=(-2, -1))
     if np.any(np.linalg.norm(A - np.swapaxes(A, -1, -2), axis=(-2, -1)) > _ASYMMETRY_TOL * scale):
         raise InvalidMatrix("matrix is not symmetric within 1e-8 relative tolerance")
-    return np.linalg.eigh(0.5 * (A + np.swapaxes(A, -1, -2)))
+    values, vectors = np.linalg.eigh(0.5 * (A + np.swapaxes(A, -1, -2)))
+    return EigenPairs(values=values, vectors=_canonical_signs(vectors))
 
 
 @dataclass(frozen=True)
@@ -93,11 +87,6 @@ class CovariancePrior:
 
     def matrix(self):
         return np.diag(self.lambdas)
-
-
-def _prior_lambdas(prior):
-    """Accept a CovariancePrior or a plain descending array of eigenvalue targets."""
-    return (prior if isinstance(prior, CovariancePrior) else CovariancePrior(prior)).lambdas
 
 
 def _cluster_slices(values, tol):
@@ -159,8 +148,8 @@ def _scale_selected(values, X, lam, anchor):
 
 def _bottom_pairs(M, d):
     """The d bottom eigenpairs, values (..., d) and vectors (..., m, d), of a matrix or stack that
-    is symmetric by construction, such as (A + A^T)/2 plus nu 11^T: of `_checked_eigh`'s
-    checks only the finiteness check applies."""
+    is symmetric by construction, such as (A + A^T)/2 plus nu 11^T: of `eig_sym`'s checks
+    only the finiteness check applies."""
     if not np.all(np.isfinite(M)):
         raise InvalidMatrix("matrix contains non-finite entries")
     values, vectors = np.linalg.eigh(M)
@@ -170,62 +159,17 @@ def _bottom_pairs(M, d):
 def _span_pairs(U, values, vectors, complement):
     """Lift the d bottom eigenpairs (T x d, T x r x d) of each C_t = U^T M_t U, r >= d, to M_t.
 
-    Returns the lifted vectors U V_t (T x m x d) and which selections the
-    restricted spectrum certifies (see `bottom_d_scaled_on_span`).
+    U (m x r, orthonormal columns) spans a subspace that M_t maps into itself,
+    and M_t acts as `complement` * I on its orthogonal complement.  The
+    eigenpairs of M_t are then those of C_t lifted by U, plus `complement` with
+    multiplicity m - r, so the lift is M_t's bottom d whenever lambda_d(C_t)
+    lies below `complement` by more than the cluster tolerance (or r = m).
+    Returns the lifted vectors U V_t (T x m x d) and which selections that
+    rule certifies.
     """
     m, r = U.shape
     scale = np.maximum(max(1.0, abs(complement)), np.max(np.abs(values), axis=-1))
     return U @ vectors, (r == m) | (values[:, -1] < complement - _CLUSTER_TOL * scale)
-
-
-def bottom_d_scaled(P, prior, anchor=None):
-    """Scale the d bottom eigenvectors of P by the square root of the prior.
-
-    Returns S (d x m) with row k = sqrt(lambda_k) * xi_k^T, pairing the largest
-    prior entry with the smallest eigenvalue of P.  S minimizes
-    trace(S P S^T) subject to S S^T = diag(prior).  A stack of matrices
-    (T x m x m) takes one eigensolver call and gives a T x d x m stack.
-
-    `anchor` (optional k x m matrix A) resolves degenerate eigenvalue clusters
-    deterministically through the Gram A^T A; see _anchor_rotate.
-    """
-    lam = _prior_lambdas(prior)
-    d = lam.size
-    values, vectors = _checked_eigh(P)
-    if d > vectors.shape[-1]:
-        raise DimensionError(f"prior dimension {d} exceeds matrix size {vectors.shape[-1]}")
-    return _scale_selected(values[..., :d], vectors[..., :, :d], lam, anchor)
-
-
-def bottom_d_scaled_on_span(U, C, complement, prior, anchor=None):
-    """`bottom_d_scaled` of an m x m matrix M given on an invariant subspace.
-
-    U (m x r, orthonormal columns) spans a subspace that M maps into itself,
-    C = U^T M U, and M acts as `complement` * I on the orthogonal complement
-    of U.  The eigenpairs of M are then those of C lifted by U, plus the
-    eigenvalue `complement` with multiplicity m - r (Rayleigh-Ritz on an
-    exactly invariant subspace), so the d bottom eigenvectors are U V[:, :d]
-    whenever lambda_d(C) lies below `complement`.
-
-    Returns None when r < m and the restricted spectrum cannot certify the
-    selection: r < d, or lambda_d(C) within the cluster tolerance of (or
-    above) `complement`.  The caller then solves the dense problem.  A stack
-    C (T x r x r) takes one eigensolver call and gives a list of T results.
-    """
-    lam = _prior_lambdas(prior)
-    d = lam.size
-    U = np.asarray(U, dtype=float)
-    m, r = U.shape
-    if d > m:
-        raise DimensionError(f"prior dimension {d} exceeds matrix size {m}")
-    values, vectors = _checked_eigh(C if C.ndim > 2 else C[None])
-    if d > r:
-        selected = [None] * len(values)
-    else:
-        X, certified = _span_pairs(U, values[:, :d], vectors[:, :, :d], complement)
-        S = _scale_selected(values[:, :d], X, lam, anchor)
-        selected = [S[t] if ok else None for t, ok in enumerate(certified)]
-    return selected if C.ndim > 2 else selected[0]
 
 
 def leftmost_singular_vector(M):

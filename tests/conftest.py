@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from defgpa import AffineWarp, Shape, ShapeSet, place_control_points, tps_build
+from defgpa import AffineWarp, Shape, ShapeSet, eig_sym, place_control_points, tps_build
+from defgpa.gpa import _reflected
+from defgpa.spectral import _scale_selected
 
 
 def random_rotation(rng, d):
@@ -40,6 +42,23 @@ def full_set(rng, d, m, n, kind="affine", noise=0.0, deform=0.15):
             D = D + noise * rng.normal(size=D.shape)
         shapes.append(Shape(D, np.ones(m, bool)))
     return ShapeSet(tuple(shapes))
+
+
+def full_shapes(arrays):
+    """A ShapeSet of full d x m point arrays."""
+    return ShapeSet(tuple(Shape(D, np.ones(D.shape[1], bool)) for D in arrays))
+
+
+def dense_selection(M, lambdas, anchor=None, datum=None):
+    """The dense closed form: the bottom d of M (or of each in a stack) by `eig_sym`, scaled by the
+    prior lambdas (d,), first row flipped where an orthogonal Procrustes to the datum Shape reflects."""
+    d = len(lambdas)
+    pairs = eig_sym(M)
+    S = _scale_selected(pairs.values[..., :d], pairs.vectors[..., :, :d], lambdas, anchor)
+    if datum is not None:
+        flip, _ = _reflected(S, datum.filled(0.0), datum.visibility.astype(float))
+        S[..., 0, :] *= np.where(flip, -1.0, 1.0)[..., None]
+    return S
 
 
 def mask_set(rng, shape_set, frac=0.2, min_joint=None):

@@ -1,4 +1,8 @@
-"""The package namespace: every exported name resolves."""
+"""The package namespace: every exported name resolves and has a caller."""
+
+import ast
+import re
+from pathlib import Path
 
 import defgpa
 from defgpa import gpa, spectral
@@ -17,3 +21,19 @@ def test_every_export_resolves():
 
 def test_covariance_prior_resolves_from_both_modules():
     assert defgpa.CovariancePrior is gpa.CovariancePrior is spectral.CovariancePrior
+
+
+def test_every_export_has_a_caller():
+    # a public name must be used by the package, a demo or the acceptance tests, or be
+    # documented in the README; definitions and imports do not count as uses
+    root = Path(__file__).resolve().parent.parent
+    sources = [p for p in (root / "src" / "defgpa").glob("*.py") if p.name != "__init__.py"]
+    sources += [*(root / "demos").glob("*.py"), root / "tests" / "test_acceptance.py"]
+    used = set(re.findall(r"\w+", (root / "README.md").read_text(encoding="utf-8")))
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert sorted(set(defgpa.__all__) - used) == []

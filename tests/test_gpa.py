@@ -14,12 +14,9 @@ from defgpa import (
     SingularSystem,
     UnconstrainedPoint,
     assemble_P,
-    bottom_d_scaled,
     check_theorem_conditions,
     complete_all,
-    correct_reflection,
     eig_sym,
-    estimate_prior,
     estimate_prior_for_set,
     leftmost_singular_vector,
     pairwise_transform_table,
@@ -28,11 +25,13 @@ from defgpa import (
     solve_affine_centered,
 )
 from defgpa import gpa as gpa_module
-from defgpa.gpa import _gram_anchor, _per_shape_terms, _solve_normal, _stacked
+from defgpa.gpa import _gram_anchor, _per_shape_terms, _reflected, _solve_normal, _stacked
 from defgpa.warps import AffineWarp
 from conftest import (
     affine_models,
+    dense_selection,
     full_set,
+    full_shapes,
     mask_set,
     random_rotation,
     tps_models,
@@ -292,7 +291,7 @@ class TestBatchedCompletion:
 class TestPriorEstimation:
     def test_identical_shapes(self, rng):
         pts = rng.normal(size=(2, 10))
-        prior = estimate_prior([pts, pts.copy(), pts.copy()])
+        prior = estimate_prior_for_set(full_shapes([pts, pts.copy(), pts.copy()]))
         centered = pts - pts.mean(axis=1, keepdims=True)
         expected = np.sort(np.linalg.eigvalsh(centered @ centered.T))[::-1]
         np.testing.assert_allclose(prior.lambdas, expected, atol=1e-9)
@@ -303,12 +302,12 @@ class TestPriorEstimation:
         v1 = np.array([1.0, -1.0, 1.0, -1.0]) / 2.0
         v2 = np.array([1.0, 1.0, -1.0, -1.0]) / 2.0
         D = np.diag([2.0, 1.0]) @ np.vstack([v1, v2])
-        prior = estimate_prior([D, D.copy()])
+        prior = estimate_prior_for_set(full_shapes([D, D.copy()]))
         np.testing.assert_allclose(prior.lambdas, [4.0, 1.0], atol=1e-12)
 
     def test_matches_grid_search(self, rng):
         shapes = [rng.normal(size=(2, 9)) for _ in range(5)]
-        prior = estimate_prior(shapes)
+        prior = estimate_prior_for_set(full_shapes(shapes))
         # brute-force maximization of sum (theta^T pi_i)^2 on the unit circle
         cols = []
         norms = []
@@ -331,7 +330,7 @@ class TestPriorEstimation:
 
     def test_zero_scale(self):
         with pytest.raises(DegenerateInput):
-            estimate_prior([np.ones((2, 5))])
+            estimate_prior_for_set(full_shapes([np.ones((2, 5))]))
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_stacked_svd_matches_per_shape_loop(self, rng, d):
@@ -342,17 +341,16 @@ class TestPriorEstimation:
             columns.append(sv / np.linalg.norm(sv))
             norms.append(np.linalg.norm(sv))
         expected = (np.mean(norms) * leftmost_singular_vector(np.column_stack(columns))) ** 2
-        np.testing.assert_allclose(estimate_prior(shapes).lambdas, expected, rtol=1e-14, atol=0)
-        np.testing.assert_array_equal(estimate_prior(np.stack(shapes)).lambdas,
-                                      estimate_prior(shapes).lambdas)
+        np.testing.assert_allclose(estimate_prior_for_set(full_shapes(shapes)).lambdas, expected,
+                                   rtol=1e-14, atol=0)
         with pytest.raises(DegenerateInput, match="shape 2 has zero scale"):
-            estimate_prior(shapes[:2] + [np.ones((d, 11))] + shapes[2:])
+            estimate_prior_for_set(full_shapes(shapes[:2] + [np.ones((d, 11))] + shapes[2:]))
 
     def test_partial_set_routes_through_completion(self, rng):
         ss = mask_set(rng, full_set(rng, 2, 12, 4, kind="affine"), 0.2)
         prior = estimate_prior_for_set(ss)
         from defgpa import complete_all
-        direct = estimate_prior(complete_all(ss))
+        direct = estimate_prior_for_set(full_shapes(complete_all(ss)))
         np.testing.assert_allclose(prior.lambdas, direct.lambdas, atol=1e-12)
 
 
@@ -599,8 +597,7 @@ class XOnlyWarp(AffineWarp):
 def dense_reference(shape_set, models, prior, nu):
     """The dense closed form: bottom-d of the assembled P + nu 11^T, reflection-corrected."""
     M = assemble_P(shape_set, models) + nu * np.ones((shape_set.m, shape_set.m))
-    S = bottom_d_scaled(M, prior, anchor=_gram_anchor(*_stacked(shape_set)))
-    return correct_reflection(S, shape_set[0]), M
+    return dense_selection(M, prior.lambdas, _gram_anchor(*_stacked(shape_set)), shape_set[0]), M
 
 
 def gauge_residual(S, T):
@@ -663,12 +660,12 @@ class TestFullSetSpanPath:
 
     def test_centered_affine_matches_dense_top_d(self, rng):
         ss = full_set(rng, 3, 30, 4, kind="smooth", noise=0.05)
-        prior = estimate_prior([s.points for s in ss])
+        prior = estimate_prior_for_set(ss)
         Q = np.zeros((ss.m, ss.m))
         for s in ss:
             Dbar = s.points - s.points.mean(axis=1, keepdims=True)
             Q += Dbar.T @ np.linalg.solve(Dbar @ Dbar.T, Dbar)
-        S = correct_reflection(bottom_d_scaled(-Q, prior, anchor=_gram_anchor(*_stacked(ss))), ss[0])
+        S = dense_selection(-Q, prior.lambdas, _gram_anchor(*_stacked(ss)), ss[0])
         assert gauge_residual(solve_affine_centered(ss, prior=prior).reference, S) < 1e-8
 
     def test_falls_back_to_dense_when_the_span_cannot_certify(self, rng, monkeypatch):
@@ -736,7 +733,7 @@ class TestTranslationElimination:
 
     def test_same_reference_as_homogeneous_path(self, rng):
         ss = full_set(rng, 2, 12, 4, kind="affine", noise=0.1)
-        prior = estimate_prior([s.points for s in ss])
+        prior = estimate_prior_for_set(ss)
         sol_hom = solve(ss, affine_models(ss), prior=prior)
         sol_cent = solve_affine_centered(ss, prior=prior)
         dist = np.linalg.norm(row_space_projector(sol_hom.reference)
@@ -747,27 +744,34 @@ class TestTranslationElimination:
             assert min(np.linalg.norm(r1 - r2), np.linalg.norm(r1 + r2)) < 1e-7
 
 
+def reflects(S, datum):
+    """Whether an orthogonal Procrustes of reference S to the datum Shape reflects, and whether it is
+    undetermined: the orientation test of every solve."""
+    (flip,), (undetermined,) = _reflected(S[None], datum.filled(0.0), datum.visibility.astype(float))
+    return bool(flip), bool(undetermined)
+
+
 class TestReflection:
     def test_consistent_unchanged(self, rng):
         ss = full_set(rng, 2, 10, 3, kind="affine")
         sol = solve(ss, affine_models(ss))
-        out = correct_reflection(sol.reference, ss[0])
-        np.testing.assert_allclose(out, sol.reference, atol=0)
+        assert reflects(sol.reference, ss[0]) == (False, False)
 
     def test_mirrored_restored(self, rng):
         ss = full_set(rng, 2, 10, 3, kind="affine")
         sol = solve(ss, affine_models(ss))
         mirrored = sol.reference.copy()
         mirrored[0] *= -1.0
-        out = correct_reflection(mirrored, ss[0])
-        np.testing.assert_allclose(out, sol.reference, atol=1e-12)
+        assert reflects(mirrored, ss[0]) == (True, False)
 
     def test_idempotent(self, rng):
+        # the solve's reference is already oriented, so a second test flips nothing
         ss = full_set(rng, 3, 12, 4, kind="smooth", noise=0.1)
         sol = solve(ss, affine_models(ss))
-        once = correct_reflection(sol.reference, ss[0])
-        twice = correct_reflection(once, ss[0])
-        np.testing.assert_allclose(once, twice, atol=0)
+        assert reflects(sol.reference, ss[0]) == (False, False)
+        mirrored = sol.reference.copy()
+        mirrored[0] *= -1.0
+        assert reflects(mirrored, ss[0]) == (True, False)
 
 
 class TestTheoremConditions:

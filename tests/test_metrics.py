@@ -16,7 +16,6 @@ from defgpa import (
     complete_all,
     cross_validation_error,
     cross_validation_errors,
-    estimate_prior,
     estimate_prior_for_set,
     gauge_align,
     rmse_d,
@@ -25,7 +24,7 @@ from defgpa import (
 )
 from defgpa.gpa import _centred, _fold_priors, _moments, _stacked
 from defgpa.metrics import _fold_slices
-from conftest import affine_models, full_set, mask_set, random_rotation, tps_models
+from conftest import affine_models, full_set, full_shapes, mask_set, random_rotation, tps_models
 
 
 class TestRmseR:
@@ -467,8 +466,9 @@ class TestFoldPriors:
         assert len(priors) == len(folds)
         for fold, prior in zip(folds, priors):
             reduced = restrict_points(ss, np.setdiff1d(np.arange(ss.m), fold))
+            completed = full_shapes(complete_all(reduced, allow_reflection=allow_reflection))
             for want in (estimate_prior_for_set(reduced, allow_reflection=allow_reflection).lambdas,
-                         estimate_prior(complete_all(reduced, allow_reflection=allow_reflection)).lambdas):
+                         estimate_prior_for_set(completed).lambdas):
                 assert np.max(np.abs(prior.lambdas - want)) <= 1e-12 * want[0]
 
     @staticmethod

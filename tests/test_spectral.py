@@ -7,14 +7,16 @@ import pytest
 import scipy.linalg
 
 from defgpa import (
+    CovariancePrior,
     DegenerateInput,
     DimensionError,
     InvalidMatrix,
-    bottom_d_scaled,
     eig_sym,
     leftmost_singular_vector,
 )
-from defgpa.spectral import bottom_d_scaled_on_span
+from defgpa import gpa
+from defgpa.spectral import _scale_selected, _span_pairs
+from conftest import dense_selection
 
 
 def random_symmetric(rng, m, spread=1.0):
@@ -89,11 +91,11 @@ class TestEigSym:
 
 class TestBottomScaled:
     def test_diagonal_single(self):
-        S = bottom_d_scaled(np.diag([0.0, 1.0, 2.0]), np.array([4.0]))
+        S = dense_selection(np.diag([0.0, 1.0, 2.0]), np.array([4.0]))
         np.testing.assert_allclose(S, [[2.0, 0.0, 0.0]], atol=1e-12)
 
     def test_diagonal_degenerate_subspace(self):
-        S = bottom_d_scaled(np.diag([0.0, 0.0, 5.0]), np.array([9.0, 4.0]))
+        S = dense_selection(np.diag([0.0, 0.0, 5.0]), np.array([9.0, 4.0]))
         # rows span {e1, e2} with norms (3, 2); basis within the span is free
         assert np.allclose(S[:, 2], 0.0, atol=1e-12)
         np.testing.assert_allclose(np.linalg.norm(S, axis=1), [3.0, 2.0], atol=1e-12)
@@ -101,14 +103,14 @@ class TestBottomScaled:
     def test_sst_equals_prior(self, rng):
         P = random_symmetric(rng, 9)
         lam = np.sort(rng.uniform(0.5, 4.0, size=3))[::-1]
-        S = bottom_d_scaled(P, lam)
+        S = dense_selection(P, lam)
         assert np.linalg.norm(S @ S.T - np.diag(lam)) <= 1e-9 * lam.sum()
 
     def test_subset_optimality_by_enumeration(self, rng):
         for _ in range(5):
             P = random_symmetric(rng, 8)
             lam = np.sort(rng.uniform(0.2, 3.0, size=2))[::-1]
-            S = bottom_d_scaled(P, lam)
+            S = dense_selection(P, lam)
             achieved = np.trace(S @ P @ S.T)
             pairs = eig_sym(P)
             best = np.inf
@@ -121,18 +123,16 @@ class TestBottomScaled:
         P = np.stack([random_symmetric(rng, 7) for _ in range(3)])
         lam = np.array([4.0, 1.0])
         anchor = rng.normal(size=(2, 7))
-        S = bottom_d_scaled(P, lam, anchor=anchor)
+        S = dense_selection(P, lam, anchor=anchor)
         assert S.shape == (3, 2, 7)
         for k in range(3):
-            np.testing.assert_array_equal(S[k], bottom_d_scaled(P[k], lam, anchor=anchor))
+            np.testing.assert_array_equal(S[k], dense_selection(P[k], lam, anchor=anchor))
 
     def test_prior_validation(self):
         with pytest.raises(DegenerateInput):
-            bottom_d_scaled(np.eye(3), np.array([1.0, 2.0]))  # ascending
+            CovariancePrior(np.array([1.0, 2.0]))  # ascending
         with pytest.raises(DegenerateInput):
-            bottom_d_scaled(np.eye(3), np.array([1.0, -0.5]))
-        with pytest.raises(DimensionError):
-            bottom_d_scaled(np.eye(3), np.ones(4))
+            CovariancePrior(np.array([1.0, -0.5]))
 
 
 def embedded(C, complement, m):
@@ -141,6 +141,16 @@ def embedded(C, complement, m):
     M = complement * np.eye(m)
     M[:r, :r] = C
     return M
+
+
+def span_selection(U, C, complement, lam, anchor=None):
+    """The span path's selection for each C_t = U^T M_t U of a stack: the lifted bottom d, scaled
+    by the prior, where `_span_pairs` certifies it, else None."""
+    pairs = eig_sym(C)
+    values, vectors = pairs.values[:, :len(lam)], pairs.vectors[:, :, :len(lam)]
+    X, certified = _span_pairs(U, values, vectors, complement)
+    S = _scale_selected(values, X, lam, anchor)
+    return [S[t] if ok else None for t, ok in enumerate(certified)]
 
 
 class TestBottomScaledOnSpan:
@@ -152,8 +162,8 @@ class TestBottomScaledOnSpan:
         complement = float(np.max(np.linalg.eigvalsh(C))) + 1.0
         M = complement * np.eye(m) + U @ (C - complement * np.eye(r)) @ U.T
         lam = np.array([4.0, 1.0])
-        S = bottom_d_scaled_on_span(U, C, complement, lam)
-        np.testing.assert_allclose(S, bottom_d_scaled(M, lam), atol=1e-12)
+        (S,) = span_selection(U, C[None], complement, lam)
+        np.testing.assert_allclose(S, dense_selection(M, lam), atol=1e-12)
 
     @pytest.mark.parametrize("second", [2.0, 2.0 - 1e-12, 3.0])
     def test_falls_back_when_lambda_d_reaches_complement(self, second):
@@ -161,44 +171,50 @@ class TestBottomScaledOnSpan:
         # so the bottom-d eigenvectors of M are not certified by C alone
         C = np.diag([0.0, second, 5.0])
         U = np.eye(5)[:, :3]
-        assert bottom_d_scaled_on_span(U, C, 2.0, np.array([4.0, 1.0])) is None
+        assert span_selection(U, C[None], 2.0, np.array([4.0, 1.0])) == [None]
 
     def test_selects_when_lambda_d_clears_complement(self):
         C = np.diag([0.0, 2.0 - 1e-6, 5.0])
         U = np.eye(5)[:, :3]
         lam = np.array([4.0, 1.0])
-        S = bottom_d_scaled_on_span(U, C, 2.0, lam)
-        np.testing.assert_allclose(S, bottom_d_scaled(embedded(C, 2.0, 5), lam), atol=1e-12)
+        (S,) = span_selection(U, C[None], 2.0, lam)
+        np.testing.assert_allclose(S, dense_selection(embedded(C, 2.0, 5), lam), atol=1e-12)
 
-    def test_falls_back_when_span_is_thinner_than_d(self):
-        assert bottom_d_scaled_on_span(np.eye(4)[:, :1], np.zeros((1, 1)), 3.0,
-                                       np.array([4.0, 1.0])) is None
+    def test_falls_back_when_span_is_thinner_than_d(self, monkeypatch):
+        # each M_t = diag(0, 3, 3, 3) is 3 I outside span(e_1), which cannot hold
+        # d = 2 columns, so the solve's span path takes the dense matrices
+        calls = []
+        dense = gpa._dense
+        monkeypatch.setattr(gpa, "_dense", lambda *args: calls.append(args) or dense(*args))
+        L = np.eye(4)[None, :1]
+        values, X = gpa._bottom_pairs_of_sum(3.0, L, np.stack([3.0 * L, 3.0 * L]), np.zeros(2), 2)
+        assert len(calls) == 1
+        np.testing.assert_allclose(values, [[0.0, 3.0], [0.0, 3.0]], atol=1e-12)
+        np.testing.assert_allclose(np.abs(X[:, :, 0]), np.eye(4)[[0, 0]], atol=1e-12)
 
     def test_full_span_needs_no_guard(self):
         # r = m: there is no complement, so a tie with its value is harmless
         C = np.diag([0.0, 2.0, 5.0])
         lam = np.array([4.0, 1.0])
-        S = bottom_d_scaled_on_span(np.eye(3), C, 2.0, lam)
-        np.testing.assert_allclose(S, bottom_d_scaled(C, lam), atol=1e-12)
+        (S,) = span_selection(np.eye(3), C[None], 2.0, lam)
+        np.testing.assert_allclose(S, dense_selection(C, lam), atol=1e-12)
 
     def test_anchor_resolves_clusters_like_dense(self, rng):
         C = np.diag([0.0, 0.0, 3.0])
         anchor = rng.normal(size=(4, 6))
         lam = np.array([4.0, 1.0])
-        S = bottom_d_scaled_on_span(np.eye(6)[:, :3], C, 5.0, lam, anchor=anchor)
+        (S,) = span_selection(np.eye(6)[:, :3], C[None], 5.0, lam, anchor=anchor)
         np.testing.assert_allclose(
-            S, bottom_d_scaled(embedded(C, 5.0, 6), lam, anchor=anchor), atol=1e-12)
-
+            S, dense_selection(embedded(C, 5.0, 6), lam, anchor=anchor), atol=1e-12)
 
     def test_stack_certifies_each_matrix_alone(self):
         # the first restriction clears the complement, the second ties with it
         C = np.stack([np.diag([0.0, 2.0 - 1e-6, 5.0]), np.diag([0.0, 2.0, 5.0])])
         U = np.eye(5)[:, :3]
         lam = np.array([4.0, 1.0])
-        first, second = bottom_d_scaled_on_span(U, C, 2.0, lam)
-        np.testing.assert_array_equal(first, bottom_d_scaled_on_span(U, C[0], 2.0, lam))
+        first, second = span_selection(U, C, 2.0, lam)
+        np.testing.assert_array_equal(first, span_selection(U, C[:1], 2.0, lam)[0])
         assert second is None
-        assert bottom_d_scaled_on_span(np.eye(4)[:, :1], np.zeros((2, 1, 1)), 3.0, lam) == [None, None]
 
 
 class TestLeftmostSingularVector:
