@@ -4,10 +4,11 @@ Pipeline (all closed-form): pairwise similarity Procrustes between shapes,
 completion of missing points by visibility-weighted averaging, estimation of
 the reference covariance prior from per-shape singular values, assembly of the
 point-space matrix P, and the constrained trace minimization whose optimum is
-the bottom-d eigenvectors of P + nu*11^T scaled by the prior.  When every
-shape is full that eigenproblem is solved on the span of the stacked bases,
-without forming an m x m matrix.  A reflection correction against one datum
-shape fixes the orientation gauge.
+the bottom-d eigenvectors of P + nu*11^T scaled by the prior.  That matrix is
+diagonal plus low rank, D - F^T F + nu 11^T with F the whitened bases
+L_i^-1 B_i Gamma_i, and the DPLR eigensolver of `spectral` solves it without
+forming an m x m matrix wherever it can certify the selection.  A reflection
+correction against one datum shape fixes the orientation gauge.
 """
 
 from dataclasses import dataclass
@@ -22,7 +23,8 @@ from .errors import (
     InsufficientOverlap,
     SingularSystem,
 )
-from .spectral import CovariancePrior, _bottom_pairs, _scale_selected, _span_pairs, leftmost_singular_vector
+from .spectral import (CovariancePrior, _bottom_pairs_dplr, _dplr_matrix, _scale_selected,
+                       leftmost_singular_vector)
 from .warps import AffineWarp, _witness_and_residual
 
 
@@ -329,10 +331,10 @@ def _fold_priors(Y, G, moments, held, allow_reflection):
 
 
 def _cholesky_solve(N, rhs):
-    """N^{-1} rhs for SPD N (or a stack of them) as L^-T (L^-1 rhs), with L the Cholesky factor.
+    """L^-1 rhs and N^-1 rhs = L^-T (L^-1 rhs) for SPD N (or a stack of them), L its Cholesky factor.
 
     One inverse of the triangular factor and two matmuls replace two general
-    solves against it.
+    solves against it; the half solve factors rhs^T N^-1 rhs.
 
     Raises np.linalg.LinAlgError when any N is not positive definite or either
     input holds a non-finite entry.
@@ -340,11 +342,12 @@ def _cholesky_solve(N, rhs):
     if not (np.all(np.isfinite(N)) and np.all(np.isfinite(rhs))):
         raise np.linalg.LinAlgError("non-finite entries")
     Linv = np.linalg.inv(np.linalg.cholesky(N))
-    return np.swapaxes(Linv, -1, -2) @ (Linv @ rhs)
+    half = Linv @ rhs
+    return half, np.swapaxes(Linv, -1, -2) @ half
 
 
 def _solve_normal(N, rhs, index):
-    """SPD solve with one diagonal-jitter retry before giving up; no retry for non-finite input."""
+    """`_cholesky_solve` with one diagonal-jitter retry before giving up; no retry for non-finite input."""
     if not (np.all(np.isfinite(N)) and np.all(np.isfinite(rhs))):
         raise SingularSystem(f"normal matrix of shape {index} is non-finite", shape_index=index)
     try:
@@ -383,12 +386,14 @@ def _bases(shape_set, models):
 
 
 def _per_shape_terms(G, bases, mus):
-    """Bg_i = B_i Gamma_i (n x l x m) and N_ti^{-1} Bg_i (T x n x l x m) for masks G (n x m) and
+    """L_ti^-1 Bg_i and N_ti^-1 Bg_i (T x n x l x m), Bg_i = B_i Gamma_i, for masks G (n x m) and
     smoothing rows mus (T x n).
 
-    N_ti = Bg_i B_i^T + mus[t, i] Z_i^T Z_i (identity on padded rows) is factored in
-    one call; if that fails, each matrix goes through `_solve_normal`, and a row t
-    that stays singular gets its SingularSystem in the returned dict.
+    N_ti = Bg_i B_i^T + mus[t, i] Z_i^T Z_i = L_ti L_ti^T (identity on padded rows)
+    is factored in one call; if that fails, each matrix goes through
+    `_solve_normal`, and a row t that stays singular gets its SingularSystem in
+    the returned dict.  Row t's solve matrix is diag(sum_i Gamma_i) - F^T F
+    (plus nu 11^T), with F the (L_ti^-1 Bg_i) stacked over i.
     """
     B, grams, dims = bases
     Bg = B * G[:, None, :]
@@ -398,84 +403,43 @@ def _per_shape_terms(G, bases, mus):
     N = N + mus[:, :, None, None] * grams
     errors = {}
     try:
-        solved = _cholesky_solve(N, Bg)
+        F, solved = _cholesky_solve(N, Bg)
     except np.linalg.LinAlgError:
-        solved = np.zeros(N.shape[:2] + Bg.shape[1:])
+        F, solved = np.zeros((2,) + N.shape[:2] + Bg.shape[1:])
         for t in range(len(mus)):
             try:
                 for i, l in enumerate(dims):
-                    solved[t, i, :l] = _solve_normal(N[t, i, :l, :l], Bg[i, :l], i)
+                    F[t, i, :l], solved[t, i, :l] = _solve_normal(N[t, i, :l, :l], Bg[i, :l], i)
             except SingularSystem as exc:
                 errors[t] = exc
-    return Bg, solved, errors
+    return F, solved, errors
+
+
+def _factors(F, nus):
+    """The factors W_t = [F_t^T, sqrt(nu_t) 1] (T x m x (n l + 1)) of the solve matrices
+    diag(sum_i Gamma_i) - W_t J W_t^T from `_per_shape_terms`' F (T x n x l x m), J = diag(I, -1);
+    a transposed view of the rows [F_t; sqrt(nu_t) 1^T], which append to F without a transposing copy."""
+    T, m = len(F), F.shape[-1]
+    ones = np.broadcast_to(np.sqrt(nus)[:, None, None], (T, 1, m))
+    return np.swapaxes(np.concatenate([F.reshape(T, -1, m), ones], axis=1), -1, -2)
 
 
 def _terms(shape_set, models):
-    """Bg and solved (n x l x m) of one model set; raises SingularSystem."""
+    """Bg, F and solved (n x l x m) of one model set (see `_per_shape_terms`); raises SingularSystem."""
     mus = _smoothings(shape_set, models)[None]
-    Bg, solved, errors = _per_shape_terms(shape_set.visibility_matrix(), _bases(shape_set, models), mus)
+    B, grams, dims = _bases(shape_set, models)
+    G = shape_set.visibility_matrix()
+    F, solved, errors = _per_shape_terms(G, (B, grams, dims), mus)
     if errors:
         raise errors[0]
-    return Bg, solved[0]
-
-
-def _dense(shift, L, R):
-    """diag(shift) - sum_i L_i^T R_i, symmetrized against round-off; R may carry a leading T axis.
-
-    The sum is one contraction over the combined (shape, feature) axis.
-    """
-    m = L.shape[-1]
-    M = np.diag(shift) - L.reshape(-1, m).T @ R.reshape(R.shape[:-3] + (-1, m))
-    return 0.5 * (M + np.swapaxes(M, -1, -2))
+    return B * G[:, None, :], F[0], solved[0]
 
 
 def assemble_P(shape_set, models):
     """P = sum_i (Gamma_i - Gamma_i B_i^T N_i^{-1} B_i Gamma_i); symmetric, 0 <= P <= nI."""
-    return _dense(shape_set.visibility_matrix().sum(axis=0).astype(float), *_terms(shape_set, models))
-
-
-def _span_basis(columns):
-    """Orthonormal basis (m x r) of the column span of an m x k matrix.
-
-    Columns are scaled to unit norm first, so that the rank cutoff does not
-    depend on their scale; singular values at or below max(m, k) * eps times
-    the largest count as zero (the default of np.linalg.matrix_rank).
-    """
-    norms = np.linalg.norm(columns, axis=0)
-    columns = columns[:, norms > 0] / norms[norms > 0]
-    if columns.shape[1] == 0:
-        return columns
-    U, sv, _ = np.linalg.svd(columns, full_matrices=False)
-    return U[:, sv > max(columns.shape) * np.finfo(float).eps * sv[0]]
-
-
-def _bottom_pairs_of_sum(shift, L, R, nus, d):
-    """Bottom-d eigenpairs of each M_t = diag(shift) - sum_i L_i^T R_ti + nu_t 11^T.
-
-    L is n x l x m and R_ti = K_ti L_i for symmetric K_ti (the solved normal
-    equations); returns values (T x d) and vectors (T x m x d) from one stacked
-    eigensolver call.  With a scalar shift c, M_t equals c I outside the span
-    of the L_i^T (and of 1 when nu > 0), a subspace of dimension
-    r <= sum_i l_i + 1.  The eigenproblem is then solved on that span,
-    C_t = U^T M_t U, and no m x m array is formed.  The dense matrix serves a
-    vector shift, and a scalar one when the restricted spectrum cannot
-    certify the selection.
-    """
-    m = L.shape[-1]
-    if np.ndim(shift) == 0:
-        ones = [np.ones((m, 1))] if np.any(nus) else []
-        U = _span_basis(np.hstack(list(np.swapaxes(L, -1, -2)) + ones))
-        w = U.sum(axis=0)  # U^T 1
-        C = shift * np.eye(U.shape[1]) + nus[:, None, None] * np.outer(w, w)
-        C -= (L.reshape(-1, m) @ U).T @ (R.reshape(len(R), -1, m) @ U)
-        if U.shape[1] < d:  # the span cannot hold the selection
-            return _bottom_pairs(_dense(np.full(m, float(shift)), L, R) + nus[:, None, None], d)
-        values, X = _bottom_pairs(0.5 * (C + np.swapaxes(C, -1, -2)), d)
-        X, certified = _span_pairs(U, values, X, shift)
-        for t in np.flatnonzero(~certified):
-            values[t], X[t] = _bottom_pairs(_dense(np.full(m, float(shift)), L, R[t]) + nus[t], d)
-        return values, X
-    return _bottom_pairs(_dense(shift, L, R) + nus[:, None, None], d)
+    _, F, _ = _terms(shape_set, models)
+    counts = shape_set.visibility_matrix().sum(axis=0).astype(float)
+    return _dplr_matrix(counts[None], _factors(F[None], np.zeros(1)))[0]
 
 
 def _gram_anchor(X, G):
@@ -530,7 +494,8 @@ def check_theorem_conditions(shape_set, models, tol=1e-6):
     Gamma_i B_i^T x = Gamma_i 1 (and Z_i x = 0 when regularized).  Also checks
     the aggregate P 1 = 0.
     """
-    return _theorem_conditions(shape_set, *_terms(shape_set, models), models, tol)
+    Bg, _, solved = _terms(shape_set, models)
+    return _theorem_conditions(shape_set, Bg, solved, models, tol)
 
 
 def _checked_args(shape_set, prior, nu, reflection_ref, allow_reflection=False):
@@ -613,8 +578,8 @@ def solve(shape_set, models, prior=None, nu=None, reflection_ref=0,
           allow_reflection=False, check_conditions=True):
     """Closed-form GPA with linear basis warps.
 
-    Takes the bottom-d eigenvectors of P + nu*11^T (on the span of the
-    stacked bases when every shape is full, else from the dense matrix),
+    Takes the bottom-d eigenvectors of P + nu*11^T (from the DPLR eigensolver,
+    with the dense matrix only where it cannot certify the selection),
     scales them by the prior, corrects reflection against one datum shape,
     and recovers per-shape weights by regularized least squares.  With
     prior=None the reference covariance prior is estimated from the
@@ -622,10 +587,9 @@ def solve(shape_set, models, prior=None, nu=None, reflection_ref=0,
     This is the one-set case of the pass that cross-validation runs per fold.
     """
     prior, nu = _checked_args(shape_set, prior, nu, reflection_ref, allow_reflection)
-    Bg, solved = _terms(shape_set, models)
+    Bg, F, solved = _terms(shape_set, models)
     X, G = _stacked(shape_set)
-    values, V = _bottom_pairs_of_sum(float(shape_set.n) if G.all() else G.sum(axis=0), Bg, solved[None],
-                                     np.array([nu]), shape_set.d)
+    values, V = _bottom_pairs_dplr(G.sum(axis=0)[None], _factors(F[None], np.array([nu])), shape_set.d)
     (S,), (undetermined,) = _references(values, V, prior.lambdas[None], _gram_anchor(X, G),
                                         X[reflection_ref], G[reflection_ref])
     if undetermined:
@@ -639,28 +603,33 @@ def solve_affine_centered(shape_set, prior=None, reflection_ref=0):
 
     Centers every shape, sums the projectors onto the centered row spaces
     (Q_o), and scales the d top eigenvectors by the prior; equivalent to the
-    homogeneous path up to row signs.  The eigenproblem is solved on the span
-    of the centered shapes' rows, outside which Q_o vanishes.  Weights and
-    costs follow as in `solve`, with affine warps and nu = 0.
+    homogeneous path up to row signs.  They are the bottom d of n I - Q_o, a
+    full-set solve matrix with D = n and nu = 0, which the DPLR eigensolver
+    takes as `solve` does.  Weights and costs follow as in `solve`, with
+    affine warps and nu = 0.
     """
     if not shape_set.all_full:
         raise DegenerateInput("translation-eliminated affine GPA requires full shapes")
     prior, nu = _checked_args(shape_set, prior, 0.0, reflection_ref)
-    Dbar = np.stack([s.points - s.points.mean(axis=1, keepdims=True) for s in shape_set])
-    solved = []
-    for i, D in enumerate(Dbar):
+    F = []
+    for i, s in enumerate(shape_set):
+        Dbar = s.points - s.points.mean(axis=1, keepdims=True)
         try:
-            solved.append(_cholesky_solve(D @ D.T, D))
+            F.append(_cholesky_solve(Dbar @ Dbar.T, Dbar)[0])
         except np.linalg.LinAlgError as exc:
             raise SingularSystem(f"centered shape {i} is degenerate", shape_index=i) from exc
 
-    # top-d of Q = sum_i Dbar_i^T (Dbar_i Dbar_i^T)^{-1} Dbar_i are the bottom-d
-    # of -Q, with identical prior pairing; -Q vanishes outside the row spaces
-    values, V = _bottom_pairs_of_sum(0.0, Dbar, np.stack(solved)[None], np.zeros(1), shape_set.d)
+    # the top d of Q = sum_i Dbar_i^T (Dbar_i Dbar_i^T)^-1 Dbar_i = sum_i F_i^T F_i are the
+    # bottom d of -Q, with identical prior pairing: those of n I - Q, less n
+    n, m = shape_set.n, shape_set.m
+    values, V = _bottom_pairs_dplr(np.full((1, m), float(n)), _factors(np.stack(F)[None], np.zeros(1)),
+                                   shape_set.d)
+    values -= n
     X, G = _stacked(shape_set)
     (S,), (undetermined,) = _references(values, V, prior.lambdas[None], _gram_anchor(X, G),
                                         X[reflection_ref], G[reflection_ref])
     if undetermined:
         raise DegenerateConfiguration(_UNORIENTED)
     models = [AffineWarp(shape_set.d) for _ in shape_set]
-    return _solution(shape_set, S, *_terms(shape_set, models), models, prior, nu)
+    Bg, _, solved = _terms(shape_set, models)
+    return _solution(shape_set, S, Bg, solved, models, prior, nu)

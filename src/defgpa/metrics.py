@@ -20,10 +20,11 @@ from .errors import (
     SingularTransform,
 )
 from . import gpa as _gpa
+from .spectral import _bottom_pairs_dplr
 from .warps import TpsWarp, apply_warp, fit_inverse_tps
 
-# Entries per stacked array of one pass over a fold's model sets: 0.5 MiB in float64, so a
-# pass peaks a few MiB above a one-set pass; beyond that, flops outweigh per-call overhead.
+# Entries the stacked arrays of one pass (or one chunk of folds) may hold: 0.5 MiB in float64,
+# so a pass peaks a few MiB above a one-set pass; beyond that, flops outweigh per-call overhead.
 _STACK_ENTRIES = 2**16
 
 
@@ -121,6 +122,14 @@ def _rigid(A, B, w):
     return R, muB - R @ muA, deficient
 
 
+def _drain(parts):
+    """The arrays of a list concatenated (a lone array as it is), the list emptied so that each part
+    is freed."""
+    whole = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    parts.clear()
+    return whole
+
+
 def _fold_slices(m, config):
     N = config.group_size
     return [np.arange(k, min(k + N, m)) for k in range(0, m, N)]
@@ -137,9 +146,12 @@ def cross_validation_errors(shape_set, fits, config=None, reflection_ref=0,
     bounded by _STACK_ENTRIES.  A chunk's priors (with reflections when
     `allow_reflection`, as the full prior was) come from the whole set's pair
     moments minus those of each fold's held-out columns.  Per fold, sets with
-    equal per-shape models are re-solved together, in passes bounded by
-    _STACK_ENTRIES, each with its full solution's nu (raised to n/m of the
-    fold if below); only the eigensolve runs per fold and pass.  Scaling,
+    equal per-shape models get their per-shape terms together, in passes
+    bounded by _STACK_ENTRIES, each with its full solution's nu (raised to n/m
+    of the fold if below).  The DPLR eigensolver then takes a pass's pairs of
+    several folds in one stacked call, each started from its full reference
+    on the fold's kept points; a pass whose factors have k >= m' columns is
+    solved densely, fold by fold.  Scaling,
     reflection, gauge alignment and the prediction of held-out points as
     W_i^T B_i[:, fold] then run once per chunk on the stacked selections;
     each fold reference is rigidly aligned to the full reference on the kept
@@ -172,12 +184,18 @@ def cross_validation_errors(shape_set, fits, config=None, reflection_ref=0,
             outcomes[j] = exc
             continue
         batches.setdefault(key, []).append(j)
-    passes = []  # per model set, a pass stacks n x l x m' solved terms and an m' x m' matrix
-    for key, indices in batches.items():  # (r x r on the span when all shapes are full)
-        nl = n * bases[key][0].shape[1]
-        size = max(1, _STACK_ENTRIES // (nl * m + (min(m, nl + 1) if shape_set.all_full else m) ** 2))
-        passes += [(bases[key], indices[k:k + size]) for k in range(0, len(indices), size)]
-    live = {j: fits[j] for _, indices in passes for j in indices}
+    # a (fold, model set) pair has an m' x k factor (k = n l + 1) and n x l x m' solved terms.  Where
+    # k < m' the DPLR eigensolver takes the pairs of several folds in one call: each pair's factor and
+    # solved terms wait for it, and it stacks a copy of the factors and two k x k kernels per pair.
+    # Where k >= m' the eigensolver is dense and gains nothing from stacking folds: a pass's pairs
+    # are solved at once, each with its solved terms and its m' x m' matrix.  A pass takes up to
+    # `size` pairs, of one fold in its per-shape terms and of several in the DPLR eigensolver.
+    passes = []
+    for key, indices in batches.items():
+        k = n * bases[key][0].shape[1] + 1
+        size = max(1, _STACK_ENTRIES // (m * k + m * m if k >= m else 3 * m * k + 2 * k * k))
+        passes += [(bases[key], indices[i:i + size], size) for i in range(0, len(indices), size)]
+    live = {j: fits[j] for _, indices, _ in passes for j in indices}
     X0, G0 = _gpa._stacked(shape_set)
     _, Y0 = _gpa._centred(X0, G0)
     moments = _gpa._moments(Y0, G0)
@@ -208,33 +226,61 @@ def cross_validation_errors(shape_set, fits, config=None, reflection_ref=0,
                                           allow_reflection)
         failures = {}  # model set -> (fold, error) of its earliest failing fold in the chunk
         owners, stacks = [], ([], [], [], [])  # per (fold, set): eigenpairs, prior, fold predictors
+        # per pass, the (fold, model set, prior) pairs awaiting the eigensolver, their factors W and
+        # solved terms
+        pending = [([], [], []) for _ in passes]
+
+        def eigensolve(q):
+            """Pass q's pending pairs through one stacked eigensolve, each started from its full
+            reference on the kept points, and their eigenpairs, priors and predictors onto the stacks."""
+            rows, Ws, solveds = pending[q]
+            f, j, lambdas = (np.array(column) for column in zip(*rows))
+            W, solved = _drain(Ws), _drain(solveds)
+            rows.clear()
+            keepmask = np.arange(m) // g != f[:, None]
+            keep = np.nonzero(keepmask)[1].reshape(len(f), -1)
+            warm = None if W.shape[2] >= W.shape[1] else np.swapaxes(np.take_along_axis(
+                np.stack([fits[i][1].reference for i in j]), keep[:, None], axis=-1), -1, -2)
+            values, V = _bottom_pairs_dplr(G0.sum(axis=0)[keep], W, d, warm)
+            del W
+            # W_i^T B_i[:, fold] = F (solved_i V)^T B_i[:, fold] for the reference S = F V^T, F = S V
+            B, cols = passes[q][0][0], held[f]  # held is padded with m: zero columns there
+            P = np.swapaxes(solved @ V[:, None], -1, -2) @ np.moveaxis(
+                B[:, :, np.minimum(cols, m - 1)] * (cols < m), 2, 0)
+            lifted = np.zeros((len(f), m, d))
+            lifted[keepmask] = V.reshape(-1, d)
+            owners.extend(zip(f, j))
+            for stack, part in zip(stacks, (values, lifted, lambdas, P)):
+                stack.append(part)
+
         for f, prior in enumerate(priors, start):
-            fold = folds[f]
-            keep = np.delete(np.arange(m), fold)
+            keep = np.delete(np.arange(m), folds[f])
             G = G0[:, keep]
-            for (B, grams, dims), batch in passes:
+            for q, ((B, grams, dims), batch, size) in enumerate(passes):
                 indices = [j for j in batch if j in live and j not in failures]
                 if not indices:
                     continue
-                Bg, solved, errors = _gpa._per_shape_terms(G, (B[:, :, keep], grams, dims),
-                                                           np.array([smoothing[j] for j in indices]))
+                rows, Ws, solveds = pending[q]
+                if rows and (len(rows) + len(indices) > size or Ws[0].shape[1] != keep.size):
+                    eigensolve(q)
+                F, solved, errors = _gpa._per_shape_terms(G, (B[:, :, keep], grams, dims),
+                                                          np.array([smoothing[j] for j in indices]))
                 for t, exc in errors.items():
                     failures[indices[t]] = (f, exc)
                 ok = [t for t in range(len(indices)) if t not in errors]
                 if not ok:
                     continue
-                solved = solved[ok]
-                nus = np.maximum([fits[indices[t]][1].nu for t in ok], n / keep.size)
-                values, V = _gpa._bottom_pairs_of_sum(float(n) if G.all() else G.sum(axis=0), Bg, solved,
-                                                      nus, d)
-                # W_i^T B_i[:, fold] = F (solved_i V)^T B_i[:, fold] for the reference S = F V^T, F = S V
-                P = np.zeros((len(ok), n, d, g))
-                P[..., :fold.size] = np.swapaxes(solved @ V[:, None], -1, -2) @ B[:, :, fold]
-                lifted = np.zeros((len(ok), m, d))
-                lifted[:, keep] = V
-                owners += [(f, indices[t]) for t in ok]
-                for stack, part in zip(stacks, (values, lifted, np.tile(prior.lambdas, (len(ok), 1)), P)):
-                    stack.append(part)
+                if errors:
+                    F, solved = F[ok], solved[ok]
+                rows.extend((f, indices[t], prior.lambdas) for t in ok)
+                Ws.append(_gpa._factors(F, np.maximum([fits[indices[t]][1].nu for t in ok], n / keep.size)))
+                solveds.append(solved)
+                del F, solved  # held only in the pending lists
+                if Ws[-1].shape[2] >= keep.size:
+                    eigensolve(q)
+        for q in range(len(passes)):
+            if pending[q][0]:
+                eigensolve(q)
         if owners:
             values, V, lambdas, P = (np.concatenate(stack) for stack in stacks)
             keepmask = (np.arange(m) // g != np.array([f for f, _ in owners])[:, None]).astype(float)

@@ -5,7 +5,11 @@ orthonormal rows (a Brockett cost on the Stiefel manifold), whose optimum is
 assembled from ordered eigenvectors.  This module owns that assembly: the
 eigensolver wrapper with a deterministic sign convention, the covariance
 prior, the bottom-d selection scaled by that prior, and the
-leading-singular-vector helper used by the prior estimator.
+leading-singular-vector helper used by the prior estimator.  Every solve
+matrix is diagonal plus low rank, D - W J W^T; its bottom d come from one
+structured (DPLR) eigensolver, shift-invert subspace iteration with a
+Woodbury inverse and an inertia certificate, which hands to the dense
+eigensolver only the matrices it cannot certify.
 """
 
 from dataclasses import dataclass
@@ -21,6 +25,12 @@ _ASYMMETRY_TOL = 1e-8
 # Eigenvalues of the selected bottom-d block closer than this (relative to the
 # spectral scale) are treated as one degenerate cluster.
 _CLUSTER_TOL = 1e-9
+
+# The diagonal-plus-low-rank (DPLR) eigensolver: its shift sigma = -_SHIFT max D, its
+# residual stop relative to max D, and the step cap beyond which the dense eigh runs.
+_SHIFT = 1e-3
+_RESIDUAL_TOL = 1e-13
+_MAX_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -148,28 +158,88 @@ def _scale_selected(values, X, lam, anchor):
 
 def _bottom_pairs(M, d):
     """The d bottom eigenpairs, values (..., d) and vectors (..., m, d), of a matrix or stack that
-    is symmetric by construction, such as (A + A^T)/2 plus nu 11^T: of `eig_sym`'s checks
-    only the finiteness check applies."""
+    is symmetric by construction: of `eig_sym`'s checks only the finiteness check applies."""
     if not np.all(np.isfinite(M)):
         raise InvalidMatrix("matrix contains non-finite entries")
     values, vectors = np.linalg.eigh(M)
     return values[..., :d].copy(), vectors[..., :, :d].copy()  # copies free the m x m arrays
 
 
-def _span_pairs(U, values, vectors, complement):
-    """Lift the d bottom eigenpairs (T x d, T x r x d) of each C_t = U^T M_t U, r >= d, to M_t.
+def _dplr_matrix(D, W):
+    """The dense M_t = diag(D_t) - W_t J W_t^T of each t in a stack, W_t's last column sqrt(nu_t) 1
+    and J = diag(I, -1), so that W J W^T = W W^T - 2 nu 11^T."""
+    M = W @ np.swapaxes(W, -1, -2)
+    M *= -1.0
+    M += 2.0 * W[:, :1, -1:] ** 2
+    diagonal = np.arange(M.shape[-1])
+    M[:, diagonal, diagonal] += D
+    return M
 
-    U (m x r, orthonormal columns) spans a subspace that M_t maps into itself,
-    and M_t acts as `complement` * I on its orthogonal complement.  The
-    eigenpairs of M_t are then those of C_t lifted by U, plus `complement` with
-    multiplicity m - r, so the lift is M_t's bottom d whenever lambda_d(C_t)
-    lies below `complement` by more than the cluster tolerance (or r = m).
-    Returns the lifted vectors U V_t (T x m x d) and which selections that
-    rule certifies.
+
+def _bottom_pairs_dplr(D, W, d, start=None):
+    """Bottom-d eigenpairs, values (T x d) and vectors (T x m x d), of each M_t = diag(D_t) - W_t J W_t^T.
+
+    D (T x m) is positive, and W (T x m x k) holds columns F and sqrt(nu) 1 with
+    J = diag(I, -1), so M = D - F F^T + nu 11^T.  Shift-invert subspace
+    iteration on blocks of d+1 columns (Golub 1973; Parlett): with
+    sigma = -_SHIFT max D and Delta = D - sigma I, Woodbury applies
+    (M - sigma I)^-1 = Delta^-1 + Delta^-1 W S^-1 W^T Delta^-1 through one k x k
+    inverse of S = J - W^T Delta^-1 W, and a Rayleigh-Ritz step on M follows.
+    The block starts from `start` (T x m x s, s <= d+1), completed by a fixed
+    sketch Delta^-1 W Omega of W's range.  Each matrix stops one step after its
+    d selected Ritz residuals fall below _RESIDUAL_TOL max D, a step that at
+    the usual rates takes them to the round-off floor.
+
+    Haynsworth's inertia additivity certifies a selection: for a cut
+    c < min D, M has as many eigenvalues below c as J - W^T (D - cI)^-1 W has
+    negative ones, less the one of J.  The cut lies midway between the Ritz
+    values theta_d and min(theta_d+1, min D), and the count must be d.  The
+    dense eigensolver runs where no certificate holds: k >= m, no
+    convergence within _MAX_STEPS, theta_d+1 - theta_d within the cluster
+    tolerance, theta_d >= min D, or a count other than d.
     """
-    m, r = U.shape
-    scale = np.maximum(max(1.0, abs(complement)), np.max(np.abs(values), axis=-1))
-    return U @ vectors, (r == m) | (values[:, -1] < complement - _CLUSTER_TOL * scale)
+    T, m, k = W.shape
+    if k >= m:
+        return _bottom_pairs(_dplr_matrix(D, W), d)
+    if not (np.all(np.isfinite(D)) and np.all(np.isfinite(W))):
+        raise InvalidMatrix("matrix contains non-finite entries")
+    J = np.append(np.ones(k - 1), -1.0)
+    scale = D.max(axis=-1)
+
+    def kernels(ts, weights):  # J - W_t^T diag(weights) W_t, one t at a time: no weighted stack copy
+        return np.diag(J) - np.stack([W[t].T @ (W[t] * c[:, None]) for t, c in zip(ts, weights)])
+
+    Delta = (D + _SHIFT * scale[:, None])[..., None]
+    Sinv = np.linalg.inv(kernels(range(T), 1.0 / Delta[..., 0]))
+    X = W @ np.cos(np.outer(np.arange(1, k + 1), np.arange(1, d + 2))) / Delta
+    if start is not None:
+        X = np.concatenate([start, X], axis=-1)[..., :d + 1]
+    values, vectors = np.full((T, d + 1), np.nan), np.zeros((T, m, d + 1))
+    met = done = np.zeros(T, dtype=bool)  # a converged matrix keeps iterating with the stack
+    for _ in range(_MAX_STEPS):
+        X /= Delta
+        Q = np.linalg.qr(X + W @ (Sinv @ (np.swapaxes(W, -1, -2) @ X)) / Delta)[0]
+        MQ = D[..., None] * Q - W @ (J[:, None] * (np.swapaxes(W, -1, -2) @ Q))
+        ritz, Z = np.linalg.eigh(np.swapaxes(Q, -1, -2) @ MQ)
+        X = Q @ Z
+        take = met & ~done
+        values[take], vectors[take] = ritz[take], X[take]
+        done = done | take
+        if done.all():
+            break
+        residual = np.linalg.norm(MQ @ Z - X * ritz[:, None, :], axis=-2)[:, :d]
+        met = np.all(residual <= _RESIDUAL_TOL * scale[:, None], axis=-1)
+    lo, hi = values[:, d - 1], np.minimum(values[:, d], D.min(axis=-1))
+    ok = hi - lo > _CLUSTER_TOL * np.maximum(1.0, scale)  # False where NaN: not converged
+    counted = np.flatnonzero(ok)
+    if counted.size:
+        cut = (lo + hi)[counted, None] / 2
+        negative = np.linalg.eigvalsh(kernels(counted, 1.0 / (D[counted] - cut))) < 0
+        ok[counted] = np.sum(negative, axis=-1) - 1 == d
+    values, vectors = values[:, :d], vectors[:, :, :d]
+    if not ok.all():
+        values[~ok], vectors[~ok] = _bottom_pairs(_dplr_matrix(D[~ok], W[~ok]), d)
+    return values, vectors
 
 
 def leftmost_singular_vector(M):

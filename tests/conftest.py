@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from defgpa import AffineWarp, Shape, ShapeSet, eig_sym, place_control_points, tps_build
+from defgpa import AffineWarp, Shape, ShapeSet, eig_sym, place_control_points, spectral, tps_build
 from defgpa.gpa import _reflected
 from defgpa.spectral import _scale_selected
 
@@ -59,6 +59,26 @@ def dense_selection(M, lambdas, anchor=None, datum=None):
         flip, _ = _reflected(S, datum.filled(0.0), datum.visibility.astype(float))
         S[..., 0, :] *= np.where(flip, -1.0, 1.0)[..., None]
     return S
+
+
+def gauge_residual(S, T):
+    """max |R S - T| / max |T| over the best orthogonal R."""
+    U, _, Vt = np.linalg.svd(T @ S.T)
+    return float(np.max(np.abs(U @ Vt @ S - T)) / np.max(np.abs(T)))
+
+
+def dense_runs(monkeypatch):
+    """The factor stacks (T, m, k) from which the DPLR eigensolver's dense fallback assembles its
+    T matrices of m x m, recorded as it runs."""
+    calls = []
+    dense = spectral._dplr_matrix
+
+    def spy(D, W):
+        calls.append(W.shape)
+        return dense(D, W)
+
+    monkeypatch.setattr(spectral, "_dplr_matrix", spy)
+    return calls
 
 
 def mask_set(rng, shape_set, frac=0.2, min_joint=None):

@@ -229,7 +229,7 @@ class TestSweepCommand:
         ss = full_set(rng, 2, 9, 3, kind="smooth", noise=0.05)
         path = write_set(tmp_path / "set.json", ss)
         real_solve = defgpa.gpa.solve
-        real_eigenpairs = defgpa.gpa._bottom_pairs_of_sum
+        real_terms = defgpa.gpa._per_shape_terms
         solves = []
         batches = []
 
@@ -237,12 +237,12 @@ class TestSweepCommand:
             solves.append(None)
             return real_solve(*args, **kwargs)
 
-        def eigenpairs(shift, L, R, nus, d):
-            batches.append((L.shape[-1], len(nus)))
-            return real_eigenpairs(shift, L, R, nus, d)
+        def terms(G, bases, mus):
+            batches.append((G.shape[1], len(mus)))
+            return real_terms(G, bases, mus)
 
         monkeypatch.setattr(defgpa.gpa, "solve", solve)
-        monkeypatch.setattr(defgpa.gpa, "_bottom_pairs_of_sum", eigenpairs)
+        monkeypatch.setattr(defgpa.gpa, "_per_shape_terms", terms)
         assert main(["sweep", "--input", path, "--model", "tps", "--thetas", "10,1,0.1",
                      "--cve-group", "1", "--output", str(tmp_path / "g.csv")]) == 0
         assert len(solves) == 3

@@ -1,0 +1,171 @@
+"""Differential tests of the DPLR eigensolver against the dense `eigh` it stands in for.
+
+Each case of a seeded corpus is solved twice: as the solver runs it, and with
+the DPLR iteration given no steps, so that every matrix takes the dense
+fallback (`np.linalg.eigh` of the assembled m x m matrix).  Where the solve
+matrix has k = sum l_i + 1 < m columns the DPLR core must certify the
+selection itself, so the dense fallback must not run there.
+"""
+
+import numpy as np
+import pytest
+
+from defgpa import (
+    CveConfig,
+    DefgpaError,
+    DegenerateConfiguration,
+    cross_validation_errors,
+    estimate_prior_for_set,
+    solve,
+    solve_affine_centered,
+    spectral,
+)
+from defgpa.gpa import _gram_anchor, _stacked
+from defgpa.spectral import _bottom_pairs_dplr, _scale_selected
+from conftest import (affine_models, dense_runs, dense_selection, full_set, gauge_residual, mask_set,
+                      tps_models)
+
+
+def dense_only(monkeypatch):
+    """Every eigensolve takes the dense fallback."""
+    monkeypatch.setattr(spectral, "_MAX_STEPS", 0)
+
+
+# (d, model, partial, nu): k = n l + 1 is 13 (2D affine), 28 (2D TPS), 17 (3D affine) and 25
+# (3D TPS), each below m = 40; nu None is the default n/m.  With nu = 0 the ones vector is a null
+# vector of P for these free-translation models, so both paths must fail alike; the zero ones
+# column is solved in the centred affine case below.
+CORPUS = [(d, model, partial, nu) for d in (2, 3) for model in ("affine", "tps")
+          for partial in (False, True) for nu in (0.0, None, 1.0)]
+
+
+def instance(seed, d, model, partial, m=40):
+    rng = np.random.default_rng(seed)
+    n = 4 if model == "affine" else 3
+    ss = full_set(rng, d, m, n, kind="smooth", noise=0.05)
+    if partial:
+        ss = mask_set(rng, ss, 0.15, min_joint=d + 2)
+    models = affine_models(ss) if model == "affine" else tps_models(ss, k=3 if d == 2 else 2)
+    return ss, models
+
+
+def outcome(ss, models, prior, nu):
+    try:
+        return solve(ss, models, prior=prior, nu=nu)
+    except DefgpaError as exc:
+        return exc
+
+
+@pytest.mark.parametrize("case", range(len(CORPUS)),
+                         ids=[f"{d}d-{model}-{'partial' if partial else 'full'}-nu{nu}"
+                              for d, model, partial, nu in CORPUS])
+def test_solve_matches_dense(monkeypatch, case):
+    d, model, partial, nu = CORPUS[case]
+    ss, models = instance(100 + case, d, model, partial)
+    prior = estimate_prior_for_set(ss)
+    calls = dense_runs(monkeypatch)
+    sol = outcome(ss, models, prior, nu)
+    assert calls == []
+    dense_only(monkeypatch)
+    want = outcome(ss, models, prior, nu)
+    assert calls == [(1, ss.m, sum(model.feature_dim for model in models) + 1)]
+    if nu == 0:
+        assert type(sol) is type(want) is DegenerateConfiguration and str(sol) == str(want)
+        return
+    assert gauge_residual(sol.reference, want.reference) < 1e-8
+    for name in ("cost", "data_cost", "reg_cost", "penalty_cost"):
+        assert getattr(sol, name) == pytest.approx(getattr(want, name), rel=1e-8, abs=1e-10)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_centered_affine_matches_the_dense_top_d(monkeypatch, d):
+    # the D = 0 case: the top d of Q = sum_i Dbar_i^T (Dbar_i Dbar_i^T)^-1 Dbar_i
+    ss = full_set(np.random.default_rng(7 + d), d, 30, 4, kind="smooth", noise=0.05)
+    prior = estimate_prior_for_set(ss)
+    Q = sum(Dbar.T @ np.linalg.solve(Dbar @ Dbar.T, Dbar)
+            for Dbar in (s.points - s.points.mean(axis=1, keepdims=True) for s in ss))
+    calls = dense_runs(monkeypatch)
+    sol = solve_affine_centered(ss, prior=prior)
+    assert calls == []
+    S = dense_selection(-Q, prior.lambdas, _gram_anchor(*_stacked(ss)), ss[0])
+    assert gauge_residual(sol.reference, S) < 1e-8
+
+
+@pytest.mark.parametrize("partial", [False, True])
+def test_exact_affine_cluster_gives_the_dense_anchored_answer(monkeypatch, partial):
+    # exact affine copies: the bottom d eigenvalues of M form one zero cluster, which the anchor
+    # rotation resolves as in the dense closed form
+    rng = np.random.default_rng(21)
+    ss = full_set(rng, 2, 30, 4, kind="affine")
+    if partial:
+        ss = mask_set(rng, ss, 0.15, min_joint=4)
+    models = affine_models(ss)
+    prior = estimate_prior_for_set(ss)
+    calls = dense_runs(monkeypatch)
+    sol = solve(ss, models, prior=prior)
+    assert calls == []
+    dense_only(monkeypatch)
+    want = solve(ss, models, prior=prior)
+    np.testing.assert_allclose(sol.reference, want.reference, atol=1e-8 * np.max(np.abs(want.reference)))
+    assert sol.cost < 1e-8
+
+
+def near_tie(gap):
+    """D and F of M = diag(D) - F F^T with spectrum (0.1, 0.5, 0.5 + gap, 2, 3, 4, 5 ...) on a
+    rotated basis, min D = 5."""
+    rng = np.random.default_rng(3)
+    m = 12
+    U = np.linalg.qr(rng.normal(size=(m, 5)))[0]
+    mu = np.array([0.1, 0.5, 0.5 + gap, 2.0, 3.0])
+    return np.full(m, 5.0), U * np.sqrt(5.0 - mu)
+
+
+@pytest.mark.parametrize("gap, dense", [(1e-12, True), (1e-3, False)])
+def test_near_tie_at_the_cut_takes_the_dense_fallback(monkeypatch, gap, dense):
+    D, F = near_tie(gap)
+    W = np.concatenate([F, np.zeros((len(D), 1))], axis=-1)[None]
+    calls = dense_runs(monkeypatch)
+    values, V = _bottom_pairs_dplr(D[None], W, 2)
+    assert calls == ([W.shape] if dense else [])
+    lam = np.array([4.0, 1.0])
+    (S,) = _scale_selected(values, V, lam, None)
+    M = np.diag(D) - F @ F.T
+    assert float(np.trace(S @ M @ S.T)) == pytest.approx(lam @ [0.1, 0.5], abs=1e-10)
+    np.testing.assert_allclose(S @ S.T, np.diag(lam), atol=1e-10)
+
+
+def test_a_start_that_misses_the_bottom_is_not_certified(monkeypatch):
+    # M = diag(0, 1, 3, 3, 10, 10): a start inside span(e_3, e_4, e_5), which M keeps, converges to
+    # Ritz pairs with small residuals, and only the inertia count shows they are not the bottom 2
+    W = np.zeros((1, 6, 5))
+    W[0, [0, 1, 2, 3], [0, 1, 2, 3]] = np.sqrt([10.0, 9.0, 7.0, 7.0])
+    calls = dense_runs(monkeypatch)
+    values, V = _bottom_pairs_dplr(np.full((1, 6), 10.0), W, 2, np.eye(6)[None, :, 2:5])
+    assert calls == [(1, 6, 5)]
+    np.testing.assert_allclose(values, [[0.0, 1.0]], atol=1e-12)
+    np.testing.assert_allclose(np.abs(V[0]), np.eye(6)[:, :2], atol=1e-12)
+
+
+def test_k_at_least_m_takes_the_dense_path(monkeypatch):
+    # 2D TPS with 3 x 3 controls on 3 shapes: k = 28 >= m = 20
+    ss, models = instance(5, 2, "tps", True, m=20)
+    calls = dense_runs(monkeypatch)
+    sol = solve(ss, models)
+    assert calls == [(1, 20, 28)]
+    dense_only(monkeypatch)
+    np.testing.assert_array_equal(sol.reference, solve(ss, models).reference)
+
+
+@pytest.mark.parametrize("d, model, group", [(2, "affine", 1), (2, "affine", 3), (3, "affine", 2),
+                                             (2, "tps", 2)])
+def test_cve_matches_dense(monkeypatch, d, model, group):
+    ss, models = instance(40 + d + group, d, model, True, m=30 if model == "affine" else 50)
+    full = solve(ss, models, check_conditions=False)
+    calls = dense_runs(monkeypatch)
+    (got,) = cross_validation_errors(ss, [(models, full)], CveConfig(group))
+    assert calls == []
+    dense_only(monkeypatch)
+    (want,) = cross_validation_errors(ss, [(models, full)], CveConfig(group))
+    assert not isinstance(got, DefgpaError) and not isinstance(want, DefgpaError)
+    assert got[0] == pytest.approx(want[0], rel=1e-10)
+    np.testing.assert_allclose(np.array(got[1]), np.array(want[1]), rtol=0, atol=1e-9)

@@ -29,9 +29,11 @@ from defgpa.gpa import _gram_anchor, _per_shape_terms, _reflected, _solve_normal
 from defgpa.warps import AffineWarp
 from conftest import (
     affine_models,
+    dense_runs,
     dense_selection,
     full_set,
     full_shapes,
+    gauge_residual,
     mask_set,
     random_rotation,
     tps_models,
@@ -394,8 +396,9 @@ class TestAssembleP:
         A = rng.normal(size=(5, 8))
         N = A @ A.T + np.eye(5)
         rhs = rng.normal(size=(5, 3))
-        np.testing.assert_allclose(_solve_normal(N, rhs, 0), np.linalg.solve(N, rhs),
-                                   rtol=1e-12, atol=1e-12)
+        half, solved = _solve_normal(N, rhs, 0)
+        np.testing.assert_allclose(solved, np.linalg.solve(N, rhs), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(half.T @ half, rhs.T @ solved, rtol=1e-12, atol=1e-12)
 
     def test_normal_solve_jitter_retry_and_failure(self):
         # semidefinite: the first factorization fails, the jittered one succeeds
@@ -421,9 +424,11 @@ class TestStackedNormalSolves:
     def test_jitter_retry_only_where_the_factorization_fails(self):
         ss, bases = self.instance()
         mus = np.array([[0.0, 1.0], [0.0, 0.0], [0.0, 2.0]])
-        Bg, solved, errors = _per_shape_terms(ss.visibility_matrix(), bases, mus)
+        F, solved, errors = _per_shape_terms(ss.visibility_matrix(), bases, mus)
         assert errors == {}
-        np.testing.assert_array_equal(solved[1, 1], _solve_normal(Bg[1] @ bases[0][1].T, Bg[1], 1))
+        Bg = bases[0] * ss.visibility_matrix()[:, None, :]
+        np.testing.assert_array_equal(np.stack([F[1, 1], solved[1, 1]]),
+                                      _solve_normal(Bg[1] @ bases[0][1].T, Bg[1], 1))
         _, clean, _ = _per_shape_terms(ss.visibility_matrix(), bases, mus[[0, 2]])
         np.testing.assert_allclose(solved[[0, 2]], clean, rtol=1e-15, atol=0)
         np.testing.assert_allclose(solved[1, 0], clean[0, 0], rtol=1e-15, atol=0)
@@ -600,14 +605,9 @@ def dense_reference(shape_set, models, prior, nu):
     return dense_selection(M, prior.lambdas, _gram_anchor(*_stacked(shape_set)), shape_set[0]), M
 
 
-def gauge_residual(S, T):
-    """max |R S - T| / max |T| over the best orthogonal R."""
-    U, _, Vt = np.linalg.svd(T @ S.T)
-    return float(np.max(np.abs(U @ Vt @ S - T)) / np.max(np.abs(T)))
-
-
 class TestFullSetSpanPath:
-    """Full sets solve the eigenproblem on span([B_1^T ... B_n^T, 1])."""
+    """Full sets: the DPLR eigensolver certifies the selection on span([B_1^T ... B_n^T, 1]) and forms
+    no m x m matrix when that span has k = sum l_i + 1 < m dimensions."""
 
     # (d, model, n, m): sum l_i + 1 is 13, 13, 28 and 25; one m above, one at or below
     CASES = [
@@ -636,13 +636,13 @@ class TestFullSetSpanPath:
 
     @pytest.mark.parametrize("d, model, n, m", CASES)
     def test_no_dense_matrix_is_formed(self, rng, monkeypatch, d, model, n, m):
+        # the DPLR core certifies every full set with k = sum l_i + 1 < m columns; at k >= m the
+        # dense eigensolver is the rule, and its m x m matrix is no larger than a k x k kernel
         ss, models = self.instance(rng, d, model, n, m)
-
-        def dense(*args, **kwargs):
-            raise AssertionError("the dense eigensolve ran on a full set")
-
-        monkeypatch.setattr(gpa_module, "_dense", dense)
+        k = sum(model.feature_dim for model in models) + 1
+        calls = dense_runs(monkeypatch)
         solve(ss, models)
+        assert calls == ([] if k < m else [(1, m, k)])
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_zero_residual_cluster_is_anchored(self, rng, d):
@@ -674,18 +674,10 @@ class TestFullSetSpanPath:
         pts = rng.normal(size=(2, 12))
         ss = ShapeSet(tuple(Shape(pts.copy(), np.ones(12, bool)) for _ in range(3)))
         models = [XOnlyWarp(2) for _ in range(3)]
-        calls = []
-        dense = gpa_module._dense
-
-        def spy(*args):
-            M = dense(*args)
-            calls.append(M.shape)
-            return M
-
-        monkeypatch.setattr(gpa_module, "_dense", spy)
+        calls = dense_runs(monkeypatch)
         prior = CovariancePrior(np.array([4.0, 1.0]))
         sol = solve(ss, models, prior=prior)
-        assert calls == [(12, 12)]
+        assert calls == [(1, 12, 7)]
         _, M = dense_reference(ss, models, prior, sol.nu)
         optimum = float(prior.lambdas @ eig_sym(M).values[:2])
         assert float(np.trace(sol.reference @ M @ sol.reference.T)) == pytest.approx(optimum, abs=1e-9)

@@ -24,7 +24,7 @@ from defgpa import (
 )
 from defgpa.gpa import _centred, _fold_priors, _moments, _stacked
 from defgpa.metrics import _fold_slices
-from conftest import affine_models, full_set, full_shapes, mask_set, random_rotation, tps_models
+from conftest import affine_models, dense_runs, full_set, full_shapes, mask_set, random_rotation, tps_models
 
 
 class TestRmseR:
@@ -320,15 +320,14 @@ class TestBatchedCrossValidation:
                           per_fold_reference(ss, fits, reflection_ref=1))
 
     def test_full_3d_affine_on_the_span(self, rng, monkeypatch):
-        import defgpa.gpa
-
-        def dense(*args, **kwargs):
-            raise AssertionError("the dense eigensolve ran on a full set")
-
+        # the affine folds (k = 17 < m' = 23 factor columns) run the DPLR core and form no m' x m'
+        # matrix; the TPS folds (k = 33) are dense by rule
         ss = full_set(rng, 3, 24, 4, kind="smooth", noise=0.05)
         fits = solved_fits(ss, [1.0, 0.01], k=2)
-        monkeypatch.setattr(defgpa.gpa, "_dense", dense)
-        assert_cve_parity(cross_validation_errors(ss, fits), per_fold_reference(ss, fits))
+        calls = dense_runs(monkeypatch)
+        batched = cross_validation_errors(ss, fits)
+        assert {k for _, _, k in calls} == {ss.n * fits[0][0][0].feature_dim + 1} == {33}
+        assert_cve_parity(batched, per_fold_reference(ss, fits))
 
     def test_zero_residual_cluster(self, rng):
         # exact rigid copies: every fold's bottom-d eigenvalue is d-fold degenerate
@@ -377,16 +376,18 @@ class TestBatchedCrossValidation:
                       min_joint=2 + 2)
         fits = solved_fits(ss, [10.0, 1.0, 0.1], affine=False)
         whole = cross_validation_errors(ss, fits)
-        eigenpairs = defgpa.gpa._bottom_pairs_of_sum
+        terms = defgpa.gpa._per_shape_terms
         passes = []
 
-        def spy(shift, L, R, nus, d):
-            passes.append(len(nus))
-            return eigenpairs(shift, L, R, nus, d)
+        def spy(G, bases, mus):
+            passes.append(len(mus))
+            return terms(G, bases, mus)
 
-        monkeypatch.setattr(defgpa.gpa, "_bottom_pairs_of_sum", spy)
-        nl = ss.n * max(model.feature_dim for model in fits[0][0])
-        monkeypatch.setattr(defgpa.metrics, "_STACK_ENTRIES", 2 * (nl * ss.m + ss.m ** 2))
+        monkeypatch.setattr(defgpa.gpa, "_per_shape_terms", spy)
+        # k = n l + 1 >= m: the dense eigensolver counts each pair's n x l x m solved terms and
+        # m x m matrix
+        k = ss.n * max(model.feature_dim for model in fits[0][0]) + 1
+        monkeypatch.setattr(defgpa.metrics, "_STACK_ENTRIES", 2 * (ss.m * k + ss.m ** 2))
         split = cross_validation_errors(ss, fits)
         assert passes == [2, 1] * ss.m
         for got, want in zip(split, whole):
@@ -489,14 +490,14 @@ class TestFoldPriors:
         with pytest.raises(InsufficientOverlap) as want:
             per_fold_reference(ss, fits)
         assert str(want.value) == "need at least 3 jointly visible points, have 2"
-        eigenpairs = defgpa.gpa._bottom_pairs_of_sum
+        terms = defgpa.gpa._per_shape_terms
         solved_folds = []
 
-        def spy(shift, L, R, nus, d):
-            solved_folds.append(L.shape[-1])
-            return eigenpairs(shift, L, R, nus, d)
+        def spy(G, bases, mus):
+            solved_folds.append(G.shape[1])
+            return terms(G, bases, mus)
 
-        monkeypatch.setattr(defgpa.gpa, "_bottom_pairs_of_sum", spy)
+        monkeypatch.setattr(defgpa.gpa, "_per_shape_terms", spy)
         for outcome in cross_validation_errors(ss, fits):
             assert type(outcome) is InsufficientOverlap
             assert str(outcome) == str(want.value)

@@ -14,9 +14,8 @@ from defgpa import (
     eig_sym,
     leftmost_singular_vector,
 )
-from defgpa import gpa
-from defgpa.spectral import _scale_selected, _span_pairs
-from conftest import dense_selection
+from defgpa.spectral import _bottom_pairs_dplr, _scale_selected
+from conftest import dense_runs, dense_selection
 
 
 def random_symmetric(rng, m, spread=1.0):
@@ -135,86 +134,106 @@ class TestBottomScaled:
             CovariancePrior(np.array([1.0, -0.5]))
 
 
-def embedded(C, complement, m):
-    """Dense m x m matrix equal to C on the first r coordinates and to complement beyond."""
-    r = C.shape[0]
-    M = complement * np.eye(m)
-    M[:r, :r] = C
-    return M
+def dplr_selection(D, F, lam, anchor=None):
+    """The DPLR core's selection for each M_t = diag(D_t) - F_t F_t^T of a stack (nu = 0), scaled
+    by the prior."""
+    W = np.concatenate([F, np.zeros(F.shape[:-1] + (1,))], axis=-1)
+    values, vectors = _bottom_pairs_dplr(D, W, len(lam))
+    return _scale_selected(values, vectors, lam, anchor)
 
 
-def span_selection(U, C, complement, lam, anchor=None):
-    """The span path's selection for each C_t = U^T M_t U of a stack: the lifted bottom d, scaled
-    by the prior, where `_span_pairs` certifies it, else None."""
-    pairs = eig_sym(C)
-    values, vectors = pairs.values[:, :len(lam)], pairs.vectors[:, :, :len(lam)]
-    X, certified = _span_pairs(U, values, vectors, complement)
-    S = _scale_selected(values, X, lam, anchor)
-    return [S[t] if ok else None for t, ok in enumerate(certified)]
+def tied_at_two(second):
+    """D and F of M = diag(0, second, 5, 2, 2): min D = 2, and M's second eigenvalue is `second`."""
+    F = np.zeros((5, 2))
+    F[0, 0], F[1, 1] = np.sqrt(2.0), np.sqrt(3.0 - second)
+    return np.array([2.0, 3.0, 5.0, 2.0, 2.0]), F
 
 
 class TestBottomScaledOnSpan:
-    def test_matches_dense_on_a_rotated_span(self, rng):
+    """The DPLR core (M = diag(D) - F F^T, rank-k update) and where it hands over to the dense
+    eigensolver; min D plays the part of the value M takes off the span of F."""
+
+    def test_matches_dense_on_a_rotated_span(self, rng, monkeypatch):
         m, r = 9, 4
         Q, _ = np.linalg.qr(rng.normal(size=(m, m)))
         U = Q[:, :r]
         C = random_symmetric(rng, r)
+        C -= np.min(np.linalg.eigvalsh(C)) * np.eye(r)  # M is positive semidefinite, as solve matrices are
         complement = float(np.max(np.linalg.eigvalsh(C))) + 1.0
         M = complement * np.eye(m) + U @ (C - complement * np.eye(r)) @ U.T
+        F = U @ np.linalg.cholesky(complement * np.eye(r) - C)
         lam = np.array([4.0, 1.0])
-        (S,) = span_selection(U, C[None], complement, lam)
+        calls = dense_runs(monkeypatch)
+        (S,) = dplr_selection(np.full((1, m), complement), F[None], lam)
+        assert calls == []
         np.testing.assert_allclose(S, dense_selection(M, lam), atol=1e-12)
 
     @pytest.mark.parametrize("second", [2.0, 2.0 - 1e-12, 3.0])
-    def test_falls_back_when_lambda_d_reaches_complement(self, second):
-        # the d-th eigenvalue of C ties with (or passes) the complement's,
-        # so the bottom-d eigenvectors of M are not certified by C alone
-        C = np.diag([0.0, second, 5.0])
-        U = np.eye(5)[:, :3]
-        assert span_selection(U, C[None], 2.0, np.array([4.0, 1.0])) == [None]
-
-    def test_selects_when_lambda_d_clears_complement(self):
-        C = np.diag([0.0, 2.0 - 1e-6, 5.0])
-        U = np.eye(5)[:, :3]
+    def test_falls_back_when_lambda_d_reaches_complement(self, monkeypatch, second):
+        # the d-th eigenvalue ties with (or passes) min D, so no cut below min D certifies the
+        # bottom d, and the dense eigensolver runs
+        D, F = tied_at_two(second)
+        calls = dense_runs(monkeypatch)
         lam = np.array([4.0, 1.0])
-        (S,) = span_selection(U, C[None], 2.0, lam)
-        np.testing.assert_allclose(S, dense_selection(embedded(C, 2.0, 5), lam), atol=1e-12)
+        (S,) = dplr_selection(D[None], F[None], lam)
+        assert calls == [(1, 5, 3)]
+        np.testing.assert_allclose(S, dense_selection(np.diag([0.0, second, 5.0, 2.0, 2.0]), lam),
+                                   atol=1e-12)
+
+    def test_selects_when_lambda_d_clears_complement(self, monkeypatch):
+        D, F = tied_at_two(2.0 - 1e-6)
+        lam = np.array([4.0, 1.0])
+        calls = dense_runs(monkeypatch)
+        (S,) = dplr_selection(D[None], F[None], lam)
+        assert calls == []
+        np.testing.assert_allclose(S, dense_selection(np.diag([0.0, 2.0 - 1e-6, 5.0, 2.0, 2.0]), lam),
+                                   atol=1e-12)
 
     def test_falls_back_when_span_is_thinner_than_d(self, monkeypatch):
-        # each M_t = diag(0, 3, 3, 3) is 3 I outside span(e_1), which cannot hold
-        # d = 2 columns, so the solve's span path takes the dense matrices
-        calls = []
-        dense = gpa._dense
-        monkeypatch.setattr(gpa, "_dense", lambda *args: calls.append(args) or dense(*args))
-        L = np.eye(4)[None, :1]
-        values, X = gpa._bottom_pairs_of_sum(3.0, L, np.stack([3.0 * L, 3.0 * L]), np.zeros(2), 2)
-        assert len(calls) == 1
+        # each M_t = diag(0, 3, 3, 3) is 3 I off span(e_1), which cannot hold d = 2 columns
+        # below min D = 3, so the stack takes the dense matrices
+        calls = dense_runs(monkeypatch)
+        W = np.zeros((2, 4, 2))  # F = sqrt(3) e_1 and a zero ones column (nu = 0)
+        W[:, 0, 0] = np.sqrt(3.0)
+        values, X = _bottom_pairs_dplr(np.full((2, 4), 3.0), W, 2)
+        assert calls == [(2, 4, 2)]
         np.testing.assert_allclose(values, [[0.0, 3.0], [0.0, 3.0]], atol=1e-12)
         np.testing.assert_allclose(np.abs(X[:, :, 0]), np.eye(4)[[0, 0]], atol=1e-12)
 
-    def test_full_span_needs_no_guard(self):
-        # r = m: there is no complement, so a tie with its value is harmless
+    def test_full_span_needs_no_guard(self, monkeypatch):
+        # k >= m: the dense eigensolver runs directly, so a tie of lambda_d with min D is harmless
         C = np.diag([0.0, 2.0, 5.0])
+        F = np.zeros((3, 2))
+        F[0, 0] = np.sqrt(2.0)
         lam = np.array([4.0, 1.0])
-        (S,) = span_selection(np.eye(3), C[None], 2.0, lam)
+        calls = dense_runs(monkeypatch)
+        (S,) = dplr_selection(np.array([[2.0, 2.0, 5.0]]), F[None], lam)
+        assert calls == [(1, 3, 3)]
         np.testing.assert_allclose(S, dense_selection(C, lam), atol=1e-12)
 
-    def test_anchor_resolves_clusters_like_dense(self, rng):
+    def test_anchor_resolves_clusters_like_dense(self, rng, monkeypatch):
         C = np.diag([0.0, 0.0, 3.0])
         anchor = rng.normal(size=(4, 6))
         lam = np.array([4.0, 1.0])
-        (S,) = span_selection(np.eye(6)[:, :3], C[None], 5.0, lam, anchor=anchor)
-        np.testing.assert_allclose(
-            S, dense_selection(embedded(C, 5.0, 6), lam, anchor=anchor), atol=1e-12)
+        F = np.zeros((6, 3))
+        F[[0, 1, 2], [0, 1, 2]] = np.sqrt([5.0, 5.0, 2.0])
+        calls = dense_runs(monkeypatch)
+        (S,) = dplr_selection(np.full((1, 6), 5.0), F[None], lam, anchor=anchor)
+        assert calls == []
+        M = 5.0 * np.eye(6)
+        M[:3, :3] = C
+        np.testing.assert_allclose(S, dense_selection(M, lam, anchor=anchor), atol=1e-12)
 
-    def test_stack_certifies_each_matrix_alone(self):
-        # the first restriction clears the complement, the second ties with it
-        C = np.stack([np.diag([0.0, 2.0 - 1e-6, 5.0]), np.diag([0.0, 2.0, 5.0])])
-        U = np.eye(5)[:, :3]
+    def test_stack_certifies_each_matrix_alone(self, monkeypatch):
+        # the first clears min D, the second ties with it
+        (D, F1), (_, F2) = tied_at_two(2.0 - 1e-6), tied_at_two(2.0)
         lam = np.array([4.0, 1.0])
-        first, second = span_selection(U, C, 2.0, lam)
-        np.testing.assert_array_equal(first, span_selection(U, C[:1], 2.0, lam)[0])
-        assert second is None
+        calls = dense_runs(monkeypatch)
+        first, second = dplr_selection(np.stack([D, D]), np.stack([F1, F2]), lam)
+        assert calls == [(1, 5, 3)]
+        np.testing.assert_array_equal(first, dplr_selection(D[None], F1[None], lam)[0])
+        np.testing.assert_allclose(second, dense_selection(np.diag([0.0, 2.0, 5.0, 2.0, 2.0]), lam),
+                                   atol=1e-12)
 
 
 class TestLeftmostSingularVector:
