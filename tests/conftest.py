@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from defgpa import AffineWarp, Shape, ShapeSet, eig_sym, place_control_points, spectral, tps_build
+from defgpa import (AffineWarp, CveConfig, Shape, ShapeSet, apply_warp, eig_sym, estimate_prior_for_set,
+                    gauge_align, place_control_points, solve, spectral, tps_build)
 from defgpa.gpa import _reflected
+from defgpa.metrics import _fold_slices
 from defgpa.spectral import _scale_selected
 
 
@@ -124,6 +126,59 @@ def tps_models(shape_set, k=3, theta=1.0, internal=None, flat_axes=0):
         centers = place_control_points(s, k, flat_axes)
         models.append(tps_build(centers, internal).with_smoothing(s.num_visible * theta))
     return models
+
+
+def restrict_points(shape_set, keep):
+    """The ShapeSet of the kept point columns, correspondence kept."""
+    return ShapeSet(tuple(Shape(s.points[:, keep], s.visibility[keep], s.label) for s in shape_set))
+
+
+def per_fold_reference(shape_set, fits, group=1, reflection_ref=0, allow_reflection=False):
+    """`cross_validation_errors` as one `solve` per fold and model set, with no batching.
+
+    Each fold solves its own restricted ShapeSet, and each held-out point is
+    pushed through `apply_warp` on its own coordinates.
+    """
+    d, m, n = shape_set.d, shape_set.m, shape_set.n
+    results = []
+    for models, full in fits:
+        predicted = [np.full((d, m), np.nan) for _ in range(n)]
+        covered = np.zeros(m, dtype=bool)
+        for fold in _fold_slices(m, CveConfig(group)):
+            keep = np.setdiff1d(np.arange(m), fold)
+            reduced = restrict_points(shape_set, keep)
+            prior = estimate_prior_for_set(reduced, allow_reflection=allow_reflection)
+            sol = solve(reduced, models, prior=prior, nu=max(full.nu, n / keep.size),
+                        reflection_ref=reflection_ref, check_conditions=False)
+            R, t = gauge_align(sol.reference, full.reference[:, keep])
+            for i, shape in enumerate(shape_set):
+                mapped = apply_warp(models[i], sol.weights[i], shape.filled(0.0)[:, fold])
+                predicted[i][:, fold] = R @ mapped + t[:, None]
+            covered[fold] = True
+        total = 0.0
+        kappa = 0
+        for i, shape in enumerate(shape_set):
+            use = shape.visibility & covered
+            kappa += int(use.sum())
+            diff = np.where(use[None, :], predicted[i] - full.reference, 0.0)
+            total += float(np.sum(diff * diff))
+            predicted[i][:, ~shape.visibility] = np.nan
+        results.append((float(np.sqrt(total / kappa)), predicted))
+    return results
+
+
+def solved_fits(shape_set, thetas, k=3, allow_reflection=False, affine=True):
+    """(models, full solution) pairs: TPS splines built once and re-weighted per theta,
+    plus an affine set when `affine`, all solved with one prior."""
+    prior = estimate_prior_for_set(shape_set, allow_reflection=allow_reflection)
+    splines = tps_models(shape_set, k=k)
+    model_sets = [[model.with_smoothing(s.num_visible * theta) for model, s in zip(splines, shape_set)]
+                  for theta in thetas]
+    if affine:
+        model_sets.append(affine_models(shape_set))
+    return [(models, solve(shape_set, models, prior=prior, allow_reflection=allow_reflection,
+                           check_conditions=False))
+            for models in model_sets]
 
 
 @pytest.fixture

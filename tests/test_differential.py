@@ -1,11 +1,18 @@
-"""Differential tests of the DPLR eigensolver against the dense `eigh` it stands in for.
+"""Differential tests of the fast paths against the plain closed form they stand in for.
 
-Each case of a seeded corpus is solved twice: as the solver runs it, and with
+The DPLR eigensolver is checked against the dense `eigh`.  Each case of a seeded corpus is solved twice: as the solver runs it, and with
 the DPLR iteration given no steps, so that every matrix takes the dense
 fallback (`np.linalg.eigh` of the assembled m x m matrix).  Where the solve
 matrix has k = sum l_i + 1 < m columns the DPLR core must certify the
 selection itself, so the dense fallback must not run there.
+
+The stacked CVE (downdated fold priors, chunked folds and passes, stacked
+eigensolves and tail) is checked against `per_fold_reference`, one plain
+`solve` of each restricted set per fold and model set.
 """
+
+import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,16 +21,23 @@ from defgpa import (
     CveConfig,
     DefgpaError,
     DegenerateConfiguration,
+    FormatError,
+    InsufficientOverlap,
+    Shape,
+    ShapeSet,
     cross_validation_errors,
     estimate_prior_for_set,
+    gpa,
+    metrics,
     solve,
     solve_affine_centered,
     spectral,
 )
 from defgpa.gpa import _gram_anchor, _stacked
+from defgpa.metrics import _fold_slices
 from defgpa.spectral import _bottom_pairs_dplr, _scale_selected
 from conftest import (affine_models, dense_runs, dense_selection, full_set, gauge_residual, mask_set,
-                      tps_models)
+                      per_fold_reference, solved_fits, tps_models)
 
 
 def dense_only(monkeypatch):
@@ -169,3 +183,120 @@ def test_cve_matches_dense(monkeypatch, d, model, group):
     assert not isinstance(got, DefgpaError) and not isinstance(want, DefgpaError)
     assert got[0] == pytest.approx(want[0], rel=1e-10)
     np.testing.assert_allclose(np.array(got[1]), np.array(want[1]), rtol=0, atol=1e-9)
+
+
+# The CVE against `per_fold_reference`, one restricted-set `solve` per fold and model set.  Each
+# layout has 3 shapes, a 2-point TPS theta grid and an affine set (two basis keys):
+# (d, m, hidden fraction, group size, TPS controls per axis, _STACK_ENTRIES or None for the
+# default, thin).  m % group > 0 gives a ragged last fold; a small _STACK_ENTRIES splits the folds
+# into several chunks, a pass's folds into several eigensolve blocks, or the TPS sets into passes
+# of one; `thin` leaves shapes 0 and 1 exactly d+1 joint points, so that every set fails at the
+# first fold holding one of them.
+CVE_CORPUS = [
+    (2, 14, 0.0, 1, 3, None, False), (2, 15, 0.15, 2, 2, None, False),
+    (2, 17, 0.3, 3, 2, None, False), (2, 18, 0.2, 4, 2, None, False),
+    (3, 15, 0.0, 1, 2, None, False), (3, 16, 0.15, 2, 2, None, False),
+    (3, 17, 0.3, 3, 2, None, False), (3, 18, 0.2, 4, 2, None, True),
+    (2, 20, 0.1, 1, 2, 4000, False), (2, 20, 0.2, 1, 2, 12000, False),
+    (2, 19, 0.3, 2, 2, 1500, False), (2, 17, 0.25, 4, 3, 9000, False),
+    (3, 17, 0.1, 1, 2, 5000, False), (3, 19, 0.2, 2, 2, 15000, False),
+    (3, 20, 0.3, 3, 2, 1500, False), (2, 16, 0.3, 2, 3, 7000, True),
+]
+
+
+def thinned(ss):
+    """The set with shape 1 hidden wherever shape 0 is visible, except at d+1 joint points."""
+    vis = ss.visibility_matrix()
+    joint = np.flatnonzero(vis[0] & vis[1])
+    vis[1, joint[ss.d + 1:]] = False
+    return ShapeSet(tuple(Shape(s.points, v, s.label) for s, v in zip(ss, vis)))
+
+
+def cve_instance(case):
+    d, m, hidden, group, ctrl, _, thin = CVE_CORPUS[case]
+    rng = np.random.default_rng(500 + case)
+    ss = full_set(rng, d, m, 3, kind="smooth", noise=0.05)
+    if hidden:
+        ss = mask_set(rng, ss, hidden, min_joint=d + 2)
+    if thin:
+        ss = thinned(ss)
+    return ss, solved_fits(ss, [1.0, 0.01], k=ctrl)
+
+
+def reference_outcome(ss, fit, group):
+    try:
+        (outcome,) = per_fold_reference(ss, [fit], group=group)
+    except DefgpaError as exc:
+        return exc
+    return outcome
+
+
+@pytest.mark.parametrize("case", range(len(CVE_CORPUS)),
+                         ids=[f"{d}d-m{m}-hidden{hidden}-group{group}-stack{stack}{'-thin' if thin else ''}"
+                              for d, m, hidden, group, _, stack, thin in CVE_CORPUS])
+def test_cve_matches_the_per_fold_reference(monkeypatch, case):
+    ss, fits = cve_instance(case)
+    _, _, _, group, _, stack, thin = CVE_CORPUS[case]
+    wants = [reference_outcome(ss, fit, group) for fit in fits]
+    if stack is not None:
+        monkeypatch.setattr(metrics, "_STACK_ENTRIES", stack)
+    gots = cross_validation_errors(ss, fits, CveConfig(group))
+    assert all(isinstance(want, DefgpaError) for want in wants) == thin
+    for got, want in zip(gots, wants):
+        if isinstance(want, FormatError):
+            # the plain loop cannot build a restricted set in which a shape keeps fewer than d+1
+            # points; the CVE checks every fold's counts before any solve and names the fold
+            vis = ss.visibility_matrix()
+            fold = next(fold for fold in _fold_slices(ss.m, CveConfig(group))
+                        if np.any(vis.sum(axis=1) - vis[:, fold].sum(axis=1) < ss.d + 1))
+            assert type(got) is InsufficientOverlap
+            assert str(got) == f"fold {fold.tolist()} leaves a shape with fewer than {ss.d + 1} visible points"
+        elif isinstance(want, DefgpaError):
+            assert type(got) is type(want) and str(got) == str(want)
+        else:
+            assert not isinstance(got, DefgpaError), got
+            assert got[0] == pytest.approx(want[0], rel=1e-10)
+            np.testing.assert_allclose(np.array(got[1]), np.array(want[1]), rtol=0, atol=1e-9)
+
+
+def test_the_cve_corpus_splits_chunks_passes_and_blocks(monkeypatch):
+    # over the layouts with a small _STACK_ENTRIES: some run several chunks, some put the TPS sets
+    # in passes of one, and some solve one pass of a chunk in several blocks of several folds
+    events = []
+
+    def spy(record, core):
+        def wrapper(*args):
+            events.append(record(*args))
+            return core(*args)
+        return wrapper
+
+    monkeypatch.setattr(gpa, "_fold_priors", spy(lambda *args: "chunk", gpa._fold_priors))
+    monkeypatch.setattr(gpa, "_per_shape_terms", spy(lambda G, bases, mus: ("terms", len(mus)),
+                                                     gpa._per_shape_terms))
+    monkeypatch.setattr(metrics, "_bottom_pairs_dplr", spy(lambda D, W, *_: ("pairs", W.shape[2], len(W)),
+                                                           metrics._bottom_pairs_dplr))
+    split = set()
+    for case, (_, _, _, group, _, stack, thin) in enumerate(CVE_CORPUS):
+        if stack is None or thin:
+            continue
+        ss, fits = cve_instance(case)
+        events.clear()
+        monkeypatch.setattr(metrics, "_STACK_ENTRIES", stack)
+        cross_validation_errors(ss, fits, CveConfig(group))
+        monkeypatch.setattr(metrics, "_STACK_ENTRIES", 2**16)
+        chunks = []  # per chunk, the (k, pairs) of its eigensolve blocks
+        for event in events:
+            if event == "chunk":
+                chunks.append([])
+            elif event[0] == "pairs":
+                chunks[-1].append(event[1:])
+        if len(chunks) > 1:
+            split.add("chunks")
+        if ("terms", 2) not in events:
+            split.add("passes")
+        sets = Counter(ss.n * models[0].feature_dim + 1 for models, _ in fits)  # per factor width k
+        for blocks, k in itertools.product(chunks, sets):
+            pairs = [T for width, T in blocks if width == k]
+            if len(pairs) > 1 and max(pairs) > sets[k]:
+                split.add("blocks")
+    assert split == {"chunks", "passes", "blocks"}

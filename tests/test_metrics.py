@@ -24,7 +24,8 @@ from defgpa import (
 )
 from defgpa.gpa import _centred, _fold_priors, _moments, _stacked
 from defgpa.metrics import _fold_slices
-from conftest import affine_models, dense_runs, full_set, full_shapes, mask_set, random_rotation, tps_models
+from conftest import (affine_models, dense_runs, full_set, full_shapes, mask_set, per_fold_reference,
+                      random_rotation, restrict_points, solved_fits, tps_models)
 
 
 class TestRmseR:
@@ -248,59 +249,6 @@ class TestCrossValidation:
             assert np.all(np.isfinite(P[:, s.visibility]))
 
 
-def restrict_points(shape_set, keep):
-    """The ShapeSet of the kept point columns, correspondence kept."""
-    return ShapeSet(tuple(Shape(s.points[:, keep], s.visibility[keep], s.label) for s in shape_set))
-
-
-def per_fold_reference(shape_set, fits, group=1, reflection_ref=0, allow_reflection=False):
-    """`cross_validation_errors` as one `solve` per fold and model set, with no batching.
-
-    Each fold solves its own restricted ShapeSet, and each held-out point is
-    pushed through `apply_warp` on its own coordinates.
-    """
-    d, m, n = shape_set.d, shape_set.m, shape_set.n
-    results = []
-    for models, full in fits:
-        predicted = [np.full((d, m), np.nan) for _ in range(n)]
-        covered = np.zeros(m, dtype=bool)
-        for fold in _fold_slices(m, CveConfig(group)):
-            keep = np.setdiff1d(np.arange(m), fold)
-            reduced = restrict_points(shape_set, keep)
-            prior = estimate_prior_for_set(reduced, allow_reflection=allow_reflection)
-            sol = solve(reduced, models, prior=prior, nu=max(full.nu, n / keep.size),
-                        reflection_ref=reflection_ref, check_conditions=False)
-            R, t = gauge_align(sol.reference, full.reference[:, keep])
-            for i, shape in enumerate(shape_set):
-                mapped = apply_warp(models[i], sol.weights[i], shape.filled(0.0)[:, fold])
-                predicted[i][:, fold] = R @ mapped + t[:, None]
-            covered[fold] = True
-        total = 0.0
-        kappa = 0
-        for i, shape in enumerate(shape_set):
-            use = shape.visibility & covered
-            kappa += int(use.sum())
-            diff = np.where(use[None, :], predicted[i] - full.reference, 0.0)
-            total += float(np.sum(diff * diff))
-            predicted[i][:, ~shape.visibility] = np.nan
-        results.append((float(np.sqrt(total / kappa)), predicted))
-    return results
-
-
-def solved_fits(shape_set, thetas, k=3, allow_reflection=False, affine=True):
-    """(models, full solution) pairs: TPS splines built once and re-weighted per theta,
-    plus an affine set when `affine`, all solved with one prior."""
-    prior = estimate_prior_for_set(shape_set, allow_reflection=allow_reflection)
-    splines = tps_models(shape_set, k=k)
-    model_sets = [[model.with_smoothing(s.num_visible * theta) for model, s in zip(splines, shape_set)]
-                  for theta in thetas]
-    if affine:
-        model_sets.append(affine_models(shape_set))
-    return [(models, solve(shape_set, models, prior=prior, allow_reflection=allow_reflection,
-                           check_conditions=False))
-            for models in model_sets]
-
-
 def assert_cve_parity(batched, reference, abs_cve=0.0):
     assert len(batched) == len(reference)
     for got, (cve, predicted) in zip(batched, reference):
@@ -512,6 +460,44 @@ class TestFoldPriors:
         assert isinstance(outcomes[1], SingularSystem)
         assert type(outcomes[0]) is type(outcomes[2]) is InsufficientOverlap
 
+    def test_failure_inside_a_block_keeps_its_fold(self, rng, monkeypatch):
+        # shape 0 hides points 5 and 9 only, so the kept masks tell each of those folds from every
+        # other; one TPS set fails at fold 5 and again at fold 9, inside a block of several folds
+        import defgpa.gpa
+        import defgpa.metrics
+        ss = full_set(rng, 2, 24, 3, kind="smooth", noise=0.05)
+        vis = ss.visibility_matrix()
+        vis[0, [5, 9]] = False
+        ss = ShapeSet(tuple(Shape(s.points, v, s.label) for s, v in zip(ss, vis)))
+        fits = solved_fits(ss, [1.0, 0.01], k=2)
+        whole = cross_validation_errors(ss, fits)
+        target = np.array([model.smoothing for model in fits[1][0]])
+        terms, dplr = defgpa.gpa._per_shape_terms, defgpa.metrics._bottom_pairs_dplr
+        blocks = []
+
+        def spy_terms(G, bases, mus):
+            F, solved, errors = terms(G, bases, mus)
+            folds = [f for f in range(ss.m) if np.array_equal(G, np.delete(vis, f, axis=1))]
+            for t, row in enumerate(mus):
+                if folds in ([5], [9]) and np.array_equal(row, target):
+                    errors[t] = SingularSystem(f"injected at fold {folds[0]}", shape_index=0)
+            return F, solved, errors
+
+        def spy_dplr(D, W, d, start=None):
+            blocks.append(len(W))
+            return dplr(D, W, d, start)
+
+        monkeypatch.setattr(defgpa.gpa, "_per_shape_terms", spy_terms)
+        monkeypatch.setattr(defgpa.metrics, "_bottom_pairs_dplr", spy_dplr)
+        outcomes = cross_validation_errors(ss, fits)
+        # one block of all folds for the affine set and one for the TPS pairs: set 0 at every fold,
+        # set 1 at folds 0-4
+        assert sorted(blocks) == [ss.m, ss.m + 5]
+        assert type(outcomes[1]) is SingularSystem and str(outcomes[1]) == "injected at fold 5"
+        for j in (0, 2):
+            assert outcomes[j][0] == whole[j][0]
+            np.testing.assert_array_equal(np.array(outcomes[j][1]), np.array(whole[j][1]))
+
     @pytest.mark.parametrize("kind", ["smooth", "rigid"])
     def test_chunks_do_not_change_outcomes(self, rng, monkeypatch, kind):
         # rigid copies make every fold's bottom eigenvalue degenerate: the anchor path runs
@@ -536,7 +522,7 @@ class TestFoldPriors:
             np.testing.assert_array_equal(np.array(got[1]), np.array(want[1]))
 
 
-def test_cve_memory_stays_within_the_stack_bound(rng):
+def test_cve_memory_stays_within_the_stack_bound(rng, monkeypatch):
     # the CVE may hold one solve's arrays plus at most _STACK_ENTRIES float64 entries of stacks
     import tracemalloc
     import defgpa.metrics
@@ -551,7 +537,16 @@ def test_cve_memory_stays_within_the_stack_bound(rng):
         base, _ = tracemalloc.get_traced_memory()
         outcome, = cross_validation_errors(ss, [(models, full)])
         _, cve_peak = tracemalloc.get_traced_memory()
+        # the same CVE with one pair per pass and one fold per chunk holds no stacks to speak of
+        with monkeypatch.context() as patch:
+            patch.setattr(defgpa.metrics, "_STACK_ENTRIES", 1)
+            tracemalloc.reset_peak()
+            unstacked_base, _ = tracemalloc.get_traced_memory()
+            cross_validation_errors(ss, [(models, full)])
+            _, unstacked_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert not isinstance(outcome, DefgpaError)
     assert cve_peak - base < solve_peak + 8 * defgpa.metrics._STACK_ENTRIES
+    # the bound in entries alone: what the stacks add over that CVE
+    assert (cve_peak - base) - (unstacked_peak - unstacked_base) < 8 * defgpa.metrics._STACK_ENTRIES
