@@ -143,23 +143,25 @@ def cross_validation_errors(shape_set, fits, config=None, reflection_ref=0,
     whole set with those models.  Each shape's basis is computed once on all
     m points, and the points and masks are stacked once; a fold slices their
     kept columns and builds no shape objects.  The folds run in chunks
-    bounded by _STACK_ENTRIES.  A chunk's priors (with reflections when
-    `allow_reflection`, as the full prior was) come from the whole set's pair
-    moments minus those of each fold's held-out columns.  Per fold, sets with
-    equal per-shape models get their per-shape terms together, in passes
-    bounded by _STACK_ENTRIES, each with its full solution's nu (raised to n/m
-    of the fold if below).  The DPLR eigensolver then takes a pass's pairs of
-    several folds in one stacked call, each started from its full reference
-    on the fold's kept points; a pass whose factors have k >= m' columns is
-    solved densely, fold by fold.  Scaling,
-    reflection, gauge alignment and the prediction of held-out points as
-    W_i^T B_i[:, fold] then run once per chunk on the stacked selections;
-    each fold reference is rigidly aligned to the full reference on the kept
-    points.  Only originally visible landmarks count.
+    bounded by _STACK_ENTRIES, a ragged last fold in a chunk of its own.  A
+    chunk's priors (with reflections when `allow_reflection`, as the full
+    prior was) come from the whole set's pair moments minus those of each
+    fold's held-out columns.  Sets with equal per-shape models share passes
+    bounded by _STACK_ENTRIES, and a pass takes the chunk's folds in fixed
+    blocks within the same bound.  Each fold of a block gets the pass's
+    per-shape terms in one call, each set with its full solution's nu (raised
+    to n/m' of the fold if below); the block then ends in one stacked
+    eigensolve of its pairs, each started from its full reference on the
+    fold's kept points (DPLR, or dense where the factors have k >= m'
+    columns), and in their predictors.  Scaling, reflection, gauge alignment
+    and the prediction of held-out points as W_i^T B_i[:, fold] then run once
+    per chunk on the stacked selections; each fold reference is rigidly
+    aligned to the full reference on the kept points.  Only originally
+    visible landmarks count.
 
     Returns one entry per model set: (cve, predicted shapes), or the
     DefgpaError of its earliest failing fold; a failed model set skips the
-    later chunks.
+    later folds.
     """
     if config is None:
         config = CveConfig()
@@ -184,12 +186,11 @@ def cross_validation_errors(shape_set, fits, config=None, reflection_ref=0,
             outcomes[j] = exc
             continue
         batches.setdefault(key, []).append(j)
-    # a (fold, model set) pair has an m' x k factor (k = n l + 1) and n x l x m' solved terms.  Where
-    # k < m' the DPLR eigensolver takes the pairs of several folds in one call: each pair's factor and
-    # solved terms wait for it, and it stacks a copy of the factors and two k x k kernels per pair.
-    # Where k >= m' the eigensolver is dense and gains nothing from stacking folds: a pass's pairs
-    # are solved at once, each with its solved terms and its m' x m' matrix.  A pass takes up to
-    # `size` pairs, of one fold in its per-shape terms and of several in the DPLR eigensolver.
+    # a (fold, model set) pair has an m' x k factor (k = n l + 1) and n x l x m' solved terms.  A pass
+    # takes a chunk's folds in blocks of `step` folds, at most `size` pairs, and ends each block in
+    # one stacked eigensolve.  Where k < m' that is the DPLR eigensolver, which also stacks a copy
+    # of the factors and two k x k kernels per pair; where k >= m' it is dense, with an m' x m'
+    # matrix per pair.
     passes = []
     for key, indices in batches.items():
         k = n * bases[key][0].shape[1] + 1
@@ -209,7 +210,6 @@ def cross_validation_errors(shape_set, fits, config=None, reflection_ref=0,
     # set its m x d eigenvectors, references, masks and gauge terms and its predicted points
     chunk = max(1, _STACK_ENTRIES // (12 * n * n * d * d + len(live) * (12 * d * m + 4 * n * d * g)))
     predicted = {j: np.full((n, d, m), np.nan) for j in live}
-    covered = np.zeros(m, dtype=bool)
 
     def fail(exc):
         for j in live:
@@ -222,72 +222,61 @@ def cross_validation_errors(shape_set, fits, config=None, reflection_ref=0,
             fail(InsufficientOverlap(
                 f"fold {folds[last].tolist()} leaves a shape with fewer than {d + 1} visible points"))
             break
-        priors, error = _gpa._fold_priors(Y0, G0, moments, held[start:min(start + chunk, last)],
-                                          allow_reflection)
+        # the first m // g folds are whole; a ragged last fold keeps another m' points: its own chunk
+        end = min(start + chunk, last, max(m // g, start + 1))
+        priors, error = _gpa._fold_priors(Y0, G0, moments, held[start:end], allow_reflection)
+        stop = start + len(priors)
+        keepmask = np.arange(m) // g != np.arange(start, stop)[:, None]
+        lambdas = np.array([prior.lambdas for prior in priors])
         failures = {}  # model set -> (fold, error) of its earliest failing fold in the chunk
-        owners, stacks = [], ([], [], [], [])  # per (fold, set): eigenpairs, prior, fold predictors
-        # per pass, the (fold, model set, prior) pairs awaiting the eigensolver, their factors W and
-        # solved terms
-        pending = [([], [], []) for _ in passes]
-
-        def eigensolve(q):
-            """Pass q's pending pairs through one stacked eigensolve, each started from its full
-            reference on the kept points, and their eigenpairs, priors and predictors onto the stacks."""
-            rows, Ws, solveds = pending[q]
-            f, j, lambdas = (np.array(column) for column in zip(*rows))
-            W, solved = _drain(Ws), _drain(solveds)
-            rows.clear()
-            keepmask = np.arange(m) // g != f[:, None]
-            keep = np.nonzero(keepmask)[1].reshape(len(f), -1)
-            warm = None if W.shape[2] >= W.shape[1] else np.swapaxes(np.take_along_axis(
-                np.stack([fits[i][1].reference for i in j]), keep[:, None], axis=-1), -1, -2)
-            values, V = _bottom_pairs_dplr(G0.sum(axis=0)[keep], W, d, warm)
-            del W
-            # W_i^T B_i[:, fold] = F (solved_i V)^T B_i[:, fold] for the reference S = F V^T, F = S V
-            B, cols = passes[q][0][0], held[f]  # held is padded with m: zero columns there
-            P = np.swapaxes(solved @ V[:, None], -1, -2) @ np.moveaxis(
-                B[:, :, np.minimum(cols, m - 1)] * (cols < m), 2, 0)
-            lifted = np.zeros((len(f), m, d))
-            lifted[keepmask] = V.reshape(-1, d)
-            owners.extend(zip(f, j))
-            for stack, part in zip(stacks, (values, lifted, lambdas, P)):
-                stack.append(part)
-
-        for f, prior in enumerate(priors, start):
-            keep = np.delete(np.arange(m), folds[f])
-            G = G0[:, keep]
-            for q, ((B, grams, dims), batch, size) in enumerate(passes):
-                indices = [j for j in batch if j in live and j not in failures]
-                if not indices:
+        owners, blocks = [], []  # the (fold, set) pairs, and per block their eigenpairs and predictors
+        for (B, grams, dims), batch, size in passes:
+            step = max(1, size // len(batch))
+            for first in range(start, stop, step):
+                rows, Ws, solveds = [], [], []  # the block's (fold, set) pairs, factors and solved terms
+                for f in range(first, min(first + step, stop)):
+                    indices = [j for j in batch if j in live and j not in failures]
+                    if not indices:
+                        continue
+                    keep = np.flatnonzero(keepmask[f - start])
+                    F, solved, errors = _gpa._per_shape_terms(G0[:, keep], (B[:, :, keep], grams, dims),
+                                                              np.array([smoothing[j] for j in indices]))
+                    for t, exc in errors.items():
+                        failures[indices[t]] = (f, exc)
+                    ok = [t for t in range(len(indices)) if t not in errors]
+                    if not ok:
+                        continue
+                    if errors:
+                        F, solved, indices = F[ok], solved[ok], [indices[t] for t in ok]
+                    rows += [(f, j) for j in indices]
+                    Ws.append(_gpa._factors(F, np.maximum([fits[j][1].nu for j in indices], n / keep.size)))
+                    solveds.append(solved)
+                    del F, solved  # held only in the block's lists
+                if not rows:
                     continue
-                rows, Ws, solveds = pending[q]
-                if rows and (len(rows) + len(indices) > size or Ws[0].shape[1] != keep.size):
-                    eigensolve(q)
-                F, solved, errors = _gpa._per_shape_terms(G, (B[:, :, keep], grams, dims),
-                                                          np.array([smoothing[j] for j in indices]))
-                for t, exc in errors.items():
-                    failures[indices[t]] = (f, exc)
-                ok = [t for t in range(len(indices)) if t not in errors]
-                if not ok:
-                    continue
-                if errors:
-                    F, solved = F[ok], solved[ok]
-                rows.extend((f, indices[t], prior.lambdas) for t in ok)
-                Ws.append(_gpa._factors(F, np.maximum([fits[indices[t]][1].nu for t in ok], n / keep.size)))
-                solveds.append(solved)
-                del F, solved  # held only in the pending lists
-                if Ws[-1].shape[2] >= keep.size:
-                    eigensolve(q)
-        for q in range(len(passes)):
-            if pending[q][0]:
-                eigensolve(q)
+                f, j = np.array(rows).T
+                W = _drain(Ws)
+                keep = np.nonzero(keepmask[f - start])[1].reshape(len(f), -1)
+                warm = None if W.shape[2] >= W.shape[1] else np.swapaxes(np.take_along_axis(
+                    np.stack([fits[i][1].reference for i in j]), keep[:, None], axis=-1), -1, -2)
+                values, V = _bottom_pairs_dplr(G0.sum(axis=0)[keep], W, d, warm)
+                del W
+                # W_i^T B_i[:, fold] = F (solved_i V)^T B_i[:, fold] for the reference S = F V^T, F = S V
+                cols = held[f]  # held is padded with m: zero columns there
+                P = np.swapaxes(_drain(solveds) @ V[:, None], -1, -2) @ np.moveaxis(
+                    B[:, :, np.minimum(cols, m - 1)] * (cols < m), 2, 0)
+                lifted = np.zeros((len(f), m, d))
+                lifted[keepmask[f - start]] = V.reshape(-1, d)
+                owners += rows
+                blocks.append((values, lifted, P))
         if owners:
-            values, V, lambdas, P = (np.concatenate(stack) for stack in stacks)
-            keepmask = (np.arange(m) // g != np.array([f for f, _ in owners])[:, None]).astype(float)
+            values, V, P = (np.concatenate(parts) for parts in zip(*blocks))
+            f, j = np.array(owners).T
+            mask = keepmask[f - start].astype(float)
             S, undetermined = _gpa._references(
-                values, V, lambdas, lambda k: _gpa._gram_anchor(X0, G0 * keepmask[k]),
-                X0[reflection_ref], G0[reflection_ref] * keepmask)
-            R, t, deficient = _rigid(S, np.stack([fits[j][1].reference for _, j in owners]), keepmask)
+                values, V, lambdas[f - start], lambda k: _gpa._gram_anchor(X0, G0 * mask[k]),
+                X0[reflection_ref], G0[reflection_ref] * mask)
+            R, t, deficient = _rigid(S, np.stack([fits[i][1].reference for i in j]), mask)
             pred = R[:, None] @ ((S @ V)[:, None] @ P) + t[:, None]
             for k, (f, j) in enumerate(owners):
                 if j in failures and failures[j][0] < f:
@@ -300,21 +289,16 @@ def cross_validation_errors(shape_set, fits, config=None, reflection_ref=0,
         for j, (_, exc) in failures.items():
             outcomes[j] = exc
             del live[j]
-        for fold in folds[start:start + len(priors)]:
-            covered[fold] = True
-        start += len(priors)
+        start = stop
         if error is not None:
             fail(error)
             break
 
+    # a set still live has a prediction at every fold
     visible = shape_set.visibility_matrix()[:, None, :]
-    use = visible & covered
     for j, (_, full) in live.items():
-        if not use.any():
-            outcomes[j] = DegenerateConfiguration("no fold produced any prediction")
-            continue
-        total = sum(float(np.sum(D * D)) for D in np.where(use, predicted[j] - full.reference, 0.0))
-        outcomes[j] = (float(np.sqrt(total / int(use.sum()))), list(np.where(visible, predicted[j], np.nan)))
+        total = sum(float(np.sum(D * D)) for D in np.where(visible, predicted[j] - full.reference, 0.0))
+        outcomes[j] = (float(np.sqrt(total / visible.sum())), list(np.where(visible, predicted[j], np.nan)))
     return outcomes
 
 
