@@ -1,10 +1,11 @@
 """Differential tests of the fast paths against the plain closed form they stand in for.
 
-The DPLR eigensolver is checked against the dense `eigh`.  Each case of a seeded corpus is solved twice: as the solver runs it, and with
-the DPLR iteration given no steps, so that every matrix takes the dense
-fallback (`np.linalg.eigh` of the assembled m x m matrix).  Where the solve
-matrix has k = sum l_i + 1 < m columns the DPLR core must certify the
-selection itself, so the dense fallback must not run there.
+The DPLR eigensolver is checked against the dense `eigh`.  Each case of a
+seeded corpus is solved twice: as the solver runs it, and with the DPLR
+iteration given no steps, so that every matrix takes the dense fallback
+(`np.linalg.eigh` of the assembled m x m matrix).  Where the solve matrix has
+k = sum l_i + 1 < m columns the DPLR core must certify the selection itself,
+so the dense fallback must not run there.
 
 The stacked CVE (downdated fold priors, chunked folds and passes, stacked
 eigensolves and tail) is checked against `per_fold_reference`, one plain
@@ -190,8 +191,8 @@ def test_cve_matches_dense(monkeypatch, d, model, group):
 # (d, m, hidden fraction, group size, TPS controls per axis, _STACK_ENTRIES or None for the
 # default, thin).  m % group > 0 gives a ragged last fold; a small _STACK_ENTRIES splits the folds
 # into several chunks, a pass's folds into several eigensolve blocks, or the TPS sets into passes
-# of one; `thin` leaves shapes 0 and 1 exactly d+1 joint points, so that every set fails at the
-# first fold holding one of them.
+# of one; `thin` leaves shapes 0 and 1 exactly d+1 joint points, so that every set fails at some
+# fold.
 CVE_CORPUS = [
     (2, 14, 0.0, 1, 3, None, False), (2, 15, 0.15, 2, 2, None, False),
     (2, 17, 0.3, 3, 2, None, False), (2, 18, 0.2, 4, 2, None, False),
