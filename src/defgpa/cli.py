@@ -59,11 +59,15 @@ class RunConfig:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise FormatError(f"{name} must be a finite number, got {value}")
+            if name != "theta" and value is not None and value < 0:
+                raise FormatError(f"{name} must be non-negative, got {value}")
         if self.model == "tps":
             if self.theta <= 0:
                 raise FormatError("theta must be positive for the TPS model")
             if self.ctrl < 2:
                 raise FormatError("ctrl must be at least 2 for the TPS model")
+            if self.flat_axes < 0:
+                raise FormatError("flat_axes must be non-negative for the TPS model")
         if self.format not in ("json", "csv"):
             raise FormatError(f"unknown report format {self.format!r}")
 
@@ -87,11 +91,19 @@ def _with_theta(models, shape_set, theta):
             for model, shape in zip(models, shape_set)]
 
 
-def _load_input(config):
+def _load_input(config, group=None):
+    """The input shape set, checked against the config before any solve: a CVE fold size must keep at
+    least d+1 points, and a TPS must leave some of the d principal axes unflattened."""
     fmt = config.input_format
     if fmt is None:
         fmt = "csv" if config.input.endswith((".csv", ".txt", ".manifest")) else "json"
-    return load_shapes(config.input, format=fmt)
+    shape_set = load_shapes(config.input, format=fmt)
+    d, m = shape_set.d, shape_set.m
+    if group is not None and not 1 <= group < m - d:
+        raise FormatError(f"group size must lie in [1, m-d), got {group} with m={m}, d={d}")
+    if config.model == "tps" and config.flat_axes >= d:
+        raise FormatError(f"flat_axes must lie in [0, d), got {config.flat_axes} with d={d}")
+    return shape_set
 
 
 def _write_json(path, doc):
@@ -145,13 +157,6 @@ def _resolve_reflection_ref(shape_set, ref):
     return index
 
 
-def _check_group(shape_set, group):
-    """A CVE fold size must keep at least d+1 points; checked before any solve."""
-    if not 1 <= group < shape_set.m - shape_set.d:
-        raise FormatError(f"group size must lie in [1, m-d), got {group} "
-                          f"with m={shape_set.m}, d={shape_set.d}")
-
-
 def _solve_once(shape_set, config, models=None, prior=None):
     models = models or build_models(shape_set, config)
     solution = gpa.solve(
@@ -176,9 +181,7 @@ def _cve(shape_set, models, solution, config, group):
 
 
 def cmd_solve(config, cve_group=None):
-    shape_set = _load_input(config)
-    if cve_group is not None:
-        _check_group(shape_set, cve_group)
+    shape_set = _load_input(config, cve_group)
     start = time.perf_counter()
     models, solution = _solve_once(shape_set, config)
     r_ref = metrics.rmse_r(solution, shape_set, models)
@@ -216,8 +219,7 @@ def cmd_sweep(config, thetas=None, cve_group=1):
     configs = [replace(config, theta=theta) for theta in thetas]
     for cfg in configs:  # a bad grid value fails the sweep before any solve
         cfg.validate()
-    shape_set = _load_input(config)
-    _check_group(shape_set, cve_group)
+    shape_set = _load_input(config, cve_group)
     reflection_ref = _resolve_reflection_ref(shape_set, config.reflection_ref)
 
     # the prior and the splines do not depend on theta; only mu_i does
@@ -269,8 +271,7 @@ def cmd_sweep(config, thetas=None, cve_group=1):
 
 
 def cmd_cve(config, group):
-    shape_set = _load_input(config)
-    _check_group(shape_set, group)
+    shape_set = _load_input(config, group)
     models, solution = _solve_once(shape_set, config)
     cve, predicted = _cve(shape_set, models, solution, config, group)
     out = _default_output(config, "cve.json")

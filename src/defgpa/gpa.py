@@ -134,6 +134,16 @@ def _rotations(M, allow_reflection=False):
     return R, sv
 
 
+def _rank_below(sv, rank):
+    """Which cross-covariances, by their descending singular values sv (..., d) from `_rotations`,
+    have rank below `rank`: the largest value is zero, or the rank-th is at most 1e-12 of it.  An SO(d)
+    rotation needs rank d-1, an O(d) one rank d."""
+    low = sv[..., 0] <= 0
+    if rank >= 1:
+        low |= sv[..., rank - 1] <= 1e-12 * sv[..., 0]
+    return low
+
+
 def _stacked(shape_set):
     """Zero-filled n x d x m point stack and n x m float visibility masks."""
     X = np.stack([s.filled(0.0) for s in shape_set])
@@ -187,15 +197,12 @@ def _transform_table(joint, sums, cross, sq, allow_reflection):
     R[..., diag, :, :] = np.eye(d)
     t = mu_tgt - s[..., None] * (R @ mu_src[..., None])[..., 0]
 
-    rank_deficient = sv[..., 0] <= 0
-    if d >= 2:
-        rank_deficient |= sv[..., d - 2] <= 1e-12 * sv[..., 0]
     orth_error = np.max(np.abs(np.swapaxes(R, -1, -2) @ R - np.eye(d)), axis=(-2, -1))
     checks = (
         (joint < d + 1, InsufficientOverlap, "need at least {need} jointly visible points, have {have}"),
         # relative to the raw second moment, so that round-off cannot pass for spread
         (denom <= 1e-12 * sq, DegenerateConfiguration, "source points are coincident"),
-        (rank_deficient, DegenerateConfiguration,
+        (_rank_below(sv, d - 1), DegenerateConfiguration,
          "cross-covariance is rank-deficient; rotation undetermined"),
         (s <= 0, DegenerateConfiguration, "optimal similarity scale is not positive"),
         (orth_error > 1e-10, DegenerateConfiguration, "rotation block is not orthonormal"),
@@ -462,7 +469,7 @@ def _reflected(S, D, gamma):
     Dk = D * gamma[..., None, :]
     centered = Dk - (Dk @ gamma[..., :, None]) * gamma[..., None, :] / gamma.sum(axis=-1)[..., None, None]
     R, sv = _rotations(centered @ np.swapaxes(S, -1, -2), allow_reflection=True)
-    return np.linalg.det(R) < 0, (sv[..., 0] <= 0) | (sv[..., -1] <= 1e-12 * sv[..., 0])
+    return np.linalg.det(R) < 0, _rank_below(sv, S.shape[-2])
 
 
 def _theorem_conditions(shape_set, Bg, solved, models, tol):

@@ -23,8 +23,8 @@ from . import gpa as _gpa
 from .spectral import _bottom_pairs_dplr
 from .warps import TpsWarp, apply_warp, fit_inverse_tps
 
-# Entries the stacked arrays of one pass (or one chunk of folds) may hold: 0.5 MiB in float64,
-# so a pass peaks a few MiB above a one-set pass; beyond that, flops outweigh per-call overhead.
+# Entries the stacked arrays of one block of (fold, model set) pairs or one chunk of fold priors may hold:
+# 0.5 MiB in float64, so a CVE peaks a few MiB above one pair's; beyond that, flops outweigh call overhead.
 _STACK_ENTRIES = 2**16
 
 
@@ -111,15 +111,11 @@ def _rigid(A, B, w):
     Returns R (K x d x d), t (K x d x 1) and which entries have a
     rank-deficient cross-covariance.
     """
-    d = A.shape[1]
     count = w.sum(axis=-1)[:, None, None]
     muA = (A @ w[:, :, None]) / count
     muB = (B @ w[:, :, None]) / count
     R, sv = _gpa._rotations(((A - muA) * w[:, None, :]) @ np.swapaxes(B - muB, -1, -2))
-    deficient = sv[:, 0] <= 0
-    if d >= 2:
-        deficient |= sv[:, d - 2] <= 1e-12 * sv[:, 0]
-    return R, muB - R @ muA, deficient
+    return R, muB - R @ muA, _gpa._rank_below(sv, A.shape[1] - 1)
 
 
 def _drain(parts):
@@ -142,22 +138,21 @@ def cross_validation_errors(shape_set, fits, config=None, reflection_ref=0,
     `fits` holds (models, full solution) pairs, each solution the GPA of the
     whole set with those models.  Each shape's basis is computed once on all
     m points, and the points and masks are stacked once; a fold slices their
-    kept columns and builds no shape objects.  The folds run in chunks
-    bounded by _STACK_ENTRIES, a ragged last fold in a chunk of its own.  A
-    chunk's priors (with reflections when `allow_reflection`, as the full
-    prior was) come from the whole set's pair moments minus those of each
-    fold's held-out columns.  Sets with equal per-shape models share passes
-    bounded by _STACK_ENTRIES, and a pass takes the chunk's folds in fixed
-    blocks within the same bound.  Each fold of a block gets the pass's
-    per-shape terms in one call, each set with its full solution's nu (raised
-    to n/m' of the fold if below); the block then ends in one stacked
-    eigensolve of its pairs, each started from its full reference on the
-    fold's kept points (DPLR, or dense where the factors have k >= m'
-    columns), and in their predictors.  Scaling, reflection, gauge alignment
-    and the prediction of held-out points as W_i^T B_i[:, fold] then run once
-    per chunk on the stacked selections; each fold reference is rigidly
-    aligned to the full reference on the kept points.  Only originally
-    visible landmarks count.
+    kept columns and builds no shape objects.  Every fold prior comes first,
+    in chunks of folds bounded by _STACK_ENTRIES: the whole set's pair
+    moments minus those of each fold's held-out columns (with reflections
+    when `allow_reflection`, as the full prior was), up to the first fold
+    that fails.  Then sets with equal per-shape models share passes bounded
+    by _STACK_ENTRIES, and a pass takes the folds with priors in fixed blocks
+    within the same bound, a ragged last fold in a block of its own.  Each
+    fold of a block gets the pass's per-shape terms in one call, each set
+    with its full solution's nu (raised to n/m' of the fold if below).  The
+    block then runs one stacked eigensolve of its (fold, set) pairs, each
+    started from its full reference on the fold's kept points (DPLR, or dense
+    where the factors have k >= m' columns), and its tail on the same stack:
+    scaling, reflection, the rigid alignment of each fold reference to the
+    full reference on the kept points, and the prediction of held-out points
+    as W_i^T B_i[:, fold].  Only originally visible landmarks count.
 
     Returns one entry per model set: (cve, predicted shapes), or the
     DefgpaError of its earliest failing fold; a failed model set skips the
@@ -187,16 +182,15 @@ def cross_validation_errors(shape_set, fits, config=None, reflection_ref=0,
             continue
         batches.setdefault(key, []).append(j)
     # a (fold, model set) pair has an m' x k factor (k = n l + 1) and n x l x m' solved terms.  A pass
-    # takes a chunk's folds in blocks of `step` folds, at most `size` pairs, and ends each block in
-    # one stacked eigensolve.  Where k < m' that is the DPLR eigensolver, which also stacks a copy
-    # of the factors and two k x k kernels per pair; where k >= m' it is dense, with an m' x m'
-    # matrix per pair.
+    # takes the folds in blocks of `step` folds, at most `size` pairs, and ends each block in one
+    # stacked eigensolve and its tail.  Where k < m' that is the DPLR eigensolver, which also stacks a
+    # copy of the factors and two k x k kernels per pair; where k >= m' it is dense, with an m' x m'
+    # matrix per pair.  The tail holds about 12 d m + 4 n d g entries per pair once the factors are freed.
     passes = []
     for key, indices in batches.items():
         k = n * bases[key][0].shape[1] + 1
         size = max(1, _STACK_ENTRIES // (m * k + m * m if k >= m else 3 * m * k + 2 * k * k))
         passes += [(bases[key], indices[i:i + size], size) for i in range(0, len(indices), size)]
-    live = {j: fits[j] for _, indices, _ in passes for j in indices}
     X0, G0 = _gpa._stacked(shape_set)
     _, Y0 = _gpa._centred(X0, G0)
     moments = _gpa._moments(Y0, G0)
@@ -206,79 +200,69 @@ def cross_validation_errors(shape_set, fits, config=None, reflection_ref=0,
     dropped = np.concatenate([G0, np.zeros((n, 1))], axis=1)[:, held].sum(axis=-1)
     short = np.flatnonzero(np.any(G0.sum(axis=1)[:, None] - dropped < d + 1, axis=0))
     last = int(short[0]) if short.size else len(folds)  # the folds before it reach their priors
-    # a chunk stacks, per fold, about a dozen (n, n, d, d) table and prior moments, and per model
-    # set its m x d eigenvectors, references, masks and gauge terms and its predicted points
-    chunk = max(1, _STACK_ENTRIES // (12 * n * n * d * d + len(live) * (12 * d * m + 4 * n * d * g)))
-    predicted = {j: np.full((n, d, m), np.nan) for j in live}
-
-    def fail(exc):
-        for j in live:
-            outcomes[j] = exc
-        live.clear()
-
-    start = 0
-    while live and start < len(folds):
-        if start == last:
-            fail(InsufficientOverlap(
-                f"fold {folds[last].tolist()} leaves a shape with fewer than {d + 1} visible points"))
+    error = None if last == len(folds) else InsufficientOverlap(
+        f"fold {folds[last].tolist()} leaves a shape with fewer than {d + 1} visible points")
+    # a prior chunk stacks, per fold, about a dozen (n, n, d, d) table and prior moments; of each
+    # prior only its d eigenvalues are kept
+    chunk = max(1, _STACK_ENTRIES // (12 * n * n * d * d))
+    lambdas = []
+    for first in range(0, last, chunk):
+        priors, failure = _gpa._fold_priors(Y0, G0, moments, held[first:min(first + chunk, last)],
+                                            allow_reflection)
+        lambdas += [prior.lambdas for prior in priors]
+        if failure is not None:
+            error = failure
             break
-        # the first m // g folds are whole; a ragged last fold keeps another m' points: its own chunk
-        end = min(start + chunk, last, max(m // g, start + 1))
-        priors, error = _gpa._fold_priors(Y0, G0, moments, held[start:end], allow_reflection)
-        stop = start + len(priors)
-        keepmask = np.arange(m) // g != np.arange(start, stop)[:, None]
-        lambdas = np.array([prior.lambdas for prior in priors])
-        failures = {}  # model set -> (fold, error) of its earliest failing fold in the chunk
-        owners, blocks = [], []  # the (fold, set) pairs, and per block their eigenpairs and predictors
-        for (B, grams, dims), batch, size in passes:
-            step = max(1, size // len(batch))
-            for first in range(start, stop, step):
-                rows, Ws, solveds = [], [], []  # the block's (fold, set) pairs, factors and solved terms
-                for f in range(first, min(first + step, stop)):
-                    indices = [j for j in batch if j in live and j not in failures]
-                    if not indices:
-                        continue
-                    keep = np.flatnonzero(keepmask[f - start])
-                    F, solved, errors = _gpa._per_shape_terms(G0[:, keep], (B[:, :, keep], grams, dims),
-                                                              np.array([smoothing[j] for j in indices]))
-                    for t, exc in errors.items():
-                        failures[indices[t]] = (f, exc)
-                    ok = [t for t in range(len(indices)) if t not in errors]
-                    if not ok:
-                        continue
-                    if errors:
-                        F, solved, indices = F[ok], solved[ok], [indices[t] for t in ok]
-                    rows += [(f, j) for j in indices]
-                    Ws.append(_gpa._factors(F, np.maximum([fits[j][1].nu for j in indices], n / keep.size)))
-                    solveds.append(solved)
-                    del F, solved  # held only in the block's lists
-                if not rows:
+    lambdas = np.array(lambdas)
+    whole = min(len(lambdas), m // g)  # the first m // g folds are whole; a ragged last fold keeps more
+    fold_of = np.arange(m) // g
+    predicted = {j: np.full((n, d, m), np.nan) for _, batch, _ in passes for j in batch}
+    failures = {}  # model set -> (fold, error) of its earliest failing fold
+    for (B, grams, dims), batch, size in passes:
+        step = max(1, size // len(batch))
+        cuts = [*range(0, whole, step), whole, len(lambdas)]
+        for first, end in zip(cuts, cuts[1:]):
+            rows, Ws, solveds = [], [], []  # the block's (fold, set) pairs, factors and solved terms
+            for f in range(first, end):
+                indices = [j for j in batch if j not in failures]
+                if not indices:
+                    break
+                keep = np.flatnonzero(fold_of != f)
+                F, solved, errors = _gpa._per_shape_terms(G0[:, keep], (B[:, :, keep], grams, dims),
+                                                          np.array([smoothing[j] for j in indices]))
+                for t, exc in errors.items():
+                    failures[indices[t]] = (f, exc)
+                ok = [t for t in range(len(indices)) if t not in errors]
+                if not ok:
                     continue
-                f, j = np.array(rows).T
-                W = _drain(Ws)
-                keep = np.nonzero(keepmask[f - start])[1].reshape(len(f), -1)
-                warm = None if W.shape[2] >= W.shape[1] else np.swapaxes(np.take_along_axis(
-                    np.stack([fits[i][1].reference for i in j]), keep[:, None], axis=-1), -1, -2)
-                values, V = _bottom_pairs_dplr(G0.sum(axis=0)[keep], W, d, warm)
-                del W
-                # W_i^T B_i[:, fold] = F (solved_i V)^T B_i[:, fold] for the reference S = F V^T, F = S V
-                cols = held[f]  # held is padded with m: zero columns there
-                P = np.swapaxes(_drain(solveds) @ V[:, None], -1, -2) @ np.moveaxis(
-                    B[:, :, np.minimum(cols, m - 1)] * (cols < m), 2, 0)
-                lifted = np.zeros((len(f), m, d))
-                lifted[keepmask[f - start]] = V.reshape(-1, d)
-                owners += rows
-                blocks.append((values, lifted, P))
-        if owners:
-            values, V, P = (np.concatenate(parts) for parts in zip(*blocks))
-            f, j = np.array(owners).T
-            mask = keepmask[f - start].astype(float)
+                if errors:
+                    F, solved, indices = F[ok], solved[ok], [indices[t] for t in ok]
+                rows += [(f, j) for j in indices]
+                Ws.append(_gpa._factors(F, np.maximum([fits[j][1].nu for j in indices], n / keep.size)))
+                solveds.append(solved)
+                del F, solved  # held only in the block's lists
+            if not rows:
+                continue
+            f, j = np.array(rows).T
+            mask = (fold_of != f[:, None]).astype(float)
+            keep = np.nonzero(mask)[1].reshape(len(f), -1)
+            W = _drain(Ws)
+            warm = None if W.shape[2] >= W.shape[1] else np.swapaxes(np.take_along_axis(
+                np.stack([fits[i][1].reference for i in j]), keep[:, None], axis=-1), -1, -2)
+            values, V = _bottom_pairs_dplr(G0.sum(axis=0)[keep], W, d, warm)
+            del W
+            # W_i^T B_i[:, fold] = F (solved_i V)^T B_i[:, fold] for the reference S = F V^T, F = S V
+            cols = held[f]  # held is padded with m: zero columns there
+            P = np.swapaxes(_drain(solveds) @ V[:, None], -1, -2) @ np.moveaxis(
+                B[:, :, np.minimum(cols, m - 1)] * (cols < m), 2, 0)
+            lifted = np.zeros((len(f), m, d))
+            lifted[mask > 0] = V.reshape(-1, d)
             S, undetermined = _gpa._references(
-                values, V, lambdas[f - start], lambda k: _gpa._gram_anchor(X0, G0 * mask[k]),
+                values, lifted, lambdas[f], lambda k: _gpa._gram_anchor(X0, G0 * mask[k]),
                 X0[reflection_ref], G0[reflection_ref] * mask)
             R, t, deficient = _rigid(S, np.stack([fits[i][1].reference for i in j]), mask)
-            pred = R[:, None] @ ((S @ V)[:, None] @ P) + t[:, None]
-            for k, (f, j) in enumerate(owners):
+            pred = R[:, None] @ ((S @ lifted)[:, None] @ P) + t[:, None]
+            for k, (f, j) in enumerate(rows):
                 if j in failures and failures[j][0] < f:
                     continue
                 if undetermined[k] or deficient[k]:
@@ -286,19 +270,15 @@ def cross_validation_errors(shape_set, fits, config=None, reflection_ref=0,
                         _gpa._UNORIENTED if undetermined[k] else _RANK_DEFICIENT))
                 else:
                     predicted[j][:, :, folds[f]] = pred[k, :, :, :folds[f].size]
-        for j, (_, exc) in failures.items():
-            outcomes[j] = exc
-            del live[j]
-        start = stop
-        if error is not None:
-            fail(error)
-            break
 
-    # a set still live has a prediction at every fold
+    # a set with no failing fold has a prediction at every fold; its CVE stands if every fold has a prior
     visible = shape_set.visibility_matrix()[:, None, :]
-    for j, (_, full) in live.items():
-        total = sum(float(np.sum(D * D)) for D in np.where(visible, predicted[j] - full.reference, 0.0))
-        outcomes[j] = (float(np.sqrt(total / visible.sum())), list(np.where(visible, predicted[j], np.nan)))
+    for j, points in predicted.items():
+        if j in failures or error is not None:
+            outcomes[j] = failures[j][1] if j in failures else error
+            continue
+        total = sum(float(np.sum(D * D)) for D in np.where(visible, points - fits[j][1].reference, 0.0))
+        outcomes[j] = (float(np.sqrt(total / visible.sum())), list(np.where(visible, points, np.nan)))
     return outcomes
 
 

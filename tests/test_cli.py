@@ -429,6 +429,21 @@ class TestUsage:
         assert not out.exists()
         assert json.loads(capsys.readouterr().err)["error"] == "FormatError"
 
+    @pytest.mark.parametrize("args", [
+        ["--nu", "-1"],
+        ["--model", "tps", "--lambda-internal", "-1"],
+        ["--model", "tps", "--flat-axes", "2"],
+        ["--model", "tps", "--flat-axes", "-1"],
+    ], ids=["nu", "lambda-internal", "flat-axes-d", "flat-axes-negative"])
+    def test_out_of_range_values_rejected(self, rigid_file, tmp_path, capsys, args):
+        # a usage error in every command (d = 2 here), not a solver failure or a sweep of NaN rows
+        _, path = rigid_file
+        out = tmp_path / "out"
+        for command in (["solve"], ["sweep", "--thetas", "1,2"], ["cve", "--group", "1"]):
+            assert main(command + args + ["--input", path, "--output", str(out)]) == 2
+            assert not out.exists()
+            assert json.loads(capsys.readouterr().err)["error"] == "FormatError"
+
     @pytest.mark.parametrize("group", [0, 8, 10])
     def test_cve_group_checked_before_any_solve(self, rng, tmp_path, capsys, monkeypatch, group):
         # d2 m10: folds must keep d+1 points, so groups lie in [1, 8)

@@ -337,7 +337,8 @@ class TestBatchedCrossValidation:
         k = ss.n * max(model.feature_dim for model in fits[0][0]) + 1
         monkeypatch.setattr(defgpa.metrics, "_STACK_ENTRIES", 2 * (ss.m * k + ss.m ** 2))
         split = cross_validation_errors(ss, fits)
-        assert passes == [2, 1] * ss.m
+        # pass-major: every fold of the two-set pass, then every fold of the one-set pass
+        assert passes == [2] * ss.m + [1] * ss.m
         for got, want in zip(split, whole):
             assert got[0] == want[0]
             np.testing.assert_array_equal(np.array(got[1]), np.array(want[1]))
@@ -431,25 +432,37 @@ class TestFoldPriors:
         return ShapeSet(tuple(Shape(s.points, v, s.label) for s, v in zip(ss, vis)))
 
     def test_first_failing_fold_fails_every_set(self, rng, monkeypatch):
-        # holding out column 5 leaves shapes 0 and 1 two joint points; folds 0-4 are solved
+        # holding out column 5 leaves shapes 0 and 1 two joint points; folds 0-4 are solved.  At 2000
+        # entries the priors come in chunks of 2 folds, and fold 5 fails in the third, beside fold 4
         import defgpa.gpa
+        import defgpa.metrics
         ss = self.three_joint_points(rng)
         fits = solved_fits(ss, [1.0])
         with pytest.raises(InsufficientOverlap) as want:
             per_fold_reference(ss, fits)
         assert str(want.value) == "need at least 3 jointly visible points, have 2"
-        terms = defgpa.gpa._per_shape_terms
-        solved_folds = []
+        terms, fold_priors_core = defgpa.gpa._per_shape_terms, defgpa.gpa._fold_priors
+        solved_folds, chunks = [], []
 
         def spy(G, bases, mus):
             solved_folds.append(G.shape[1])
             return terms(G, bases, mus)
 
+        def spy_priors(Y, G, moments, held, allow_reflection):
+            chunks.append(len(held))
+            return fold_priors_core(Y, G, moments, held, allow_reflection)
+
         monkeypatch.setattr(defgpa.gpa, "_per_shape_terms", spy)
-        for outcome in cross_validation_errors(ss, fits):
-            assert type(outcome) is InsufficientOverlap
-            assert str(outcome) == str(want.value)
-        assert solved_folds == [ss.m - 1] * 2 * 5  # a TPS and an affine pass per fold
+        monkeypatch.setattr(defgpa.gpa, "_fold_priors", spy_priors)
+        for entries, want_chunks in ((defgpa.metrics._STACK_ENTRIES, [ss.m]), (2000, [2, 2, 2])):
+            monkeypatch.setattr(defgpa.metrics, "_STACK_ENTRIES", entries)
+            solved_folds.clear()
+            chunks.clear()
+            for outcome in cross_validation_errors(ss, fits):
+                assert type(outcome) is InsufficientOverlap
+                assert str(outcome) == str(want.value)
+            assert solved_folds == [ss.m - 1] * 2 * 5  # a TPS and an affine pass per fold
+            assert chunks == want_chunks  # no chunk after the failing one
 
     def test_earliest_failing_fold_wins(self, rng):
         # the broken set fails at fold 0, before the chunk's failing prior at fold 5
@@ -520,6 +533,28 @@ class TestFoldPriors:
         for got, want in zip(split, whole):
             assert got[0] == want[0]
             np.testing.assert_array_equal(np.array(got[1]), np.array(want[1]))
+
+
+def test_prior_chunks_do_not_depend_on_the_model_sets(rng, monkeypatch):
+    # a prior chunk counts only the priors it stacks, not the model sets the folds then solve
+    import defgpa.gpa
+    import defgpa.metrics
+    ss = mask_set(rng, full_set(rng, 2, 12, 4, kind="smooth", noise=0.05), 0.15, min_joint=2 + 2)
+    runs = [solved_fits(ss, thetas, affine=False) for thetas in ([1.0], [10.0, 1.0, 0.1])]
+    fold_priors_core = defgpa.gpa._fold_priors
+    chunks = []
+
+    def spy(Y, G, moments, held, allow_reflection):
+        chunks[-1].append(len(held))
+        return fold_priors_core(Y, G, moments, held, allow_reflection)
+
+    monkeypatch.setattr(defgpa.gpa, "_fold_priors", spy)
+    monkeypatch.setattr(defgpa.metrics, "_STACK_ENTRIES", 4000)
+    for fits in runs:
+        chunks.append([])
+        outcomes = cross_validation_errors(ss, fits)
+        assert not any(isinstance(outcome, DefgpaError) for outcome in outcomes)
+    assert chunks[0] == chunks[1] == [5, 5, 2]
 
 
 def test_cve_memory_stays_within_the_stack_bound(rng, monkeypatch):
