@@ -11,8 +11,8 @@ Subcommands:
 * ``defgpa prior``  -- print the estimated reference covariance prior.
 
 Exit codes: 0 success, 1 runtime failure inside the solver, 2 usage/config or
-input-format errors.  Outputs are byte-deterministic: fixed key order and
-shortest round-trip float formatting.
+input-format errors.  Outputs are byte-deterministic at a fixed BLAS build and
+thread count: fixed key order and shortest round-trip float formatting.
 """
 
 import argparse
@@ -21,7 +21,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,45 +34,25 @@ EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a solve needs beyond the data itself."""
-
-    input: str
-    model: str = "affine"            # {affine, tps}
-    ctrl: int = 3                    # control points per principal axis
-    theta: float = 1.0               # smoothing scalar; mu_i = nnz(Gamma_i) * theta
-    nu: float | None = None          # None = "auto" (n/m)
-    lambda_internal: float | None = None  # TPS internal conditioning; None = auto
-    flat_axes: int = 0
-    reflection_ref: int | str = 0    # shape index or shape id
-    allow_reflection: bool = False
-    output: str | None = None
-    format: str = "json"             # metrics report format: {json, csv}
-    input_format: str | None = None  # inferred from extension when None
-
-    def validate(self):
-        if self.model not in ("affine", "tps"):
-            raise FormatError(f"unknown model {self.model!r}")
-        for name in ("theta", "nu", "lambda_internal"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise FormatError(f"{name} must be a finite number, got {value}")
-            if name != "theta" and value is not None and value < 0:
-                raise FormatError(f"{name} must be non-negative, got {value}")
-        if self.model == "tps":
-            if self.theta <= 0:
-                raise FormatError("theta must be positive for the TPS model")
-            if self.ctrl < 2:
-                raise FormatError("ctrl must be at least 2 for the TPS model")
-            if self.flat_axes < 0:
-                raise FormatError("flat_axes must be non-negative for the TPS model")
-        if self.format not in ("json", "csv"):
-            raise FormatError(f"unknown report format {self.format!r}")
+def _validate(config):
+    """Reject option values that no solve accepts, before any input is read."""
+    for name in ("theta", "nu", "lambda_internal"):
+        value = getattr(config, name)
+        if value is not None and not math.isfinite(value):
+            raise FormatError(f"{name} must be a finite number, got {value}")
+        if name != "theta" and value is not None and value < 0:
+            raise FormatError(f"{name} must be non-negative, got {value}")
+    if config.model == "tps":
+        if config.theta <= 0:
+            raise FormatError("theta must be positive for the TPS model")
+        if config.ctrl < 2:
+            raise FormatError("ctrl must be at least 2 for the TPS model")
+        if config.flat_axes < 0:
+            raise FormatError("flat_axes must be non-negative for the TPS model")
 
 
 def build_models(shape_set, config):
-    """Per-shape warp models for a RunConfig.
+    """Per-shape warp models for a run configuration, the parsed command line.
 
     TPS control grids are placed per shape along its principal axes; the
     smoothing weight is mu_i = nnz(Gamma_i) * theta.
@@ -142,22 +121,19 @@ def _default_output(config, suffix):
 
 def _resolve_reflection_ref(shape_set, ref):
     """Accept a shape index or a shape id string."""
-    if isinstance(ref, int):
-        index = ref
-    else:
-        try:
-            index = int(ref)
-        except ValueError:
-            labels = [s.label for s in shape_set]
-            if ref not in labels:
-                raise FormatError(f"no shape with id {ref!r}") from None
-            index = labels.index(ref)
+    try:
+        index = int(ref)
+    except ValueError:
+        labels = [s.label for s in shape_set]
+        if ref not in labels:
+            raise FormatError(f"no shape with id {ref!r}") from None
+        index = labels.index(ref)
     if not 0 <= index < shape_set.n:
         raise FormatError(f"reflection reference {ref!r} out of range for n={shape_set.n}")
     return index
 
 
-def _solve_once(shape_set, config, models=None, prior=None):
+def _solve_once(shape_set, config, models=None, prior=None, check_conditions=True):
     models = models or build_models(shape_set, config)
     solution = gpa.solve(
         shape_set, models,
@@ -165,6 +141,7 @@ def _solve_once(shape_set, config, models=None, prior=None):
         nu=config.nu,
         reflection_ref=_resolve_reflection_ref(shape_set, config.reflection_ref),
         allow_reflection=config.allow_reflection,
+        check_conditions=check_conditions,
     )
     return models, solution
 
@@ -180,15 +157,15 @@ def _cve(shape_set, models, solution, config, group):
     return outcome
 
 
-def cmd_solve(config, cve_group=None):
-    shape_set = _load_input(config, cve_group)
+def cmd_solve(config):
+    shape_set = _load_input(config, config.cve_group)
     start = time.perf_counter()
     models, solution = _solve_once(shape_set, config)
     r_ref = metrics.rmse_r(solution, shape_set, models)
     r_dat = metrics.rmse_d(solution, shape_set, models)
     cve = None
-    if cve_group is not None:
-        cve, _ = _cve(shape_set, models, solution, config, cve_group)
+    if config.cve_group is not None:
+        cve, _ = _cve(shape_set, models, solution, config, config.cve_group)
     elapsed = time.perf_counter() - start
 
     out = _default_output(config, "solution.json")
@@ -211,15 +188,13 @@ def _method_name(config):
     return f"TPS_r({config.ctrl})"
 
 
-def cmd_sweep(config, thetas=None, cve_group=1):
-    if thetas is None:
-        thetas = np.logspace(-5, 5, 11).tolist()
+def cmd_sweep(config):
+    thetas = _parse_thetas(config.thetas)
     if len(thetas) < 2:
         raise FormatError("sweep needs at least two theta values")
-    configs = [replace(config, theta=theta) for theta in thetas]
-    for cfg in configs:  # a bad grid value fails the sweep before any solve
-        cfg.validate()
-    shape_set = _load_input(config, cve_group)
+    for theta in thetas:  # a bad grid value fails the sweep before any solve
+        _validate(argparse.Namespace(**{**vars(config), "theta": theta}))
+    shape_set = _load_input(config, config.cve_group)
     reflection_ref = _resolve_reflection_ref(shape_set, config.reflection_ref)
 
     # the prior and the splines do not depend on theta; only mu_i does
@@ -231,13 +206,13 @@ def cmd_sweep(config, thetas=None, cve_group=1):
         base_models = build_models(shape_set, config)
     except DefgpaError as exc:  # every grid point fails alike
         errors = dict.fromkeys(range(len(thetas)), exc)
-    for idx, cfg in enumerate(configs):
+    for idx, theta in enumerate(thetas):
         if idx in errors:
             continue
         try:
-            models, solution = _solve_once(shape_set, cfg, _with_theta(base_models, shape_set, cfg.theta),
-                                           prior)
-            rows[idx] = {"theta": cfg.theta,
+            models, solution = _solve_once(shape_set, config, _with_theta(base_models, shape_set, theta),
+                                           prior, check_conditions=False)
+            rows[idx] = {"theta": theta,
                          "rmse_r": metrics.rmse_r(solution, shape_set, models),
                          "rmse_d": metrics.rmse_d(solution, shape_set, models)}
             fits[idx] = (models, solution)
@@ -246,7 +221,7 @@ def cmd_sweep(config, thetas=None, cve_group=1):
 
     if fits:
         outcomes = metrics.cross_validation_errors(
-            shape_set, list(fits.values()), config=metrics.CveConfig(cve_group),
+            shape_set, list(fits.values()), config=metrics.CveConfig(config.cve_group),
             reflection_ref=reflection_ref, allow_reflection=config.allow_reflection)
         for idx, outcome in zip(fits, outcomes):
             if isinstance(outcome, DefgpaError):
@@ -270,12 +245,12 @@ def cmd_sweep(config, thetas=None, cve_group=1):
     return EXIT_OK
 
 
-def cmd_cve(config, group):
-    shape_set = _load_input(config, group)
-    models, solution = _solve_once(shape_set, config)
-    cve, predicted = _cve(shape_set, models, solution, config, group)
+def cmd_cve(config):
+    shape_set = _load_input(config, config.group)
+    models, solution = _solve_once(shape_set, config, check_conditions=False)
+    cve, predicted = _cve(shape_set, models, solution, config, config.group)
     out = _default_output(config, "cve.json")
-    doc = {"cve": cve, "group_size": group,
+    doc = {"cve": cve, "group_size": config.group,
            "predicted": shape_document(predicted, [s.label for s in shape_set])}
     _write_json(out, doc)
     print(json.dumps({"output": out, "cve": cve}))
@@ -289,7 +264,9 @@ def cmd_prior(config):
     return EXIT_OK
 
 
-def _add_common(parser):
+def _add_common(parser, run):
+    """The options every command shares; `run` is the command that takes the parsed arguments."""
+    parser.set_defaults(run=run)
     parser.add_argument("--input", required=True, help="shape document (JSON) or CSV manifest")
     parser.add_argument("--input-format", choices=["json", "csv"], default=None)
     parser.add_argument("--model", choices=["affine", "tps"], default="affine")
@@ -308,6 +285,7 @@ def _add_common(parser):
     parser.add_argument("--output", default=None)
     parser.add_argument("--format", choices=["json", "csv"], default="json",
                         help="metrics report format")
+    return parser
 
 
 def _parse_scalar(value, name):
@@ -320,27 +298,16 @@ def _parse_scalar(value, name):
 
 
 def _config_from_args(args):
-    cfg = RunConfig(
-        input=args.input,
-        model=args.model,
-        ctrl=args.ctrl,
-        theta=args.theta,
-        nu=_parse_scalar(args.nu, "--nu"),
-        lambda_internal=_parse_scalar(args.lambda_internal, "--lambda-internal"),
-        flat_axes=args.flat_axes,
-        reflection_ref=args.reflection_ref,
-        allow_reflection=args.allow_reflection,
-        output=args.output,
-        format=args.format,
-        input_format=args.input_format,
-    )
-    cfg.validate()
-    return cfg
+    """The parsed arguments as the run configuration: the 'auto' scalars become None, then checked."""
+    args.nu = _parse_scalar(args.nu, "--nu")
+    args.lambda_internal = _parse_scalar(args.lambda_internal, "--lambda-internal")
+    _validate(args)
+    return args
 
 
 def _parse_thetas(text):
     if text is None:
-        return None
+        return np.logspace(-5, 5, 11).tolist()
     try:
         vals = [float(v) for v in text.split(",") if v.strip()]
     except ValueError as exc:
@@ -353,23 +320,19 @@ def build_parser():
                                      description="Closed-form GPA with linear basis warps")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = sub.add_parser("solve", help="solve one GPA instance")
-    _add_common(p_solve)
+    p_solve = _add_common(sub.add_parser("solve", help="solve one GPA instance"), cmd_solve)
     p_solve.add_argument("--cve-group", type=int, default=None,
                          help="also report leave-N-out CVE in the metrics row")
 
-    p_sweep = sub.add_parser("sweep", help="sweep the smoothing parameter theta")
-    _add_common(p_sweep)
+    p_sweep = _add_common(sub.add_parser("sweep", help="sweep the smoothing parameter theta"), cmd_sweep)
     p_sweep.add_argument("--thetas", default=None,
                          help="comma-separated theta grid (default: 11 log-spaced in [1e-5, 1e5])")
     p_sweep.add_argument("--cve-group", type=int, default=1)
 
-    p_cve = sub.add_parser("cve", help="leave-N-out cross-validation")
-    _add_common(p_cve)
+    p_cve = _add_common(sub.add_parser("cve", help="leave-N-out cross-validation"), cmd_cve)
     p_cve.add_argument("--group", type=int, required=True, help="points held out per fold")
 
-    p_prior = sub.add_parser("prior", help="estimate the reference covariance prior")
-    _add_common(p_prior)
+    _add_common(sub.add_parser("prior", help="estimate the reference covariance prior"), cmd_prior)
     return parser
 
 
@@ -380,17 +343,7 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        config = _config_from_args(args)
-        if args.command == "solve":
-            return cmd_solve(config, cve_group=args.cve_group)
-        if args.command == "sweep":
-            return cmd_sweep(config, thetas=_parse_thetas(args.thetas),
-                             cve_group=args.cve_group)
-        if args.command == "cve":
-            return cmd_cve(config, args.group)
-        if args.command == "prior":
-            return cmd_prior(config)
-        raise FormatError(f"unknown command {args.command!r}")
+        return args.run(_config_from_args(args))
     except (FormatError, DimensionError) as exc:
         sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
         return EXIT_USAGE

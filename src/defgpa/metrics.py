@@ -185,11 +185,13 @@ def cross_validation_errors(shape_set, fits, config=None, reflection_ref=0,
     # takes the folds in blocks of `step` folds, at most `size` pairs, and ends each block in one
     # stacked eigensolve and its tail.  Where k < m' that is the DPLR eigensolver, which also stacks a
     # copy of the factors and two k x k kernels per pair; where k >= m' it is dense, with an m' x m'
-    # matrix per pair.  The tail holds about 12 d m + 4 n d g entries per pair once the factors are freed.
+    # matrix per pair.  The tail holds about 12 d m + 4 n d g entries per pair once the factors are
+    # freed, and a pair counts whichever of the two is larger.
     passes = []
+    tail = 12 * d * m + 4 * n * d * config.group_size
     for key, indices in batches.items():
         k = n * bases[key][0].shape[1] + 1
-        size = max(1, _STACK_ENTRIES // (m * k + m * m if k >= m else 3 * m * k + 2 * k * k))
+        size = max(1, _STACK_ENTRIES // max(m * k + m * m if k >= m else 3 * m * k + 2 * k * k, tail))
         passes += [(bases[key], indices[i:i + size], size) for i in range(0, len(indices), size)]
     X0, G0 = _gpa._stacked(shape_set)
     _, Y0 = _gpa._centred(X0, G0)

@@ -99,38 +99,23 @@ class CovariancePrior:
         return np.diag(self.lambdas)
 
 
-def _cluster_slices(values, tol):
-    """Contiguous index ranges of near-equal eigenvalues."""
-    slices = []
-    start = 0
-    for j in range(1, values.size + 1):
-        if j == values.size or values[j] - values[j - 1] > tol:
-            slices.append(slice(start, j))
-            start = j
-    return slices
+def _anchor_rotate(X, joined, anchor):
+    """Resolve degenerate eigenvalue clusters against a data anchor, in place.
 
-
-def _anchor_rotate(X, values, anchor):
-    """Resolve degenerate eigenvalue clusters against a data anchor.
-
-    Within a cluster of (numerically) equal eigenvalues any orthonormal basis
-    is cost-optimal; rotate each cluster's columns to diagonalize the Gram of
+    joined[j] marks columns j and j+1 of X as one cluster of (numerically)
+    equal eigenvalues.  Within a cluster any orthonormal basis is
+    cost-optimal; rotate each cluster's columns to diagonalize the Gram of
     the anchor's restriction, (A X_c)^T (A X_c), ordering by its eigenvalues
     descending so the largest prior entry pairs with the strongest data
-    direction.  A no-op when all selected eigenvalues are separated.
+    direction.
     """
-    tol = _CLUSTER_TOL * max(1.0, float(np.max(np.abs(values), initial=0.0)))
-    X = np.array(X, copy=True)
-    for cluster in _cluster_slices(values, tol):
-        width = cluster.stop - cluster.start
-        if width < 2:
-            continue
-        Xc = X[:, cluster]
-        AXc = anchor @ Xc
-        restricted = AXc.T @ AXc
-        w, omega = np.linalg.eigh(0.5 * (restricted + restricted.T))
-        X[:, cluster] = Xc @ omega[:, ::-1]
-    return X
+    cuts = [0, *(np.flatnonzero(~joined) + 1), X.shape[1]]
+    for start, stop in zip(cuts, cuts[1:]):
+        if stop - start > 1:
+            AXc = anchor @ X[:, start:stop]
+            restricted = AXc.T @ AXc
+            omega = np.linalg.eigh(0.5 * (restricted + restricted.T))[1]
+            X[:, start:stop] = X[:, start:stop] @ omega[:, ::-1]
 
 
 def _scale_selected(values, X, lam, anchor):
@@ -138,20 +123,21 @@ def _scale_selected(values, X, lam, anchor):
 
     values (..., d) ascending and X (..., m, d) are the selected eigenpairs and
     lam (d,) or (..., d) the prior of each.  Selections with a degenerate
-    cluster are rotated against their anchor: one array for all, or a function
-    of the selection's flat index for per-selection anchors (None skips the
-    rotation).  Then canonical signs are fixed and row k is scaled by
-    sqrt(lambda_k).
+    cluster, neighbours within _CLUSTER_TOL of the spectral scale, are rotated
+    against their anchor: one array for all, or a function of the selection's
+    flat index for per-selection anchors (None skips the rotation).  Then
+    canonical signs are fixed and row k is scaled by sqrt(lambda_k).
     """
     if anchor is not None:
         flat_values = values.reshape(-1, values.shape[-1])
         tol = _CLUSTER_TOL * np.maximum(1.0, np.max(np.abs(flat_values), axis=-1, initial=0.0))
-        clustered = np.flatnonzero(np.any(np.diff(flat_values, axis=-1) <= tol[:, None], axis=-1))
+        joined = np.diff(flat_values, axis=-1) <= tol[:, None]
+        clustered = np.flatnonzero(np.any(joined, axis=-1))
         if clustered.size:
             flat_X = X.reshape((-1,) + X.shape[-2:]).copy()
             for k in clustered:
                 A = anchor(k) if callable(anchor) else anchor
-                flat_X[k] = _anchor_rotate(flat_X[k], flat_values[k], np.asarray(A, dtype=float))
+                _anchor_rotate(flat_X[k], joined[k], np.asarray(A, dtype=float))
             X = flat_X.reshape(X.shape)
     return np.sqrt(lam)[..., :, None] * np.swapaxes(_canonical_signs(X), -1, -2)
 

@@ -23,7 +23,7 @@ from defgpa import (
     save_shapes,
     solve,
 )
-from defgpa.cli import RunConfig, build_models, main
+from defgpa.cli import _config_from_args, build_models, build_parser, main
 from conftest import affine_models, full_set
 
 SRC_DIR = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
@@ -114,7 +114,7 @@ class TestSolveCommand:
         out = str(tmp_path / "sol.json")
         assert main(["solve", "--input", path, "--model", "affine", "--output", out]) == 0
         doc = json.loads(Path(out).read_text())
-        config = RunConfig(input=path, model="affine")
+        config = build_parser().parse_args(["solve", "--input", path, "--model", "affine"])
         models = build_models(ss, config)
         sol = solve(ss, models)
         np.testing.assert_allclose(np.array(doc["reference"]), sol.reference, atol=1e-12)
@@ -399,6 +399,20 @@ class TestReflectionRef:
 
 
 class TestUsage:
+    def test_parsed_arguments_are_the_run_config(self):
+        # the argparse table is the only place an option and its default are written
+        parse = build_parser().parse_args
+        config = _config_from_args(parse(["solve", "--input", "x"]))
+        assert {name: getattr(config, name) for name in (
+            "model", "ctrl", "theta", "nu", "lambda_internal", "flat_axes", "reflection_ref",
+            "format", "cve_group")} == {
+            "model": "affine", "ctrl": 3, "theta": 1.0, "nu": None, "lambda_internal": None,
+            "flat_axes": 0, "reflection_ref": "0", "format": "json", "cve_group": None}
+        sweep = _config_from_args(parse(["sweep", "--input", "x"]))
+        assert (sweep.cve_group, sweep.thetas) == (1, None)
+        assert _config_from_args(parse(["solve", "--input", "x", "--nu", "auto"])).nu is None
+        assert _config_from_args(parse(["solve", "--input", "x", "--nu", "0.5"])).nu == 0.5
+
     def test_unknown_model(self, rigid_file):
         _, path = rigid_file
         assert main(["solve", "--input", path, "--model", "rigid"]) == 2

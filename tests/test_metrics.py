@@ -557,6 +557,29 @@ def test_prior_chunks_do_not_depend_on_the_model_sets(rng, monkeypatch):
     assert chunks[0] == chunks[1] == [5, 5, 2]
 
 
+def test_blocks_count_the_tail_of_each_pair(rng, monkeypatch):
+    # d3 n2 affine m40: the DPLR eigensolve stacks 3 m k + 2 k^2 = 1242 entries per pair (k = 9),
+    # fewer than its tail's 12 d m + 4 n d g = 1464, so a bound of 5000 stacks 3 pairs, not 4
+    import defgpa.metrics
+    ss = mask_set(rng, full_set(rng, 3, 40, 2, kind="affine", noise=0.05), 0.1)
+    models = affine_models(ss)
+    fits = [(models, solve(ss, models, check_conditions=False))]
+    whole = cross_validation_errors(ss, fits)
+    dplr = defgpa.metrics._bottom_pairs_dplr
+    blocks = []
+
+    def spy(D, W, d, start=None):
+        blocks.append(len(W))
+        return dplr(D, W, d, start)
+
+    monkeypatch.setattr(defgpa.metrics, "_bottom_pairs_dplr", spy)
+    monkeypatch.setattr(defgpa.metrics, "_STACK_ENTRIES", 5000)
+    split = cross_validation_errors(ss, fits)
+    assert blocks == [3] * 13 + [1]
+    assert split[0][0] == whole[0][0]
+    np.testing.assert_array_equal(np.array(split[0][1]), np.array(whole[0][1]))
+
+
 def test_cve_memory_stays_within_the_stack_bound(rng, monkeypatch):
     # the CVE may hold one solve's arrays plus at most _STACK_ENTRIES float64 entries of stacks
     import tracemalloc

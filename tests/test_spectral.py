@@ -127,6 +127,25 @@ class TestBottomScaled:
         for k in range(3):
             np.testing.assert_array_equal(S[k], dense_selection(P[k], lam, anchor=anchor))
 
+    @pytest.mark.parametrize("values, clusters", [
+        ([1.0, 2.0, 2.0], [[0], [1, 2]]),
+        ([1.0, 1.0, 2.0], [[0, 1], [2]]),
+        ([1.0, 1.0, 1.0], [[0, 1, 2]]),
+    ], ids=["abb", "aab", "aaa"])
+    def test_anchor_rotates_each_cluster_alone(self, rng, values, clusters):
+        # each cluster's columns turn to the eigenvectors of (A X_c)^T (A X_c), descending; a
+        # separated column stays as it is
+        X = np.linalg.qr(rng.normal(size=(7, 3)))[0]
+        A = rng.normal(size=(3, 7))
+        lam = np.array([4.0, 2.0, 1.0])
+        want = X.copy()
+        for c in clusters:
+            AXc = A @ X[:, c]
+            want[:, c] = X[:, c] @ np.linalg.eigh(AXc.T @ AXc)[1][:, ::-1]
+        want *= np.sign(want[np.argmax(np.abs(want), axis=0), range(3)])
+        np.testing.assert_allclose(_scale_selected(np.array(values), X, lam, A),
+                                   np.sqrt(lam)[:, None] * want.T, atol=1e-12)
+
     def test_prior_validation(self):
         with pytest.raises(DegenerateInput):
             CovariancePrior(np.array([1.0, 2.0]))  # ascending
