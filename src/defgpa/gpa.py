@@ -11,7 +11,7 @@ forming an m x m matrix wherever it can certify the selection.  A reflection
 correction against one datum shape fixes the orientation gauge.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -38,32 +38,15 @@ class ShapeConditions:
     witness_found: bool
     passes: bool
 
-    def to_dict(self):
-        return {
-            "index": self.index,
-            "projector_residual": self.projector_residual,
-            "witness_residual": self.witness_residual,
-            "witness_found": self.witness_found,
-            "passes": self.passes,
-        }
-
 
 @dataclass
 class TheoremConditionReport:
     """Aggregated pass/fail record of the all-ones eigenvector conditions."""
 
-    shapes: list
-    aggregate_residual: float
     tolerance: float
+    aggregate_residual: float
     all_pass: bool
-
-    def to_dict(self):
-        return {
-            "tolerance": self.tolerance,
-            "aggregate_residual": self.aggregate_residual,
-            "all_pass": self.all_pass,
-            "shapes": [s.to_dict() for s in self.shapes],
-        }
+    shapes: list
 
 
 @dataclass
@@ -83,7 +66,7 @@ class GpaSolution:
     report: TheoremConditionReport | None = None
 
     def to_json_dict(self):
-        doc = {
+        return {
             "d": int(self.reference.shape[0]),
             "m": int(self.reference.shape[1]),
             "n": len(self.weights),
@@ -97,9 +80,8 @@ class GpaSolution:
             "data_cost": float(self.data_cost),
             "reg_cost": float(self.reg_cost),
             "penalty_cost": float(self.penalty_cost),
+            "conditions": asdict(self.report) if self.report is not None else None,
         }
-        doc["conditions"] = self.report.to_dict() if self.report is not None else None
-        return doc
 
 
 # ---------------------------------------------------------------------------
@@ -353,21 +335,6 @@ def _cholesky_solve(N, rhs):
     return half, np.swapaxes(Linv, -1, -2) @ half
 
 
-def _solve_normal(N, rhs, index):
-    """`_cholesky_solve` with one diagonal-jitter retry before giving up; no retry for non-finite input."""
-    if not (np.all(np.isfinite(N)) and np.all(np.isfinite(rhs))):
-        raise SingularSystem(f"normal matrix of shape {index} is non-finite", shape_index=index)
-    try:
-        return _cholesky_solve(N, rhs)
-    except np.linalg.LinAlgError:
-        pass
-    jitter = 1e-12 * max(np.trace(N) / N.shape[0], np.finfo(float).tiny)
-    try:
-        return _cholesky_solve(N + jitter * np.eye(N.shape[0]), rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"normal matrix of shape {index} is singular", shape_index=index) from exc
-
-
 def _smoothings(shape_set, models):
     """The weights mu_i of a model set; raises DimensionError unless one model per shape, mu_i >= 0."""
     if len(models) != shape_set.n:
@@ -397,10 +364,11 @@ def _per_shape_terms(G, bases, mus):
     smoothing rows mus (T x n).
 
     N_ti = Bg_i B_i^T + mus[t, i] Z_i^T Z_i = L_ti L_ti^T (identity on padded rows)
-    is factored in one call; if that fails, each matrix goes through
-    `_solve_normal`, and a row t that stays singular gets its SingularSystem in
-    the returned dict.  Row t's solve matrix is diag(sum_i Gamma_i) - F^T F
-    (plus nu 11^T), with F the (L_ti^-1 Bg_i) stacked over i.
+    is factored in one call; only if that fails are the matrices factored one
+    by one, and a row t with a matrix that is not positive definite gets the
+    SingularSystem of its first such shape in the returned dict.  Row t's solve
+    matrix is diag(sum_i Gamma_i) - F^T F (plus nu 11^T), with F the
+    (L_ti^-1 Bg_i) stacked over i.
     """
     B, grams, dims = bases
     Bg = B * G[:, None, :]
@@ -413,12 +381,15 @@ def _per_shape_terms(G, bases, mus):
         F, solved = _cholesky_solve(N, Bg)
     except np.linalg.LinAlgError:
         F, solved = np.zeros((2,) + N.shape[:2] + Bg.shape[1:])
-        for t in range(len(mus)):
+        for t, i in np.ndindex(N.shape[:2]):
+            if t in errors:
+                continue
             try:
-                for i, l in enumerate(dims):
-                    F[t, i, :l], solved[t, i, :l] = _solve_normal(N[t, i, :l, :l], Bg[i, :l], i)
-            except SingularSystem as exc:
-                errors[t] = exc
+                F[t, i], solved[t, i] = _cholesky_solve(N[t, i], Bg[i])
+            except np.linalg.LinAlgError:
+                finite = np.all(np.isfinite(N[t, i])) and np.all(np.isfinite(Bg[i]))
+                kind = "singular" if finite else "non-finite"
+                errors[t] = SingularSystem(f"normal matrix of shape {i} is {kind}", shape_index=i)
     return F, solved, errors
 
 
@@ -490,7 +461,8 @@ def _theorem_conditions(shape_set, Bg, solved, models, tol):
         results.append(ShapeConditions(i, projector_residual, witness_residual, witness_found, passes))
     aggregate_residual = float(np.max(np.abs(aggregate)))
     all_pass = aggregate_residual < tol and all(r.passes for r in results)
-    return TheoremConditionReport(results, aggregate_residual, tol, all_pass)
+    return TheoremConditionReport(tolerance=tol, aggregate_residual=aggregate_residual, all_pass=all_pass,
+                                  shapes=results)
 
 
 def check_theorem_conditions(shape_set, models, tol=1e-6):
@@ -618,21 +590,18 @@ def solve_affine_centered(shape_set, prior=None, reflection_ref=0):
     if not shape_set.all_full:
         raise DegenerateInput("translation-eliminated affine GPA requires full shapes")
     prior, nu = _checked_args(shape_set, prior, 0.0, reflection_ref)
-    F = []
-    for i, s in enumerate(shape_set):
-        Dbar = s.points - s.points.mean(axis=1, keepdims=True)
-        try:
-            F.append(_cholesky_solve(Dbar @ Dbar.T, Dbar)[0])
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystem(f"centered shape {i} is degenerate", shape_index=i) from exc
+    n, d, m = shape_set.n, shape_set.d, shape_set.m
+    X, G = _stacked(shape_set)
+    Dbar = X - X.mean(axis=2, keepdims=True)
+    F, _, errors = _per_shape_terms(G, (Dbar, np.zeros((n, d, d)), (d,) * n), np.zeros((1, n)))
+    if errors:
+        i = errors[0].shape_index
+        raise SingularSystem(f"centered shape {i} is degenerate", shape_index=i) from errors[0]
 
     # the top d of Q = sum_i Dbar_i^T (Dbar_i Dbar_i^T)^-1 Dbar_i = sum_i F_i^T F_i are the
     # bottom d of -Q, with identical prior pairing: those of n I - Q, less n
-    n, m = shape_set.n, shape_set.m
-    values, V = _bottom_pairs_dplr(np.full((1, m), float(n)), _factors(np.stack(F)[None], np.zeros(1)),
-                                   shape_set.d)
+    values, V = _bottom_pairs_dplr(np.full((1, m), float(n)), _factors(F, np.zeros(1)), d)
     values -= n
-    X, G = _stacked(shape_set)
     (S,), (undetermined,) = _references(values, V, prior.lambdas[None], _gram_anchor(X, G),
                                         X[reflection_ref], G[reflection_ref])
     if undetermined:

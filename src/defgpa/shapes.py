@@ -40,6 +40,8 @@ class Shape:
         if pts.ndim != 2:
             raise FormatError(f"points must be a d x m matrix, got shape {pts.shape}")
         d, m = pts.shape
+        if d < 1:
+            raise FormatError("points need at least one coordinate row, got d=0")
         vis = np.array(self.visibility, dtype=bool).ravel()
         if vis.shape[0] != m:
             raise FormatError(f"visibility length {vis.shape[0]} does not match m={m}")

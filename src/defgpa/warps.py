@@ -112,7 +112,6 @@ class TpsWarp(LbwModel):
     recovery: E_lambda, (l+d+1) x l, mapping prescribed center images to the
         constrained spline coefficients.
     bending: the l x l bending-energy matrix (PSD, rank l-(d+1)).
-    sqrt_bending: its symmetric PSD square root Z.
     smoothing: the data-term weight mu of ||Z W||_F^2 in a GPA solve.
     """
 
@@ -120,7 +119,6 @@ class TpsWarp(LbwModel):
     internal_smoothing: float
     recovery: np.ndarray
     bending: np.ndarray
-    sqrt_bending: np.ndarray
     smoothing: float = 0.0
 
     @property
@@ -140,6 +138,11 @@ class TpsWarp(LbwModel):
         return self.recovery.T @ stacked
 
     @property
+    def sqrt_bending(self):
+        """The symmetric PSD square root Z of the bending matrix, computed on each read."""
+        return _psd_sqrt(self.bending)
+
+    @property
     def regularizer(self):
         return self.sqrt_bending
 
@@ -148,7 +151,7 @@ class TpsWarp(LbwModel):
 
     def with_smoothing(self, mu):
         return TpsWarp(self.centers, self.internal_smoothing, self.recovery,
-                       self.bending, self.sqrt_bending, float(mu))
+                       self.bending, float(mu))
 
     def describe(self):
         return {
@@ -223,7 +226,6 @@ def tps_build(centers, internal_smoothing=None):
         internal_smoothing=float(internal_smoothing),
         recovery=recovery,
         bending=bending,
-        sqrt_bending=_psd_sqrt(bending),
     )
 
 

@@ -109,6 +109,30 @@ class TestSolveCommand:
         assert doc["conditions"]["all_pass"] is True
         assert doc["conditions"]["shapes"][0]["witness_found"] is True
 
+    @pytest.mark.parametrize("args", [["cve", "--group", "1"], ["solve"]], ids=["cve", "solve"])
+    def test_singular_normal_matrix_exits_1(self, rng, tmp_path, capsys, args):
+        # shape 2 lies on the line y = 0, so its affine normal matrix has a zero row and column
+        arrays = [s.points.copy() for s in full_set(rng, 2, 12, 4, kind="affine")]
+        arrays[2][1] = 0.0
+        path = write_set(tmp_path / "flat.json", ShapeSet(tuple(Shape(D, np.ones(12, bool)) for D in arrays)))
+        out = tmp_path / "out.json"
+        assert main([*args, "--input", path, "--output", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "SingularSystem", "message": "normal matrix of shape 2 is singular"}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [["prior"], ["solve"], ["solve", "--model", "tps"], ["sweep"],
+                                      ["sweep", "--model", "tps"], ["cve", "--group", "1"]],
+                             ids=["prior", "solve", "solve-tps", "sweep", "sweep-tps", "cve"])
+    def test_shapes_without_coordinates_exit_2(self, tmp_path, capsys, args):
+        path = tmp_path / "d0.json"
+        path.write_text(json.dumps({"d": 0, "m": 3, "shapes": [{"points": [[], [], []]}]}))
+        out = tmp_path / "out.json"
+        assert main([*args, "--input", str(path), "--output", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "FormatError", "message": "points need at least one coordinate row, got d=0"}
+        assert not out.exists()
+
     def test_library_parity(self, rigid_file, tmp_path):
         ss, path = rigid_file
         out = str(tmp_path / "sol.json")
@@ -190,8 +214,8 @@ class TestSweepCommand:
             assert rows[:2] + rows[3:] == Path(without).read_text().splitlines()
 
     def test_non_finite_normal_matrix_fails_its_row(self, rng, tmp_path, capsys):
-        # mu_i = nnz_i * 1e308 overflows to inf: the normal matrix is non-finite, so no
-        # jitter retry runs and no warning is printed
+        # mu_i = nnz_i * 1e308 overflows to inf: the normal matrix is non-finite, so its row
+        # fails before any factorization and no warning is printed
         from conftest import mask_set
         ss = mask_set(rng, full_set(rng, 2, 10, 3, kind="smooth", noise=0.05), 0.2,
                       min_joint=2 + 3)

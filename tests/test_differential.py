@@ -10,6 +10,10 @@ so the dense fallback must not run there.
 The stacked CVE (downdated fold priors, chunked folds and passes, stacked
 eigensolves and tail) is checked against `per_fold_reference`, one plain
 `solve` of each restricted set per fold and model set.
+
+Permutations: the reference does not depend on the order of the shapes (with
+the datum shape following its shape), its columns follow the order of the
+landmarks, and so do the leave-one-out CVE and its predictions.
 """
 
 import itertools
@@ -26,6 +30,7 @@ from defgpa import (
     InsufficientOverlap,
     Shape,
     ShapeSet,
+    cross_validation_error,
     cross_validation_errors,
     estimate_prior_for_set,
     gpa,
@@ -38,7 +43,7 @@ from defgpa.gpa import _gram_anchor, _stacked
 from defgpa.metrics import _fold_slices
 from defgpa.spectral import _bottom_pairs_dplr, _scale_selected
 from conftest import (affine_models, dense_runs, dense_selection, full_set, gauge_residual, mask_set,
-                      per_fold_reference, solved_fits, tps_models)
+                      per_fold_reference, restrict_points, solved_fits, tps_models)
 
 
 def dense_only(monkeypatch):
@@ -301,3 +306,43 @@ def test_the_cve_corpus_splits_chunks_passes_and_blocks(monkeypatch):
             if len(pairs) > 1 and max(pairs) > sets[k]:
                 split.add("blocks")
     assert split == {"chunks", "passes", "blocks"}
+
+
+# (seed, d, model) of the partial sets the permutation properties run on
+PERMUTED = [(600 + k, d, model)
+            for k, (d, model) in enumerate(itertools.product((2, 3), ("affine", "tps", "tps")))]
+PERMUTED_IDS = [f"{seed}-{d}d-{model}" for seed, d, model in PERMUTED]
+
+
+def relative_deviation(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("seed, d, model", PERMUTED, ids=PERMUTED_IDS)
+def test_the_reference_does_not_depend_on_the_shape_order(seed, d, model):
+    ss, models = instance(seed, d, model, True, m=20)
+    order = np.random.default_rng(seed).permutation(ss.n)
+    while order[0] == 0:  # the datum shape moves
+        order = np.roll(order, 1)
+    permuted = ShapeSet(tuple(ss[i] for i in order))
+    got = solve(permuted, [models[i] for i in order], reflection_ref=int(np.flatnonzero(order == 0)[0]))
+    assert relative_deviation(got.reference, solve(ss, models).reference) < 1e-10
+
+
+@pytest.mark.parametrize("seed, d, model", PERMUTED, ids=PERMUTED_IDS)
+def test_the_reference_columns_follow_the_landmark_order(seed, d, model):
+    ss, models = instance(seed, d, model, True, m=20)
+    perm = np.random.default_rng(seed).permutation(ss.m)
+    got = solve(restrict_points(ss, perm), models)
+    assert relative_deviation(got.reference, solve(ss, models).reference[:, perm]) < 1e-10
+
+
+@pytest.mark.parametrize("seed, d, model", PERMUTED, ids=PERMUTED_IDS)
+def test_leave_one_out_cve_follows_the_landmark_order(seed, d, model):
+    # the folds are the landmarks, so a permutation reorders the folds
+    ss, models = instance(seed, d, model, True, m=20)
+    perm = np.random.default_rng(seed).permutation(ss.m)
+    want, predicted = cross_validation_error(ss, models, config=CveConfig(1))
+    got, permuted = cross_validation_error(restrict_points(ss, perm), models, config=CveConfig(1))
+    assert got == pytest.approx(want, rel=1e-10)
+    np.testing.assert_allclose(np.array(permuted), np.array(predicted)[:, :, perm], rtol=0, atol=1e-9)

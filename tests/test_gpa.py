@@ -25,7 +25,7 @@ from defgpa import (
     solve_affine_centered,
 )
 from defgpa import gpa as gpa_module
-from defgpa.gpa import _gram_anchor, _per_shape_terms, _reflected, _solve_normal, _stacked
+from defgpa.gpa import _cholesky_solve, _gram_anchor, _per_shape_terms, _reflected, _stacked
 from defgpa.warps import AffineWarp
 from conftest import (
     affine_models,
@@ -388,30 +388,46 @@ class TestAssembleP:
         np.testing.assert_allclose(P, direct, atol=1e-10)
 
     def test_singular_normal_matrix_reports_index(self):
-        with pytest.raises(SingularSystem) as exc:
-            _solve_normal(np.array([[np.nan]]), np.ones((1, 1)), 3)
-        assert exc.value.shape_index == 3
+        # mu = inf on shape 3 only: its normal matrix is the one non-finite one
+        pts = np.array([[0.0, 1.0, 3.0, 4.0]])
+        B = np.stack([np.vstack([pts + i, np.ones((1, 4))]) for i in range(4)])
+        grams = np.stack([[[2.0, 1.0], [1.0, 2.0]]] * 4)
+        mus = np.array([[1.0, 1.0, 1.0, np.inf]])
+        _, _, errors = _per_shape_terms(np.ones((4, 4)), (B, grams, (2,) * 4), mus)
+        assert list(errors) == [0] and errors[0].shape_index == 3
+        assert str(errors[0]) == "normal matrix of shape 3 is non-finite"
 
     def test_normal_solve_matches_dense_solve(self, rng):
         A = rng.normal(size=(5, 8))
         N = A @ A.T + np.eye(5)
         rhs = rng.normal(size=(5, 3))
-        half, solved = _solve_normal(N, rhs, 0)
+        half, solved = _cholesky_solve(N, rhs)
         np.testing.assert_allclose(solved, np.linalg.solve(N, rhs), rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(half.T @ half, rhs.T @ solved, rtol=1e-12, atol=1e-12)
+        # the same N as the normal matrix A A^T + 1 * I of one shape with basis A
+        F, solved, errors = _per_shape_terms(np.ones((1, 8)), (A[None], np.eye(5)[None], (5,)),
+                                             np.ones((1, 1)))
+        assert errors == {}
+        np.testing.assert_allclose(solved[0, 0], np.linalg.solve(N, A), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(F[0, 0].T @ F[0, 0], A.T @ solved[0, 0], rtol=1e-12, atol=1e-12)
 
-    def test_normal_solve_jitter_retry_and_failure(self):
-        # semidefinite: the first factorization fails, the jittered one succeeds
-        x = _solve_normal(np.ones((2, 2)), np.ones((2, 1)), 0)
-        assert np.all(np.isfinite(x))
-        with pytest.raises(SingularSystem):
-            _solve_normal(-np.eye(2), np.ones((2, 1)), 1)
-        with pytest.raises(SingularSystem):
-            _solve_normal(np.eye(2), np.array([[np.inf], [0.0]]), 2)
+    def test_semidefinite_normal_matrix_is_singular(self):
+        # N_0 = 11^T + mu_0 Z and N_1 = I + mu_1 Z: row 0 leaves N_0 semidefinite, row 1 makes N_1
+        # indefinite, row 2 N_1 non-finite; row 4 fails both and names the first
+        B = np.stack([[[1.0, 0.0], [1.0, 0.0]], np.eye(2)])
+        grams = np.stack([[[2.0, 1.0], [1.0, 2.0]]] * 2)
+        mus = np.array([[0.0, 1.0], [1.0, -2.0], [1.0, np.inf], [1.0, 1.0], [np.inf, -2.0]])
+        _, _, errors = _per_shape_terms(np.ones((2, 2)), (B, grams, (2, 2)), mus)
+        assert {t: (type(exc), exc.shape_index, str(exc)) for t, exc in errors.items()} == {
+            0: (SingularSystem, 0, "normal matrix of shape 0 is singular"),
+            1: (SingularSystem, 1, "normal matrix of shape 1 is singular"),
+            2: (SingularSystem, 1, "normal matrix of shape 1 is non-finite"),
+            4: (SingularSystem, 0, "normal matrix of shape 0 is non-finite"),
+        }
 
 
 class TestStackedNormalSolves:
-    """One factorization call for a T x n stack, with per-matrix retries on failure."""
+    """One factorization call for a T x n stack, with a per-matrix scan on failure."""
 
     @staticmethod
     def instance():
@@ -421,17 +437,16 @@ class TestStackedNormalSolves:
         B = np.stack([np.vstack([pts, np.ones((1, 4))]), np.ones((2, 4))])
         return ss, (B, np.stack([np.zeros((2, 2)), np.eye(2)]), (2, 2))
 
-    def test_jitter_retry_only_where_the_factorization_fails(self):
+    def test_scan_only_where_the_factorization_fails(self):
+        # row 1 leaves shape 1's semidefinite normal matrix unregularized: only that row fails
         ss, bases = self.instance()
         mus = np.array([[0.0, 1.0], [0.0, 0.0], [0.0, 2.0]])
         F, solved, errors = _per_shape_terms(ss.visibility_matrix(), bases, mus)
-        assert errors == {}
-        Bg = bases[0] * ss.visibility_matrix()[:, None, :]
-        np.testing.assert_array_equal(np.stack([F[1, 1], solved[1, 1]]),
-                                      _solve_normal(Bg[1] @ bases[0][1].T, Bg[1], 1))
-        _, clean, _ = _per_shape_terms(ss.visibility_matrix(), bases, mus[[0, 2]])
-        np.testing.assert_allclose(solved[[0, 2]], clean, rtol=1e-15, atol=0)
-        np.testing.assert_allclose(solved[1, 0], clean[0, 0], rtol=1e-15, atol=0)
+        assert {t: (type(exc), exc.shape_index, str(exc)) for t, exc in errors.items()} == {
+            1: (SingularSystem, 1, "normal matrix of shape 1 is singular")}
+        cleanF, clean, _ = _per_shape_terms(ss.visibility_matrix(), bases, mus[[0, 2]])
+        np.testing.assert_array_equal(F[[0, 2]], cleanF)
+        np.testing.assert_array_equal(solved[[0, 2]], clean)
 
     def test_singular_row_fails_alone(self):
         ss, bases = self.instance()
@@ -715,6 +730,14 @@ class TestTranslationElimination:
         np.testing.assert_allclose(
             Q_hom, (n / m) * np.ones((m, m)) + Q_cent, atol=1e-8)
         assert np.max(np.abs(Q_cent @ np.ones(m))) < 1e-8
+
+    def test_degenerate_centered_shape_raises(self, rng):
+        # shape 1 lies on the line y = 0: its centred Dbar_1 Dbar_1^T has a zero row
+        arrays = [s.points.copy() for s in full_set(rng, 2, 10, 3, kind="affine")]
+        arrays[1][1] = 0.0
+        with pytest.raises(SingularSystem, match=r"^centered shape 1 is degenerate$") as exc:
+            solve_affine_centered(ShapeSet(tuple(Shape(D, np.ones(10, bool)) for D in arrays)))
+        assert exc.value.shape_index == 1
 
     def test_prior_dimension_mismatch_raises(self, rng):
         ss = full_set(rng, 2, 10, 3, kind="affine")

@@ -47,6 +47,11 @@ class TestLoading:
         with pytest.raises(FormatError):
             load_shapes(doc, format="json")
 
+    def test_shapes_need_a_coordinate_row(self):
+        doc = json.dumps({"d": 0, "m": 3, "shapes": [{"points": [[], [], []]}]})
+        with pytest.raises(FormatError, match="at least one coordinate row"):
+            load_shapes(doc, format="json")
+
     def test_malformed_json(self):
         with pytest.raises(FormatError):
             load_shapes("{not json", format="json")
