@@ -44,7 +44,7 @@ from .gpa import (
     solve,
     solve_affine_centered,
 )
-from .metrics import CveConfig, cross_validation_error, cross_validation_errors, gauge_align, rmse_d, rmse_r
+from .metrics import CveConfig, cross_validation_error, cross_validation_errors, rmse_d, rmse_r
 
 __version__ = "0.1.0"
 
@@ -57,7 +57,7 @@ __all__ = [
     "affine_basis", "apply_warp", "assemble_P", "bending_energy",
     "check_theorem_conditions", "complete_all", "cross_validation_error",
     "cross_validation_errors", "eig_sym", "estimate_prior_for_set", "fit_inverse_tps",
-    "free_translation_witness", "gauge_align", "leftmost_singular_vector",
+    "free_translation_witness", "leftmost_singular_vector",
     "load_shapes", "pairwise_transform_table",
     "place_control_points", "rmse_d", "rmse_r", "save_shapes", "solve",
     "solve_affine_centered", "tps_build", "tps_kernel",

@@ -72,11 +72,14 @@ def _with_theta(models, shape_set, theta):
 
 def _load_input(config, group=None):
     """The input shape set, checked against the config before any solve: a CVE fold size must keep at
-    least d+1 points, and a TPS must leave some of the d principal axes unflattened."""
+    least d+1 points, and a TPS must leave some of the d principal axes unflattened.  `prior` has no
+    model options to check."""
     fmt = config.input_format
     if fmt is None:
         fmt = "csv" if config.input.endswith((".csv", ".txt", ".manifest")) else "json"
     shape_set = load_shapes(config.input, format=fmt)
+    if "model" not in config:
+        return shape_set
     d, m = shape_set.d, shape_set.m
     if group is not None and not 1 <= group < m - d:
         raise FormatError(f"group size must lie in [1, m-d), got {group} with m={m}, d={d}")
@@ -264,11 +267,16 @@ def cmd_prior(config):
     return EXIT_OK
 
 
-def _add_common(parser, run):
-    """The options every command shares; `run` is the command that takes the parsed arguments."""
+def _add_common(parser, run, solves=True):
+    """The options of a command; `run` is the command that takes the parsed arguments.  Only the
+    commands that solve take the model, nu, datum-shape and output options."""
     parser.set_defaults(run=run)
     parser.add_argument("--input", required=True, help="shape document (JSON) or CSV manifest")
     parser.add_argument("--input-format", choices=["json", "csv"], default=None)
+    parser.add_argument("--allow-reflection", action="store_true",
+                        help="permit O(d) pairwise completion transforms")
+    if not solves:
+        return parser
     parser.add_argument("--model", choices=["affine", "tps"], default="affine")
     parser.add_argument("--ctrl", type=int, default=3, help="control points per principal axis")
     parser.add_argument("--theta", type=float, default=1.0,
@@ -280,11 +288,7 @@ def _add_common(parser, run):
                         help="trailing principal axes that get 2 control layers")
     parser.add_argument("--reflection-ref", default="0",
                         help="index or id of the datum shape anchoring the orientation")
-    parser.add_argument("--allow-reflection", action="store_true",
-                        help="permit O(d) pairwise completion transforms")
     parser.add_argument("--output", default=None)
-    parser.add_argument("--format", choices=["json", "csv"], default="json",
-                        help="metrics report format")
     return parser
 
 
@@ -298,10 +302,12 @@ def _parse_scalar(value, name):
 
 
 def _config_from_args(args):
-    """The parsed arguments as the run configuration: the 'auto' scalars become None, then checked."""
-    args.nu = _parse_scalar(args.nu, "--nu")
-    args.lambda_internal = _parse_scalar(args.lambda_internal, "--lambda-internal")
-    _validate(args)
+    """The parsed arguments as the run configuration: the 'auto' scalars become None, then checked.
+    `prior` has no model options to check."""
+    if "model" in args:
+        args.nu = _parse_scalar(args.nu, "--nu")
+        args.lambda_internal = _parse_scalar(args.lambda_internal, "--lambda-internal")
+        _validate(args)
     return args
 
 
@@ -323,7 +329,10 @@ def build_parser():
     p_solve = _add_common(sub.add_parser("solve", help="solve one GPA instance"), cmd_solve)
     p_solve.add_argument("--cve-group", type=int, default=None,
                          help="also report leave-N-out CVE in the metrics row")
+    p_solve.add_argument("--format", choices=["json", "csv"], default="json",
+                         help="metrics report format")
 
+    # sweep keeps --theta, which it validates, so that argparse does not read --theta as --thetas
     p_sweep = _add_common(sub.add_parser("sweep", help="sweep the smoothing parameter theta"), cmd_sweep)
     p_sweep.add_argument("--thetas", default=None,
                          help="comma-separated theta grid (default: 11 log-spaced in [1e-5, 1e5])")
@@ -332,7 +341,8 @@ def build_parser():
     p_cve = _add_common(sub.add_parser("cve", help="leave-N-out cross-validation"), cmd_cve)
     p_cve.add_argument("--group", type=int, required=True, help="points held out per fold")
 
-    _add_common(sub.add_parser("prior", help="estimate the reference covariance prior"), cmd_prior)
+    _add_common(sub.add_parser("prior", help="estimate the reference covariance prior"), cmd_prior,
+                solves=False)
     return parser
 
 

@@ -133,9 +133,22 @@ def _stacked(shape_set):
 
 
 def _centred(X, G):
-    """Visible centroids c (n x d) of points X (n x d x m) with masks G (n x m), and Y = (X - c) G."""
-    c = (X @ G[:, :, None])[:, :, 0] / G.sum(axis=1)[:, None]
-    return c, (X - c[:, :, None]) * G[:, None, :]
+    """Weighted centroids c (..., d) of points X (..., d, m) with weights G (..., m), and Y = (X - c) G."""
+    c = (X @ G[..., :, None])[..., 0] / G.sum(axis=-1)[..., None]
+    return c, (X - c[..., None]) * G[..., None, :]
+
+
+def _procrustes(A, B, w, allow_reflection=False):
+    """Weighted orthogonal Procrustes of point stacks A onto B (..., d, m) under weights w (..., m).
+
+    R (..., d, d) and t (..., d) minimize sum_j w_j |R A_j + t - B_j|^2, with R
+    in SO(d) unless reflections are allowed (Umeyama 1991 with the scale pinned
+    to 1); sv are the singular values of the cross-covariance, for `_rank_below`.
+    """
+    cA, YA = _centred(A, w)
+    cB, _ = _centred(B, w)
+    R, sv = _rotations(YA @ np.swapaxes(B - cB[..., None], -1, -2), allow_reflection)
+    return R, cB - (R @ cA[..., None])[..., 0], sv
 
 
 def _moments(Y, G):
@@ -184,8 +197,7 @@ def _transform_table(joint, sums, cross, sq, allow_reflection):
         (joint < d + 1, InsufficientOverlap, "need at least {need} jointly visible points, have {have}"),
         # relative to the raw second moment, so that round-off cannot pass for spread
         (denom <= 1e-12 * sq, DegenerateConfiguration, "source points are coincident"),
-        (_rank_below(sv, d - 1), DegenerateConfiguration,
-         "cross-covariance is rank-deficient; rotation undetermined"),
+        (_rank_below(sv, d - 1), DegenerateConfiguration, _RANK_DEFICIENT),
         (s <= 0, DegenerateConfiguration, "optimal similarity scale is not positive"),
         (orth_error > 1e-10, DegenerateConfiguration, "rotation block is not orthonormal"),
     )
@@ -325,12 +337,16 @@ def _cholesky_solve(N, rhs):
     One inverse of the triangular factor and two matmuls replace two general
     solves against it; the half solve factors rhs^T N^-1 rhs.
 
-    Raises np.linalg.LinAlgError when any N is not positive definite or either
-    input holds a non-finite entry.
+    Raises np.linalg.LinAlgError when any N is not positive definite, either
+    input holds a non-finite entry, or a pivot has L_jj^2 <= 1e-12 N_jj: a
+    semidefinite N can pass the factorization by round-off alone.
     """
     if not (np.all(np.isfinite(N)) and np.all(np.isfinite(rhs))):
         raise np.linalg.LinAlgError("non-finite entries")
-    Linv = np.linalg.inv(np.linalg.cholesky(N))
+    L = np.linalg.cholesky(N)
+    if np.any(np.diagonal(L, axis1=-2, axis2=-1) ** 2 <= 1e-12 * np.diagonal(N, axis1=-2, axis2=-1)):
+        raise np.linalg.LinAlgError("semidefinite matrix")
+    Linv = np.linalg.inv(L)
     half = Linv @ rhs
     return half, np.swapaxes(Linv, -1, -2) @ half
 
@@ -432,15 +448,7 @@ def _gram_anchor(X, G):
 
 
 _UNORIENTED = "orientation is undetermined for this reference shape"
-
-
-def _reflected(S, D, gamma):
-    """Which references of a stack S (K x d x m) an orthogonal Procrustes to the zero-filled datum
-    points D (d x m) with masks gamma (m or K x m) reflects, and which it leaves undetermined."""
-    Dk = D * gamma[..., None, :]
-    centered = Dk - (Dk @ gamma[..., :, None]) * gamma[..., None, :] / gamma.sum(axis=-1)[..., None, None]
-    R, sv = _rotations(centered @ np.swapaxes(S, -1, -2), allow_reflection=True)
-    return np.linalg.det(R) < 0, _rank_below(sv, S.shape[-2])
+_RANK_DEFICIENT = "cross-covariance is rank-deficient; rotation undetermined"
 
 
 def _theorem_conditions(shape_set, Bg, solved, models, tol):
@@ -514,10 +522,10 @@ def _references(values, X, lambdas, anchor, D, gamma):
     (K x d x m) and which orientations are undetermined.
     """
     S = _scale_selected(values, X, lambdas, anchor)
-    flip, undetermined = _reflected(S, D, gamma)
+    R, _, sv = _procrustes(D, S, gamma, allow_reflection=True)
     oriented = lambdas[:, -1] > 0
-    S[flip & oriented, 0] *= -1.0
-    return S, undetermined & oriented
+    S[(np.linalg.det(R) < 0) & oriented, 0] *= -1.0
+    return S, _rank_below(sv, S.shape[-2]) & oriented
 
 
 def _solution(shape_set, S, Bg, solved, models, prior, nu, report=None):

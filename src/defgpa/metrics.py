@@ -80,44 +80,6 @@ def rmse_d(solution, shape_set, models):
     return float(np.sqrt(total / kappa))
 
 
-def gauge_align(A, B, mask=None):
-    """Rigid (R in SO(d), t) minimizing ||(R A + t 1^T - B) * mask||_F.
-
-    The similarity Procrustes of the completion stage with the scale pinned
-    to 1 and the determinant corrected to +1.
-    """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    if A.shape != B.shape:
-        raise DimensionError(f"shapes {A.shape} and {B.shape} do not match")
-    d, m = A.shape
-    if mask is None:
-        mask = np.ones(m, dtype=bool)
-    mask = np.asarray(mask, dtype=bool).ravel()
-    if int(mask.sum()) < d + 1:
-        raise InsufficientOverlap(f"need at least {d + 1} joint points, have {int(mask.sum())}")
-    (R,), (t,), (deficient,) = _rigid(A[None, :, mask], B[None, :, mask], np.ones((1, int(mask.sum()))))
-    if deficient:
-        raise DegenerateConfiguration(_RANK_DEFICIENT)
-    return R, t.ravel()
-
-
-_RANK_DEFICIENT = "cross-covariance is rank-deficient; rotation undetermined"
-
-
-def _rigid(A, B, w):
-    """`gauge_align` of stacks A, B (K x d x m) under 0/1 weights w (K x m), each with d+1 ones or more.
-
-    Returns R (K x d x d), t (K x d x 1) and which entries have a
-    rank-deficient cross-covariance.
-    """
-    count = w.sum(axis=-1)[:, None, None]
-    muA = (A @ w[:, :, None]) / count
-    muB = (B @ w[:, :, None]) / count
-    R, sv = _gpa._rotations(((A - muA) * w[:, None, :]) @ np.swapaxes(B - muB, -1, -2))
-    return R, muB - R @ muA, _gpa._rank_below(sv, A.shape[1] - 1)
-
-
 def _drain(parts):
     """The arrays of a list concatenated (a lone array as it is), the list emptied so that each part
     is freed."""
@@ -248,9 +210,10 @@ def cross_validation_errors(shape_set, fits, config=None, reflection_ref=0,
             f, j = np.array(rows).T
             mask = (fold_of != f[:, None]).astype(float)
             keep = np.nonzero(mask)[1].reshape(len(f), -1)
+            full = np.stack([fits[i][1].reference for i in j])
             W = _drain(Ws)
-            warm = None if W.shape[2] >= W.shape[1] else np.swapaxes(np.take_along_axis(
-                np.stack([fits[i][1].reference for i in j]), keep[:, None], axis=-1), -1, -2)
+            warm = None if W.shape[2] >= W.shape[1] else np.swapaxes(
+                np.take_along_axis(full, keep[:, None], axis=-1), -1, -2)
             values, V = _bottom_pairs_dplr(G0.sum(axis=0)[keep], W, d, warm)
             del W
             # W_i^T B_i[:, fold] = F (solved_i V)^T B_i[:, fold] for the reference S = F V^T, F = S V
@@ -262,14 +225,15 @@ def cross_validation_errors(shape_set, fits, config=None, reflection_ref=0,
             S, undetermined = _gpa._references(
                 values, lifted, lambdas[f], lambda k: _gpa._gram_anchor(X0, G0 * mask[k]),
                 X0[reflection_ref], G0[reflection_ref] * mask)
-            R, t, deficient = _rigid(S, np.stack([fits[i][1].reference for i in j]), mask)
-            pred = R[:, None] @ ((S @ lifted)[:, None] @ P) + t[:, None]
+            R, t, sv = _gpa._procrustes(S, full, mask)
+            deficient = _gpa._rank_below(sv, d - 1)
+            pred = R[:, None] @ ((S @ lifted)[:, None] @ P) + t[:, None, :, None]
             for k, (f, j) in enumerate(rows):
                 if j in failures and failures[j][0] < f:
                     continue
                 if undetermined[k] or deficient[k]:
                     failures[j] = (f, DegenerateConfiguration(
-                        _gpa._UNORIENTED if undetermined[k] else _RANK_DEFICIENT))
+                        _gpa._UNORIENTED if undetermined[k] else _gpa._RANK_DEFICIENT))
                 else:
                     predicted[j][:, :, folds[f]] = pred[k, :, :, :folds[f].size]
 

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from defgpa import (AffineWarp, CveConfig, Shape, ShapeSet, apply_warp, eig_sym, estimate_prior_for_set,
-                    gauge_align, place_control_points, solve, spectral, tps_build)
-from defgpa.gpa import _reflected
+from defgpa import (AffineWarp, CveConfig, DegenerateConfiguration, Shape, ShapeSet, apply_warp, eig_sym,
+                    estimate_prior_for_set, place_control_points, solve, spectral, tps_build)
+from defgpa.gpa import _procrustes
 from defgpa.metrics import _fold_slices
 from defgpa.spectral import _scale_selected
 
@@ -58,9 +58,21 @@ def dense_selection(M, lambdas, anchor=None, datum=None):
     pairs = eig_sym(M)
     S = _scale_selected(pairs.values[..., :d], pairs.vectors[..., :, :d], lambdas, anchor)
     if datum is not None:
-        flip, _ = _reflected(S, datum.filled(0.0), datum.visibility.astype(float))
-        S[..., 0, :] *= np.where(flip, -1.0, 1.0)[..., None]
+        R, _, _ = _procrustes(datum.filled(0.0), S, datum.visibility.astype(float), allow_reflection=True)
+        S[..., 0, :] *= np.where(np.linalg.det(R) < 0, -1.0, 1.0)[..., None]
     return S
+
+
+def kabsch(A, B):
+    """The rotation R in SO(d) and translation t minimizing ||R A + t 1^T - B||_F for d x m point sets,
+    coded apart from the package (Kabsch); a cross-covariance of rank below d-1 leaves R undetermined
+    and raises the DegenerateConfiguration the CVE reports for it."""
+    a, b = A.mean(axis=1, keepdims=True), B.mean(axis=1, keepdims=True)
+    U, sv, Vt = np.linalg.svd((B - b) @ (A - a).T)
+    if sv[0] == 0 or sv[len(A) - 2] <= 1e-12 * sv[0]:
+        raise DegenerateConfiguration("cross-covariance is rank-deficient; rotation undetermined")
+    R = U @ np.diag([1.0] * (len(A) - 1) + [np.sign(np.linalg.det(U @ Vt))]) @ Vt
+    return R, (b - R @ a).ravel()
 
 
 def gauge_residual(S, T):
@@ -150,7 +162,7 @@ def per_fold_reference(shape_set, fits, group=1, reflection_ref=0, allow_reflect
             prior = estimate_prior_for_set(reduced, allow_reflection=allow_reflection)
             sol = solve(reduced, models, prior=prior, nu=max(full.nu, n / keep.size),
                         reflection_ref=reflection_ref, check_conditions=False)
-            R, t = gauge_align(sol.reference, full.reference[:, keep])
+            R, t = kabsch(sol.reference, full.reference[:, keep])
             for i, shape in enumerate(shape_set):
                 mapped = apply_warp(models[i], sol.weights[i], shape.filled(0.0)[:, fold])
                 predicted[i][:, fold] = R @ mapped + t[:, None]

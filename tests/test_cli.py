@@ -128,7 +128,8 @@ class TestSolveCommand:
         path = tmp_path / "d0.json"
         path.write_text(json.dumps({"d": 0, "m": 3, "shapes": [{"points": [[], [], []]}]}))
         out = tmp_path / "out.json"
-        assert main([*args, "--input", str(path), "--output", str(out)]) == 2
+        output = [] if args == ["prior"] else ["--output", str(out)]  # prior writes no file
+        assert main([*args, "--input", str(path), *output]) == 2
         assert json.loads(capsys.readouterr().err) == {
             "error": "FormatError", "message": "points need at least one coordinate row, got d=0"}
         assert not out.exists()
@@ -436,6 +437,16 @@ class TestUsage:
         assert (sweep.cve_group, sweep.thetas) == (1, None)
         assert _config_from_args(parse(["solve", "--input", "x", "--nu", "auto"])).nu is None
         assert _config_from_args(parse(["solve", "--input", "x", "--nu", "0.5"])).nu == 0.5
+
+    @pytest.mark.parametrize("args", [["prior", "--output"],
+                                      ["cve", "--group", "1", "--format", "csv", "--output"]],
+                             ids=["prior-output", "cve-format"])
+    def test_options_a_command_does_not_read_exit_2(self, rigid_file, tmp_path, args):
+        # prior prints its lambdas and writes no file; only solve writes a metrics report
+        _, path = rigid_file
+        out = tmp_path / "out"
+        assert main([*args, str(out), "--input", path]) == 2
+        assert not out.exists()
 
     def test_unknown_model(self, rigid_file):
         _, path = rigid_file

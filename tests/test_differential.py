@@ -9,7 +9,8 @@ so the dense fallback must not run there.
 
 The stacked CVE (downdated fold priors, chunked folds and passes, stacked
 eigensolves and tail) is checked against `per_fold_reference`, one plain
-`solve` of each restricted set per fold and model set.
+`solve` of each restricted set per fold and model set with its own Kabsch
+gauge, on a 16-layout corpus and on a seeded breadth corpus.
 
 Permutations: the reference does not depend on the order of the shapes (with
 the datum shape following its shape), its columns follow the order of the
@@ -346,3 +347,64 @@ def test_leave_one_out_cve_follows_the_landmark_order(seed, d, model):
     got, permuted = cross_validation_error(restrict_points(ss, perm), models, config=CveConfig(1))
     assert got == pytest.approx(want, rel=1e-10)
     np.testing.assert_allclose(np.array(permuted), np.array(predicted)[:, :, perm], rtol=0, atol=1e-9)
+
+
+# The breadth corpus: BREADTH seeded sets, each CVE against `per_fold_reference`.  The layout runs
+# through d 2-3, n 3-4 shapes, folds of 1-4 points and 0-40% hidden; m (10-13), the datum shape and
+# the TPS theta are drawn per set.  Every set has a TPS model set and a second one: affine, TPS at
+# another theta, or infinitely smoothed TPS, whose non-finite normal matrices fail both paths at the
+# first fold they reach.  Every fifth set allows reflections, and about a quarter run with a small
+# _STACK_ENTRIES.  Hidden points and large folds make some sets fail in the fold priors as well.
+BREADTH = 128
+
+
+def breadth_instance(case):
+    d, n, group, hidden = 2 + case % 2, 3 + case // 2 % 2, 1 + case // 4 % 4, 0.1 * (case // 16 % 5)
+    rng = np.random.default_rng(900 + case)
+    ss = full_set(rng, d, int(rng.integers(10, 14)), n, kind="smooth", noise=0.05)
+    if hidden:
+        ss = mask_set(rng, ss, hidden, min_joint=d + 2)
+    ref, theta, reflect = int(rng.integers(n)), float(10.0 ** rng.uniform(-2, 2)), case % 5 == 4
+    stack = int(rng.choice([1500, 4000, 9000])) if rng.random() < 0.25 else None
+    splines = tps_models(ss, k=3 if d == 2 else 2, theta=theta)
+    second = ("affine", "tps", "inf")[case % 3]
+    model_sets = [splines]
+    if second != "inf":
+        model_sets.append(affine_models(ss) if second == "affine" else
+                          [model.with_smoothing(model.smoothing / 100) for model in splines])
+    prior = estimate_prior_for_set(ss, allow_reflection=reflect)
+    fits = [(models, solve(ss, models, prior=prior, reflection_ref=ref, allow_reflection=reflect,
+                           check_conditions=False)) for models in model_sets]
+    if second == "inf":  # no full solution of its own: it borrows the first set's
+        fits.append(([model.with_smoothing(np.inf) for model in splines], fits[0][1]))
+    return ss, fits, dict(group=group, reflection_ref=ref, allow_reflection=reflect), stack
+
+
+@pytest.mark.parametrize("case", range(BREADTH))
+def test_cve_breadth_matches_the_per_fold_reference(monkeypatch, case):
+    ss, fits, options, stack = breadth_instance(case)
+    wants = []
+    for fit in fits:
+        try:
+            (want,) = per_fold_reference(ss, [fit], **options)
+        except DefgpaError as exc:
+            want = exc
+        wants.append(want)
+    if stack is not None:
+        monkeypatch.setattr(metrics, "_STACK_ENTRIES", stack)
+    group = options.pop("group")
+    gots = cross_validation_errors(ss, fits, CveConfig(group), **options)
+    for got, want in zip(gots, wants):
+        if isinstance(want, FormatError):
+            # a fold that leaves a shape fewer than d+1 points: the plain loop cannot restrict the set
+            vis = ss.visibility_matrix()
+            fold = next(fold for fold in _fold_slices(ss.m, CveConfig(group))
+                        if np.any(vis.sum(axis=1) - vis[:, fold].sum(axis=1) < ss.d + 1))
+            want = InsufficientOverlap(f"fold {fold.tolist()} leaves a shape with fewer than {ss.d + 1} "
+                                       "visible points")
+        if isinstance(want, DefgpaError):
+            assert type(got) is type(want) and str(got) == str(want)
+        else:
+            assert not isinstance(got, DefgpaError), got
+            assert got[0] == pytest.approx(want[0], rel=1e-10)
+            np.testing.assert_allclose(np.array(got[1]), np.array(want[1]), rtol=0, atol=1e-9)

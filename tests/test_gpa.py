@@ -25,7 +25,7 @@ from defgpa import (
     solve_affine_centered,
 )
 from defgpa import gpa as gpa_module
-from defgpa.gpa import _cholesky_solve, _gram_anchor, _per_shape_terms, _reflected, _stacked
+from defgpa.gpa import _cholesky_solve, _gram_anchor, _per_shape_terms, _procrustes, _rank_below, _stacked
 from defgpa.warps import AffineWarp
 from conftest import (
     affine_models,
@@ -34,6 +34,7 @@ from conftest import (
     full_set,
     full_shapes,
     gauge_residual,
+    kabsch,
     mask_set,
     random_rotation,
     tps_models,
@@ -425,6 +426,14 @@ class TestAssembleP:
             4: (SingularSystem, 0, "normal matrix of shape 0 is non-finite"),
         }
 
+    def test_pivot_left_by_round_off_is_singular(self):
+        # N = 2 11^T passes np.linalg.cholesky with a last pivot of about 2e-8: L_jj^2 lies far below
+        # 1e-12 N_jj
+        _, _, errors = _per_shape_terms(np.ones((1, 2)), (np.ones((1, 2, 2)), np.zeros((1, 2, 2)), (2,)),
+                                        np.zeros((1, 1)))
+        assert {t: (type(exc), exc.shape_index, str(exc)) for t, exc in errors.items()} == {
+            0: (SingularSystem, 0, "normal matrix of shape 0 is singular")}
+
 
 class TestStackedNormalSolves:
     """One factorization call for a T x n stack, with a per-matrix scan on failure."""
@@ -494,8 +503,7 @@ class TestSolve:
         sol = solve(ss, models)
         assert rmse_r(sol, ss, models) < 1e-8
         # reference equals the common shape up to a rigid motion
-        from defgpa import gauge_align
-        R, t = gauge_align(pts, sol.reference)
+        R, t = kabsch(pts, sol.reference)
         np.testing.assert_allclose(R @ pts + t[:, None], sol.reference, atol=1e-7)
 
     def test_known_affine_maps_zero_cost(self, rng):
@@ -762,8 +770,9 @@ class TestTranslationElimination:
 def reflects(S, datum):
     """Whether an orthogonal Procrustes of reference S to the datum Shape reflects, and whether it is
     undetermined: the orientation test of every solve."""
-    (flip,), (undetermined,) = _reflected(S[None], datum.filled(0.0), datum.visibility.astype(float))
-    return bool(flip), bool(undetermined)
+    (R,), _, sv = _procrustes(datum.filled(0.0), S[None], datum.visibility.astype(float),
+                              allow_reflection=True)
+    return bool(np.linalg.det(R) < 0), bool(_rank_below(sv, len(S))[0])
 
 
 class TestReflection:

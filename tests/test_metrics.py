@@ -1,4 +1,4 @@
-"""Residual metrics, gauge alignment, and cross-validation."""
+"""Residual metrics, the weighted Procrustes of the gauge alignment, and cross-validation."""
 
 import numpy as np
 import pytest
@@ -17,14 +17,13 @@ from defgpa import (
     cross_validation_error,
     cross_validation_errors,
     estimate_prior_for_set,
-    gauge_align,
     rmse_d,
     rmse_r,
     solve,
 )
-from defgpa.gpa import _centred, _fold_priors, _moments, _stacked
+from defgpa.gpa import _centred, _fold_priors, _moments, _procrustes, _rank_below, _stacked
 from defgpa.metrics import _fold_slices
-from conftest import (affine_models, dense_runs, full_set, full_shapes, mask_set, per_fold_reference,
+from conftest import (affine_models, dense_runs, full_set, full_shapes, kabsch, mask_set, per_fold_reference,
                       random_rotation, restrict_points, solved_fits, tps_models)
 
 
@@ -127,6 +126,12 @@ class TestRmseD:
         assert np.isfinite(rmse_d(sol, ss, models))
 
 
+def gauge_align(A, B, mask=None):
+    """R and t of `_procrustes` for one pair of d x m point sets, over the masked columns."""
+    R, t, _ = _procrustes(A, B, np.ones(A.shape[1]) if mask is None else np.asarray(mask, dtype=float))
+    return R, t
+
+
 class TestGaugeAlign:
     def test_identity(self, rng):
         A = rng.normal(size=(2, 8))
@@ -149,6 +154,16 @@ class TestGaugeAlign:
         B = 3.0 * A  # pure scaling: best rigid fit must keep |det| = 1
         R, t = gauge_align(A, B)
         assert abs(np.linalg.det(R)) == pytest.approx(1.0, abs=1e-10)
+
+    def test_mirror_image_gets_a_rotation(self, rng):
+        # the best orthogonal fit of a mirror image is the mirror; without reflections it must be a
+        # rotation, and the 2 x 2 cross-covariance keeps full rank
+        A = rng.normal(size=(2, 8))
+        R, t, sv = _procrustes(A, np.diag([-1.0, 1.0]) @ A, np.ones(8))
+        assert np.linalg.det(R) == pytest.approx(1.0, abs=1e-12)
+        assert not _rank_below(sv, 2)
+        R, _, _ = _procrustes(A, np.diag([-1.0, 1.0]) @ A, np.ones(8), allow_reflection=True)
+        np.testing.assert_allclose(R, np.diag([-1.0, 1.0]), atol=1e-12)
 
     def test_beats_random_candidates(self, rng):
         A = rng.normal(size=(2, 10))
@@ -180,7 +195,7 @@ def independent_leave_one_out(shape_set, models, nu):
         reduced = ShapeSet(tuple(
             Shape(s.points[:, keep], s.visibility[keep], s.label) for s in shape_set))
         fold = solve(reduced, models, nu=max(nu, n / (m - 1)), check_conditions=False)
-        R, t = gauge_align(fold.reference, full.reference[:, keep])
+        R, t = kabsch(fold.reference, full.reference[:, keep])
         for i, s in enumerate(shape_set):
             point = s.filled(0.0)[:, [j]]
             mapped = apply_warp(models[i], fold.weights[i], point)
