@@ -35,15 +35,16 @@ EXIT_USAGE = 2
 
 
 def _validate(config):
-    """Reject option values that no solve accepts, before any input is read."""
-    for name in ("theta", "nu", "lambda_internal"):
-        value = getattr(config, name)
+    """Reject option values that no solve accepts, before any input is read.  `sweep` takes no theta:
+    it checks each grid value as one."""
+    theta = getattr(config, "theta", None)
+    for name, value in (("theta", theta), ("nu", config.nu), ("lambda_internal", config.lambda_internal)):
         if value is not None and not math.isfinite(value):
             raise FormatError(f"{name} must be a finite number, got {value}")
         if name != "theta" and value is not None and value < 0:
             raise FormatError(f"{name} must be non-negative, got {value}")
     if config.model == "tps":
-        if config.theta <= 0:
+        if theta is not None and theta <= 0:
             raise FormatError("theta must be positive for the TPS model")
         if config.ctrl < 2:
             raise FormatError("ctrl must be at least 2 for the TPS model")
@@ -52,16 +53,15 @@ def _validate(config):
 
 
 def build_models(shape_set, config):
-    """Per-shape warp models for a run configuration, the parsed command line.
+    """Per-shape warp models for a run configuration, the parsed command line, with no smoothing.
 
-    TPS control grids are placed per shape along its principal axes; the
-    smoothing weight is mu_i = nnz(Gamma_i) * theta.
+    TPS control grids are placed per shape along its principal axes; `_with_theta`
+    sets the smoothing weight mu_i = nnz(Gamma_i) * theta.
     """
     if config.model == "affine":
         return [AffineWarp(shape_set.d) for _ in shape_set]
-    models = [tps_build(place_control_points(shape, config.ctrl, config.flat_axes),
-                        config.lambda_internal) for shape in shape_set]
-    return _with_theta(models, shape_set, config.theta)
+    return [tps_build(place_control_points(shape, config.ctrl, config.flat_axes),
+                      config.lambda_internal) for shape in shape_set]
 
 
 def _with_theta(models, shape_set, theta):
@@ -136,25 +136,38 @@ def _resolve_reflection_ref(shape_set, ref):
     return index
 
 
-def _solve_once(shape_set, config, models=None, prior=None, check_conditions=True):
-    models = models or build_models(shape_set, config)
-    solution = gpa.solve(
-        shape_set, models,
-        prior=prior,
-        nu=config.nu,
-        reflection_ref=_resolve_reflection_ref(shape_set, config.reflection_ref),
-        allow_reflection=config.allow_reflection,
-        check_conditions=check_conditions,
-    )
-    return models, solution
+def _solve_grid(shape_set, config, thetas, group, check_conditions=False):
+    """The solves of a shape set at each theta of a grid, and their CVE when `group` is set.
+
+    The datum shape, the splines and then the prior are resolved once: only mu_i
+    depends on theta.  Returns one entry per theta: (models, solution, CVE
+    outcome or None), a CVE outcome being (cve, predicted shapes) or the
+    DefgpaError that stopped it; or the DefgpaError that stopped the solve.
+    """
+    reflection_ref = _resolve_reflection_ref(shape_set, config.reflection_ref)
+    try:
+        splines = build_models(shape_set, config)
+        prior = gpa.estimate_prior_for_set(shape_set, allow_reflection=config.allow_reflection)
+    except DefgpaError as exc:  # every grid point fails alike
+        return [exc] * len(thetas)
+    results = []
+    for theta in thetas:
+        models = _with_theta(splines, shape_set, theta)
+        try:
+            results.append((models, gpa.solve(
+                shape_set, models, prior=prior, nu=config.nu, reflection_ref=reflection_ref,
+                allow_reflection=config.allow_reflection, check_conditions=check_conditions)))
+        except DefgpaError as exc:  # record the failed grid point, keep solving
+            results.append(exc)
+    fits = [fit for fit in results if not isinstance(fit, DefgpaError)]
+    outcomes = iter(metrics.cross_validation_errors(
+        shape_set, fits, config=metrics.CveConfig(group), reflection_ref=reflection_ref,
+        allow_reflection=config.allow_reflection) if group is not None and fits else [None] * len(fits))
+    return [fit if isinstance(fit, DefgpaError) else (*fit, next(outcomes)) for fit in results]
 
 
-def _cve(shape_set, models, solution, config, group):
-    """CVE of one solved model set: (cve, predicted shapes); raises what stopped it."""
-    outcome, = metrics.cross_validation_errors(
-        shape_set, [(models, solution)], config=metrics.CveConfig(group),
-        reflection_ref=_resolve_reflection_ref(shape_set, config.reflection_ref),
-        allow_reflection=config.allow_reflection)
+def _raised(outcome):
+    """An outcome of `_solve_grid`, raised if it is the DefgpaError that stopped it."""
     if isinstance(outcome, DefgpaError):
         raise outcome
     return outcome
@@ -163,12 +176,11 @@ def _cve(shape_set, models, solution, config, group):
 def cmd_solve(config):
     shape_set = _load_input(config, config.cve_group)
     start = time.perf_counter()
-    models, solution = _solve_once(shape_set, config)
+    (result,) = _solve_grid(shape_set, config, [config.theta], config.cve_group, check_conditions=True)
+    models, solution, outcome = _raised(result)
     r_ref = metrics.rmse_r(solution, shape_set, models)
     r_dat = metrics.rmse_d(solution, shape_set, models)
-    cve = None
-    if config.cve_group is not None:
-        cve, _ = _cve(shape_set, models, solution, config, config.cve_group)
+    cve = None if outcome is None else _raised(outcome)[0]
     elapsed = time.perf_counter() - start
 
     out = _default_output(config, "solution.json")
@@ -196,62 +208,30 @@ def cmd_sweep(config):
     if len(thetas) < 2:
         raise FormatError("sweep needs at least two theta values")
     for theta in thetas:  # a bad grid value fails the sweep before any solve
-        _validate(argparse.Namespace(**{**vars(config), "theta": theta}))
+        _validate(argparse.Namespace(**vars(config), theta=theta))
     shape_set = _load_input(config, config.cve_group)
-    reflection_ref = _resolve_reflection_ref(shape_set, config.reflection_ref)
-
-    # the prior and the splines do not depend on theta; only mu_i does
-    errors = {}
-    rows = {}
-    fits = {}
-    try:
-        prior = gpa.estimate_prior_for_set(shape_set, allow_reflection=config.allow_reflection)
-        base_models = build_models(shape_set, config)
-    except DefgpaError as exc:  # every grid point fails alike
-        errors = dict.fromkeys(range(len(thetas)), exc)
-    for idx, theta in enumerate(thetas):
-        if idx in errors:
-            continue
+    rows = []
+    for theta, result in zip(thetas, _solve_grid(shape_set, config, thetas, config.cve_group)):
         try:
-            models, solution = _solve_once(shape_set, config, _with_theta(base_models, shape_set, theta),
-                                           prior, check_conditions=False)
-            rows[idx] = {"theta": theta,
-                         "rmse_r": metrics.rmse_r(solution, shape_set, models),
-                         "rmse_d": metrics.rmse_d(solution, shape_set, models)}
-            fits[idx] = (models, solution)
-        except DefgpaError as exc:  # record the failed grid point, keep sweeping
-            errors[idx] = exc
-
-    if fits:
-        outcomes = metrics.cross_validation_errors(
-            shape_set, list(fits.values()), config=metrics.CveConfig(config.cve_group),
-            reflection_ref=reflection_ref, allow_reflection=config.allow_reflection)
-        for idx, outcome in zip(fits, outcomes):
-            if isinstance(outcome, DefgpaError):
-                errors[idx] = outcome
-            else:
-                rows[idx]["cve"] = outcome[0]
-
-    results = []
-    for idx, theta in enumerate(thetas):
-        if idx in errors:
-            exc = errors[idx]
+            models, solution, outcome = _raised(result)
+            rows.append({"theta": theta, "rmse_r": metrics.rmse_r(solution, shape_set, models),
+                         "rmse_d": metrics.rmse_d(solution, shape_set, models),
+                         "cve": _raised(outcome)[0]})
+        except DefgpaError as exc:  # a failed grid point is a nan row; the sweep goes on
             sys.stderr.write(json.dumps({"theta": theta, "error": type(exc).__name__,
                                          "message": str(exc)}) + "\n")
-            nan = float("nan")
-            rows[idx] = {"theta": theta, "rmse_r": nan, "rmse_d": nan, "cve": nan}
-        results.append(rows[idx])
+            rows.append({"theta": theta, **dict.fromkeys(("rmse_r", "rmse_d", "cve"), float("nan"))})
 
     out = _default_output(config, "sweep.csv")
-    _write_metrics(out, "csv", results)
-    print(json.dumps({"output": out, "rows": len(results)}))
+    _write_metrics(out, "csv", rows)
+    print(json.dumps({"output": out, "rows": len(rows)}))
     return EXIT_OK
 
 
 def cmd_cve(config):
     shape_set = _load_input(config, config.group)
-    models, solution = _solve_once(shape_set, config, check_conditions=False)
-    cve, predicted = _cve(shape_set, models, solution, config, config.group)
+    (result,) = _solve_grid(shape_set, config, [config.theta], config.group)
+    cve, predicted = _raised(_raised(result)[2])
     out = _default_output(config, "cve.json")
     doc = {"cve": cve, "group_size": config.group,
            "predicted": shape_document(predicted, [s.label for s in shape_set])}
@@ -267,9 +247,10 @@ def cmd_prior(config):
     return EXIT_OK
 
 
-def _add_common(parser, run, solves=True):
+def _add_common(parser, run, solves=True, theta=True):
     """The options of a command; `run` is the command that takes the parsed arguments.  Only the
-    commands that solve take the model, nu, datum-shape and output options."""
+    commands that solve take the model, nu, datum-shape and output options, and all but `sweep`,
+    which takes a grid, a theta."""
     parser.set_defaults(run=run)
     parser.add_argument("--input", required=True, help="shape document (JSON) or CSV manifest")
     parser.add_argument("--input-format", choices=["json", "csv"], default=None)
@@ -279,8 +260,9 @@ def _add_common(parser, run, solves=True):
         return parser
     parser.add_argument("--model", choices=["affine", "tps"], default="affine")
     parser.add_argument("--ctrl", type=int, default=3, help="control points per principal axis")
-    parser.add_argument("--theta", type=float, default=1.0,
-                        help="smoothing scalar; mu_i = nnz(Gamma_i) * theta")
+    if theta:
+        parser.add_argument("--theta", type=float, default=1.0,
+                            help="smoothing scalar; mu_i = nnz(Gamma_i) * theta")
     parser.add_argument("--nu", default="auto", help="translation penalty weight or 'auto' (n/m)")
     parser.add_argument("--lambda-internal", dest="lambda_internal", default="auto",
                         help="TPS internal conditioning or 'auto'")
@@ -322,27 +304,29 @@ def _parse_thetas(text):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(prog="defgpa",
+    # no abbreviated flags: `--theta` must not be read as `--thetas`, nor a prefix as a future option
+    parser = argparse.ArgumentParser(prog="defgpa", allow_abbrev=False,
                                      description="Closed-form GPA with linear basis warps")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = _add_common(sub.add_parser("solve", help="solve one GPA instance"), cmd_solve)
+    def command(name, description):
+        return sub.add_parser(name, help=description, allow_abbrev=False)
+
+    p_solve = _add_common(command("solve", "solve one GPA instance"), cmd_solve)
     p_solve.add_argument("--cve-group", type=int, default=None,
                          help="also report leave-N-out CVE in the metrics row")
     p_solve.add_argument("--format", choices=["json", "csv"], default="json",
                          help="metrics report format")
 
-    # sweep keeps --theta, which it validates, so that argparse does not read --theta as --thetas
-    p_sweep = _add_common(sub.add_parser("sweep", help="sweep the smoothing parameter theta"), cmd_sweep)
+    p_sweep = _add_common(command("sweep", "sweep the smoothing parameter theta"), cmd_sweep, theta=False)
     p_sweep.add_argument("--thetas", default=None,
                          help="comma-separated theta grid (default: 11 log-spaced in [1e-5, 1e5])")
     p_sweep.add_argument("--cve-group", type=int, default=1)
 
-    p_cve = _add_common(sub.add_parser("cve", help="leave-N-out cross-validation"), cmd_cve)
+    p_cve = _add_common(command("cve", "leave-N-out cross-validation"), cmd_cve)
     p_cve.add_argument("--group", type=int, required=True, help="points held out per fold")
 
-    _add_common(sub.add_parser("prior", help="estimate the reference covariance prior"), cmd_prior,
-                solves=False)
+    _add_common(command("prior", "estimate the reference covariance prior"), cmd_prior, solves=False)
     return parser
 
 

@@ -572,11 +572,19 @@ def solve(shape_set, models, prior=None, nu=None, reflection_ref=0,
     prior=None the reference covariance prior is estimated from the
     (completed) shapes; with nu=None the penalty weight defaults to n/m.
     This is the one-set case of the pass that cross-validation runs per fold.
+    A nu so small that a selected eigenvector is mostly the ones direction
+    (squared cosine with 1 above 1/2; for free-translation models 1 is an
+    eigenvector at nu*m) raises DimensionError.
     """
     prior, nu = _checked_args(shape_set, prior, nu, reflection_ref, allow_reflection)
     Bg, F, solved = _terms(shape_set, models)
     X, G = _stacked(shape_set)
     values, V = _bottom_pairs_dplr(G.sum(axis=0)[None], _factors(F[None], np.array([nu])), shape_set.d)
+    ones = np.square(V[0].sum(axis=0)) / shape_set.m  # unit columns: each one's squared cosine with 1
+    if np.any(ones > 0.5):
+        raise DimensionError(
+            f"penalty weight nu={nu} is too small (nu*m={nu * shape_set.m:.6g}): a selected eigenvector, "
+            f"of eigenvalue {values[0, np.argmax(ones)]:.6g}, is mostly the ones vector")
     (S,), (undetermined,) = _references(values, V, prior.lambdas[None], _gram_anchor(X, G),
                                         X[reflection_ref], G[reflection_ref])
     if undetermined:

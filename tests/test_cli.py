@@ -168,8 +168,8 @@ class TestSweepCommand:
         ss = full_set(rng, 2, 9, 3, kind="smooth", noise=0.05)
         path = write_set(tmp_path / "set.json", ss)
         out = str(tmp_path / "grid.csv")
-        assert main(["sweep", "--input", path, "--model", "tps", "--theta", "1",
-                     "--thetas", "10,0.1", "--output", out, "--cve-group", "1", *flags]) == 0
+        assert main(["sweep", "--input", path, "--model", "tps", "--thetas", "10,0.1",
+                     "--output", out, "--cve-group", "1", *flags]) == 0
         lines = Path(out).read_text().strip().splitlines()
         row = dict(zip(lines[0].split(","), map(float, lines[1].split(","))))
 
@@ -233,6 +233,24 @@ class TestSweepCommand:
         rows = out.read_text().splitlines()
         assert rows[1] == "1e+308,nan,nan,nan"
         assert "nan" not in rows[2]
+
+    def test_failed_prior_fails_every_grid_point(self, rng, tmp_path, capsys):
+        # shapes 0 and 1 share no visible point, so the prior fails before any solve: the sweep
+        # writes a nan row per theta, solve and cve exit 1 with the same message
+        ss = full_set(rng, 2, 8, 3, kind="affine", noise=0.05)
+        halves = [np.arange(8) < 4, np.arange(8) >= 4, np.ones(8, bool)]
+        path = write_set(tmp_path / "apart.json", ShapeSet(tuple(
+            Shape(s.points, vis, s.label) for s, vis in zip(ss, halves))))
+        error = {"error": "InsufficientOverlap", "message": "need at least 3 jointly visible points, have 0"}
+        out = tmp_path / "g.csv"
+        assert main(["sweep", "--input", path, "--thetas", "1,10", "--output", str(out)]) == 0
+        assert [json.loads(line) for line in capsys.readouterr().err.splitlines()] == [
+            {"theta": 1.0, **error}, {"theta": 10.0, **error}]
+        assert out.read_text().splitlines()[1:] == ["1.0,nan,nan,nan", "10.0,nan,nan,nan"]
+        for args in (["solve"], ["cve", "--group", "1"]):
+            assert main([*args, "--input", path, "--output", str(tmp_path / "out.json")]) == 1
+            assert json.loads(capsys.readouterr().err) == error
+        assert not (tmp_path / "out.json").exists()
 
     def test_single_point_grid_rejected(self, rigid_file, tmp_path):
         _, path = rigid_file
@@ -447,6 +465,38 @@ class TestUsage:
         out = tmp_path / "out"
         assert main([*args, str(out), "--input", path]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("args", [["sweep", "--thetas", "1,2", "--theta", "1", "--input"],
+                                      ["solve", "--inp"], ["solve", "--out", "x.json", "--input"]],
+                             ids=["sweep-theta", "ambiguous-prefix", "unique-prefix"])
+    def test_abbreviations_and_sweep_theta_exit_2(self, rigid_file, tmp_path, monkeypatch, capsys, args):
+        # no flag is read as an abbreviation, so `sweep --theta` is no prefix of `--thetas`
+        _, path = rigid_file
+        monkeypatch.chdir(tmp_path)
+        assert main([*args, path]) == 2
+        assert "error: " in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["rigid.json"]  # no output written
+
+    def test_too_small_nu_exits_2(self, rng, tmp_path, capsys):
+        # the set of `test_too_small_nu_names_the_ones_vector` (test_gpa.py): 1 joins the bottom d
+        # below nu = 0.00105 or so
+        from conftest import mask_set
+        ss = mask_set(rng, full_set(rng, 2, 40, 8, kind="affine", noise=0.085), 0.1, min_joint=4)
+        path = write_set(tmp_path / "set.json", ss)
+        for command in (["solve"], ["cve", "--group", "1"]):
+            out = tmp_path / f"{command[0]}.json"
+            for nu in ("0", "0.001"):
+                assert main([*command, "--input", path, "--nu", nu, "--output", str(out)]) == 2
+                assert not out.exists()
+                error = json.loads(capsys.readouterr().err)
+                assert error["error"] == "DimensionError"
+                assert error["message"].startswith(f"penalty weight nu={float(nu)} is too small (nu*m=")
+            assert main([*command, "--input", path, "--nu", "0.002", "--output", str(out)]) == 0
+        # the sweep records the failure as each theta's nan row
+        sweep = tmp_path / "g.csv"
+        assert main(["sweep", "--input", path, "--nu", "0.001", "--thetas", "1,2",
+                     "--output", str(sweep)]) == 0
+        assert sweep.read_text().splitlines()[1:] == ["1.0,nan,nan,nan", "2.0,nan,nan,nan"]
 
     def test_unknown_model(self, rigid_file):
         _, path = rigid_file

@@ -543,6 +543,22 @@ class TestSolve:
             with pytest.raises(DimensionError):
                 solve(ss, affine_models(ss), nu=nu)
 
+    def test_too_small_nu_names_the_ones_vector(self, rng):
+        # free-translation models have P 1 = 0, so 1 is an eigenvector at nu*m; below the d-th
+        # eigenvalue of P on the complement of 1 it joins the bottom d
+        ss = mask_set(rng, full_set(rng, 2, 40, 8, kind="affine", noise=0.085), 0.1, min_joint=4)
+        H = np.eye(ss.m) - 1.0 / ss.m
+        cut = np.linalg.eigvalsh(H @ assemble_P(ss, affine_models(ss)) @ H)[ss.d]  # past the 0 of 1
+        assert 0.001 * ss.m < cut < 0.002 * ss.m
+        with pytest.raises(DimensionError, match=r"^penalty weight nu=0.0 is too small \(nu\*m=0\)"):
+            solve(ss, affine_models(ss), nu=0.0)
+        with pytest.raises(DimensionError) as caught:
+            solve(ss, affine_models(ss), nu=0.001)
+        assert str(caught.value) == ("penalty weight nu=0.001 is too small (nu*m=0.04): a selected "
+                                     "eigenvector, of eigenvalue 0.04, is mostly the ones vector")
+        S = solve(ss, affine_models(ss), nu=0.002).reference
+        assert np.all(S.sum(axis=1) ** 2 < 0.5 * ss.m * np.sum(S ** 2, axis=1))  # no row is mostly 1
+
     def test_prior_accepts_plain_array(self, rng):
         ss = full_set(rng, 2, 10, 3, kind="affine")
         sol = solve(ss, affine_models(ss), prior=[9.0, 4.0])

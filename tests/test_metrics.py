@@ -6,6 +6,7 @@ import pytest
 from defgpa import (
     CveConfig,
     DefgpaError,
+    DegenerateConfiguration,
     DimensionError,
     InsufficientOverlap,
     Shape,
@@ -523,6 +524,58 @@ class TestFoldPriors:
         assert sorted(blocks) == [ss.m, ss.m + 5]
         assert type(outcomes[1]) is SingularSystem and str(outcomes[1]) == "injected at fold 5"
         for j in (0, 2):
+            assert outcomes[j][0] == whole[j][0]
+            np.testing.assert_array_equal(np.array(outcomes[j][1]), np.array(whole[j][1]))
+
+    def test_tail_failure_keeps_the_earliest_fold(self, rng, monkeypatch):
+        # a block's tail fails a (fold, set) pair where `_rank_below` says so: at rank d for an
+        # undetermined orientation, at rank d-1 for a rank-deficient gauge.  The spies read the pair
+        # from the CVE's own `rows` (and a fold's `f` and `indices`) up the call stack
+        import sys
+        import defgpa.gpa
+        from defgpa.gpa import _RANK_DEFICIENT, _UNORIENTED
+        ss = mask_set(rng, full_set(rng, 2, 12, 4, kind="smooth", noise=0.05), 0.15, min_joint=2 + 2)
+        fits = solved_fits(ss, [10.0, 1.0, 0.1])  # three TPS sets, then an affine one
+        whole = cross_validation_errors(ss, fits)
+        d = ss.d
+        # set 0: deficient at fold 2, then undetermined at fold 5; set 1: undetermined at fold 1,
+        # deficient at fold 4, and a singular normal matrix at fold 6, which the block solves first
+        inject = {(2, 0, d - 1), (5, 0, d), (1, 1, d), (4, 1, d - 1)}
+        rank_below, terms = defgpa.gpa._rank_below, defgpa.gpa._per_shape_terms
+        blocks, injected = [], []
+
+        def cve_locals():
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code.co_name != "cross_validation_errors":
+                frame = frame.f_back
+            return {} if frame is None else frame.f_locals
+
+        def spy_rank_below(sv, rank):
+            low = rank_below(sv, rank)
+            rows = cve_locals().get("rows")  # unbound while the fold priors run
+            if rows is None:
+                return low
+            if rank == d:
+                blocks.append(list(rows))
+            return low | np.array([(f, j, rank) in inject for f, j in rows])
+
+        def spy_terms(G, bases, mus):
+            F, solved, errors = terms(G, bases, mus)
+            fold = cve_locals()
+            if fold["f"] == 6 and 1 in fold["indices"]:
+                errors[fold["indices"].index(1)] = SingularSystem("injected at fold 6", shape_index=0)
+                injected.append(fold["f"])
+            return F, solved, errors
+
+        monkeypatch.setattr(defgpa.gpa, "_rank_below", spy_rank_below)
+        monkeypatch.setattr(defgpa.gpa, "_per_shape_terms", spy_terms)
+        outcomes = cross_validation_errors(ss, fits)
+        # folds 1-6 share a block, so set 1's singular fold 6 is recorded before its tail runs
+        assert injected == [6]
+        assert any({(2, 0), (5, 0), (1, 1), (4, 1), (6, 0)} <= set(rows) for rows in blocks)
+        assert type(outcomes[0]) is DegenerateConfiguration and str(outcomes[0]) == _RANK_DEFICIENT
+        assert type(outcomes[1]) is DegenerateConfiguration and str(outcomes[1]) == _UNORIENTED
+        for j in (2, 3):
             assert outcomes[j][0] == whole[j][0]
             np.testing.assert_array_equal(np.array(outcomes[j][1]), np.array(whole[j][1]))
 
