@@ -54,5 +54,5 @@ for i, (model, W) in enumerate(zip(models, solution.weights)):
 
 print("-- leave-one-out cross-validation (prediction error of held-out landmarks)")
 cve, predicted = dg.cross_validation_error(
-    shape_set, models, nu=solution.nu, config=dg.CveConfig(1))
+    shape_set, models, config=dg.CveConfig(1))
 print(f"   CVE = {cve:.4f}   (compare with rmse_r above: a large gap flags overfitting)")

@@ -38,7 +38,7 @@ def _validate(config):
     """Reject option values that no solve accepts, before any input is read.  `sweep` takes no theta:
     it checks each grid value as one."""
     theta = getattr(config, "theta", None)
-    for name, value in (("theta", theta), ("nu", config.nu), ("lambda_internal", config.lambda_internal)):
+    for name, value in (("theta", theta), ("lambda_internal", config.lambda_internal)):
         if value is not None and not math.isfinite(value):
             raise FormatError(f"{name} must be a finite number, got {value}")
         if name != "theta" and value is not None and value < 0:
@@ -155,7 +155,7 @@ def _solve_grid(shape_set, config, thetas, group, check_conditions=False):
         models = _with_theta(splines, shape_set, theta)
         try:
             results.append((models, gpa.solve(
-                shape_set, models, prior=prior, nu=config.nu, reflection_ref=reflection_ref,
+                shape_set, models, prior=prior, reflection_ref=reflection_ref,
                 allow_reflection=config.allow_reflection, check_conditions=check_conditions)))
         except DefgpaError as exc:  # record the failed grid point, keep solving
             results.append(exc)
@@ -249,7 +249,7 @@ def cmd_prior(config):
 
 def _add_common(parser, run, solves=True, theta=True):
     """The options of a command; `run` is the command that takes the parsed arguments.  Only the
-    commands that solve take the model, nu, datum-shape and output options, and all but `sweep`,
+    commands that solve take the model, datum-shape and output options, and all but `sweep`,
     which takes a grid, a theta."""
     parser.set_defaults(run=run)
     parser.add_argument("--input", required=True, help="shape document (JSON) or CSV manifest")
@@ -263,7 +263,6 @@ def _add_common(parser, run, solves=True, theta=True):
     if theta:
         parser.add_argument("--theta", type=float, default=1.0,
                             help="smoothing scalar; mu_i = nnz(Gamma_i) * theta")
-    parser.add_argument("--nu", default="auto", help="translation penalty weight or 'auto' (n/m)")
     parser.add_argument("--lambda-internal", dest="lambda_internal", default="auto",
                         help="TPS internal conditioning or 'auto'")
     parser.add_argument("--flat-axes", type=int, default=0,
@@ -284,10 +283,9 @@ def _parse_scalar(value, name):
 
 
 def _config_from_args(args):
-    """The parsed arguments as the run configuration: the 'auto' scalars become None, then checked.
+    """The parsed arguments as the run configuration: an 'auto' scalar becomes None, then checked.
     `prior` has no model options to check."""
     if "model" in args:
-        args.nu = _parse_scalar(args.nu, "--nu")
         args.lambda_internal = _parse_scalar(args.lambda_internal, "--lambda-internal")
         _validate(args)
     return args

@@ -3,12 +3,14 @@
 Pipeline (all closed-form): pairwise similarity Procrustes between shapes,
 completion of missing points by visibility-weighted averaging, estimation of
 the reference covariance prior from per-shape singular values, assembly of the
-point-space matrix P, and the constrained trace minimization whose optimum is
-the bottom-d eigenvectors of P + nu*11^T scaled by the prior.  That matrix is
-diagonal plus low rank, D - F^T F + nu 11^T with F the whitened bases
-L_i^-1 B_i Gamma_i, and the DPLR eigensolver of `spectral` solves it without
-forming an m x m matrix wherever it can certify the selection.  A reflection
-correction against one datum shape fixes the orientation gauge.
+point-space matrix P, and the trace minimization under S S^T = Lambda and
+S 1 = 0 whose optimum is the bottom-d eigenvectors of H P H + (n/m) 11^T
+(H = I - 11^T/m) scaled by the prior: 1 is an eigenvector at n >= lambda_max(P),
+so S 1 = 0 holds exactly, and free-translation models have H P H = P.  That
+matrix is diagonal plus low rank (`_factors`), and the DPLR eigensolver of
+`spectral` solves it without forming an m x m matrix wherever it can certify
+the selection.  A reflection correction against one datum shape fixes the
+orientation gauge.
 """
 
 from dataclasses import asdict, dataclass
@@ -23,8 +25,7 @@ from .errors import (
     InsufficientOverlap,
     SingularSystem,
 )
-from .spectral import (CovariancePrior, _bottom_pairs_dplr, _dplr_matrix, _scale_selected,
-                       leftmost_singular_vector)
+from .spectral import CovariancePrior, _bottom_pairs_dplr, _scale_selected, leftmost_singular_vector
 from .warps import AffineWarp, _witness_and_residual
 
 
@@ -192,14 +193,12 @@ def _transform_table(joint, sums, cross, sq, allow_reflection):
     R[..., diag, :, :] = np.eye(d)
     t = mu_tgt - s[..., None] * (R @ mu_src[..., None])[..., 0]
 
-    orth_error = np.max(np.abs(np.swapaxes(R, -1, -2) @ R - np.eye(d)), axis=(-2, -1))
     checks = (
         (joint < d + 1, InsufficientOverlap, "need at least {need} jointly visible points, have {have}"),
         # relative to the raw second moment, so that round-off cannot pass for spread
         (denom <= 1e-12 * sq, DegenerateConfiguration, "source points are coincident"),
         (_rank_below(sv, d - 1), DegenerateConfiguration, _RANK_DEFICIENT),
         (s <= 0, DegenerateConfiguration, "optimal similarity scale is not positive"),
-        (orth_error > 1e-10, DegenerateConfiguration, "rotation block is not orthonormal"),
     )
     failed = np.stack([mask for mask, _, _ in checks]) & ~diag
     bad = np.flatnonzero(failed.any(axis=0))
@@ -382,9 +381,8 @@ def _per_shape_terms(G, bases, mus):
     N_ti = Bg_i B_i^T + mus[t, i] Z_i^T Z_i = L_ti L_ti^T (identity on padded rows)
     is factored in one call; only if that fails are the matrices factored one
     by one, and a row t with a matrix that is not positive definite gets the
-    SingularSystem of its first such shape in the returned dict.  Row t's solve
-    matrix is diag(sum_i Gamma_i) - F^T F (plus nu 11^T), with F the
-    (L_ti^-1 Bg_i) stacked over i.
+    SingularSystem of its first such shape in the returned dict.  Row t's P is
+    diag(sum_i Gamma_i) - F^T F, with F the (L_ti^-1 Bg_i) stacked over i.
     """
     B, grams, dims = bases
     Bg = B * G[:, None, :]
@@ -409,13 +407,18 @@ def _per_shape_terms(G, bases, mus):
     return F, solved, errors
 
 
-def _factors(F, nus):
-    """The factors W_t = [F_t^T, sqrt(nu_t) 1] (T x m x (n l + 1)) of the solve matrices
-    diag(sum_i Gamma_i) - W_t J W_t^T from `_per_shape_terms`' F (T x n x l x m), J = diag(I, -1);
-    a transposed view of the rows [F_t; sqrt(nu_t) 1^T], which append to F without a transposing copy."""
-    T, m = len(F), F.shape[-1]
-    ones = np.broadcast_to(np.sqrt(nus)[:, None, None], (T, 1, m))
-    return np.swapaxes(np.concatenate([F.reshape(T, -1, m), ones], axis=1), -1, -2)
+def _factors(F, counts):
+    """The factors W_t = [H F_t^T, u_t, v_t] (T x m x (n l + 2)) with H P_t H + (n/m) 11^T =
+    diag(counts_t) - W_t J W_t^T, J = diag(I, -1), from `_per_shape_terms`' F (T x n x l x m,
+    centred in place) and the counts (T x m or m) of P_t = diag(counts_t) - F_t^T F_t.  With
+    a = counts - mean and b = n - mean, u = (a + (1 - b)/2)/sqrt(m) and v = u - 1/sqrt(m) give
+    u u^T - v v^T = (a 1^T + 1 a^T - b 11^T)/m = D - H D H - (n/m) 11^T; a full set has a = b = 0."""
+    T, n, _, m = F.shape
+    F -= F.mean(axis=-1, keepdims=True)
+    mean = np.mean(counts, axis=-1, keepdims=True)
+    u = np.broadcast_to((counts - mean + (1 - n + mean) / 2) / np.sqrt(m), (T, m))
+    W = np.concatenate([F.reshape(T, -1, m), u[:, None], u[:, None] - 1 / np.sqrt(m)], axis=1)
+    return np.swapaxes(W, -1, -2)
 
 
 def _terms(shape_set, models):
@@ -432,8 +435,8 @@ def _terms(shape_set, models):
 def assemble_P(shape_set, models):
     """P = sum_i (Gamma_i - Gamma_i B_i^T N_i^{-1} B_i Gamma_i); symmetric, 0 <= P <= nI."""
     _, F, _ = _terms(shape_set, models)
-    counts = shape_set.visibility_matrix().sum(axis=0).astype(float)
-    return _dplr_matrix(counts[None], _factors(F[None], np.zeros(1)))[0]
+    F = F.reshape(-1, shape_set.m)
+    return np.diag(shape_set.visibility_matrix().sum(axis=0).astype(float)) - F.T @ F
 
 
 def _gram_anchor(X, G):
@@ -485,14 +488,13 @@ def check_theorem_conditions(shape_set, models, tol=1e-6):
     return _theorem_conditions(shape_set, Bg, solved, models, tol)
 
 
-def _checked_args(shape_set, prior, nu, reflection_ref, allow_reflection=False):
-    """The prior and nu of a solve, checked against the shape set.
+def _checked_args(shape_set, prior, reflection_ref, allow_reflection=False):
+    """The prior of a solve, checked against the shape set.
 
     Needs d <= m-1, so that the ones vector can be excluded, and a datum
     shape index 0 <= reflection_ref < n.  A prior of None is estimated from
     the (completed) shapes, a plain array is coerced to a CovariancePrior,
-    and either must have d entries.  A nu of None defaults to n/m; a given
-    one must be finite and non-negative.
+    and either must have d entries.
     """
     d, m, n = shape_set.d, shape_set.m, shape_set.n
     if d > m - 1:
@@ -505,11 +507,7 @@ def _checked_args(shape_set, prior, nu, reflection_ref, allow_reflection=False):
         prior = CovariancePrior(prior)
     if prior.d != d:
         raise DimensionError(f"prior has {prior.d} entries, shapes have d={d}")
-    if nu is None:
-        nu = n / m
-    elif not 0 <= nu < np.inf:
-        raise DimensionError(f"penalty weight nu must be finite and non-negative, got {nu}")
-    return prior, float(nu)
+    return prior
 
 
 def _references(values, X, lambdas, anchor, D, gamma):
@@ -528,12 +526,14 @@ def _references(values, X, lambdas, anchor, D, gamma):
     return S, _rank_below(sv, S.shape[-2]) & oriented
 
 
-def _solution(shape_set, S, Bg, solved, models, prior, nu, report=None):
+def _solution(shape_set, S, Bg, solved, models, prior, report=None):
     """The GpaSolution of an oriented reference S and the solve's per-shape terms.
 
     Recovers the per-shape weights W_i = N_i^{-1} B_i Gamma_i S^T and
-    evaluates the data, regularization and penalty costs.
+    evaluates the data, regularization and penalty costs, the last at
+    nu = n/m, where S 1 = 0 leaves it at round-off.
     """
+    nu = shape_set.n / shape_set.m
     weights = []
     data_cost = 0.0
     reg_cost = 0.0
@@ -561,36 +561,29 @@ def _solution(shape_set, S, Bg, solved, models, prior, nu, report=None):
     )
 
 
-def solve(shape_set, models, prior=None, nu=None, reflection_ref=0,
+def solve(shape_set, models, prior=None, reflection_ref=0,
           allow_reflection=False, check_conditions=True):
     """Closed-form GPA with linear basis warps.
 
-    Takes the bottom-d eigenvectors of P + nu*11^T (from the DPLR eigensolver,
-    with the dense matrix only where it cannot certify the selection),
-    scales them by the prior, corrects reflection against one datum shape,
-    and recovers per-shape weights by regularized least squares.  With
-    prior=None the reference covariance prior is estimated from the
-    (completed) shapes; with nu=None the penalty weight defaults to n/m.
-    This is the one-set case of the pass that cross-validation runs per fold.
-    A nu so small that a selected eigenvector is mostly the ones direction
-    (squared cosine with 1 above 1/2; for free-translation models 1 is an
-    eigenvector at nu*m) raises DimensionError.
+    Takes the bottom-d eigenvectors of H P H + (n/m) 11^T (from the DPLR
+    eigensolver, with the dense matrix only where it cannot certify the
+    selection), scales them by the prior, corrects reflection against one
+    datum shape, and recovers per-shape weights by regularized least squares.
+    With prior=None the reference covariance prior is estimated from the
+    (completed) shapes.  This is the one-set case of the pass that
+    cross-validation runs per fold.
     """
-    prior, nu = _checked_args(shape_set, prior, nu, reflection_ref, allow_reflection)
+    prior = _checked_args(shape_set, prior, reflection_ref, allow_reflection)
     Bg, F, solved = _terms(shape_set, models)
     X, G = _stacked(shape_set)
-    values, V = _bottom_pairs_dplr(G.sum(axis=0)[None], _factors(F[None], np.array([nu])), shape_set.d)
-    ones = np.square(V[0].sum(axis=0)) / shape_set.m  # unit columns: each one's squared cosine with 1
-    if np.any(ones > 0.5):
-        raise DimensionError(
-            f"penalty weight nu={nu} is too small (nu*m={nu * shape_set.m:.6g}): a selected eigenvector, "
-            f"of eigenvalue {values[0, np.argmax(ones)]:.6g}, is mostly the ones vector")
+    counts = G.sum(axis=0)
+    values, V = _bottom_pairs_dplr(counts[None], _factors(F[None], counts), shape_set.d)
     (S,), (undetermined,) = _references(values, V, prior.lambdas[None], _gram_anchor(X, G),
                                         X[reflection_ref], G[reflection_ref])
     if undetermined:
         raise DegenerateConfiguration(_UNORIENTED)
     report = _theorem_conditions(shape_set, Bg, solved, models, 1e-6) if check_conditions else None
-    return _solution(shape_set, S, Bg, solved, models, prior, nu, report)
+    return _solution(shape_set, S, Bg, solved, models, prior, report)
 
 
 def solve_affine_centered(shape_set, prior=None, reflection_ref=0):
@@ -598,14 +591,14 @@ def solve_affine_centered(shape_set, prior=None, reflection_ref=0):
 
     Centers every shape, sums the projectors onto the centered row spaces
     (Q_o), and scales the d top eigenvectors by the prior; equivalent to the
-    homogeneous path up to row signs.  They are the bottom d of n I - Q_o, a
-    full-set solve matrix with D = n and nu = 0, which the DPLR eigensolver
-    takes as `solve` does.  Weights and costs follow as in `solve`, with
-    affine warps and nu = 0.
+    homogeneous path up to row signs.  They are the bottom d of n I - Q_o, the
+    full-set solve matrix of the centred bases (whose rows H leaves as they
+    are), which the DPLR eigensolver takes as `solve` does.  Weights and costs
+    follow as in `solve`, with affine warps.
     """
     if not shape_set.all_full:
         raise DegenerateInput("translation-eliminated affine GPA requires full shapes")
-    prior, nu = _checked_args(shape_set, prior, 0.0, reflection_ref)
+    prior = _checked_args(shape_set, prior, reflection_ref)
     n, d, m = shape_set.n, shape_set.d, shape_set.m
     X, G = _stacked(shape_set)
     Dbar = X - X.mean(axis=2, keepdims=True)
@@ -616,7 +609,8 @@ def solve_affine_centered(shape_set, prior=None, reflection_ref=0):
 
     # the top d of Q = sum_i Dbar_i^T (Dbar_i Dbar_i^T)^-1 Dbar_i = sum_i F_i^T F_i are the
     # bottom d of -Q, with identical prior pairing: those of n I - Q, less n
-    values, V = _bottom_pairs_dplr(np.full((1, m), float(n)), _factors(F, np.zeros(1)), d)
+    counts = np.full(m, float(n))
+    values, V = _bottom_pairs_dplr(counts[None], _factors(F, counts), d)
     values -= n
     (S,), (undetermined,) = _references(values, V, prior.lambdas[None], _gram_anchor(X, G),
                                         X[reflection_ref], G[reflection_ref])
@@ -624,4 +618,4 @@ def solve_affine_centered(shape_set, prior=None, reflection_ref=0):
         raise DegenerateConfiguration(_UNORIENTED)
     models = [AffineWarp(shape_set.d) for _ in shape_set]
     Bg, _, solved = _terms(shape_set, models)
-    return _solution(shape_set, S, Bg, solved, models, prior, nu)
+    return _solution(shape_set, S, Bg, solved, models, prior)

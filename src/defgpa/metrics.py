@@ -107,8 +107,8 @@ def cross_validation_errors(shape_set, fits, config=None, reflection_ref=0,
     that fails.  Then sets with equal per-shape models share passes bounded
     by _STACK_ENTRIES, and a pass takes the folds with priors in fixed blocks
     within the same bound, a ragged last fold in a block of its own.  Each
-    fold of a block gets the pass's per-shape terms in one call, each set
-    with its full solution's nu (raised to n/m' of the fold if below).  The
+    fold of a block gets the pass's per-shape terms in one call and its solve
+    matrices from `gpa._factors`, each with n/m' of the fold on 11^T.  The
     block then runs one stacked eigensolve of its (fold, set) pairs, each
     started from its full reference on the fold's kept points (DPLR, or dense
     where the factors have k >= m' columns), and its tail on the same stack:
@@ -143,7 +143,7 @@ def cross_validation_errors(shape_set, fits, config=None, reflection_ref=0,
             outcomes[j] = exc
             continue
         batches.setdefault(key, []).append(j)
-    # a (fold, model set) pair has an m' x k factor (k = n l + 1) and n x l x m' solved terms.  A pass
+    # a (fold, model set) pair has an m' x k factor (k = n l + 2) and n x l x m' solved terms.  A pass
     # takes the folds in blocks of `step` folds, at most `size` pairs, and ends each block in one
     # stacked eigensolve and its tail.  Where k < m' that is the DPLR eigensolver, which also stacks a
     # copy of the factors and two k x k kernels per pair; where k >= m' it is dense, with an m' x m'
@@ -152,7 +152,7 @@ def cross_validation_errors(shape_set, fits, config=None, reflection_ref=0,
     passes = []
     tail = 12 * d * m + 4 * n * d * config.group_size
     for key, indices in batches.items():
-        k = n * bases[key][0].shape[1] + 1
+        k = n * bases[key][0].shape[1] + 2
         size = max(1, _STACK_ENTRIES // max(m * k + m * m if k >= m else 3 * m * k + 2 * k * k, tail))
         passes += [(bases[key], indices[i:i + size], size) for i in range(0, len(indices), size)]
     X0, G0 = _gpa._stacked(shape_set)
@@ -180,6 +180,7 @@ def cross_validation_errors(shape_set, fits, config=None, reflection_ref=0,
     lambdas = np.array(lambdas)
     whole = min(len(lambdas), m // g)  # the first m // g folds are whole; a ragged last fold keeps more
     fold_of = np.arange(m) // g
+    counts = G0.sum(axis=0)
     predicted = {j: np.full((n, d, m), np.nan) for _, batch, _ in passes for j in batch}
     failures = {}  # model set -> (fold, error) of its earliest failing fold
     for (B, grams, dims), batch, size in passes:
@@ -202,7 +203,7 @@ def cross_validation_errors(shape_set, fits, config=None, reflection_ref=0,
                 if errors:
                     F, solved, indices = F[ok], solved[ok], [indices[t] for t in ok]
                 rows += [(f, j) for j in indices]
-                Ws.append(_gpa._factors(F, np.maximum([fits[j][1].nu for j in indices], n / keep.size)))
+                Ws.append(_gpa._factors(F, counts[keep]))
                 solveds.append(solved)
                 del F, solved  # held only in the block's lists
             if not rows:
@@ -214,7 +215,7 @@ def cross_validation_errors(shape_set, fits, config=None, reflection_ref=0,
             W = _drain(Ws)
             warm = None if W.shape[2] >= W.shape[1] else np.swapaxes(
                 np.take_along_axis(full, keep[:, None], axis=-1), -1, -2)
-            values, V = _bottom_pairs_dplr(G0.sum(axis=0)[keep], W, d, warm)
+            values, V = _bottom_pairs_dplr(counts[keep], W, d, warm)
             del W
             # W_i^T B_i[:, fold] = F (solved_i V)^T B_i[:, fold] for the reference S = F V^T, F = S V
             cols = held[f]  # held is padded with m: zero columns there
@@ -248,16 +249,14 @@ def cross_validation_errors(shape_set, fits, config=None, reflection_ref=0,
     return outcomes
 
 
-def cross_validation_error(shape_set, models, prior=None, nu=None, config=None,
-                           reflection_ref=0):
+def cross_validation_error(shape_set, models, prior=None, config=None, reflection_ref=0):
     """Leave-N-out CVE and the per-shape predicted reference shapes.
 
-    Solves the full set once (prior estimated when None, nu = n/m when None),
-    then runs the one-model-set case of `cross_validation_errors`; the prior
-    of every fold is re-estimated on the reduced set, as the full pipeline
-    would.
+    Solves the full set once (prior estimated when None), then runs the
+    one-model-set case of `cross_validation_errors`; the prior of every fold
+    is re-estimated on the reduced set, as the full pipeline would.
     """
-    full = _gpa.solve(shape_set, models, prior=prior, nu=nu, reflection_ref=reflection_ref,
+    full = _gpa.solve(shape_set, models, prior=prior, reflection_ref=reflection_ref,
                       check_conditions=False)
     outcome, = cross_validation_errors(shape_set, [(models, full)], config=config,
                                        reflection_ref=reflection_ref)

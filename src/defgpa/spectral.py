@@ -6,10 +6,11 @@ assembled from ordered eigenvectors.  This module owns that assembly: the
 eigensolver wrapper with a deterministic sign convention, the covariance
 prior, the bottom-d selection scaled by that prior, and the
 leading-singular-vector helper used by the prior estimator.  Every solve
-matrix is diagonal plus low rank, D - W J W^T; its bottom d come from one
-structured (DPLR) eigensolver, shift-invert subspace iteration with a
-Woodbury inverse and an inertia certificate, which hands to the dense
-eigensolver only the matrices it cannot certify.
+matrix is diagonal plus low rank, D - W J W^T with J = diag(I, -1) (see
+`gpa._factors`); its bottom d come from one structured (DPLR) eigensolver,
+shift-invert subspace iteration with a Woodbury inverse and an inertia
+certificate, which hands to the dense eigensolver only the matrices it cannot
+certify.
 """
 
 from dataclasses import dataclass
@@ -152,11 +153,11 @@ def _bottom_pairs(M, d):
 
 
 def _dplr_matrix(D, W):
-    """The dense M_t = diag(D_t) - W_t J W_t^T of each t in a stack, W_t's last column sqrt(nu_t) 1
-    and J = diag(I, -1), so that W J W^T = W W^T - 2 nu 11^T."""
+    """The dense M_t = diag(D_t) - W_t J W_t^T of each t in a stack, J = diag(I, -1), so that
+    W J W^T = W W^T - 2 v v^T with v the last column of W."""
     M = W @ np.swapaxes(W, -1, -2)
     M *= -1.0
-    M += 2.0 * W[:, :1, -1:] ** 2
+    M += 2.0 * W[..., -1:] @ np.swapaxes(W[..., -1:], -1, -2)
     diagonal = np.arange(M.shape[-1])
     M[:, diagonal, diagonal] += D
     return M
@@ -165,8 +166,8 @@ def _dplr_matrix(D, W):
 def _bottom_pairs_dplr(D, W, d, start=None):
     """Bottom-d eigenpairs, values (T x d) and vectors (T x m x d), of each M_t = diag(D_t) - W_t J W_t^T.
 
-    D (T x m) is positive, and W (T x m x k) holds columns F and sqrt(nu) 1 with
-    J = diag(I, -1), so M = D - F F^T + nu 11^T.  Shift-invert subspace
+    D (T x m) is positive, and W (T x m x k) holds the columns of `gpa._factors`
+    with J = diag(I, -1), a single -1 on the last.  Shift-invert subspace
     iteration on blocks of d+1 columns (Golub 1973; Parlett): with
     sigma = -_SHIFT max D and Delta = D - sigma I, Woodbury applies
     (M - sigma I)^-1 = Delta^-1 + Delta^-1 W S^-1 W^T Delta^-1 through one k x k

@@ -51,12 +51,14 @@ def full_shapes(arrays):
     return ShapeSet(tuple(Shape(D, np.ones(D.shape[1], bool)) for D in arrays))
 
 
-def dense_selection(M, lambdas, anchor=None, datum=None):
-    """The dense closed form: the bottom d of M (or of each in a stack) by `eig_sym`, scaled by the
-    prior lambdas (d,), first row flipped where an orthogonal Procrustes to the datum Shape reflects."""
+def dense_selection(M, lambdas, anchor=None, datum=None, skip=0):
+    """The dense closed form: the bottom d of M (or of each in a stack) by `eig_sym`, past its first
+    `skip`, scaled by the prior lambdas (d,), first row flipped where an orthogonal Procrustes to the
+    datum Shape reflects."""
     d = len(lambdas)
     pairs = eig_sym(M)
-    S = _scale_selected(pairs.values[..., :d], pairs.vectors[..., :, :d], lambdas, anchor)
+    cut = slice(skip, skip + d)
+    S = _scale_selected(pairs.values[..., cut], pairs.vectors[..., :, cut], lambdas, anchor)
     if datum is not None:
         R, _, _ = _procrustes(datum.filled(0.0), S, datum.visibility.astype(float), allow_reflection=True)
         S[..., 0, :] *= np.where(np.linalg.det(R) < 0, -1.0, 1.0)[..., None]
@@ -160,8 +162,7 @@ def per_fold_reference(shape_set, fits, group=1, reflection_ref=0, allow_reflect
             keep = np.setdiff1d(np.arange(m), fold)
             reduced = restrict_points(shape_set, keep)
             prior = estimate_prior_for_set(reduced, allow_reflection=allow_reflection)
-            sol = solve(reduced, models, prior=prior, nu=max(full.nu, n / keep.size),
-                        reflection_ref=reflection_ref, check_conditions=False)
+            sol = solve(reduced, models, prior=prior, reflection_ref=reflection_ref, check_conditions=False)
             R, t = kabsch(sol.reference, full.reference[:, keep])
             for i, shape in enumerate(shape_set):
                 mapped = apply_warp(models[i], sol.weights[i], shape.filled(0.0)[:, fold])

@@ -181,7 +181,7 @@ def test_criterion_5_coordinate_invariance(rng):
             if _min_bottom_separation(ss, models, nu) <= 1e-6:
                 continue
             prior = estimate_prior_for_set(ss)
-            sol1 = solve(ss, models, prior=prior, nu=nu)
+            sol1 = solve(ss, models, prior=prior)
             rigids = [(random_rotation(rng, d), rng.normal(size=(d, 1))) for _ in range(n)]
             moved = ShapeSet(tuple(
                 Shape(R @ s.points + t, s.visibility)
@@ -193,7 +193,7 @@ def test_criterion_5_coordinate_invariance(rng):
                     for mod, (R, t) in zip(models, rigids)]
             else:
                 moved_models = models
-            sol2 = solve(moved, moved_models, prior=prior, nu=nu)
+            sol2 = solve(moved, moved_models, prior=prior)
             dist = np.linalg.norm(row_space_projector(sol1.reference)
                                   - row_space_projector(sol2.reference))
             assert dist < 1e-8
@@ -294,9 +294,8 @@ def test_criterion_9_cve_oracle(rng):
             ss = mask_set(local, full_set(local, 2, 9, 4, kind="smooth", noise=0.08),
                           0.15, min_joint=4)
             models = affine_models(ss)
-            nu = ss.n / ss.m
-            cve, _ = cross_validation_error(ss, models, nu=nu, config=CveConfig(1))
-            assert cve == pytest.approx(independent_leave_one_out(ss, models, nu), abs=1e-8)
+            cve, _ = cross_validation_error(ss, models, config=CveConfig(1))
+            assert cve == pytest.approx(independent_leave_one_out(ss, models), abs=1e-8)
 
 
 # --- criterion 10: optional dataset replication ----------------------------

@@ -316,7 +316,7 @@ class TestCveCommand:
         doc = json.loads(Path(out).read_text())
         models = affine_models(ss)
         sol = solve(ss, models)
-        cve, _ = cross_validation_error(ss, models, nu=sol.nu, config=CveConfig(2))
+        cve, _ = cross_validation_error(ss, models, config=CveConfig(2))
         assert doc["cve"] == pytest.approx(cve, abs=1e-12)
 
     @pytest.mark.parametrize("flags", [[], ["--allow-reflection"]])
@@ -447,14 +447,12 @@ class TestUsage:
         parse = build_parser().parse_args
         config = _config_from_args(parse(["solve", "--input", "x"]))
         assert {name: getattr(config, name) for name in (
-            "model", "ctrl", "theta", "nu", "lambda_internal", "flat_axes", "reflection_ref",
+            "model", "ctrl", "theta", "lambda_internal", "flat_axes", "reflection_ref",
             "format", "cve_group")} == {
-            "model": "affine", "ctrl": 3, "theta": 1.0, "nu": None, "lambda_internal": None,
+            "model": "affine", "ctrl": 3, "theta": 1.0, "lambda_internal": None,
             "flat_axes": 0, "reflection_ref": "0", "format": "json", "cve_group": None}
         sweep = _config_from_args(parse(["sweep", "--input", "x"]))
         assert (sweep.cve_group, sweep.thetas) == (1, None)
-        assert _config_from_args(parse(["solve", "--input", "x", "--nu", "auto"])).nu is None
-        assert _config_from_args(parse(["solve", "--input", "x", "--nu", "0.5"])).nu == 0.5
 
     @pytest.mark.parametrize("args", [["prior", "--output"],
                                       ["cve", "--group", "1", "--format", "csv", "--output"]],
@@ -477,26 +475,14 @@ class TestUsage:
         assert "error: " in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["rigid.json"]  # no output written
 
-    def test_too_small_nu_exits_2(self, rng, tmp_path, capsys):
-        # the set of `test_too_small_nu_names_the_ones_vector` (test_gpa.py): 1 joins the bottom d
-        # below nu = 0.00105 or so
-        from conftest import mask_set
-        ss = mask_set(rng, full_set(rng, 2, 40, 8, kind="affine", noise=0.085), 0.1, min_joint=4)
-        path = write_set(tmp_path / "set.json", ss)
-        for command in (["solve"], ["cve", "--group", "1"]):
-            out = tmp_path / f"{command[0]}.json"
-            for nu in ("0", "0.001"):
-                assert main([*command, "--input", path, "--nu", nu, "--output", str(out)]) == 2
-                assert not out.exists()
-                error = json.loads(capsys.readouterr().err)
-                assert error["error"] == "DimensionError"
-                assert error["message"].startswith(f"penalty weight nu={float(nu)} is too small (nu*m=")
-            assert main([*command, "--input", path, "--nu", "0.002", "--output", str(out)]) == 0
-        # the sweep records the failure as each theta's nan row
-        sweep = tmp_path / "g.csv"
-        assert main(["sweep", "--input", path, "--nu", "0.001", "--thetas", "1,2",
-                     "--output", str(sweep)]) == 0
-        assert sweep.read_text().splitlines()[1:] == ["1.0,nan,nan,nan", "2.0,nan,nan,nan"]
+    def test_nu_is_no_option(self, rigid_file, tmp_path, monkeypatch, capsys):
+        # S 1 = 0 is exact, so there is no translation penalty weight to set
+        _, path = rigid_file
+        monkeypatch.chdir(tmp_path)
+        for command in (["solve"], ["sweep", "--thetas", "1,2"], ["cve", "--group", "1"]):
+            assert main([*command, "--input", path, "--nu", "1"]) == 2
+            assert "unrecognized arguments: --nu 1" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["rigid.json"]  # no output written
 
     def test_unknown_model(self, rigid_file):
         _, path = rigid_file
@@ -506,21 +492,11 @@ class TestUsage:
         _, path = rigid_file
         assert main(["solve", "--input", path, "--model", "tps", "--theta", "-1"]) == 2
 
-    def test_nu_accepts_auto_and_number(self, rigid_file, tmp_path):
-        _, path = rigid_file
-        assert main(["solve", "--input", path, "--nu", "auto",
-                     "--output", str(tmp_path / "s1.json")]) == 0
-        assert main(["solve", "--input", path, "--nu", "0.5",
-                     "--output", str(tmp_path / "s2.json")]) == 0
-        assert main(["solve", "--input", path, "--nu", "bogus"]) == 2
-
-
     @pytest.mark.parametrize("args", [
         ["solve", "--model", "tps", "--theta", "nan"],
-        ["solve", "--nu", "nan"],
         ["solve", "--model", "tps", "--lambda-internal", "inf"],
         ["sweep", "--model", "tps", "--thetas", "1,nan"],
-    ], ids=["theta", "nu", "lambda-internal", "sweep-grid"])
+    ], ids=["theta", "lambda-internal", "sweep-grid"])
     def test_non_finite_values_rejected(self, rigid_file, tmp_path, capsys, args):
         _, path = rigid_file
         out = tmp_path / "out"
@@ -529,11 +505,10 @@ class TestUsage:
         assert json.loads(capsys.readouterr().err)["error"] == "FormatError"
 
     @pytest.mark.parametrize("args", [
-        ["--nu", "-1"],
         ["--model", "tps", "--lambda-internal", "-1"],
         ["--model", "tps", "--flat-axes", "2"],
         ["--model", "tps", "--flat-axes", "-1"],
-    ], ids=["nu", "lambda-internal", "flat-axes-d", "flat-axes-negative"])
+    ], ids=["lambda-internal", "flat-axes-d", "flat-axes-negative"])
     def test_out_of_range_values_rejected(self, rigid_file, tmp_path, capsys, args):
         # a usage error in every command (d = 2 here), not a solver failure or a sweep of NaN rows
         _, path = rigid_file

@@ -3,9 +3,11 @@
 The DPLR eigensolver is checked against the dense `eigh`.  Each case of a
 seeded corpus is solved twice: as the solver runs it, and with the DPLR
 iteration given no steps, so that every matrix takes the dense fallback
-(`np.linalg.eigh` of the assembled m x m matrix).  Where the solve matrix has
-k = sum l_i + 1 < m columns the DPLR core must certify the selection itself,
-so the dense fallback must not run there.
+(`np.linalg.eigh` of the assembled m x m matrix).  Where the solve matrix's
+factor has k = sum l_i + 2 < m columns the DPLR core must certify the
+selection itself, so the dense fallback must not run there.  The solves of
+free-translation models also agree with the first closed form, and those of a
+basis with no constant direction with the dense second closed form.
 
 The stacked CVE (downdated fold priors, chunked folds and passes, stacked
 eigensolves and tail) is checked against `per_fold_reference`, one plain
@@ -18,7 +20,6 @@ landmarks, and so do the leave-one-out CVE and its predictions.
 """
 
 import itertools
-import re
 from collections import Counter
 
 import numpy as np
@@ -27,13 +28,14 @@ import pytest
 from defgpa import (
     CveConfig,
     DefgpaError,
-    DimensionError,
     FormatError,
     InsufficientOverlap,
     Shape,
     ShapeSet,
+    assemble_P,
     cross_validation_error,
     cross_validation_errors,
+    eig_sym,
     estimate_prior_for_set,
     gpa,
     metrics,
@@ -46,6 +48,7 @@ from defgpa.metrics import _fold_slices
 from defgpa.spectral import _bottom_pairs_dplr, _scale_selected
 from conftest import (affine_models, dense_runs, dense_selection, full_set, gauge_residual, mask_set,
                       per_fold_reference, restrict_points, solved_fits, tps_models)
+from test_gpa import LinearOnlyWarp
 
 
 def dense_only(monkeypatch):
@@ -53,11 +56,11 @@ def dense_only(monkeypatch):
     monkeypatch.setattr(spectral, "_MAX_STEPS", 0)
 
 
-# (d, model, partial, nu): k = n l + 1 is 13 (2D affine), 28 (2D TPS), 17 (3D affine) and 25
-# (3D TPS), each below m = 40; nu None is the default n/m.  With nu = 0 the ones vector is a null
-# vector of P for these free-translation models, so both paths must fail alike, their messages apart
-# from the selected eigenvalue, which is round-off; the zero ones column is solved in the centred
-# affine case below.
+# (d, model, partial, nu): k = n l + 2 is 14 (2D affine), 29 (2D TPS), 18 (3D affine) and 26
+# (3D TPS), each below m = 40.  These free-translation models have P 1 = 0, so the solve matrix
+# H P H + (n/m) 11^T is P + (n/m) 11^T, and the solve agrees with the first closed form at each nu:
+# the bottom d of P + nu 11^T (nu None: n/m), or at nu = 0 the d eigenvectors of P past its null
+# vector 1.
 CORPUS = [(d, model, partial, nu) for d in (2, 3) for model in ("affine", "tps")
           for partial in (False, True) for nu in (0.0, None, 1.0)]
 
@@ -68,15 +71,10 @@ def instance(seed, d, model, partial, m=40):
     ss = full_set(rng, d, m, n, kind="smooth", noise=0.05)
     if partial:
         ss = mask_set(rng, ss, 0.15, min_joint=d + 2)
+    if model == "linear":
+        return ss, [LinearOnlyWarp(d) for _ in ss]
     models = affine_models(ss) if model == "affine" else tps_models(ss, k=3 if d == 2 else 2)
     return ss, models
-
-
-def outcome(ss, models, prior, nu):
-    try:
-        return solve(ss, models, prior=prior, nu=nu)
-    except DefgpaError as exc:
-        return exc
 
 
 @pytest.mark.parametrize("case", range(len(CORPUS)),
@@ -87,20 +85,46 @@ def test_solve_matches_dense(monkeypatch, case):
     ss, models = instance(100 + case, d, model, partial)
     prior = estimate_prior_for_set(ss)
     calls = dense_runs(monkeypatch)
-    sol = outcome(ss, models, prior, nu)
+    sol = solve(ss, models, prior=prior)
     assert calls == []
     dense_only(monkeypatch)
-    want = outcome(ss, models, prior, nu)
-    assert calls == [(1, ss.m, sum(model.feature_dim for model in models) + 1)]
-    if nu == 0:
-        assert type(sol) is type(want) is DimensionError
-        assert [re.sub(r"eigenvalue [^,]+,", "eigenvalue ~0,", str(exc)) for exc in (sol, want)] == [
-            "penalty weight nu=0.0 is too small (nu*m=0): a selected eigenvector, of eigenvalue ~0, "
-            "is mostly the ones vector"] * 2
-        return
+    want = solve(ss, models, prior=prior)
+    assert calls == [(1, ss.m, sum(model.feature_dim for model in models) + 2)]
     assert gauge_residual(sol.reference, want.reference) < 1e-8
     for name in ("cost", "data_cost", "reg_cost", "penalty_cost"):
         assert getattr(sol, name) == pytest.approx(getattr(want, name), rel=1e-8, abs=1e-10)
+    P = assemble_P(ss, models)
+    if nu == 0:
+        np.testing.assert_allclose(np.abs(eig_sym(P).vectors[:, 0]), 1 / np.sqrt(ss.m), atol=1e-10)
+    weight = ss.n / ss.m if nu is None else nu
+    first = dense_selection(P + weight, prior.lambdas, _gram_anchor(*_stacked(ss)), ss[0], skip=int(nu == 0))
+    assert gauge_residual(sol.reference, first) < 1e-8
+
+
+@pytest.mark.parametrize("d, partial", [(2, False), (2, True), (3, False), (3, True)],
+                         ids=["2d-linear-full", "2d-linear-partial", "3d-linear-full", "3d-linear-partial"])
+def test_constant_free_solve_matches_dense(monkeypatch, d, partial):
+    # a basis with no constant direction: P 1 != 0, so S 1 = 0 rests on H P H + (n/m) 11^T alone;
+    # k = n d + 2 is 8 (2D) and 11 (3D), below m = 40.  On a partial set the points that one shape
+    # alone sees put eigenvalues next to min D = 1, where the iteration needs more than the
+    # default _MAX_STEPS; the step cap bounds the cost, the inertia count certifies the selection
+    ss, models = instance(140 + 2 * d + partial, d, "linear", partial)
+    prior = estimate_prior_for_set(ss)
+    if partial:
+        monkeypatch.setattr(spectral, "_MAX_STEPS", 1000)
+    calls = dense_runs(monkeypatch)
+    sol = solve(ss, models, prior=prior, check_conditions=False)
+    assert calls == []
+    dense_only(monkeypatch)
+    want = solve(ss, models, prior=prior, check_conditions=False)
+    assert calls == [(1, ss.m, ss.n * d + 2)]
+    H = np.eye(ss.m) - 1 / ss.m
+    dense = dense_selection(H @ assemble_P(ss, models) @ H + ss.n / ss.m, prior.lambdas,
+                            _gram_anchor(*_stacked(ss)), ss[0])
+    for S in (sol.reference, want.reference):
+        assert np.linalg.norm(S.sum(axis=1)) <= 1e-12 * np.linalg.norm(S)
+        assert gauge_residual(S, dense) < 1e-8
+    assert sol.cost == pytest.approx(want.cost, rel=1e-8)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -173,11 +197,11 @@ def test_a_start_that_misses_the_bottom_is_not_certified(monkeypatch):
 
 
 def test_k_at_least_m_takes_the_dense_path(monkeypatch):
-    # 2D TPS with 3 x 3 controls on 3 shapes: k = 28 >= m = 20
+    # 2D TPS with 3 x 3 controls on 3 shapes: k = 29 >= m = 20
     ss, models = instance(5, 2, "tps", True, m=20)
     calls = dense_runs(monkeypatch)
     sol = solve(ss, models)
-    assert calls == [(1, 20, 28)]
+    assert calls == [(1, 20, 29)]
     dense_only(monkeypatch)
     np.testing.assert_array_equal(sol.reference, solve(ss, models).reference)
 
@@ -306,7 +330,7 @@ def test_the_cve_corpus_splits_chunks_passes_and_blocks(monkeypatch):
             split.add("chunks")
         if ("terms", 2) not in events:
             split.add("passes")
-        sets = Counter(ss.n * models[0].feature_dim + 1 for models, _ in fits)  # per factor width k
+        sets = Counter(ss.n * models[0].feature_dim + 2 for models, _ in fits)  # per factor width k
         for blocks, k in itertools.product(chunks, sets):
             pairs = [T for width, T in blocks if width == k]
             if len(pairs) > 1 and max(pairs) > sets[k]:

@@ -1,5 +1,7 @@
 """The DefGPA solver: pairwise Procrustes, completion, prior, closed-form solve."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -477,7 +479,7 @@ class TestStackedNormalSolves:
         np.testing.assert_allclose(assemble_P(ss, models), direct, atol=1e-10)
         sol = solve(ss, models)
         assert [W.shape for W in sol.weights] == [(3, 2), (3, 2), (9, 2)]
-        S, _ = dense_reference(ss, models, sol.prior, sol.nu)
+        S, _ = dense_reference(ss, models, sol.prior)
         assert gauge_residual(sol.reference, S) < 1e-8
 
 
@@ -539,25 +541,6 @@ class TestSolve:
         ss = full_set(rng, 2, 10, 3, kind="affine")
         sol = solve(ss, affine_models(ss))
         assert sol.nu == pytest.approx(3 / 10)
-        for nu in (-1.0, np.nan, np.inf):
-            with pytest.raises(DimensionError):
-                solve(ss, affine_models(ss), nu=nu)
-
-    def test_too_small_nu_names_the_ones_vector(self, rng):
-        # free-translation models have P 1 = 0, so 1 is an eigenvector at nu*m; below the d-th
-        # eigenvalue of P on the complement of 1 it joins the bottom d
-        ss = mask_set(rng, full_set(rng, 2, 40, 8, kind="affine", noise=0.085), 0.1, min_joint=4)
-        H = np.eye(ss.m) - 1.0 / ss.m
-        cut = np.linalg.eigvalsh(H @ assemble_P(ss, affine_models(ss)) @ H)[ss.d]  # past the 0 of 1
-        assert 0.001 * ss.m < cut < 0.002 * ss.m
-        with pytest.raises(DimensionError, match=r"^penalty weight nu=0.0 is too small \(nu\*m=0\)"):
-            solve(ss, affine_models(ss), nu=0.0)
-        with pytest.raises(DimensionError) as caught:
-            solve(ss, affine_models(ss), nu=0.001)
-        assert str(caught.value) == ("penalty weight nu=0.001 is too small (nu*m=0.04): a selected "
-                                     "eigenvector, of eigenvalue 0.04, is mostly the ones vector")
-        S = solve(ss, affine_models(ss), nu=0.002).reference
-        assert np.all(S.sum(axis=1) ** 2 < 0.5 * ss.m * np.sum(S ** 2, axis=1))  # no row is mostly 1
 
     def test_prior_accepts_plain_array(self, rng):
         ss = full_set(rng, 2, 10, 3, kind="affine")
@@ -590,25 +573,34 @@ class TestSolve:
         assert np.linalg.norm(sol.reference[0]) == pytest.approx(2.0, abs=1e-8)
 
     def test_hard_soft_equivalence(self, rng):
-        ss = full_set(rng, 2, 12, 4, kind="smooth", noise=0.05)
-        models = tps_models(ss, k=3, theta=5.0)
-        prior = estimate_prior_for_set(ss)
-        sol1 = solve(ss, models, prior=prior, nu=ss.n / ss.m)
-        sol2 = solve(ss, models, prior=prior, nu=10.0 * ss.n / ss.m)
-        gap = _bottom_gap(ss, models, sol1.nu)
-        if gap > 1e-6:
-            dist = np.linalg.norm(row_space_projector(sol1.reference)
-                                  - row_space_projector(sol2.reference))
-            assert dist < 1e-6
-
-
-def _bottom_gap(shape_set, models, nu):
-    """Gap between the d-th and (d+1)-th smallest eigenvalues of P + nu 11^T."""
-    P = assemble_P(shape_set, models)
-    M = P + nu * np.ones((shape_set.m, shape_set.m))
-    vals = eig_sym(M).values
-    d = shape_set.d
-    return float(vals[d] - vals[d - 1])
+        # the constraint S 1 = 0 holds exactly for a basis with no constant direction: S is the
+        # optimum of trace(S P S^T) on the complement of 1, and at a small m the enumeration of
+        # eigenvector subsets of H P H + (n/m) 11^T (criterion 2) and the alternating minimization
+        # confirm it
+        for m, trials in ((40, 0), (8, 10)):
+            full = full_set(rng, 2, m, 8 if m > 10 else 4, kind="smooth", noise=0.05)
+            for ss in (full, mask_set(rng, full, 0.1, min_joint=4)):
+                models = [LinearOnlyWarp(2) for _ in ss]
+                sol = solve(ss, models, check_conditions=False)
+                S, lam = sol.reference, sol.prior.lambdas
+                assert np.linalg.norm(S.sum(axis=1)) <= 1e-12 * np.linalg.norm(S)
+                P = assemble_P(ss, models)
+                N = np.linalg.qr(np.column_stack([np.ones(m), np.eye(m)[:, :m - 1]]))[0][:, 1:]
+                optimum = float(lam @ np.linalg.eigvalsh(N.T @ P @ N)[:2])
+                achieved = float(np.trace(S @ P @ S.T))
+                assert achieved == pytest.approx(optimum, rel=1e-9)
+                assert sol.cost == pytest.approx(optimum, rel=1e-9)
+                if not trials:
+                    continue
+                H = np.eye(m) - 1.0 / m
+                values = eig_sym(H @ P @ H + ss.n / m).values
+                best = min(float(lam @ np.sort(values[list(pair)]))
+                           for pair in itertools.combinations(range(m), 2))
+                assert achieved <= best + 1e-9 * max(1.0, abs(best))
+                if ss.all_full:
+                    for _ in range(trials):
+                        am_cost = alternating_minimization(ss, models, sol.prior, sol.nu, rng)
+                        assert sol.cost <= am_cost + 1e-8 * max(1.0, abs(am_cost))
 
 
 def _min_bottom_separation(shape_set, models, nu):
@@ -638,17 +630,18 @@ class XOnlyWarp(AffineWarp):
         return np.zeros((2, 2))
 
 
-def dense_reference(shape_set, models, prior, nu):
-    """The dense closed form: bottom-d of the assembled P + nu 11^T, reflection-corrected."""
-    M = assemble_P(shape_set, models) + nu * np.ones((shape_set.m, shape_set.m))
+def dense_reference(shape_set, models, prior):
+    """The dense closed form: bottom-d of the assembled H P H + (n/m) 11^T, reflection-corrected."""
+    H = np.eye(shape_set.m) - 1.0 / shape_set.m
+    M = H @ assemble_P(shape_set, models) @ H + shape_set.n / shape_set.m
     return dense_selection(M, prior.lambdas, _gram_anchor(*_stacked(shape_set)), shape_set[0]), M
 
 
 class TestFullSetSpanPath:
-    """Full sets: the DPLR eigensolver certifies the selection on span([B_1^T ... B_n^T, 1]) and forms
-    no m x m matrix when that span has k = sum l_i + 1 < m dimensions."""
+    """Full sets: the DPLR eigensolver certifies the selection on span([H B_1^T ... H B_n^T, 1]) and
+    forms no m x m matrix when its factor has k = sum l_i + 2 < m columns."""
 
-    # (d, model, n, m): sum l_i + 1 is 13, 13, 28 and 25; one m above, one at or below
+    # (d, model, n, m): sum l_i + 2 is 14, 14, 29 and 26; one m above, one at or below
     CASES = [
         (2, "affine", 4, 30), (2, "affine", 4, 8),
         (3, "affine", 3, 40), (3, "affine", 3, 10),
@@ -666,19 +659,18 @@ class TestFullSetSpanPath:
     def test_matches_dense_closed_form(self, rng, d, model, n, m):
         ss, models = self.instance(rng, d, model, n, m)
         prior = estimate_prior_for_set(ss)
-        nu = ss.n / ss.m
-        sol = solve(ss, models, prior=prior, nu=nu)
-        S, M = dense_reference(ss, models, prior, nu)
+        sol = solve(ss, models, prior=prior)
+        S, M = dense_reference(ss, models, prior)
         assert gauge_residual(sol.reference, S) < 1e-8
         dense_cost = float(np.trace(S @ M @ S.T))
         assert sol.cost == pytest.approx(dense_cost, rel=1e-8, abs=1e-10)
 
     @pytest.mark.parametrize("d, model, n, m", CASES)
     def test_no_dense_matrix_is_formed(self, rng, monkeypatch, d, model, n, m):
-        # the DPLR core certifies every full set with k = sum l_i + 1 < m columns; at k >= m the
+        # the DPLR core certifies every full set with k = sum l_i + 2 < m columns; at k >= m the
         # dense eigensolver is the rule, and its m x m matrix is no larger than a k x k kernel
         ss, models = self.instance(rng, d, model, n, m)
-        k = sum(model.feature_dim for model in models) + 1
+        k = sum(model.feature_dim for model in models) + 2
         calls = dense_runs(monkeypatch)
         solve(ss, models)
         assert calls == ([] if k < m else [(1, m, k)])
@@ -690,10 +682,9 @@ class TestFullSetSpanPath:
         ss = full_set(rng, d, 15, 4, kind="affine")
         models = affine_models(ss)
         prior = estimate_prior_for_set(ss)
-        nu = ss.n / ss.m
-        S, M = dense_reference(ss, models, prior, nu)
+        S, M = dense_reference(ss, models, prior)
         assert np.ptp(eig_sym(M).values[:d]) < 1e-9
-        sol = solve(ss, models, prior=prior, nu=nu)
+        sol = solve(ss, models, prior=prior)
         np.testing.assert_allclose(sol.reference, S, atol=1e-8 * np.max(np.abs(S)))
         assert sol.cost < 1e-8
 
@@ -708,16 +699,16 @@ class TestFullSetSpanPath:
         assert gauge_residual(solve_affine_centered(ss, prior=prior).reference, S) < 1e-8
 
     def test_falls_back_to_dense_when_the_span_cannot_certify(self, rng, monkeypatch):
-        # identical shapes under [x; 1]: the span holds eigenvalue 0 once and,
-        # with the default nu, n on 1, the value M takes on the complement too
+        # identical shapes under [x; 1]: the span holds eigenvalue 0 once and
+        # n on 1, the value M takes on the complement too
         pts = rng.normal(size=(2, 12))
         ss = ShapeSet(tuple(Shape(pts.copy(), np.ones(12, bool)) for _ in range(3)))
         models = [XOnlyWarp(2) for _ in range(3)]
         calls = dense_runs(monkeypatch)
         prior = CovariancePrior(np.array([4.0, 1.0]))
         sol = solve(ss, models, prior=prior)
-        assert calls == [(1, 12, 7)]
-        _, M = dense_reference(ss, models, prior, sol.nu)
+        assert calls == [(1, 12, 8)]
+        _, M = dense_reference(ss, models, prior)
         optimum = float(prior.lambdas @ eig_sym(M).values[:2])
         assert float(np.trace(sol.reference @ M @ sol.reference.T)) == pytest.approx(optimum, abs=1e-9)
         assert np.linalg.norm(sol.reference @ sol.reference.T - prior.matrix()) < 1e-9

@@ -186,16 +186,16 @@ class TestGaugeAlign:
         np.testing.assert_allclose(R, R0, atol=1e-9)
 
 
-def independent_leave_one_out(shape_set, models, nu):
+def independent_leave_one_out(shape_set, models):
     """A from-scratch coding of the leave-N-out protocol with N = 1."""
-    full = solve(shape_set, models, nu=nu, check_conditions=False)
+    full = solve(shape_set, models, check_conditions=False)
     d, m, n = shape_set.d, shape_set.m, shape_set.n
     preds = [np.full((d, m), np.nan) for _ in range(n)]
     for j in range(m):
         keep = [p for p in range(m) if p != j]
         reduced = ShapeSet(tuple(
             Shape(s.points[:, keep], s.visibility[keep], s.label) for s in shape_set))
-        fold = solve(reduced, models, nu=max(nu, n / (m - 1)), check_conditions=False)
+        fold = solve(reduced, models, check_conditions=False)
         R, t = kabsch(fold.reference, full.reference[:, keep])
         for i, s in enumerate(shape_set):
             point = s.filled(0.0)[:, [j]]
@@ -241,9 +241,8 @@ class TestCrossValidation:
         ss = mask_set(rng, full_set(rng, 2, 9, 4, kind="smooth", noise=0.1), 0.15,
                       min_joint=2 + 2)
         models = affine_models(ss)
-        nu = ss.n / ss.m
-        cve, _ = cross_validation_error(ss, models, nu=nu, config=CveConfig(1))
-        reference = independent_leave_one_out(ss, models, nu)
+        cve, _ = cross_validation_error(ss, models, config=CveConfig(1))
+        reference = independent_leave_one_out(ss, models)
         assert cve == pytest.approx(reference, abs=1e-8)
 
     def test_fold_layout_contiguous(self):
@@ -284,13 +283,13 @@ class TestBatchedCrossValidation:
                           per_fold_reference(ss, fits, reflection_ref=1))
 
     def test_full_3d_affine_on_the_span(self, rng, monkeypatch):
-        # the affine folds (k = 17 < m' = 23 factor columns) run the DPLR core and form no m' x m'
-        # matrix; the TPS folds (k = 33) are dense by rule
+        # the affine folds (k = 18 < m' = 23 factor columns) run the DPLR core and form no m' x m'
+        # matrix; the TPS folds (k = 34) are dense by rule
         ss = full_set(rng, 3, 24, 4, kind="smooth", noise=0.05)
         fits = solved_fits(ss, [1.0, 0.01], k=2)
         calls = dense_runs(monkeypatch)
         batched = cross_validation_errors(ss, fits)
-        assert {k for _, _, k in calls} == {ss.n * fits[0][0][0].feature_dim + 1} == {33}
+        assert {k for _, _, k in calls} == {ss.n * fits[0][0][0].feature_dim + 2} == {34}
         assert_cve_parity(batched, per_fold_reference(ss, fits))
 
     def test_zero_residual_cluster(self, rng):
@@ -348,9 +347,9 @@ class TestBatchedCrossValidation:
             return terms(G, bases, mus)
 
         monkeypatch.setattr(defgpa.gpa, "_per_shape_terms", spy)
-        # k = n l + 1 >= m: the dense eigensolver counts each pair's n x l x m solved terms and
+        # k = n l + 2 >= m: the dense eigensolver counts each pair's n x l x m solved terms and
         # m x m matrix
-        k = ss.n * max(model.feature_dim for model in fits[0][0]) + 1
+        k = ss.n * max(model.feature_dim for model in fits[0][0]) + 2
         monkeypatch.setattr(defgpa.metrics, "_STACK_ENTRIES", 2 * (ss.m * k + ss.m ** 2))
         split = cross_validation_errors(ss, fits)
         # pass-major: every fold of the two-set pass, then every fold of the one-set pass
@@ -499,6 +498,7 @@ class TestFoldPriors:
         vis[0, [5, 9]] = False
         ss = ShapeSet(tuple(Shape(s.points, v, s.label) for s, v in zip(ss, vis)))
         fits = solved_fits(ss, [1.0, 0.01], k=2)
+        monkeypatch.setattr(defgpa.metrics, "_STACK_ENTRIES", 2**17)  # room for every fold in one block
         whole = cross_validation_errors(ss, fits)
         target = np.array([model.smoothing for model in fits[1][0]])
         terms, dplr = defgpa.gpa._per_shape_terms, defgpa.metrics._bottom_pairs_dplr
