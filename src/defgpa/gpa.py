@@ -330,11 +330,11 @@ def _fold_priors(Y, G, moments, held, allow_reflection):
 # P-matrix assembly and the closed-form solve
 
 
-def _cholesky_solve(N, rhs):
-    """L^-1 rhs and N^-1 rhs = L^-T (L^-1 rhs) for SPD N (or a stack of them), L its Cholesky factor.
+def _cholesky_solve(N, rhs, out):
+    """L^-1 for SPD N (or a stack of them), L its Cholesky factor, with L^-1 rhs written into out.
 
-    One inverse of the triangular factor and two matmuls replace two general
-    solves against it; the half solve factors rhs^T N^-1 rhs.
+    N^-1 = L^-T L^-1, so a consumer applies N^-1 to its own small right-hand
+    side x as L^-T (L^-1 x), and no N^-1 rhs is formed.
 
     Raises np.linalg.LinAlgError when any N is not positive definite, either
     input holds a non-finite entry, or a pivot has L_jj^2 <= 1e-12 N_jj: a
@@ -346,8 +346,8 @@ def _cholesky_solve(N, rhs):
     if np.any(np.diagonal(L, axis1=-2, axis2=-1) ** 2 <= 1e-12 * np.diagonal(N, axis1=-2, axis2=-1)):
         raise np.linalg.LinAlgError("semidefinite matrix")
     Linv = np.linalg.inv(L)
-    half = Linv @ rhs
-    return half, np.swapaxes(Linv, -1, -2) @ half
+    np.matmul(Linv, rhs, out=out)
+    return Linv
 
 
 def _smoothings(shape_set, models):
@@ -375,67 +375,68 @@ def _bases(shape_set, models):
 
 
 def _per_shape_terms(G, bases, mus):
-    """L_ti^-1 Bg_i and N_ti^-1 Bg_i (T x n x l x m), Bg_i = B_i Gamma_i, for masks G (n x m) and
-    smoothing rows mus (T x n).
+    """L_ti^-1 (T x n x l x l) and a T x (n l + 2) x m array whose first n l rows hold F_ti = L_ti^-1 Bg_i,
+    for masks G (n x m) and smoothing rows mus (T x n); the bases B are masked in place into Bg.
 
-    N_ti = Bg_i B_i^T + mus[t, i] Z_i^T Z_i = L_ti L_ti^T (identity on padded rows)
+    N_ti = Bg_i Bg_i^T + mus[t, i] Z_i^T Z_i = L_ti L_ti^T (identity on padded rows)
     is factored in one call; only if that fails are the matrices factored one
     by one, and a row t with a matrix that is not positive definite gets the
     SingularSystem of its first such shape in the returned dict.  Row t's P is
-    diag(sum_i Gamma_i) - F^T F, with F the (L_ti^-1 Bg_i) stacked over i.
+    diag(sum_i Gamma_i) - F_t^T F_t; `_factors` completes the array in place.
     """
     B, grams, dims = bases
-    Bg = B * G[:, None, :]
-    N = Bg @ np.swapaxes(B, -1, -2)
+    B *= G[:, None, :]
+    N = B @ np.swapaxes(B, -1, -2)
     for i, l in enumerate(dims):
         N[i, l:, l:] = np.eye(N.shape[-1] - l)
     N = N + mus[:, :, None, None] * grams
+    factor = np.zeros((len(mus), B.shape[0] * B.shape[1] + 2, B.shape[2]))
+    F = factor[:, :-2].reshape(len(mus), *B.shape)
     errors = {}
     try:
-        F, solved = _cholesky_solve(N, Bg)
+        Linv = _cholesky_solve(N, B, F)
     except np.linalg.LinAlgError:
-        F, solved = np.zeros((2,) + N.shape[:2] + Bg.shape[1:])
+        Linv = np.zeros(N.shape)
         for t, i in np.ndindex(N.shape[:2]):
             if t in errors:
                 continue
             try:
-                F[t, i], solved[t, i] = _cholesky_solve(N[t, i], Bg[i])
+                Linv[t, i] = _cholesky_solve(N[t, i], B[i], F[t, i])
             except np.linalg.LinAlgError:
-                finite = np.all(np.isfinite(N[t, i])) and np.all(np.isfinite(Bg[i]))
+                finite = np.all(np.isfinite(N[t, i])) and np.all(np.isfinite(B[i]))
                 kind = "singular" if finite else "non-finite"
                 errors[t] = SingularSystem(f"normal matrix of shape {i} is {kind}", shape_index=i)
-    return F, solved, errors
+    return Linv, factor, errors
 
 
-def _factors(F, counts):
+def _factors(factor, counts, n):
     """The factors W_t = [H F_t^T, u_t, v_t] (T x m x (n l + 2)) with H P_t H + (n/m) 11^T =
-    diag(counts_t) - W_t J W_t^T, J = diag(I, -1), from `_per_shape_terms`' F (T x n x l x m,
-    centred in place) and the counts (T x m or m) of P_t = diag(counts_t) - F_t^T F_t.  With
+    diag(counts_t) - W_t J W_t^T, J = diag(I, -1), as the transposed view of `_per_shape_terms`'
+    array (its F rows centred in place) and the counts (T x m or m) of P_t over n shapes.  With
     a = counts - mean and b = n - mean, u = (a + (1 - b)/2)/sqrt(m) and v = u - 1/sqrt(m) give
     u u^T - v v^T = (a 1^T + 1 a^T - b 11^T)/m = D - H D H - (n/m) 11^T; a full set has a = b = 0."""
-    T, n, _, m = F.shape
+    m = factor.shape[-1]
+    F = factor[:, :-2]
     F -= F.mean(axis=-1, keepdims=True)
     mean = np.mean(counts, axis=-1, keepdims=True)
-    u = np.broadcast_to((counts - mean + (1 - n + mean) / 2) / np.sqrt(m), (T, m))
-    W = np.concatenate([F.reshape(T, -1, m), u[:, None], u[:, None] - 1 / np.sqrt(m)], axis=1)
-    return np.swapaxes(W, -1, -2)
+    factor[:, -2] = (counts - mean + (1 - n + mean) / 2) / np.sqrt(m)
+    factor[:, -1] = factor[:, -2] - 1 / np.sqrt(m)
+    return np.swapaxes(factor, -1, -2)
 
 
 def _terms(shape_set, models):
-    """Bg, F and solved (n x l x m) of one model set (see `_per_shape_terms`); raises SingularSystem."""
+    """Bg (n x l x m), L_i^-1 and the F array of a model set (`_per_shape_terms`); raises SingularSystem."""
     mus = _smoothings(shape_set, models)[None]
-    B, grams, dims = _bases(shape_set, models)
-    G = shape_set.visibility_matrix()
-    F, solved, errors = _per_shape_terms(G, (B, grams, dims), mus)
+    Bg, grams, dims = _bases(shape_set, models)
+    Linv, factor, errors = _per_shape_terms(shape_set.visibility_matrix(), (Bg, grams, dims), mus)
     if errors:
         raise errors[0]
-    return B * G[:, None, :], F[0], solved[0]
+    return Bg, Linv[0], factor[0]
 
 
 def assemble_P(shape_set, models):
     """P = sum_i (Gamma_i - Gamma_i B_i^T N_i^{-1} B_i Gamma_i); symmetric, 0 <= P <= nI."""
-    _, F, _ = _terms(shape_set, models)
-    F = F.reshape(-1, shape_set.m)
+    F = _terms(shape_set, models)[2][:-2]
     return np.diag(shape_set.visibility_matrix().sum(axis=0).astype(float)) - F.T @ F
 
 
@@ -454,15 +455,15 @@ _UNORIENTED = "orientation is undetermined for this reference shape"
 _RANK_DEFICIENT = "cross-covariance is rank-deficient; rotation undetermined"
 
 
-def _theorem_conditions(shape_set, Bg, solved, models, tol):
-    """Theorem-condition report from the per-shape terms of a solve."""
+def _theorem_conditions(shape_set, Bg, Linv, models, tol):
+    """Theorem-condition report from the per-shape terms of a solve (see `_terms`)."""
     results = []
     aggregate = 0.0
     for i, (shape, model) in enumerate(zip(shape_set, models)):
         l = model.feature_dim
         gamma = shape.visibility.astype(float)
         # P_i 1; for full shapes this equals 1 - Q_i 1, so one residual serves both
-        Pi_1 = gamma - Bg[i, :l].T @ (solved[i, :l] @ gamma)
+        Pi_1 = gamma - Bg[i].T @ (Linv[i].T @ (Linv[i] @ (Bg[i] @ gamma)))
         aggregate = aggregate + Pi_1
         projector_residual = float(np.max(np.abs(Pi_1)))
         # Bg^T equals B^T on the visible rows
@@ -484,8 +485,8 @@ def check_theorem_conditions(shape_set, models, tol=1e-6):
     Gamma_i B_i^T x = Gamma_i 1 (and Z_i x = 0 when regularized).  Also checks
     the aggregate P 1 = 0.
     """
-    Bg, _, solved = _terms(shape_set, models)
-    return _theorem_conditions(shape_set, Bg, solved, models, tol)
+    Bg, Linv, _ = _terms(shape_set, models)
+    return _theorem_conditions(shape_set, Bg, Linv, models, tol)
 
 
 def _checked_args(shape_set, prior, reflection_ref, allow_reflection=False):
@@ -526,10 +527,10 @@ def _references(values, X, lambdas, anchor, D, gamma):
     return S, _rank_below(sv, S.shape[-2]) & oriented
 
 
-def _solution(shape_set, S, Bg, solved, models, prior, report=None):
+def _solution(shape_set, S, Bg, Linv, models, prior, report=None):
     """The GpaSolution of an oriented reference S and the solve's per-shape terms.
 
-    Recovers the per-shape weights W_i = N_i^{-1} B_i Gamma_i S^T and
+    Recovers the per-shape weights W_i = N_i^{-1} B_i Gamma_i S^T = L_i^-T L_i^-1 Bg_i S^T and
     evaluates the data, regularization and penalty costs, the last at
     nu = n/m, where S 1 = 0 leaves it at round-off.
     """
@@ -538,7 +539,7 @@ def _solution(shape_set, S, Bg, solved, models, prior, report=None):
     data_cost = 0.0
     reg_cost = 0.0
     for i, (shape, model) in enumerate(zip(shape_set, models)):
-        W = solved[i, :model.feature_dim] @ S.T
+        W = (Linv[i].T @ (Linv[i] @ (Bg[i] @ S.T)))[:model.feature_dim]
         weights.append(W)
         residual = (W.T @ Bg[i, :len(W)]) - S * shape.visibility[None, :]
         data_cost += float(np.sum(residual * residual))
@@ -574,16 +575,16 @@ def solve(shape_set, models, prior=None, reflection_ref=0,
     cross-validation runs per fold.
     """
     prior = _checked_args(shape_set, prior, reflection_ref, allow_reflection)
-    Bg, F, solved = _terms(shape_set, models)
+    Bg, Linv, factor = _terms(shape_set, models)
+    counts = shape_set.visibility_matrix().sum(axis=0, dtype=float)
+    values, V = _bottom_pairs_dplr(counts[None], _factors(factor[None], counts, shape_set.n), shape_set.d)
     X, G = _stacked(shape_set)
-    counts = G.sum(axis=0)
-    values, V = _bottom_pairs_dplr(counts[None], _factors(F[None], counts), shape_set.d)
     (S,), (undetermined,) = _references(values, V, prior.lambdas[None], _gram_anchor(X, G),
                                         X[reflection_ref], G[reflection_ref])
     if undetermined:
         raise DegenerateConfiguration(_UNORIENTED)
-    report = _theorem_conditions(shape_set, Bg, solved, models, 1e-6) if check_conditions else None
-    return _solution(shape_set, S, Bg, solved, models, prior, report)
+    report = _theorem_conditions(shape_set, Bg, Linv, models, 1e-6) if check_conditions else None
+    return _solution(shape_set, S, Bg, Linv, models, prior, report)
 
 
 def solve_affine_centered(shape_set, prior=None, reflection_ref=0):
@@ -602,7 +603,7 @@ def solve_affine_centered(shape_set, prior=None, reflection_ref=0):
     n, d, m = shape_set.n, shape_set.d, shape_set.m
     X, G = _stacked(shape_set)
     Dbar = X - X.mean(axis=2, keepdims=True)
-    F, _, errors = _per_shape_terms(G, (Dbar, np.zeros((n, d, d)), (d,) * n), np.zeros((1, n)))
+    _, factor, errors = _per_shape_terms(G, (Dbar, np.zeros((n, d, d)), (d,) * n), np.zeros((1, n)))
     if errors:
         i = errors[0].shape_index
         raise SingularSystem(f"centered shape {i} is degenerate", shape_index=i) from errors[0]
@@ -610,12 +611,13 @@ def solve_affine_centered(shape_set, prior=None, reflection_ref=0):
     # the top d of Q = sum_i Dbar_i^T (Dbar_i Dbar_i^T)^-1 Dbar_i = sum_i F_i^T F_i are the
     # bottom d of -Q, with identical prior pairing: those of n I - Q, less n
     counts = np.full(m, float(n))
-    values, V = _bottom_pairs_dplr(counts[None], _factors(F, counts), d)
+    values, V = _bottom_pairs_dplr(counts[None], _factors(factor, counts, n), d)
+    del Dbar, factor  # freed before the affine terms below
     values -= n
     (S,), (undetermined,) = _references(values, V, prior.lambdas[None], _gram_anchor(X, G),
                                         X[reflection_ref], G[reflection_ref])
     if undetermined:
         raise DegenerateConfiguration(_UNORIENTED)
     models = [AffineWarp(shape_set.d) for _ in shape_set]
-    Bg, _, solved = _terms(shape_set, models)
-    return _solution(shape_set, S, Bg, solved, models, prior)
+    Bg, Linv, _ = _terms(shape_set, models)
+    return _solution(shape_set, S, Bg, Linv, models, prior)

@@ -143,12 +143,13 @@ def cross_validation_errors(shape_set, fits, config=None, reflection_ref=0,
             outcomes[j] = exc
             continue
         batches.setdefault(key, []).append(j)
-    # a (fold, model set) pair has an m' x k factor (k = n l + 2) and n x l x m' solved terms.  A pass
-    # takes the folds in blocks of `step` folds, at most `size` pairs, and ends each block in one
-    # stacked eigensolve and its tail.  Where k < m' that is the DPLR eigensolver, which also stacks a
-    # copy of the factors and two k x k kernels per pair; where k >= m' it is dense, with an m' x m'
-    # matrix per pair.  The tail holds about 12 d m + 4 n d g entries per pair once the factors are
-    # freed, and a pair counts whichever of the two is larger.
+    # a (fold, model set) pair holds its m' x k factor (k = n l + 2) and n l x l inverse Cholesky
+    # factors.  A pass takes the folds in blocks of `step` folds, at most `size` pairs, and ends each
+    # block in one stacked eigensolve and its tail.  Where k < m' that is the DPLR eigensolver, with
+    # two k x k kernels per pair and, in a block of several folds, one concatenated copy of the
+    # factors; the bound counts 3 m' k + 2 k^2 there, an over-count of up to m' k.  Where k >= m' it
+    # is dense, with an m' x m' matrix per pair.  The tail holds about 12 d m + 4 n d g entries per
+    # pair once the factors are freed, and a pair counts whichever of the two is larger.
     passes = []
     tail = 12 * d * m + 4 * n * d * config.group_size
     for key, indices in batches.items():
@@ -184,28 +185,29 @@ def cross_validation_errors(shape_set, fits, config=None, reflection_ref=0,
     predicted = {j: np.full((n, d, m), np.nan) for _, batch, _ in passes for j in batch}
     failures = {}  # model set -> (fold, error) of its earliest failing fold
     for (B, grams, dims), batch, size in passes:
+        Bg0 = B * G0[:, None, :]
         step = max(1, size // len(batch))
         cuts = [*range(0, whole, step), whole, len(lambdas)]
         for first, end in zip(cuts, cuts[1:]):
-            rows, Ws, solveds = [], [], []  # the block's (fold, set) pairs, factors and solved terms
+            rows, Ws, Linvs = [], [], []  # the block's (fold, set) pairs, factors and L_i^-1
             for f in range(first, end):
                 indices = [j for j in batch if j not in failures]
                 if not indices:
                     break
                 keep = np.flatnonzero(fold_of != f)
-                F, solved, errors = _gpa._per_shape_terms(G0[:, keep], (B[:, :, keep], grams, dims),
-                                                          np.array([smoothing[j] for j in indices]))
+                Linv, factor, errors = _gpa._per_shape_terms(G0[:, keep], (B[:, :, keep], grams, dims),
+                                                             np.array([smoothing[j] for j in indices]))
                 for t, exc in errors.items():
                     failures[indices[t]] = (f, exc)
                 ok = [t for t in range(len(indices)) if t not in errors]
                 if not ok:
                     continue
                 if errors:
-                    F, solved, indices = F[ok], solved[ok], [indices[t] for t in ok]
+                    Linv, factor, indices = Linv[ok], factor[ok], [indices[t] for t in ok]
                 rows += [(f, j) for j in indices]
-                Ws.append(_gpa._factors(F, counts[keep]))
-                solveds.append(solved)
-                del F, solved  # held only in the block's lists
+                Ws.append(_gpa._factors(factor, counts[keep], n))
+                Linvs.append(Linv)
+                del factor, Linv  # held only in the block's lists
             if not rows:
                 continue
             f, j = np.array(rows).T
@@ -217,12 +219,14 @@ def cross_validation_errors(shape_set, fits, config=None, reflection_ref=0,
                 np.take_along_axis(full, keep[:, None], axis=-1), -1, -2)
             values, V = _bottom_pairs_dplr(counts[keep], W, d, warm)
             del W
-            # W_i^T B_i[:, fold] = F (solved_i V)^T B_i[:, fold] for the reference S = F V^T, F = S V
-            cols = held[f]  # held is padded with m: zero columns there
-            P = np.swapaxes(_drain(solveds) @ V[:, None], -1, -2) @ np.moveaxis(
-                B[:, :, np.minimum(cols, m - 1)] * (cols < m), 2, 0)
             lifted = np.zeros((len(f), m, d))
             lifted[mask > 0] = V.reshape(-1, d)
+            # S = F V^T (F = S V) gives W_i^T B_i[:, fold] = F (N_i^-1 Bg0_i lifted)^T B_i[:, fold]
+            Linv = _drain(Linvs)
+            solved = np.swapaxes(Linv, -1, -2) @ (Linv @ (Bg0 @ lifted[:, None]))
+            cols = held[f]  # held is padded with m: zero columns there
+            P = np.swapaxes(solved, -1, -2) @ np.moveaxis(
+                B[:, :, np.minimum(cols, m - 1)] * (cols < m), 2, 0)
             S, undetermined = _gpa._references(
                 values, lifted, lambdas[f], lambda k: _gpa._gram_anchor(X0, G0 * mask[k]),
                 X0[reflection_ref], G0[reflection_ref] * mask)

@@ -32,6 +32,7 @@ _CLUSTER_TOL = 1e-9
 _SHIFT = 1e-3
 _RESIDUAL_TOL = 1e-13
 _MAX_STEPS = 100
+_KERNEL_ROWS = 512  # rows of W per product in the k x k kernels W^T diag(c) W: no m x k weighted copy
 
 
 @dataclass(frozen=True)
@@ -193,8 +194,13 @@ def _bottom_pairs_dplr(D, W, d, start=None):
     J = np.append(np.ones(k - 1), -1.0)
     scale = D.max(axis=-1)
 
-    def kernels(ts, weights):  # J - W_t^T diag(weights) W_t, one t at a time: no weighted stack copy
-        return np.diag(J) - np.stack([W[t].T @ (W[t] * c[:, None]) for t, c in zip(ts, weights)])
+    def kernels(ts, weights):  # J - W_t^T diag(weights) W_t, one t and one block of rows at a time
+        K = np.zeros((len(ts), k, k))
+        for Kt, t, c in zip(K, ts, weights):
+            for r in range(0, m, _KERNEL_ROWS):
+                Wr = W[t, r:r + _KERNEL_ROWS]
+                Kt += Wr.T @ (Wr * c[r:r + _KERNEL_ROWS, None])
+        return np.diag(J) - K
 
     Delta = (D + _SHIFT * scale[:, None])[..., None]
     Sinv = np.linalg.inv(kernels(range(T), 1.0 / Delta[..., 0]))

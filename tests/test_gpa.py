@@ -404,15 +404,19 @@ class TestAssembleP:
         A = rng.normal(size=(5, 8))
         N = A @ A.T + np.eye(5)
         rhs = rng.normal(size=(5, 3))
-        half, solved = _cholesky_solve(N, rhs)
+        half = np.empty_like(rhs)
+        Linv = _cholesky_solve(N, rhs, half)
+        solved = Linv.T @ half
         np.testing.assert_allclose(solved, np.linalg.solve(N, rhs), rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(half.T @ half, rhs.T @ solved, rtol=1e-12, atol=1e-12)
         # the same N as the normal matrix A A^T + 1 * I of one shape with basis A
-        F, solved, errors = _per_shape_terms(np.ones((1, 8)), (A[None], np.eye(5)[None], (5,)),
-                                             np.ones((1, 1)))
+        Linv, factor, errors = _per_shape_terms(np.ones((1, 8)), (A[None], np.eye(5)[None], (5,)),
+                                                np.ones((1, 1)))
         assert errors == {}
-        np.testing.assert_allclose(solved[0, 0], np.linalg.solve(N, A), rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(F[0, 0].T @ F[0, 0], A.T @ solved[0, 0], rtol=1e-12, atol=1e-12)
+        F = factor[0, :5]
+        solved = Linv[0, 0].T @ F
+        np.testing.assert_allclose(solved, np.linalg.solve(N, A), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(F.T @ F, A.T @ solved, rtol=1e-12, atol=1e-12)
 
     def test_semidefinite_normal_matrix_is_singular(self):
         # N_0 = 11^T + mu_0 Z and N_1 = I + mu_1 Z: row 0 leaves N_0 semidefinite, row 1 makes N_1
@@ -448,24 +452,32 @@ class TestStackedNormalSolves:
         B = np.stack([np.vstack([pts, np.ones((1, 4))]), np.ones((2, 4))])
         return ss, (B, np.stack([np.zeros((2, 2)), np.eye(2)]), (2, 2))
 
+    @staticmethod
+    def normal_solves(Linv, factor):
+        """N_ti^-1 Bg_i = L_ti^-T (L_ti^-1 Bg_i) from the terms of `_per_shape_terms` (two shapes)."""
+        return np.swapaxes(Linv, -1, -2) @ factor[:, :-2].reshape(len(factor), 2, 2, -1)
+
     def test_scan_only_where_the_factorization_fails(self):
         # row 1 leaves shape 1's semidefinite normal matrix unregularized: only that row fails
         ss, bases = self.instance()
         mus = np.array([[0.0, 1.0], [0.0, 0.0], [0.0, 2.0]])
-        F, solved, errors = _per_shape_terms(ss.visibility_matrix(), bases, mus)
+        Linv, F, errors = _per_shape_terms(ss.visibility_matrix(), bases, mus)
         assert {t: (type(exc), exc.shape_index, str(exc)) for t, exc in errors.items()} == {
             1: (SingularSystem, 1, "normal matrix of shape 1 is singular")}
-        cleanF, clean, _ = _per_shape_terms(ss.visibility_matrix(), bases, mus[[0, 2]])
+        solved = self.normal_solves(Linv, F)
+        cleanLinv, cleanF, _ = _per_shape_terms(ss.visibility_matrix(), bases, mus[[0, 2]])
+        clean = self.normal_solves(cleanLinv, cleanF)
         np.testing.assert_array_equal(F[[0, 2]], cleanF)
         np.testing.assert_array_equal(solved[[0, 2]], clean)
 
     def test_singular_row_fails_alone(self):
         ss, bases = self.instance()
         mus = np.array([[0.0, 1.0], [0.0, -1.0], [0.0, 2.0]])  # row 1: indefinite N_1
-        _, solved, errors = _per_shape_terms(ss.visibility_matrix(), bases, mus)
+        Linv, F, errors = _per_shape_terms(ss.visibility_matrix(), bases, mus)
+        solved = self.normal_solves(Linv, F)
         assert list(errors) == [1]
         assert isinstance(errors[1], SingularSystem) and errors[1].shape_index == 1
-        _, clean, _ = _per_shape_terms(ss.visibility_matrix(), bases, mus[[0, 2]])
+        clean = self.normal_solves(*_per_shape_terms(ss.visibility_matrix(), bases, mus[[0, 2]])[:2])
         np.testing.assert_allclose(solved[[0, 2]], clean, rtol=1e-15, atol=0)
 
     def test_mixed_feature_dims_match_direct_formula(self, rng):
@@ -601,6 +613,26 @@ class TestSolve:
                     for _ in range(trials):
                         am_cost = alternating_minimization(ss, models, sol.prior, sol.nu, rng)
                         assert sol.cost <= am_cost + 1e-8 * max(1.0, abs(am_cost))
+
+
+def test_solve_memory_holds_two_basis_stacks(rng, monkeypatch):
+    # a full TPS set with k = n l + 2 < m, so that the DPLR eigensolver runs: a solve holds the masked
+    # bases and the one m x k factor, each about n l m float64 entries, and nothing else of that size
+    import tracemalloc
+    ss = full_set(rng, 2, 1500, 10, kind="smooth", noise=0.05)
+    models = tps_models(ss, k=3, theta=0.1)
+    prior = estimate_prior_for_set(ss)
+    solve(ss, models, prior=prior)
+    calls = dense_runs(monkeypatch)
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        solve(ss, models, prior=prior)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert calls == []
+    assert peak - base < 3 * ss.n * models[0].feature_dim * ss.m * 8
 
 
 def _min_bottom_separation(shape_set, models, nu):

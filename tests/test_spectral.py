@@ -14,7 +14,7 @@ from defgpa import (
     eig_sym,
     leftmost_singular_vector,
 )
-from defgpa.spectral import _bottom_pairs_dplr, _scale_selected
+from defgpa.spectral import _KERNEL_ROWS, _bottom_pairs, _bottom_pairs_dplr, _dplr_matrix, _scale_selected
 from conftest import dense_runs, dense_selection
 
 
@@ -253,6 +253,23 @@ class TestBottomScaledOnSpan:
         np.testing.assert_array_equal(first, dplr_selection(D[None], F1[None], lam)[0])
         np.testing.assert_allclose(second, dense_selection(np.diag([0.0, 2.0, 5.0, 2.0, 2.0]), lam),
                                    atol=1e-12)
+
+    def test_kernels_sum_over_row_blocks(self, rng, monkeypatch):
+        # m spans two whole row blocks of the k x k kernels and a ragged third; the bottom d of
+        # M_t = diag(D_t) - W_t J W_t^T lie within about 0.1 of 0, far below min D >= 2
+        T, m, k, d = 2, 1100, 40, 3
+        assert m > 2 * _KERNEL_ROWS and m % _KERNEL_ROWS
+        Q = np.linalg.qr(rng.normal(size=(T, m, k - 1)))[0]
+        W = np.concatenate([Q * np.sqrt(2.5 - 0.05 * np.arange(k - 1)),
+                            0.1 * rng.normal(size=(T, m, 1)) / np.sqrt(m)], axis=-1)
+        D = 2.0 + rng.uniform(size=(T, m))
+        calls = dense_runs(monkeypatch)
+        values, X = _bottom_pairs_dplr(D, W, d)
+        assert calls == []  # each certificate counted d eigenvalues below its cut
+        want_values, want_X = _bottom_pairs(_dplr_matrix(D, W), d)
+        np.testing.assert_allclose(values, want_values, rtol=0, atol=1e-10 * D.max())
+        signs = np.sign(np.sum(X * want_X, axis=-2, keepdims=True))
+        np.testing.assert_allclose(X * signs, want_X, rtol=0, atol=1e-10)
 
 
 class TestLeftmostSingularVector:
