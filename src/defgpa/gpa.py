@@ -330,11 +330,11 @@ def _fold_priors(Y, G, moments, held, allow_reflection):
 # P-matrix assembly and the closed-form solve
 
 
-def _cholesky_solve(N, rhs, out):
-    """L^-1 for SPD N (or a stack of them), L its Cholesky factor, with L^-1 rhs written into out.
+def _cholesky_solve(N, rhs):
+    """L^-1 for SPD N (or a stack of them), L its Cholesky factor, to be applied to the bases rhs.
 
-    N^-1 = L^-T L^-1, so a consumer applies N^-1 to its own small right-hand
-    side x as L^-T (L^-1 x), and no N^-1 rhs is formed.
+    N^-1 = L^-T L^-1, so with F = L^-1 rhs a consumer applies N^-1 rhs to its
+    own small right-hand side x as L^-T (F x), and no N^-1 rhs is formed.
 
     Raises np.linalg.LinAlgError when any N is not positive definite, either
     input holds a non-finite entry, or a pivot has L_jj^2 <= 1e-12 N_jj: a
@@ -345,9 +345,7 @@ def _cholesky_solve(N, rhs, out):
     L = np.linalg.cholesky(N)
     if np.any(np.diagonal(L, axis1=-2, axis2=-1) ** 2 <= 1e-12 * np.diagonal(N, axis1=-2, axis2=-1)):
         raise np.linalg.LinAlgError("semidefinite matrix")
-    Linv = np.linalg.inv(L)
-    np.matmul(Linv, rhs, out=out)
-    return Linv
+    return np.linalg.inv(L)
 
 
 def _smoothings(shape_set, models):
@@ -361,9 +359,13 @@ def _smoothings(shape_set, models):
 
 
 def _bases(shape_set, models):
-    """Bases B_i (n x l x m), Grams Z_i^T Z_i (n x l x l), zero-padded to the largest l, and each l_i."""
+    """A zeroed (n l + 2) x m array whose first n l rows hold the bases B_i (l x m each), the Grams
+    Z_i^T Z_i (n x l x l), both zero-padded to the largest l, and each l_i.
+
+    The array has the layout of a solve's factor: `_per_shape_terms` turns its B rows into F."""
     dims = tuple(model.feature_dim for model in models)
-    B = np.zeros((shape_set.n, max(dims), shape_set.m))
+    stack = np.zeros((shape_set.n * max(dims) + 2, shape_set.m))
+    B = stack[:-2].reshape(shape_set.n, max(dims), shape_set.m)
     grams = np.zeros((shape_set.n, max(dims), max(dims)))
     for i, (shape, model, l) in enumerate(zip(shape_set, models, dims)):
         Bi = model.basis(shape.filled(0.0))
@@ -371,67 +373,78 @@ def _bases(shape_set, models):
             raise DimensionError(f"model {i} basis has shape {Bi.shape}, expected ({l},{shape.m})")
         B[i, :l] = Bi
         grams[i, :l, :l] = model.gram_regularizer()
-    return B, grams, dims
+    return stack, grams, dims
 
 
 def _per_shape_terms(G, bases, mus):
     """L_ti^-1 (T x n x l x l) and a T x (n l + 2) x m array whose first n l rows hold F_ti = L_ti^-1 Bg_i,
-    for masks G (n x m) and smoothing rows mus (T x n); the bases B are masked in place into Bg.
+    for masks G (n x m), the `_bases` of the kept points and smoothing rows mus (T x n).
 
+    The B rows of the bases' array are masked in place into Bg.  With T = 1
+    that array becomes row 0 of the returned one: F is written over Bg one
+    shape at a time, so numpy's overlap copy is one l x m block and a solve
+    holds one array of n l m entries.  With T > 1 the T rows are a new array.
     N_ti = Bg_i Bg_i^T + mus[t, i] Z_i^T Z_i = L_ti L_ti^T (identity on padded rows)
     is factored in one call; only if that fails are the matrices factored one
     by one, and a row t with a matrix that is not positive definite gets the
     SingularSystem of its first such shape in the returned dict.  Row t's P is
-    diag(sum_i Gamma_i) - F_t^T F_t; `_factors` completes the array in place.
+    diag(sum_i Gamma_i) - F_t^T F_t, Bg_i = L_ti F_ti; `_factors` completes the array in place.
     """
-    B, grams, dims = bases
+    stack, grams, dims = bases
+    n, width, m = len(dims), grams.shape[-1], stack.shape[-1]
+    B = stack[:-2].reshape(n, width, m)
     B *= G[:, None, :]
     N = B @ np.swapaxes(B, -1, -2)
     for i, l in enumerate(dims):
-        N[i, l:, l:] = np.eye(N.shape[-1] - l)
+        N[i, l:, l:] = np.eye(width - l)
     N = N + mus[:, :, None, None] * grams
-    factor = np.zeros((len(mus), B.shape[0] * B.shape[1] + 2, B.shape[2]))
-    F = factor[:, :-2].reshape(len(mus), *B.shape)
+    factor = stack[None] if len(mus) == 1 else np.zeros((len(mus), *stack.shape))
+    F = factor[:, :-2].reshape(len(mus), n, width, m)
     errors = {}
     try:
-        Linv = _cholesky_solve(N, B, F)
+        Linv = _cholesky_solve(N, B)
     except np.linalg.LinAlgError:
         Linv = np.zeros(N.shape)
         for t, i in np.ndindex(N.shape[:2]):
             if t in errors:
                 continue
             try:
-                Linv[t, i] = _cholesky_solve(N[t, i], B[i], F[t, i])
+                Linv[t, i] = _cholesky_solve(N[t, i], B[i])
             except np.linalg.LinAlgError:
                 finite = np.all(np.isfinite(N[t, i])) and np.all(np.isfinite(B[i]))
                 kind = "singular" if finite else "non-finite"
                 errors[t] = SingularSystem(f"normal matrix of shape {i} is {kind}", shape_index=i)
+    for i in range(n):
+        np.matmul(Linv[:, i], B[i], out=F[:, i])
     return Linv, factor, errors
 
 
 def _factors(factor, counts, n):
     """The factors W_t = [H F_t^T, u_t, v_t] (T x m x (n l + 2)) with H P_t H + (n/m) 11^T =
     diag(counts_t) - W_t J W_t^T, J = diag(I, -1), as the transposed view of `_per_shape_terms`'
-    array (its F rows centred in place) and the counts (T x m or m) of P_t over n shapes.  With
-    a = counts - mean and b = n - mean, u = (a + (1 - b)/2)/sqrt(m) and v = u - 1/sqrt(m) give
+    array (its F rows centred in place) and the counts (T x m or m) of P_t over n shapes, and the
+    row means (T x n l x 1) subtracted from F, which restore it.  With a = counts - mean and
+    b = n - mean, u = (a + (1 - b)/2)/sqrt(m) and v = u - 1/sqrt(m) give
     u u^T - v v^T = (a 1^T + 1 a^T - b 11^T)/m = D - H D H - (n/m) 11^T; a full set has a = b = 0."""
     m = factor.shape[-1]
     F = factor[:, :-2]
-    F -= F.mean(axis=-1, keepdims=True)
+    centre = F.mean(axis=-1, keepdims=True)
+    F -= centre
     mean = np.mean(counts, axis=-1, keepdims=True)
     factor[:, -2] = (counts - mean + (1 - n + mean) / 2) / np.sqrt(m)
     factor[:, -1] = factor[:, -2] - 1 / np.sqrt(m)
-    return np.swapaxes(factor, -1, -2)
+    return np.swapaxes(factor, -1, -2), centre
 
 
 def _terms(shape_set, models):
-    """Bg (n x l x m), L_i^-1 and the F array of a model set (`_per_shape_terms`); raises SingularSystem."""
+    """L_i^-1 (n x l x l), F_i = L_i^-1 Bg_i (n x l x m) and the array holding F of a model set
+    (`_per_shape_terms`, from `_bases` it consumes); raises SingularSystem."""
     mus = _smoothings(shape_set, models)[None]
-    Bg, grams, dims = _bases(shape_set, models)
-    Linv, factor, errors = _per_shape_terms(shape_set.visibility_matrix(), (Bg, grams, dims), mus)
+    stack, grams, dims = _bases(shape_set, models)
+    Linv, factor, errors = _per_shape_terms(shape_set.visibility_matrix(), (stack, grams, dims), mus)
     if errors:
         raise errors[0]
-    return Bg, Linv[0], factor[0]
+    return Linv[0], factor[0, :-2].reshape(shape_set.n, -1, shape_set.m), factor[0]
 
 
 def assemble_P(shape_set, models):
@@ -455,19 +468,22 @@ _UNORIENTED = "orientation is undetermined for this reference shape"
 _RANK_DEFICIENT = "cross-covariance is rank-deficient; rotation undetermined"
 
 
-def _theorem_conditions(shape_set, Bg, Linv, models, tol):
-    """Theorem-condition report from the per-shape terms of a solve (see `_terms`)."""
+def _theorem_conditions(shape_set, Linv, F, models, tol):
+    """Theorem-condition report from the per-shape terms L_i^-1 and F_i = L_i^-1 Bg_i of a solve
+    (see `_terms`)."""
     results = []
     aggregate = 0.0
     for i, (shape, model) in enumerate(zip(shape_set, models)):
         l = model.feature_dim
         gamma = shape.visibility.astype(float)
-        # P_i 1; for full shapes this equals 1 - Q_i 1, so one residual serves both
-        Pi_1 = gamma - Bg[i].T @ (Linv[i].T @ (Linv[i] @ (Bg[i] @ gamma)))
+        # P_i 1 = gamma - Bg_i^T N_i^-1 Bg_i gamma; for full shapes this equals 1 - Q_i 1, so one
+        # residual serves both
+        Pi_1 = gamma - F[i].T @ (F[i] @ gamma)
         aggregate = aggregate + Pi_1
         projector_residual = float(np.max(np.abs(Pi_1)))
-        # Bg^T equals B^T on the visible rows
-        _, witness_residual = _witness_and_residual(model, Bg[i, :l].T[shape.visibility, :])
+        # Bg_i = L_i F_i equals B_i on the visible columns (L_i is the identity on padded rows)
+        Bv = np.linalg.inv(Linv[i, :l, :l]) @ F[i, :l][:, shape.visibility]
+        _, witness_residual = _witness_and_residual(model, Bv.T)
         witness_found = witness_residual < tol
         passes = projector_residual < tol and witness_found
         results.append(ShapeConditions(i, projector_residual, witness_residual, witness_found, passes))
@@ -485,8 +501,8 @@ def check_theorem_conditions(shape_set, models, tol=1e-6):
     Gamma_i B_i^T x = Gamma_i 1 (and Z_i x = 0 when regularized).  Also checks
     the aggregate P 1 = 0.
     """
-    Bg, Linv, _ = _terms(shape_set, models)
-    return _theorem_conditions(shape_set, Bg, Linv, models, tol)
+    Linv, F, _ = _terms(shape_set, models)
+    return _theorem_conditions(shape_set, Linv, F, models, tol)
 
 
 def _checked_args(shape_set, prior, reflection_ref, allow_reflection=False):
@@ -527,21 +543,23 @@ def _references(values, X, lambdas, anchor, D, gamma):
     return S, _rank_below(sv, S.shape[-2]) & oriented
 
 
-def _solution(shape_set, S, Bg, Linv, models, prior, report=None):
-    """The GpaSolution of an oriented reference S and the solve's per-shape terms.
+def _solution(shape_set, S, Linv, F, models, prior, report=None):
+    """The GpaSolution of an oriented reference S and the solve's per-shape terms L_i^-1 and F_i.
 
-    Recovers the per-shape weights W_i = N_i^{-1} B_i Gamma_i S^T = L_i^-T L_i^-1 Bg_i S^T and
+    Recovers the per-shape weights W_i = N_i^{-1} B_i Gamma_i S^T = L_i^-T (F_i S^T) and
     evaluates the data, regularization and penalty costs, the last at
-    nu = n/m, where S 1 = 0 leaves it at round-off.
+    nu = n/m, where S 1 = 0 leaves it at round-off.  The fit W_i^T Bg_i is
+    S F_i^T F_i, so the data residual is (F_i S^T)^T F_i - S Gamma_i.
     """
     nu = shape_set.n / shape_set.m
     weights = []
     data_cost = 0.0
     reg_cost = 0.0
     for i, (shape, model) in enumerate(zip(shape_set, models)):
-        W = (Linv[i].T @ (Linv[i] @ (Bg[i] @ S.T)))[:model.feature_dim]
+        FS = F[i] @ S.T
+        W = (Linv[i].T @ FS)[:model.feature_dim]
         weights.append(W)
-        residual = (W.T @ Bg[i, :len(W)]) - S * shape.visibility[None, :]
+        residual = FS.T @ F[i] - S * shape.visibility[None, :]
         data_cost += float(np.sum(residual * residual))
         if model.smoothing > 0:
             reg_cost += model.smoothing * float(
@@ -575,16 +593,18 @@ def solve(shape_set, models, prior=None, reflection_ref=0,
     cross-validation runs per fold.
     """
     prior = _checked_args(shape_set, prior, reflection_ref, allow_reflection)
-    Bg, Linv, factor = _terms(shape_set, models)
+    Linv, F, factor = _terms(shape_set, models)
     counts = shape_set.visibility_matrix().sum(axis=0, dtype=float)
-    values, V = _bottom_pairs_dplr(counts[None], _factors(factor[None], counts, shape_set.n), shape_set.d)
+    W, centre = _factors(factor[None], counts, shape_set.n)
+    values, V = _bottom_pairs_dplr(counts[None], W, shape_set.d)
+    factor[:-2] += centre[0]  # the tail reads F uncentred
     X, G = _stacked(shape_set)
     (S,), (undetermined,) = _references(values, V, prior.lambdas[None], _gram_anchor(X, G),
                                         X[reflection_ref], G[reflection_ref])
     if undetermined:
         raise DegenerateConfiguration(_UNORIENTED)
-    report = _theorem_conditions(shape_set, Bg, Linv, models, 1e-6) if check_conditions else None
-    return _solution(shape_set, S, Bg, Linv, models, prior, report)
+    report = _theorem_conditions(shape_set, Linv, F, models, 1e-6) if check_conditions else None
+    return _solution(shape_set, S, Linv, F, models, prior, report)
 
 
 def solve_affine_centered(shape_set, prior=None, reflection_ref=0):
@@ -602,8 +622,9 @@ def solve_affine_centered(shape_set, prior=None, reflection_ref=0):
     prior = _checked_args(shape_set, prior, reflection_ref)
     n, d, m = shape_set.n, shape_set.d, shape_set.m
     X, G = _stacked(shape_set)
-    Dbar = X - X.mean(axis=2, keepdims=True)
-    _, factor, errors = _per_shape_terms(G, (Dbar, np.zeros((n, d, d)), (d,) * n), np.zeros((1, n)))
+    stack = np.zeros((n * d + 2, m))  # the centred shapes Dbar, in the rows that become F
+    np.subtract(X, X.mean(axis=2, keepdims=True), out=stack[:-2].reshape(n, d, m))
+    _, factor, errors = _per_shape_terms(G, (stack, np.zeros((n, d, d)), (d,) * n), np.zeros((1, n)))
     if errors:
         i = errors[0].shape_index
         raise SingularSystem(f"centered shape {i} is degenerate", shape_index=i) from errors[0]
@@ -611,13 +632,13 @@ def solve_affine_centered(shape_set, prior=None, reflection_ref=0):
     # the top d of Q = sum_i Dbar_i^T (Dbar_i Dbar_i^T)^-1 Dbar_i = sum_i F_i^T F_i are the
     # bottom d of -Q, with identical prior pairing: those of n I - Q, less n
     counts = np.full(m, float(n))
-    values, V = _bottom_pairs_dplr(counts[None], _factors(factor, counts, n), d)
-    del Dbar, factor  # freed before the affine terms below
+    values, V = _bottom_pairs_dplr(counts[None], _factors(factor, counts, n)[0], d)
+    del stack, factor  # freed before the affine terms below
     values -= n
     (S,), (undetermined,) = _references(values, V, prior.lambdas[None], _gram_anchor(X, G),
                                         X[reflection_ref], G[reflection_ref])
     if undetermined:
         raise DegenerateConfiguration(_UNORIENTED)
     models = [AffineWarp(shape_set.d) for _ in shape_set]
-    Bg, Linv, _ = _terms(shape_set, models)
-    return _solution(shape_set, S, Bg, Linv, models, prior)
+    Linv, F, _ = _terms(shape_set, models)
+    return _solution(shape_set, S, Linv, F, models, prior)

@@ -144,7 +144,9 @@ def cross_validation_errors(shape_set, fits, config=None, reflection_ref=0,
             continue
         batches.setdefault(key, []).append(j)
     # a (fold, model set) pair holds its m' x k factor (k = n l + 2) and n l x l inverse Cholesky
-    # factors.  A pass takes the folds in blocks of `step` folds, at most `size` pairs, and ends each
+    # factors.  A fold copies the kept columns of the bases' array: in a pass of one set that copy
+    # becomes the pair's factor, in a pass of several it is freed once the pairs' factors are written.
+    # A pass takes the folds in blocks of `step` folds, at most `size` pairs, and ends each
     # block in one stacked eigensolve and its tail.  Where k < m' that is the DPLR eigensolver, with
     # two k x k kernels per pair and, in a block of several folds, one concatenated copy of the
     # factors; the bound counts 3 m' k + 2 k^2 there, an over-count of up to m' k.  Where k >= m' it
@@ -153,7 +155,7 @@ def cross_validation_errors(shape_set, fits, config=None, reflection_ref=0,
     passes = []
     tail = 12 * d * m + 4 * n * d * config.group_size
     for key, indices in batches.items():
-        k = n * bases[key][0].shape[1] + 2
+        k = len(bases[key][0])
         size = max(1, _STACK_ENTRIES // max(m * k + m * m if k >= m else 3 * m * k + 2 * k * k, tail))
         passes += [(bases[key], indices[i:i + size], size) for i in range(0, len(indices), size)]
     X0, G0 = _gpa._stacked(shape_set)
@@ -184,7 +186,8 @@ def cross_validation_errors(shape_set, fits, config=None, reflection_ref=0,
     counts = G0.sum(axis=0)
     predicted = {j: np.full((n, d, m), np.nan) for _, batch, _ in passes for j in batch}
     failures = {}  # model set -> (fold, error) of its earliest failing fold
-    for (B, grams, dims), batch, size in passes:
+    for (stack, grams, dims), batch, size in passes:
+        B = stack[:-2].reshape(n, -1, m)
         Bg0 = B * G0[:, None, :]
         step = max(1, size // len(batch))
         cuts = [*range(0, whole, step), whole, len(lambdas)]
@@ -195,7 +198,10 @@ def cross_validation_errors(shape_set, fits, config=None, reflection_ref=0,
                 if not indices:
                     break
                 keep = np.flatnonzero(fold_of != f)
-                Linv, factor, errors = _gpa._per_shape_terms(G0[:, keep], (B[:, :, keep], grams, dims),
+                # C order: stack[:, keep] is F order, so a pass of one set, whose F is written over
+                # it, would round unlike a pass of several
+                kept = stack.take(keep, axis=1)
+                Linv, factor, errors = _gpa._per_shape_terms(G0[:, keep], (kept, grams, dims),
                                                              np.array([smoothing[j] for j in indices]))
                 for t, exc in errors.items():
                     failures[indices[t]] = (f, exc)
@@ -205,9 +211,9 @@ def cross_validation_errors(shape_set, fits, config=None, reflection_ref=0,
                 if errors:
                     Linv, factor, indices = Linv[ok], factor[ok], [indices[t] for t in ok]
                 rows += [(f, j) for j in indices]
-                Ws.append(_gpa._factors(factor, counts[keep], n))
+                Ws.append(_gpa._factors(factor, counts[keep], n)[0])
                 Linvs.append(Linv)
-                del factor, Linv  # held only in the block's lists
+                del kept, factor, Linv  # held only in the block's lists
             if not rows:
                 continue
             f, j = np.array(rows).T

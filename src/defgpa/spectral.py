@@ -32,7 +32,7 @@ _CLUSTER_TOL = 1e-9
 _SHIFT = 1e-3
 _RESIDUAL_TOL = 1e-13
 _MAX_STEPS = 100
-_KERNEL_ROWS = 512  # rows of W per product in the k x k kernels W^T diag(c) W: no m x k weighted copy
+_KERNEL_ROWS = 128  # rows of W per product in the k x k kernels W^T diag(c) W: no m x k weighted copy
 
 
 @dataclass(frozen=True)

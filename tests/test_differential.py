@@ -33,6 +33,7 @@ from defgpa import (
     Shape,
     ShapeSet,
     assemble_P,
+    check_theorem_conditions,
     cross_validation_error,
     cross_validation_errors,
     eig_sym,
@@ -46,6 +47,7 @@ from defgpa import (
 from defgpa.gpa import _gram_anchor, _stacked
 from defgpa.metrics import _fold_slices
 from defgpa.spectral import _bottom_pairs_dplr, _scale_selected
+from defgpa.warps import _witness_and_residual
 from conftest import (affine_models, dense_runs, dense_selection, full_set, gauge_residual, mask_set,
                       per_fold_reference, restrict_points, solved_fits, tps_models)
 from test_gpa import LinearOnlyWarp
@@ -125,6 +127,47 @@ def test_constant_free_solve_matches_dense(monkeypatch, d, partial):
         assert np.linalg.norm(S.sum(axis=1)) <= 1e-12 * np.linalg.norm(S)
         assert gauge_residual(S, dense) < 1e-8
     assert sol.cost == pytest.approx(want.cost, rel=1e-8)
+
+
+def plain_tail(shape_set, models, S):
+    """Weights, data and regularization costs, and projector and witness residuals of reference S,
+    each shape's normal solves taken by `np.linalg.solve` on its basis from `model.basis`."""
+    weights, projector, witness = [], [], []
+    data_cost = reg_cost = 0.0
+    for shape, model in zip(shape_set, models):
+        B = model.basis(shape.filled(0.0))
+        gamma = shape.visibility.astype(float)
+        Bg = B * gamma
+        N = Bg @ Bg.T + model.smoothing * model.gram_regularizer()
+        W = np.linalg.solve(N, Bg @ S.T)
+        weights.append(W)
+        data_cost += float(np.sum((W.T @ Bg - S * gamma) ** 2))
+        reg_cost += model.smoothing * float(np.sum(W * (model.gram_regularizer() @ W)))
+        projector.append(gamma - Bg.T @ np.linalg.solve(N, Bg @ gamma))
+        witness.append(_witness_and_residual(model, B.T[shape.visibility])[1])
+    return weights, data_cost, reg_cost, projector, witness
+
+
+@pytest.mark.parametrize("kind", ["tps-full", "tps-partial", "mixed-partial"])
+def test_tail_matches_plain_normal_solves(kind):
+    # the weights, costs and condition residuals read F = L^-1 Bg and L^-1 only; the mixed set pads
+    # its affine shapes' three rows to the TPS width.  Residuals are compared on the unit scale of
+    # Gamma_i 1
+    ss, models = instance(160, 2, "tps", kind != "tps-full")
+    if kind == "mixed-partial":
+        models = affine_models(ss)[:2] + models[2:]
+    sol = solve(ss, models)
+    weights, data_cost, reg_cost, projector, witness = plain_tail(ss, models, sol.reference)
+    for got, want in zip(sol.weights, weights):
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+    assert sol.data_cost == pytest.approx(data_cost, rel=1e-10)
+    assert sol.reg_cost == pytest.approx(reg_cost, rel=1e-10)
+    for report in (sol.report, check_theorem_conditions(ss, models)):
+        for shape, Pi_1, residual in zip(report.shapes, projector, witness):
+            assert shape.projector_residual == pytest.approx(np.max(np.abs(Pi_1)), rel=1e-10, abs=1e-10)
+            assert shape.witness_residual == pytest.approx(residual, rel=1e-10, abs=1e-10)
+        assert report.aggregate_residual == pytest.approx(np.max(np.abs(sum(projector))), rel=1e-10,
+                                                          abs=1e-10)
 
 
 @pytest.mark.parametrize("d", [2, 3])

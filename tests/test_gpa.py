@@ -43,6 +43,11 @@ from conftest import (
 )
 
 
+def basis_stack(B):
+    """The `_bases` layout of bases B (n x l x m): their n l rows and two zero rows."""
+    return np.concatenate([B.reshape(-1, B.shape[-1]), np.zeros((2, B.shape[-1]))])
+
+
 def row_space_projector(S):
     U, _, _ = np.linalg.svd(np.asarray(S).T, full_matrices=False)
     return U @ U.T
@@ -396,7 +401,7 @@ class TestAssembleP:
         B = np.stack([np.vstack([pts + i, np.ones((1, 4))]) for i in range(4)])
         grams = np.stack([[[2.0, 1.0], [1.0, 2.0]]] * 4)
         mus = np.array([[1.0, 1.0, 1.0, np.inf]])
-        _, _, errors = _per_shape_terms(np.ones((4, 4)), (B, grams, (2,) * 4), mus)
+        _, _, errors = _per_shape_terms(np.ones((4, 4)), (basis_stack(B), grams, (2,) * 4), mus)
         assert list(errors) == [0] and errors[0].shape_index == 3
         assert str(errors[0]) == "normal matrix of shape 3 is non-finite"
 
@@ -404,13 +409,13 @@ class TestAssembleP:
         A = rng.normal(size=(5, 8))
         N = A @ A.T + np.eye(5)
         rhs = rng.normal(size=(5, 3))
-        half = np.empty_like(rhs)
-        Linv = _cholesky_solve(N, rhs, half)
+        Linv = _cholesky_solve(N, rhs)
+        half = Linv @ rhs
         solved = Linv.T @ half
         np.testing.assert_allclose(solved, np.linalg.solve(N, rhs), rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(half.T @ half, rhs.T @ solved, rtol=1e-12, atol=1e-12)
         # the same N as the normal matrix A A^T + 1 * I of one shape with basis A
-        Linv, factor, errors = _per_shape_terms(np.ones((1, 8)), (A[None], np.eye(5)[None], (5,)),
+        Linv, factor, errors = _per_shape_terms(np.ones((1, 8)), (basis_stack(A), np.eye(5)[None], (5,)),
                                                 np.ones((1, 1)))
         assert errors == {}
         F = factor[0, :5]
@@ -424,7 +429,7 @@ class TestAssembleP:
         B = np.stack([[[1.0, 0.0], [1.0, 0.0]], np.eye(2)])
         grams = np.stack([[[2.0, 1.0], [1.0, 2.0]]] * 2)
         mus = np.array([[0.0, 1.0], [1.0, -2.0], [1.0, np.inf], [1.0, 1.0], [np.inf, -2.0]])
-        _, _, errors = _per_shape_terms(np.ones((2, 2)), (B, grams, (2, 2)), mus)
+        _, _, errors = _per_shape_terms(np.ones((2, 2)), (basis_stack(B), grams, (2, 2)), mus)
         assert {t: (type(exc), exc.shape_index, str(exc)) for t, exc in errors.items()} == {
             0: (SingularSystem, 0, "normal matrix of shape 0 is singular"),
             1: (SingularSystem, 1, "normal matrix of shape 1 is singular"),
@@ -435,8 +440,8 @@ class TestAssembleP:
     def test_pivot_left_by_round_off_is_singular(self):
         # N = 2 11^T passes np.linalg.cholesky with a last pivot of about 2e-8: L_jj^2 lies far below
         # 1e-12 N_jj
-        _, _, errors = _per_shape_terms(np.ones((1, 2)), (np.ones((1, 2, 2)), np.zeros((1, 2, 2)), (2,)),
-                                        np.zeros((1, 1)))
+        bases = (basis_stack(np.ones((1, 2, 2))), np.zeros((1, 2, 2)), (2,))
+        _, _, errors = _per_shape_terms(np.ones((1, 2)), bases, np.zeros((1, 1)))
         assert {t: (type(exc), exc.shape_index, str(exc)) for t, exc in errors.items()} == {
             0: (SingularSystem, 0, "normal matrix of shape 0 is singular")}
 
@@ -450,7 +455,7 @@ class TestStackedNormalSolves:
         pts = np.array([[0.0, 1.0, 3.0, 4.0]])
         ss = ShapeSet((Shape(pts, np.ones(4, bool)), Shape(pts + 1.0, np.ones(4, bool))))
         B = np.stack([np.vstack([pts, np.ones((1, 4))]), np.ones((2, 4))])
-        return ss, (B, np.stack([np.zeros((2, 2)), np.eye(2)]), (2, 2))
+        return ss, (basis_stack(B), np.stack([np.zeros((2, 2)), np.eye(2)]), (2, 2))
 
     @staticmethod
     def normal_solves(Linv, factor):
@@ -479,6 +484,23 @@ class TestStackedNormalSolves:
         assert isinstance(errors[1], SingularSystem) and errors[1].shape_index == 1
         clean = self.normal_solves(*_per_shape_terms(ss.visibility_matrix(), bases, mus[[0, 2]])[:2])
         np.testing.assert_allclose(solved[[0, 2]], clean, rtol=1e-15, atol=0)
+
+    def test_one_row_in_place_matches_its_row_of_a_stack(self, rng):
+        # one row writes F over the bases' own array, three rows write a new one; padded rows from
+        # the affine shapes
+        ss = mask_set(rng, full_set(rng, 2, 30, 4, kind="smooth", noise=0.05), 0.15, min_joint=2 + 2)
+        models = affine_models(ss)[:2] + tps_models(ss, k=3)[2:]
+        G = ss.visibility_matrix()
+        mus = np.array([[0.0, 0.0, 3.0, 5.0], [0.0, 0.0, 0.3, 0.5], [0.0, 0.0, 0.03, 0.05]])
+        bases = gpa_module._bases(ss, models)
+        Linv, factor, errors = _per_shape_terms(G, bases, mus)
+        assert errors == {} and not np.shares_memory(factor, bases[0])
+        for t in range(len(mus)):
+            bases = gpa_module._bases(ss, models)
+            rowLinv, row, errors = _per_shape_terms(G, bases, mus[t:t + 1])
+            assert errors == {} and np.shares_memory(row, bases[0])
+            np.testing.assert_array_equal(rowLinv[0], Linv[t])
+            np.testing.assert_array_equal(row[0], factor[t])
 
     def test_mixed_feature_dims_match_direct_formula(self, rng):
         ss = mask_set(rng, full_set(rng, 2, 14, 3, kind="smooth", noise=0.05), 0.15)
@@ -615,9 +637,10 @@ class TestSolve:
                         assert sol.cost <= am_cost + 1e-8 * max(1.0, abs(am_cost))
 
 
-def test_solve_memory_holds_two_basis_stacks(rng, monkeypatch):
-    # a full TPS set with k = n l + 2 < m, so that the DPLR eigensolver runs: a solve holds the masked
-    # bases and the one m x k factor, each about n l m float64 entries, and nothing else of that size
+def test_solve_memory_holds_one_basis_stack(rng, monkeypatch):
+    # a full TPS set with k = n l + 2 < m, so that the DPLR eigensolver runs: a solve holds one array
+    # of about n l m float64 entries, the bases with F = L^-1 Bg written over them and read by the
+    # eigensolver as its m x k factor, and nothing else of that size
     import tracemalloc
     ss = full_set(rng, 2, 1500, 10, kind="smooth", noise=0.05)
     models = tps_models(ss, k=3, theta=0.1)
@@ -632,7 +655,7 @@ def test_solve_memory_holds_two_basis_stacks(rng, monkeypatch):
     finally:
         tracemalloc.stop()
     assert calls == []
-    assert peak - base < 3 * ss.n * models[0].feature_dim * ss.m * 8
+    assert peak - base < 2 * ss.n * models[0].feature_dim * ss.m * 8
 
 
 def _min_bottom_separation(shape_set, models, nu):

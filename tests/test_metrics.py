@@ -347,8 +347,7 @@ class TestBatchedCrossValidation:
             return terms(G, bases, mus)
 
         monkeypatch.setattr(defgpa.gpa, "_per_shape_terms", spy)
-        # k = n l + 2 >= m: the dense eigensolver counts each pair's n x l x m solved terms and
-        # m x m matrix
+        # k = n l + 2 >= m: the dense eigensolver counts each pair's m x k factor and m x m matrix
         k = ss.n * max(model.feature_dim for model in fits[0][0]) + 2
         monkeypatch.setattr(defgpa.metrics, "_STACK_ENTRIES", 2 * (ss.m * k + ss.m ** 2))
         split = cross_validation_errors(ss, fits)
