@@ -330,22 +330,37 @@ def _fold_priors(Y, G, moments, held, allow_reflection):
 # P-matrix assembly and the closed-form solve
 
 
-def _cholesky_solve(N, rhs):
-    """L^-1 for SPD N (or a stack of them), L its Cholesky factor, to be applied to the bases rhs.
+def _cholesky(N):
+    """Cholesky factors of a stack of matrices N (..., l, l), the identity where one is not positive
+    definite, and where that is; only if the stacked call fails are the matrices factored one by one."""
+    failed = np.zeros(N.shape[:-2], dtype=bool)
+    try:
+        return np.linalg.cholesky(N), failed
+    except np.linalg.LinAlgError:
+        L = np.zeros(N.shape)
+        for index in np.ndindex(failed.shape):
+            try:
+                L[index] = np.linalg.cholesky(N[index])
+            except np.linalg.LinAlgError:
+                L[index], failed[index] = np.eye(N.shape[-1]), True
+        return L, failed
 
-    N^-1 = L^-T L^-1, so with F = L^-1 rhs a consumer applies N^-1 rhs to its
-    own small right-hand side x as L^-T (F x), and no N^-1 rhs is formed.
 
-    Raises np.linalg.LinAlgError when any N is not positive definite, either
-    input holds a non-finite entry, or a pivot has L_jj^2 <= 1e-12 N_jj: a
-    semidefinite N can pass the factorization by round-off alone.
-    """
-    if not (np.all(np.isfinite(N)) and np.all(np.isfinite(rhs))):
-        raise np.linalg.LinAlgError("non-finite entries")
-    L = np.linalg.cholesky(N)
-    if np.any(np.diagonal(L, axis1=-2, axis2=-1) ** 2 <= 1e-12 * np.diagonal(N, axis1=-2, axis2=-1)):
-        raise np.linalg.LinAlgError("semidefinite matrix")
-    return np.linalg.inv(L)
+def _below_floor(L, diagonal):
+    """Where Cholesky factors L (..., l, l) of matrices N with that diagonal (..., l) have a pivot with
+    L_jj^2 <= 1e-12 N_jj: a semidefinite N can pass the factorization by round-off alone."""
+    return np.any(np.diagonal(L, axis1=-2, axis2=-1) ** 2 <= 1e-12 * diagonal, axis=-1)
+
+
+def _singular(failed, finite=True):
+    """The SingularSystem of each row t of a T x n mask of failed normal matrices, naming its first
+    failed shape, "non-finite" where `finite` (broadcast to the mask) is False."""
+    errors = {}
+    for t in np.flatnonzero(failed.any(axis=1)):
+        i = int(np.argmax(failed[t]))
+        kind = "singular" if np.broadcast_to(finite, failed.shape)[t, i] else "non-finite"
+        errors[int(t)] = SingularSystem(f"normal matrix of shape {i} is {kind}", shape_index=i)
+    return errors
 
 
 def _smoothings(shape_set, models):
@@ -378,17 +393,17 @@ def _bases(shape_set, models):
 
 def _per_shape_terms(G, bases, mus):
     """L_ti^-1 (T x n x l x l) and a T x (n l + 2) x m array whose first n l rows hold F_ti = L_ti^-1 Bg_i,
-    for masks G (n x m), the `_bases` of the kept points and smoothing rows mus (T x n).
+    for masks G (n x m), the `_bases` of the points and smoothing rows mus (T x n).
 
     The B rows of the bases' array are masked in place into Bg.  With T = 1
     that array becomes row 0 of the returned one: F is written over Bg one
     shape at a time, so numpy's overlap copy is one l x m block and a solve
     holds one array of n l m entries.  With T > 1 the T rows are a new array.
     N_ti = Bg_i Bg_i^T + mus[t, i] Z_i^T Z_i = L_ti L_ti^T (identity on padded rows)
-    is factored in one call; only if that fails are the matrices factored one
-    by one, and a row t with a matrix that is not positive definite gets the
-    SingularSystem of its first such shape in the returned dict.  Row t's P is
-    diag(sum_i Gamma_i) - F_t^T F_t, Bg_i = L_ti F_ti; `_factors` completes the array in place.
+    is factored by `_cholesky`, and a row t with a matrix that is non-finite, not
+    positive definite or `_below_floor` gets the SingularSystem of its first
+    such shape in the returned dict.  Row t's P is diag(sum_i Gamma_i) -
+    F_t^T F_t, Bg_i = L_ti F_ti; `_factors` completes the array in place.
     """
     stack, grams, dims = bases
     n, width, m = len(dims), grams.shape[-1], stack.shape[-1]
@@ -400,23 +415,40 @@ def _per_shape_terms(G, bases, mus):
     N = N + mus[:, :, None, None] * grams
     factor = stack[None] if len(mus) == 1 else np.zeros((len(mus), *stack.shape))
     F = factor[:, :-2].reshape(len(mus), n, width, m)
-    errors = {}
-    try:
-        Linv = _cholesky_solve(N, B)
-    except np.linalg.LinAlgError:
-        Linv = np.zeros(N.shape)
-        for t, i in np.ndindex(N.shape[:2]):
-            if t in errors:
-                continue
-            try:
-                Linv[t, i] = _cholesky_solve(N[t, i], B[i])
-            except np.linalg.LinAlgError:
-                finite = np.all(np.isfinite(N[t, i])) and np.all(np.isfinite(B[i]))
-                kind = "singular" if finite else "non-finite"
-                errors[t] = SingularSystem(f"normal matrix of shape {i} is {kind}", shape_index=i)
+    finite = np.isfinite(N).all(axis=(-2, -1)) & np.isfinite(B).all(axis=(-2, -1))
+    N = np.where(finite[..., None, None], N, np.eye(width))
+    L, failed = _cholesky(N)
+    failed |= ~finite | _below_floor(L, np.diagonal(N, axis1=-2, axis2=-1))
+    Linv = np.linalg.inv(L)
     for i in range(n):
         np.matmul(Linv[:, i], B[i], out=F[:, i])
-    return Linv, factor, errors
+    return Linv, factor, _singular(failed, finite)
+
+
+def _downdated_terms(L, F, rows, U, keep):
+    """E^-1 (P x n x l x l), a P x (n l + 2) x m' array whose first n l rows hold F' and the
+    `_singular` errors of P folds of the sets whose normal matrices have the Cholesky factors L
+    (T x n x l x l) and whose `_per_shape_terms` are F (T x n x l x m): fold p downdates row rows[p],
+    keeps the columns keep[p] and holds out U_p = F[rows[p]][..., H_p] (zero where padded).
+
+    Then N_i' = L_i (I - U_i U_i^T) L_i^T (Hager 1989): with E_i = chol(I - U_i U_i^T) a fold has
+    L_i' = L_i E_i, L_i'^-1 = E_i^-1 L_i^-1 and F_i' = E_i^-1 F_i[:, keep], and no normal matrix is
+    formed or factored again.  N_i' is singular where E_i does not exist or L_i' is `_below_floor`.
+    """
+    P, (n, width) = len(rows), F.shape[1:3]
+    E, failed = _cholesky(np.eye(width) - U @ np.swapaxes(U, -1, -2))
+    L = L[rows] @ E  # L_i' = L_i E_i
+    Einv = np.zeros(E.shape)
+    for j in range(width):  # forward substitution, one row of every E^-1 per call (not one call per matrix)
+        row = np.eye(width)[j] - E[..., j, None, :j] @ Einv[..., :j, :]
+        Einv[..., j, :] = row[..., 0, :] / E[..., j, j, None]
+    factor = np.zeros((P, n * width + 2, keep.shape[1]))
+    for p, (t, kept) in enumerate(zip(rows, keep)):
+        np.take(F[t].reshape(n * width, -1), kept, axis=1, out=factor[p, :-2], mode="clip")
+    folds = factor[:, :-2].reshape(P, n, width, -1)
+    for i in range(n):  # numpy's overlap copy is one shape's l x m' block per fold
+        np.matmul(Einv[:, i], folds[:, i], out=folds[:, i])
+    return Einv, factor, _singular(failed | _below_floor(L, np.sum(L * L, axis=-1)))
 
 
 def _factors(factor, counts, n):

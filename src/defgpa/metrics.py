@@ -80,14 +80,6 @@ def rmse_d(solution, shape_set, models):
     return float(np.sqrt(total / kappa))
 
 
-def _drain(parts):
-    """The arrays of a list concatenated (a lone array as it is), the list emptied so that each part
-    is freed."""
-    whole = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    parts.clear()
-    return whole
-
-
 def _fold_slices(m, config):
     N = config.group_size
     return [np.arange(k, min(k + N, m)) for k in range(0, m, N)]
@@ -98,23 +90,26 @@ def cross_validation_errors(shape_set, fits, config=None, reflection_ref=0,
     """Leave-N-out CVE of several solved model sets (one per theta) on one shape set.
 
     `fits` holds (models, full solution) pairs, each solution the GPA of the
-    whole set with those models.  Each shape's basis is computed once on all
-    m points, and the points and masks are stacked once; a fold slices their
-    kept columns and builds no shape objects.  Every fold prior comes first,
-    in chunks of folds bounded by _STACK_ENTRIES: the whole set's pair
-    moments minus those of each fold's held-out columns (with reflections
-    when `allow_reflection`, as the full prior was), up to the first fold
-    that fails.  Then sets with equal per-shape models share passes bounded
-    by _STACK_ENTRIES, and a pass takes the folds with priors in fixed blocks
-    within the same bound, a ragged last fold in a block of its own.  Each
-    fold of a block gets the pass's per-shape terms in one call and its solve
-    matrices from `gpa._factors`, each with n/m' of the fold on 11^T.  The
-    block then runs one stacked eigensolve of its (fold, set) pairs, each
-    started from its full reference on the fold's kept points (DPLR, or dense
-    where the factors have k >= m' columns), and its tail on the same stack:
-    scaling, reflection, the rigid alignment of each fold reference to the
-    full reference on the kept points, and the prediction of held-out points
-    as W_i^T B_i[:, fold].  Only originally visible landmarks count.
+    whole set with those models.  Each shape's basis is computed once per pass
+    on all m points, and the points and masks are stacked once; a fold slices
+    their kept columns and builds no shape objects.  Every fold prior comes
+    first, in chunks of folds bounded by _STACK_ENTRIES: the whole set's pair
+    moments minus those of each fold's held-out columns (with reflections when
+    `allow_reflection`, as the full prior was), up to the first fold that
+    fails.  Then sets with equal per-shape models share passes bounded by
+    _STACK_ENTRIES.  A pass factors its sets once, on all m points, and takes
+    the folds with priors in fixed blocks within the same bound, a ragged last
+    fold in a block of its own.  Each (fold, set) pair of a block downdates
+    that factorization by the fold's held-out columns (`gpa._downdated_terms`)
+    into the factors of its solve matrix, with n/m' of the fold on 11^T; a
+    fold whose normal matrix is singular fails its set, and so does a failed
+    whole-set factorization, at the first fold.  The block then runs one
+    stacked eigensolve of its pairs, each started from its full reference on
+    the fold's kept points (DPLR, or dense where the factors have k >= m'
+    columns), and its tail on the same stack: scaling, reflection, the rigid
+    alignment of each fold reference to the full reference on the kept points,
+    and the prediction of held-out points as W_i^T B_i[:, fold].  Only
+    originally visible landmarks count.
 
     Returns one entry per model set: (cve, predicted shapes), or the
     DefgpaError of its earliest failing fold; a failed model set skips the
@@ -132,32 +127,29 @@ def cross_validation_errors(shape_set, fits, config=None, reflection_ref=0,
             f"folds of {config.group_size} leave fewer than d+1={d + 1} points")] * len(fits)
 
     outcomes = [None] * len(fits)
-    smoothing, bases, batches = {}, {}, {}  # model sets with equal per-shape models share bases
+    smoothing, batches = {}, {}  # model sets with equal per-shape models share passes
     for j, (models, _) in enumerate(fits):
-        key = tuple((type(model), repr(model.describe())) for model in models)
         try:
             smoothing[j] = _gpa._smoothings(shape_set, models)
-            if key not in bases:
-                bases[key] = _gpa._bases(shape_set, models)
         except DefgpaError as exc:
             outcomes[j] = exc
             continue
-        batches.setdefault(key, []).append(j)
-    # a (fold, model set) pair holds its m' x k factor (k = n l + 2) and n l x l inverse Cholesky
-    # factors.  A fold copies the kept columns of the bases' array: in a pass of one set that copy
-    # becomes the pair's factor, in a pass of several it is freed once the pairs' factors are written.
-    # A pass takes the folds in blocks of `step` folds, at most `size` pairs, and ends each
-    # block in one stacked eigensolve and its tail.  Where k < m' that is the DPLR eigensolver, with
-    # two k x k kernels per pair and, in a block of several folds, one concatenated copy of the
-    # factors; the bound counts 3 m' k + 2 k^2 there, an over-count of up to m' k.  Where k >= m' it
-    # is dense, with an m' x m' matrix per pair.  The tail holds about 12 d m + 4 n d g entries per
-    # pair once the factors are freed, and a pair counts whichever of the two is larger.
+        batches.setdefault(tuple((type(model), repr(model.describe())) for model in models), []).append(j)
+    # A pass factors its T <= size sets on all m points into a T x k x m array (k = n l + 2), with T = 1
+    # the array of the bases it computes, and ends each block of `step` folds, at most `size` (fold,
+    # set) pairs, in one stacked eigensolve and its tail.  A pair counts its m' x k factor and, where
+    # k >= m' makes the eigensolve dense, its m' x m' matrix: m k + m^2.  Where k < m' it also counts
+    # its set's row of the pass's array (held once per set in a block of one fold) and the DPLR's three
+    # k x k kernels (S^-1 and the certificate's two): 2 m k + 3 k^2.  The dense count leaves that row
+    # out, so that the CLI's grid of eleven smoothing values shares one pass at m = 40.  The tail holds
+    # about 12 d m + 4 n d g entries per pair once the factors and the block before are freed, and a
+    # pair counts whichever of the two is larger.
     passes = []
     tail = 12 * d * m + 4 * n * d * config.group_size
-    for key, indices in batches.items():
-        k = len(bases[key][0])
-        size = max(1, _STACK_ENTRIES // max(m * k + m * m if k >= m else 3 * m * k + 2 * k * k, tail))
-        passes += [(bases[key], indices[i:i + size], size) for i in range(0, len(indices), size)]
+    for indices in batches.values():
+        k = n * max(model.feature_dim for model in fits[indices[0]][0]) + 2
+        size = max(1, _STACK_ENTRIES // max(m * k + m * m if k >= m else 2 * m * k + 3 * k * k, tail))
+        passes += [(indices[i:i + size], size) for i in range(0, len(indices), size)]
     X0, G0 = _gpa._stacked(shape_set)
     _, Y0 = _gpa._centred(X0, G0)
     moments = _gpa._moments(Y0, G0)
@@ -181,58 +173,57 @@ def cross_validation_errors(shape_set, fits, config=None, reflection_ref=0,
             error = failure
             break
     lambdas = np.array(lambdas)
+    del Y0, moments, dropped  # read by the fold priors only
     whole = min(len(lambdas), m // g)  # the first m // g folds are whole; a ragged last fold keeps more
     fold_of = np.arange(m) // g
     counts = G0.sum(axis=0)
-    predicted = {j: np.full((n, d, m), np.nan) for _, batch, _ in passes for j in batch}
+    predicted = {j: np.full((n, d, m), np.nan) for batch, _ in passes for j in batch}
     failures = {}  # model set -> (fold, error) of its earliest failing fold
-    for (stack, grams, dims), batch, size in passes:
-        B = stack[:-2].reshape(n, -1, m)
-        Bg0 = B * G0[:, None, :]
+    for batch, size in passes:
+        try:
+            bases = _gpa._bases(shape_set, fits[batch[0]][0])
+        except DefgpaError as exc:  # the pass's sets share their models
+            failures.update({j: (-1, exc) for j in batch})
+            continue
+        Linv, terms, errors = _gpa._per_shape_terms(G0, bases, np.array([smoothing[j] for j in batch]))
+        if len(lambdas):  # a set that fails on all m points fails at the first fold
+            failures.update({batch[t]: (0, exc) for t, exc in errors.items()})
+        F = terms[:, :-2].reshape(len(batch), n, -1, m)
+        L = np.linalg.inv(Linv)  # the Cholesky factors of the whole sets' normal matrices
         step = max(1, size // len(batch))
         cuts = [*range(0, whole, step), whole, len(lambdas)]
         for first, end in zip(cuts, cuts[1:]):
-            rows, Ws, Linvs = [], [], []  # the block's (fold, set) pairs, factors and L_i^-1
-            for f in range(first, end):
-                indices = [j for j in batch if j not in failures]
-                if not indices:
-                    break
-                keep = np.flatnonzero(fold_of != f)
-                # C order: stack[:, keep] is F order, so a pass of one set, whose F is written over
-                # it, would round unlike a pass of several
-                kept = stack.take(keep, axis=1)
-                Linv, factor, errors = _gpa._per_shape_terms(G0[:, keep], (kept, grams, dims),
-                                                             np.array([smoothing[j] for j in indices]))
-                for t, exc in errors.items():
-                    failures[indices[t]] = (f, exc)
-                ok = [t for t in range(len(indices)) if t not in errors]
-                if not ok:
-                    continue
-                if errors:
-                    Linv, factor, indices = Linv[ok], factor[ok], [indices[t] for t in ok]
-                rows += [(f, j) for j in indices]
-                Ws.append(_gpa._factors(factor, counts[keep], n)[0])
-                Linvs.append(Linv)
-                del kept, factor, Linv  # held only in the block's lists
+            rows = [(f, j) for f in range(first, end) for j in batch if j not in failures]
             if not rows:
                 continue
             f, j = np.array(rows).T
+            keep = np.nonzero(fold_of != f[:, None])[1].reshape(len(f), -1)
+            cols = held[f]  # held is padded with m: zero columns of U there
+            at = np.array([batch.index(i) for i in j])  # the pass row of each pair
+            U = np.moveaxis(F[at[:, None], :, :, np.minimum(cols, m - 1)], 1, -1)
+            U *= (cols < m)[:, None, None]
+            Einv, factor, fold_errors = _gpa._downdated_terms(L, F, at, U, keep)
+            for p, exc in sorted(fold_errors.items()):  # rows are fold-major: a set's first is its earliest
+                failures.setdefault(rows[p][1], (rows[p][0], exc))
+            ok = [p for p, (f, j) in enumerate(rows) if j not in failures or f < failures[j][0]]
+            if not ok:
+                continue
+            if len(ok) < len(rows):
+                rows, keep, U, Einv, factor = [rows[p] for p in ok], keep[ok], U[ok], Einv[ok], factor[ok]
+            f, j = np.array(rows).T
             mask = (fold_of != f[:, None]).astype(float)
-            keep = np.nonzero(mask)[1].reshape(len(f), -1)
             full = np.stack([fits[i][1].reference for i in j])
-            W = _drain(Ws)
+            W, centre = _gpa._factors(factor, counts[keep], n)
             warm = None if W.shape[2] >= W.shape[1] else np.swapaxes(
                 np.take_along_axis(full, keep[:, None], axis=-1), -1, -2)
             values, V = _bottom_pairs_dplr(counts[keep], W, d, warm)
-            del W
             lifted = np.zeros((len(f), m, d))
             lifted[mask > 0] = V.reshape(-1, d)
-            # S = F V^T (F = S V) gives W_i^T B_i[:, fold] = F (N_i^-1 Bg0_i lifted)^T B_i[:, fold]
-            Linv = _drain(Linvs)
-            solved = np.swapaxes(Linv, -1, -2) @ (Linv @ (Bg0 @ lifted[:, None]))
-            cols = held[f]  # held is padded with m: zero columns there
-            P = np.swapaxes(solved, -1, -2) @ np.moveaxis(
-                B[:, :, np.minimum(cols, m - 1)] * (cols < m), 2, 0)
+            # S = C V^T (C = S V) and B_i[:, H] = L_i U_i where visible give W_i^T B_i[:, H] =
+            # C (F_i' V)^T E_i^-1 U_i, and F' V = F'_c V + c 1^T V with F'_c centred by `_factors`
+            FV = (factor[:, :-2] @ V + centre * V.sum(axis=1, keepdims=True)).reshape(len(f), n, -1, d)
+            P = np.swapaxes(FV, -1, -2) @ (Einv @ U)
+            del W, factor, FV
             S, undetermined = _gpa._references(
                 values, lifted, lambdas[f], lambda k: _gpa._gram_anchor(X0, G0 * mask[k]),
                 X0[reflection_ref], G0[reflection_ref] * mask)
@@ -247,6 +238,8 @@ def cross_validation_errors(shape_set, fits, config=None, reflection_ref=0,
                         _gpa._UNORIENTED if undetermined[k] else _gpa._RANK_DEFICIENT))
                 else:
                     predicted[j][:, :, folds[f]] = pred[k, :, :, :folds[f].size]
+            del lifted, S, full, mask, keep, V  # freed before the next block forms its factors
+        del L, terms, F
 
     # a set with no failing fold has a prediction at every fold; its CVE stands if every fold has a prior
     visible = shape_set.visibility_matrix()[:, None, :]

@@ -189,21 +189,33 @@ class TestSweepCommand:
                       min_joint=2 + 3)
         path = write_set(tmp_path / "set.json", ss)
         bad_theta = 0.5
-        real_terms = defgpa.gpa._per_shape_terms
+        real_terms, real_downdate = defgpa.gpa._per_shape_terms, defgpa.gpa._downdated_terms
         without = str(tmp_path / "without.csv")
         assert main(["sweep", "--input", path, "--model", "tps",
                      "--thetas", "10,0.1", "--output", without]) == 0
         assert capsys.readouterr().err == ""
         for in_folds in (False, True):
+            mus_of_pass = []
+
             def per_shape_terms(G, bases, mus, in_folds=in_folds):
                 # one row of mu_i = nnz_i * theta (of the full set) per theta
-                Bg, solved, errors = real_terms(G, bases, mus)
-                if (G.shape[1] < ss.m) == in_folds:
+                mus_of_pass[:] = mus
+                Linv, factor, errors = real_terms(G, bases, mus)
+                if not in_folds:
                     for t in np.flatnonzero(mus[:, 0] == ss[0].num_visible * bad_theta):
                         errors[t] = SingularSystem("injected failure", shape_index=0)
-                return Bg, solved, errors
+                return Linv, factor, errors
+
+            def downdated_terms(L, F, rows, U, keep, in_folds=in_folds):
+                # each fold's pair takes the row `rows[p]` of the pass's terms
+                Einv, factor, errors = real_downdate(L, F, rows, U, keep)
+                if in_folds:
+                    for p in np.flatnonzero(np.array(mus_of_pass)[rows, 0] == ss[0].num_visible * bad_theta):
+                        errors[p] = SingularSystem("injected failure", shape_index=0)
+                return Einv, factor, errors
 
             monkeypatch.setattr(defgpa.gpa, "_per_shape_terms", per_shape_terms)
+            monkeypatch.setattr(defgpa.gpa, "_downdated_terms", downdated_terms)
             with_bad = str(tmp_path / f"with_bad_{in_folds}.csv")
             assert main(["sweep", "--input", path, "--model", "tps",
                          "--thetas", "10,0.5,0.1", "--output", with_bad]) == 0
@@ -267,14 +279,16 @@ class TestSweepCommand:
 
     def test_one_full_solve_per_theta(self, rng, tmp_path, monkeypatch):
         # k thetas on m points with folds of 1: k full solves, each a batch of one
-        # model set, then one batch of all k model sets per fold
+        # model set, then one pass of all k model sets on all m points, whose (fold,
+        # model set) pairs are downdated from it in one block
         import defgpa.gpa
         ss = full_set(rng, 2, 9, 3, kind="smooth", noise=0.05)
         path = write_set(tmp_path / "set.json", ss)
         real_solve = defgpa.gpa.solve
-        real_terms = defgpa.gpa._per_shape_terms
+        real_terms, real_downdate = defgpa.gpa._per_shape_terms, defgpa.gpa._downdated_terms
         solves = []
         batches = []
+        downdates = []
 
         def solve(*args, **kwargs):
             solves.append(None)
@@ -284,12 +298,18 @@ class TestSweepCommand:
             batches.append((G.shape[1], len(mus)))
             return real_terms(G, bases, mus)
 
+        def downdate(L, F, rows, U, keep):
+            downdates.append((keep.shape[1], len(rows)))
+            return real_downdate(L, F, rows, U, keep)
+
         monkeypatch.setattr(defgpa.gpa, "solve", solve)
         monkeypatch.setattr(defgpa.gpa, "_per_shape_terms", terms)
+        monkeypatch.setattr(defgpa.gpa, "_downdated_terms", downdate)
         assert main(["sweep", "--input", path, "--model", "tps", "--thetas", "10,1,0.1",
                      "--cve-group", "1", "--output", str(tmp_path / "g.csv")]) == 0
         assert len(solves) == 3
-        assert batches == [(ss.m, 1)] * 3 + [(ss.m - 1, 3)] * ss.m
+        assert batches == [(ss.m, 1)] * 3 + [(ss.m, 3)]
+        assert downdates == [(ss.m - 1, 3 * ss.m)]
 
 
 class TestCveCommand:

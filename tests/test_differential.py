@@ -267,19 +267,21 @@ def test_cve_matches_dense(monkeypatch, d, model, group):
 # The CVE against `per_fold_reference`, one restricted-set `solve` per fold and model set.  Each
 # layout has 3 shapes, a 2-point TPS theta grid and an affine set (two basis keys):
 # (d, m, hidden fraction, group size, TPS controls per axis, _STACK_ENTRIES or None for the
-# default, thin).  m % group > 0 gives a ragged last fold; a small _STACK_ENTRIES splits the folds
+# default, layout).  m % group > 0 gives a ragged last fold; a small _STACK_ENTRIES splits the folds
 # into several chunks, a pass's folds into several eigensolve blocks, or the TPS sets into passes
-# of one; `thin` leaves shapes 0 and 1 exactly d+1 joint points, so that every set fails at some
-# fold.
+# of one.  Two layouts make every set fail at some fold: `thin` leaves shapes 0 and 1 exactly d+1
+# joint points, and `collinear` shows shape 0 four points, three of them on a line, so that the fold
+# holding out the fourth leaves its normal matrix singular (a held point of leverage one).
 CVE_CORPUS = [
-    (2, 14, 0.0, 1, 3, None, False), (2, 15, 0.15, 2, 2, None, False),
-    (2, 17, 0.3, 3, 2, None, False), (2, 18, 0.2, 4, 2, None, False),
-    (3, 15, 0.0, 1, 2, None, False), (3, 16, 0.15, 2, 2, None, False),
-    (3, 17, 0.3, 3, 2, None, False), (3, 18, 0.2, 4, 2, None, True),
-    (2, 20, 0.1, 1, 2, 4000, False), (2, 20, 0.2, 1, 2, 12000, False),
-    (2, 19, 0.3, 2, 2, 1500, False), (2, 17, 0.25, 4, 3, 9000, False),
-    (3, 17, 0.1, 1, 2, 5000, False), (3, 19, 0.2, 2, 2, 15000, False),
-    (3, 20, 0.3, 3, 2, 1500, False), (2, 16, 0.3, 2, 3, 7000, True),
+    (2, 14, 0.0, 1, 3, None, None), (2, 15, 0.15, 2, 2, None, None),
+    (2, 17, 0.3, 3, 2, None, None), (2, 18, 0.2, 4, 2, None, None),
+    (3, 15, 0.0, 1, 2, None, None), (3, 16, 0.15, 2, 2, None, None),
+    (3, 17, 0.3, 3, 2, None, None), (3, 18, 0.2, 4, 2, None, "thin"),
+    (2, 20, 0.1, 1, 2, 4000, None), (2, 20, 0.2, 1, 2, 12000, None),
+    (2, 19, 0.3, 2, 2, 1500, None), (2, 17, 0.25, 4, 3, 9000, None),
+    (3, 17, 0.1, 1, 2, 5000, None), (3, 19, 0.2, 2, 2, 15000, None),
+    (3, 20, 0.3, 3, 2, 1500, None), (2, 16, 0.3, 2, 3, 7000, "thin"),
+    (2, 12, 0.0, 1, 2, None, "collinear"),
 ]
 
 
@@ -291,14 +293,26 @@ def thinned(ss):
     return ShapeSet(tuple(Shape(s.points, v, s.label) for s, v in zip(ss, vis)))
 
 
+def collinear(ss):
+    """The set with shape 0 visible at points 0-3 only, point 2 moved onto the line through 0 and 1."""
+    vis = ss.visibility_matrix()
+    vis[0] = np.arange(ss.m) < 4
+    points = ss[0].points.copy()
+    points[:, 2] = points[:, 0] + 0.4 * (points[:, 1] - points[:, 0])
+    return ShapeSet((Shape(points, vis[0], ss[0].label),
+                     *(Shape(s.points, v, s.label) for s, v in zip(ss[1:], vis[1:]))))
+
+
 def cve_instance(case):
-    d, m, hidden, group, ctrl, _, thin = CVE_CORPUS[case]
+    d, m, hidden, group, ctrl, _, layout = CVE_CORPUS[case]
     rng = np.random.default_rng(500 + case)
     ss = full_set(rng, d, m, 3, kind="smooth", noise=0.05)
     if hidden:
         ss = mask_set(rng, ss, hidden, min_joint=d + 2)
-    if thin:
+    if layout == "thin":
         ss = thinned(ss)
+    elif layout == "collinear":
+        ss = collinear(ss)
     return ss, solved_fits(ss, [1.0, 0.01], k=ctrl)
 
 
@@ -311,16 +325,17 @@ def reference_outcome(ss, fit, group):
 
 
 @pytest.mark.parametrize("case", range(len(CVE_CORPUS)),
-                         ids=[f"{d}d-m{m}-hidden{hidden}-group{group}-stack{stack}{'-thin' if thin else ''}"
-                              for d, m, hidden, group, _, stack, thin in CVE_CORPUS])
+                         ids=[f"{d}d-m{m}-hidden{hidden}-group{group}-stack{stack}"
+                              + (f"-{layout}" if layout else "")
+                              for d, m, hidden, group, _, stack, layout in CVE_CORPUS])
 def test_cve_matches_the_per_fold_reference(monkeypatch, case):
     ss, fits = cve_instance(case)
-    _, _, _, group, _, stack, thin = CVE_CORPUS[case]
+    _, _, _, group, _, stack, layout = CVE_CORPUS[case]
     wants = [reference_outcome(ss, fit, group) for fit in fits]
     if stack is not None:
         monkeypatch.setattr(metrics, "_STACK_ENTRIES", stack)
     gots = cross_validation_errors(ss, fits, CveConfig(group))
-    assert all(isinstance(want, DefgpaError) for want in wants) == thin
+    assert all(isinstance(want, DefgpaError) for want in wants) == (layout is not None)
     for got, want in zip(gots, wants):
         if isinstance(want, FormatError):
             # the plain loop cannot build a restricted set in which a shape keeps fewer than d+1
@@ -350,13 +365,13 @@ def test_the_cve_corpus_splits_chunks_passes_and_blocks(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(gpa, "_fold_priors", spy(lambda *args: "chunk", gpa._fold_priors))
-    monkeypatch.setattr(gpa, "_per_shape_terms", spy(lambda G, bases, mus: ("terms", len(mus)),
-                                                     gpa._per_shape_terms))
+    monkeypatch.setattr(gpa, "_downdated_terms", spy(lambda L, *_: ("downdate", len(L)),
+                                                     gpa._downdated_terms))
     monkeypatch.setattr(metrics, "_bottom_pairs_dplr", spy(lambda D, W, *_: ("pairs", W.shape[2], len(W)),
                                                            metrics._bottom_pairs_dplr))
     split = set()
-    for case, (_, _, _, group, _, stack, thin) in enumerate(CVE_CORPUS):
-        if stack is None or thin:
+    for case, (_, _, _, group, _, stack, layout) in enumerate(CVE_CORPUS):
+        if stack is None or layout:
             continue
         ss, fits = cve_instance(case)
         events.clear()
@@ -371,7 +386,7 @@ def test_the_cve_corpus_splits_chunks_passes_and_blocks(monkeypatch):
                 chunks[-1].append(event[1:])
         if len(chunks) > 1:
             split.add("chunks")
-        if ("terms", 2) not in events:
+        if ("downdate", 2) not in events:  # no pass factors two sets
             split.add("passes")
         sets = Counter(ss.n * models[0].feature_dim + 2 for models, _ in fits)  # per factor width k
         for blocks, k in itertools.product(chunks, sets):
@@ -379,6 +394,43 @@ def test_the_cve_corpus_splits_chunks_passes_and_blocks(monkeypatch):
             if len(pairs) > 1 and max(pairs) > sets[k]:
                 split.add("blocks")
     assert split == {"chunks", "passes", "blocks"}
+
+
+# The fold downdate against refactoring: each fold's F' = E^-1 F[:, keep] and L'^-1 = E^-1 L^-1 from the
+# whole set's `_per_shape_terms` (`gpa._downdated_terms`) against `_per_shape_terms` of the kept points, at
+# every fold, for (model, partial, group) on d2 m13 sets (folds of 3 leave a ragged last fold) and, for the
+# TPS, at each theta of DOWNDATE_THETAS in one stack; the leverage of held points comes within 4e-5 of 1.
+# Both sides round, and their largest deviation relative to the largest entry grows with the distance of
+# theta from 1.  Measured at most 5e-15 for the affine sets and for the TPS at theta = 1, 3e-14 at 1e-2,
+# 2e-13 at 1e-3 and 1e2, 2e-12 at 1e-5 and 1e3, 2e-11 at 1e4 and 9e-11 at 1e5; each tolerance is about a
+# hundred times its measure.
+DOWNDATE_THETAS = np.array([1e-5, 1e-3, 1e-2, 1.0, 1e2, 1e3, 1e4, 1e5])
+DOWNDATE_TOL = np.array([1e-10, 1e-11, 1e-12, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8])
+DOWNDATE = list(itertools.product(("affine", "tps"), (False, True), (1, 3)))
+
+
+@pytest.mark.parametrize("case", range(len(DOWNDATE)),
+                         ids=[f"{model}-{'partial' if partial else 'full'}-group{group}"
+                              for model, partial, group in DOWNDATE])
+def test_the_fold_downdate_matches_refactoring(case):
+    model, partial, group = DOWNDATE[case]
+    ss, models = instance(720 + case, 2, model, partial, m=13)
+    thetas, tol = (DOWNDATE_THETAS, DOWNDATE_TOL) if model == "tps" else (np.zeros(1), [1e-12])
+    mus = thetas[:, None] * np.array([s.num_visible for s in ss])  # affine models are not smoothed
+    G = ss.visibility_matrix().astype(float)
+    Linv, terms, errors = gpa._per_shape_terms(G, gpa._bases(ss, models), mus)
+    assert errors == {}
+    F = terms[:, :-2].reshape(len(mus), ss.n, -1, ss.m)
+    for fold in _fold_slices(ss.m, CveConfig(group)):
+        keep = np.setdiff1d(np.arange(ss.m), fold)
+        Einv, got, errors = gpa._downdated_terms(np.linalg.inv(Linv), F, np.arange(len(mus)), F[..., fold],
+                                                 np.tile(keep, (len(mus), 1)))
+        want_Linv, want, want_errors = gpa._per_shape_terms(
+            G[:, keep], gpa._bases(restrict_points(ss, keep), models), mus)
+        assert errors == want_errors == {}
+        for t in range(len(mus)):
+            assert relative_deviation(got[t, :-2], want[t, :-2]) <= tol[t]
+            assert relative_deviation(Einv[t] @ Linv[t], want_Linv[t]) <= tol[t]
 
 
 # (seed, d, model) of the partial sets the permutation properties run on

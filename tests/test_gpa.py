@@ -27,7 +27,8 @@ from defgpa import (
     solve_affine_centered,
 )
 from defgpa import gpa as gpa_module
-from defgpa.gpa import _cholesky_solve, _gram_anchor, _per_shape_terms, _procrustes, _rank_below, _stacked
+from defgpa.gpa import (_cholesky, _downdated_terms, _gram_anchor, _per_shape_terms, _procrustes,
+                        _rank_below, _stacked)
 from defgpa.warps import AffineWarp
 from conftest import (
     affine_models,
@@ -409,7 +410,9 @@ class TestAssembleP:
         A = rng.normal(size=(5, 8))
         N = A @ A.T + np.eye(5)
         rhs = rng.normal(size=(5, 3))
-        Linv = _cholesky_solve(N, rhs)
+        L, failed = _cholesky(N)
+        assert not failed
+        Linv = np.linalg.inv(L)
         half = Linv @ rhs
         solved = Linv.T @ half
         np.testing.assert_allclose(solved, np.linalg.solve(N, rhs), rtol=1e-12, atol=1e-12)
@@ -444,6 +447,23 @@ class TestAssembleP:
         _, _, errors = _per_shape_terms(np.ones((1, 2)), bases, np.zeros((1, 1)))
         assert {t: (type(exc), exc.shape_index, str(exc)) for t, exc in errors.items()} == {
             0: (SingularSystem, 0, "normal matrix of shape 0 is singular")}
+
+    def test_singular_fold_downdates(self, rng):
+        # N_i = L_i = I (l = 2) and one held column u per shape: N_i' = I - u u^T.  Fold 1 holds out a
+        # point of leverage 1 in shape 1, so that chol(I - u u^T) fails; fold 2 one of leverage 1 - 1e-14
+        # in shape 0, which passes it with L'_22^2 = 4e-14 N'_22, and shape 1's again; fold 0 is regular
+        lever = np.sqrt((1 - 1e-14) / 2)
+        U = np.array([[[0.6, 0.0], [0.0, 0.8]], [[0.6, 0.0], [1.0, 0.0]], [[lever, lever], [1.0, 0.0]]])
+        F = rng.normal(size=(1, 2, 2, 3))
+        Einv, factor, errors = _downdated_terms(np.eye(2)[None, None].repeat(2, axis=1), F, np.zeros(3, int),
+                                                U[..., None], np.tile(np.arange(3), (3, 1)))
+        assert {p: (type(exc), exc.shape_index, str(exc)) for p, exc in errors.items()} == {
+            1: (SingularSystem, 1, "normal matrix of shape 1 is singular"),
+            2: (SingularSystem, 0, "normal matrix of shape 0 is singular")}
+        for i in range(2):  # fold 0: L'^-1 = E^-1 with E = chol(N')
+            E = np.linalg.cholesky(np.eye(2) - np.outer(U[0, i], U[0, i]))
+            np.testing.assert_allclose(Einv[0, i], np.linalg.inv(E), rtol=1e-14)
+            np.testing.assert_allclose(factor[0, 2 * i:2 * i + 2], Einv[0, i] @ F[0, i], rtol=1e-14)
 
 
 class TestStackedNormalSolves:

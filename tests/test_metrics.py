@@ -24,6 +24,7 @@ from defgpa import (
 )
 from defgpa.gpa import _centred, _fold_priors, _moments, _procrustes, _rank_below, _stacked
 from defgpa.metrics import _fold_slices
+from defgpa.warps import AffineWarp
 from conftest import (affine_models, dense_runs, full_set, full_shapes, kabsch, mask_set, per_fold_reference,
                       random_rotation, restrict_points, solved_fits, tps_models)
 
@@ -264,6 +265,13 @@ class TestCrossValidation:
             assert np.all(np.isfinite(P[:, s.visibility]))
 
 
+class ShortBasis(AffineWarp):
+    """An affine model whose basis lacks its last row: its pass fails in `gpa._bases`."""
+
+    def basis(self, points):
+        return super().basis(points)[:-1]
+
+
 def assert_cve_parity(batched, reference, abs_cve=0.0):
     assert len(batched) == len(reference)
     for got, (cve, predicted) in zip(batched, reference):
@@ -339,32 +347,40 @@ class TestBatchedCrossValidation:
                       min_joint=2 + 2)
         fits = solved_fits(ss, [10.0, 1.0, 0.1], affine=False)
         whole = cross_validation_errors(ss, fits)
-        terms = defgpa.gpa._per_shape_terms
-        passes = []
+        terms, downdate = defgpa.gpa._per_shape_terms, defgpa.gpa._downdated_terms
+        passes, pairs = [], []
 
         def spy(G, bases, mus):
             passes.append(len(mus))
             return terms(G, bases, mus)
 
+        def spy_downdate(L, F, rows, U, keep):
+            pairs.extend((len(L), held_fold(ss.m, row)) for row in keep)
+            return downdate(L, F, rows, U, keep)
+
         monkeypatch.setattr(defgpa.gpa, "_per_shape_terms", spy)
+        monkeypatch.setattr(defgpa.gpa, "_downdated_terms", spy_downdate)
         # k = n l + 2 >= m: the dense eigensolver counts each pair's m x k factor and m x m matrix
         k = ss.n * max(model.feature_dim for model in fits[0][0]) + 2
         monkeypatch.setattr(defgpa.metrics, "_STACK_ENTRIES", 2 * (ss.m * k + ss.m ** 2))
         split = cross_validation_errors(ss, fits)
-        # pass-major: every fold of the two-set pass, then every fold of the one-set pass
-        assert passes == [2] * ss.m + [1] * ss.m
+        # pass-major: every fold of the two-set pass, then every fold of the one-set pass, each pass
+        # factored once
+        assert passes == [2, 1]
+        assert pairs == [(2, f) for f in range(ss.m) for _ in range(2)] + [(1, f) for f in range(ss.m)]
         for got, want in zip(split, whole):
             assert got[0] == want[0]
             np.testing.assert_array_equal(np.array(got[1]), np.array(want[1]))
 
-    @pytest.mark.parametrize("bad", ["negative-smoothing", "missing-model"])
+    @pytest.mark.parametrize("bad", ["negative-smoothing", "missing-model", "short-basis"])
     def test_bad_model_set_fails_alone(self, rng, bad):
         ss = mask_set(rng, full_set(rng, 2, 12, 4, kind="smooth", noise=0.05), 0.15,
                       min_joint=2 + 2)
         fits = solved_fits(ss, [1.0, 0.1])
         models = fits[0][0]
-        models = ([models[0].with_smoothing(-1.0)] + models[1:] if bad == "negative-smoothing"
-                  else models[:-1])
+        models = {"negative-smoothing": [models[0].with_smoothing(-1.0)] + models[1:],
+                  "missing-model": models[:-1],
+                  "short-basis": [ShortBasis(ss.d) for _ in ss]}[bad]
         outcomes = cross_validation_errors(ss, [fits[0], (models, fits[0][1]), fits[1]])
         assert isinstance(outcomes[1], DimensionError)
         for got, want in zip([outcomes[0], outcomes[2]], cross_validation_errors(ss, fits[:2])):
@@ -390,6 +406,12 @@ class TestBatchedCrossValidation:
         fits = solved_fits(ss, [])
         with pytest.raises(DimensionError):
             cross_validation_errors(ss, fits, reflection_ref=ref)
+
+
+def held_fold(m, keep):
+    """The fold of a leave-one-out pair that keeps the columns `keep` of m."""
+    (fold,) = np.setdiff1d(np.arange(m), keep)
+    return int(fold)
 
 
 def fold_priors(shape_set, group=1, allow_reflection=False):
@@ -455,18 +477,18 @@ class TestFoldPriors:
         with pytest.raises(InsufficientOverlap) as want:
             per_fold_reference(ss, fits)
         assert str(want.value) == "need at least 3 jointly visible points, have 2"
-        terms, fold_priors_core = defgpa.gpa._per_shape_terms, defgpa.gpa._fold_priors
+        downdate, fold_priors_core = defgpa.gpa._downdated_terms, defgpa.gpa._fold_priors
         solved_folds, chunks = [], []
 
-        def spy(G, bases, mus):
-            solved_folds.append(G.shape[1])
-            return terms(G, bases, mus)
+        def spy(L, F, rows, U, keep):
+            solved_folds.extend(held_fold(ss.m, row) for row in keep)
+            return downdate(L, F, rows, U, keep)
 
         def spy_priors(Y, G, moments, held, allow_reflection):
             chunks.append(len(held))
             return fold_priors_core(Y, G, moments, held, allow_reflection)
 
-        monkeypatch.setattr(defgpa.gpa, "_per_shape_terms", spy)
+        monkeypatch.setattr(defgpa.gpa, "_downdated_terms", spy)
         monkeypatch.setattr(defgpa.gpa, "_fold_priors", spy_priors)
         for entries, want_chunks in ((defgpa.metrics._STACK_ENTRIES, [ss.m]), (2000, [2, 2, 2])):
             monkeypatch.setattr(defgpa.metrics, "_STACK_ENTRIES", entries)
@@ -475,7 +497,7 @@ class TestFoldPriors:
             for outcome in cross_validation_errors(ss, fits):
                 assert type(outcome) is InsufficientOverlap
                 assert str(outcome) == str(want.value)
-            assert solved_folds == [ss.m - 1] * 2 * 5  # a TPS and an affine pass per fold
+            assert solved_folds == [0, 1, 2, 3, 4] * 2  # a TPS and an affine pass
             assert chunks == want_chunks  # no chunk after the failing one
 
     def test_earliest_failing_fold_wins(self, rng):
@@ -500,22 +522,28 @@ class TestFoldPriors:
         monkeypatch.setattr(defgpa.metrics, "_STACK_ENTRIES", 2**17)  # room for every fold in one block
         whole = cross_validation_errors(ss, fits)
         target = np.array([model.smoothing for model in fits[1][0]])
-        terms, dplr = defgpa.gpa._per_shape_terms, defgpa.metrics._bottom_pairs_dplr
-        blocks = []
+        terms, downdate = defgpa.gpa._per_shape_terms, defgpa.gpa._downdated_terms
+        dplr = defgpa.metrics._bottom_pairs_dplr
+        blocks, mus_of_pass = [], []
 
         def spy_terms(G, bases, mus):
-            F, solved, errors = terms(G, bases, mus)
-            folds = [f for f in range(ss.m) if np.array_equal(G, np.delete(vis, f, axis=1))]
-            for t, row in enumerate(mus):
-                if folds in ([5], [9]) and np.array_equal(row, target):
-                    errors[t] = SingularSystem(f"injected at fold {folds[0]}", shape_index=0)
-            return F, solved, errors
+            mus_of_pass[:] = mus
+            return terms(G, bases, mus)
+
+        def spy_downdate(L, F, rows, U, keep):
+            Einv, factor, errors = downdate(L, F, rows, U, keep)
+            for p, (t, kept) in enumerate(zip(rows, keep)):
+                fold = held_fold(ss.m, kept)
+                if fold in (5, 9) and np.array_equal(mus_of_pass[t], target):
+                    errors[p] = SingularSystem(f"injected at fold {fold}", shape_index=0)
+            return Einv, factor, errors
 
         def spy_dplr(D, W, d, start=None):
             blocks.append(len(W))
             return dplr(D, W, d, start)
 
         monkeypatch.setattr(defgpa.gpa, "_per_shape_terms", spy_terms)
+        monkeypatch.setattr(defgpa.gpa, "_downdated_terms", spy_downdate)
         monkeypatch.setattr(defgpa.metrics, "_bottom_pairs_dplr", spy_dplr)
         outcomes = cross_validation_errors(ss, fits)
         # one block of all folds for the affine set and one for the TPS pairs: set 0 at every fold,
@@ -528,8 +556,8 @@ class TestFoldPriors:
 
     def test_tail_failure_keeps_the_earliest_fold(self, rng, monkeypatch):
         # a block's tail fails a (fold, set) pair where `_rank_below` says so: at rank d for an
-        # undetermined orientation, at rank d-1 for a rank-deficient gauge.  The spies read the pair
-        # from the CVE's own `rows` (and a fold's `f` and `indices`) up the call stack
+        # undetermined orientation, at rank d-1 for a rank-deficient gauge.  The spies read the pairs
+        # from the CVE's own `rows` up the call stack
         import sys
         import defgpa.gpa
         from defgpa.gpa import _RANK_DEFICIENT, _UNORIENTED
@@ -538,9 +566,9 @@ class TestFoldPriors:
         whole = cross_validation_errors(ss, fits)
         d = ss.d
         # set 0: deficient at fold 2, then undetermined at fold 5; set 1: undetermined at fold 1,
-        # deficient at fold 4, and a singular normal matrix at fold 6, which the block solves first
+        # deficient at fold 4, and a singular normal matrix at fold 6, which the block downdates first
         inject = {(2, 0, d - 1), (5, 0, d), (1, 1, d), (4, 1, d - 1)}
-        rank_below, terms = defgpa.gpa._rank_below, defgpa.gpa._per_shape_terms
+        rank_below, downdate = defgpa.gpa._rank_below, defgpa.gpa._downdated_terms
         blocks, injected = [], []
 
         def cve_locals():
@@ -558,16 +586,16 @@ class TestFoldPriors:
                 blocks.append(list(rows))
             return low | np.array([(f, j, rank) in inject for f, j in rows])
 
-        def spy_terms(G, bases, mus):
-            F, solved, errors = terms(G, bases, mus)
-            fold = cve_locals()
-            if fold["f"] == 6 and 1 in fold["indices"]:
-                errors[fold["indices"].index(1)] = SingularSystem("injected at fold 6", shape_index=0)
-                injected.append(fold["f"])
-            return F, solved, errors
+        def spy_downdate(L, F, at, U, keep):
+            Einv, factor, errors = downdate(L, F, at, U, keep)
+            for p, pair in enumerate(cve_locals()["rows"]):
+                if pair == (6, 1):
+                    errors[p] = SingularSystem("injected at fold 6", shape_index=0)
+                    injected.append(pair[0])
+            return Einv, factor, errors
 
         monkeypatch.setattr(defgpa.gpa, "_rank_below", spy_rank_below)
-        monkeypatch.setattr(defgpa.gpa, "_per_shape_terms", spy_terms)
+        monkeypatch.setattr(defgpa.gpa, "_downdated_terms", spy_downdate)
         outcomes = cross_validation_errors(ss, fits)
         # folds 1-6 share a block, so set 1's singular fold 6 is recorded before its tail runs
         assert injected == [6]
