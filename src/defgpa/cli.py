@@ -25,7 +25,7 @@ import time
 import numpy as np
 
 from . import gpa, metrics
-from .errors import DefgpaError, DimensionError, FormatError
+from .errors import DefgpaError, DimensionError, FormatError, _raised
 from .shapes import load_shapes, shape_document
 from .warps import AffineWarp, TpsWarp, place_control_points, tps_build
 
@@ -150,27 +150,11 @@ def _solve_grid(shape_set, config, thetas, group, check_conditions=False):
         prior = gpa.estimate_prior_for_set(shape_set, allow_reflection=config.allow_reflection)
     except DefgpaError as exc:  # every grid point fails alike
         return [exc] * len(thetas)
-    results = []
-    for theta in thetas:
-        models = _with_theta(splines, shape_set, theta)
-        try:
-            results.append((models, gpa.solve(
-                shape_set, models, prior=prior, reflection_ref=reflection_ref,
-                allow_reflection=config.allow_reflection, check_conditions=check_conditions)))
-        except DefgpaError as exc:  # record the failed grid point, keep solving
-            results.append(exc)
-    fits = [fit for fit in results if not isinstance(fit, DefgpaError)]
-    outcomes = iter(metrics.cross_validation_errors(
-        shape_set, fits, config=metrics.CveConfig(group), reflection_ref=reflection_ref,
-        allow_reflection=config.allow_reflection) if group is not None and fits else [None] * len(fits))
-    return [fit if isinstance(fit, DefgpaError) else (*fit, next(outcomes)) for fit in results]
-
-
-def _raised(outcome):
-    """An outcome of `_solve_grid`, raised if it is the DefgpaError that stopped it."""
-    if isinstance(outcome, DefgpaError):
-        raise outcome
-    return outcome
+    model_sets = [_with_theta(splines, shape_set, theta) for theta in thetas]
+    results = metrics._grid(shape_set, model_sets, prior, None if group is None else metrics.CveConfig(group),
+                            reflection_ref, config.allow_reflection, check_conditions)
+    return [result if isinstance(result, DefgpaError) else (models, *result)
+            for models, result in zip(model_sets, results)]
 
 
 def cmd_solve(config):

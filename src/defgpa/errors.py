@@ -47,3 +47,10 @@ class SingularSystem(DefgpaError):
 
 class SingularTransform(DefgpaError):
     """A transform with no usable inverse (non-invertible affine part)."""
+
+
+def _raised(outcome):
+    """An outcome that may be the DefgpaError that stopped it, raised if it is."""
+    if isinstance(outcome, DefgpaError):
+        raise outcome
+    return outcome

@@ -13,7 +13,7 @@ the selection.  A reflection correction against one datum shape fixes the
 orientation gauge.
 """
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .errors import (
     DimensionError,
     InsufficientOverlap,
     SingularSystem,
+    _raised,
 )
 from .spectral import CovariancePrior, _bottom_pairs_dplr, _scale_selected, leftmost_singular_vector
 from .warps import AffineWarp, _witness_and_residual
@@ -540,14 +541,12 @@ def check_theorem_conditions(shape_set, models, tol=1e-6):
 def _checked_args(shape_set, prior, reflection_ref, allow_reflection=False):
     """The prior of a solve, checked against the shape set.
 
-    Needs d <= m-1, so that the ones vector can be excluded, and a datum
-    shape index 0 <= reflection_ref < n.  A prior of None is estimated from
-    the (completed) shapes, a plain array is coerced to a CovariancePrior,
-    and either must have d entries.
+    Needs a datum shape index 0 <= reflection_ref < n; the m >= d+1 points
+    that exclude the ones vector hold for every Shape.  A prior of None is
+    estimated from the (completed) shapes, a plain array is coerced to a
+    CovariancePrior, and either must have d entries.
     """
-    d, m, n = shape_set.d, shape_set.m, shape_set.n
-    if d > m - 1:
-        raise DimensionError(f"need m >= d+1 landmarks to exclude the ones vector, got d={d}, m={m}")
+    d, n = shape_set.d, shape_set.n
     if not 0 <= reflection_ref < n:
         raise DimensionError(f"reflection_ref {reflection_ref} out of range for n={n}")
     if prior is None:
@@ -612,6 +611,31 @@ def _solution(shape_set, S, Linv, F, models, prior, report=None):
     )
 
 
+def _solve_pass(shape_set, model_sets, bases, mus, prior, reflection_ref, check_conditions):
+    """The full solves of T model sets with the per-shape models of `bases` (`_bases`), one per row of
+    smoothing weights mus (T x n), under a checked prior: one `_per_shape_terms` call, and one stacked
+    eigensolve and `_references` of the rows it does not fail.  Returns each row's GpaSolution or
+    DefgpaError, L^-1, and the `_per_shape_terms` array with F uncentred, for the CVE's folds."""
+    n, d, m = shape_set.n, shape_set.d, shape_set.m
+    Linv, factor, outcomes = _per_shape_terms(shape_set.visibility_matrix(), bases, mus)
+    ok = [t for t in range(len(mus)) if t not in outcomes]
+    if ok:
+        counts = shape_set.visibility_matrix().sum(axis=0, dtype=float)
+        W, centre = _factors(factor, counts, n)
+        values, V = _bottom_pairs_dplr(np.broadcast_to(counts, (len(ok), m)), W[ok] if outcomes else W, d)
+        factor[:, :-2] += centre  # the tail and the folds read F uncentred
+        X, G = _stacked(shape_set)
+        S, undetermined = _references(values, V, prior.lambdas[None], _gram_anchor(X, G),
+                                      X[reflection_ref], G[reflection_ref])
+    F = factor[:, :-2].reshape(len(mus), n, -1, m)
+    for k, t in enumerate(ok):
+        models = model_sets[t]
+        report = _theorem_conditions(shape_set, Linv[t], F[t], models, 1e-6) if check_conditions else None
+        outcomes[t] = DegenerateConfiguration(_UNORIENTED) if undetermined[k] else _solution(
+            shape_set, S[k], Linv[t], F[t], models, prior, report)
+    return [outcomes[t] for t in range(len(mus))], Linv, factor
+
+
 def solve(shape_set, models, prior=None, reflection_ref=0,
           allow_reflection=False, check_conditions=True):
     """Closed-form GPA with linear basis warps.
@@ -621,22 +645,14 @@ def solve(shape_set, models, prior=None, reflection_ref=0,
     selection), scales them by the prior, corrects reflection against one
     datum shape, and recovers per-shape weights by regularized least squares.
     With prior=None the reference covariance prior is estimated from the
-    (completed) shapes.  This is the one-set case of the pass that
-    cross-validation runs per fold.
+    (completed) shapes.  This is the one-set `_solve_pass`, which writes
+    F = L^-1 Bg over the bases: a solve holds one basis-sized array.
     """
     prior = _checked_args(shape_set, prior, reflection_ref, allow_reflection)
-    Linv, F, factor = _terms(shape_set, models)
-    counts = shape_set.visibility_matrix().sum(axis=0, dtype=float)
-    W, centre = _factors(factor[None], counts, shape_set.n)
-    values, V = _bottom_pairs_dplr(counts[None], W, shape_set.d)
-    factor[:-2] += centre[0]  # the tail reads F uncentred
-    X, G = _stacked(shape_set)
-    (S,), (undetermined,) = _references(values, V, prior.lambdas[None], _gram_anchor(X, G),
-                                        X[reflection_ref], G[reflection_ref])
-    if undetermined:
-        raise DegenerateConfiguration(_UNORIENTED)
-    report = _theorem_conditions(shape_set, Linv, F, models, 1e-6) if check_conditions else None
-    return _solution(shape_set, S, Linv, F, models, prior, report)
+    mus = _smoothings(shape_set, models)[None]
+    (solution,), _, _ = _solve_pass(shape_set, [models], _bases(shape_set, models), mus, prior,
+                                    reflection_ref, check_conditions)
+    return _raised(solution)
 
 
 def solve_affine_centered(shape_set, prior=None, reflection_ref=0):
@@ -645,32 +661,22 @@ def solve_affine_centered(shape_set, prior=None, reflection_ref=0):
     Centers every shape, sums the projectors onto the centered row spaces
     (Q_o), and scales the d top eigenvectors by the prior; equivalent to the
     homogeneous path up to row signs.  They are the bottom d of n I - Q_o, the
-    full-set solve matrix of the centred bases (whose rows H leaves as they
-    are), which the DPLR eigensolver takes as `solve` does.  Weights and costs
-    follow as in `solve`, with affine warps.
+    solve matrix of the centred bases Dbar_i, so this is `_solve_pass` on
+    them; with F_i = L_i^-1 Dbar_i the weights are A_i^T = L_i^-T (F_i S^T)
+    and, as S 1 = 0, t_i = -A_i cbar_i at the centroid cbar_i.
     """
     if not shape_set.all_full:
         raise DegenerateInput("translation-eliminated affine GPA requires full shapes")
     prior = _checked_args(shape_set, prior, reflection_ref)
     n, d, m = shape_set.n, shape_set.d, shape_set.m
-    X, G = _stacked(shape_set)
+    X = np.stack([shape.points for shape in shape_set])
+    centroids = X.mean(axis=2)
     stack = np.zeros((n * d + 2, m))  # the centred shapes Dbar, in the rows that become F
-    np.subtract(X, X.mean(axis=2, keepdims=True), out=stack[:-2].reshape(n, d, m))
-    _, factor, errors = _per_shape_terms(G, (stack, np.zeros((n, d, d)), (d,) * n), np.zeros((1, n)))
-    if errors:
-        i = errors[0].shape_index
-        raise SingularSystem(f"centered shape {i} is degenerate", shape_index=i) from errors[0]
-
-    # the top d of Q = sum_i Dbar_i^T (Dbar_i Dbar_i^T)^-1 Dbar_i = sum_i F_i^T F_i are the
-    # bottom d of -Q, with identical prior pairing: those of n I - Q, less n
-    counts = np.full(m, float(n))
-    values, V = _bottom_pairs_dplr(counts[None], _factors(factor, counts, n)[0], d)
-    del stack, factor  # freed before the affine terms below
-    values -= n
-    (S,), (undetermined,) = _references(values, V, prior.lambdas[None], _gram_anchor(X, G),
-                                        X[reflection_ref], G[reflection_ref])
-    if undetermined:
-        raise DegenerateConfiguration(_UNORIENTED)
-    models = [AffineWarp(shape_set.d) for _ in shape_set]
-    Linv, F, _ = _terms(shape_set, models)
-    return _solution(shape_set, S, Linv, F, models, prior)
+    np.subtract(X, centroids[..., None], out=stack[:-2].reshape(n, d, m))
+    (solution,), _, _ = _solve_pass(shape_set, [[AffineWarp(d)] * n], (stack, np.zeros((n, d, d)), (d,) * n),
+                                    np.zeros((1, n)), prior, reflection_ref, False)
+    if isinstance(solution, SingularSystem):
+        i = solution.shape_index
+        raise SingularSystem(f"centered shape {i} is degenerate", shape_index=i) from solution
+    weights = _raised(solution).weights
+    return replace(solution, weights=tuple(np.vstack([A, -c @ A]) for A, c in zip(weights, centroids)))

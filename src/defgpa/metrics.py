@@ -3,8 +3,9 @@
 rmse_r measures residuals after mapping each datum shape into the reference
 frame; rmse_d maps the reference back through per-shape inverse transforms
 (exact for invertible affine maps, a fitted inverse spline for the TPS).  The
-cross-validation error re-solves the GPA with groups of points held out,
-predicts them through the fold transforms, and gauge-corrects with a rigid
+cross-validation error holds out groups of points: each fold's solve
+downdates the factorization of the full solve on all points, predicts the
+held-out points through the fold transforms, and gauge-corrects with a rigid
 Procrustes between the fold reference and the full reference.
 """
 
@@ -18,6 +19,7 @@ from .errors import (
     DimensionError,
     InsufficientOverlap,
     SingularTransform,
+    _raised,
 )
 from . import gpa as _gpa
 from .spectral import _bottom_pairs_dplr
@@ -85,77 +87,21 @@ def _fold_slices(m, config):
     return [np.arange(k, min(k + N, m)) for k in range(0, m, N)]
 
 
-def cross_validation_errors(shape_set, fits, config=None, reflection_ref=0,
-                            allow_reflection=False):
-    """Leave-N-out CVE of several solved model sets (one per theta) on one shape set.
-
-    `fits` holds (models, full solution) pairs, each solution the GPA of the
-    whole set with those models.  Each shape's basis is computed once per pass
-    on all m points, and the points and masks are stacked once; a fold slices
-    their kept columns and builds no shape objects.  Every fold prior comes
-    first, in chunks of folds bounded by _STACK_ENTRIES: the whole set's pair
-    moments minus those of each fold's held-out columns (with reflections when
-    `allow_reflection`, as the full prior was), up to the first fold that
-    fails.  Then sets with equal per-shape models share passes bounded by
-    _STACK_ENTRIES.  A pass factors its sets once, on all m points, and takes
-    the folds with priors in fixed blocks within the same bound, a ragged last
-    fold in a block of its own.  Each (fold, set) pair of a block downdates
-    that factorization by the fold's held-out columns (`gpa._downdated_terms`)
-    into the factors of its solve matrix, with n/m' of the fold on 11^T; a
-    fold whose normal matrix is singular fails its set, and so does a failed
-    whole-set factorization, at the first fold.  The block then runs one
-    stacked eigensolve of its pairs, each started from its full reference on
-    the fold's kept points (DPLR, or dense where the factors have k >= m'
-    columns), and its tail on the same stack: scaling, reflection, the rigid
-    alignment of each fold reference to the full reference on the kept points,
-    and the prediction of held-out points as W_i^T B_i[:, fold].  Only
-    originally visible landmarks count.
-
-    Returns one entry per model set: (cve, predicted shapes), or the
-    DefgpaError of its earliest failing fold; a failed model set skips the
-    later folds.
-    """
-    if config is None:
-        config = CveConfig()
+def _cve_folds(shape_set, config, allow_reflection):
+    """The stacked points and masks (`gpa._stacked`), the folds' columns (F x g, padded with m), the
+    prior eigenvalues of the folds before the first that fails (`gpa._fold_priors`, in chunks bounded by
+    _STACK_ENTRIES), and that fold's error or None; a fold size that leaves < d+1 points fails fold 0."""
     d, m, n = shape_set.d, shape_set.m, shape_set.n
-    if not 0 <= reflection_ref < n:
-        raise DimensionError(f"reflection_ref {reflection_ref} out of range for n={n}")
-    if config.group_size >= m:
-        return [DimensionError(f"fold size {config.group_size} must be below m={m}")] * len(fits)
-    if m - config.group_size < d + 1:
-        return [DimensionError(
-            f"folds of {config.group_size} leave fewer than d+1={d + 1} points")] * len(fits)
-
-    outcomes = [None] * len(fits)
-    smoothing, batches = {}, {}  # model sets with equal per-shape models share passes
-    for j, (models, _) in enumerate(fits):
-        try:
-            smoothing[j] = _gpa._smoothings(shape_set, models)
-        except DefgpaError as exc:
-            outcomes[j] = exc
-            continue
-        batches.setdefault(tuple((type(model), repr(model.describe())) for model in models), []).append(j)
-    # A pass factors its T <= size sets on all m points into a T x k x m array (k = n l + 2), with T = 1
-    # the array of the bases it computes, and ends each block of `step` folds, at most `size` (fold,
-    # set) pairs, in one stacked eigensolve and its tail.  A pair counts its m' x k factor and, where
-    # k >= m' makes the eigensolve dense, its m' x m' matrix: m k + m^2.  Where k < m' it also counts
-    # its set's row of the pass's array (held once per set in a block of one fold) and the DPLR's three
-    # k x k kernels (S^-1 and the certificate's two): 2 m k + 3 k^2.  The dense count leaves that row
-    # out, so that the CLI's grid of eleven smoothing values shares one pass at m = 40.  The tail holds
-    # about 12 d m + 4 n d g entries per pair once the factors and the block before are freed, and a
-    # pair counts whichever of the two is larger.
-    passes = []
-    tail = 12 * d * m + 4 * n * d * config.group_size
-    for indices in batches.values():
-        k = n * max(model.feature_dim for model in fits[indices[0]][0]) + 2
-        size = max(1, _STACK_ENTRIES // max(m * k + m * m if k >= m else 2 * m * k + 3 * k * k, tail))
-        passes += [(indices[i:i + size], size) for i in range(0, len(indices), size)]
     X0, G0 = _gpa._stacked(shape_set)
-    _, Y0 = _gpa._centred(X0, G0)
-    moments = _gpa._moments(Y0, G0)
     folds = _fold_slices(m, config)
     g = config.group_size
-    held = np.minimum(np.arange(len(folds) * g).reshape(-1, g), m)  # the folds' columns, padded with m
+    held = np.minimum(np.arange(len(folds) * g).reshape(-1, g), m)
+    if m - g < d + 1:
+        error = DimensionError(f"fold size {g} must be below m={m}") if g >= m else DimensionError(
+            f"folds of {g} leave fewer than d+1={d + 1} points")
+        return X0, G0, held, np.zeros((0, d)), error
+    _, Y0 = _gpa._centred(X0, G0)
+    moments = _gpa._moments(Y0, G0)
     dropped = np.concatenate([G0, np.zeros((n, 1))], axis=1)[:, held].sum(axis=-1)
     short = np.flatnonzero(np.any(G0.sum(axis=1)[:, None] - dropped < d + 1, axis=0))
     last = int(short[0]) if short.size else len(folds)  # the folds before it reach their priors
@@ -172,97 +118,174 @@ def cross_validation_errors(shape_set, fits, config=None, reflection_ref=0,
         if failure is not None:
             error = failure
             break
-    lambdas = np.array(lambdas)
-    del Y0, moments, dropped  # read by the fold priors only
+    return X0, G0, held, np.array(lambdas).reshape(-1, d), error
+
+
+def _pass_layout(shape_set, model_sets, outcomes, g):
+    """The passes (model sets, size, smoothing rows) of model sets with equal per-shape models, for folds
+    of g points (0 for none); a set that `gpa._smoothings` rejects gets its error in outcomes instead."""
+    d, m, n = shape_set.d, shape_set.m, shape_set.n
+    smoothing, batches = {}, {}
+    for j, models in enumerate(model_sets):
+        try:
+            smoothing[j] = _gpa._smoothings(shape_set, models)
+        except DefgpaError as exc:
+            outcomes[j] = exc
+            continue
+        batches.setdefault(tuple((type(model), repr(model.describe())) for model in models), []).append(j)
+    # A pass of T <= size sets holds one T x k x m factor array (k = n l + 2; at T = 1 the bases' own
+    # array) and solves its T full matrices in one stacked eigensolve; a block of its folds holds at most
+    # `size` (fold, set) pairs.  A pair counts its m' x k factor and its m' x m' matrix where k >= m' makes
+    # the eigensolve dense (m k + m^2), else also its set's row of the pass's array and the DPLR's three
+    # k x k kernels (2 m k + 3 k^2); the dense count leaves that row out, so that the CLI's grid of eleven
+    # smoothing values shares one pass at m = 40.  The tail holds about 12 d m + 4 n d g entries per
+    # pair, and a pair counts the larger.  A full matrix counts no more than a pair.
+    passes = []
+    tail = 12 * d * m + 4 * n * d * g
+    for indices in batches.values():
+        k = n * max(model.feature_dim for model in model_sets[indices[0]]) + 2
+        size = max(1, _STACK_ENTRIES // max(m * k + m * m if k >= m else 2 * m * k + 3 * k * k, tail))
+        passes += [(indices[i:i + size], size) for i in range(0, len(indices), size)]
+    return [(batch, size, np.array([smoothing[j] for j in batch])) for batch, size in passes]
+
+
+def _fold_blocks(folds, batch, size, Linv, terms, fulls, reflection_ref):
+    """The CVE outcomes of one pass's model sets, from its L^-1, its `gpa._per_shape_terms` array (F
+    uncentred) and each set's full solution, or the error that fails it at the first fold.
+
+    The folds (`_cve_folds`) come in blocks of at most `size` (fold, set) pairs,
+    a ragged last fold in a block of its own.  Each pair downdates its set's
+    factorization (`gpa._downdated_terms`), and a block ends in one stacked
+    eigensolve and tail.  A set's earliest failing fold fails it."""
+    X0, G0, held, lambdas, error = folds
+    (n, d, m), g = X0.shape, held.shape[1]
     whole = min(len(lambdas), m // g)  # the first m // g folds are whole; a ragged last fold keeps more
     fold_of = np.arange(m) // g
     counts = G0.sum(axis=0)
-    predicted = {j: np.full((n, d, m), np.nan) for batch, _ in passes for j in batch}
-    failures = {}  # model set -> (fold, error) of its earliest failing fold
-    for batch, size in passes:
-        try:
-            bases = _gpa._bases(shape_set, fits[batch[0]][0])
-        except DefgpaError as exc:  # the pass's sets share their models
-            failures.update({j: (-1, exc) for j in batch})
+    F = terms[:, :-2].reshape(len(batch), n, -1, m)
+    L = np.linalg.inv(Linv)  # the Cholesky factors of the whole sets' normal matrices
+    predicted = np.full((len(batch), n, d, m), np.nan)
+    step = max(1, size // len(batch))
+    cuts = [*range(0, whole, step), whole, len(lambdas)]
+    # a set whose full solve fails fails at the first fold, unless that fold has no prior
+    failures = {j: (0, exc) for j, exc in zip(batch, fulls) if isinstance(exc, DefgpaError) and len(lambdas)}
+    for first, end in zip(cuts, cuts[1:]):
+        rows = [(f, j) for f in range(first, end) for j in batch if j not in failures]
+        if not rows:
             continue
-        Linv, terms, errors = _gpa._per_shape_terms(G0, bases, np.array([smoothing[j] for j in batch]))
-        if len(lambdas):  # a set that fails on all m points fails at the first fold
-            failures.update({batch[t]: (0, exc) for t, exc in errors.items()})
-        F = terms[:, :-2].reshape(len(batch), n, -1, m)
-        L = np.linalg.inv(Linv)  # the Cholesky factors of the whole sets' normal matrices
-        step = max(1, size // len(batch))
-        cuts = [*range(0, whole, step), whole, len(lambdas)]
-        for first, end in zip(cuts, cuts[1:]):
-            rows = [(f, j) for f in range(first, end) for j in batch if j not in failures]
-            if not rows:
+        f, j = np.array(rows).T
+        keep = np.nonzero(fold_of != f[:, None])[1].reshape(len(f), -1)
+        cols = held[f]  # held is padded with m: zero columns of U there
+        at = np.array([batch.index(i) for i in j])  # the pass row of each pair
+        U = np.moveaxis(F[at[:, None], :, :, np.minimum(cols, m - 1)], 1, -1)
+        U *= (cols < m)[:, None, None]
+        Einv, factor, fold_errors = _gpa._downdated_terms(L, F, at, U, keep)
+        for p, exc in sorted(fold_errors.items()):  # rows are fold-major: a set's first is its earliest
+            failures.setdefault(rows[p][1], (rows[p][0], exc))
+        ok = [p for p, (f, j) in enumerate(rows) if j not in failures or f < failures[j][0]]
+        if not ok:
+            continue
+        if len(ok) < len(rows):
+            rows, at, keep, U, Einv = [rows[p] for p in ok], at[ok], keep[ok], U[ok], Einv[ok]
+            factor = factor[ok]
+        f, j = np.array(rows).T
+        mask = (fold_of != f[:, None]).astype(float)
+        full = np.stack([fulls[t].reference for t in at])
+        W, centre = _gpa._factors(factor, counts[keep], n)
+        warm = None if W.shape[2] >= W.shape[1] else np.swapaxes(
+            np.take_along_axis(full, keep[:, None], axis=-1), -1, -2)
+        values, V = _bottom_pairs_dplr(counts[keep], W, d, warm)
+        lifted = np.zeros((len(f), m, d))
+        lifted[mask > 0] = V.reshape(-1, d)
+        # S = C V^T (C = S V) and B_i[:, H] = L_i U_i where visible give W_i^T B_i[:, H] =
+        # C (F_i' V)^T E_i^-1 U_i, and F' V = F'_c V + c 1^T V with F'_c centred by `_factors`
+        FV = (factor[:, :-2] @ V + centre * V.sum(axis=1, keepdims=True)).reshape(len(f), n, -1, d)
+        P = np.swapaxes(FV, -1, -2) @ (Einv @ U)
+        del W, factor, FV
+        S, undetermined = _gpa._references(
+            values, lifted, lambdas[f], lambda k: _gpa._gram_anchor(X0, G0 * mask[k]),
+            X0[reflection_ref], G0[reflection_ref] * mask)
+        R, t, sv = _gpa._procrustes(S, full, mask)
+        deficient = _gpa._rank_below(sv, d - 1)
+        pred = R[:, None] @ ((S @ lifted)[:, None] @ P) + t[:, None, :, None]
+        for k, (f, j) in enumerate(rows):
+            if j in failures and failures[j][0] < f:
                 continue
-            f, j = np.array(rows).T
-            keep = np.nonzero(fold_of != f[:, None])[1].reshape(len(f), -1)
-            cols = held[f]  # held is padded with m: zero columns of U there
-            at = np.array([batch.index(i) for i in j])  # the pass row of each pair
-            U = np.moveaxis(F[at[:, None], :, :, np.minimum(cols, m - 1)], 1, -1)
-            U *= (cols < m)[:, None, None]
-            Einv, factor, fold_errors = _gpa._downdated_terms(L, F, at, U, keep)
-            for p, exc in sorted(fold_errors.items()):  # rows are fold-major: a set's first is its earliest
-                failures.setdefault(rows[p][1], (rows[p][0], exc))
-            ok = [p for p, (f, j) in enumerate(rows) if j not in failures or f < failures[j][0]]
-            if not ok:
-                continue
-            if len(ok) < len(rows):
-                rows, keep, U, Einv, factor = [rows[p] for p in ok], keep[ok], U[ok], Einv[ok], factor[ok]
-            f, j = np.array(rows).T
-            mask = (fold_of != f[:, None]).astype(float)
-            full = np.stack([fits[i][1].reference for i in j])
-            W, centre = _gpa._factors(factor, counts[keep], n)
-            warm = None if W.shape[2] >= W.shape[1] else np.swapaxes(
-                np.take_along_axis(full, keep[:, None], axis=-1), -1, -2)
-            values, V = _bottom_pairs_dplr(counts[keep], W, d, warm)
-            lifted = np.zeros((len(f), m, d))
-            lifted[mask > 0] = V.reshape(-1, d)
-            # S = C V^T (C = S V) and B_i[:, H] = L_i U_i where visible give W_i^T B_i[:, H] =
-            # C (F_i' V)^T E_i^-1 U_i, and F' V = F'_c V + c 1^T V with F'_c centred by `_factors`
-            FV = (factor[:, :-2] @ V + centre * V.sum(axis=1, keepdims=True)).reshape(len(f), n, -1, d)
-            P = np.swapaxes(FV, -1, -2) @ (Einv @ U)
-            del W, factor, FV
-            S, undetermined = _gpa._references(
-                values, lifted, lambdas[f], lambda k: _gpa._gram_anchor(X0, G0 * mask[k]),
-                X0[reflection_ref], G0[reflection_ref] * mask)
-            R, t, sv = _gpa._procrustes(S, full, mask)
-            deficient = _gpa._rank_below(sv, d - 1)
-            pred = R[:, None] @ ((S @ lifted)[:, None] @ P) + t[:, None, :, None]
-            for k, (f, j) in enumerate(rows):
-                if j in failures and failures[j][0] < f:
-                    continue
-                if undetermined[k] or deficient[k]:
-                    failures[j] = (f, DegenerateConfiguration(
-                        _gpa._UNORIENTED if undetermined[k] else _gpa._RANK_DEFICIENT))
-                else:
-                    predicted[j][:, :, folds[f]] = pred[k, :, :, :folds[f].size]
-            del lifted, S, full, mask, keep, V  # freed before the next block forms its factors
-        del L, terms, F
+            if undetermined[k] or deficient[k]:
+                failures[j] = (f, DegenerateConfiguration(
+                    _gpa._UNORIENTED if undetermined[k] else _gpa._RANK_DEFICIENT))
+            else:
+                cols = held[f][held[f] < m]
+                predicted[at[k]][:, :, cols] = pred[k, :, :, :cols.size]
+        del lifted, S, full, mask, keep, V  # freed before the next block forms its factors
 
     # a set with no failing fold has a prediction at every fold; its CVE stands if every fold has a prior
-    visible = shape_set.visibility_matrix()[:, None, :]
-    for j, points in predicted.items():
+    visible = G0[:, None, :] > 0
+    outcomes = []
+    for j, points, full in zip(batch, predicted, fulls):
         if j in failures or error is not None:
-            outcomes[j] = failures[j][1] if j in failures else error
+            outcomes.append(failures[j][1] if j in failures else error)
             continue
-        total = sum(float(np.sum(D * D)) for D in np.where(visible, points - fits[j][1].reference, 0.0))
-        outcomes[j] = (float(np.sqrt(total / visible.sum())), list(np.where(visible, points, np.nan)))
+        total = sum(float(np.sum(D * D)) for D in np.where(visible, points - full.reference, 0.0))
+        outcomes.append((float(np.sqrt(total / visible.sum())), list(np.where(visible, points, np.nan))))
+    return outcomes
+
+
+def cross_validation_errors(shape_set, fits, config=None, reflection_ref=0,
+                            allow_reflection=False):
+    """Leave-N-out CVE of several solved model sets (one per theta) on one shape set.
+
+    `fits` holds (models, full solution) pairs, each solution the GPA of the
+    whole set with those models.  This is `_grid` with the fits in place of
+    its full solves: a pass factors its sets once, on all m points, and its
+    folds downdate that factorization.  Returns one entry per model set:
+    (cve, predicted shapes), or the DefgpaError of its earliest failing fold.
+    """
+    if not 0 <= reflection_ref < shape_set.n:
+        raise DimensionError(f"reflection_ref {reflection_ref} out of range for n={shape_set.n}")
+    return _grid(shape_set, [models for models, _ in fits], None, config or CveConfig(), reflection_ref,
+                 allow_reflection, fits=fits)
+
+
+def _grid(shape_set, model_sets, prior, config=None, reflection_ref=0, allow_reflection=False,
+          check_conditions=False, fits=None):
+    """The full solves of model sets on one shape set under one checked prior (`gpa._checked_args`), and
+    their CVE when `config` is set.
+
+    The fold priors come first (`_cve_folds`); each pass (`_pass_layout`)
+    computes its bases once, solves its sets at once (`gpa._solve_pass`), and
+    its folds downdate that factorization (`_fold_blocks`).  Returns per set
+    the DefgpaError that stopped its full solve, or (GpaSolution, CVE outcome
+    or None); with `fits`, the passes only factor, and it returns the CVEs."""
+    outcomes = [None] * len(model_sets)
+    passes = _pass_layout(shape_set, model_sets, outcomes, 0 if config is None else config.group_size)
+    folds = None if config is None else _cve_folds(shape_set, config, allow_reflection)
+    for batch, size, mus in passes:
+        try:
+            bases = _gpa._bases(shape_set, model_sets[batch[0]])
+        except DefgpaError as exc:  # the pass's sets share their models
+            for j in batch:
+                outcomes[j] = exc
+            continue
+        if fits is None:
+            rows, Linv, factor = _gpa._solve_pass(shape_set, [model_sets[j] for j in batch], bases, mus,
+                                                  prior, reflection_ref, check_conditions)
+        else:
+            Linv, factor, errors = _gpa._per_shape_terms(shape_set.visibility_matrix(), bases, mus)
+            rows = [errors.get(t, fits[j][1]) for t, j in enumerate(batch)]
+        cves = [None] * len(batch)
+        if folds is not None:
+            cves = _fold_blocks(folds, batch, size, Linv, factor, rows, reflection_ref)
+        for j, full, cve in zip(batch, rows, cves):
+            outcomes[j] = cve if fits is not None else full if isinstance(full, DefgpaError) else (full, cve)
+        del bases, Linv, factor  # freed before the next pass computes its bases
     return outcomes
 
 
 def cross_validation_error(shape_set, models, prior=None, config=None, reflection_ref=0):
-    """Leave-N-out CVE and the per-shape predicted reference shapes.
-
-    Solves the full set once (prior estimated when None), then runs the
-    one-model-set case of `cross_validation_errors`; the prior of every fold
-    is re-estimated on the reduced set, as the full pipeline would.
-    """
-    full = _gpa.solve(shape_set, models, prior=prior, reflection_ref=reflection_ref,
-                      check_conditions=False)
-    outcome, = cross_validation_errors(shape_set, [(models, full)], config=config,
-                                       reflection_ref=reflection_ref)
-    if isinstance(outcome, DefgpaError):
-        raise outcome
-    return outcome
+    """Leave-N-out CVE and the per-shape predicted reference shapes of one model set, whose full solve
+    (prior estimated when None) and folds share one `_grid` pass; every fold's prior is re-estimated
+    on the reduced set, as the full pipeline would."""
+    prior = _gpa._checked_args(shape_set, prior, reflection_ref)
+    (outcome,) = _grid(shape_set, [models], prior, config or CveConfig(), reflection_ref)
+    return _raised(_raised(outcome)[1])

@@ -34,6 +34,23 @@ def write_set(path, shape_set):
     return str(path)
 
 
+def count_calls(monkeypatch, *names):
+    """The arguments of every call to the named functions of `defgpa.gpa`, recorded as they run."""
+    import defgpa.gpa
+    calls = {}
+
+    def spy(name, real):
+        def call(*args, **kwargs):
+            calls[name].append(args)
+            return real(*args, **kwargs)
+        return call
+
+    for name in names:
+        calls[name] = []
+        monkeypatch.setattr(defgpa.gpa, name, spy(name, getattr(defgpa.gpa, name)))
+    return calls
+
+
 @pytest.fixture
 def identical_pair(rng, tmp_path):
     pts = rng.normal(size=(2, 8))
@@ -278,38 +295,23 @@ class TestSweepCommand:
         assert not out.exists()
 
     def test_one_full_solve_per_theta(self, rng, tmp_path, monkeypatch):
-        # k thetas on m points with folds of 1: k full solves, each a batch of one
-        # model set, then one pass of all k model sets on all m points, whose (fold,
-        # model set) pairs are downdated from it in one block
-        import defgpa.gpa
+        # k thetas on m points with folds of 1: one pass of all k model sets computes the bases once,
+        # factors them in one call on all m points and solves the k full matrices in one stacked
+        # eigensolve; its (fold, model set) pairs are downdated from it in one block
         ss = full_set(rng, 2, 9, 3, kind="smooth", noise=0.05)
         path = write_set(tmp_path / "set.json", ss)
-        real_solve = defgpa.gpa.solve
-        real_terms, real_downdate = defgpa.gpa._per_shape_terms, defgpa.gpa._downdated_terms
-        solves = []
-        batches = []
-        downdates = []
-
-        def solve(*args, **kwargs):
-            solves.append(None)
-            return real_solve(*args, **kwargs)
-
-        def terms(G, bases, mus):
-            batches.append((G.shape[1], len(mus)))
-            return real_terms(G, bases, mus)
-
-        def downdate(L, F, rows, U, keep):
-            downdates.append((keep.shape[1], len(rows)))
-            return real_downdate(L, F, rows, U, keep)
-
-        monkeypatch.setattr(defgpa.gpa, "solve", solve)
-        monkeypatch.setattr(defgpa.gpa, "_per_shape_terms", terms)
-        monkeypatch.setattr(defgpa.gpa, "_downdated_terms", downdate)
+        calls = count_calls(monkeypatch, "solve", "_bases", "_per_shape_terms", "_downdated_terms",
+                            "_bottom_pairs_dplr")
         assert main(["sweep", "--input", path, "--model", "tps", "--thetas", "10,1,0.1",
                      "--cve-group", "1", "--output", str(tmp_path / "g.csv")]) == 0
-        assert len(solves) == 3
-        assert batches == [(ss.m, 1)] * 3 + [(ss.m, 3)]
-        assert downdates == [(ss.m - 1, 3 * ss.m)]
+        k = ss.n * 9 + 2  # l = 9 for a 3 x 3 control grid
+        assert calls["solve"] == []
+        assert len(calls["_bases"]) == 1
+        assert [(G.shape[1], len(mus)) for G, _, mus in calls["_per_shape_terms"]] == [(ss.m, 3)]
+        # gpa's `_bottom_pairs_dplr` runs the full matrices only; the fold blocks call metrics' own
+        assert [W.shape for _, W, _ in calls["_bottom_pairs_dplr"]] == [(3, ss.m, k)]
+        assert [(keep.shape[1], len(rows)) for _, _, rows, _, keep in calls["_downdated_terms"]] == [
+            (ss.m - 1, 3 * ss.m)]
 
 
 class TestCveCommand:
@@ -352,6 +354,16 @@ class TestCveCommand:
                          "--group", "1", *flags, "--output", out]) == 0
             outs.append(Path(out).read_bytes())
         assert outs[0] == outs[1]
+
+    def test_one_factorization(self, rng, tmp_path, monkeypatch):
+        # the full solve and the folds share one pass: the bases once, one factorization
+        from conftest import mask_set
+        ss = mask_set(rng, full_set(rng, 2, 10, 3, kind="affine", noise=0.05), 0.2, min_joint=2 + 3)
+        path = write_set(tmp_path / "set.json", ss)
+        calls = count_calls(monkeypatch, "solve", "_bases", "_per_shape_terms")
+        assert main(["cve", "--input", path, "--group", "1", "--output", str(tmp_path / "cve.json")]) == 0
+        assert {name: len(args) for name, args in calls.items()} == {
+            "solve": 0, "_bases": 1, "_per_shape_terms": 1}
 
     def test_allow_reflection_reaches_fold_priors(self, rng, tmp_path, monkeypatch):
         import defgpa.gpa
@@ -549,6 +561,7 @@ class TestUsage:
             raise AssertionError("solved before checking the group size")
 
         monkeypatch.setattr(defgpa.gpa, "solve", solve)
+        monkeypatch.setattr(defgpa.gpa, "_bases", solve)  # every solve, a grid's pass too, starts here
         out = tmp_path / "out"
         messages = []
         for args in (["cve", "--group"], ["solve", "--cve-group"],

@@ -32,6 +32,7 @@ from defgpa import (
     InsufficientOverlap,
     Shape,
     ShapeSet,
+    SingularSystem,
     assemble_P,
     check_theorem_conditions,
     cross_validation_error,
@@ -431,6 +432,56 @@ def test_the_fold_downdate_matches_refactoring(case):
         for t in range(len(mus)):
             assert relative_deviation(got[t, :-2], want[t, :-2]) <= tol[t]
             assert relative_deviation(Einv[t] @ Linv[t], want_Linv[t]) <= tol[t]
+
+
+# (d, m, ctrl, partial, failing row) of the grid's stacked full solve against one `solve` per theta:
+# 2D TPS on 3 shapes, with 2 x 2 control points at m = 60 (k = 14 < m, so the stack of T > 1 full
+# matrices takes the DPLR core), or with 3 x 3 at m = 20 (k = 29 >= m, dense, as in the bench's sweep).
+# The failing row's infinite smoothing weight fails its factorization.
+GRID = [(2, 60, 2, False, None), (2, 60, 2, True, None), (2, 20, 3, True, None), (2, 60, 2, True, 1),
+        (2, 20, 3, True, 2)]
+GRID_THETAS = [1e-3, 1e-1, 1e1, 1e3]
+
+
+@pytest.mark.parametrize("case", range(len(GRID)),
+                         ids=[f"m{m}-ctrl{ctrl}-{'partial' if partial else 'full'}"
+                              + ("" if row is None else f"-row{row}-fails")
+                              for _, m, ctrl, partial, row in GRID])
+def test_the_stacked_full_solve_matches_separate_solves(monkeypatch, case):
+    d, m, ctrl, partial, failing = GRID[case]
+    ss, _ = instance(800 + case, d, "tps", partial, m=m)
+    splines = tps_models(ss, k=ctrl)
+    model_sets = [[model.with_smoothing(s.num_visible * (np.inf if t == failing else theta))
+                   for model, s in zip(splines, ss)] for t, theta in enumerate(GRID_THETAS)]
+    prior = estimate_prior_for_set(ss)
+    k = ss.n * splines[0].feature_dim + 2
+    calls = dense_runs(monkeypatch)
+    got = metrics._grid(ss, model_sets, prior, CveConfig(2), check_conditions=True)
+    live = len(GRID_THETAS) - (failing is not None)
+    assert calls[:1] == ([] if k < m else [(live, m, k)])  # the full matrices come first, in one stack
+    for t, (models, outcome) in enumerate(zip(model_sets, got)):
+        if t == failing:
+            with pytest.raises(SingularSystem) as want:
+                solve(ss, models, prior=prior)
+            assert type(outcome) is SingularSystem and str(outcome) == str(want.value)
+            continue
+        sol, cve = outcome
+        want = solve(ss, models, prior=prior)
+        assert not isinstance(cve, DefgpaError)
+        assert gauge_residual(sol.reference, want.reference) <= 1e-12
+        for W, V in zip(sol.weights, want.weights):
+            assert relative_deviation(W, V) <= 1e-12
+        for name in ("cost", "data_cost", "reg_cost"):
+            assert getattr(sol, name) == pytest.approx(getattr(want, name), rel=1e-12, abs=0.0)
+        assert sol.penalty_cost == pytest.approx(want.penalty_cost, rel=0.0, abs=1e-12 * want.cost)
+        report, want_report = sol.report, want.report
+        assert (report.all_pass, report.tolerance) == (want_report.all_pass, want_report.tolerance)
+        assert report.aggregate_residual == pytest.approx(want_report.aggregate_residual, abs=1e-12)
+        for shape, want_shape in zip(report.shapes, want_report.shapes):
+            assert (shape.index, shape.witness_found, shape.passes) == (
+                want_shape.index, want_shape.witness_found, want_shape.passes)
+            assert shape.projector_residual == pytest.approx(want_shape.projector_residual, abs=1e-12)
+            assert shape.witness_residual == pytest.approx(want_shape.witness_residual, abs=1e-12)
 
 
 # (seed, d, model) of the partial sets the permutation properties run on

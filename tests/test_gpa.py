@@ -836,6 +836,22 @@ class TestTranslationElimination:
         with pytest.raises(DimensionError):
             solve_affine_centered(ss, prior=CovariancePrior(np.array([1.0])))
 
+    @pytest.mark.parametrize("d, m, n", [(2, 12, 4), (3, 30, 5)])
+    def test_weights_and_costs_match_the_affine_factorization(self, rng, d, m, n):
+        # the weights and costs from the centred factors, against those that the homogeneous affine
+        # factorization `_terms` gives on the same reference
+        ss = full_set(rng, d, m, n, kind="smooth", noise=0.1)
+        prior = estimate_prior_for_set(ss)
+        sol = solve_affine_centered(ss, prior=prior)
+        models = affine_models(ss)
+        want = gpa_module._solution(ss, sol.reference, *gpa_module._terms(ss, models)[:2], models, prior)
+        for got, ref in zip(sol.weights, want.weights):
+            assert got.shape == ref.shape == (d + 1, d)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        for name in ("cost", "data_cost", "reg_cost", "penalty_cost"):
+            assert getattr(sol, name) == pytest.approx(getattr(want, name), rel=1e-12, abs=0.0)
+        assert (sol.mus, sol.models, sol.nu) == (want.mus, want.models, want.nu)
+
     def test_same_reference_as_homogeneous_path(self, rng):
         ss = full_set(rng, 2, 12, 4, kind="affine", noise=0.1)
         prior = estimate_prior_for_set(ss)

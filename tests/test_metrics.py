@@ -557,7 +557,7 @@ class TestFoldPriors:
     def test_tail_failure_keeps_the_earliest_fold(self, rng, monkeypatch):
         # a block's tail fails a (fold, set) pair where `_rank_below` says so: at rank d for an
         # undetermined orientation, at rank d-1 for a rank-deficient gauge.  The spies read the pairs
-        # from the CVE's own `rows` up the call stack
+        # from the fold blocks' own `rows` up the call stack
         import sys
         import defgpa.gpa
         from defgpa.gpa import _RANK_DEFICIENT, _UNORIENTED
@@ -573,7 +573,7 @@ class TestFoldPriors:
 
         def cve_locals():
             frame = sys._getframe(1)
-            while frame is not None and frame.f_code.co_name != "cross_validation_errors":
+            while frame is not None and frame.f_code.co_name != "_fold_blocks":
                 frame = frame.f_back
             return {} if frame is None else frame.f_locals
 
