@@ -18,7 +18,6 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .errors import (
-    DefgpaError,
     DegenerateConfiguration,
     DegenerateInput,
     DimensionError,
@@ -260,10 +259,10 @@ def estimate_prior_for_set(shape_set, allow_reflection=False):
     """
     X, G = _stacked(shape_set)
     _, Y = _centred(X, G)
-    priors, error = _fold_priors(Y, G, _moments(Y, G), np.zeros((1, 0), dtype=int), allow_reflection)
+    lambdas, error = _fold_priors(Y, G, _moments(Y, G), np.zeros((1, 0), dtype=int), allow_reflection)
     if error is not None:
         raise error
-    return priors[0]
+    return CovariancePrior(lambdas[0])
 
 
 def _fold_priors(Y, G, moments, held, allow_reflection):
@@ -280,10 +279,12 @@ def _fold_priors(Y, G, moments, held, allow_reflection):
     square roots of its moment's eigenvalues, and it contributes their unit
     vector; the consensus direction is the leading left singular vector of
     their stack (one stacked SVD call), rescaled by the average shape scale
-    and squared.
+    and squared.  Those squares are non-negative and, as a non-negative
+    combination of descending unit vectors, descending: each row is a
+    valid prior's eigenvalues.
 
-    Returns the CovariancePriors of the subsets before the first that fails,
-    and that subset's error, or all F and None.
+    Returns the prior eigenvalues of the subsets before the first that fails
+    (count x d), and that subset's error, or all F rows and None.
     """
     n, d, m = Y.shape
     F = len(held)
@@ -316,15 +317,10 @@ def _fold_priors(Y, G, moments, held, allow_reflection):
     if zero.size:
         count, i = np.unravel_index(zero[0], norms.shape)
         error = DegenerateInput(f"shape {i} has zero scale")
-    priors = []
+    theta = sv[:0, 0]  # count x d
     if count:
         theta = leftmost_singular_vector(np.swapaxes(sv[:count] / norms[:count, :, None], -1, -2))
-        try:
-            for lam in (np.mean(norms[:count], axis=-1)[:, None] * theta) ** 2:
-                priors.append(CovariancePrior(lam))
-        except DefgpaError as exc:
-            error = exc
-    return priors, error
+    return (np.mean(norms[:count], axis=-1)[:, None] * theta) ** 2, error
 
 
 # ---------------------------------------------------------------------------
@@ -426,19 +422,22 @@ def _per_shape_terms(G, bases, mus):
     return Linv, factor, _singular(failed, finite)
 
 
-def _downdated_terms(L, F, rows, U, keep):
-    """E^-1 (P x n x l x l), a P x (n l + 2) x m' array whose first n l rows hold F' and the
-    `_singular` errors of P folds of the sets whose normal matrices have the Cholesky factors L
-    (T x n x l x l) and whose `_per_shape_terms` are F (T x n x l x m): fold p downdates row rows[p],
-    keeps the columns keep[p] and holds out U_p = F[rows[p]][..., H_p] (zero where padded).
+def _downdated_terms(F, rows, held, keep):
+    """E^-1 U (P x n x l x g), a P x (n l + 2) x m' array whose first n l rows hold F' and the
+    `_singular` errors of P folds of the sets whose `_per_shape_terms` are F (T x n x l x m): fold p
+    downdates row rows[p], holds out the columns held[p] (padded with m) and keeps the columns keep[p].
 
-    Then N_i' = L_i (I - U_i U_i^T) L_i^T (Hager 1989): with E_i = chol(I - U_i U_i^T) a fold has
-    L_i' = L_i E_i, L_i'^-1 = E_i^-1 L_i^-1 and F_i' = E_i^-1 F_i[:, keep], and no normal matrix is
-    formed or factored again.  N_i' is singular where E_i does not exist or L_i' is `_below_floor`.
+    With U_i = F_i[:, held] (zero where padded), N_i' = L_i (I - U_i U_i^T) L_i^T (Hager 1989), so
+    E_i = chol(I - U_i U_i^T) gives L_i'^-1 = E_i^-1 L_i^-1, F_i' = E_i^-1 F_i[:, keep] and the held
+    factor E_i^-1 U_i = L_i'^-1 Bg_i[:, held], and no normal matrix is formed or factored again.  L_i
+    has passed the whole set's checks, so a fold judges E_i alone: N_i' is singular where E_i does not
+    exist or is `_below_floor` of I - U_i U_i^T, and a held point of leverage one fails its fold.
     """
-    P, (n, width) = len(rows), F.shape[1:3]
-    E, failed = _cholesky(np.eye(width) - U @ np.swapaxes(U, -1, -2))
-    L = L[rows] @ E  # L_i' = L_i E_i
+    P, (n, width, m) = len(rows), F.shape[1:]
+    U = np.moveaxis(F[rows[:, None], :, :, np.minimum(held, m - 1)], 1, -1)
+    U *= (held < m)[:, None, None]
+    whitened = np.eye(width) - U @ np.swapaxes(U, -1, -2)  # L_i^-1 N_i' L_i^-T
+    E, failed = _cholesky(whitened)
     Einv = np.zeros(E.shape)
     for j in range(width):  # forward substitution, one row of every E^-1 per call (not one call per matrix)
         row = np.eye(width)[j] - E[..., j, None, :j] @ Einv[..., :j, :]
@@ -449,7 +448,7 @@ def _downdated_terms(L, F, rows, U, keep):
     folds = factor[:, :-2].reshape(P, n, width, -1)
     for i in range(n):  # numpy's overlap copy is one shape's l x m' block per fold
         np.matmul(Einv[:, i], folds[:, i], out=folds[:, i])
-    return Einv, factor, _singular(failed | _below_floor(L, np.sum(L * L, axis=-1)))
+    return Einv @ U, factor, _singular(failed | _below_floor(E, np.diagonal(whitened, axis1=-2, axis2=-1)))
 
 
 def _factors(factor, counts, n):
@@ -563,8 +562,8 @@ def _references(values, X, lambdas, anchor, D, gamma):
 
     lambdas (K x d) holds the prior of each, anchor resolves degenerate
     clusters (see `spectral._scale_selected`), and the zero-filled datum points
-    D (d x m) with masks gamma (m or K x m) fix the orientation of each
-    reference whose prior has no zero entry.  Returns the references
+    D (d x m or K x d x m) with masks gamma (m or K x m) fix the orientation of
+    each reference whose prior has no zero entry.  Returns the references
     (K x d x m) and which orientations are undetermined.
     """
     S = _scale_selected(values, X, lambdas, anchor)
@@ -615,7 +614,7 @@ def _solve_pass(shape_set, model_sets, bases, mus, prior, reflection_ref, check_
     """The full solves of T model sets with the per-shape models of `bases` (`_bases`), one per row of
     smoothing weights mus (T x n), under a checked prior: one `_per_shape_terms` call, and one stacked
     eigensolve and `_references` of the rows it does not fail.  Returns each row's GpaSolution or
-    DefgpaError, L^-1, and the `_per_shape_terms` array with F uncentred, for the CVE's folds."""
+    DefgpaError, and the `_per_shape_terms` array with F uncentred, which the CVE's folds downdate."""
     n, d, m = shape_set.n, shape_set.d, shape_set.m
     Linv, factor, outcomes = _per_shape_terms(shape_set.visibility_matrix(), bases, mus)
     ok = [t for t in range(len(mus)) if t not in outcomes]
@@ -633,7 +632,7 @@ def _solve_pass(shape_set, model_sets, bases, mus, prior, reflection_ref, check_
         report = _theorem_conditions(shape_set, Linv[t], F[t], models, 1e-6) if check_conditions else None
         outcomes[t] = DegenerateConfiguration(_UNORIENTED) if undetermined[k] else _solution(
             shape_set, S[k], Linv[t], F[t], models, prior, report)
-    return [outcomes[t] for t in range(len(mus))], Linv, factor
+    return [outcomes[t] for t in range(len(mus))], factor
 
 
 def solve(shape_set, models, prior=None, reflection_ref=0,
@@ -650,8 +649,8 @@ def solve(shape_set, models, prior=None, reflection_ref=0,
     """
     prior = _checked_args(shape_set, prior, reflection_ref, allow_reflection)
     mus = _smoothings(shape_set, models)[None]
-    (solution,), _, _ = _solve_pass(shape_set, [models], _bases(shape_set, models), mus, prior,
-                                    reflection_ref, check_conditions)
+    (solution,), _ = _solve_pass(shape_set, [models], _bases(shape_set, models), mus, prior,
+                                 reflection_ref, check_conditions)
     return _raised(solution)
 
 
@@ -673,8 +672,8 @@ def solve_affine_centered(shape_set, prior=None, reflection_ref=0):
     centroids = X.mean(axis=2)
     stack = np.zeros((n * d + 2, m))  # the centred shapes Dbar, in the rows that become F
     np.subtract(X, centroids[..., None], out=stack[:-2].reshape(n, d, m))
-    (solution,), _, _ = _solve_pass(shape_set, [[AffineWarp(d)] * n], (stack, np.zeros((n, d, d)), (d,) * n),
-                                    np.zeros((1, n)), prior, reflection_ref, False)
+    (solution,), _ = _solve_pass(shape_set, [[AffineWarp(d)] * n], (stack, np.zeros((n, d, d)), (d,) * n),
+                                 np.zeros((1, n)), prior, reflection_ref, False)
     if isinstance(solution, SingularSystem):
         i = solution.shape_index
         raise SingularSystem(f"centered shape {i} is degenerate", shape_index=i) from solution

@@ -110,15 +110,15 @@ def _cve_folds(shape_set, config, allow_reflection):
     # a prior chunk stacks, per fold, about a dozen (n, n, d, d) table and prior moments; of each
     # prior only its d eigenvalues are kept
     chunk = max(1, _STACK_ENTRIES // (12 * n * n * d * d))
-    lambdas = []
+    lambdas = [np.zeros((0, d))]
     for first in range(0, last, chunk):
-        priors, failure = _gpa._fold_priors(Y0, G0, moments, held[first:min(first + chunk, last)],
-                                            allow_reflection)
-        lambdas += [prior.lambdas for prior in priors]
+        rows, failure = _gpa._fold_priors(Y0, G0, moments, held[first:min(first + chunk, last)],
+                                          allow_reflection)
+        lambdas.append(rows)
         if failure is not None:
             error = failure
             break
-    return X0, G0, held, np.array(lambdas).reshape(-1, d), error
+    return X0, G0, held, np.concatenate(lambdas), error
 
 
 def _pass_layout(shape_set, model_sets, outcomes, g):
@@ -149,21 +149,21 @@ def _pass_layout(shape_set, model_sets, outcomes, g):
     return [(batch, size, np.array([smoothing[j] for j in batch])) for batch, size in passes]
 
 
-def _fold_blocks(folds, batch, size, Linv, terms, fulls, reflection_ref):
-    """The CVE outcomes of one pass's model sets, from its L^-1, its `gpa._per_shape_terms` array (F
-    uncentred) and each set's full solution, or the error that fails it at the first fold.
+def _fold_blocks(folds, batch, size, terms, fulls, reflection_ref):
+    """The CVE outcomes of one pass's model sets, from its `gpa._per_shape_terms` array (F uncentred)
+    and each set's full solution, or the error that fails it at the first fold.
 
     The folds (`_cve_folds`) come in blocks of at most `size` (fold, set) pairs,
     a ragged last fold in a block of its own.  Each pair downdates its set's
     factorization (`gpa._downdated_terms`), and a block ends in one stacked
-    eigensolve and tail.  A set's earliest failing fold fails it."""
+    eigensolve and tail on each pair's kept columns.  A set's earliest failing
+    fold fails it."""
     X0, G0, held, lambdas, error = folds
     (n, d, m), g = X0.shape, held.shape[1]
     whole = min(len(lambdas), m // g)  # the first m // g folds are whole; a ragged last fold keeps more
     fold_of = np.arange(m) // g
     counts = G0.sum(axis=0)
     F = terms[:, :-2].reshape(len(batch), n, -1, m)
-    L = np.linalg.inv(Linv)  # the Cholesky factors of the whole sets' normal matrices
     predicted = np.full((len(batch), n, d, m), np.nan)
     step = max(1, size // len(batch))
     cuts = [*range(0, whole, step), whole, len(lambdas)]
@@ -175,39 +175,32 @@ def _fold_blocks(folds, batch, size, Linv, terms, fulls, reflection_ref):
             continue
         f, j = np.array(rows).T
         keep = np.nonzero(fold_of != f[:, None])[1].reshape(len(f), -1)
-        cols = held[f]  # held is padded with m: zero columns of U there
         at = np.array([batch.index(i) for i in j])  # the pass row of each pair
-        U = np.moveaxis(F[at[:, None], :, :, np.minimum(cols, m - 1)], 1, -1)
-        U *= (cols < m)[:, None, None]
-        Einv, factor, fold_errors = _gpa._downdated_terms(L, F, at, U, keep)
+        EU, factor, fold_errors = _gpa._downdated_terms(F, at, held[f], keep)
         for p, exc in sorted(fold_errors.items()):  # rows are fold-major: a set's first is its earliest
             failures.setdefault(rows[p][1], (rows[p][0], exc))
         ok = [p for p, (f, j) in enumerate(rows) if j not in failures or f < failures[j][0]]
         if not ok:
             continue
         if len(ok) < len(rows):
-            rows, at, keep, U, Einv = [rows[p] for p in ok], at[ok], keep[ok], U[ok], Einv[ok]
-            factor = factor[ok]
+            rows, at, keep, EU, factor = [rows[p] for p in ok], at[ok], keep[ok], EU[ok], factor[ok]
         f, j = np.array(rows).T
-        mask = (fold_of != f[:, None]).astype(float)
-        full = np.stack([fulls[t].reference for t in at])
+        # the full references on the kept columns: the warm start and the gauge target
+        full = np.take_along_axis(np.stack([fulls[t].reference for t in at]), keep[:, None], axis=-1)
         W, centre = _gpa._factors(factor, counts[keep], n)
-        warm = None if W.shape[2] >= W.shape[1] else np.swapaxes(
-            np.take_along_axis(full, keep[:, None], axis=-1), -1, -2)
-        values, V = _bottom_pairs_dplr(counts[keep], W, d, warm)
-        lifted = np.zeros((len(f), m, d))
-        lifted[mask > 0] = V.reshape(-1, d)
-        # S = C V^T (C = S V) and B_i[:, H] = L_i U_i where visible give W_i^T B_i[:, H] =
-        # C (F_i' V)^T E_i^-1 U_i, and F' V = F'_c V + c 1^T V with F'_c centred by `_factors`
+        values, V = _bottom_pairs_dplr(counts[keep], W, d,
+                                       None if W.shape[2] >= W.shape[1] else np.swapaxes(full, -1, -2))
+        # the fold weights W_i = L_i'^-T F_i' S^T and Bg_i[:, H] = L_i' E_i^-1 U_i give W_i^T Bg_i[:, H] =
+        # C (F_i' V)^T E_i^-1 U_i with S = C V^T, and F' V = F'_c V + c 1^T V with F'_c centred by `_factors`
         FV = (factor[:, :-2] @ V + centre * V.sum(axis=1, keepdims=True)).reshape(len(f), n, -1, d)
-        P = np.swapaxes(FV, -1, -2) @ (Einv @ U)
+        P = np.swapaxes(FV, -1, -2) @ EU
         del W, factor, FV
         S, undetermined = _gpa._references(
-            values, lifted, lambdas[f], lambda k: _gpa._gram_anchor(X0, G0 * mask[k]),
-            X0[reflection_ref], G0[reflection_ref] * mask)
-        R, t, sv = _gpa._procrustes(S, full, mask)
+            values, V, lambdas[f], lambda k: _gpa._gram_anchor(X0[..., keep[k]], G0[:, keep[k]]),
+            np.take_along_axis(X0[reflection_ref][None], keep[:, None], axis=-1), G0[reflection_ref][keep])
+        R, t, sv = _gpa._procrustes(S, full, np.ones(keep.shape))
         deficient = _gpa._rank_below(sv, d - 1)
-        pred = R[:, None] @ ((S @ lifted)[:, None] @ P) + t[:, None, :, None]
+        pred = R[:, None] @ ((S @ V)[:, None] @ P) + t[:, None, :, None]
         for k, (f, j) in enumerate(rows):
             if j in failures and failures[j][0] < f:
                 continue
@@ -217,7 +210,7 @@ def _fold_blocks(folds, batch, size, Linv, terms, fulls, reflection_ref):
             else:
                 cols = held[f][held[f] < m]
                 predicted[at[k]][:, :, cols] = pred[k, :, :, :cols.size]
-        del lifted, S, full, mask, keep, V  # freed before the next block forms its factors
+        del S, full, keep, V  # freed before the next block forms its factors
 
     # a set with no failing fold has a prediction at every fold; its CVE stands if every fold has a prior
     visible = G0[:, None, :] > 0
@@ -268,17 +261,17 @@ def _grid(shape_set, model_sets, prior, config=None, reflection_ref=0, allow_ref
                 outcomes[j] = exc
             continue
         if fits is None:
-            rows, Linv, factor = _gpa._solve_pass(shape_set, [model_sets[j] for j in batch], bases, mus,
-                                                  prior, reflection_ref, check_conditions)
+            rows, factor = _gpa._solve_pass(shape_set, [model_sets[j] for j in batch], bases, mus, prior,
+                                            reflection_ref, check_conditions)
         else:
-            Linv, factor, errors = _gpa._per_shape_terms(shape_set.visibility_matrix(), bases, mus)
+            _, factor, errors = _gpa._per_shape_terms(shape_set.visibility_matrix(), bases, mus)
             rows = [errors.get(t, fits[j][1]) for t, j in enumerate(batch)]
         cves = [None] * len(batch)
         if folds is not None:
-            cves = _fold_blocks(folds, batch, size, Linv, factor, rows, reflection_ref)
+            cves = _fold_blocks(folds, batch, size, factor, rows, reflection_ref)
         for j, full, cve in zip(batch, rows, cves):
             outcomes[j] = cve if fits is not None else full if isinstance(full, DefgpaError) else (full, cve)
-        del bases, Linv, factor  # freed before the next pass computes its bases
+        del bases, factor  # freed before the next pass computes its bases
     return outcomes
 
 

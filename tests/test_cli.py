@@ -223,13 +223,13 @@ class TestSweepCommand:
                         errors[t] = SingularSystem("injected failure", shape_index=0)
                 return Linv, factor, errors
 
-            def downdated_terms(L, F, rows, U, keep, in_folds=in_folds):
+            def downdated_terms(F, rows, held, keep, in_folds=in_folds):
                 # each fold's pair takes the row `rows[p]` of the pass's terms
-                Einv, factor, errors = real_downdate(L, F, rows, U, keep)
+                EU, factor, errors = real_downdate(F, rows, held, keep)
                 if in_folds:
                     for p in np.flatnonzero(np.array(mus_of_pass)[rows, 0] == ss[0].num_visible * bad_theta):
                         errors[p] = SingularSystem("injected failure", shape_index=0)
-                return Einv, factor, errors
+                return EU, factor, errors
 
             monkeypatch.setattr(defgpa.gpa, "_per_shape_terms", per_shape_terms)
             monkeypatch.setattr(defgpa.gpa, "_downdated_terms", downdated_terms)
@@ -310,7 +310,7 @@ class TestSweepCommand:
         assert [(G.shape[1], len(mus)) for G, _, mus in calls["_per_shape_terms"]] == [(ss.m, 3)]
         # gpa's `_bottom_pairs_dplr` runs the full matrices only; the fold blocks call metrics' own
         assert [W.shape for _, W, _ in calls["_bottom_pairs_dplr"]] == [(3, ss.m, k)]
-        assert [(keep.shape[1], len(rows)) for _, _, rows, _, keep in calls["_downdated_terms"]] == [
+        assert [(keep.shape[1], len(rows)) for _, rows, _, keep in calls["_downdated_terms"]] == [
             (ss.m - 1, 3 * ss.m)]
 
 

@@ -366,7 +366,7 @@ def test_the_cve_corpus_splits_chunks_passes_and_blocks(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(gpa, "_fold_priors", spy(lambda *args: "chunk", gpa._fold_priors))
-    monkeypatch.setattr(gpa, "_downdated_terms", spy(lambda L, *_: ("downdate", len(L)),
+    monkeypatch.setattr(gpa, "_downdated_terms", spy(lambda F, *_: ("downdate", len(F)),
                                                      gpa._downdated_terms))
     monkeypatch.setattr(metrics, "_bottom_pairs_dplr", spy(lambda D, W, *_: ("pairs", W.shape[2], len(W)),
                                                            metrics._bottom_pairs_dplr))
@@ -397,14 +397,15 @@ def test_the_cve_corpus_splits_chunks_passes_and_blocks(monkeypatch):
     assert split == {"chunks", "passes", "blocks"}
 
 
-# The fold downdate against refactoring: each fold's F' = E^-1 F[:, keep] and L'^-1 = E^-1 L^-1 from the
-# whole set's `_per_shape_terms` (`gpa._downdated_terms`) against `_per_shape_terms` of the kept points, at
-# every fold, for (model, partial, group) on d2 m13 sets (folds of 3 leave a ragged last fold) and, for the
-# TPS, at each theta of DOWNDATE_THETAS in one stack; the leverage of held points comes within 4e-5 of 1.
+# The fold downdate against refactoring: each fold's F' = E^-1 F[:, keep] and held factor E^-1 U from the
+# whole set's `_per_shape_terms` (`gpa._downdated_terms`) against `_per_shape_terms` of the kept points
+# (E^-1 U against L'^-1 Bg[:, fold] with the refactored L'^-1), at every fold, for (model, partial, group)
+# on d2 m13 sets (folds of 3 leave a ragged last fold) and, for the TPS, at each theta of DOWNDATE_THETAS
+# in one stack; the leverage of held points comes within 4e-5 of 1.
 # Both sides round, and their largest deviation relative to the largest entry grows with the distance of
-# theta from 1.  Measured at most 5e-15 for the affine sets and for the TPS at theta = 1, 3e-14 at 1e-2,
-# 2e-13 at 1e-3 and 1e2, 2e-12 at 1e-5 and 1e3, 2e-11 at 1e4 and 9e-11 at 1e5; each tolerance is about a
-# hundred times its measure.
+# theta from 1.  Measured over F' and E^-1 U at most 5e-15 for the affine sets and for the TPS at theta = 1,
+# 3e-14 at 1e-2, 3e-13 at 1e-3, 2e-13 at 1e2, 2e-12 at 1e-5 and 1e3, 2e-11 at 1e4 and 9e-11 at 1e5; each
+# tolerance is at least thirty times its measure.
 DOWNDATE_THETAS = np.array([1e-5, 1e-3, 1e-2, 1.0, 1e2, 1e3, 1e4, 1e5])
 DOWNDATE_TOL = np.array([1e-10, 1e-11, 1e-12, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8])
 DOWNDATE = list(itertools.product(("affine", "tps"), (False, True), (1, 3)))
@@ -419,19 +420,20 @@ def test_the_fold_downdate_matches_refactoring(case):
     thetas, tol = (DOWNDATE_THETAS, DOWNDATE_TOL) if model == "tps" else (np.zeros(1), [1e-12])
     mus = thetas[:, None] * np.array([s.num_visible for s in ss])  # affine models are not smoothed
     G = ss.visibility_matrix().astype(float)
-    Linv, terms, errors = gpa._per_shape_terms(G, gpa._bases(ss, models), mus)
+    Bg = gpa._bases(ss, models)[0][:-2].reshape(ss.n, -1, ss.m) * G[:, None, :]
+    _, terms, errors = gpa._per_shape_terms(G, gpa._bases(ss, models), mus)
     assert errors == {}
     F = terms[:, :-2].reshape(len(mus), ss.n, -1, ss.m)
     for fold in _fold_slices(ss.m, CveConfig(group)):
         keep = np.setdiff1d(np.arange(ss.m), fold)
-        Einv, got, errors = gpa._downdated_terms(np.linalg.inv(Linv), F, np.arange(len(mus)), F[..., fold],
-                                                 np.tile(keep, (len(mus), 1)))
+        EU, got, errors = gpa._downdated_terms(F, np.arange(len(mus)), np.tile(fold, (len(mus), 1)),
+                                               np.tile(keep, (len(mus), 1)))
         want_Linv, want, want_errors = gpa._per_shape_terms(
             G[:, keep], gpa._bases(restrict_points(ss, keep), models), mus)
         assert errors == want_errors == {}
         for t in range(len(mus)):
             assert relative_deviation(got[t, :-2], want[t, :-2]) <= tol[t]
-            assert relative_deviation(Einv[t] @ Linv[t], want_Linv[t]) <= tol[t]
+            assert relative_deviation(EU[t], want_Linv[t] @ Bg[..., fold]) <= tol[t]
 
 
 # (d, m, ctrl, partial, failing row) of the grid's stacked full solve against one `solve` per theta:

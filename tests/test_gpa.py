@@ -449,21 +449,22 @@ class TestAssembleP:
             0: (SingularSystem, 0, "normal matrix of shape 0 is singular")}
 
     def test_singular_fold_downdates(self, rng):
-        # N_i = L_i = I (l = 2) and one held column u per shape: N_i' = I - u u^T.  Fold 1 holds out a
-        # point of leverage 1 in shape 1, so that chol(I - u u^T) fails; fold 2 one of leverage 1 - 1e-14
-        # in shape 0, which passes it with L'_22^2 = 4e-14 N'_22, and shape 1's again; fold 0 is regular
+        # F_i = L_i^-1 Bg_i (l = 2) and one held column u per shape: N_i' = L_i (I - u u^T) L_i^T.  Fold
+        # 1 holds out a point of leverage 1 in shape 1, so that chol(I - u u^T) fails; fold 2 one of
+        # leverage 1 - 1e-14 in shape 0, which passes it with E_22^2 = 4e-14 (I - u u^T)_22, and shape 1's
+        # again; fold 0 is regular.  Fold p holds out column 3 + p of F and keeps columns 0-2
         lever = np.sqrt((1 - 1e-14) / 2)
         U = np.array([[[0.6, 0.0], [0.0, 0.8]], [[0.6, 0.0], [1.0, 0.0]], [[lever, lever], [1.0, 0.0]]])
-        F = rng.normal(size=(1, 2, 2, 3))
-        Einv, factor, errors = _downdated_terms(np.eye(2)[None, None].repeat(2, axis=1), F, np.zeros(3, int),
-                                                U[..., None], np.tile(np.arange(3), (3, 1)))
+        F = np.concatenate([rng.normal(size=(1, 2, 2, 3)), U.transpose(1, 2, 0)[None]], axis=-1)
+        EU, factor, errors = _downdated_terms(F, np.zeros(3, int), np.arange(3, 6)[:, None],
+                                              np.tile(np.arange(3), (3, 1)))
         assert {p: (type(exc), exc.shape_index, str(exc)) for p, exc in errors.items()} == {
             1: (SingularSystem, 1, "normal matrix of shape 1 is singular"),
             2: (SingularSystem, 0, "normal matrix of shape 0 is singular")}
-        for i in range(2):  # fold 0: L'^-1 = E^-1 with E = chol(N')
-            E = np.linalg.cholesky(np.eye(2) - np.outer(U[0, i], U[0, i]))
-            np.testing.assert_allclose(Einv[0, i], np.linalg.inv(E), rtol=1e-14)
-            np.testing.assert_allclose(factor[0, 2 * i:2 * i + 2], Einv[0, i] @ F[0, i], rtol=1e-14)
+        for i in range(2):  # fold 0: L'^-1 = E^-1 L^-1 with E = chol(I - u u^T)
+            Einv = np.linalg.inv(np.linalg.cholesky(np.eye(2) - np.outer(U[0, i], U[0, i])))
+            np.testing.assert_allclose(EU[0, i], Einv @ U[0, i, :, None], rtol=1e-14)
+            np.testing.assert_allclose(factor[0, 2 * i:2 * i + 2], Einv @ F[0, i, :, :3], rtol=1e-14)
 
 
 class TestStackedNormalSolves:
@@ -909,6 +910,18 @@ class TestTheoremConditions:
         assert report.all_pass
         for sc in report.shapes:
             assert sc.witness_found and sc.projector_residual < 1e-6
+
+    def test_singular_normal_matrix_raises(self, rng):
+        # shape 1's six points lie on one line, so its affine basis [x; y; 1] has rank 2: the condition
+        # check and P's assembly raise the factorization's error, naming shape 1
+        ss = full_set(rng, 2, 6, 3, kind="affine")
+        x = rng.normal(size=6)
+        line = Shape(np.vstack([x, 2.0 * x - 1.0]), np.ones(6, bool))
+        ss = ShapeSet((ss[0], line, ss[2]))
+        for run in (check_theorem_conditions, assemble_P):
+            with pytest.raises(SingularSystem, match="^normal matrix of shape 1 is singular$") as caught:
+                run(ss, affine_models(ss))
+            assert caught.value.shape_index == 1
 
     def test_contrived_basis_fails_consistently(self, rng):
         ss = full_set(rng, 2, 12, 4, kind="affine")

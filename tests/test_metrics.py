@@ -354,9 +354,9 @@ class TestBatchedCrossValidation:
             passes.append(len(mus))
             return terms(G, bases, mus)
 
-        def spy_downdate(L, F, rows, U, keep):
-            pairs.extend((len(L), held_fold(ss.m, row)) for row in keep)
-            return downdate(L, F, rows, U, keep)
+        def spy_downdate(F, rows, held, keep):
+            pairs.extend((len(F), held_fold(ss.m, row)) for row in keep)
+            return downdate(F, rows, held, keep)
 
         monkeypatch.setattr(defgpa.gpa, "_per_shape_terms", spy)
         monkeypatch.setattr(defgpa.gpa, "_downdated_terms", spy_downdate)
@@ -415,16 +415,16 @@ def held_fold(m, keep):
 
 
 def fold_priors(shape_set, group=1, allow_reflection=False):
-    """The folds of `_fold_slices` and their priors from the downdated moments of the whole set."""
+    """The folds of `_fold_slices` and their prior eigenvalues from the downdated moments of the whole set."""
     X, G = _stacked(shape_set)
     _, Y = _centred(X, G)
     folds = _fold_slices(shape_set.m, CveConfig(group))
     held = np.full((len(folds), group), shape_set.m)
     for f, fold in enumerate(folds):
         held[f, :fold.size] = fold
-    priors, error = _fold_priors(Y, G, _moments(Y, G), held, allow_reflection)
+    lambdas, error = _fold_priors(Y, G, _moments(Y, G), held, allow_reflection)
     assert error is None
-    return folds, priors
+    return folds, lambdas
 
 
 def flattened(shape_set, scale):
@@ -448,14 +448,14 @@ class TestFoldPriors:
         if case != "full":
             ss = mask_set(rng, ss, 0.15, min_joint=d + 1 + group)
         allow_reflection = case == "reflection"
-        folds, priors = fold_priors(ss, group, allow_reflection)
-        assert len(priors) == len(folds)
-        for fold, prior in zip(folds, priors):
+        folds, lambdas = fold_priors(ss, group, allow_reflection)
+        assert lambdas.shape == (len(folds), d)
+        for fold, got in zip(folds, lambdas):
             reduced = restrict_points(ss, np.setdiff1d(np.arange(ss.m), fold))
             completed = full_shapes(complete_all(reduced, allow_reflection=allow_reflection))
             for want in (estimate_prior_for_set(reduced, allow_reflection=allow_reflection).lambdas,
                          estimate_prior_for_set(completed).lambdas):
-                assert np.max(np.abs(prior.lambdas - want)) <= 1e-12 * want[0]
+                assert np.max(np.abs(got - want)) <= 1e-12 * want[0]
 
     @staticmethod
     def three_joint_points(rng):
@@ -480,9 +480,9 @@ class TestFoldPriors:
         downdate, fold_priors_core = defgpa.gpa._downdated_terms, defgpa.gpa._fold_priors
         solved_folds, chunks = [], []
 
-        def spy(L, F, rows, U, keep):
+        def spy(F, rows, held, keep):
             solved_folds.extend(held_fold(ss.m, row) for row in keep)
-            return downdate(L, F, rows, U, keep)
+            return downdate(F, rows, held, keep)
 
         def spy_priors(Y, G, moments, held, allow_reflection):
             chunks.append(len(held))
@@ -530,13 +530,13 @@ class TestFoldPriors:
             mus_of_pass[:] = mus
             return terms(G, bases, mus)
 
-        def spy_downdate(L, F, rows, U, keep):
-            Einv, factor, errors = downdate(L, F, rows, U, keep)
+        def spy_downdate(F, rows, held, keep):
+            EU, factor, errors = downdate(F, rows, held, keep)
             for p, (t, kept) in enumerate(zip(rows, keep)):
                 fold = held_fold(ss.m, kept)
                 if fold in (5, 9) and np.array_equal(mus_of_pass[t], target):
                     errors[p] = SingularSystem(f"injected at fold {fold}", shape_index=0)
-            return Einv, factor, errors
+            return EU, factor, errors
 
         def spy_dplr(D, W, d, start=None):
             blocks.append(len(W))
@@ -586,13 +586,13 @@ class TestFoldPriors:
                 blocks.append(list(rows))
             return low | np.array([(f, j, rank) in inject for f, j in rows])
 
-        def spy_downdate(L, F, at, U, keep):
-            Einv, factor, errors = downdate(L, F, at, U, keep)
+        def spy_downdate(F, at, held, keep):
+            EU, factor, errors = downdate(F, at, held, keep)
             for p, pair in enumerate(cve_locals()["rows"]):
                 if pair == (6, 1):
                     errors[p] = SingularSystem("injected at fold 6", shape_index=0)
                     injected.append(pair[0])
-            return Einv, factor, errors
+            return EU, factor, errors
 
         monkeypatch.setattr(defgpa.gpa, "_rank_below", spy_rank_below)
         monkeypatch.setattr(defgpa.gpa, "_downdated_terms", spy_downdate)
@@ -605,6 +605,29 @@ class TestFoldPriors:
         for j in (2, 3):
             assert outcomes[j][0] == whole[j][0]
             np.testing.assert_array_equal(np.array(outcomes[j][1]), np.array(whole[j][1]))
+
+    def test_collinear_datum_fold_is_undetermined(self, rng):
+        # a model with no free translation keeps D Gamma D^T nonsingular on collinear points off the
+        # origin.  The datum shape 0 has points 0-6 on y = 0.5 x + 2 and point 7 off it, so its full
+        # solve is oriented, but fold 7 leaves it collinear: that fold's tail finds the orientation
+        # undetermined, with no patching.  With a non-collinear datum every fold is oriented
+        from defgpa.gpa import _UNORIENTED
+        from test_gpa import LinearOnlyWarp
+        x = np.append(np.linspace(-3.0, 3.0, 7), 0.5)
+        base = np.vstack([x, 0.5 * x + 2.0])
+        base[1, 7] += 1.5
+        shapes = [base] + [(np.eye(2) + 0.2 * rng.normal(size=(2, 2))) @ base + rng.normal(size=(2, 1))
+                           + 0.05 * rng.normal(size=(2, 8)) for _ in range(3)]
+        ss = ShapeSet(tuple(Shape(S, np.ones(8, bool)) for S in shapes))
+        models = [LinearOnlyWarp(2) for _ in ss]
+        fits = [(models, solve(ss, models, check_conditions=False))]
+        (outcome,) = cross_validation_errors(ss, fits)
+        assert type(outcome) is DegenerateConfiguration and str(outcome) == _UNORIENTED
+        with pytest.raises(DegenerateConfiguration, match=_UNORIENTED):
+            per_fold_reference(ss, fits)
+        fits = [(models, solve(ss, models, reflection_ref=1, check_conditions=False))]
+        (outcome,) = cross_validation_errors(ss, fits, reflection_ref=1)
+        assert not isinstance(outcome, DefgpaError), outcome
 
     @pytest.mark.parametrize("kind", ["smooth", "rigid"])
     def test_chunks_do_not_change_outcomes(self, rng, monkeypatch, kind):
