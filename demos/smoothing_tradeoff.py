@@ -28,25 +28,24 @@ for _ in range(n):
     D = dg.apply_warp(generator, W, base) + 0.05 * rng.normal(size=(d, m))
     shapes.append(dg.Shape(D, np.ones(m, bool)))
 shape_set = dg.ShapeSet(tuple(shapes))
-prior = dg.estimate_prior_for_set(shape_set)
 
 # each spline is built once; only its smoothing weight changes with theta
 splines = [dg.tps_build(dg.place_control_points(s, 3)) for s in shape_set]
+thetas = np.logspace(3, -3, 7)
+model_sets = [[spline.with_smoothing(s.num_visible * theta) for spline, s in zip(splines, shape_set)]
+              for theta in thetas]
+
+# one pass, as `defgpa sweep` runs it: the bases are computed and every theta is factored once, the full
+# solves share one stacked eigensolve, and every leave-one-out fold downdates that factorization
+outcomes = dg.cross_validation_errors(shape_set, model_sets, config=dg.CveConfig(1))
 rows = []
-fits = []
-for theta in np.logspace(3, -3, 7):
-    models = [spline.with_smoothing(s.num_visible * theta) for spline, s in zip(splines, shape_set)]
-    solution = dg.solve(shape_set, models, prior=prior)
+for theta, models, (solution, (cve, _)) in zip(thetas, model_sets, outcomes):
     rows.append({
         "theta": theta,
         "rmse_r": dg.rmse_r(solution, shape_set, models),
         "rmse_d": dg.rmse_d(solution, shape_set, models),
+        "cve": cve,
     })
-    fits.append((models, solution))
-
-# one cross-validation pass re-solves every fold for all thetas at once
-for row, (cve, _) in zip(rows, dg.cross_validation_errors(shape_set, fits, dg.CveConfig(1))):
-    row["cve"] = cve
 
 print(f"{'theta':>10} {'rmse_r':>10} {'rmse_d':>10} {'cve':>10}")
 for row in rows:

@@ -546,8 +546,8 @@ def _checked_args(shape_set, prior, reflection_ref, allow_reflection=False):
     CovariancePrior, and either must have d entries.
     """
     d, n = shape_set.d, shape_set.n
-    if not 0 <= reflection_ref < n:
-        raise DimensionError(f"reflection_ref {reflection_ref} out of range for n={n}")
+    if not isinstance(reflection_ref, (int, np.integer)) or not 0 <= reflection_ref < n:
+        raise DimensionError(f"reflection_ref {reflection_ref!r} is not a shape index for n={n}")
     if prior is None:
         prior = estimate_prior_for_set(shape_set, allow_reflection=allow_reflection)
     if not isinstance(prior, CovariancePrior):

@@ -37,23 +37,27 @@ class CveConfig:
     group_size: int = 1
 
     def __post_init__(self):
-        if self.group_size < 1:
-            raise DimensionError("fold size must be at least 1")
+        if not isinstance(self.group_size, (int, np.integer)) or self.group_size < 1:
+            raise DimensionError(f"fold size must be an integer of at least 1, got {self.group_size!r}")
 
 
-def _masked_sq_norm(residual, mask):
-    r = residual * mask[None, :]
-    return float(np.sum(r * r))
+def _rms(solution, shape_set, models, residual):
+    """The root-mean-square of residual(shape, model, W) (d x m) over all visible landmarks, for a
+    solution and models that fit the shape set (else DimensionError)."""
+    n, size = shape_set.n, (shape_set.d, shape_set.m)
+    if not len(models) == len(solution.weights) == n:
+        raise DimensionError(f"{n} shapes but {len(models)} models and {len(solution.weights)} weights")
+    if np.shape(solution.reference) != size:
+        raise DimensionError(f"reference has shape {np.shape(solution.reference)}, expected {size}")
+    total = sum(float(np.sum((residual(shape, model, W) * shape.visibility) ** 2))
+                for shape, model, W in zip(shape_set, models, solution.weights))
+    return float(np.sqrt(total / sum(s.num_visible for s in shape_set)))
 
 
 def rmse_r(solution, shape_set, models):
     """Root-mean-square reference-space residual over all visible landmarks."""
-    kappa = sum(s.num_visible for s in shape_set)
-    total = 0.0
-    for shape, model, W in zip(shape_set, models, solution.weights):
-        mapped = apply_warp(model, W, shape.filled(0.0))
-        total += _masked_sq_norm(mapped - solution.reference, shape.visibility)
-    return float(np.sqrt(total / kappa))
+    return _rms(solution, shape_set, models,
+                lambda shape, model, W: apply_warp(model, W, shape.filled(0.0)) - solution.reference)
 
 
 def _inverse_transform(model, W, S):
@@ -64,8 +68,10 @@ def _inverse_transform(model, W, S):
     # affine: W^T = [A | t]
     W = np.asarray(W, dtype=float)
     d = S.shape[0]
-    A = W[:d, :].T
-    t = W[d, :]
+    if W.shape != (d + 1, d):
+        raise DimensionError(f"no inverse for {type(model).__name__} weights of shape {W.shape}: "
+                             f"an affine inverse needs ({d + 1},{d})")
+    A, t = W[:d].T, W[d]
     try:
         return np.linalg.solve(A, S - t[:, None])
     except np.linalg.LinAlgError as exc:
@@ -74,12 +80,8 @@ def _inverse_transform(model, W, S):
 
 def rmse_d(solution, shape_set, models):
     """Root-mean-square datum-space residual via per-shape inverse transforms."""
-    kappa = sum(s.num_visible for s in shape_set)
-    total = 0.0
-    for shape, model, W in zip(shape_set, models, solution.weights):
-        back = _inverse_transform(model, W, solution.reference)
-        total += _masked_sq_norm(shape.filled(0.0) - back, shape.visibility)
-    return float(np.sqrt(total / kappa))
+    return _rms(solution, shape_set, models,
+                lambda shape, model, W: shape.filled(0.0) - _inverse_transform(model, W, solution.reference))
 
 
 def _fold_slices(m, config):
@@ -151,7 +153,7 @@ def _pass_layout(shape_set, model_sets, outcomes, g):
 
 def _fold_blocks(folds, batch, size, terms, fulls, reflection_ref):
     """The CVE outcomes of one pass's model sets, from its `gpa._per_shape_terms` array (F uncentred)
-    and each set's full solution, or the error that fails it at the first fold.
+    and each set's full solution; a set whose full solve failed runs no fold.
 
     The folds (`_cve_folds`) come in blocks of at most `size` (fold, set) pairs,
     a ragged last fold in a block of its own.  Each pair downdates its set's
@@ -167,8 +169,7 @@ def _fold_blocks(folds, batch, size, terms, fulls, reflection_ref):
     predicted = np.full((len(batch), n, d, m), np.nan)
     step = max(1, size // len(batch))
     cuts = [*range(0, whole, step), whole, len(lambdas)]
-    # a set whose full solve fails fails at the first fold, unless that fold has no prior
-    failures = {j: (0, exc) for j, exc in zip(batch, fulls) if isinstance(exc, DefgpaError) and len(lambdas)}
+    failures = {j: (0, exc) for j, exc in zip(batch, fulls) if isinstance(exc, DefgpaError)}
     for first, end in zip(cuts, cuts[1:]):
         rows = [(f, j) for f in range(first, end) for j in batch if j not in failures]
         if not rows:
@@ -224,24 +225,8 @@ def _fold_blocks(folds, batch, size, terms, fulls, reflection_ref):
     return outcomes
 
 
-def cross_validation_errors(shape_set, fits, config=None, reflection_ref=0,
-                            allow_reflection=False):
-    """Leave-N-out CVE of several solved model sets (one per theta) on one shape set.
-
-    `fits` holds (models, full solution) pairs, each solution the GPA of the
-    whole set with those models.  This is `_grid` with the fits in place of
-    its full solves: a pass factors its sets once, on all m points, and its
-    folds downdate that factorization.  Returns one entry per model set:
-    (cve, predicted shapes), or the DefgpaError of its earliest failing fold.
-    """
-    if not 0 <= reflection_ref < shape_set.n:
-        raise DimensionError(f"reflection_ref {reflection_ref} out of range for n={shape_set.n}")
-    return _grid(shape_set, [models for models, _ in fits], None, config or CveConfig(), reflection_ref,
-                 allow_reflection, fits=fits)
-
-
 def _grid(shape_set, model_sets, prior, config=None, reflection_ref=0, allow_reflection=False,
-          check_conditions=False, fits=None):
+          check_conditions=False):
     """The full solves of model sets on one shape set under one checked prior (`gpa._checked_args`), and
     their CVE when `config` is set.
 
@@ -249,7 +234,7 @@ def _grid(shape_set, model_sets, prior, config=None, reflection_ref=0, allow_ref
     computes its bases once, solves its sets at once (`gpa._solve_pass`), and
     its folds downdate that factorization (`_fold_blocks`).  Returns per set
     the DefgpaError that stopped its full solve, or (GpaSolution, CVE outcome
-    or None); with `fits`, the passes only factor, and it returns the CVEs."""
+    or None)."""
     outcomes = [None] * len(model_sets)
     passes = _pass_layout(shape_set, model_sets, outcomes, 0 if config is None else config.group_size)
     folds = None if config is None else _cve_folds(shape_set, config, allow_reflection)
@@ -260,25 +245,34 @@ def _grid(shape_set, model_sets, prior, config=None, reflection_ref=0, allow_ref
             for j in batch:
                 outcomes[j] = exc
             continue
-        if fits is None:
-            rows, factor = _gpa._solve_pass(shape_set, [model_sets[j] for j in batch], bases, mus, prior,
-                                            reflection_ref, check_conditions)
-        else:
-            _, factor, errors = _gpa._per_shape_terms(shape_set.visibility_matrix(), bases, mus)
-            rows = [errors.get(t, fits[j][1]) for t, j in enumerate(batch)]
+        fulls, factor = _gpa._solve_pass(shape_set, [model_sets[j] for j in batch], bases, mus, prior,
+                                         reflection_ref, check_conditions)
         cves = [None] * len(batch)
         if folds is not None:
-            cves = _fold_blocks(folds, batch, size, factor, rows, reflection_ref)
-        for j, full, cve in zip(batch, rows, cves):
-            outcomes[j] = cve if fits is not None else full if isinstance(full, DefgpaError) else (full, cve)
+            cves = _fold_blocks(folds, batch, size, factor, fulls, reflection_ref)
+        for j, full, cve in zip(batch, fulls, cves):
+            outcomes[j] = full if isinstance(full, DefgpaError) else (full, cve)
         del bases, factor  # freed before the next pass computes its bases
     return outcomes
 
 
+def cross_validation_errors(shape_set, model_sets, prior=None, config=None, reflection_ref=0,
+                            allow_reflection=False):
+    """The full solves of several model sets (one per theta, say) on one shape set and their leave-N-out
+    CVE, in the pass `defgpa sweep` runs (`_grid`).
+
+    The prior (estimated when None) is shared by every full solve; every
+    fold's prior is re-estimated on the reduced set, as the full pipeline
+    would.  Returns one entry per model set: the DefgpaError that stopped its
+    full solve, or (GpaSolution, (cve, predicted shapes) or the DefgpaError
+    of its earliest failing fold).
+    """
+    prior = _gpa._checked_args(shape_set, prior, reflection_ref, allow_reflection)
+    return _grid(shape_set, model_sets, prior, config or CveConfig(), reflection_ref, allow_reflection)
+
+
 def cross_validation_error(shape_set, models, prior=None, config=None, reflection_ref=0):
-    """Leave-N-out CVE and the per-shape predicted reference shapes of one model set, whose full solve
-    (prior estimated when None) and folds share one `_grid` pass; every fold's prior is re-estimated
-    on the reduced set, as the full pipeline would."""
-    prior = _gpa._checked_args(shape_set, prior, reflection_ref)
-    (outcome,) = _grid(shape_set, [models], prior, config or CveConfig(), reflection_ref)
+    """Leave-N-out CVE and the per-shape predicted reference shapes of one model set: the
+    `cross_validation_errors` of that set alone, raising what stops it."""
+    (outcome,) = cross_validation_errors(shape_set, [models], prior, config, reflection_ref)
     return _raised(_raised(outcome)[1])

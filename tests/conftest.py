@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from defgpa import (AffineWarp, CveConfig, DegenerateConfiguration, Shape, ShapeSet, apply_warp, eig_sym,
-                    estimate_prior_for_set, place_control_points, solve, spectral, tps_build)
+from defgpa import (AffineWarp, CveConfig, DefgpaError, DegenerateConfiguration, Shape, ShapeSet, apply_warp,
+                    eig_sym, estimate_prior_for_set, place_control_points, solve, spectral, tps_build)
 from defgpa.gpa import _procrustes
 from defgpa.metrics import _fold_slices
 from defgpa.spectral import _scale_selected
@@ -180,18 +180,51 @@ def per_fold_reference(shape_set, fits, group=1, reflection_ref=0, allow_reflect
     return results
 
 
-def solved_fits(shape_set, thetas, k=3, allow_reflection=False, affine=True):
-    """(models, full solution) pairs: TPS splines built once and re-weighted per theta,
-    plus an affine set when `affine`, all solved with one prior."""
-    prior = estimate_prior_for_set(shape_set, allow_reflection=allow_reflection)
+def grid_sets(shape_set, thetas, k=3, affine=True):
+    """Model sets: TPS splines built once and re-weighted per theta, plus an affine set when `affine`."""
     splines = tps_models(shape_set, k=k)
     model_sets = [[model.with_smoothing(s.num_visible * theta) for model, s in zip(splines, shape_set)]
                   for theta in thetas]
-    if affine:
-        model_sets.append(affine_models(shape_set))
-    return [(models, solve(shape_set, models, prior=prior, allow_reflection=allow_reflection,
-                           check_conditions=False))
-            for models in model_sets]
+    return model_sets + [affine_models(shape_set)] if affine else model_sets
+
+
+def cves(outcomes):
+    """The CVE outcome of each `cross_validation_errors` entry: (cve, predicted) or the DefgpaError of
+    its earliest failing fold, or the DefgpaError of its full solve."""
+    return [outcome if isinstance(outcome, DefgpaError) else outcome[1] for outcome in outcomes]
+
+
+def checked_fits(shape_set, model_sets, outcomes, prior=None, reflection_ref=0, allow_reflection=False):
+    """The (models, full solution) pairs of the `cross_validation_errors` outcomes of model sets, each
+    full solution checked first against a direct `solve` with the same arguments.
+
+    Reference, weights and costs agree within 1e-12 relative: entrywise
+    against the largest entry of the direct reference or of each weight
+    matrix, and each cost against itself or, for costs at round-off, against
+    the data scale n |S|^2.  A set whose direct solve fails must have failed
+    with the same error type and message; its entry is None.
+    """
+    fits = []
+    for models, outcome in zip(model_sets, outcomes):
+        try:
+            want = solve(shape_set, models, prior=prior, reflection_ref=reflection_ref,
+                         allow_reflection=allow_reflection, check_conditions=False)
+        except DefgpaError as exc:
+            assert type(outcome) is type(exc) and str(outcome) == str(exc), outcome
+            fits.append(None)
+            continue
+        assert not isinstance(outcome, DefgpaError), outcome
+        got = outcome[0]
+        np.testing.assert_array_equal(got.prior.lambdas, want.prior.lambdas)
+        assert (got.mus, got.models, got.nu, got.report) == (want.mus, want.models, want.nu, None)
+        assert np.max(np.abs(got.reference - want.reference)) <= 1e-12 * np.max(np.abs(want.reference))
+        for W, V in zip(got.weights, want.weights, strict=True):
+            assert np.max(np.abs(W - V)) <= 1e-12 * np.max(np.abs(V))
+        scale = shape_set.n * float(np.sum(want.reference ** 2))
+        for name in ("cost", "data_cost", "reg_cost", "penalty_cost"):
+            assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12, abs=1e-12 * scale)
+        fits.append((models, got))
+    return fits
 
 
 @pytest.fixture

@@ -49,8 +49,8 @@ from defgpa.gpa import _gram_anchor, _stacked
 from defgpa.metrics import _fold_slices
 from defgpa.spectral import _bottom_pairs_dplr, _scale_selected
 from defgpa.warps import _witness_and_residual
-from conftest import (affine_models, dense_runs, dense_selection, full_set, gauge_residual, mask_set,
-                      per_fold_reference, restrict_points, solved_fits, tps_models)
+from conftest import (affine_models, checked_fits, cves, dense_runs, dense_selection, full_set,
+                      gauge_residual, grid_sets, mask_set, per_fold_reference, restrict_points, tps_models)
 from test_gpa import LinearOnlyWarp
 
 
@@ -254,12 +254,11 @@ def test_k_at_least_m_takes_the_dense_path(monkeypatch):
                                              (2, "tps", 2)])
 def test_cve_matches_dense(monkeypatch, d, model, group):
     ss, models = instance(40 + d + group, d, model, True, m=30 if model == "affine" else 50)
-    full = solve(ss, models, check_conditions=False)
     calls = dense_runs(monkeypatch)
-    (got,) = cross_validation_errors(ss, [(models, full)], CveConfig(group))
+    (got,) = cves(cross_validation_errors(ss, [models], config=CveConfig(group)))
     assert calls == []
     dense_only(monkeypatch)
-    (want,) = cross_validation_errors(ss, [(models, full)], CveConfig(group))
+    (want,) = cves(cross_validation_errors(ss, [models], config=CveConfig(group)))
     assert not isinstance(got, DefgpaError) and not isinstance(want, DefgpaError)
     assert got[0] == pytest.approx(want[0], rel=1e-10)
     np.testing.assert_allclose(np.array(got[1]), np.array(want[1]), rtol=0, atol=1e-9)
@@ -314,7 +313,7 @@ def cve_instance(case):
         ss = thinned(ss)
     elif layout == "collinear":
         ss = collinear(ss)
-    return ss, solved_fits(ss, [1.0, 0.01], k=ctrl)
+    return ss, grid_sets(ss, [1.0, 0.01], k=ctrl)
 
 
 def reference_outcome(ss, fit, group):
@@ -330,12 +329,13 @@ def reference_outcome(ss, fit, group):
                               + (f"-{layout}" if layout else "")
                               for d, m, hidden, group, _, stack, layout in CVE_CORPUS])
 def test_cve_matches_the_per_fold_reference(monkeypatch, case):
-    ss, fits = cve_instance(case)
+    ss, model_sets = cve_instance(case)
     _, _, _, group, _, stack, layout = CVE_CORPUS[case]
-    wants = [reference_outcome(ss, fit, group) for fit in fits]
     if stack is not None:
         monkeypatch.setattr(metrics, "_STACK_ENTRIES", stack)
-    gots = cross_validation_errors(ss, fits, CveConfig(group))
+    outcomes = cross_validation_errors(ss, model_sets, config=CveConfig(group))
+    wants = [reference_outcome(ss, fit, group) for fit in checked_fits(ss, model_sets, outcomes)]
+    gots = cves(outcomes)
     assert all(isinstance(want, DefgpaError) for want in wants) == (layout is not None)
     for got, want in zip(gots, wants):
         if isinstance(want, FormatError):
@@ -374,10 +374,11 @@ def test_the_cve_corpus_splits_chunks_passes_and_blocks(monkeypatch):
     for case, (_, _, _, group, _, stack, layout) in enumerate(CVE_CORPUS):
         if stack is None or layout:
             continue
-        ss, fits = cve_instance(case)
+        ss, model_sets = cve_instance(case)
+        prior = estimate_prior_for_set(ss)  # given to the full solves: every "chunk" is one of fold priors
         events.clear()
         monkeypatch.setattr(metrics, "_STACK_ENTRIES", stack)
-        cross_validation_errors(ss, fits, CveConfig(group))
+        cross_validation_errors(ss, model_sets, prior, CveConfig(group))
         monkeypatch.setattr(metrics, "_STACK_ENTRIES", 2**16)
         chunks = []  # per chunk, the (k, pairs) of its eigensolve blocks
         for event in events:
@@ -389,7 +390,7 @@ def test_the_cve_corpus_splits_chunks_passes_and_blocks(monkeypatch):
             split.add("chunks")
         if ("downdate", 2) not in events:  # no pass factors two sets
             split.add("passes")
-        sets = Counter(ss.n * models[0].feature_dim + 2 for models, _ in fits)  # per factor width k
+        sets = Counter(ss.n * models[0].feature_dim + 2 for models in model_sets)  # per factor width k
         for blocks, k in itertools.product(chunks, sets):
             pairs = [T for width, T in blocks if width == k]
             if len(pairs) > 1 and max(pairs) > sets[k]:
@@ -529,9 +530,9 @@ def test_leave_one_out_cve_follows_the_landmark_order(seed, d, model):
 # The breadth corpus: BREADTH seeded sets, each CVE against `per_fold_reference`.  The layout runs
 # through d 2-3, n 3-4 shapes, folds of 1-4 points and 0-40% hidden; m (10-13), the datum shape and
 # the TPS theta are drawn per set.  Every set has a TPS model set and a second one: affine, TPS at
-# another theta, or infinitely smoothed TPS, whose non-finite normal matrices fail both paths at the
-# first fold they reach.  Every fifth set allows reflections, and about a quarter run with a small
-# _STACK_ENTRIES.  Hidden points and large folds make some sets fail in the fold priors as well.
+# another theta, or infinitely smoothed TPS, whose non-finite normal matrices fail its own full solve
+# as they fail a direct `solve`.  Every fifth set allows reflections, and about a quarter run with a
+# small _STACK_ENTRIES.  Hidden points and large folds make some sets fail in the fold priors as well.
 BREADTH = 128
 
 
@@ -545,32 +546,31 @@ def breadth_instance(case):
     stack = int(rng.choice([1500, 4000, 9000])) if rng.random() < 0.25 else None
     splines = tps_models(ss, k=3 if d == 2 else 2, theta=theta)
     second = ("affine", "tps", "inf")[case % 3]
-    model_sets = [splines]
-    if second != "inf":
-        model_sets.append(affine_models(ss) if second == "affine" else
-                          [model.with_smoothing(model.smoothing / 100) for model in splines])
-    prior = estimate_prior_for_set(ss, allow_reflection=reflect)
-    fits = [(models, solve(ss, models, prior=prior, reflection_ref=ref, allow_reflection=reflect,
-                           check_conditions=False)) for models in model_sets]
-    if second == "inf":  # no full solution of its own: it borrows the first set's
-        fits.append(([model.with_smoothing(np.inf) for model in splines], fits[0][1]))
-    return ss, fits, dict(group=group, reflection_ref=ref, allow_reflection=reflect), stack
+    model_sets = [splines, affine_models(ss) if second == "affine" else
+                  [model.with_smoothing(model.smoothing / 100 if second == "tps" else np.inf)
+                   for model in splines]]
+    return ss, model_sets, dict(group=group, reflection_ref=ref, allow_reflection=reflect), stack
 
 
 @pytest.mark.parametrize("case", range(BREADTH))
 def test_cve_breadth_matches_the_per_fold_reference(monkeypatch, case):
-    ss, fits, options, stack = breadth_instance(case)
-    wants = []
-    for fit in fits:
-        try:
-            (want,) = per_fold_reference(ss, [fit], **options)
-        except DefgpaError as exc:
-            want = exc
-        wants.append(want)
+    ss, model_sets, options, stack = breadth_instance(case)
     if stack is not None:
         monkeypatch.setattr(metrics, "_STACK_ENTRIES", stack)
     group = options.pop("group")
-    gots = cross_validation_errors(ss, fits, CveConfig(group), **options)
+    outcomes = cross_validation_errors(ss, model_sets, config=CveConfig(group), **options)
+    fits = checked_fits(ss, model_sets, outcomes, **options)
+    assert [fit is None for fit in fits] == [False, case % 3 == 2]  # only the infinitely smoothed set fails
+    wants = []
+    for models, fit in zip(model_sets, fits):
+        try:
+            if fit is None:  # a failed full solve: the oracle is the direct solve, which fails alike
+                solve(ss, models, check_conditions=False, **options)
+            (want,) = per_fold_reference(ss, [fit], group=group, **options)
+        except DefgpaError as exc:
+            want = exc
+        wants.append(want)
+    gots = cves(outcomes)
     for got, want in zip(gots, wants):
         if isinstance(want, FormatError):
             # a fold that leaves a shape fewer than d+1 points: the plain loop cannot restrict the set

@@ -552,6 +552,18 @@ class TestSolve:
         with pytest.raises(DimensionError):
             solve_affine_centered(ss, reflection_ref=ref)
 
+    @pytest.mark.parametrize("ref", [1.5, "1"], ids=["float", "str"])
+    def test_reflection_ref_must_be_an_integer(self, rng, ref):
+        ss = full_set(rng, 2, 8, 3, kind="affine", noise=0.05)
+        with pytest.raises(DimensionError, match="is not a shape index for n=3"):
+            solve(ss, affine_models(ss), reflection_ref=ref)
+
+    def test_numpy_integer_reflection_ref(self, rng):
+        ss = full_set(rng, 2, 8, 3, kind="affine", noise=0.05)
+        want = solve(ss, affine_models(ss), reflection_ref=1)
+        got = solve(ss, affine_models(ss), reflection_ref=np.int64(1))
+        np.testing.assert_array_equal(got.reference, want.reference)
+
     def test_identical_shapes_zero_residual(self, rng):
         pts = rng.normal(size=(2, 9))
         pts -= pts.mean(axis=1, keepdims=True)

@@ -25,8 +25,8 @@ from defgpa import (
 from defgpa.gpa import _centred, _fold_priors, _moments, _procrustes, _rank_below, _stacked
 from defgpa.metrics import _fold_slices
 from defgpa.warps import AffineWarp
-from conftest import (affine_models, dense_runs, full_set, full_shapes, kabsch, mask_set, per_fold_reference,
-                      random_rotation, restrict_points, solved_fits, tps_models)
+from conftest import (affine_models, checked_fits, cves, dense_runs, full_set, full_shapes, grid_sets, kabsch,
+                      mask_set, per_fold_reference, random_rotation, restrict_points, tps_models)
 
 
 class TestRmseR:
@@ -126,6 +126,37 @@ class TestRmseD:
         models = tps_models(ss, k=3, theta=10.0)
         sol = solve(ss, models)
         assert np.isfinite(rmse_d(sol, ss, models))
+
+
+class TestRmseInputChecks:
+    """rmse_r and rmse_d reject a solution or models that do not fit the shape set."""
+
+    @pytest.mark.parametrize("metric", [rmse_r, rmse_d])
+    def test_fewer_models_than_shapes(self, rng, metric):
+        # zip would stop at the second shape while the visible count covers all four
+        ss = full_set(rng, 2, 10, 4, kind="affine", noise=0.05)
+        models = affine_models(ss)
+        sol = solve(ss, models)
+        with pytest.raises(DimensionError, match="4 shapes but 2 models"):
+            metric(sol, ss, models[:2])
+
+    @pytest.mark.parametrize("metric", [rmse_r, rmse_d])
+    def test_reference_of_another_point_set(self, rng, metric):
+        ss = full_set(rng, 2, 10, 4, kind="affine", noise=0.05)
+        models = affine_models(ss)
+        other = solve(restrict_points(ss, np.arange(8)), models)
+        with pytest.raises(DimensionError, match=r"reference has shape \(2, 8\), expected \(2, 10\)"):
+            metric(other, ss, models)
+
+    def test_rmse_d_needs_an_invertible_warp(self, rng):
+        # a warp that is neither a TPS nor a (d+1)-row affine map has no inverse to fit
+        from test_gpa import LinearOnlyWarp
+        ss = full_set(rng, 2, 10, 4, kind="affine", noise=0.05)
+        models = [LinearOnlyWarp(2) for _ in ss]
+        sol = solve(ss, models, check_conditions=False)
+        assert np.isfinite(rmse_r(sol, ss, models))
+        with pytest.raises(DimensionError, match=r"LinearOnlyWarp weights of shape \(2, 2\)"):
+            rmse_d(sol, ss, models)
 
 
 def gauge_align(A, B, mask=None):
@@ -255,6 +286,19 @@ class TestCrossValidation:
         with pytest.raises(DimensionError):
             cross_validation_error(ss, affine_models(ss), config=CveConfig(8))
 
+    @pytest.mark.parametrize("size", [1.5, "2"], ids=["float", "str"])
+    def test_fold_size_must_be_an_integer(self, size):
+        with pytest.raises(DimensionError, match="fold size must be an integer of at least 1"):
+            CveConfig(size)
+
+    def test_numpy_integer_fold_size(self, rng):
+        ss = full_set(rng, 2, 9, 3, kind="affine", noise=0.05)
+        models = affine_models(ss)
+        want, predicted = cross_validation_error(ss, models, config=CveConfig(2))
+        got, numpy_predicted = cross_validation_error(ss, models, config=CveConfig(np.int64(2)))
+        assert got == want
+        np.testing.assert_array_equal(np.array(numpy_predicted), np.array(predicted))
+
     def test_predictions_masked_to_visibility(self, rng):
         ss = mask_set(rng, full_set(rng, 2, 10, 4, kind="affine", noise=0.02), 0.2,
                       min_joint=2 + 2)
@@ -286,48 +330,51 @@ class TestBatchedCrossValidation:
     def test_partial_2d_tps(self, rng):
         ss = mask_set(rng, full_set(rng, 2, 14, 4, kind="smooth", noise=0.05), 0.15,
                       min_joint=2 + 2)
-        fits = solved_fits(ss, [10.0, 1.0, 0.1])
-        assert_cve_parity(cross_validation_errors(ss, fits, reflection_ref=1),
-                          per_fold_reference(ss, fits, reflection_ref=1))
+        sets = grid_sets(ss, [10.0, 1.0, 0.1])
+        outcomes = cross_validation_errors(ss, sets, reflection_ref=1)
+        fits = checked_fits(ss, sets, outcomes, reflection_ref=1)
+        assert_cve_parity(cves(outcomes), per_fold_reference(ss, fits, reflection_ref=1))
 
     def test_full_3d_affine_on_the_span(self, rng, monkeypatch):
-        # the affine folds (k = 18 < m' = 23 factor columns) run the DPLR core and form no m' x m'
-        # matrix; the TPS folds (k = 34) are dense by rule
+        # the affine full solve and folds (k = 18 < m' = 23 or 24 factor columns) run the DPLR core and
+        # form no m' x m' matrix; the TPS full solves and folds (k = 34) are dense by rule
         ss = full_set(rng, 3, 24, 4, kind="smooth", noise=0.05)
-        fits = solved_fits(ss, [1.0, 0.01], k=2)
+        sets = grid_sets(ss, [1.0, 0.01], k=2)
         calls = dense_runs(monkeypatch)
-        batched = cross_validation_errors(ss, fits)
-        assert {k for _, _, k in calls} == {ss.n * fits[0][0][0].feature_dim + 2} == {34}
-        assert_cve_parity(batched, per_fold_reference(ss, fits))
+        outcomes = cross_validation_errors(ss, sets)
+        assert {k for _, _, k in calls} == {ss.n * sets[0][0].feature_dim + 2} == {34}
+        assert_cve_parity(cves(outcomes), per_fold_reference(ss, checked_fits(ss, sets, outcomes)))
 
     def test_zero_residual_cluster(self, rng):
         # exact rigid copies: every fold's bottom-d eigenvalue is d-fold degenerate
         ss = full_set(rng, 2, 10, 4, kind="rigid")
-        fits = solved_fits(ss, [])
-        batched = cross_validation_errors(ss, fits)
+        sets = grid_sets(ss, [])
+        outcomes = cross_validation_errors(ss, sets)
+        batched = cves(outcomes)
         assert batched[0][0] < 1e-8
-        assert_cve_parity(batched, per_fold_reference(ss, fits), abs_cve=1e-12)
+        assert_cve_parity(batched, per_fold_reference(ss, checked_fits(ss, sets, outcomes)), abs_cve=1e-12)
 
     def test_allow_reflection(self, rng):
         ss = mask_set(rng, full_set(rng, 2, 12, 4, kind="smooth", noise=0.05), 0.15,
                       min_joint=2 + 2)
-        fits = solved_fits(ss, [1.0, 0.01], allow_reflection=True)
-        assert_cve_parity(cross_validation_errors(ss, fits, allow_reflection=True),
-                          per_fold_reference(ss, fits, allow_reflection=True))
+        sets = grid_sets(ss, [1.0, 0.01])
+        outcomes = cross_validation_errors(ss, sets, allow_reflection=True)
+        fits = checked_fits(ss, sets, outcomes, allow_reflection=True)
+        assert_cve_parity(cves(outcomes), per_fold_reference(ss, fits, allow_reflection=True))
 
     def test_ragged_last_fold(self, rng):
         ss = mask_set(rng, full_set(rng, 2, 17, 4, kind="smooth", noise=0.05), 0.1,
                       min_joint=2 + 4)
-        fits = solved_fits(ss, [1.0, 0.1])
+        sets = grid_sets(ss, [1.0, 0.1])
         assert [f.size for f in _fold_slices(ss.m, CveConfig(3))][-1] == 2
-        assert_cve_parity(cross_validation_errors(ss, fits, CveConfig(3)),
-                          per_fold_reference(ss, fits, group=3))
+        outcomes = cross_validation_errors(ss, sets, config=CveConfig(3))
+        assert_cve_parity(cves(outcomes), per_fold_reference(ss, checked_fits(ss, sets, outcomes), group=3))
 
     def test_no_shape_objects_per_fold(self, rng, monkeypatch):
         # folds slice the stacked arrays: no Shape is built, let alone validated
         ss = mask_set(rng, full_set(rng, 2, 12, 4, kind="smooth", noise=0.05), 0.15,
                       min_joint=2 + 2)
-        fits = solved_fits(ss, [1.0, 0.1])
+        sets = grid_sets(ss, [1.0, 0.1])
         built = []
         post_init = Shape.__post_init__
 
@@ -336,7 +383,7 @@ class TestBatchedCrossValidation:
             post_init(self)
 
         monkeypatch.setattr(Shape, "__post_init__", spy)
-        outcomes = cross_validation_errors(ss, fits)
+        outcomes = cves(cross_validation_errors(ss, sets))
         assert built == []
         assert not any(isinstance(outcome, DefgpaError) for outcome in outcomes)
 
@@ -345,8 +392,8 @@ class TestBatchedCrossValidation:
         import defgpa.metrics
         ss = mask_set(rng, full_set(rng, 2, 12, 4, kind="smooth", noise=0.05), 0.15,
                       min_joint=2 + 2)
-        fits = solved_fits(ss, [10.0, 1.0, 0.1], affine=False)
-        whole = cross_validation_errors(ss, fits)
+        sets = grid_sets(ss, [10.0, 1.0, 0.1], affine=False)
+        whole = cves(cross_validation_errors(ss, sets))
         terms, downdate = defgpa.gpa._per_shape_terms, defgpa.gpa._downdated_terms
         passes, pairs = [], []
 
@@ -361,9 +408,9 @@ class TestBatchedCrossValidation:
         monkeypatch.setattr(defgpa.gpa, "_per_shape_terms", spy)
         monkeypatch.setattr(defgpa.gpa, "_downdated_terms", spy_downdate)
         # k = n l + 2 >= m: the dense eigensolver counts each pair's m x k factor and m x m matrix
-        k = ss.n * max(model.feature_dim for model in fits[0][0]) + 2
+        k = ss.n * max(model.feature_dim for model in sets[0]) + 2
         monkeypatch.setattr(defgpa.metrics, "_STACK_ENTRIES", 2 * (ss.m * k + ss.m ** 2))
-        split = cross_validation_errors(ss, fits)
+        split = cves(cross_validation_errors(ss, sets))
         # pass-major: every fold of the two-set pass, then every fold of the one-set pass, each pass
         # factored once
         assert passes == [2, 1]
@@ -376,14 +423,16 @@ class TestBatchedCrossValidation:
     def test_bad_model_set_fails_alone(self, rng, bad):
         ss = mask_set(rng, full_set(rng, 2, 12, 4, kind="smooth", noise=0.05), 0.15,
                       min_joint=2 + 2)
-        fits = solved_fits(ss, [1.0, 0.1])
-        models = fits[0][0]
+        sets = grid_sets(ss, [1.0, 0.1])
+        models = sets[0]
         models = {"negative-smoothing": [models[0].with_smoothing(-1.0)] + models[1:],
                   "missing-model": models[:-1],
                   "short-basis": [ShortBasis(ss.d) for _ in ss]}[bad]
-        outcomes = cross_validation_errors(ss, [fits[0], (models, fits[0][1]), fits[1]])
+        results = cross_validation_errors(ss, [sets[0], models, sets[1]])
+        checked_fits(ss, [sets[0], models, sets[1]], results)  # the bad set fails its own full solve
+        outcomes = cves(results)
         assert isinstance(outcomes[1], DimensionError)
-        for got, want in zip([outcomes[0], outcomes[2]], cross_validation_errors(ss, fits[:2])):
+        for got, want in zip([outcomes[0], outcomes[2]], cves(cross_validation_errors(ss, sets[:2]))):
             assert got[0] == want[0]
             np.testing.assert_array_equal(np.array(got[1]), np.array(want[1]))
 
@@ -391,21 +440,47 @@ class TestBatchedCrossValidation:
         # an infinite smoothing weight breaks every normal matrix of that set only
         ss = mask_set(rng, full_set(rng, 2, 12, 4, kind="smooth", noise=0.05), 0.15,
                       min_joint=2 + 2)
-        fits = solved_fits(ss, [1.0, 0.1])
-        broken = ([model.with_smoothing(np.inf) for model in fits[0][0]], fits[0][1])
-        outcomes = cross_validation_errors(ss, [fits[0], broken, fits[1]])
+        sets = grid_sets(ss, [1.0, 0.1])
+        broken = [model.with_smoothing(np.inf) for model in sets[0]]
+        results = cross_validation_errors(ss, [sets[0], broken, sets[1]])
+        checked_fits(ss, [sets[0], broken, sets[1]], results)  # the broken set fails its own full solve
+        outcomes = cves(results)
         assert isinstance(outcomes[1], SingularSystem)
         assert outcomes[1].shape_index == 0
-        for got, want in zip([outcomes[0], outcomes[2]], cross_validation_errors(ss, fits[:2])):
+        for got, want in zip([outcomes[0], outcomes[2]], cves(cross_validation_errors(ss, sets[:2]))):
             assert got[0] == want[0]
             np.testing.assert_array_equal(np.array(got[1]), np.array(want[1]))
+
+    @pytest.mark.parametrize("options", [{}, {"reflection_ref": 2, "allow_reflection": True}, {"prior": "given"}])
+    def test_full_solutions_match_direct_solves(self, rng, monkeypatch, options):
+        # a pass of four TPS sets, one of them infinitely smoothed so that its own full solve fails, and
+        # a pass of one affine set: each full solution is the direct `solve` of its set
+        import defgpa.gpa
+        ss = mask_set(rng, full_set(rng, 2, 12, 4, kind="smooth", noise=0.05), 0.15, min_joint=2 + 2)
+        if options.get("prior") == "given":
+            options = {"prior": np.array([3.0, 0.5])}  # a plain array, coerced as `solve` coerces it
+        sets = grid_sets(ss, [10.0, 1.0, 0.1])
+        model_sets = [sets[0], [model.with_smoothing(np.inf) for model in sets[0]], *sets[1:]]
+        terms, passes = defgpa.gpa._per_shape_terms, []
+
+        def spy(G, bases, mus):
+            passes.append(len(mus))
+            return terms(G, bases, mus)
+
+        monkeypatch.setattr(defgpa.gpa, "_per_shape_terms", spy)
+        outcomes = cross_validation_errors(ss, model_sets, **options)
+        assert passes == [4, 1]
+        monkeypatch.undo()
+        fits = checked_fits(ss, model_sets, outcomes, **options)
+        assert [fit is None for fit in fits] == [False, True, False, False, False]
+        assert type(outcomes[1]) is SingularSystem and outcomes[1].shape_index == 0
+        assert not any(isinstance(cve, DefgpaError) for cve in cves(outcomes[:1] + outcomes[2:]))
 
     @pytest.mark.parametrize("ref", [5, -1])
     def test_reflection_ref_out_of_range(self, rng, ref):
         ss = full_set(rng, 2, 8, 3, kind="affine", noise=0.05)
-        fits = solved_fits(ss, [])
         with pytest.raises(DimensionError):
-            cross_validation_errors(ss, fits, reflection_ref=ref)
+            cross_validation_errors(ss, grid_sets(ss, []), reflection_ref=ref)
 
 
 def held_fold(m, keep):
@@ -472,10 +547,12 @@ class TestFoldPriors:
         # entries the priors come in chunks of 2 folds, and fold 5 fails in the third, beside fold 4
         import defgpa.gpa
         import defgpa.metrics
+        # the prior is given, so that the spied `_fold_priors` runs for the folds alone
         ss = self.three_joint_points(rng)
-        fits = solved_fits(ss, [1.0])
+        sets, prior = grid_sets(ss, [1.0]), estimate_prior_for_set(ss)
+        outcomes = cross_validation_errors(ss, sets, prior)
         with pytest.raises(InsufficientOverlap) as want:
-            per_fold_reference(ss, fits)
+            per_fold_reference(ss, checked_fits(ss, sets, outcomes, prior))
         assert str(want.value) == "need at least 3 jointly visible points, have 2"
         downdate, fold_priors_core = defgpa.gpa._downdated_terms, defgpa.gpa._fold_priors
         solved_folds, chunks = [], []
@@ -494,18 +571,20 @@ class TestFoldPriors:
             monkeypatch.setattr(defgpa.metrics, "_STACK_ENTRIES", entries)
             solved_folds.clear()
             chunks.clear()
-            for outcome in cross_validation_errors(ss, fits):
+            for outcome in cves(cross_validation_errors(ss, sets, prior)):
                 assert type(outcome) is InsufficientOverlap
                 assert str(outcome) == str(want.value)
             assert solved_folds == [0, 1, 2, 3, 4] * 2  # a TPS and an affine pass
             assert chunks == want_chunks  # no chunk after the failing one
 
     def test_earliest_failing_fold_wins(self, rng):
-        # the broken set fails at fold 0, before the chunk's failing prior at fold 5
+        # the broken set fails at its own full solve, before the chunk's failing prior at fold 5
         ss = self.three_joint_points(rng)
-        fits = solved_fits(ss, [1.0])
-        broken = ([model.with_smoothing(np.inf) for model in fits[0][0]], fits[0][1])
-        outcomes = cross_validation_errors(ss, [fits[0], broken, fits[1]])
+        sets = grid_sets(ss, [1.0])
+        broken = [model.with_smoothing(np.inf) for model in sets[0]]
+        results = cross_validation_errors(ss, [sets[0], broken, sets[1]])
+        checked_fits(ss, [sets[0], broken, sets[1]], results)
+        outcomes = cves(results)
         assert isinstance(outcomes[1], SingularSystem)
         assert type(outcomes[0]) is type(outcomes[2]) is InsufficientOverlap
 
@@ -518,10 +597,10 @@ class TestFoldPriors:
         vis = ss.visibility_matrix()
         vis[0, [5, 9]] = False
         ss = ShapeSet(tuple(Shape(s.points, v, s.label) for s, v in zip(ss, vis)))
-        fits = solved_fits(ss, [1.0, 0.01], k=2)
+        sets = grid_sets(ss, [1.0, 0.01], k=2)
         monkeypatch.setattr(defgpa.metrics, "_STACK_ENTRIES", 2**17)  # room for every fold in one block
-        whole = cross_validation_errors(ss, fits)
-        target = np.array([model.smoothing for model in fits[1][0]])
+        whole = cves(cross_validation_errors(ss, sets))
+        target = np.array([model.smoothing for model in sets[1]])
         terms, downdate = defgpa.gpa._per_shape_terms, defgpa.gpa._downdated_terms
         dplr = defgpa.metrics._bottom_pairs_dplr
         blocks, mus_of_pass = [], []
@@ -545,7 +624,7 @@ class TestFoldPriors:
         monkeypatch.setattr(defgpa.gpa, "_per_shape_terms", spy_terms)
         monkeypatch.setattr(defgpa.gpa, "_downdated_terms", spy_downdate)
         monkeypatch.setattr(defgpa.metrics, "_bottom_pairs_dplr", spy_dplr)
-        outcomes = cross_validation_errors(ss, fits)
+        outcomes = cves(cross_validation_errors(ss, sets))
         # one block of all folds for the affine set and one for the TPS pairs: set 0 at every fold,
         # set 1 at folds 0-4
         assert sorted(blocks) == [ss.m, ss.m + 5]
@@ -562,8 +641,8 @@ class TestFoldPriors:
         import defgpa.gpa
         from defgpa.gpa import _RANK_DEFICIENT, _UNORIENTED
         ss = mask_set(rng, full_set(rng, 2, 12, 4, kind="smooth", noise=0.05), 0.15, min_joint=2 + 2)
-        fits = solved_fits(ss, [10.0, 1.0, 0.1])  # three TPS sets, then an affine one
-        whole = cross_validation_errors(ss, fits)
+        sets = grid_sets(ss, [10.0, 1.0, 0.1])  # three TPS sets, then an affine one
+        whole = cves(cross_validation_errors(ss, sets))
         d = ss.d
         # set 0: deficient at fold 2, then undetermined at fold 5; set 1: undetermined at fold 1,
         # deficient at fold 4, and a singular normal matrix at fold 6, which the block downdates first
@@ -596,7 +675,7 @@ class TestFoldPriors:
 
         monkeypatch.setattr(defgpa.gpa, "_rank_below", spy_rank_below)
         monkeypatch.setattr(defgpa.gpa, "_downdated_terms", spy_downdate)
-        outcomes = cross_validation_errors(ss, fits)
+        outcomes = cves(cross_validation_errors(ss, sets))
         # folds 1-6 share a block, so set 1's singular fold 6 is recorded before its tail runs
         assert injected == [6]
         assert any({(2, 0), (5, 0), (1, 1), (4, 1), (6, 0)} <= set(rows) for rows in blocks)
@@ -620,13 +699,14 @@ class TestFoldPriors:
                            + 0.05 * rng.normal(size=(2, 8)) for _ in range(3)]
         ss = ShapeSet(tuple(Shape(S, np.ones(8, bool)) for S in shapes))
         models = [LinearOnlyWarp(2) for _ in ss]
-        fits = [(models, solve(ss, models, check_conditions=False))]
-        (outcome,) = cross_validation_errors(ss, fits)
+        results = cross_validation_errors(ss, [models])
+        (outcome,) = cves(results)
         assert type(outcome) is DegenerateConfiguration and str(outcome) == _UNORIENTED
         with pytest.raises(DegenerateConfiguration, match=_UNORIENTED):
-            per_fold_reference(ss, fits)
-        fits = [(models, solve(ss, models, reflection_ref=1, check_conditions=False))]
-        (outcome,) = cross_validation_errors(ss, fits, reflection_ref=1)
+            per_fold_reference(ss, checked_fits(ss, [models], results))
+        results = cross_validation_errors(ss, [models], reflection_ref=1)
+        checked_fits(ss, [models], results, reflection_ref=1)
+        (outcome,) = cves(results)
         assert not isinstance(outcome, DefgpaError), outcome
 
     @pytest.mark.parametrize("kind", ["smooth", "rigid"])
@@ -635,8 +715,9 @@ class TestFoldPriors:
         import defgpa.metrics
         ss = mask_set(rng, full_set(rng, 2, 12, 4, kind=kind, noise=0.05 if kind == "smooth" else 0.0),
                       0.15, min_joint=2 + 2)
-        fits = solved_fits(ss, [10.0, 1.0, 0.1])
-        whole = cross_validation_errors(ss, fits)
+        # the prior is given, so that the spied `_fold_priors` runs for the folds alone
+        sets, prior = grid_sets(ss, [10.0, 1.0, 0.1]), estimate_prior_for_set(ss)
+        whole = cves(cross_validation_errors(ss, sets, prior))
         chunks = []
         fold_priors_core = defgpa.gpa._fold_priors
 
@@ -646,7 +727,7 @@ class TestFoldPriors:
 
         monkeypatch.setattr(defgpa.gpa, "_fold_priors", spy)
         monkeypatch.setattr(defgpa.metrics, "_STACK_ENTRIES", 4000)
-        split = cross_validation_errors(ss, fits)
+        split = cves(cross_validation_errors(ss, sets, prior))
         assert len(chunks) > 2
         for got, want in zip(split, whole):
             assert got[0] == want[0]
@@ -654,11 +735,13 @@ class TestFoldPriors:
 
 
 def test_prior_chunks_do_not_depend_on_the_model_sets(rng, monkeypatch):
-    # a prior chunk counts only the priors it stacks, not the model sets the folds then solve
+    # a prior chunk counts only the priors it stacks, not the model sets the folds then solve; the
+    # prior of the full solves is given, so that the spied `_fold_priors` runs for the folds alone
     import defgpa.gpa
     import defgpa.metrics
     ss = mask_set(rng, full_set(rng, 2, 12, 4, kind="smooth", noise=0.05), 0.15, min_joint=2 + 2)
-    runs = [solved_fits(ss, thetas, affine=False) for thetas in ([1.0], [10.0, 1.0, 0.1])]
+    runs = [grid_sets(ss, thetas, affine=False) for thetas in ([1.0], [10.0, 1.0, 0.1])]
+    prior = estimate_prior_for_set(ss)
     fold_priors_core = defgpa.gpa._fold_priors
     chunks = []
 
@@ -668,9 +751,9 @@ def test_prior_chunks_do_not_depend_on_the_model_sets(rng, monkeypatch):
 
     monkeypatch.setattr(defgpa.gpa, "_fold_priors", spy)
     monkeypatch.setattr(defgpa.metrics, "_STACK_ENTRIES", 4000)
-    for fits in runs:
+    for sets in runs:
         chunks.append([])
-        outcomes = cross_validation_errors(ss, fits)
+        outcomes = cves(cross_validation_errors(ss, sets, prior))
         assert not any(isinstance(outcome, DefgpaError) for outcome in outcomes)
     assert chunks[0] == chunks[1] == [5, 5, 2]
 
@@ -681,8 +764,7 @@ def test_blocks_count_the_tail_of_each_pair(rng, monkeypatch):
     import defgpa.metrics
     ss = mask_set(rng, full_set(rng, 3, 40, 2, kind="affine", noise=0.05), 0.1)
     models = affine_models(ss)
-    fits = [(models, solve(ss, models, check_conditions=False))]
-    whole = cross_validation_errors(ss, fits)
+    whole = cves(cross_validation_errors(ss, [models]))
     dplr = defgpa.metrics._bottom_pairs_dplr
     blocks = []
 
@@ -692,7 +774,7 @@ def test_blocks_count_the_tail_of_each_pair(rng, monkeypatch):
 
     monkeypatch.setattr(defgpa.metrics, "_bottom_pairs_dplr", spy)
     monkeypatch.setattr(defgpa.metrics, "_STACK_ENTRIES", 5000)
-    split = cross_validation_errors(ss, fits)
+    split = cves(cross_validation_errors(ss, [models]))
     assert blocks == [3] * 13 + [1]
     assert split[0][0] == whole[0][0]
     np.testing.assert_array_equal(np.array(split[0][1]), np.array(whole[0][1]))
@@ -704,21 +786,20 @@ def test_cve_memory_stays_within_the_stack_bound(rng, monkeypatch):
     import defgpa.metrics
     ss = mask_set(rng, full_set(rng, 2, 150, 12, kind="smooth", noise=0.05), 0.1, min_joint=2 + 2)
     models = affine_models(ss)
-    full = solve(ss, models, check_conditions=False)
     tracemalloc.start()
     try:
         solve(ss, models, check_conditions=False)
         _, solve_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         base, _ = tracemalloc.get_traced_memory()
-        outcome, = cross_validation_errors(ss, [(models, full)])
+        (outcome,) = cves(cross_validation_errors(ss, [models]))
         _, cve_peak = tracemalloc.get_traced_memory()
         # the same CVE with one pair per pass and one fold per chunk holds no stacks to speak of
         with monkeypatch.context() as patch:
             patch.setattr(defgpa.metrics, "_STACK_ENTRIES", 1)
             tracemalloc.reset_peak()
             unstacked_base, _ = tracemalloc.get_traced_memory()
-            cross_validation_errors(ss, [(models, full)])
+            cross_validation_errors(ss, [models])
             _, unstacked_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
