@@ -40,7 +40,6 @@ from .gpa import (
     check_theorem_conditions,
     complete_all,
     estimate_prior_for_set,
-    pairwise_transform_table,
     solve,
     solve_affine_centered,
 )
@@ -57,8 +56,6 @@ __all__ = [
     "affine_basis", "apply_warp", "assemble_P", "bending_energy",
     "check_theorem_conditions", "complete_all", "cross_validation_error",
     "cross_validation_errors", "eig_sym", "estimate_prior_for_set", "fit_inverse_tps",
-    "free_translation_witness", "leftmost_singular_vector",
-    "load_shapes", "pairwise_transform_table",
-    "place_control_points", "rmse_d", "rmse_r", "save_shapes", "solve",
-    "solve_affine_centered", "tps_build", "tps_kernel",
+    "free_translation_witness", "leftmost_singular_vector", "load_shapes", "place_control_points",
+    "rmse_d", "rmse_r", "save_shapes", "solve", "solve_affine_centered", "tps_build", "tps_kernel",
 ]

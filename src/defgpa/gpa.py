@@ -209,39 +209,39 @@ def _transform_table(joint, sums, cross, sq, allow_reflection):
     return s, R, t, (index[:-2], error(message.format(need=d + 1, have=int(joint[index]))))
 
 
-def pairwise_transform_table(shape_set, allow_reflection=False):
-    """Similarity Procrustes between every ordered pair of shapes.
+def _fills(s, R, t, Y, G, J):
+    """sum_k G_kj (s_ik R_ik Y_kj + t_ik) (..., n, d, g) at the columns J (n x g) of each shape i, for a
+    `_transform_table` (s, R, t) with any leading (fold) axes and the `_centred` points Y and masks G;
+    over the count of column j and shifted by shape i's centroid, the completion of its missing point j."""
+    n, d, _ = Y.shape
+    maps = np.swapaxes(s[..., None, None] * R, -2, -3).reshape(*s.shape[:-2], n, d, n * d)
+    Z = maps @ Y[:, :, J].transpose(2, 0, 1, 3).reshape(n, n * d, -1)
+    return Z + np.swapaxes(t, -1, -2) @ G[:, J].transpose(1, 0, 2)
 
-    Entry [i, k] of the returned s (n, n), R (n, n, d, d) and t (n, n, d)
-    maps shape k onto shape i over their jointly visible points,
-    s R D_k + t 1^T ~ D_i; the diagonal is the identity.  The masked sums,
-    cross-covariances and squared norms of all pairs come from matmuls over
-    the points of the centred shapes, and the first failing pair in
-    row-major order raises, as a loop over the pairs would.
-    """
-    X, G = _stacked(shape_set)
-    c, Y = _centred(X, G)
-    s, R, t, failure = _transform_table(*_moments(Y, G), allow_reflection)
-    if failure is not None:
-        raise failure[1]
-    return s, R, t + c[:, None, :] - s[..., None] * (R @ c[None, :, :, None])[..., 0]
+
+def _missing_first(G):
+    """Per shape, the columns of its missing points first (n x g, g the most points a shape misses, >= 1)."""
+    return np.argsort(G, axis=1, kind="stable")[:, :max(1, int(np.max(G.shape[1] - G.sum(axis=1))))]
 
 
 def complete_all(shape_set, allow_reflection=False):
     """Completed full matrices for every shape (full shapes pass through).
 
     Each missing point of shape i is the visibility-weighted average of its
-    occurrences in all shapes, each mapped into frame i through the pairwise
-    table; the transforms are applied as one (n d) x (n d) matmul.
+    occurrences in all shapes, each mapped into frame i by the similarity
+    Procrustes of the pair (`_transform_table`, whose first failing pair raises).
     """
     X, G = _stacked(shape_set)
     if G.all():
         return list(X)
-    s, R, t = pairwise_transform_table(shape_set, allow_reflection)
-    n, d, m = X.shape
-    maps = (s[:, :, None, None] * R).transpose(0, 2, 1, 3).reshape(n * d, n * d)
-    acc = (maps @ X.reshape(n * d, m) + t.transpose(0, 2, 1).reshape(n * d, n) @ G).reshape(n, d, m)
-    return list(np.where(G[:, None, :] > 0, X, acc / G.sum(axis=0)))
+    c, Y = _centred(X, G)
+    s, R, t, failure = _transform_table(*_moments(Y, G), allow_reflection)
+    if failure is not None:
+        raise failure[1]
+    J = _missing_first(G)
+    i, k = np.nonzero(np.take_along_axis(G, J, axis=1) == 0)
+    X[i, :, J[i, k]] = c[i] + _fills(s, R, t, Y, G, J)[i, :, k] / G.sum(axis=0)[J[i, k], None]
+    return list(X)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +293,7 @@ def _fold_priors(Y, G, moments, held, allow_reflection):
     joint, sums, cross, sq = (whole - part for whole, part in zip(moments, _moments(Yh, Gh)))
     keep = np.ones((F, m + 1), dtype=bool)
     keep[np.arange(F)[:, None], held] = False
-    J = np.argsort(G, axis=1, kind="stable")[:, :max(1, int(np.max(m - G.sum(axis=1))))]  # missing first
+    J = _missing_first(G)
     fill = keep[:, J] & (G[np.arange(n)[:, None], J] == 0)   # F x n x |J|: missing and kept
     diag = np.arange(n)
     total, second = sums[:, diag, diag], cross[:, diag, diag]
@@ -303,11 +303,7 @@ def _fold_priors(Y, G, moments, held, allow_reflection):
         s, R, t, failure = _transform_table(joint[need], sums[need], cross[need], sq[need], allow_reflection)
         if failure is not None:
             count, error = need[failure[0][0]], failure[1]
-        # fill [f, i, :, j] = sum_k G_kj (s R Y_kj + t)_ik / c_j at shape i's missing points J_i
-        maps = (s[..., None, None] * R).transpose(0, 1, 3, 2, 4).reshape(len(need), n, d, n * d)
-        Z = maps @ Y[:, :, J].transpose(2, 0, 1, 3).reshape(n, n * d, -1)
-        Z += np.swapaxes(t, -1, -2) @ G[:, J].transpose(1, 0, 2)
-        Z *= fill[need, :, None, :] / G.sum(axis=0)[J][:, None, :]
+        Z = _fills(s, R, t, Y, G, J) * (fill[need, :, None, :] / G.sum(axis=0)[J][:, None, :])
         total[need] += Z.sum(axis=-1)
         second[need] += Z @ np.swapaxes(Z, -1, -2)
     C = second - total[..., :, None] * total[..., None, :] / (m - (held < m).sum(axis=1))[:, None, None, None]
@@ -328,25 +324,23 @@ def _fold_priors(Y, G, moments, held, allow_reflection):
 
 
 def _cholesky(N):
-    """Cholesky factors of a stack of matrices N (..., l, l), the identity where one is not positive
-    definite, and where that is; only if the stacked call fails are the matrices factored one by one."""
-    failed = np.zeros(N.shape[:-2], dtype=bool)
+    """Cholesky factors of a stack of matrices N (..., l, l) and where N fails: it is non-finite, not positive
+    definite, or has a pivot with L_jj^2 <= 1e-12 N_jj, as a semidefinite N can pass by round-off alone.  A
+    failed N gets the identity factor; only if the stacked call fails is each matrix factored alone."""
+    failed = np.array(~np.isfinite(N).all(axis=(-2, -1)))
+    N = np.where(failed[..., None, None], np.eye(N.shape[-1]), N)
     try:
-        return np.linalg.cholesky(N), failed
+        L = np.linalg.cholesky(N)
     except np.linalg.LinAlgError:
         L = np.zeros(N.shape)
         for index in np.ndindex(failed.shape):
             try:
                 L[index] = np.linalg.cholesky(N[index])
             except np.linalg.LinAlgError:
-                L[index], failed[index] = np.eye(N.shape[-1]), True
-        return L, failed
-
-
-def _below_floor(L, diagonal):
-    """Where Cholesky factors L (..., l, l) of matrices N with that diagonal (..., l) have a pivot with
-    L_jj^2 <= 1e-12 N_jj: a semidefinite N can pass the factorization by round-off alone."""
-    return np.any(np.diagonal(L, axis1=-2, axis2=-1) ** 2 <= 1e-12 * diagonal, axis=-1)
+                failed[index] = True
+    failed |= np.any(np.diagonal(L, 0, -2, -1) ** 2 <= 1e-12 * np.diagonal(N, 0, -2, -1), axis=-1)
+    L[failed] = np.eye(N.shape[-1])
+    return L, failed
 
 
 def _singular(failed, finite=True):
@@ -397,10 +391,9 @@ def _per_shape_terms(G, bases, mus):
     shape at a time, so numpy's overlap copy is one l x m block and a solve
     holds one array of n l m entries.  With T > 1 the T rows are a new array.
     N_ti = Bg_i Bg_i^T + mus[t, i] Z_i^T Z_i = L_ti L_ti^T (identity on padded rows)
-    is factored by `_cholesky`, and a row t with a matrix that is non-finite, not
-    positive definite or `_below_floor` gets the SingularSystem of its first
-    such shape in the returned dict.  Row t's P is diag(sum_i Gamma_i) -
-    F_t^T F_t, Bg_i = L_ti F_ti; `_factors` completes the array in place.
+    is factored by `_cholesky`; a row t with a matrix that fails it gets the SingularSystem of its first
+    such shape in the returned dict, "non-finite" where N or the basis is.  Row t's P is
+    diag(sum_i Gamma_i) - F_t^T F_t, Bg_i = L_ti F_ti; `_factors` completes the array in place.
     """
     stack, grams, dims = bases
     n, width, m = len(dims), grams.shape[-1], stack.shape[-1]
@@ -412,10 +405,8 @@ def _per_shape_terms(G, bases, mus):
     N = N + mus[:, :, None, None] * grams
     factor = stack[None] if len(mus) == 1 else np.zeros((len(mus), *stack.shape))
     F = factor[:, :-2].reshape(len(mus), n, width, m)
-    finite = np.isfinite(N).all(axis=(-2, -1)) & np.isfinite(B).all(axis=(-2, -1))
-    N = np.where(finite[..., None, None], N, np.eye(width))
+    finite = np.isfinite(N).all(axis=(-2, -1)) & np.isfinite(B).all(axis=(-2, -1))  # before F overwrites B
     L, failed = _cholesky(N)
-    failed |= ~finite | _below_floor(L, np.diagonal(N, axis1=-2, axis2=-1))
     Linv = np.linalg.inv(L)
     for i in range(n):
         np.matmul(Linv[:, i], B[i], out=F[:, i])
@@ -430,8 +421,8 @@ def _downdated_terms(F, rows, held, keep):
     With U_i = F_i[:, held] (zero where padded), N_i' = L_i (I - U_i U_i^T) L_i^T (Hager 1989), so
     E_i = chol(I - U_i U_i^T) gives L_i'^-1 = E_i^-1 L_i^-1, F_i' = E_i^-1 F_i[:, keep] and the held
     factor E_i^-1 U_i = L_i'^-1 Bg_i[:, held], and no normal matrix is formed or factored again.  L_i
-    has passed the whole set's checks, so a fold judges E_i alone: N_i' is singular where E_i does not
-    exist or is `_below_floor` of I - U_i U_i^T, and a held point of leverage one fails its fold.
+    has passed the whole set's checks, so a fold judges E_i alone: N_i' is singular where `_cholesky`
+    fails I - U_i U_i^T, and a held point of leverage one fails its fold.
     """
     P, (n, width, m) = len(rows), F.shape[1:]
     U = np.moveaxis(F[rows[:, None], :, :, np.minimum(held, m - 1)], 1, -1)
@@ -448,7 +439,7 @@ def _downdated_terms(F, rows, held, keep):
     folds = factor[:, :-2].reshape(P, n, width, -1)
     for i in range(n):  # numpy's overlap copy is one shape's l x m' block per fold
         np.matmul(Einv[:, i], folds[:, i], out=folds[:, i])
-    return Einv @ U, factor, _singular(failed | _below_floor(E, np.diagonal(whitened, axis1=-2, axis2=-1)))
+    return Einv @ U, factor, _singular(failed)
 
 
 def _factors(factor, counts, n):

@@ -42,13 +42,16 @@ class CveConfig:
 
 
 def _rms(solution, shape_set, models, residual):
-    """The root-mean-square of residual(shape, model, W) (d x m) over all visible landmarks, for a
-    solution and models that fit the shape set (else DimensionError)."""
+    """The root-mean-square of residual(shape, model, W) (d x m) over all visible landmarks, for a solution
+    (d x m reference, weights of d columns) and models that fit the shape set (else DimensionError)."""
     n, size = shape_set.n, (shape_set.d, shape_set.m)
     if not len(models) == len(solution.weights) == n:
         raise DimensionError(f"{n} shapes but {len(models)} models and {len(solution.weights)} weights")
     if np.shape(solution.reference) != size:
         raise DimensionError(f"reference has shape {np.shape(solution.reference)}, expected {size}")
+    for i, W in enumerate(solution.weights):
+        if np.shape(W)[1:] != size[:1]:
+            raise DimensionError(f"weights {i} have shape {np.shape(W)}, expected d={size[0]} columns")
     total = sum(float(np.sum((residual(shape, model, W) * shape.visibility) ** 2))
                 for shape, model, W in zip(shape_set, models, solution.weights))
     return float(np.sqrt(total / sum(s.num_visible for s in shape_set)))
@@ -189,8 +192,7 @@ def _fold_blocks(folds, batch, size, terms, fulls, reflection_ref):
         # the full references on the kept columns: the warm start and the gauge target
         full = np.take_along_axis(np.stack([fulls[t].reference for t in at]), keep[:, None], axis=-1)
         W, centre = _gpa._factors(factor, counts[keep], n)
-        values, V = _bottom_pairs_dplr(counts[keep], W, d,
-                                       None if W.shape[2] >= W.shape[1] else np.swapaxes(full, -1, -2))
+        values, V = _bottom_pairs_dplr(counts[keep], W, d, np.swapaxes(full, -1, -2))
         # the fold weights W_i = L_i'^-T F_i' S^T and Bg_i[:, H] = L_i' E_i^-1 U_i give W_i^T Bg_i[:, H] =
         # C (F_i' V)^T E_i^-1 U_i with S = C V^T, and F' V = F'_c V + c 1^T V with F'_c centred by `_factors`
         FV = (factor[:, :-2] @ V + centre * V.sum(axis=1, keepdims=True)).reshape(len(f), n, -1, d)
@@ -272,7 +274,7 @@ def cross_validation_errors(shape_set, model_sets, prior=None, config=None, refl
 
 
 def cross_validation_error(shape_set, models, prior=None, config=None, reflection_ref=0):
-    """Leave-N-out CVE and the per-shape predicted reference shapes of one model set: the
-    `cross_validation_errors` of that set alone, raising what stops it."""
+    """Leave-N-out CVE and per-shape predicted reference shapes of one model set, reflections always
+    forbidden: `cross_validation_errors` (which takes `allow_reflection`) of the set; raises what stops it."""
     (outcome,) = cross_validation_errors(shape_set, [models], prior, config, reflection_ref)
     return _raised(_raised(outcome)[1])

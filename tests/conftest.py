@@ -5,7 +5,7 @@ import pytest
 
 from defgpa import (AffineWarp, CveConfig, DefgpaError, DegenerateConfiguration, Shape, ShapeSet, apply_warp,
                     eig_sym, estimate_prior_for_set, place_control_points, solve, spectral, tps_build)
-from defgpa.gpa import _procrustes
+from defgpa.gpa import _centred, _moments, _procrustes, _stacked, _transform_table
 from defgpa.metrics import _fold_slices
 from defgpa.spectral import _scale_selected
 
@@ -63,6 +63,24 @@ def dense_selection(M, lambdas, anchor=None, datum=None, skip=0):
         R, _, _ = _procrustes(datum.filled(0.0), S, datum.visibility.astype(float), allow_reflection=True)
         S[..., 0, :] *= np.where(np.linalg.det(R) < 0, -1.0, 1.0)[..., None]
     return S
+
+
+def pairwise_transform_table(shape_set, allow_reflection=False):
+    """Similarity Procrustes between every ordered pair of shapes, in the shapes' own frames.
+
+    Entry [i, k] of s (n, n), R (n, n, d, d) and t (n, n, d) maps shape k onto
+    shape i over their jointly visible points, s R D_k + t 1^T ~ D_i; the
+    diagonal is the identity.  The package's table (`gpa._transform_table`)
+    maps centred frames; with centroids c, the translation between the
+    shapes' own frames is t + c_i - s R c_k.  The first failing pair in
+    row-major order raises, as a loop over the pairs would.
+    """
+    X, G = _stacked(shape_set)
+    c, Y = _centred(X, G)
+    s, R, t, failure = _transform_table(*_moments(Y, G), allow_reflection)
+    if failure is not None:
+        raise failure[1]
+    return s, R, t + c[:, None, :] - s[..., None] * (R @ c[None, :, :, None])[..., 0]
 
 
 def kabsch(A, B):

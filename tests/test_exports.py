@@ -37,3 +37,24 @@ def test_every_export_has_a_caller():
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
     assert sorted(set(defgpa.__all__) - used) == []
+
+
+def test_every_private_definition_has_a_caller():
+    # a module-level private function, class or constant of the package must be read somewhere in
+    # the package; its definition and imports of it do not count
+    defined, used = {}, set()
+    for path in (Path(__file__).resolve().parent.parent / "src" / "defgpa").glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            else:
+                targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+                names = [target.id for target in targets if isinstance(target, ast.Name)]
+            defined.update((name, path.name) for name in names if re.fullmatch(r"_[^_]\w*", name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert sorted(f"{module}: {name}" for name, module in defined.items() if name not in used) == []

@@ -21,7 +21,6 @@ from defgpa import (
     eig_sym,
     estimate_prior_for_set,
     leftmost_singular_vector,
-    pairwise_transform_table,
     rmse_r,
     solve,
     solve_affine_centered,
@@ -39,6 +38,7 @@ from conftest import (
     gauge_residual,
     kabsch,
     mask_set,
+    pairwise_transform_table,
     random_rotation,
     tps_models,
 )
@@ -447,6 +447,19 @@ class TestAssembleP:
         _, _, errors = _per_shape_terms(np.ones((1, 2)), bases, np.zeros((1, 1)))
         assert {t: (type(exc), exc.shape_index, str(exc)) for t, exc in errors.items()} == {
             0: (SingularSystem, 0, "normal matrix of shape 0 is singular")}
+
+    def test_cholesky_returns_the_whole_verdict(self):
+        # a positive definite N, a non-finite one, an indefinite one and 2 11^T, which passes the
+        # factorization by round-off: the last three fail and get identity factors.  The indefinite N
+        # makes the stacked call fail, so the matrices are factored one by one; without it, the
+        # stacked call passes and only the pivot floor fails 2 11^T
+        N = np.stack([[[2.0, 1.0], [1.0, 2.0]], [[1.0, np.nan], [np.nan, 1.0]], [[1.0, 2.0], [2.0, 1.0]],
+                      2.0 * np.ones((2, 2))])
+        for stack, want in ((N, [False, True, True, True]), (N[[0, 3]], [False, True])):
+            L, failed = _cholesky(stack)
+            np.testing.assert_array_equal(failed, want)
+            np.testing.assert_allclose(L[0] @ L[0].T, N[0], rtol=1e-15)
+            np.testing.assert_array_equal(L[1:], np.broadcast_to(np.eye(2), (len(stack) - 1, 2, 2)))
 
     def test_singular_fold_downdates(self, rng):
         # F_i = L_i^-1 Bg_i (l = 2) and one held column u per shape: N_i' = L_i (I - u u^T) L_i^T.  Fold

@@ -1,5 +1,7 @@
 """Residual metrics, the weighted Procrustes of the gauge alignment, and cross-validation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,17 @@ class TestRmseInputChecks:
         other = solve(restrict_points(ss, np.arange(8)), models)
         with pytest.raises(DimensionError, match=r"reference has shape \(2, 8\), expected \(2, 10\)"):
             metric(other, ss, models)
+
+    @pytest.mark.parametrize("metric", [rmse_r, rmse_d])
+    def test_weights_without_d_columns(self, rng, metric):
+        # 3 x 3 affine weights on a d = 2 set: the fit would be 3 x m against a 2 x m reference
+        ss = full_set(rng, 2, 10, 4, kind="affine", noise=0.05)
+        models = affine_models(ss)
+        sol = solve(ss, models)
+        wide = replace(sol, weights=(sol.weights[0], np.hstack([sol.weights[1], sol.weights[1][:, :1]]),
+                                     *sol.weights[2:]))
+        with pytest.raises(DimensionError, match=r"weights 1 have shape \(3, 3\), expected d=2 columns"):
+            metric(wide, ss, models)
 
     def test_rmse_d_needs_an_invertible_warp(self, rng):
         # a warp that is neither a TPS nor a (d+1)-row affine map has no inverse to fit
@@ -708,6 +721,23 @@ class TestFoldPriors:
         checked_fits(ss, [models], results, reflection_ref=1)
         (outcome,) = cves(results)
         assert not isinstance(outcome, DefgpaError), outcome
+
+    def test_line_reference_leaves_the_fold_gauge_undetermined(self, rng):
+        # under the prior (1, 0, 0) the full reference of a d = 3 set is a line, while every fold
+        # re-estimates a positive prior: the rigid gauge between a fold's reference and the line has
+        # a cross-covariance of rank 1 < d - 1, and the tail's rank test fails the fold, with no
+        # patching.  The prior (1, 0.5, 0) leaves a plane, whose gauge is determined
+        from defgpa.gpa import _RANK_DEFICIENT
+        ss = full_set(rng, 3, 12, 4, kind="affine")
+        models = affine_models(ss)
+        results = cross_validation_errors(ss, [models], prior=[1.0, 0.0, 0.0])
+        (outcome,) = cves(results)
+        assert type(outcome) is DegenerateConfiguration and str(outcome) == _RANK_DEFICIENT
+        with pytest.raises(DegenerateConfiguration, match=_RANK_DEFICIENT):
+            per_fold_reference(ss, checked_fits(ss, [models], results, prior=[1.0, 0.0, 0.0]))
+        results = cross_validation_errors(ss, [models], prior=[1.0, 0.5, 0.0])
+        fits = checked_fits(ss, [models], results, prior=[1.0, 0.5, 0.0])
+        assert_cve_parity(cves(results), per_fold_reference(ss, fits))
 
     @pytest.mark.parametrize("kind", ["smooth", "rigid"])
     def test_chunks_do_not_change_outcomes(self, rng, monkeypatch, kind):
