@@ -157,27 +157,28 @@ def _solve_grid(shape_set, config, thetas, group, check_conditions=False):
             for models, result in zip(model_sets, results)]
 
 
+def _row(shape_set, result):
+    """The solution of a `_solve_grid` entry and its metrics row {rmse_r, rmse_d, cve}; raises the
+    DefgpaError that stopped it.  rmse_r = sqrt(data_cost / sum_i nnz(Gamma_i)) is read from the solve."""
+    models, solution, outcome = _raised(result)
+    return solution, {"rmse_r": math.sqrt(solution.data_cost / sum(s.num_visible for s in shape_set)),
+                      "rmse_d": metrics.rmse_d(solution, shape_set, models),
+                      "cve": None if outcome is None else _raised(outcome)[0]}
+
+
 def cmd_solve(config):
     shape_set = _load_input(config, config.cve_group)
     start = time.perf_counter()
     (result,) = _solve_grid(shape_set, config, [config.theta], config.cve_group, check_conditions=True)
-    models, solution, outcome = _raised(result)
-    r_ref = metrics.rmse_r(solution, shape_set, models)
-    r_dat = metrics.rmse_d(solution, shape_set, models)
-    cve = None if outcome is None else _raised(outcome)[0]
+    solution, row = _row(shape_set, result)
     elapsed = time.perf_counter() - start
 
     out = _default_output(config, "solution.json")
-    doc = solution.to_json_dict()
-    # wall time lives only in the metrics report so the solution JSON stays
-    # byte-identical across runs
-    doc["metrics"] = {"rmse_r": r_ref, "rmse_d": r_dat, "cve": cve}
-    _write_json(out, doc)
-    row = {"method": _method_name(config), "rmse_r": r_ref, "rmse_d": r_dat,
-           "cve": cve, "wall_time_seconds": elapsed}
+    # wall time lives only in the metrics report, so the solution JSON stays byte-identical across runs
+    _write_json(out, {**solution.to_json_dict(), "metrics": row})
     _write_metrics(os.path.splitext(out)[0] + ".metrics." + config.format,
-                   config.format, [row])
-    print(json.dumps({"output": out, "rmse_r": r_ref, "rmse_d": r_dat, "cve": cve}))
+                   config.format, [{"method": _method_name(config), **row, "wall_time_seconds": elapsed}])
+    print(json.dumps({"output": out, **row}))
     return EXIT_OK
 
 
@@ -197,10 +198,7 @@ def cmd_sweep(config):
     rows = []
     for theta, result in zip(thetas, _solve_grid(shape_set, config, thetas, config.cve_group)):
         try:
-            models, solution, outcome = _raised(result)
-            rows.append({"theta": theta, "rmse_r": metrics.rmse_r(solution, shape_set, models),
-                         "rmse_d": metrics.rmse_d(solution, shape_set, models),
-                         "cve": _raised(outcome)[0]})
+            rows.append({"theta": theta, **_row(shape_set, result)[1]})
         except DefgpaError as exc:  # a failed grid point is a nan row; the sweep goes on
             sys.stderr.write(json.dumps({"theta": theta, "error": type(exc).__name__,
                                          "message": str(exc)}) + "\n")

@@ -59,7 +59,7 @@ class GpaSolution:
     prior: CovariancePrior
     nu: float
     cost: float                    # data + regularization + penalty
-    data_cost: float
+    data_cost: float               # sum_i ||W_i^T B_i Gamma_i - S Gamma_i||^2 = rmse_r^2 * sum_i nnz(Gamma_i)
     reg_cost: float
     penalty_cost: float
     mus: tuple = ()

@@ -1,7 +1,10 @@
 """Evaluation metrics: reference/datum-space residuals and cross-validation.
 
 rmse_r measures residuals after mapping each datum shape into the reference
-frame; rmse_d maps the reference back through per-shape inverse transforms
+frame.  Its square is the solve's data term per visible landmark: for a
+solution and the models it was solved with,
+rmse_r = sqrt(data_cost / sum_i nnz(Gamma_i)), which is how the CLI reads it.
+rmse_d maps the reference back through per-shape inverse transforms
 (exact for invertible affine maps, a fitted inverse spline for the TPS).  The
 cross-validation error holds out groups of points: each fold's solve
 downdates the factorization of the full solve on all points, predicts the
@@ -66,7 +69,7 @@ def rmse_r(solution, shape_set, models):
 def _inverse_transform(model, W, S):
     """T^{-1}(S) for one shape: exact affine inverse or fitted inverse TPS."""
     if isinstance(model, TpsWarp):
-        inverse, W_inv = fit_inverse_tps(model, W, model.internal_smoothing)
+        inverse, W_inv = fit_inverse_tps(model, W)
         return apply_warp(inverse, W_inv, S)
     # affine: W^T = [A | t]
     W = np.asarray(W, dtype=float)

@@ -191,14 +191,11 @@ def _load_json(text):
         raise FormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise FormatError("top-level JSON value must be an object")
-    try:
-        d = int(doc["d"])
-        m = int(doc["m"])
-        entries = doc["shapes"]
-        n = int(doc["n"]) if "n" in doc else None
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError("JSON document needs integer 'd', 'm' (and 'n', if given) "
-                          "and a 'shapes' list") from exc
+    # header fields are JSON integer literals: 2, not 2.9, 2.0, "2" or true
+    header = [doc.get("d"), doc.get("m"), *([doc["n"]] if "n" in doc else [])]
+    if any(type(value) is not int for value in header) or "shapes" not in doc:
+        raise FormatError("JSON document needs integer 'd', 'm' (and 'n', if given) and a 'shapes' list")
+    d, m, n, entries = doc["d"], doc["m"], doc.get("n"), doc["shapes"]
     if not isinstance(entries, list) or not entries:
         raise FormatError("'shapes' must be a non-empty list")
     if n is not None and n != len(entries):

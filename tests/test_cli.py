@@ -23,8 +23,8 @@ from defgpa import (
     save_shapes,
     solve,
 )
-from defgpa.cli import _config_from_args, build_models, build_parser, main
-from conftest import affine_models, full_set
+from defgpa.cli import _config_from_args, _with_theta, build_models, build_parser, main
+from conftest import affine_models, full_set, mask_set
 
 SRC_DIR = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
@@ -151,17 +151,26 @@ class TestSolveCommand:
             "error": "FormatError", "message": "points need at least one coordinate row, got d=0"}
         assert not out.exists()
 
-    def test_library_parity(self, rigid_file, tmp_path):
-        ss, path = rigid_file
+    @pytest.mark.parametrize("case", ["rigid-affine", "partial-tps"])
+    def test_library_parity(self, rng, tmp_path, case):
+        # the noiseless rigid set fits exactly (rmse ~ 1e-16), so only an absolute bound means anything
+        # there; the partial TPS set, with hidden points and theta > 0, checks the CLI's rmse_r, read from
+        # the solve's data_cost, and its rmse_d against the library's to round-off
+        if case == "rigid-affine":
+            ss, args, tol = full_set(rng, 2, 8, 3, kind="rigid"), ["--model", "affine"], dict(abs=1e-12)
+        else:
+            ss = mask_set(rng, full_set(rng, 2, 14, 4, kind="smooth", noise=0.1), 0.2)
+            args, tol = ["--model", "tps", "--ctrl", "3", "--theta", "0.5"], dict(rel=1e-12)
+        path = write_set(tmp_path / "set.json", ss)
         out = str(tmp_path / "sol.json")
-        assert main(["solve", "--input", path, "--model", "affine", "--output", out]) == 0
+        assert main(["solve", "--input", path, *args, "--output", out]) == 0
         doc = json.loads(Path(out).read_text())
-        config = build_parser().parse_args(["solve", "--input", path, "--model", "affine"])
-        models = build_models(ss, config)
+        config = _config_from_args(build_parser().parse_args(["solve", "--input", path, *args]))
+        models = _with_theta(build_models(ss, config), ss, config.theta)
         sol = solve(ss, models)
         np.testing.assert_allclose(np.array(doc["reference"]), sol.reference, atol=1e-12)
-        assert doc["metrics"]["rmse_r"] == pytest.approx(rmse_r(sol, ss, models), abs=1e-12)
-        assert doc["metrics"]["rmse_d"] == pytest.approx(rmse_d(sol, ss, models), abs=1e-12)
+        assert doc["metrics"]["rmse_r"] == pytest.approx(rmse_r(sol, ss, models), **tol)
+        assert doc["metrics"]["rmse_d"] == pytest.approx(rmse_d(sol, ss, models), **tol)
 
 
 class TestSweepCommand:

@@ -67,12 +67,17 @@ class TestRmseR:
                     total += float(diff @ diff)
         assert rmse_r(sol, ss, models) == pytest.approx(np.sqrt(total / kappa), rel=1e-12)
 
-    def test_squared_rmse_matches_reported_data_cost(self, rng):
-        ss = mask_set(rng, full_set(rng, 2, 14, 4, kind="smooth", noise=0.1), 0.2)
-        models = tps_models(ss, k=3, theta=1.0)
+    @pytest.mark.parametrize("partial", [False, True], ids=["full", "partial"])
+    @pytest.mark.parametrize("tps", [False, True], ids=["affine", "tps"])
+    def test_squared_rmse_matches_reported_data_cost(self, rng, tps, partial):
+        # the CLI reports rmse_r as sqrt(data_cost / sum_i nnz(Gamma_i)), so the two agree to round-off
+        ss = full_set(rng, 2, 14, 4, kind="smooth", noise=0.1)
+        if partial:
+            ss = mask_set(rng, ss, 0.2)
+        models = tps_models(ss, k=3, theta=1.0) if tps else affine_models(ss)
         sol = solve(ss, models)
         kappa = sum(s.num_visible for s in ss)
-        assert rmse_r(sol, ss, models) ** 2 * kappa == pytest.approx(sol.data_cost, rel=1e-8)
+        assert rmse_r(sol, ss, models) ** 2 * kappa == pytest.approx(sol.data_cost, rel=1e-12)
 
 
 class TestRmseD:

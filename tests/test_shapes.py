@@ -47,6 +47,16 @@ class TestLoading:
         with pytest.raises(FormatError):
             load_shapes(doc, format="json")
 
+    @pytest.mark.parametrize("header", [{"d": 2.9, "m": "4", "n": True}, {"d": 2.9}, {"m": "4"}, {"n": True},
+                                        {"m": 4.5}, {"d": 2.0}, {"m": None}],
+                             ids=["all", "float-d", "string-m", "bool-n", "fraction-m", "integral-float-d",
+                                  "null-m"])
+    def test_header_fields_must_be_json_integers(self, header):
+        # none is a JSON integer, though int() reads all but null as one: 2.9 as 2, "4" as 4, true as 1
+        doc = {"d": 2, "m": 4, "n": 1, "shapes": [{"points": [[0, 0], [1, 0], [0, 1], [1, 1]]}], **header}
+        with pytest.raises(FormatError, match="needs integer 'd', 'm'"):
+            load_shapes(json.dumps(doc), format="json")
+
     def test_shapes_need_a_coordinate_row(self):
         doc = json.dumps({"d": 0, "m": 3, "shapes": [{"points": [[], [], []]}]})
         with pytest.raises(FormatError, match="at least one coordinate row"):
