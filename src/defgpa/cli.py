@@ -157,20 +157,32 @@ def _solve_grid(shape_set, config, thetas, group, check_conditions=False):
             for models, result in zip(model_sets, results)]
 
 
-def _row(shape_set, result):
-    """The solution of a `_solve_grid` entry and its metrics row {rmse_r, rmse_d, cve}; raises the
-    DefgpaError that stopped it.  rmse_r = sqrt(data_cost / sum_i nnz(Gamma_i)) is read from the solve."""
-    models, solution, outcome = _raised(result)
-    return solution, {"rmse_r": math.sqrt(solution.data_cost / sum(s.num_visible for s in shape_set)),
-                      "rmse_d": metrics.rmse_d(solution, shape_set, models),
-                      "cve": None if outcome is None else _raised(outcome)[0]}
+def _rows(shape_set, results):
+    """The solution and metrics row {rmse_r, rmse_d, cve} of each `_solve_grid` entry, or the DefgpaError
+    that stopped it.  rmse_r = sqrt(data_cost / sum_i nnz(Gamma_i)) is read from the solve, and the
+    rmse_d of every solved entry come from one `metrics._rmse_ds` call."""
+    solved = [result for result in results if not isinstance(result, DefgpaError)]
+    rmse_ds = iter(metrics._rmse_ds(shape_set, [models for models, _, _ in solved],
+                                    [solution for _, solution, _ in solved]))
+    visible = sum(s.num_visible for s in shape_set)
+    rows = []
+    for result in results:
+        try:
+            _, solution, outcome = _raised(result)
+            rows.append((solution, {"rmse_r": math.sqrt(solution.data_cost / visible),
+                                    "rmse_d": _raised(next(rmse_ds)),
+                                    "cve": None if outcome is None else _raised(outcome)[0]}))
+        except DefgpaError as exc:
+            rows.append(exc)
+    return rows
 
 
 def cmd_solve(config):
     shape_set = _load_input(config, config.cve_group)
     start = time.perf_counter()
-    (result,) = _solve_grid(shape_set, config, [config.theta], config.cve_group, check_conditions=True)
-    solution, row = _row(shape_set, result)
+    (result,) = _rows(shape_set, _solve_grid(shape_set, config, [config.theta], config.cve_group,
+                                             check_conditions=True))
+    solution, row = _raised(result)
     elapsed = time.perf_counter() - start
 
     out = _default_output(config, "solution.json")
@@ -196,9 +208,10 @@ def cmd_sweep(config):
         _validate(argparse.Namespace(**vars(config), theta=theta))
     shape_set = _load_input(config, config.cve_group)
     rows = []
-    for theta, result in zip(thetas, _solve_grid(shape_set, config, thetas, config.cve_group)):
+    results = _rows(shape_set, _solve_grid(shape_set, config, thetas, config.cve_group))
+    for theta, result in zip(thetas, results):
         try:
-            rows.append({"theta": theta, **_row(shape_set, result)[1]})
+            rows.append({"theta": theta, **_raised(result)[1]})
         except DefgpaError as exc:  # a failed grid point is a nan row; the sweep goes on
             sys.stderr.write(json.dumps({"theta": theta, "error": type(exc).__name__,
                                          "message": str(exc)}) + "\n")

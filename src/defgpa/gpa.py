@@ -413,22 +413,32 @@ def _per_shape_terms(G, bases, mus):
     return Linv, factor, _singular(failed, finite)
 
 
-def _downdated_terms(F, rows, held, keep):
-    """E^-1 U (P x n x l x g), a P x (n l + 2) x m' array whose first n l rows hold F' and the
-    `_singular` errors of P folds of the sets whose `_per_shape_terms` are F (T x n x l x m): fold p
-    downdates row rows[p], holds out the columns held[p] (padded with m) and keeps the columns keep[p].
+def _held_terms(F, rows, held):
+    """The held columns U (P x n x l x g) of P folds of the sets whose `_per_shape_terms` are F
+    (T x n x l x m), the factors E (P x n x l x l) of I - U_i U_i^T and the `_singular` errors of the
+    folds where that fails: fold p takes row rows[p] and holds out the columns held[p] (padded with m,
+    where U is zero).
 
-    With U_i = F_i[:, held] (zero where padded), N_i' = L_i (I - U_i U_i^T) L_i^T (Hager 1989), so
-    E_i = chol(I - U_i U_i^T) gives L_i'^-1 = E_i^-1 L_i^-1, F_i' = E_i^-1 F_i[:, keep] and the held
-    factor E_i^-1 U_i = L_i'^-1 Bg_i[:, held], and no normal matrix is formed or factored again.  L_i
-    has passed the whole set's checks, so a fold judges E_i alone: N_i' is singular where `_cholesky`
-    fails I - U_i U_i^T, and a held point of leverage one fails its fold.
+    With U_i = F_i[:, held], N_i' = L_i (I - U_i U_i^T) L_i^T (Hager 1989).  L_i has passed the whole
+    set's checks, so a fold judges E_i alone: N_i' is singular where `_cholesky` fails
+    I - U_i U_i^T, and a held point of leverage one fails its fold.
     """
-    P, (n, width, m) = len(rows), F.shape[1:]
+    m = F.shape[-1]
     U = np.moveaxis(F[rows[:, None], :, :, np.minimum(held, m - 1)], 1, -1)
     U *= (held < m)[:, None, None]
-    whitened = np.eye(width) - U @ np.swapaxes(U, -1, -2)  # L_i^-1 N_i' L_i^-T
-    E, failed = _cholesky(whitened)
+    E, failed = _cholesky(np.eye(F.shape[-2]) - U @ np.swapaxes(U, -1, -2))  # L_i^-1 N_i' L_i^-T
+    return U, E, _singular(failed)
+
+
+def _downdated_terms(F, rows, held, keep):
+    """E^-1 U (P x n x l x g), a P x (n l + 2) x m' array whose first n l rows hold F' and the
+    `_singular` errors of P folds (`_held_terms`) that keep the columns keep[p].
+
+    E_i = chol(I - U_i U_i^T) gives L_i'^-1 = E_i^-1 L_i^-1, F_i' = E_i^-1 F_i[:, keep] and the held
+    factor E_i^-1 U_i = L_i'^-1 Bg_i[:, held], and no normal matrix is formed or factored again.
+    """
+    U, E, errors = _held_terms(F, rows, held)
+    P, (n, width, m) = len(rows), F.shape[1:]
     Einv = np.zeros(E.shape)
     for j in range(width):  # forward substitution, one row of every E^-1 per call (not one call per matrix)
         row = np.eye(width)[j] - E[..., j, None, :j] @ Einv[..., :j, :]
@@ -439,7 +449,7 @@ def _downdated_terms(F, rows, held, keep):
     folds = factor[:, :-2].reshape(P, n, width, -1)
     for i in range(n):  # numpy's overlap copy is one shape's l x m' block per fold
         np.matmul(Einv[:, i], folds[:, i], out=folds[:, i])
-    return Einv @ U, factor, _singular(failed)
+    return Einv @ U, factor, errors
 
 
 def _factors(factor, counts, n):

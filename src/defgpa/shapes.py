@@ -17,6 +17,7 @@ Supported serializations:
 
 import csv
 import io
+import itertools
 import json
 import os
 import reprlib
@@ -165,6 +166,10 @@ def _coordinates(entries, d):
     return vals
 
 
+def _bad_entry(where, j, d, entry):
+    return FormatError(f"{where} {j}: expected {d} finite numbers, got {reprlib.repr(entry)}")
+
+
 def _parse_rows(entries, d, label, where):
     """The Shape of m per-point entries: None for a missing point, else d numbers.
 
@@ -177,11 +182,20 @@ def _parse_rows(entries, d, label, where):
     if vals is None:
         j = next(j for j, entry in enumerate(entries)
                  if entry is not None and _coordinates([entry], d) is None)
-        raise FormatError(f"{where} {j}: expected {d} finite numbers, "
-                          f"got {reprlib.repr(entries[j])}")
+        raise _bad_entry(where, j, d, entries[j])
     pts = np.full((d, len(entries)), np.nan)
     pts[:, vis] = vals.T
     return Shape(pts, vis, label)
+
+
+def _json_numbers(entries):
+    """Whether every value of the non-null point entries is a JSON number: np.array would also read
+    "2.5" and true as numbers, and the CSV reader's cells are strings."""
+    values = itertools.chain.from_iterable(entry for entry in entries if entry is not None)
+    try:
+        return set(map(type, values)) <= {int, float}
+    except TypeError:  # an entry that is not a list
+        return False
 
 
 def _load_json(text):
@@ -205,6 +219,10 @@ def _load_json(text):
         pts_doc = entry.get("points") if isinstance(entry, dict) else None
         if not isinstance(pts_doc, list) or len(pts_doc) != m:
             raise FormatError(f"shape {i}: 'points' must list exactly m={m} entries")
+        if not _json_numbers(pts_doc):
+            j = next(j for j, point in enumerate(pts_doc) if point is not None
+                     and not (_json_numbers([point]) and _coordinates([point], d) is not None))
+            raise _bad_entry(f"shape {i} point", j, d, pts_doc[j])
         shapes.append(_parse_rows(pts_doc, d, entry.get("id"), f"shape {i} point"))
     return ShapeSet(tuple(shapes))
 

@@ -164,6 +164,23 @@ def _dplr_matrix(D, W):
     return M
 
 
+def _kernels(W, J, ts, weights):
+    """The k x k kernels diag(J) - W_t^T diag(weights_t) W_t of the factors W (T x m x k) at the rows t of ts.
+
+    W diag(weights) is formed _KERNEL_ROWS rows at a time by einsum in one buffer (np.multiply would
+    also buffer the broadcast weights), laid out as numpy lays out that product of W's rows, so that
+    each k x k product rounds as it would on a new array."""
+    m, k = W.shape[-2:]
+    scaled, order = np.empty(min(m, _KERNEL_ROWS) * k), "F" if W.strides[-2] < W.strides[-1] else "C"
+    K = np.zeros((len(ts), k, k))
+    for Kt, t, c in zip(K, ts, weights):
+        for r in range(0, m, _KERNEL_ROWS):
+            Wr = W[t, r:r + _KERNEL_ROWS]
+            Kt += Wr.T @ np.einsum("ij,i->ij", Wr, c[r:r + _KERNEL_ROWS],
+                                   out=scaled[:Wr.size].reshape(Wr.shape, order=order))
+    return np.diag(J) - K
+
+
 def _bottom_pairs_dplr(D, W, d, start=None):
     """Bottom-d eigenpairs, values (T x d) and vectors (T x m x d), of each M_t = diag(D_t) - W_t J W_t^T.
 
@@ -193,17 +210,8 @@ def _bottom_pairs_dplr(D, W, d, start=None):
         raise InvalidMatrix("matrix contains non-finite entries")
     J = np.append(np.ones(k - 1), -1.0)
     scale = D.max(axis=-1)
-
-    def kernels(ts, weights):  # J - W_t^T diag(weights) W_t, one t and one block of rows at a time
-        K = np.zeros((len(ts), k, k))
-        for Kt, t, c in zip(K, ts, weights):
-            for r in range(0, m, _KERNEL_ROWS):
-                Wr = W[t, r:r + _KERNEL_ROWS]
-                Kt += Wr.T @ (Wr * c[r:r + _KERNEL_ROWS, None])
-        return np.diag(J) - K
-
     Delta = (D + _SHIFT * scale[:, None])[..., None]
-    Sinv = np.linalg.inv(kernels(range(T), 1.0 / Delta[..., 0]))
+    Sinv = np.linalg.inv(_kernels(W, J, range(T), 1.0 / Delta[..., 0]))
     X = W @ np.cos(np.outer(np.arange(1, k + 1), np.arange(1, d + 2))) / Delta
     if start is not None:
         X = np.concatenate([start, X], axis=-1)[..., :d + 1]
@@ -227,7 +235,7 @@ def _bottom_pairs_dplr(D, W, d, start=None):
     counted = np.flatnonzero(ok)
     if counted.size:
         cut = (lo + hi)[counted, None] / 2
-        negative = np.linalg.eigvalsh(kernels(counted, 1.0 / (D[counted] - cut))) < 0
+        negative = np.linalg.eigvalsh(_kernels(W, J, counted, 1.0 / (D[counted] - cut))) < 0
         ok[counted] = np.sum(negative, axis=-1) - 1 == d
     values, vectors = values[:, :d], vectors[:, :, :d]
     if not ok.all():

@@ -29,10 +29,10 @@ def affine_basis(D):
 
 
 def _distances(A, B):
-    """Euclidean distances between the columns of A (d x p) and B (d x q), p x q."""
-    sq = np.zeros((A.shape[1], B.shape[1]))
-    for a, b in zip(A, B):  # one coordinate at a time: no d x p x q temporary
-        diff = np.subtract.outer(a, b)
+    """Euclidean distances between the columns of A (... x d x p) and B (... x d x q), ... x p x q."""
+    sq = np.zeros(np.broadcast_shapes(A.shape[:-2], B.shape[:-2]) + (A.shape[-1], B.shape[-1]))
+    for a, b in zip(np.moveaxis(A, -2, 0), np.moveaxis(B, -2, 0)):  # by coordinate: no d x p x q array
+        diff = a[..., :, None] - b[..., None, :]
         diff *= diff
         sq += diff
     return np.sqrt(sq, out=sq)
@@ -133,9 +133,7 @@ class TpsWarp(LbwModel):
         D = np.asarray(D, dtype=float)
         if D.shape[0] != self.d:
             raise DimensionError(f"expected {self.d} x m points, got {D.shape}")
-        phi = tps_kernel(_distances(self.centers, D), self.d)
-        stacked = np.vstack([phi, D, np.ones((1, D.shape[1]))])
-        return self.recovery.T @ stacked
+        return _tps_basis(self.centers, self.recovery, D)
 
     @property
     def sqrt_bending(self):
@@ -161,6 +159,14 @@ class TpsWarp(LbwModel):
         }
 
 
+def _tps_basis(centers, recovery, D):
+    """The features E_lambda^T [phi(|c_k - p|); p; 1] of points D, for one spline (centres d x l,
+    recovery (l+d+1) x l, D d x m) or a stack of them (K x ... each): l x m or K x l x m."""
+    phi = tps_kernel(_distances(centers, D), D.shape[-2])
+    stacked = np.concatenate([phi, D, np.ones(D.shape[:-2] + (1, D.shape[-1]))], axis=-2)
+    return np.swapaxes(recovery, -1, -2) @ stacked
+
+
 def _psd_sqrt(A):
     """Symmetric PSD square root with round-off negatives clamped to zero."""
     pairs = eig_sym(A)
@@ -182,15 +188,59 @@ def default_internal_smoothing(centers):
     return 1e-8 * max(scale, np.finfo(float).tiny)
 
 
-def tps_build(centers, internal_smoothing=None):
-    """Construct a TpsWarp from control centers and the internal loading lambda.
+def _recoveries(centers, internal_smoothing):
+    """The recovery matrices E_lambda (K x (l+d+1) x l) of a stack of center sets (K x d x l) at one
+    internal loading lambda, and per set the DegenerateCenters that rejects it or None.
 
-    Solves the bordered interpolation system [[K_lambda, C~^T], [C~, O]] once;
-    E_lambda is its inverse's first l columns and the bending matrix its top
-    l x l block.  (Block inversion shows this equals the explicit
-    K^{-1}-based formulas whenever K_lambda is invertible, and it stays valid
-    for symmetric center layouts where K_0 alone is singular.)
+    The bordered interpolation systems [[K_lambda, C~^T], [C~, O]] are inverted
+    in one stacked call; E_lambda is each inverse's first l columns.  A set
+    whose C~ = [C; 1^T] is rank-deficient is rejected before the call, and
+    only if the call fails is each system inverted alone.  (Block inversion
+    shows E_lambda equals the explicit K^{-1}-based formulas whenever K_lambda
+    is invertible, and it stays valid for symmetric center layouts where K_0
+    alone is singular.)
     """
+    if internal_smoothing < 0:
+        raise DegenerateCenters("internal smoothing must be non-negative")
+    sets, d, l = centers.shape
+    C = np.concatenate([centers, np.ones((sets, 1, l))], axis=1)
+    errors = [DegenerateCenters("control centers are not in general position (C~ rank-deficient)")
+              if rank < d + 1 else None for rank in np.linalg.matrix_rank(C)]
+    bordered = np.zeros((sets, l + d + 1, l + d + 1))
+    bordered[:, :l, :l] = tps_kernel(_distances(centers, centers), d)
+    bordered[:, range(l), range(l)] = internal_smoothing
+    bordered[:, :l, l:] = np.swapaxes(C, -1, -2)
+    bordered[:, l:, :l] = C
+    bordered[[e is not None for e in errors]] = np.eye(l + d + 1)
+    try:
+        inv = np.linalg.inv(bordered)
+    except np.linalg.LinAlgError:
+        inv = np.zeros(bordered.shape)
+        for k in range(sets):
+            try:
+                inv[k] = np.linalg.inv(bordered[k])
+            except np.linalg.LinAlgError:
+                errors[k] = errors[k] or DegenerateCenters("TPS system matrix is singular for these centers")
+    recovery = inv[:, :, :l]
+    # functional validity check: E_lambda C~^T must be [O; I]
+    target = np.vstack([np.zeros((l, d + 1)), np.eye(d + 1)])
+    residual = np.max(np.abs(recovery @ np.swapaxes(C, -1, -2) - target), axis=(-2, -1))
+    for k in np.flatnonzero(residual > 1e-6):
+        errors[k] = errors[k] or DegenerateCenters(
+            "TPS system matrix is numerically singular for these centers")
+    return recovery, errors
+
+
+def _spline(centers, internal_smoothing, recovery):
+    """The TpsWarp of centers and their recovery matrix; the bending matrix is its top l x l block."""
+    l = centers.shape[1]
+    return TpsWarp(centers=centers, internal_smoothing=float(internal_smoothing), recovery=recovery,
+                   bending=0.5 * (recovery[:l, :] + recovery[:l, :].T))
+
+
+def tps_build(centers, internal_smoothing=None):
+    """Construct a TpsWarp from control centers and the internal loading lambda (`_recoveries` of one
+    center set)."""
     centers = np.asarray(centers, dtype=float)
     if centers.ndim != 2 or centers.shape[0] not in (2, 3):
         raise DimensionError(f"centers must be d x l with d in {{2, 3}}, got {centers.shape}")
@@ -199,34 +249,10 @@ def tps_build(centers, internal_smoothing=None):
         raise DegenerateCenters(f"TPS needs at least d+2={d + 2} centers, got {l}")
     if internal_smoothing is None:
         internal_smoothing = default_internal_smoothing(centers)
-    if internal_smoothing < 0:
-        raise DegenerateCenters("internal smoothing must be non-negative")
-
-    K = tps_kernel(_distances(centers, centers), d)
-    np.fill_diagonal(K, internal_smoothing)
-    C = np.vstack([centers, np.ones((1, l))])
-    if np.linalg.matrix_rank(C) < d + 1:
-        raise DegenerateCenters("control centers are not in general position (C~ rank-deficient)")
-    bordered = np.zeros((l + d + 1, l + d + 1))
-    bordered[:l, :l] = K
-    bordered[:l, l:] = C.T
-    bordered[l:, :l] = C
-    try:
-        inv = np.linalg.inv(bordered)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateCenters("TPS system matrix is singular for these centers") from exc
-    recovery = inv[:, :l]
-    # functional validity check: E_lambda C~^T must be [O; I]
-    target = np.vstack([np.zeros((l, d + 1)), np.eye(d + 1)])
-    if np.max(np.abs(recovery @ C.T - target)) > 1e-6:
-        raise DegenerateCenters("TPS system matrix is numerically singular for these centers")
-    bending = 0.5 * (recovery[:l, :] + recovery[:l, :].T)
-    return TpsWarp(
-        centers=centers.copy(),
-        internal_smoothing=float(internal_smoothing),
-        recovery=recovery,
-        bending=bending,
-    )
+    (recovery,), (error,) = _recoveries(centers[None], internal_smoothing)
+    if error is not None:
+        raise error
+    return _spline(centers.copy(), internal_smoothing, recovery)
 
 
 def place_control_points(data, k, flat_axes=0):
@@ -281,19 +307,31 @@ def bending_energy(model, W):
     return float(max(np.einsum("ij,ik,kj->", W, G, W), 0.0))
 
 
+def _inverse_tps(model, Ws, internal_smoothing):
+    """The center images W_k^T beta(c) (K x d x l) of a stack of weights Ws (K x l x d) of one forward
+    TPS, and the `_recoveries` of the inverse splines through them: the basis at the centers is
+    evaluated once."""
+    if Ws.shape[-2] != model.feature_dim:
+        raise DimensionError(f"weights have {Ws.shape[-2]} rows, basis has {model.feature_dim}")
+    images = np.swapaxes(Ws, -1, -2) @ model.basis(model.centers)
+    return images, *_recoveries(images, internal_smoothing)
+
+
 def fit_inverse_tps(model, W, internal_smoothing=None):
-    """A TPS mapping the forward warp's center images back to the centers.
+    """A TPS mapping the forward warp's center images back to the centers (`_inverse_tps` of one fit).
 
     The inverse warp's centers are the forward images c'_k = W^T beta(c_k) and
     its weights prescribe the original centers as images, so it interpolates
     c'_k -> c_k exactly at internal_smoothing 0 and in regularized
     least-squares otherwise.
     """
-    images = apply_warp(model, W, model.centers)
     if internal_smoothing is None:
         internal_smoothing = model.internal_smoothing
-    inverse = tps_build(images, internal_smoothing)
-    return inverse, model.centers.T.copy()
+    W = np.asarray(W, dtype=float)
+    (images,), (recovery,), (error,) = _inverse_tps(model, W[None], internal_smoothing)
+    if error is not None:
+        raise error
+    return _spline(images, internal_smoothing, recovery), model.centers.T.copy()
 
 
 def _witness_and_residual(model, Bv):

@@ -12,6 +12,7 @@ import pytest
 
 from defgpa import (
     CveConfig,
+    DegenerateCenters,
     Shape,
     ShapeSet,
     SingularSystem,
@@ -215,7 +216,7 @@ class TestSweepCommand:
                       min_joint=2 + 3)
         path = write_set(tmp_path / "set.json", ss)
         bad_theta = 0.5
-        real_terms, real_downdate = defgpa.gpa._per_shape_terms, defgpa.gpa._downdated_terms
+        real_terms, real_held = defgpa.gpa._per_shape_terms, defgpa.gpa._held_terms
         without = str(tmp_path / "without.csv")
         assert main(["sweep", "--input", path, "--model", "tps",
                      "--thetas", "10,0.1", "--output", without]) == 0
@@ -232,16 +233,16 @@ class TestSweepCommand:
                         errors[t] = SingularSystem("injected failure", shape_index=0)
                 return Linv, factor, errors
 
-            def downdated_terms(F, rows, held, keep, in_folds=in_folds):
+            def held_terms(F, rows, held, in_folds=in_folds):
                 # each fold's pair takes the row `rows[p]` of the pass's terms
-                EU, factor, errors = real_downdate(F, rows, held, keep)
+                U, E, errors = real_held(F, rows, held)
                 if in_folds:
                     for p in np.flatnonzero(np.array(mus_of_pass)[rows, 0] == ss[0].num_visible * bad_theta):
                         errors[p] = SingularSystem("injected failure", shape_index=0)
-                return EU, factor, errors
+                return U, E, errors
 
             monkeypatch.setattr(defgpa.gpa, "_per_shape_terms", per_shape_terms)
-            monkeypatch.setattr(defgpa.gpa, "_downdated_terms", downdated_terms)
+            monkeypatch.setattr(defgpa.gpa, "_held_terms", held_terms)
             with_bad = str(tmp_path / f"with_bad_{in_folds}.csv")
             assert main(["sweep", "--input", path, "--model", "tps",
                          "--thetas", "10,0.5,0.1", "--output", with_bad]) == 0
@@ -251,6 +252,32 @@ class TestSweepCommand:
             rows = Path(with_bad).read_text().splitlines()
             assert rows[2] == "0.5,nan,nan,nan"
             assert rows[:2] + rows[3:] == Path(without).read_text().splitlines()
+
+    def test_failed_inverse_fails_its_theta(self, rng, tmp_path, monkeypatch, capsys):
+        # the rmse_d of every theta come from one stacked inverse-TPS fit per shape; an inverse that
+        # fails at one theta fails that row alone, with one stderr line
+        import defgpa.metrics
+        ss = mask_set(rng, full_set(rng, 2, 10, 3, kind="smooth", noise=0.05), 0.2, min_joint=2 + 3)
+        path = write_set(tmp_path / "set.json", ss)
+        without = tmp_path / "without.csv"
+        assert main(["sweep", "--input", path, "--model", "tps", "--thetas", "10,0.1",
+                     "--output", str(without)]) == 0
+        inverse_tps = defgpa.metrics._inverse_tps
+
+        def failing(model, Ws, internal_smoothing):
+            images, recovery, errors = inverse_tps(model, Ws, internal_smoothing)
+            errors[1] = DegenerateCenters("injected failure")  # the fit of the second theta
+            return images, recovery, errors
+
+        monkeypatch.setattr(defgpa.metrics, "_inverse_tps", failing)
+        out = tmp_path / "with_bad.csv"
+        assert main(["sweep", "--input", path, "--model", "tps", "--thetas", "10,0.5,0.1",
+                     "--output", str(out)]) == 0
+        assert [json.loads(line) for line in capsys.readouterr().err.splitlines()] == [
+            {"theta": 0.5, "error": "DegenerateCenters", "message": "injected failure"}]
+        rows = out.read_text().splitlines()
+        assert rows[2] == "0.5,nan,nan,nan"
+        assert rows[:2] + rows[3:] == without.read_text().splitlines()
 
     def test_non_finite_normal_matrix_fails_its_row(self, rng, tmp_path, capsys):
         # mu_i = nnz_i * 1e308 overflows to inf: the normal matrix is non-finite, so its row
@@ -306,11 +333,12 @@ class TestSweepCommand:
     def test_one_full_solve_per_theta(self, rng, tmp_path, monkeypatch):
         # k thetas on m points with folds of 1: one pass of all k model sets computes the bases once,
         # factors them in one call on all m points and solves the k full matrices in one stacked
-        # eigensolve; its (fold, model set) pairs are downdated from it in one block
+        # eigensolve; k >= m - 1, so its (fold, model set) pairs judge their held columns and build their
+        # matrices from its Grams in one block
         ss = full_set(rng, 2, 9, 3, kind="smooth", noise=0.05)
         path = write_set(tmp_path / "set.json", ss)
-        calls = count_calls(monkeypatch, "solve", "_bases", "_per_shape_terms", "_downdated_terms",
-                            "_bottom_pairs_dplr")
+        calls = count_calls(monkeypatch, "solve", "_bases", "_per_shape_terms", "_held_terms",
+                            "_downdated_terms", "_bottom_pairs_dplr")
         assert main(["sweep", "--input", path, "--model", "tps", "--thetas", "10,1,0.1",
                      "--cve-group", "1", "--output", str(tmp_path / "g.csv")]) == 0
         k = ss.n * 9 + 2  # l = 9 for a 3 x 3 control grid
@@ -319,8 +347,8 @@ class TestSweepCommand:
         assert [(G.shape[1], len(mus)) for G, _, mus in calls["_per_shape_terms"]] == [(ss.m, 3)]
         # gpa's `_bottom_pairs_dplr` runs the full matrices only; the fold blocks call metrics' own
         assert [W.shape for _, W, _ in calls["_bottom_pairs_dplr"]] == [(3, ss.m, k)]
-        assert [(keep.shape[1], len(rows)) for _, rows, _, keep in calls["_downdated_terms"]] == [
-            (ss.m - 1, 3 * ss.m)]
+        assert [held.shape for _, _, held in calls["_held_terms"]] == [(3 * ss.m, 1)]
+        assert calls["_downdated_terms"] == []  # no pair writes a downdated factor
 
 
 class TestCveCommand:

@@ -49,8 +49,9 @@ from defgpa.gpa import _gram_anchor, _stacked
 from defgpa.metrics import _fold_slices
 from defgpa.spectral import _bottom_pairs_dplr, _scale_selected
 from defgpa.warps import _witness_and_residual
-from conftest import (affine_models, checked_fits, cves, dense_runs, dense_selection, full_set,
-                      gauge_residual, grid_sets, mask_set, per_fold_reference, restrict_points, tps_models)
+from conftest import (affine_models, checked_fits, cves, dense_runs, dense_selection, downdated_fold_matrices,
+                      full_set, gauge_residual, grid_sets, mask_set, per_fold_reference, restrict_points,
+                      tps_models)
 from test_gpa import LinearOnlyWarp
 
 
@@ -396,6 +397,53 @@ def test_the_cve_corpus_splits_chunks_passes_and_blocks(monkeypatch):
             if len(pairs) > 1 and max(pairs) > sets[k]:
                 split.add("blocks")
     assert split == {"chunks", "passes", "blocks"}
+
+
+# The dense fold path (k >= m') against the construction it replaced: every block's fold matrices and
+# held terms from the pass's Grams (`metrics._gram_folds`) against conftest's `downdated_fold_matrices`
+# (`_downdated_terms`, then `_factors`, then `_dplr_matrix`), and the CVE outcomes of the two, with
+# identical failures.  Each layout has 3 shapes and 3 x 3 TPS controls (k = 29) at three thetas:
+# (d, m, hidden fraction, group size, layout).  m % group > 0 gives a ragged last fold; `collinear`
+# fails a fold with a held point of leverage one.
+GRAM_FOLDS = [(2, 14, 0.0, 1, None), (2, 17, 0.0, 3, None), (2, 16, 0.2, 2, None), (3, 15, 0.15, 1, None),
+              (2, 12, 0.0, 1, "collinear")]
+
+
+@pytest.mark.parametrize("case", range(len(GRAM_FOLDS)),
+                         ids=[f"{d}d-m{m}-hidden{hidden}-group{group}" + (f"-{layout}" if layout else "")
+                              for d, m, hidden, group, layout in GRAM_FOLDS])
+def test_gram_folds_match_the_downdated_construction(monkeypatch, case):
+    d, m, hidden, group, layout = GRAM_FOLDS[case]
+    rng = np.random.default_rng(900 + case)
+    ss = full_set(rng, d, m, 3, kind="smooth", noise=0.05)
+    if hidden:
+        ss = mask_set(rng, ss, hidden, min_joint=d + 2)
+    if layout == "collinear":
+        ss = collinear(ss)
+    model_sets = grid_sets(ss, [1.0, 0.01, 1e-3], affine=False)
+    assert ss.n * model_sets[0][0].feature_dim + 2 >= m - 1  # k >= m': every fold is dense
+    gram_folds, blocks = metrics._gram_folds, []
+
+    def spy(*args):
+        blocks.append((gram_folds(*args), downdated_fold_matrices(*args)))
+        return blocks[-1][0]
+
+    monkeypatch.setattr(metrics, "_gram_folds", spy)
+    gots = cves(cross_validation_errors(ss, model_sets, config=CveConfig(group)))
+    assert blocks
+    for got, want in blocks:
+        for got_part, want_part in zip(got, want, strict=True):
+            assert relative_deviation(got_part, want_part) <= 1e-12
+    monkeypatch.setattr(metrics, "_gram_folds", downdated_fold_matrices)
+    wants = cves(cross_validation_errors(ss, model_sets, config=CveConfig(group)))
+    assert any(isinstance(want, DefgpaError) for want in wants) == (layout is not None)
+    for got, want in zip(gots, wants):
+        if isinstance(want, DefgpaError):
+            assert type(got) is type(want) and str(got) == str(want)
+        else:
+            assert got[0] == pytest.approx(want[0], rel=1e-12)
+            assert relative_deviation(np.nan_to_num(got[1]), np.nan_to_num(want[1])) <= 1e-12
+            np.testing.assert_array_equal(np.isnan(got[1]), np.isnan(want[1]))
 
 
 # The fold downdate against refactoring: each fold's F' = E^-1 F[:, keep] and held factor E^-1 U from the

@@ -412,27 +412,30 @@ class TestBatchedCrossValidation:
                       min_joint=2 + 2)
         sets = grid_sets(ss, [10.0, 1.0, 0.1], affine=False)
         whole = cves(cross_validation_errors(ss, sets))
-        terms, downdate = defgpa.gpa._per_shape_terms, defgpa.gpa._downdated_terms
+        terms, held_terms = defgpa.gpa._per_shape_terms, defgpa.gpa._held_terms
         passes, pairs = [], []
 
         def spy(G, bases, mus):
             passes.append(len(mus))
             return terms(G, bases, mus)
 
-        def spy_downdate(F, rows, held, keep):
-            pairs.extend((len(F), held_fold(ss.m, row)) for row in keep)
-            return downdate(F, rows, held, keep)
+        def spy_held(F, rows, held):
+            pairs.extend((len(F), int(fold)) for (fold,) in held)
+            return held_terms(F, rows, held)
 
         monkeypatch.setattr(defgpa.gpa, "_per_shape_terms", spy)
-        monkeypatch.setattr(defgpa.gpa, "_downdated_terms", spy_downdate)
-        # k = n l + 2 >= m: the dense eigensolver counts each pair's m x k factor and m x m matrix
-        k = ss.n * max(model.feature_dim for model in sets[0]) + 2
-        monkeypatch.setattr(defgpa.metrics, "_STACK_ENTRIES", 2 * (ss.m * k + ss.m ** 2))
+        monkeypatch.setattr(defgpa.gpa, "_held_terms", spy_held)
+        # k = n l + 2 >= m' = m - 1: a pair counts its m' x m' matrix and eigenvectors, its n m' held
+        # columns and its n l x l held-column verdicts, or its tail, whichever is larger
+        kept, l = ss.m - 1, max(model.feature_dim for model in sets[0])
+        assert ss.n * l + 2 >= kept
+        pair = max(2 * kept ** 2 + ss.n * (kept + l * l), 12 * ss.d * ss.m + 4 * ss.n * ss.d)
+        monkeypatch.setattr(defgpa.metrics, "_STACK_ENTRIES", 2 * pair)
         split = cves(cross_validation_errors(ss, sets))
-        # pass-major: every fold of the two-set pass, then every fold of the one-set pass, each pass
-        # factored once
+        # pass-major: every fold of the two-set pass, set by set, then every fold of the one-set pass,
+        # each pass factored once
         assert passes == [2, 1]
-        assert pairs == [(2, f) for f in range(ss.m) for _ in range(2)] + [(1, f) for f in range(ss.m)]
+        assert pairs == [(2, f) for _ in range(2) for f in range(ss.m)] + [(1, f) for f in range(ss.m)]
         for got, want in zip(split, whole):
             assert got[0] == want[0]
             np.testing.assert_array_equal(np.array(got[1]), np.array(want[1]))
@@ -572,18 +575,18 @@ class TestFoldPriors:
         with pytest.raises(InsufficientOverlap) as want:
             per_fold_reference(ss, checked_fits(ss, sets, outcomes, prior))
         assert str(want.value) == "need at least 3 jointly visible points, have 2"
-        downdate, fold_priors_core = defgpa.gpa._downdated_terms, defgpa.gpa._fold_priors
+        held_terms, fold_priors_core = defgpa.gpa._held_terms, defgpa.gpa._fold_priors
         solved_folds, chunks = [], []
 
-        def spy(F, rows, held, keep):
-            solved_folds.extend(held_fold(ss.m, row) for row in keep)
-            return downdate(F, rows, held, keep)
+        def spy(F, rows, held):
+            solved_folds.extend(int(fold) for (fold,) in held)
+            return held_terms(F, rows, held)
 
         def spy_priors(Y, G, moments, held, allow_reflection):
             chunks.append(len(held))
             return fold_priors_core(Y, G, moments, held, allow_reflection)
 
-        monkeypatch.setattr(defgpa.gpa, "_downdated_terms", spy)
+        monkeypatch.setattr(defgpa.gpa, "_held_terms", spy)
         monkeypatch.setattr(defgpa.gpa, "_fold_priors", spy_priors)
         for entries, want_chunks in ((defgpa.metrics._STACK_ENTRIES, [ss.m]), (2000, [2, 2, 2])):
             monkeypatch.setattr(defgpa.metrics, "_STACK_ENTRIES", entries)
@@ -665,7 +668,7 @@ class TestFoldPriors:
         # set 0: deficient at fold 2, then undetermined at fold 5; set 1: undetermined at fold 1,
         # deficient at fold 4, and a singular normal matrix at fold 6, which the block downdates first
         inject = {(2, 0, d - 1), (5, 0, d), (1, 1, d), (4, 1, d - 1)}
-        rank_below, downdate = defgpa.gpa._rank_below, defgpa.gpa._downdated_terms
+        rank_below, held_terms = defgpa.gpa._rank_below, defgpa.gpa._held_terms
         blocks, injected = [], []
 
         def cve_locals():
@@ -683,16 +686,16 @@ class TestFoldPriors:
                 blocks.append(list(rows))
             return low | np.array([(f, j, rank) in inject for f, j in rows])
 
-        def spy_downdate(F, at, held, keep):
-            EU, factor, errors = downdate(F, at, held, keep)
+        def spy_held(F, at, held):
+            U, E, errors = held_terms(F, at, held)
             for p, pair in enumerate(cve_locals()["rows"]):
                 if pair == (6, 1):
                     errors[p] = SingularSystem("injected at fold 6", shape_index=0)
                     injected.append(pair[0])
-            return EU, factor, errors
+            return U, E, errors
 
         monkeypatch.setattr(defgpa.gpa, "_rank_below", spy_rank_below)
-        monkeypatch.setattr(defgpa.gpa, "_downdated_terms", spy_downdate)
+        monkeypatch.setattr(defgpa.gpa, "_held_terms", spy_held)
         outcomes = cves(cross_validation_errors(ss, sets))
         # folds 1-6 share a block, so set 1's singular fold 6 is recorded before its tail runs
         assert injected == [6]
@@ -842,3 +845,36 @@ def test_cve_memory_stays_within_the_stack_bound(rng, monkeypatch):
     assert cve_peak - base < solve_peak + 8 * defgpa.metrics._STACK_ENTRIES
     # the bound in entries alone: what the stacks add over that CVE
     assert (cve_peak - base) - (unstacked_peak - unstacked_base) < 8 * defgpa.metrics._STACK_ENTRIES
+
+
+def test_dense_fold_blocks_stay_within_the_stack_bound(rng, monkeypatch):
+    # on the CLI's grid of eleven smoothing values with k >= m', each pair's matrix is built from its
+    # row's Gram; the stacks of a block hold at most _STACK_ENTRIES float64 entries over blocks of one
+    # pair.  The pass's own T x k x m array is not counted, so the peaks are those of the fold blocks
+    import tracemalloc
+    import defgpa.metrics
+    ss = mask_set(rng, full_set(rng, 2, 40, 8, kind="smooth", noise=0.05), 0.1, min_joint=2 + 2)
+    sets = grid_sets(ss, np.logspace(-5, 5, 11).tolist(), affine=False)
+    assert ss.n * sets[0][0].feature_dim + 2 >= ss.m - 1
+    entries, fold_blocks, peaks = defgpa.metrics._STACK_ENTRIES, defgpa.metrics._fold_blocks, []
+
+    def spy(*args):
+        tracemalloc.reset_peak()
+        base, _ = tracemalloc.get_traced_memory()
+        outcomes = fold_blocks(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        return outcomes
+
+    monkeypatch.setattr(defgpa.metrics, "_fold_blocks", spy)
+    tracemalloc.start()
+    try:
+        outcomes = cves(cross_validation_errors(ss, sets))
+        (stacked,) = peaks  # one pass
+        monkeypatch.setattr(defgpa.metrics, "_STACK_ENTRIES", 1)  # passes of one set, blocks of one pair
+        peaks.clear()
+        cross_validation_errors(ss, sets)
+    finally:
+        tracemalloc.stop()
+    assert not any(isinstance(outcome, DefgpaError) for outcome in outcomes)
+    assert len(peaks) == len(sets)
+    assert stacked - max(peaks) < 8 * entries

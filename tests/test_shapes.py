@@ -57,6 +57,21 @@ class TestLoading:
         with pytest.raises(FormatError, match="needs integer 'd', 'm'"):
             load_shapes(json.dumps(doc), format="json")
 
+    @pytest.mark.parametrize("points, bad", [
+        ([["1", "2.5"], [True, False], [0, 3]], 0),
+        ([[0, 0], [True, False], [0, 3]], 1),
+        ([[0, 0], [1, 0], [0, "3"]], 2),
+        ([[0, 0], [float("inf"), 1], [True, 0]], 1),
+        ([[0, 0], [1, 0], "03"], 2),
+        ([[0, 0], [1, 0], [[0], 3]], 2),
+    ], ids=["strings", "booleans", "one-string", "non-finite-first", "string-point", "nested"])
+    def test_coordinates_must_be_json_numbers(self, points, bad):
+        # np.array(..., dtype=float) reads "2.5" as 2.5 and true as 1.0; the error names the first bad
+        # point, whatever is wrong with it
+        doc = json.dumps({"d": 2, "m": 3, "shapes": [{"points": points}]})
+        with pytest.raises(FormatError, match=rf"^shape 0 point {bad}: expected 2 finite numbers, got "):
+            load_shapes(doc, format="json")
+
     def test_shapes_need_a_coordinate_row(self):
         doc = json.dumps({"d": 0, "m": 3, "shapes": [{"points": [[], [], []]}]})
         with pytest.raises(FormatError, match="at least one coordinate row"):

@@ -14,7 +14,8 @@ from defgpa import (
     eig_sym,
     leftmost_singular_vector,
 )
-from defgpa.spectral import _KERNEL_ROWS, _bottom_pairs, _bottom_pairs_dplr, _dplr_matrix, _scale_selected
+from defgpa.spectral import (_KERNEL_ROWS, _bottom_pairs, _bottom_pairs_dplr, _dplr_matrix, _kernels,
+                             _scale_selected)
 from conftest import dense_runs, dense_selection
 
 
@@ -270,6 +271,25 @@ class TestBottomScaledOnSpan:
         np.testing.assert_allclose(values, want_values, rtol=0, atol=1e-10 * D.max())
         signs = np.sign(np.sum(X * want_X, axis=-2, keepdims=True))
         np.testing.assert_allclose(X * signs, want_X, rtol=0, atol=1e-10)
+
+    def test_kernel_build_holds_one_row_block(self, rng):
+        # one build of the kernels diag(J) - W^T diag(c) W on the transposed view `gpa._factors` returns
+        # holds its k x k stacks and one _KERNEL_ROWS x k block of W diag(c).  np.multiply of that
+        # column-major block by the broadcast weights allocates about three blocks
+        import tracemalloc
+        k, m = 38, 3 * _KERNEL_ROWS + 17
+        W = np.swapaxes(rng.normal(size=(1, k, m)), -1, -2)
+        J, c = np.append(np.ones(k - 1), -1.0), 1.0 + rng.uniform(size=(1, m))
+        want = np.diag(J) - W[0].T @ (W[0] * c[0, :, None])
+        _kernels(W, J, [0], c)  # numpy's first-call allocations are not the build's
+        tracemalloc.start()
+        try:
+            K = _kernels(W, J, [0], c)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_allclose(K[0], want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+        assert peak < 8 * (_KERNEL_ROWS * k + 4 * k * k) + 4096
 
 
 class TestLeftmostSingularVector:
