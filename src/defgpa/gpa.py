@@ -417,7 +417,7 @@ def _held_terms(F, rows, held):
     """The held columns U (P x n x l x g) of P folds of the sets whose `_per_shape_terms` are F
     (T x n x l x m), the factors E (P x n x l x l) of I - U_i U_i^T and the `_singular` errors of the
     folds where that fails: fold p takes row rows[p] and holds out the columns held[p] (padded with m,
-    where U is zero).
+    where U is zero).  This is every fold's one verdict, whichever eigensolve it takes.
 
     With U_i = F_i[:, held], N_i' = L_i (I - U_i U_i^T) L_i^T (Hager 1989).  L_i has passed the whole
     set's checks, so a fold judges E_i alone: N_i' is singular where `_cholesky` fails
@@ -430,26 +430,22 @@ def _held_terms(F, rows, held):
     return U, E, _singular(failed)
 
 
-def _downdated_terms(F, rows, held, keep):
-    """E^-1 U (P x n x l x g), a P x (n l + 2) x m' array whose first n l rows hold F' and the
-    `_singular` errors of P folds (`_held_terms`) that keep the columns keep[p].
+def _downdated_terms(F, rows, E, keep):
+    """A P x (n l + 2) x m' array whose first n l rows hold the downdated F' of P folds that keep the
+    columns keep[p] of row rows[p] of F (T x n x l x m), from the factors E of their `_held_terms`.
 
-    E_i = chol(I - U_i U_i^T) gives L_i'^-1 = E_i^-1 L_i^-1, F_i' = E_i^-1 F_i[:, keep] and the held
-    factor E_i^-1 U_i = L_i'^-1 Bg_i[:, held], and no normal matrix is formed or factored again.
+    E_i = chol(I - U_i U_i^T) gives L_i'^-1 = E_i^-1 L_i^-1 and F_i' = E_i^-1 F_i[:, keep], and no
+    normal matrix is formed or factored again.
     """
-    U, E, errors = _held_terms(F, rows, held)
     P, (n, width, m) = len(rows), F.shape[1:]
-    Einv = np.zeros(E.shape)
-    for j in range(width):  # forward substitution, one row of every E^-1 per call (not one call per matrix)
-        row = np.eye(width)[j] - E[..., j, None, :j] @ Einv[..., :j, :]
-        Einv[..., j, :] = row[..., 0, :] / E[..., j, j, None]
+    Einv = np.linalg.inv(E)
     factor = np.zeros((P, n * width + 2, keep.shape[1]))
     for p, (t, kept) in enumerate(zip(rows, keep)):
         np.take(F[t].reshape(n * width, -1), kept, axis=1, out=factor[p, :-2], mode="clip")
     folds = factor[:, :-2].reshape(P, n, width, -1)
     for i in range(n):  # numpy's overlap copy is one shape's l x m' block per fold
         np.matmul(Einv[:, i], folds[:, i], out=folds[:, i])
-    return Einv @ U, factor, errors
+    return factor
 
 
 def _factors(factor, counts, n):
@@ -547,7 +543,8 @@ def _checked_args(shape_set, prior, reflection_ref, allow_reflection=False):
     CovariancePrior, and either must have d entries.
     """
     d, n = shape_set.d, shape_set.n
-    if not isinstance(reflection_ref, (int, np.integer)) or not 0 <= reflection_ref < n:
+    if isinstance(reflection_ref, bool) or not isinstance(reflection_ref, (int, np.integer)) \
+            or not 0 <= reflection_ref < n:
         raise DimensionError(f"reflection_ref {reflection_ref!r} is not a shape index for n={n}")
     if prior is None:
         prior = estimate_prior_for_set(shape_set, allow_reflection=allow_reflection)

@@ -10,9 +10,9 @@ inverse splines of a grid's solutions are one stacked fit per shape.  The
 cross-validation error holds out groups of points: each fold's solve judges
 its held-out columns against the factorization of the full solve on all
 points, builds its matrix from that solve's Gram where the matrix is dense
-and downdates its factor elsewhere, predicts the held-out points through the
-fold transforms, and gauge-corrects with a rigid Procrustes between the fold
-reference and the full reference.
+and downdates its factor elsewhere, predicts the held-out points from the
+full solve's factors in one form for both, and gauge-corrects with a rigid
+Procrustes between the fold reference and the full reference.
 """
 
 from dataclasses import dataclass
@@ -43,7 +43,8 @@ class CveConfig:
     group_size: int = 1
 
     def __post_init__(self):
-        if not isinstance(self.group_size, (int, np.integer)) or self.group_size < 1:
+        if isinstance(self.group_size, bool) or not isinstance(self.group_size, (int, np.integer)) \
+                or self.group_size < 1:
             raise DimensionError(f"fold size must be an integer of at least 1, got {self.group_size!r}")
 
 
@@ -189,22 +190,20 @@ def _pass_layout(shape_set, model_sets, outcomes, g):
     return [(batch, size, np.array([smoothing[j] for j in batch])) for batch, size in passes]
 
 
-def _gram_folds(F, at, keep, U, counts):
-    """The dense fold matrices (P x m' x m') of P folds and their held terms a_i C_i (P x m' x n g),
-    from the pass's factors F (T x n x l x m, uncentred) and per fold its pass row at[p], its kept
-    columns and its held columns U (`gpa._held_terms`).
+def _gram_folds(F, at, keep, U, C, counts):
+    """The dense fold matrices (P x m' x m') of P folds from the pass's factors F (T x n x l x m,
+    uncentred) and per fold its pass row at[p], its kept columns, its held columns U (`gpa._held_terms`)
+    and C_i = (I - U_i^T U_i)^-1.
 
-    With a_i = F_i[:, keep]^T U_i and C_i = (I - U_i^T U_i)^-1, Woodbury gives the downdated
-    F'^T F' = G_t[keep, keep] + sum_i a_i C_i a_i^T with the row's Gram G_t = F_t^T F_t, so the fold
-    matrix H'(diag(c') - F'^T F')H' + (n/m') 11^T needs no downdated factor.  By the push-through
-    identity (I - U U^T)^-1 U = U C, the held factor of the fold weights is F'^T E^-1 U = a_i C_i.
-    Each row's Gram is formed once per call and added to its folds one at a time."""
+    With a_i = F_i[:, keep]^T U_i, Woodbury gives the downdated F'^T F' = G_t[keep, keep] +
+    sum_i a_i C_i a_i^T with the row's Gram G_t = F_t^T F_t, so the fold matrix
+    H'(diag(c') - F'^T F')H' + (n/m') 11^T needs no downdated factor.  Each row's Gram is formed once
+    per call and added to its folds one at a time."""
     (P, n, _, g), (m, kept) = U.shape, (F.shape[-1], keep.shape[1])
     a = np.empty((P, m, n, g))
     for t in np.unique(at):
         a[at == t] = np.moveaxis(np.swapaxes(F[t], -1, -2) @ U[at == t], 1, 2)
     a = a.reshape(P * m, n, g)[np.arange(P)[:, None] * m + keep]  # the kept rows, P x m' x n x g
-    C = np.linalg.inv(np.eye(g) - np.swapaxes(U, -1, -2) @ U)
     aC = np.einsum("pjig,pigh->pjih", a, C).reshape(P, kept, n * g)
     M = aC @ np.swapaxes(a.reshape(P, kept, n * g), -1, -2)
     for t in np.unique(at):
@@ -217,34 +216,31 @@ def _gram_folds(F, at, keep, U, counts):
     M -= means
     M -= np.swapaxes(means, -1, -2)
     M += means.mean(axis=-2, keepdims=True) + n / kept
-    return M, aC
+    return M
 
 
 def _fold_blocks(folds, batch, size, terms, fulls, reflection_ref):
     """The CVE outcomes of one pass's model sets, from its `gpa._per_shape_terms` array (F uncentred)
     and each set's full solution; a set whose full solve failed runs no fold.
 
-    The folds (`_cve_folds`) come in blocks of (fold, set) pairs, a ragged
-    last fold in a block of its own.  Where the fold eigensolve is dense
-    (k >= m'), a block holds `size` pairs, set by set, and each pair judges
-    its held columns (`gpa._held_terms`) and builds its matrix from its row's
-    Gram (`_gram_folds`).  Else a block holds whole folds of every set, and
-    each pair downdates its set's factorization (`gpa._downdated_terms`) for
-    the DPLR eigensolver.  A block ends in one stacked eigensolve and tail on
-    each pair's kept columns.  A set's earliest failing fold fails it."""
+    The folds (`_cve_folds`) come in blocks of `size` (fold, set) pairs, set
+    by set, a ragged last fold in a block of its own.  Every pair judges its
+    held columns (`gpa._held_terms`); a set's earliest failing fold fails it.
+    The pairs that pass take their eigenpairs from their rows' Grams
+    (`_gram_folds`) where the eigensolve is dense (k >= m'), else from their
+    downdated factors (`gpa._downdated_terms`) by the DPLR eigensolver, and
+    predict their held points through F_i[:, keep]^T U_i C_i, the
+    push-through form of the fold weights' held factor F_i'^T E_i^-1 U_i.  A
+    block ends in one stacked tail on each pair's kept columns."""
     X0, G0, held, lambdas, error = folds
     (n, d, m), g = X0.shape, held.shape[1]
     whole = min(len(lambdas), m // g)  # the first m // g folds are whole; a ragged last fold keeps more
     fold_of = np.arange(m) // g
     counts = G0.sum(axis=0)
     F = terms[:, :-2].reshape(len(batch), n, -1, m)
-    width = terms.shape[1]  # k = n l + 2
     predicted = np.full((len(batch), n, d, m + 1), np.nan)
-    if width < m - g:  # whole folds of every set
-        pairs, step = [(f, j) for f in range(whole) for j in batch], max(1, size // len(batch)) * len(batch)
-    else:  # `size` pairs, set by set, so that a block spans few pass rows
-        pairs, step = [(f, j) for j in batch for f in range(whole)], size
-    blocks = [pairs[i:i + step] for i in range(0, len(pairs), step)]
+    pairs = [(f, j) for j in batch for f in range(whole)]  # set by set, so that a block spans few pass rows
+    blocks = [pairs[i:i + size] for i in range(0, len(pairs), size)]
     blocks.append([(f, j) for f in range(whole, len(lambdas)) for j in batch])
     failures = {j: (0, exc) for j, exc in zip(batch, fulls) if isinstance(exc, DefgpaError)}
     for block in blocks:
@@ -252,39 +248,33 @@ def _fold_blocks(folds, batch, size, terms, fulls, reflection_ref):
         if not rows:
             continue
         f, j = np.array(rows).T
-        keep = np.nonzero(fold_of != f[:, None])[1].reshape(len(f), -1)
         at = np.array([batch.index(i) for i in j])  # the pass row of each pair
-        dense = width >= keep.shape[1]
-        if dense:
-            *held_terms, fold_errors = _gpa._held_terms(F, at, held[f])
-            del held_terms[1]  # E: the pair writes no factor
-        else:
-            *held_terms, fold_errors = _gpa._downdated_terms(F, at, held[f], keep)
+        U, E, fold_errors = _gpa._held_terms(F, at, held[f])
         for p, exc in sorted(fold_errors.items()):  # a set's rows come in fold order: the first is earliest
             failures.setdefault(rows[p][1], (rows[p][0], exc))
         ok = [p for p, (f, j) in enumerate(rows) if j not in failures or f < failures[j][0]]
         if not ok:
             continue
-        if len(ok) < len(rows):
-            rows, at, keep, held_terms = [rows[p] for p in ok], at[ok], keep[ok], [x[ok] for x in held_terms]
+        rows, at, U, E = [rows[p] for p in ok], at[ok], U[ok], E[ok]
         f, j = np.array(rows).T
+        keep = np.nonzero(fold_of != f[:, None])[1].reshape(len(f), -1)
+        C = np.linalg.inv(np.eye(g) - np.swapaxes(U, -1, -2) @ U)  # C_i, finite where E_i was
         # the full references on the kept columns: the warm start and the gauge target
         full = np.take_along_axis(np.stack([fulls[t].reference for t in at]), keep[:, None], axis=-1)
-        if dense:
-            M, aC = _gram_folds(F, at, keep, held_terms[0], counts)
-            values, V = _bottom_pairs(M, d)
-            P = np.moveaxis((np.swapaxes(V, -1, -2) @ aC).reshape(len(f), d, n, -1), 2, 1)
-            del M, aC
+        if terms.shape[1] >= keep.shape[1]:
+            del E  # freed before the matrices are built
+            values, V = _bottom_pairs(_gram_folds(F, at, keep, U, C, counts), d)
         else:
-            EU, factor = held_terms
-            W, centre = _gpa._factors(factor, counts[keep], n)
+            W, _ = _gpa._factors(_gpa._downdated_terms(F, at, E, keep), counts[keep], n)
             values, V = _bottom_pairs_dplr(counts[keep], W, d, np.swapaxes(full, -1, -2))
-            # the fold weights W_i = L_i'^-T F_i' S^T and Bg_i[:, H] = L_i' E_i^-1 U_i give W_i^T Bg_i[:, H] =
-            # C (F_i' V)^T E_i^-1 U_i with S = C V^T, and F' V = F'_c V + c 1^T V with F'_c centred by `_factors`
-            FV = (factor[:, :-2] @ V + centre * V.sum(axis=1, keepdims=True)).reshape(len(f), n, -1, d)
-            P = np.swapaxes(FV, -1, -2) @ EU
-            del W, factor, FV
-        del held_terms
+            del E, W
+        # F_i[:, keep] V as F_i times V scattered to m rows (zero at the held columns), one GEMM per row
+        Vm, FV = np.zeros((len(f), m, d)), np.empty((len(f), n * F.shape[2], d))
+        np.put_along_axis(Vm, keep[..., None], V, axis=1)
+        for t in np.unique(at):
+            FV[at == t] = F[t].reshape(-1, m) @ Vm[at == t]
+        P = np.swapaxes(FV.reshape(len(f), n, -1, d), -1, -2) @ U @ C
+        del U, C, Vm, FV
         S, undetermined = _gpa._references(
             values, V, lambdas[f], lambda k: _gpa._gram_anchor(X0[..., keep[k]], G0[:, keep[k]]),
             np.take_along_axis(X0[reflection_ref][None], keep[:, None], axis=-1), G0[reflection_ref][keep])

@@ -5,7 +5,8 @@ import pytest
 
 from defgpa import (AffineWarp, CveConfig, DefgpaError, DegenerateConfiguration, Shape, ShapeSet, apply_warp,
                     eig_sym, estimate_prior_for_set, place_control_points, solve, spectral, tps_build)
-from defgpa.gpa import _centred, _downdated_terms, _factors, _moments, _procrustes, _stacked, _transform_table
+from defgpa.gpa import (_centred, _downdated_terms, _factors, _held_terms, _moments, _procrustes, _stacked,
+                        _transform_table)
 from defgpa.metrics import _fold_slices
 from defgpa.spectral import _dplr_matrix, _scale_selected
 
@@ -115,26 +116,33 @@ def dense_runs(monkeypatch):
     return calls
 
 
-def downdated_fold_matrices(F, at, keep, U, counts):
-    """`metrics._gram_folds` by the construction it replaced, for the same arguments.
+def downdated_fold_terms(F, at, keep, U, counts):
+    """The fold matrices of `metrics._gram_folds` by the construction it replaced, for its arguments,
+    and the held factors F'^T E^-1 U (P x n x m' x g) of the fold weights.
 
-    Each fold downdates its set's factor to F' = E^-1 F[:, keep] (`_downdated_terms`), centres it and
-    adds the two count columns (`_factors`), and forms D - W J W^T (`_dplr_matrix`); its held terms
-    are F'^T E^-1 U with F' uncentred.  The held columns are those keep leaves out, padded with m to
-    U's g, and every fold must pass the downdate's singular check, as the fold blocks hand over only
-    folds that passed it.
+    Each fold downdates its set's factor to F' = E^-1 F[:, keep] (`_held_terms`, then
+    `_downdated_terms`), centres it and adds the two count columns (`_factors`), and forms D - W J W^T
+    (`_dplr_matrix`); its held factor takes F' uncentred.  The held columns are those keep leaves out,
+    padded with m to U's g, and every fold must pass the downdate's singular check, as the fold blocks
+    hand over only folds that passed it.
     """
-    (P, n, _, g), m, kept = U.shape, F.shape[-1], keep.shape[1]
-    held = np.full((P, g), m)
+    P, (n, _, m), kept = len(at), F.shape[1:], keep.shape[1]
+    held = np.full((P, U.shape[-1]), m)
     for p, columns in enumerate(keep):
         out = np.setdiff1d(np.arange(m), columns)
         held[p, :out.size] = out
-    EU, factor, errors = _downdated_terms(F, at, held, keep)
+    U, E, errors = _held_terms(F, at, held)
     assert errors == {}
-    W, centre = _factors(factor, counts[keep], n)
-    M = _dplr_matrix(counts[keep], W)
-    Fk = (factor[:, :-2] + centre).reshape(P, n, -1, kept)
-    return M, np.moveaxis(np.swapaxes(Fk, -1, -2) @ EU, 1, 2).reshape(P, kept, n * g)
+    factor = _downdated_terms(F, at, E, keep)
+    held_factor = np.swapaxes(factor[:, :-2].reshape(P, n, -1, kept), -1, -2) @ np.linalg.solve(E, U)
+    W, _ = _factors(factor, counts[keep], n)
+    return _dplr_matrix(counts[keep], W), held_factor
+
+
+def downdated_fold_matrices(F, at, keep, U, C, counts):
+    """The fold matrices of `downdated_fold_terms`: `metrics._gram_folds` by the construction it
+    replaced."""
+    return downdated_fold_terms(F, at, keep, U, counts)[0]
 
 
 def mask_set(rng, shape_set, frac=0.2, min_joint=None):

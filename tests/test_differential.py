@@ -47,11 +47,11 @@ from defgpa import (
 )
 from defgpa.gpa import _gram_anchor, _stacked
 from defgpa.metrics import _fold_slices
-from defgpa.spectral import _bottom_pairs_dplr, _scale_selected
+from defgpa.spectral import _bottom_pairs_dplr, _dplr_matrix, _scale_selected
 from defgpa.warps import _witness_and_residual
 from conftest import (affine_models, checked_fits, cves, dense_runs, dense_selection, downdated_fold_matrices,
-                      full_set, gauge_residual, grid_sets, mask_set, per_fold_reference, restrict_points,
-                      tps_models)
+                      downdated_fold_terms, full_set, gauge_residual, grid_sets, mask_set, per_fold_reference,
+                      restrict_points, tps_models)
 from test_gpa import LinearOnlyWarp
 
 
@@ -399,14 +399,20 @@ def test_the_cve_corpus_splits_chunks_passes_and_blocks(monkeypatch):
     assert split == {"chunks", "passes", "blocks"}
 
 
-# The dense fold path (k >= m') against the construction it replaced: every block's fold matrices and
-# held terms from the pass's Grams (`metrics._gram_folds`) against conftest's `downdated_fold_matrices`
-# (`_downdated_terms`, then `_factors`, then `_dplr_matrix`), and the CVE outcomes of the two, with
-# identical failures.  Each layout has 3 shapes and 3 x 3 TPS controls (k = 29) at three thetas:
-# (d, m, hidden fraction, group size, layout).  m % group > 0 gives a ragged last fold; `collinear`
-# fails a fold with a held point of leverage one.
+# The dense fold path (k >= m') against the construction it replaced: every block's fold matrices from
+# the pass's Grams (`metrics._gram_folds`) against conftest's `downdated_fold_terms` (`_downdated_terms`,
+# then `_factors`, then `_dplr_matrix`), the held factors F_i[:, keep]^T U_i C_i that every fold predicts
+# through against the downdate's F_i'^T E_i^-1 U_i, and the CVE outcomes of the two, with identical
+# failures.  Both fold matrices are also measured against a refactorization of the kept points
+# (`_per_shape_terms` of the restricted set, then `_factors` and `_dplr_matrix`).  Each layout has 3
+# shapes and 3 x 3 TPS controls (k = 29) at three thetas: (d, m, hidden fraction, group size, layout).
+# m % group > 0 gives a ragged last fold; `collinear` fails a fold with a held point of leverage one.
+# Relative to the largest entry, the Gram's matrices deviate from the refactorization by at most 8.2e-14
+# and the downdate's by at most 7.5e-14, with neither side closer on every layout, while the two agree
+# to 5.6e-15; GRAM_REFACTORED_TOL is over thirty times the larger.
 GRAM_FOLDS = [(2, 14, 0.0, 1, None), (2, 17, 0.0, 3, None), (2, 16, 0.2, 2, None), (3, 15, 0.15, 1, None),
               (2, 12, 0.0, 1, "collinear")]
+GRAM_REFACTORED_TOL = 3e-12
 
 
 @pytest.mark.parametrize("case", range(len(GRAM_FOLDS)),
@@ -424,16 +430,28 @@ def test_gram_folds_match_the_downdated_construction(monkeypatch, case):
     assert ss.n * model_sets[0][0].feature_dim + 2 >= m - 1  # k >= m': every fold is dense
     gram_folds, blocks = metrics._gram_folds, []
 
-    def spy(*args):
-        blocks.append((gram_folds(*args), downdated_fold_matrices(*args)))
-        return blocks[-1][0]
+    def spy(F, at, keep, U, C, counts):
+        assert len(F) == len(model_sets)  # one pass: pass row t is model set t
+        Fk = np.take_along_axis(F[at], keep[:, None, None], axis=-1)
+        got = gram_folds(F, at, keep, U, C, counts), np.swapaxes(Fk, -1, -2) @ U @ C
+        blocks.append((at, keep, got, downdated_fold_terms(F, at, keep, U, counts)))
+        return got[0]
 
     monkeypatch.setattr(metrics, "_gram_folds", spy)
     gots = cves(cross_validation_errors(ss, model_sets, config=CveConfig(group)))
     assert blocks
-    for got, want in blocks:
+    G, counts = ss.visibility_matrix().astype(float), ss.visibility_matrix().sum(axis=0)
+    for at, keep, got, want in blocks:
         for got_part, want_part in zip(got, want, strict=True):
             assert relative_deviation(got_part, want_part) <= 1e-12
+        for t, kept, got_M, want_M in zip(at, keep, got[0], want[0]):
+            models = model_sets[t]
+            _, factor, errors = gpa._per_shape_terms(G[:, kept], gpa._bases(restrict_points(ss, kept), models),
+                                                     gpa._smoothings(ss, models)[None])
+            assert errors == {}
+            (refactored,) = _dplr_matrix(counts[kept][None], gpa._factors(factor, counts[kept], ss.n)[0])
+            assert relative_deviation(got_M, refactored) <= GRAM_REFACTORED_TOL
+            assert relative_deviation(want_M, refactored) <= GRAM_REFACTORED_TOL
     monkeypatch.setattr(metrics, "_gram_folds", downdated_fold_matrices)
     wants = cves(cross_validation_errors(ss, model_sets, config=CveConfig(group)))
     assert any(isinstance(want, DefgpaError) for want in wants) == (layout is not None)
@@ -446,15 +464,16 @@ def test_gram_folds_match_the_downdated_construction(monkeypatch, case):
             np.testing.assert_array_equal(np.isnan(got[1]), np.isnan(want[1]))
 
 
-# The fold downdate against refactoring: each fold's F' = E^-1 F[:, keep] and held factor E^-1 U from the
-# whole set's `_per_shape_terms` (`gpa._downdated_terms`) against `_per_shape_terms` of the kept points
-# (E^-1 U against L'^-1 Bg[:, fold] with the refactored L'^-1), at every fold, for (model, partial, group)
-# on d2 m13 sets (folds of 3 leave a ragged last fold) and, for the TPS, at each theta of DOWNDATE_THETAS
-# in one stack; the leverage of held points comes within 4e-5 of 1.
+# The fold downdate against refactoring: each fold's F' = E^-1 F[:, keep] from the whole set's
+# `_per_shape_terms` (`gpa._held_terms`, then `gpa._downdated_terms`) and the held factor
+# F[:, keep]^T U C that the fold predicts through against `_per_shape_terms` of the kept points (against
+# F'^T L'^-1 Bg[:, fold] with the refactored F' and L'^-1), at every fold, for (model, partial, group) on
+# d2 m13 sets (folds of 3 leave a ragged last fold) and, for the TPS, at each theta of DOWNDATE_THETAS in
+# one stack; the leverage of held points comes within 4e-5 of 1.
 # Both sides round, and their largest deviation relative to the largest entry grows with the distance of
-# theta from 1.  Measured over F' and E^-1 U at most 5e-15 for the affine sets and for the TPS at theta = 1,
-# 3e-14 at 1e-2, 3e-13 at 1e-3, 2e-13 at 1e2, 2e-12 at 1e-5 and 1e3, 2e-11 at 1e4 and 9e-11 at 1e5; each
-# tolerance is at least thirty times its measure.
+# theta from 1.  Measured over F' and the held factor at most 5e-15 for the affine sets and for the TPS at
+# theta = 1, 6e-14 at 1e-2, 3e-13 at 1e-3 and 1e2, 4e-12 at 1e-5, 3e-12 at 1e3, 2e-11 at 1e4 and 2e-10 at
+# 1e5; each tolerance is at least fifteen times its measure.
 DOWNDATE_THETAS = np.array([1e-5, 1e-3, 1e-2, 1.0, 1e2, 1e3, 1e4, 1e5])
 DOWNDATE_TOL = np.array([1e-10, 1e-11, 1e-12, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8])
 DOWNDATE = list(itertools.product(("affine", "tps"), (False, True), (1, 3)))
@@ -473,16 +492,20 @@ def test_the_fold_downdate_matches_refactoring(case):
     _, terms, errors = gpa._per_shape_terms(G, gpa._bases(ss, models), mus)
     assert errors == {}
     F = terms[:, :-2].reshape(len(mus), ss.n, -1, ss.m)
+    rows = np.arange(len(mus))
     for fold in _fold_slices(ss.m, CveConfig(group)):
         keep = np.setdiff1d(np.arange(ss.m), fold)
-        EU, got, errors = gpa._downdated_terms(F, np.arange(len(mus)), np.tile(fold, (len(mus), 1)),
-                                               np.tile(keep, (len(mus), 1)))
+        U, E, errors = gpa._held_terms(F, rows, np.tile(fold, (len(mus), 1)))
+        got = gpa._downdated_terms(F, rows, E, np.tile(keep, (len(mus), 1)))
+        C = np.linalg.inv(np.eye(fold.size) - np.swapaxes(U, -1, -2) @ U)
+        held = np.swapaxes(F[..., keep], -1, -2) @ U @ C
         want_Linv, want, want_errors = gpa._per_shape_terms(
             G[:, keep], gpa._bases(restrict_points(ss, keep), models), mus)
         assert errors == want_errors == {}
         for t in range(len(mus)):
             assert relative_deviation(got[t, :-2], want[t, :-2]) <= tol[t]
-            assert relative_deviation(EU[t], want_Linv[t] @ Bg[..., fold]) <= tol[t]
+            want_F = np.swapaxes(want[t, :-2].reshape(ss.n, -1, keep.size), -1, -2)
+            assert relative_deviation(held[t], want_F @ want_Linv[t] @ Bg[..., fold]) <= tol[t]
 
 
 # (d, m, ctrl, partial, failing row) of the grid's stacked full solve against one `solve` per theta:

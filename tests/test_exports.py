@@ -58,3 +58,17 @@ def test_every_private_definition_has_a_caller():
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
     assert sorted(f"{module}: {name}" for name, module in defined.items() if name not in used) == []
+
+
+def test_no_handler_swallows_every_exception():
+    # a handler names the failures it expects: no bare `except:`, `except Exception` or
+    # `except BaseException`, alone or in a tuple
+    broad = []
+    for path in (Path(__file__).resolve().parent.parent / "src" / "defgpa").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ExceptHandler):
+                caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                if any(kind is None or getattr(kind, "id", None) in ("Exception", "BaseException")
+                       for kind in caught):
+                    broad.append(f"{path.name}:{node.lineno}")
+    assert broad == []

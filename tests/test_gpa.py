@@ -26,8 +26,8 @@ from defgpa import (
     solve_affine_centered,
 )
 from defgpa import gpa as gpa_module
-from defgpa.gpa import (_cholesky, _downdated_terms, _gram_anchor, _per_shape_terms, _procrustes,
-                        _rank_below, _stacked)
+from defgpa.gpa import (_cholesky, _downdated_terms, _gram_anchor, _held_terms, _per_shape_terms,
+                        _procrustes, _rank_below, _stacked)
 from defgpa.warps import AffineWarp
 from conftest import (
     affine_models,
@@ -469,14 +469,16 @@ class TestAssembleP:
         lever = np.sqrt((1 - 1e-14) / 2)
         U = np.array([[[0.6, 0.0], [0.0, 0.8]], [[0.6, 0.0], [1.0, 0.0]], [[lever, lever], [1.0, 0.0]]])
         F = np.concatenate([rng.normal(size=(1, 2, 2, 3)), U.transpose(1, 2, 0)[None]], axis=-1)
-        EU, factor, errors = _downdated_terms(F, np.zeros(3, int), np.arange(3, 6)[:, None],
-                                              np.tile(np.arange(3), (3, 1)))
+        held, E, errors = _held_terms(F, np.zeros(3, int), np.arange(3, 6)[:, None])
+        factor = _downdated_terms(F, np.zeros(1, int), E[:1], np.arange(3)[None])  # fold 0 alone passes
         assert {p: (type(exc), exc.shape_index, str(exc)) for p, exc in errors.items()} == {
             1: (SingularSystem, 1, "normal matrix of shape 1 is singular"),
             2: (SingularSystem, 0, "normal matrix of shape 0 is singular")}
+        np.testing.assert_array_equal(held, U[..., None])
         for i in range(2):  # fold 0: L'^-1 = E^-1 L^-1 with E = chol(I - u u^T)
-            Einv = np.linalg.inv(np.linalg.cholesky(np.eye(2) - np.outer(U[0, i], U[0, i])))
-            np.testing.assert_allclose(EU[0, i], Einv @ U[0, i, :, None], rtol=1e-14)
+            np.testing.assert_allclose(E[0, i], np.linalg.cholesky(np.eye(2) - np.outer(U[0, i], U[0, i])),
+                                       rtol=1e-14)
+            Einv = np.linalg.inv(E[0, i])
             np.testing.assert_allclose(factor[0, 2 * i:2 * i + 2], Einv @ F[0, i, :, :3], rtol=1e-14)
 
 
@@ -565,7 +567,7 @@ class TestSolve:
         with pytest.raises(DimensionError):
             solve_affine_centered(ss, reflection_ref=ref)
 
-    @pytest.mark.parametrize("ref", [1.5, "1"], ids=["float", "str"])
+    @pytest.mark.parametrize("ref", [1.5, "1", True, np.True_], ids=["float", "str", "bool", "numpy-bool"])
     def test_reflection_ref_must_be_an_integer(self, rng, ref):
         ss = full_set(rng, 2, 8, 3, kind="affine", noise=0.05)
         with pytest.raises(DimensionError, match="is not a shape index for n=3"):

@@ -304,7 +304,7 @@ class TestCrossValidation:
         with pytest.raises(DimensionError):
             cross_validation_error(ss, affine_models(ss), config=CveConfig(8))
 
-    @pytest.mark.parametrize("size", [1.5, "2"], ids=["float", "str"])
+    @pytest.mark.parametrize("size", [1.5, "2", True, np.True_], ids=["float", "str", "bool", "numpy-bool"])
     def test_fold_size_must_be_an_integer(self, size):
         with pytest.raises(DimensionError, match="fold size must be an integer of at least 1"):
             CveConfig(size)
@@ -406,39 +406,56 @@ class TestBatchedCrossValidation:
         assert not any(isinstance(outcome, DefgpaError) for outcome in outcomes)
 
     def test_passes_split_by_the_stack_bound(self, rng, monkeypatch):
+        # a dense grid (3 x 3 controls, k = n l + 2 >= m' = m - 1) and a DPLR one (2 x 2 controls,
+        # k < m'), each of three TPS sets.  A pair counts what its fold eigensolve holds (dense: its
+        # m' x m' matrix and eigenvectors, its n m' held columns and its n l x l held-column verdicts;
+        # DPLR: its m x k factor and three k x k kernels) or its tail, whichever is larger
         import defgpa.gpa
         import defgpa.metrics
-        ss = mask_set(rng, full_set(rng, 2, 12, 4, kind="smooth", noise=0.05), 0.15,
-                      min_joint=2 + 2)
-        sets = grid_sets(ss, [10.0, 1.0, 0.1], affine=False)
-        whole = cves(cross_validation_errors(ss, sets))
         terms, held_terms = defgpa.gpa._per_shape_terms, defgpa.gpa._held_terms
-        passes, pairs = [], []
+        passes, pairs, failing = [], [], ()
 
         def spy(G, bases, mus):
             passes.append(len(mus))
             return terms(G, bases, mus)
 
         def spy_held(F, rows, held):
-            pairs.extend((len(F), int(fold)) for (fold,) in held)
-            return held_terms(F, rows, held)
+            U, E, errors = held_terms(F, rows, held)
+            for p, (t, (fold,)) in enumerate(zip(rows, held)):
+                pairs.append((len(F), int(t), int(fold)))
+                if len(F) == 1 and fold in failing:
+                    errors[p] = SingularSystem(f"injected at fold {fold}", shape_index=0)
+            return U, E, errors
 
-        monkeypatch.setattr(defgpa.gpa, "_per_shape_terms", spy)
-        monkeypatch.setattr(defgpa.gpa, "_held_terms", spy_held)
-        # k = n l + 2 >= m' = m - 1: a pair counts its m' x m' matrix and eigenvectors, its n m' held
-        # columns and its n l x l held-column verdicts, or its tail, whichever is larger
-        kept, l = ss.m - 1, max(model.feature_dim for model in sets[0])
-        assert ss.n * l + 2 >= kept
-        pair = max(2 * kept ** 2 + ss.n * (kept + l * l), 12 * ss.d * ss.m + 4 * ss.n * ss.d)
-        monkeypatch.setattr(defgpa.metrics, "_STACK_ENTRIES", 2 * pair)
-        split = cves(cross_validation_errors(ss, sets))
-        # pass-major: every fold of the two-set pass, set by set, then every fold of the one-set pass,
-        # each pass factored once
-        assert passes == [2, 1]
-        assert pairs == [(2, f) for _ in range(2) for f in range(ss.m)] + [(1, f) for f in range(ss.m)]
-        for got, want in zip(split, whole):
-            assert got[0] == want[0]
-            np.testing.assert_array_equal(np.array(got[1]), np.array(want[1]))
+        # the DPLR grid's one-set pass fails at folds 2 and 3, which share a block, and again at fold 7
+        for m, n, controls, failing in ((12, 4, 3, ()), (30, 3, 2, (2, 3, 7))):
+            ss = mask_set(rng, full_set(rng, 2, m, n, kind="smooth", noise=0.05), 0.15, min_joint=2 + 2)
+            sets = grid_sets(ss, [10.0, 1.0, 0.1], k=controls, affine=False)
+            whole = cves(cross_validation_errors(ss, sets))
+            kept, l = ss.m - 1, max(model.feature_dim for model in sets[0])
+            k = ss.n * l + 2
+            assert (k >= kept) == (controls == 3)
+            pair = 2 * kept ** 2 + ss.n * (kept + l * l) if k >= kept else 2 * ss.m * k + 3 * k * k
+            pair = max(pair, 12 * ss.d * ss.m + 4 * ss.n * ss.d)
+            passes.clear()
+            pairs.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(defgpa.metrics, "_STACK_ENTRIES", 2 * pair)
+                patch.setattr(defgpa.gpa, "_per_shape_terms", spy)
+                patch.setattr(defgpa.gpa, "_held_terms", spy_held)
+                split = cves(cross_validation_errors(ss, sets))
+            # pass-major, each pass factored once, in blocks of two pairs set by set: every fold of the
+            # two-set pass's first set, then of its second, then of the one-set pass, which stops at the
+            # block of its earliest failing fold and fails there
+            solved = 4 if failing else ss.m
+            assert passes == [2, 1]
+            assert pairs == ([(2, t, f) for t in range(2) for f in range(ss.m)]
+                             + [(1, 0, f) for f in range(solved)])
+            if failing:
+                assert type(split[2]) is SingularSystem and str(split[2]) == "injected at fold 2"
+            for got, want in zip(split[:2] if failing else split, whole):
+                assert got[0] == want[0]
+                np.testing.assert_array_equal(np.array(got[1]), np.array(want[1]))
 
     @pytest.mark.parametrize("bad", ["negative-smoothing", "missing-model", "short-basis"])
     def test_bad_model_set_fails_alone(self, rng, bad):
@@ -502,12 +519,6 @@ class TestBatchedCrossValidation:
         ss = full_set(rng, 2, 8, 3, kind="affine", noise=0.05)
         with pytest.raises(DimensionError):
             cross_validation_errors(ss, grid_sets(ss, []), reflection_ref=ref)
-
-
-def held_fold(m, keep):
-    """The fold of a leave-one-out pair that keeps the columns `keep` of m."""
-    (fold,) = np.setdiff1d(np.arange(m), keep)
-    return int(fold)
 
 
 def fold_priors(shape_set, group=1, allow_reflection=False):
@@ -622,7 +633,7 @@ class TestFoldPriors:
         monkeypatch.setattr(defgpa.metrics, "_STACK_ENTRIES", 2**17)  # room for every fold in one block
         whole = cves(cross_validation_errors(ss, sets))
         target = np.array([model.smoothing for model in sets[1]])
-        terms, downdate = defgpa.gpa._per_shape_terms, defgpa.gpa._downdated_terms
+        terms, held_terms = defgpa.gpa._per_shape_terms, defgpa.gpa._held_terms
         dplr = defgpa.metrics._bottom_pairs_dplr
         blocks, mus_of_pass = [], []
 
@@ -630,20 +641,19 @@ class TestFoldPriors:
             mus_of_pass[:] = mus
             return terms(G, bases, mus)
 
-        def spy_downdate(F, rows, held, keep):
-            EU, factor, errors = downdate(F, rows, held, keep)
-            for p, (t, kept) in enumerate(zip(rows, keep)):
-                fold = held_fold(ss.m, kept)
+        def spy_held(F, rows, held):
+            U, E, errors = held_terms(F, rows, held)
+            for p, (t, (fold,)) in enumerate(zip(rows, held)):
                 if fold in (5, 9) and np.array_equal(mus_of_pass[t], target):
                     errors[p] = SingularSystem(f"injected at fold {fold}", shape_index=0)
-            return EU, factor, errors
+            return U, E, errors
 
         def spy_dplr(D, W, d, start=None):
             blocks.append(len(W))
             return dplr(D, W, d, start)
 
         monkeypatch.setattr(defgpa.gpa, "_per_shape_terms", spy_terms)
-        monkeypatch.setattr(defgpa.gpa, "_downdated_terms", spy_downdate)
+        monkeypatch.setattr(defgpa.gpa, "_held_terms", spy_held)
         monkeypatch.setattr(defgpa.metrics, "_bottom_pairs_dplr", spy_dplr)
         outcomes = cves(cross_validation_errors(ss, sets))
         # one block of all folds for the affine set and one for the TPS pairs: set 0 at every fold,
